@@ -16,9 +16,8 @@
 //! comparable across protocols (a protocol that delivers nothing captures
 //! nothing *of the session*).
 
-use manet_netsim::Recorder;
-use manet_wire::{NodeId, PacketId};
-use std::collections::HashSet;
+use manet_netsim::{PacketSet, Recorder};
+use manet_wire::NodeId;
 
 /// What the hostile nodes captured during one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,17 +46,17 @@ impl CaptureReport {
 /// wormhole tunnel set is always unioned in (it is empty unless the run had
 /// a wormhole).
 pub fn capture_report(recorder: &Recorder, attackers: &[NodeId]) -> CaptureReport {
-    let mut captured: HashSet<PacketId> = HashSet::new();
+    let mut captured = PacketSet::default();
     for &a in attackers {
         if let Some(set) = recorder.relayed_set(a) {
-            captured.extend(set.iter().filter(|&&p| recorder.was_delivered(p)));
+            captured.extend(set.iter().filter(|&p| recorder.was_delivered(p)));
         }
     }
     captured.extend(
         recorder
             .tunneled_data_set()
             .iter()
-            .filter(|&&p| recorder.was_delivered(p)),
+            .filter(|&p| recorder.was_delivered(p)),
     );
     CaptureReport {
         attackers: attackers.to_vec(),
@@ -70,7 +69,7 @@ pub fn capture_report(recorder: &Recorder, attackers: &[NodeId]) -> CaptureRepor
 mod tests {
     use super::*;
     use manet_netsim::SimTime;
-    use manet_wire::{ConnectionId, DataPacket, NetPacket, TcpSegment};
+    use manet_wire::{ConnectionId, DataPacket, NetPacket, PacketId, TcpSegment};
 
     fn recorder() -> Recorder {
         let mut rec = Recorder::new();

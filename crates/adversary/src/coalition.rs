@@ -19,12 +19,10 @@
 //! than the usual `1 - 1/e` factor).
 
 use crate::config::{CoalitionPlacement, CoverageBasis};
-use manet_netsim::FxHashSet;
-use manet_netsim::Recorder;
-use manet_wire::{NodeId, PacketId};
+use manet_netsim::{PacketSet, Recorder};
+use manet_wire::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 
 /// What a specific coalition captured during a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,11 +53,7 @@ impl CoalitionReport {
 }
 
 /// The packet set a node contributes under the chosen basis.
-fn captured_set(
-    recorder: &Recorder,
-    node: NodeId,
-    basis: CoverageBasis,
-) -> Option<&FxHashSet<PacketId>> {
+fn captured_set(recorder: &Recorder, node: NodeId, basis: CoverageBasis) -> Option<&PacketSet> {
     match basis {
         CoverageBasis::Relayed => recorder.relayed_set(node),
         CoverageBasis::Heard => recorder.heard_set(node),
@@ -72,10 +66,10 @@ pub fn coalition_report(
     members: &[NodeId],
     basis: CoverageBasis,
 ) -> CoalitionReport {
-    let mut covered: HashSet<PacketId> = HashSet::new();
+    let mut covered = PacketSet::default();
     for &m in members {
         if let Some(set) = captured_set(recorder, m, basis) {
-            covered.extend(set.iter().filter(|&&p| recorder.was_delivered(p)));
+            covered.extend(set.iter().filter(|&p| recorder.was_delivered(p)));
         }
     }
     CoalitionReport {
@@ -137,13 +131,13 @@ pub fn select_coalition_greedy(
     let mut pool = candidates(num_nodes, endpoints);
     let take = k.min(pool.len());
     let mut chosen: Vec<NodeId> = Vec::with_capacity(take);
-    let mut covered: HashSet<PacketId> = HashSet::new();
+    let mut covered = PacketSet::default();
     while chosen.len() < take {
         let mut best: Option<(usize, usize)> = None; // (pool index, gain)
         for (i, &n) in pool.iter().enumerate() {
             let gain = captured_set(recorder, n, basis).map_or(0, |set| {
                 set.iter()
-                    .filter(|&&p| recorder.was_delivered(p) && !covered.contains(&p))
+                    .filter(|&p| recorder.was_delivered(p) && !covered.contains(p))
                     .count()
             });
             // Strictly-greater keeps the lowest node id on ties because the
@@ -156,7 +150,7 @@ pub fn select_coalition_greedy(
         let n = pool.remove(idx); // preserves the id order the tie-break uses
         if gain > 0 {
             if let Some(set) = captured_set(recorder, n, basis) {
-                covered.extend(set.iter().filter(|&&p| recorder.was_delivered(p)));
+                covered.extend(set.iter().filter(|&p| recorder.was_delivered(p)));
             }
         }
         chosen.push(n);
@@ -196,7 +190,8 @@ pub fn coalition_curve(
 mod tests {
     use super::*;
     use manet_netsim::SimTime;
-    use manet_wire::ConnectionId;
+    use manet_wire::{ConnectionId, PacketId};
+    use std::collections::HashSet;
 
     /// A recorder where packets 0..delivered reach node 9 and each
     /// `(node, ids)` pair relayed exactly those packet ids.

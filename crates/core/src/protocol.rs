@@ -803,7 +803,7 @@ impl RoutingAgent for Mts {
         ctx: &mut Ctx<'_>,
         from: NodeId,
         packet: SharedPacket,
-    ) -> Vec<DataPacket> {
+    ) -> Option<DataPacket> {
         // Broadcast-carried control (RREQ floods, RERRs) is handled by
         // reference so flood copies never touch the shared payload
         // allocation; everything else arrives unicast, where claiming the
@@ -811,11 +811,11 @@ impl RoutingAgent for Mts {
         match &*packet {
             NetPacket::Rreq(r) => {
                 self.handle_rreq(ctx, from, r);
-                return Vec::new();
+                return None;
             }
             NetPacket::Rerr(r) => {
                 self.handle_rerr(ctx, from, r);
-                return Vec::new();
+                return None;
             }
             NetPacket::Rrep(_)
             | NetPacket::Check(_)
@@ -825,26 +825,26 @@ impl RoutingAgent for Mts {
         match ctx.claim_packet(packet) {
             NetPacket::Rrep(r) => {
                 self.handle_rrep(ctx, from, r);
-                Vec::new()
+                None
             }
             NetPacket::Check(c) => {
                 self.handle_check(ctx, from, c);
-                Vec::new()
+                None
             }
             NetPacket::CheckErr(e) => {
                 self.handle_check_error(ctx, e);
-                Vec::new()
+                None
             }
             NetPacket::Data(d) => {
                 if d.dst == self.me {
-                    vec![d]
+                    Some(d)
                 } else if d.src == self.me {
                     // Our own packet bounced back (rare, stale routes): re-route.
                     self.originate_data(ctx, d);
-                    Vec::new()
+                    None
                 } else {
                     self.forward_data(ctx, d, from);
-                    Vec::new()
+                    None
                 }
             }
             _ => unreachable!("filtered above"),

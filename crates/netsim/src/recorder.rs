@@ -248,6 +248,90 @@ pub struct FluidFlowTotals {
     pub completion_secs: Option<f64>,
 }
 
+/// A set of [`PacketId`]s, stored as 64-id bit chunks.
+///
+/// A packet id is `(origin << 40) | counter`, so what one node hears is long
+/// runs of consecutive ids from a few origins: the ids of one run share the
+/// chunk `id >> 6`.  The chunk written last is held outside the map, so
+/// inserting the next id of a run is a compare and an OR with no hashing,
+/// and the map holds one entry per 64 ids.  Iteration order is unspecified.
+#[derive(Debug, Clone, Default)]
+pub struct PacketSet {
+    /// Every chunk but the cached one, by `id >> 6`; no entry is 0.
+    chunks: FxHashMap<u64, u64>,
+    /// The chunk written last; it is never also in `chunks`.  Bits are only
+    /// ever set, so `cached_bits` is 0 exactly while the whole set is empty.
+    cached_key: u64,
+    cached_bits: u64,
+    len: usize,
+}
+
+impl PacketSet {
+    /// Add `id`; returns `true` if it was not in the set.
+    #[inline]
+    pub fn insert(&mut self, id: PacketId) -> bool {
+        let key = id.0 >> 6;
+        let bit = 1u64 << (id.0 & 63);
+        if key != self.cached_key {
+            if self.cached_bits != 0 {
+                self.chunks.insert(self.cached_key, self.cached_bits);
+            }
+            self.cached_key = key;
+            self.cached_bits = self.chunks.remove(&key).unwrap_or(0);
+        }
+        let new = self.cached_bits & bit == 0;
+        self.cached_bits |= bit;
+        self.len += usize::from(new);
+        new
+    }
+
+    /// Is `id` in the set?
+    pub fn contains(&self, id: PacketId) -> bool {
+        let key = id.0 >> 6;
+        let bits = if key == self.cached_key {
+            self.cached_bits
+        } else {
+            self.chunks.get(&key).copied().unwrap_or(0)
+        };
+        bits >> (id.0 & 63) & 1 == 1
+    }
+
+    /// Number of ids in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the set holds no id.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every id in the set, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = PacketId> + '_ {
+        self.chunks
+            .iter()
+            .map(|(&key, &bits)| (key, bits))
+            .chain(std::iter::once((self.cached_key, self.cached_bits)))
+            .flat_map(|(key, mut bits)| {
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let id = PacketId(key << 6 | u64::from(bits.trailing_zeros()));
+                        bits &= bits - 1;
+                        id
+                    })
+                })
+            })
+    }
+}
+
+impl Extend<PacketId> for PacketSet {
+    fn extend<I: IntoIterator<Item = PacketId>>(&mut self, ids: I) {
+        for id in ids {
+            self.insert(id);
+        }
+    }
+}
+
 /// What the recorder remembers about one delivered packet.  The connection,
 /// data flag and byte count ride along so [`Recorder::merge`] can rebuild the
 /// derived delivery aggregates (series, delays, per-flow counters) after
@@ -290,10 +374,10 @@ pub struct Recorder {
     // every data transmission, so these sit on the delivery hot path where
     // an outer by-node hash lookup per record is measurable.
     relays: Vec<u64>,
-    heard: Vec<FxHashSet<PacketId>>,
+    heard: Vec<PacketSet>,
     /// Unique data packets each node *received to relay* (the paper's β as a
     /// set, not just a count).  Coalition coverage metrics union these.
-    relayed_ids: Vec<FxHashSet<PacketId>>,
+    relayed_ids: Vec<PacketSet>,
     /// Seconds (1 s buckets) in which each node relayed at least one data
     /// packet.  The windowed participant count (the ROADMAP's Fig. 5 idea:
     /// participants per interval instead of cumulative participants)
@@ -310,7 +394,7 @@ pub struct Recorder {
     /// Unique data-carrying packets that crossed a wormhole tunnel (the
     /// wormhole pair's capture set, unioned with the endpoints' relay sets by
     /// the metrics layer).
-    tunneled_data: FxHashSet<PacketId>,
+    tunneled_data: PacketSet,
 
     // --- control plane ----------------------------------------------------------
     control_tx: u64,
@@ -435,7 +519,13 @@ impl Recorder {
             self.relays[i] += 1;
             self.heard[i].insert(packet);
             self.relayed_ids[i].insert(packet);
-            self.participation_secs[i].insert(at.as_secs().max(0.0) as u32);
+            // Time only moves forward, so the bucket of the previous relay is
+            // the set's largest: a run of relays inside one second inserts once.
+            let sec = at.as_secs().max(0.0) as u32;
+            let secs = &mut self.participation_secs[i];
+            if secs.last() != Some(&sec) {
+                secs.insert(sec);
+            }
         }
     }
 
@@ -631,13 +721,13 @@ impl Recorder {
                 grow_to(&mut out.relays, i);
                 out.relays[i] += c;
             }
-            for (i, set) in part.heard.into_iter().enumerate() {
+            for (i, set) in part.heard.iter().enumerate() {
                 grow_to(&mut out.heard, i);
-                out.heard[i].extend(set);
+                out.heard[i].extend(set.iter());
             }
-            for (i, set) in part.relayed_ids.into_iter().enumerate() {
+            for (i, set) in part.relayed_ids.iter().enumerate() {
                 grow_to(&mut out.relayed_ids, i);
-                out.relayed_ids[i].extend(set);
+                out.relayed_ids[i].extend(set.iter());
             }
             for (i, set) in part.participation_secs.into_iter().enumerate() {
                 grow_to(&mut out.participation_secs, i);
@@ -652,7 +742,7 @@ impl Recorder {
             out.jammed_control += part.jammed_control;
             out.jammed_data += part.jammed_data;
             out.tunneled_frames += part.tunneled_frames;
-            out.tunneled_data.extend(part.tunneled_data);
+            out.tunneled_data.extend(part.tunneled_data.iter());
             // Control plane and MAC level.
             out.control_tx += part.control_tx;
             out.control_tx_bytes += part.control_tx_bytes;
@@ -849,12 +939,12 @@ impl Recorder {
 
     /// The unique data packets `node` heard (relayed or overheard), if any.
     /// Coalition metrics union these across colluding nodes.
-    pub fn heard_set(&self, node: NodeId) -> Option<&FxHashSet<PacketId>> {
+    pub fn heard_set(&self, node: NodeId) -> Option<&PacketSet> {
         self.heard.get(Self::slot(node)).filter(|s| !s.is_empty())
     }
 
     /// The unique data packets `node` received to relay (β as a set), if any.
-    pub fn relayed_set(&self, node: NodeId) -> Option<&FxHashSet<PacketId>> {
+    pub fn relayed_set(&self, node: NodeId) -> Option<&PacketSet> {
         self.relayed_ids
             .get(Self::slot(node))
             .filter(|s| !s.is_empty())
@@ -886,7 +976,7 @@ impl Recorder {
     }
 
     /// The unique data-carrying packets that crossed a wormhole tunnel.
-    pub fn tunneled_data_set(&self) -> &FxHashSet<PacketId> {
+    pub fn tunneled_data_set(&self) -> &PacketSet {
         &self.tunneled_data
     }
 
@@ -1020,9 +1110,109 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    /// Packet ids as the stack mints them, `(origin << 40) | counter`, from
+    /// four origins: counters are dense (runs inside a few chunks, many
+    /// repeats) or sparse (one id per chunk, chunk boundaries included).
+    fn packet_ids() -> impl Strategy<Value = Vec<PacketId>> {
+        proptest::collection::vec(
+            (0u64..4, 0u8..4, 0u64..200, 0u64..1 << 40).prop_map(
+                |(origin, kind, dense, sparse)| {
+                    let counter = match kind {
+                        0 | 1 => dense,
+                        2 => (dense << 6) | [0, 63][(sparse & 1) as usize],
+                        _ => sparse,
+                    };
+                    PacketId((origin << 40) | counter)
+                },
+            ),
+            0..400,
+        )
+    }
+
+    fn as_set(ids: &PacketSet) -> FxHashSet<PacketId> {
+        let listed: Vec<PacketId> = ids.iter().collect();
+        let set: FxHashSet<PacketId> = listed.iter().copied().collect();
+        assert_eq!(set.len(), listed.len(), "iter yields each id once");
+        set
+    }
+
+    proptest! {
+        #[test]
+        fn packet_set_behaves_like_a_hash_set(ids in packet_ids(), probes in packet_ids()) {
+            let mut set = PacketSet::default();
+            let mut model: FxHashSet<PacketId> = FxHashSet::default();
+            prop_assert!(set.is_empty());
+            for &id in &ids {
+                prop_assert_eq!(set.insert(id), model.insert(id), "insert {:?}", id);
+                prop_assert_eq!(set.len(), model.len());
+                prop_assert!(set.contains(id));
+            }
+            prop_assert_eq!(set.is_empty(), model.is_empty());
+            for &id in ids.iter().chain(&probes) {
+                prop_assert_eq!(set.contains(id), model.contains(&id), "contains {:?}", id);
+            }
+            prop_assert_eq!(as_set(&set), model.clone());
+
+            // `extend` is the union, whichever side it starts from.
+            let mut other = PacketSet::default();
+            other.extend(probes.iter().copied());
+            model.extend(probes.iter().copied());
+            let mut union = set.clone();
+            union.extend(other.iter());
+            prop_assert_eq!(union.len(), model.len());
+            prop_assert_eq!(as_set(&union), model.clone());
+            other.extend(set.iter());
+            prop_assert_eq!(as_set(&other), model);
+        }
+
+        #[test]
+        fn merge_unions_the_capture_sets(a_ids in packet_ids(), b_ids in packet_ids()) {
+            // Each part relays its ids at node 3, overhears them at node 5
+            // and tunnels them through a wormhole.
+            let part = |ids: &[PacketId]| {
+                let mut r = Recorder::new();
+                for &id in ids {
+                    r.record_relay(NodeId(3), id, true, SimTime::ZERO);
+                    r.record_overheard(NodeId(5), id, true);
+                    r.record_tunneled(&NetPacket::Data(manet_wire::DataPacket::new(
+                        id,
+                        NodeId(0),
+                        NodeId(9),
+                        manet_wire::TcpSegment::data(ConnectionId(0), 0, 0, 100),
+                    )));
+                }
+                r
+            };
+            let union: FxHashSet<PacketId> = a_ids.iter().chain(&b_ids).copied().collect();
+            let m = Recorder::merge(vec![part(&a_ids), part(&b_ids)]);
+            let set_of = |s: Option<&PacketSet>| s.map(as_set).unwrap_or_default();
+            prop_assert_eq!(set_of(m.relayed_set(NodeId(3))), union.clone());
+            prop_assert_eq!(set_of(m.heard_set(NodeId(3))), union.clone());
+            prop_assert_eq!(set_of(m.heard_set(NodeId(5))), union.clone());
+            prop_assert_eq!(m.heard_count(NodeId(5)), union.len() as u64);
+            prop_assert_eq!(m.relay_count(NodeId(3)), (a_ids.len() + b_ids.len()) as u64);
+            prop_assert!(m.relayed_set(NodeId(5)).is_none());
+            prop_assert_eq!(as_set(m.tunneled_data_set()), union);
+        }
+    }
+
+    #[test]
+    fn relays_inside_one_second_share_a_participation_bucket() {
+        let mut r = Recorder::new();
+        for (i, secs) in [0.1, 0.5, 0.9, 1.0, 1.2, 3.7, 3.7].into_iter().enumerate() {
+            r.record_relay(NodeId(2), PacketId(i as u64), true, t(secs));
+        }
+        assert_eq!(
+            r.participation_secs[2].iter().copied().collect::<Vec<_>>(),
+            [0, 1, 3]
+        );
+        assert_eq!(r.windowed_participants(1.0), vec![1, 1, 0, 1]);
     }
 
     #[test]

@@ -85,8 +85,8 @@ impl RoutingStats {
 /// classes), and MAC-level delivery failures through
 /// [`RoutingAgent::on_link_failure`].
 ///
-/// `on_packet` returns the data packets that terminated at this node so the
-/// caller can hand them to the transport layer.
+/// `on_packet` returns the data packet that terminated at this node, if the
+/// received packet was one, so the caller can hand it to the transport layer.
 ///
 /// `Send` is a supertrait so stacks built around a `Box<dyn RoutingAgent>`
 /// can move onto worker threads under sharded execution; agents are plain
@@ -103,7 +103,7 @@ pub trait RoutingAgent: Send {
     fn send_data(&mut self, ctx: &mut Ctx<'_>, packet: DataPacket);
 
     /// Handle a network packet received from neighbour `from`.  Returns the
-    /// data packets destined to this node.
+    /// packet if it is a data packet destined to this node.
     ///
     /// The packet arrives behind an `Arc` shared with the other receivers of
     /// the transmission.  Agents handle broadcast-carried control (RREQ
@@ -115,7 +115,7 @@ pub trait RoutingAgent: Send {
         ctx: &mut Ctx<'_>,
         from: NodeId,
         packet: SharedPacket,
-    ) -> Vec<DataPacket>;
+    ) -> Option<DataPacket>;
 
     /// Handle a routing-class timer.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken);

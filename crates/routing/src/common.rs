@@ -2,9 +2,10 @@
 
 use manet_netsim::telemetry::TelemetryEvent;
 use manet_netsim::FxHashMap;
-use manet_netsim::SimTime;
 use manet_netsim::{Ctx, DropReason};
+use manet_netsim::{Duration, SimTime};
 use manet_wire::{BroadcastId, DataPacket, NodeId};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Record a routing-layer data-packet drop through the unified accounting:
@@ -47,12 +48,18 @@ pub fn record_data_drop(ctx: &mut Ctx<'_>, me: NodeId, reason: DropReason, packe
 /// Duplicate-suppression table for flooded packets.
 ///
 /// A route request is uniquely identified by `(source, destination,
-/// broadcast_id)` (paper §III-B).  Entries expire after `ttl` so the table
-/// stays small over a long run.
+/// broadcast_id)` (paper §III-B).  Entries expire after `ttl`: expiry is
+/// decided at the looked-up entry, so a call costs one map access, and a
+/// full sweep once per TTL of simulated time keeps the table small over a
+/// long run.  Callers pass non-decreasing times (a node's clock).
 #[derive(Debug)]
 pub struct SeenTable {
     ttl_secs: f64,
     entries: FxHashMap<(NodeId, NodeId, BroadcastId), SimTime>,
+    /// Time of the next full sweep of expired entries.
+    next_sweep: SimTime,
+    #[cfg(test)]
+    sweeps: u64,
 }
 
 impl SeenTable {
@@ -61,11 +68,16 @@ impl SeenTable {
         SeenTable {
             ttl_secs,
             entries: FxHashMap::default(),
+            next_sweep: SimTime::ZERO,
+            #[cfg(test)]
+            sweeps: 0,
         }
     }
 
     /// Record the flood identified by the triple; returns `true` if it was
     /// seen for the first time (i.e. the caller should process/forward it).
+    /// A duplicate refreshes the entry's timestamp; one arriving a full TTL
+    /// after the last copy counts as new again.
     pub fn first_time(
         &mut self,
         source: NodeId,
@@ -73,31 +85,31 @@ impl SeenTable {
         id: BroadcastId,
         now: SimTime,
     ) -> bool {
-        self.gc(now);
-        self.entries
-            .insert((source, destination, id), now)
-            .is_none()
+        if now >= self.next_sweep {
+            self.sweep(now);
+        }
+        match self.entries.entry((source, destination, id)) {
+            Entry::Vacant(v) => {
+                v.insert(now);
+                true
+            }
+            Entry::Occupied(mut o) => {
+                let seen = o.insert(now);
+                now.saturating_since(seen).as_secs() >= self.ttl_secs
+            }
+        }
     }
 
-    /// Has the flood been seen already? (does not record it)
-    pub fn contains(&self, source: NodeId, destination: NodeId, id: BroadcastId) -> bool {
-        self.entries.contains_key(&(source, destination, id))
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn gc(&mut self, now: SimTime) {
+    /// Drop every expired entry and schedule the next sweep one TTL ahead.
+    fn sweep(&mut self, now: SimTime) {
         let ttl = self.ttl_secs;
         self.entries
             .retain(|_, &mut seen| now.saturating_since(seen).as_secs() < ttl);
+        self.next_sweep = now + Duration::from_secs(ttl);
+        #[cfg(test)]
+        {
+            self.sweeps += 1;
+        }
     }
 }
 
@@ -206,6 +218,7 @@ impl Default for PacketBuffer {
 mod tests {
     use super::*;
     use manet_wire::{ConnectionId, PacketId, TcpSegment};
+    use proptest::prelude::*;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -226,9 +239,10 @@ mod tests {
         assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(5), t(0.0)));
         assert!(!s.first_time(NodeId(1), NodeId(2), BroadcastId(5), t(1.0)));
         assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(6), t(1.0)));
-        assert!(s.contains(NodeId(1), NodeId(2), BroadcastId(5)));
-        assert!(!s.contains(NodeId(3), NodeId(2), BroadcastId(5)));
-        assert_eq!(s.len(), 2);
+        // Every element of the triple is part of the key.
+        assert!(s.first_time(NodeId(3), NodeId(2), BroadcastId(5), t(1.0)));
+        assert!(s.first_time(NodeId(1), NodeId(4), BroadcastId(5), t(1.0)));
+        assert!(!s.first_time(NodeId(1), NodeId(2), BroadcastId(6), t(2.0)));
     }
 
     #[test]
@@ -237,6 +251,99 @@ mod tests {
         assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(0.0)));
         // After the TTL, the same triple counts as new again.
         assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(6.0)));
+        // A duplicate refreshes the timestamp: 4 s after each copy is never
+        // a full TTL after the last one.
+        assert!(!s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(10.0)));
+        assert!(!s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(14.0)));
+        // Exactly one TTL later counts as expired (`>=`).
+        assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(19.0)));
+    }
+
+    #[test]
+    fn seen_table_expires_an_entry_between_two_sweeps() {
+        let mut s = SeenTable::new(5.0);
+        assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(0.0)));
+        assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(2), t(3.0)));
+        // This call sweeps (t = 6 is past the first deadline) and keeps flood
+        // 2, which is 3 s old; the next sweep is not due before t = 11.
+        assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(1), t(6.0)));
+        assert_eq!((s.sweeps, s.entries.len()), (2, 2));
+        // So at t = 8 flood 2 is still stored, exactly one TTL old: the
+        // looked-up entry itself says "expired".
+        assert!(s.first_time(NodeId(1), NodeId(2), BroadcastId(2), t(8.0)));
+        assert!(!s.first_time(NodeId(1), NodeId(2), BroadcastId(2), t(9.0)));
+        assert_eq!(s.sweeps, 2);
+    }
+
+    #[test]
+    fn seen_table_sweeps_once_per_ttl_not_once_per_call() {
+        let mut s = SeenTable::new(30.0);
+        // A flood storm inside one TTL: 1 000 distinct floods, 100 copies each.
+        for i in 0..100_000u32 {
+            let now = t(f64::from(i) * 29.0 / 100_000.0);
+            s.first_time(NodeId(1), NodeId(2), BroadcastId(i % 1_000), now);
+        }
+        assert!(s.sweeps <= 1, "{} sweeps inside one TTL", s.sweeps);
+        assert_eq!(s.entries.len(), 1_000);
+        // The next call past the deadline sweeps: every old entry was last
+        // refreshed before t = 29 s, so at t = 60 s all of them are gone.
+        assert!(s.first_time(NodeId(7), NodeId(8), BroadcastId(0), t(60.0)));
+        assert_eq!(s.sweeps, 2);
+        assert_eq!(s.entries.len(), 1);
+    }
+
+    /// The pre-PR-13 table: sweep the whole map on every call, then insert.
+    struct EagerSeenTable {
+        ttl_secs: f64,
+        entries: FxHashMap<(NodeId, NodeId, BroadcastId), SimTime>,
+    }
+
+    impl EagerSeenTable {
+        fn first_time(&mut self, key: (NodeId, NodeId, BroadcastId), now: SimTime) -> bool {
+            let ttl = self.ttl_secs;
+            self.entries
+                .retain(|_, &mut seen| now.saturating_since(seen).as_secs() < ttl);
+            self.entries.insert(key, now).is_none()
+        }
+    }
+
+    proptest! {
+        /// The lazy table answers exactly like the sweep-every-call table
+        /// for any keys and any non-decreasing times, including steps that
+        /// land on, just under and well past the TTL.
+        #[test]
+        fn lazy_seen_table_matches_the_eager_reference(
+            ttl in (0usize..3).prop_map(|i| [1.0f64, 5.0, 30.0][i]),
+            calls in proptest::collection::vec(
+                // (source, destination, broadcast id, time step as a
+                // fraction of the TTL): mostly small steps, some of exactly
+                // one TTL, some around and beyond it.
+                (0u16..3, 0u16..2, 0u32..4, (0u8..6, 0.0f64..1.0).prop_map(|(kind, x)| {
+                    match kind {
+                        0..=3 => 0.4 * x,
+                        4 => 1.0,
+                        _ => 0.9 + 1.6 * x,
+                    }
+                })),
+                1..200,
+            ),
+        ) {
+            let mut lazy = SeenTable::new(ttl);
+            let mut eager = EagerSeenTable { ttl_secs: ttl, entries: FxHashMap::default() };
+            let mut now = 0.0f64;
+            for (src, dst, id, step) in calls {
+                now += step * ttl;
+                let key = (NodeId(src), NodeId(dst), BroadcastId(id));
+                prop_assert_eq!(
+                    lazy.first_time(key.0, key.1, key.2, t(now)),
+                    eager.first_time(key, t(now)),
+                    "key {:?} at t = {}", key, now
+                );
+                // The lazy table may hold expired entries until its next
+                // sweep, never fewer than the eager one.
+                prop_assert!(lazy.entries.len() >= eager.entries.len());
+            }
+        }
     }
 
     #[test]

@@ -382,7 +382,7 @@ impl RoutingAgent for Dsr {
         ctx: &mut Ctx<'_>,
         from: NodeId,
         packet: SharedPacket,
-    ) -> Vec<DataPacket> {
+    ) -> Option<DataPacket> {
         // Broadcast-carried control (RREQ floods, RERRs) is handled by
         // reference so duplicate flood copies never touch the shared payload
         // allocation; everything else arrives unicast, where claiming the
@@ -390,26 +390,26 @@ impl RoutingAgent for Dsr {
         match &*packet {
             NetPacket::Rreq(r) => {
                 self.handle_rreq(ctx, from, r);
-                return Vec::new();
+                return None;
             }
             NetPacket::Rerr(r) => {
                 self.handle_rerr(ctx, from, r);
-                return Vec::new();
+                return None;
             }
-            NetPacket::Check(_) | NetPacket::CheckErr(_) => return Vec::new(),
+            NetPacket::Check(_) | NetPacket::CheckErr(_) => return None,
             NetPacket::Rrep(_) | NetPacket::Data(_) => {}
         }
         match ctx.claim_packet(packet) {
             NetPacket::Rrep(r) => {
                 self.handle_rrep(ctx, from, r);
-                Vec::new()
+                None
             }
             NetPacket::Data(d) => {
                 if d.dst == self.me {
-                    vec![d]
+                    Some(d)
                 } else {
                     self.forward_source_routed(ctx, d);
-                    Vec::new()
+                    None
                 }
             }
             _ => unreachable!("filtered above"),

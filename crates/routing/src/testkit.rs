@@ -131,7 +131,7 @@ impl<A: RoutingAgent> NodeStack for HarnessStack<A> {
 
     fn on_receive(&mut self, ctx: &mut Ctx<'_>, from: NodeId, packet: SharedPacket) {
         let delivered = self.agent.on_packet(ctx, from, packet);
-        self.counters.borrow_mut().delivered += delivered.len() as u64;
+        self.counters.borrow_mut().delivered += u64::from(delivered.is_some());
     }
 
     fn on_link_failure(&mut self, ctx: &mut Ctx<'_>, next_hop: NodeId, packet: NetPacket) {

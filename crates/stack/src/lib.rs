@@ -339,29 +339,27 @@ impl ManetStack {
         }
     }
 
-    /// Process data packets the routing layer says terminate at this node,
-    /// demultiplexing each carried segment to its connection's endpoint.
-    fn deliver(&mut self, ctx: &mut Ctx<'_>, packets: Vec<DataPacket>) {
-        for packet in packets {
-            let conn = packet.segment.conn;
-            match self.conns.get_mut(&conn) {
-                Some(TcpEndpoint::Receiver { peer, receiver }) if packet.segment.carries_data() => {
-                    let ack = receiver.on_segment(&packet.segment);
-                    let peer = *peer;
-                    self.send_segment(ctx, peer, ack);
-                }
-                Some(TcpEndpoint::Sender { .. })
-                    if packet.segment.flags.ack && !packet.segment.carries_data() =>
-                {
-                    let segment = packet.segment;
-                    self.drive_sender(ctx, conn, |s, now| s.on_ack(&segment, now));
-                }
-                // Pure ACKs reflected to a receiver, data arriving at a
-                // sender, or a packet terminating at a node with no endpoint
-                // for its connection: nothing to do (it still counted as
-                // delivered in the recorder).
-                _ => {}
+    /// Process a data packet the routing layer says terminates at this node,
+    /// demultiplexing the carried segment to its connection's endpoint.
+    fn deliver(&mut self, ctx: &mut Ctx<'_>, packet: DataPacket) {
+        let conn = packet.segment.conn;
+        match self.conns.get_mut(&conn) {
+            Some(TcpEndpoint::Receiver { peer, receiver }) if packet.segment.carries_data() => {
+                let ack = receiver.on_segment(&packet.segment);
+                let peer = *peer;
+                self.send_segment(ctx, peer, ack);
             }
+            Some(TcpEndpoint::Sender { .. })
+                if packet.segment.flags.ack && !packet.segment.carries_data() =>
+            {
+                let segment = packet.segment;
+                self.drive_sender(ctx, conn, |s, now| s.on_ack(&segment, now));
+            }
+            // A pure ACK reflected to a receiver, data arriving at a sender,
+            // or a packet terminating at a node with no endpoint for its
+            // connection: nothing to do (it still counted as delivered in
+            // the recorder).
+            _ => {}
         }
     }
 }
@@ -413,8 +411,7 @@ impl NodeStack for ManetStack {
     }
 
     fn on_receive(&mut self, ctx: &mut Ctx<'_>, from: NodeId, packet: SharedPacket) {
-        let delivered = self.agent.on_packet(ctx, from, packet);
-        if !delivered.is_empty() {
+        if let Some(delivered) = self.agent.on_packet(ctx, from, packet) {
             self.deliver(ctx, delivered);
         }
     }
