@@ -315,7 +315,7 @@ pub struct HybridBenchPoint {
     /// `"packet"` (every flow at MAC fidelity) or `"hybrid"` (foreground
     /// packet flows + fluid background).
     pub mode: &'static str,
-    /// Wall-clock seconds of the run.
+    /// Wall-clock seconds of the run (per-seed mean on the hybrid axis).
     pub wall_secs: f64,
     /// Events the engine processed.
     pub events: u64,
@@ -352,10 +352,10 @@ pub const BENCH_HYBRID_SEEDS: u64 = 3;
 /// contract, asserted here on the recorder trace).
 ///
 /// Every point is the mean over [`BENCH_HYBRID_SEEDS`] consecutive seeds
-/// (events, deliveries, goodput, fairness, fluid bytes); `wall_secs` is the
-/// summed per-seed wall clock (fastest of `reps` repetitions each), so
-/// `events_per_sec` stays an honest throughput.  The identity check runs on
-/// the first seed.
+/// (events, deliveries, goodput, fairness, fluid bytes, and `wall_secs`: the
+/// per-seed wall clock, fastest of `reps` repetitions on the first seed), so
+/// a row's `events ÷ wall_secs` is its `events_per_sec`, the ensemble's
+/// throughput.  The identity check runs on the first seed.
 ///
 /// # Panics
 /// Panics if a scenario is invalid, `reps` is zero, or a no-background hybrid
@@ -443,7 +443,7 @@ pub fn bench_hybrid(
                     0
                 },
                 mode,
-                wall_secs: wall_sum,
+                wall_secs: wall_sum / ens as f64,
                 events: events_sum / ens,
                 events_per_sec: events_sum as f64 / wall_sum,
                 delivered: delivered_sum / ens,
@@ -1241,5 +1241,27 @@ mod tests {
         assert_eq!((rows[0].flows, rows[0].background), (50, 45));
         let table = render_bench_trend(&rows);
         assert!(table.contains("hybrid 50fl+45bg"), "{table}");
+    }
+
+    /// A hybrid-axis row is an ensemble mean in every column, so its own
+    /// `events` over its own `wall_secs` is its `events_per_sec` (to within
+    /// the one event the integer mean may drop).
+    #[test]
+    fn hybrid_axis_rows_satisfy_events_over_wall_equals_throughput() {
+        let points = bench_hybrid(50, &[2, 7], 1.0, 1, 1);
+        assert_eq!(points.len(), 4, "packet and hybrid at each flow count");
+        for p in &points {
+            assert!(p.events > 0 && p.wall_secs > 0.0, "{p:?}");
+            let from_row = p.events as f64 / p.wall_secs;
+            assert!(
+                (from_row - p.events_per_sec).abs() <= 1.0 / p.wall_secs + 1e-9 * p.events_per_sec,
+                "flows={} {}: {} events / {} s = {from_row}, row says {}",
+                p.flows,
+                p.mode,
+                p.events,
+                p.wall_secs,
+                p.events_per_sec
+            );
+        }
     }
 }

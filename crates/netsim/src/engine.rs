@@ -46,7 +46,7 @@
 use crate::choice::{ChoiceDecision, ChoicePoint, DeliveryChoiceHook};
 use crate::config::{NeighborIndex, SimConfig};
 use crate::event::{Event, EventQueue, TxId};
-use crate::fluid::{EpochOutcome, FluidCompletion, FluidState};
+use crate::fluid::{FluidCompletion, FluidState};
 use crate::geometry::Position;
 use crate::grid::SpatialGrid;
 use crate::mac::{airtime, InFlight, MacState, RxInterval};
@@ -711,7 +711,16 @@ pub struct SimCore<S: StackSlot> {
     stacks: Vec<S>,
     started: bool,
     finished: bool,
+    /// Same-timestamp epoch watchdog: the instant of the latest fluid epoch
+    /// that asked for its successor at or before its own time, and how many
+    /// did so at that instant.
+    fluid_stall: (SimTime, u32),
 }
+
+/// Fluid epochs that may re-arm at one unchanged instant before the run is
+/// declared stalled.  Legitimate same-instant epochs (an arrival, a forced
+/// reallocation) come in ones and twos.
+const FLUID_STALL_LIMIT: u32 = 10_000;
 
 /// The serial simulator (the instantiation every existing caller uses).
 pub type Simulator = SimCore<Box<dyn NodeStack>>;
@@ -875,6 +884,7 @@ impl<S: StackSlot> SimCore<S> {
             stacks,
             started: false,
             finished: false,
+            fluid_stall: (SimTime::ZERO, 0),
         }
     }
 
@@ -1160,13 +1170,39 @@ impl<S: StackSlot> SimCore<S> {
             return; // superseded by a forced reallocation
         }
         let now = self.world.now;
+        // Shard 0 only: the fluid state is replicated per shard, so letting
+        // every shard report its regions would multi-count on merge.
+        let sample_regions = self.world.recorder.telemetry.enabled()
+            && self.world.shard.as_ref().is_none_or(|s| s.id == 0);
         let out = {
             let world = &self.world;
-            fluid.epoch(now, |n| world.position_of(n))
+            fluid.epoch(now, sample_regions, |n| world.position_of(n))
         };
+        // An epoch that asks for the next one at its own instant makes no
+        // progress in simulated time.  A long run of them is a spin (PR 9's
+        // f64 completion bug looked exactly like this): fail with the state
+        // that explains it instead of hanging.
+        if out.next.is_some_and(|next| next <= now) {
+            if self.fluid_stall.0 != now {
+                self.fluid_stall = (now, 0);
+            }
+            self.fluid_stall.1 += 1;
+            assert!(
+                self.fluid_stall.1 <= FLUID_STALL_LIMIT,
+                "fluid layer stalled: {FLUID_STALL_LIMIT} consecutive epochs at {now}, \
+                 generation {gen}, each asked for the next at or before it; {}",
+                fluid.stall_report()
+            );
+        }
         self.world.fluid = Some(fluid);
         self.emit_fluid_completions(&out.completions);
-        self.note_fluid_window(&out);
+        let t = now.as_secs();
+        for &(region, demand, alloc) in &out.region_rates {
+            self.world
+                .recorder
+                .telemetry
+                .note_fluid(t, region, demand, alloc);
+        }
         if let Some(next) = out.next {
             self.world
                 .queue
@@ -1197,23 +1233,6 @@ impl<S: StackSlot> SimCore<S> {
                 conn: c.conn,
                 bytes: c.delivered,
             });
-        }
-    }
-
-    /// Fold the epoch's per-region demand/allocation rates into the windowed
-    /// sampler.  Shard 0 only: the fluid state is replicated per shard, so
-    /// letting every shard report would multi-count on merge.
-    fn note_fluid_window(&mut self, out: &EpochOutcome) {
-        if out.region_rates.is_empty() || !self.world.recorder.telemetry.enabled() {
-            return;
-        }
-        if self.world.shard.as_ref().is_some_and(|s| s.id != 0) {
-            return;
-        }
-        let t = self.world.now.as_secs();
-        let telemetry = &mut self.world.recorder.telemetry;
-        for &(region, demand, alloc) in &out.region_rates {
-            telemetry.note_fluid(t, region, demand, alloc);
         }
     }
 
@@ -2089,6 +2108,28 @@ mod tests {
         // Intermediate nodes 1 and 2 are relays.
         assert_eq!(rec.relay_counts().len(), 2);
         assert!(rec.mean_delay_secs() > 0.0);
+    }
+
+    /// A fluid state no validated config can build: with a zero epoch gap
+    /// every epoch with an active flow (the one flow arrives at 0.5 s) asks
+    /// for the next at its own instant.  The watchdog must end the run with
+    /// the state that explains it, not spin.
+    #[test]
+    #[should_panic(
+        expected = "10000 consecutive epochs at t=0.500000s, generation 0, each asked for \
+                    the next at or before it; 1 active flows, smallest remaining 5000 bytes"
+    )]
+    fn fluid_epochs_stuck_at_one_instant_trip_the_watchdog() {
+        let (mut sim, _log) = chain_sim(2, 200.0);
+        let mut stuck = crate::fluid::FluidConfig::default();
+        stuck.flows = 1;
+        stuck.flow_bytes = 5_000;
+        stuck.max_epoch_gap = Duration::ZERO;
+        sim.world.fluid = Some(Box::new(FluidState::new(&stuck, &sim.world.config)));
+        sim.world
+            .queue
+            .schedule(SimTime::ZERO, Event::FluidEpoch { gen: 0 });
+        sim.run();
     }
 
     #[test]

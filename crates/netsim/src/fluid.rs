@@ -128,13 +128,18 @@ impl FluidConfig {
             if !(self.busy_overhead >= 0.0 && self.busy_overhead.is_finite()) {
                 return Err("fluid busy_overhead must be finite and non-negative".into());
             }
-            if self.pulse_period <= Duration::ZERO {
-                return Err("fluid pulse_period must be positive".into());
-            }
-            if self.max_epoch_gap <= Duration::ZERO {
-                return Err("fluid max_epoch_gap must be positive".into());
+            // `!(x > 0)`, not `x <= 0`: `Duration`'s order panics on NaN, and a
+            // deserialised config can carry one.
+            for (name, period) in [
+                ("pulse_period", self.pulse_period),
+                ("max_epoch_gap", self.max_epoch_gap),
+            ] {
+                if !(period.as_secs() > 0.0 && period.as_secs().is_finite()) {
+                    return Err(format!("fluid {name} must be finite and positive"));
+                }
             }
         }
+        let is_offset = |d: Duration| d.as_secs() >= 0.0 && d.as_secs().is_finite();
         if self.flows > 0 {
             if num_nodes < 2 {
                 return Err("fluid background flows need at least 2 nodes".into());
@@ -142,26 +147,40 @@ impl FluidConfig {
             if !(self.demand_bytes_per_sec > 0.0 && self.demand_bytes_per_sec.is_finite()) {
                 return Err("fluid demand_bytes_per_sec must be finite and positive".into());
             }
+            if !is_offset(self.arrival_spread) {
+                return Err("fluid arrival_spread must be finite and non-negative".into());
+            }
         }
         for spec in &self.explicit {
+            let conn = spec.conn;
             if spec.src == spec.dst {
-                return Err(format!("fluid flow {} has src == dst", spec.conn));
+                return Err(format!("fluid flow {conn} has src == dst"));
             }
             if spec.src.index() >= num_nodes as usize || spec.dst.index() >= num_nodes as usize {
-                return Err(format!("fluid flow {} endpoint out of range", spec.conn));
+                return Err(format!("fluid flow {conn} endpoint out of range"));
             }
-            if spec.conn >= FLUID_CONN_BASE {
+            if conn >= FLUID_CONN_BASE {
                 return Err(format!(
-                    "explicit fluid conn {} collides with the generated-flow id space",
-                    spec.conn
+                    "explicit fluid conn {conn} collides with the generated-flow id space"
                 ));
             }
             if !(spec.demand_bytes_per_sec > 0.0 && spec.demand_bytes_per_sec.is_finite()) {
                 return Err(format!(
-                    "fluid flow {} demand must be finite and positive",
-                    spec.conn
+                    "fluid flow {conn} demand must be finite and positive"
                 ));
             }
+            if !is_offset(spec.start) {
+                return Err(format!(
+                    "fluid flow {conn} start must be finite and non-negative"
+                ));
+            }
+        }
+        // The recorder keeps one ledger row per conn: a second flow on the
+        // same id would overwrite the first and break byte conservation.
+        let mut conns: Vec<u32> = self.explicit.iter().map(|spec| spec.conn).collect();
+        conns.sort_unstable();
+        if let Some(pair) = conns.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("two explicit fluid flows share conn {}", pair[0]));
         }
         Ok(())
     }
@@ -181,85 +200,202 @@ impl FluidConfig {
 /// them.  The result is the unique max-min fair allocation, so it is
 /// independent of flow order, monotone in demand, and sums to at most the
 /// capacity on every resource (the property tests below assert all three).
+///
+/// A flow with an empty path is unconstrained by capacity and gets its
+/// demand.  Demands must not be NaN.  A thin wrapper: it flattens the paths
+/// for [`max_min_kernel`].
 pub fn max_min_allocate(capacity: &[f64], paths: &[Vec<usize>], demands: &[f64]) -> Vec<f64> {
     assert_eq!(paths.len(), demands.len());
-    let n = paths.len();
-    let mut alloc = vec![0.0f64; n];
-    let mut frozen = vec![false; n];
-    // Flows with an empty path (degenerate: both endpoints in one region —
-    // the region still carries them) are given a synthetic single-hop path
-    // upstream; here an empty path just means "unconstrained by capacity".
-    let mut remaining: Vec<f64> = capacity.to_vec();
-    let mut load: Vec<u32> = vec![0; capacity.len()];
-    for (f, path) in paths.iter().enumerate() {
-        if demands[f] <= 0.0 {
-            frozen[f] = true;
-            continue;
-        }
+    let mut start = Vec::with_capacity(paths.len() + 1);
+    let mut regions = Vec::new();
+    start.push(0);
+    for path in paths {
         for &r in path {
-            load[r] += 1;
+            assert!(r < capacity.len(), "path names region {r}, out of range");
+            regions.push(u32::try_from(r).expect("region index fits u32"));
+        }
+        start.push(u32::try_from(regions.len()).expect("path entries fit u32"));
+    }
+    let mut scratch = MaxMinScratch::default();
+    max_min_kernel(capacity, &start, &regions, demands, &mut scratch);
+    scratch.alloc
+}
+
+/// [`max_min_kernel`]'s vectors, kept between epochs so none allocates.
+#[derive(Debug, Clone, Default)]
+struct MaxMinScratch {
+    /// The result: `alloc[f]` is flow `f`'s rate.
+    alloc: Vec<f64>,
+    frozen: Vec<bool>,
+    remaining: Vec<f64>,
+    /// Path entries of unfrozen flows per region (a repeated region counts
+    /// once per mention).
+    load: Vec<u32>,
+    /// The positive-demand flows, by ascending demand.
+    by_demand: Vec<u32>,
+    /// Region → crossing flows, one per path entry: region `r` owns
+    /// `crossing[cross_end[r - 1]..cross_end[r]]` (from 0 for region 0).
+    cross_end: Vec<u32>,
+    crossing: Vec<u32>,
+}
+
+/// [`max_min_allocate`] over flat paths: flow `f` crosses
+/// `regions[start[f]..start[f + 1]]`; the rates land in `s.alloc`.
+///
+/// Progressive filling as one *water level*: every unfrozen flow has taken
+/// the same increments from 0.0, so all hold the same rate, and a flow's rate
+/// is the level of the round it froze in.  A round costs the regions plus the
+/// flows it freezes, not a walk over every path, yet each f64 comes from the
+/// operations the per-flow formulation performs (docs/TRAFFIC.md, "epoch
+/// cost"): rounding is monotone, so the smallest `demand − level` belongs to
+/// the smallest demand and the flows with `level ≥ demand − 1e-9` are a
+/// prefix of the demand order; a region loses `delta` once per unfrozen path
+/// entry, as `load[r]` *repeated* subtractions (order-free, but `load × delta`
+/// would round differently); and freezing reads only the level and the
+/// remaining capacities, which do not move within a round, so its order is
+/// free and an exhausted region's flows come from its adjacency list.
+fn max_min_kernel(
+    capacity: &[f64],
+    start: &[u32],
+    regions: &[u32],
+    demands: &[f64],
+    s: &mut MaxMinScratch,
+) {
+    fn freeze(f: usize, level: f64, path: &[u32], s: &mut MaxMinScratch) {
+        s.frozen[f] = true;
+        s.alloc[f] = level;
+        for &r in path {
+            s.load[r as usize] -= 1;
         }
     }
-    loop {
-        let active = frozen.iter().filter(|&&z| !z).count();
-        if active == 0 {
-            break;
+    const LANES: usize = 8;
+    let n = demands.len();
+    assert_eq!(start.len(), n + 1);
+    let path = |f: usize| &regions[start[f] as usize..start[f + 1] as usize];
+    s.alloc.clear();
+    s.alloc.resize(n, 0.0);
+    s.frozen.clear();
+    s.frozen.resize(n, false);
+    // Padding regions carry no load, so no round looks at them.
+    let padded = capacity.len().next_multiple_of(LANES);
+    s.remaining.clear();
+    s.remaining.extend_from_slice(capacity);
+    s.remaining.resize(padded, 0.0);
+    s.load.clear();
+    s.load.resize(padded, 0);
+    s.by_demand.clear();
+    for (f, &demand) in demands.iter().enumerate() {
+        if demand <= 0.0 {
+            s.frozen[f] = true;
+            continue;
         }
+        s.by_demand.push(f as u32);
+        for &r in path(f) {
+            s.load[r as usize] += 1;
+        }
+    }
+    s.by_demand
+        .sort_unstable_by(|&a, &b| demands[a as usize].total_cmp(&demands[b as usize]));
+    // `cross_end[r]` starts as region r's first slot and, advanced once per
+    // entry written, finishes one past its last.
+    s.cross_end.clear();
+    let mut slots = 0;
+    for &entries in &s.load {
+        s.cross_end.push(slots);
+        slots += entries;
+    }
+    s.crossing.clear();
+    s.crossing.resize(slots as usize, 0);
+    for &f in &s.by_demand {
+        for &r in path(f as usize) {
+            s.crossing[s.cross_end[r as usize] as usize] = f;
+            s.cross_end[r as usize] += 1;
+        }
+    }
+    let mut level = 0.0f64;
+    let mut active = s.by_demand.len();
+    // First flow in demand order that may still be unfrozen.
+    let mut lowest = 0;
+    while active > 0 {
         // Largest uniform increment every unfrozen flow can take: the
         // tightest per-resource fair share, or the smallest remaining demand.
         let mut delta = f64::INFINITY;
-        for (r, &rem) in remaining.iter().enumerate() {
-            if load[r] > 0 {
-                delta = delta.min(rem / f64::from(load[r]));
+        for (&rem, &load) in s.remaining.iter().zip(&s.load) {
+            if load > 0 {
+                delta = delta.min(rem / f64::from(load));
             }
         }
-        for f in 0..n {
-            if !frozen[f] {
-                delta = delta.min(demands[f] - alloc[f]);
-            }
+        while s.frozen[s.by_demand[lowest] as usize] {
+            lowest += 1;
         }
+        delta = delta.min(demands[s.by_demand[lowest] as usize] - level);
         if !delta.is_finite() {
             // No flow crosses any finite-capacity resource: everyone gets
             // their full demand.
-            for f in 0..n {
-                if !frozen[f] {
-                    alloc[f] = demands[f];
-                    frozen[f] = true;
+            for (f, &demand) in demands.iter().enumerate() {
+                if !s.frozen[f] {
+                    s.alloc[f] = demand;
                 }
             }
-            break;
+            return;
         }
         let delta = delta.max(0.0);
-        for f in 0..n {
-            if frozen[f] {
-                continue;
+        level += delta;
+        // A region's subtractions are a serial chain, but regions are
+        // independent: LANES advance in step, done ones subtracting +0.0,
+        // which changes no f64.
+        for (rem, load) in s
+            .remaining
+            .chunks_exact_mut(LANES)
+            .zip(s.load.chunks_exact(LANES))
+        {
+            let rem: &mut [f64; LANES] = rem.try_into().expect("exact chunk");
+            let load: &[u32; LANES] = load.try_into().expect("exact chunk");
+            let mut left = *rem;
+            for k in 0..load.iter().copied().max().unwrap_or(0) {
+                for i in 0..LANES {
+                    left[i] -= if k < load[i] { delta } else { 0.0 };
+                }
             }
-            alloc[f] += delta;
-            for &r in &paths[f] {
-                remaining[r] -= delta;
-            }
+            *rem = left;
         }
         // Freeze flows that hit their demand or cross an exhausted resource.
-        let mut progressed = false;
-        for f in 0..n {
-            if frozen[f] {
-                continue;
-            }
-            let done =
-                alloc[f] >= demands[f] - 1e-9 || paths[f].iter().any(|&r| remaining[r] <= 1e-9);
-            if done {
-                frozen[f] = true;
-                for &r in &paths[f] {
-                    load[r] -= 1;
+        let before = active;
+        while lowest < s.by_demand.len() {
+            let f = s.by_demand[lowest] as usize;
+            if !s.frozen[f] {
+                if level >= demands[f] - 1e-9 {
+                    freeze(f, level, path(f), s);
+                    active -= 1;
+                } else {
+                    break;
                 }
-                progressed = true;
+            }
+            lowest += 1;
+        }
+        for r in 0..s.remaining.len() {
+            // Load left on an exhausted region: all of it freezes here, so
+            // each adjacency list is walked at most once per call.
+            if s.load[r] > 0 && s.remaining[r] <= 1e-9 {
+                let first = if r == 0 { 0 } else { s.cross_end[r - 1] };
+                for slot in first..s.cross_end[r] {
+                    let f = s.crossing[slot as usize] as usize;
+                    if !s.frozen[f] {
+                        freeze(f, level, path(f), s);
+                        active -= 1;
+                    }
+                }
             }
         }
-        if !progressed && delta <= 0.0 {
+        if active == before && delta <= 0.0 {
             break; // numerical stall guard; cannot happen with positive slack
         }
     }
-    alloc
+    for f in 0..n {
+        if !s.frozen[f] {
+            s.alloc[f] = level;
+        }
+    }
 }
 
 /// Lifecycle of one fluid flow.
@@ -301,7 +437,8 @@ pub(crate) struct EpochOutcome {
     /// When the next epoch should run (`None` once every flow is done).
     pub next: Option<SimTime>,
     /// Per-region `(region, demand, allocated)` rates in bytes/sec, nonzero
-    /// regions only, for the telemetry window sampler.
+    /// regions only, for the telemetry window sampler; empty unless the
+    /// epoch was asked to sample them.
     pub region_rates: Vec<(u32, u64, u64)>,
 }
 
@@ -322,13 +459,132 @@ pub(crate) struct FluidLedgerRow {
 /// be invisible in the u64 byte ledgers.
 const COMPLETION_EPS_BYTES: f64 = 1e-6;
 
-/// Runtime state of the fluid layer (lives in `World.fluid`).
-#[derive(Debug)]
-pub(crate) struct FluidState {
-    cfg: FluidConfig,
+/// The grid of carrier-sense-sized regions laid over the field.
+#[derive(Debug, Clone, Copy)]
+struct RegionGrid {
     cols: usize,
     rows: usize,
     cell_m: f64,
+}
+
+/// What a flow's cached corridor was sampled from: the endpoint positions,
+/// and how far they may move before a fresh sample could differ.  The
+/// default's zero slack never permits reuse.
+#[derive(Debug, Clone, Copy, Default)]
+struct CorridorAnchor {
+    a: Position,
+    b: Position,
+    slack: f64,
+    len: usize,
+}
+
+impl RegionGrid {
+    /// Most regions a straight corridor can cross: its column and row indices
+    /// are both monotone along the segment.
+    fn max_corridor(&self) -> usize {
+        self.cols + self.rows - 1
+    }
+
+    /// Region index of a position (positions outside the field clamp to the
+    /// border regions).
+    #[inline]
+    fn region_of(&self, pos: Position) -> usize {
+        let col = ((pos.x / self.cell_m) as isize).clamp(0, self.cols as isize - 1) as usize;
+        let row = ((pos.y / self.cell_m) as isize).clamp(0, self.rows as isize - 1) as usize;
+        row * self.cols + col
+    }
+
+    /// Distance from `pos` to the nearest line across which `region_of`
+    /// changes (not the field's outer border: beyond it the index clamps).
+    fn boundary_distance(&self, pos: Position) -> f64 {
+        let axis = |v: f64, cells: usize| {
+            if cells < 2 {
+                return f64::INFINITY;
+            }
+            let u = v / self.cell_m;
+            (u - u.round().clamp(1.0, (cells - 1) as f64)).abs() * self.cell_m
+        };
+        axis(pos.x, self.cols).min(axis(pos.y, self.rows))
+    }
+
+    /// Straight-line corridor of regions between two positions, sampled at
+    /// half-cell steps into the front of `cells` (room for `max_corridor`) —
+    /// or, while both endpoints are provably within the slack of the sample
+    /// cached there, that sample (endpoints drift centimetres per epoch;
+    /// corridors change about once a simulated second).
+    ///
+    /// Column and row indices are monotone in the sample index, so a region
+    /// once left is never revisited and comparing with the last one
+    /// deduplicates.  While neither endpoint is further than the slack
+    /// (Euclidean) from `a` and `b`, resampling returns the same corridor:
+    /// the step count holds while `dist / half-cell` stays between the same
+    /// two integers, and `dist` moves by at most both displacements together,
+    /// hence half that gap; a sample point moves by at most the larger
+    /// displacement, so it keeps its region within its distance to a region
+    /// boundary.  √2 × the max-norm displacement bounds the Euclidean one and
+    /// 1e-6 m dwarfs the rounding in the sampled coordinates, so the result
+    /// always equals a fresh sample.
+    fn corridor<'c>(
+        &self,
+        a: Position,
+        b: Position,
+        anchor: &mut CorridorAnchor,
+        cells: &'c mut [u32],
+    ) -> &'c [u32] {
+        let moved = (a.x - anchor.a.x)
+            .abs()
+            .max((a.y - anchor.a.y).abs())
+            .max((b.x - anchor.b.x).abs())
+            .max((b.y - anchor.b.y).abs());
+        if std::f64::consts::SQRT_2 * moved < anchor.slack - 1e-6 {
+            return &cells[..anchor.len];
+        }
+        let half_cell = self.cell_m * 0.5;
+        let span = a.distance_to(b) / half_cell;
+        let steps = (span.ceil() as usize).max(1);
+        let below = if steps == 1 {
+            f64::INFINITY // one step covers every span in [0, 1]
+        } else {
+            span - (steps - 1) as f64
+        };
+        let mut slack = (steps as f64 - span).min(below) * half_cell * 0.5;
+        let mut len = 0;
+        for s in 0..=steps {
+            let t = s as f64 / steps as f64;
+            let p = Position::new(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t);
+            let r = self.region_of(p) as u32;
+            if len == 0 || cells[len - 1] != r {
+                cells[len] = r;
+                len += 1;
+            }
+            slack = slack.min(self.boundary_distance(p));
+        }
+        *anchor = CorridorAnchor { a, b, slack, len };
+        &cells[..len]
+    }
+}
+
+/// Per-epoch working vectors, cleared and refilled rather than reallocated.
+#[derive(Debug, Clone, Default)]
+struct EpochScratch {
+    /// Indices into `flows` of the active flows; `demands`, `start` and the
+    /// kernel's `alloc` run parallel to it.
+    active: Vec<usize>,
+    demands: Vec<f64>,
+    /// Active flow `k` crosses `regions[start[k]..start[k + 1]]`.
+    start: Vec<u32>,
+    regions: Vec<u32>,
+    residual: Vec<f64>,
+    region_demand: Vec<f64>,
+    region_alloc: Vec<f64>,
+    kernel: MaxMinScratch,
+}
+
+/// Runtime state of the fluid layer (lives in `World.fluid`).
+#[derive(Debug, Clone)]
+pub(crate) struct FluidState {
+    cfg: FluidConfig,
+    grid: RegionGrid,
     /// Raw channel rate, bytes per second.
     channel_rate: f64,
     /// Fluid capacity per region before foreground subtraction, bytes/sec.
@@ -354,6 +610,11 @@ pub(crate) struct FluidState {
     fg_since: SimTime,
     /// Completion times of flows that finished (conn order mirrors `flows`).
     completed_at: Vec<Option<SimTime>>,
+    /// Cached corridor of flow `i`: `corridor_cells[i × max_corridor..]`,
+    /// valid as `anchors[i]` says.
+    anchors: Vec<CorridorAnchor>,
+    corridor_cells: Vec<u32>,
+    scratch: EpochScratch,
 }
 
 impl FluidState {
@@ -364,8 +625,11 @@ impl FluidState {
     /// replicated mobility stream.
     pub(crate) fn new(cfg: &FluidConfig, sim: &SimConfig) -> Self {
         let cell_m = sim.radio.carrier_sense_range().max(1.0);
-        let cols = (sim.field_width / cell_m).ceil().max(1.0) as usize;
-        let rows = (sim.field_height / cell_m).ceil().max(1.0) as usize;
+        let grid = RegionGrid {
+            cols: (sim.field_width / cell_m).ceil().max(1.0) as usize,
+            rows: (sim.field_height / cell_m).ceil().max(1.0) as usize,
+            cell_m,
+        };
         let channel_rate = sim.mac.data_rate_bps / 8.0;
         let region_capacity = channel_rate * cfg.capacity_share;
         let mut flows = Vec::with_capacity(cfg.total_flows());
@@ -427,16 +691,12 @@ impl FluidState {
             endpoint[f.src.index()] = true;
             endpoint[f.dst.index()] = true;
         }
-        let regions = cols * rows;
-        let completed_at = vec![None; flows.len()];
+        let regions = grid.cols * grid.rows;
         FluidState {
             cfg: cfg.clone(),
-            cols,
-            rows,
-            cell_m,
+            grid,
             channel_rate,
             region_capacity,
-            flows,
             next_arrival: 0,
             gen: 0,
             last_advance: SimTime::ZERO,
@@ -445,17 +705,12 @@ impl FluidState {
             fg_bytes: vec![0; regions],
             fg_rate: vec![0.0; regions],
             fg_since: SimTime::ZERO,
-            completed_at,
+            completed_at: vec![None; flows.len()],
+            anchors: vec![CorridorAnchor::default(); flows.len()],
+            corridor_cells: vec![0; flows.len() * grid.max_corridor()],
+            scratch: EpochScratch::default(),
+            flows,
         }
-    }
-
-    /// Region index of a position (positions outside the field clamp to the
-    /// border regions).
-    #[inline]
-    fn region_of(&self, pos: Position) -> usize {
-        let col = ((pos.x / self.cell_m) as isize).clamp(0, self.cols as isize - 1) as usize;
-        let row = ((pos.y / self.cell_m) as isize).clamp(0, self.rows as isize - 1) as usize;
-        row * self.cols + col
     }
 
     /// True if `node` is an endpoint of any fluid flow (its waypoint changes
@@ -468,7 +723,7 @@ impl FluidState {
     /// Tally foreground bytes transmitted at `pos` (packet → fluid coupling).
     #[inline]
     pub(crate) fn note_foreground(&mut self, pos: Position, bytes: u64) {
-        let r = self.region_of(pos);
+        let r = self.grid.region_of(pos);
         self.fg_bytes[r] += bytes;
     }
 
@@ -480,7 +735,7 @@ impl FluidState {
     /// airtime, with no randomness drawn.
     #[inline]
     pub(crate) fn busy_until(&self, pos: Position, now: SimTime) -> SimTime {
-        let frac = self.busy_frac[self.region_of(pos)];
+        let frac = self.busy_frac[self.grid.region_of(pos)];
         if frac <= 0.0 {
             return SimTime::ZERO;
         }
@@ -491,23 +746,6 @@ impl FluidState {
             SimTime::from_secs(busy_end)
         } else {
             SimTime::ZERO
-        }
-    }
-
-    /// Straight-line corridor of regions between two positions, in region
-    /// units of the carrier-sense grid.  Sampled at half-cell steps; a
-    /// straight segment never revisits a region, so the linear dedup holds.
-    fn path_between(&self, a: Position, b: Position, out: &mut Vec<usize>) {
-        out.clear();
-        let dist = a.distance_to(b);
-        let steps = ((dist / (self.cell_m * 0.5)).ceil() as usize).max(1);
-        for s in 0..=steps {
-            let t = s as f64 / steps as f64;
-            let p = Position::new(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t);
-            let r = self.region_of(p);
-            if !out.contains(&r) {
-                out.push(r);
-            }
         }
     }
 
@@ -558,10 +796,12 @@ impl FluidState {
     /// current endpoint positions, and report when the next epoch is due.
     ///
     /// `position` must resolve a node's position at `now` (the engine passes
-    /// the memoised `World::position_of`).
+    /// the memoised `World::position_of`).  `sample_regions` asks for
+    /// [`EpochOutcome::region_rates`], which only the telemetry sampler reads.
     pub(crate) fn epoch(
         &mut self,
         now: SimTime,
+        sample_regions: bool,
         mut position: impl FnMut(NodeId) -> Position,
     ) -> EpochOutcome {
         let mut out = EpochOutcome::default();
@@ -583,55 +823,66 @@ impl FluidState {
             self.fg_since = now;
         }
         // Max-min fair shares over the residual capacity.
-        let mut paths: Vec<Vec<usize>> = Vec::new();
-        let mut demands: Vec<f64> = Vec::new();
-        let mut active_idx: Vec<usize> = Vec::new();
-        let mut scratch = Vec::new();
+        let s = &mut self.scratch;
+        s.active.clear();
+        s.demands.clear();
+        s.regions.clear();
+        s.start.clear();
+        s.start.push(0);
+        let stride = self.grid.max_corridor();
         for (i, f) in self.flows.iter().enumerate() {
             if f.phase != FlowPhase::Active {
                 continue;
             }
-            self.path_between(position(f.src), position(f.dst), &mut scratch);
-            paths.push(scratch.clone());
-            demands.push(f.demand);
-            active_idx.push(i);
+            s.regions.extend_from_slice(self.grid.corridor(
+                position(f.src),
+                position(f.dst),
+                &mut self.anchors[i],
+                &mut self.corridor_cells[i * stride..(i + 1) * stride],
+            ));
+            s.start.push(s.regions.len() as u32);
+            s.demands.push(f.demand);
+            s.active.push(i);
         }
         // Fluid flows own a reserved slice (`region_capacity`) of the channel;
         // foreground squeezes that slice only once it crowds the *whole*
         // channel, not byte-for-byte — otherwise any corridor with live packet
         // traffic would zero the background there and the coupling would never
         // touch the very regions the foreground occupies.
-        let residual: Vec<f64> = self
-            .fg_rate
-            .iter()
-            .map(|&fg| self.region_capacity.min((self.channel_rate - fg).max(0.0)))
-            .collect();
-        let alloc = max_min_allocate(&residual, &paths, &demands);
-        let mut region_demand = vec![0.0f64; self.busy_frac.len()];
-        let mut region_alloc = vec![0.0f64; self.busy_frac.len()];
-        for f in self.busy_frac.iter_mut() {
-            *f = 0.0;
+        s.residual.clear();
+        s.residual.extend(
+            self.fg_rate
+                .iter()
+                .map(|&fg| self.region_capacity.min((self.channel_rate - fg).max(0.0))),
+        );
+        max_min_kernel(&s.residual, &s.start, &s.regions, &s.demands, &mut s.kernel);
+        for sums in [&mut s.region_demand, &mut s.region_alloc] {
+            sums.clear();
+            sums.resize(self.busy_frac.len(), 0.0);
         }
-        for (k, &i) in active_idx.iter().enumerate() {
-            self.flows[i].rate = alloc[k];
-            for &r in &paths[k] {
-                region_demand[r] += demands[k];
-                region_alloc[r] += alloc[k];
+        for (k, &i) in s.active.iter().enumerate() {
+            let rate = s.kernel.alloc[k];
+            self.flows[i].rate = rate;
+            for &r in &s.regions[s.start[k] as usize..s.start[k + 1] as usize] {
+                s.region_demand[r as usize] += s.demands[k];
+                s.region_alloc[r as usize] += rate;
             }
         }
-        for (r, &a) in region_alloc.iter().enumerate() {
+        for (busy, &a) in self.busy_frac.iter_mut().zip(&s.region_alloc) {
             // Every fluid byte costs `busy_overhead` bytes of airtime (hops,
             // framing, retries); the cap keeps a sliver of every pulse period
             // idle so foreground frames can never be starved outright.
-            self.busy_frac[r] = (a * self.cfg.busy_overhead / self.channel_rate).min(0.95);
+            *busy = (a * self.cfg.busy_overhead / self.channel_rate).min(0.95);
         }
-        for r in 0..region_alloc.len() {
-            if region_demand[r] > 0.0 || region_alloc[r] > 0.0 {
-                out.region_rates.push((
-                    r as u32,
-                    region_demand[r].round() as u64,
-                    region_alloc[r].round() as u64,
-                ));
+        if sample_regions {
+            for r in 0..s.region_alloc.len() {
+                if s.region_demand[r] > 0.0 || s.region_alloc[r] > 0.0 {
+                    out.region_rates.push((
+                        r as u32,
+                        s.region_demand[r].round() as u64,
+                        s.region_alloc[r].round() as u64,
+                    ));
+                }
             }
         }
         // Next epoch: the earliest of next arrival, earliest analytic
@@ -665,6 +916,16 @@ impl FluidState {
         }
         out.next = next;
         out
+    }
+
+    /// The state behind a run of same-instant epochs, for the engine's
+    /// watchdog: a flow that is all but done and cannot finish is the known
+    /// way to get one.
+    pub(crate) fn stall_report(&self) -> String {
+        let active = self.flows.iter().filter(|f| f.phase == FlowPhase::Active);
+        let left = active.clone().map(|f| f.total - f.delivered);
+        let (count, smallest) = (active.count(), left.fold(f64::INFINITY, f64::min));
+        format!("{count} active flows, smallest remaining {smallest} bytes")
     }
 
     /// Final analytic advance at the end of the run: close the ledgers and
@@ -713,6 +974,89 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
+    }
+
+    /// The per-flow progressive filling [`max_min_kernel`] replaced, kept word
+    /// for word: the kernel must reproduce every bit of it.
+    fn max_min_reference(capacity: &[f64], paths: &[Vec<usize>], demands: &[f64]) -> Vec<f64> {
+        assert_eq!(paths.len(), demands.len());
+        let n = paths.len();
+        let mut alloc = vec![0.0f64; n];
+        let mut frozen = vec![false; n];
+        // Flows with an empty path (degenerate: both endpoints in one region —
+        // the region still carries them) are given a synthetic single-hop path
+        // upstream; here an empty path just means "unconstrained by capacity".
+        let mut remaining: Vec<f64> = capacity.to_vec();
+        let mut load: Vec<u32> = vec![0; capacity.len()];
+        for (f, path) in paths.iter().enumerate() {
+            if demands[f] <= 0.0 {
+                frozen[f] = true;
+                continue;
+            }
+            for &r in path {
+                load[r] += 1;
+            }
+        }
+        loop {
+            let active = frozen.iter().filter(|&&z| !z).count();
+            if active == 0 {
+                break;
+            }
+            // Largest uniform increment every unfrozen flow can take: the
+            // tightest per-resource fair share, or the smallest remaining demand.
+            let mut delta = f64::INFINITY;
+            for (r, &rem) in remaining.iter().enumerate() {
+                if load[r] > 0 {
+                    delta = delta.min(rem / f64::from(load[r]));
+                }
+            }
+            for f in 0..n {
+                if !frozen[f] {
+                    delta = delta.min(demands[f] - alloc[f]);
+                }
+            }
+            if !delta.is_finite() {
+                // No flow crosses any finite-capacity resource: everyone gets
+                // their full demand.
+                for f in 0..n {
+                    if !frozen[f] {
+                        alloc[f] = demands[f];
+                        frozen[f] = true;
+                    }
+                }
+                break;
+            }
+            let delta = delta.max(0.0);
+            for f in 0..n {
+                if frozen[f] {
+                    continue;
+                }
+                alloc[f] += delta;
+                for &r in &paths[f] {
+                    remaining[r] -= delta;
+                }
+            }
+            // Freeze flows that hit their demand or cross an exhausted resource.
+            let mut progressed = false;
+            for f in 0..n {
+                if frozen[f] {
+                    continue;
+                }
+                let done =
+                    alloc[f] >= demands[f] - 1e-9 || paths[f].iter().any(|&r| remaining[r] <= 1e-9);
+                if done {
+                    frozen[f] = true;
+                    for &r in &paths[f] {
+                        load[r] -= 1;
+                    }
+                    progressed = true;
+                }
+            }
+            if !progressed && delta <= 0.0 {
+                break; // numerical stall guard; cannot happen with positive slack
+            }
+        }
+        alloc
     }
 
     #[test]
@@ -815,6 +1159,154 @@ mod tests {
         }
     }
 
+    /// A sharing problem like the epochs' and unlike them: up to 64 regions
+    /// and 300 flows, paths of 0–8 regions that may repeat one, a share of
+    /// zero capacities and zero demands, demands all equal or all different.
+    fn random_problem(rng: &mut SmallRng) -> (Vec<f64>, Vec<Vec<usize>>, Vec<f64>) {
+        let regions = rng.gen_range(1..=64usize);
+        let flows = rng.gen_range(0..=300usize);
+        let equal_caps = rng.gen_range(0..2u32) == 0;
+        let caps = (0..regions)
+            .map(|_| match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                _ if equal_caps => 343_750.0,
+                _ => rng.gen_range(0.0..400_000.0),
+            })
+            .collect();
+        let equal_demands = rng.gen_range(0..2u32) == 0;
+        let demands = (0..flows)
+            .map(|_| match rng.gen_range(0..10u32) {
+                0 => 0.0,
+                _ if equal_demands => 16_000.0,
+                1 => 1e9,
+                _ => rng.gen_range(0.0..40_000.0),
+            })
+            .collect();
+        let paths = (0..flows)
+            .map(|_| {
+                let hops = rng.gen_range(0..=8usize);
+                (0..hops).map(|_| rng.gen_range(0..regions)).collect()
+            })
+            .collect();
+        (caps, paths, demands)
+    }
+
+    proptest! {
+        #[test]
+        fn kernel_reproduces_the_reference_bit_for_bit(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..4 {
+                let (caps, paths, demands) = random_problem(&mut rng);
+                let want = max_min_reference(&caps, &paths, &demands);
+                let got = max_min_allocate(&caps, &paths, &demands);
+                for (f, (w, g)) in want.iter().zip(&got).enumerate() {
+                    prop_assert_eq!(w.to_bits(), g.to_bits(), "flow {} of {}: {} vs {}", f, want.len(), w, g);
+                }
+            }
+        }
+
+        #[test]
+        fn kernel_scratch_carries_nothing_between_calls(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut scratch = MaxMinScratch::default();
+            for _ in 0..4 {
+                let (caps, paths, demands) = random_problem(&mut rng);
+                let mut start = vec![0u32];
+                let mut regions = Vec::new();
+                for path in &paths {
+                    regions.extend(path.iter().map(|&r| r as u32));
+                    start.push(regions.len() as u32);
+                }
+                max_min_kernel(&caps, &start, &regions, &demands, &mut scratch);
+                let want = max_min_reference(&caps, &paths, &demands);
+                prop_assert_eq!(
+                    want.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
+                    scratch.alloc.iter().map(|g| g.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "names region 3, out of range")]
+    fn out_of_range_region_is_rejected() {
+        max_min_allocate(&[1.0, 1.0, 1.0], &[vec![0, 3]], &[1.0]);
+    }
+
+    /// The corridor the pre-arena code sampled: `contains` for the dedup, a
+    /// fresh vector per call.
+    fn corridor_reference(grid: &RegionGrid, a: Position, b: Position) -> Vec<u32> {
+        let mut out = Vec::new();
+        let dist = a.distance_to(b);
+        let steps = ((dist / (grid.cell_m * 0.5)).ceil() as usize).max(1);
+        for s in 0..=steps {
+            let t = s as f64 / steps as f64;
+            let p = Position::new(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t);
+            let r = grid.region_of(p) as u32;
+            if !out.contains(&r) {
+                out.push(r);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        /// Random-walk both endpoints and ask for the corridor at every step
+        /// through one cache: it must equal a from-scratch sample whether the
+        /// guard reused or resampled.  Steps are log-uniform in 1 cm – 50 m
+        /// (the engine's own are ≤ 5 cm); the walks hug a region boundary,
+        /// leave the field, and drag `dist` across multiples of the half cell,
+        /// the three places where a corridor changes under a small move.
+        #[test]
+        fn cached_corridor_equals_a_fresh_sample_along_random_walks(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let cell_m = 550.0;
+            let grid = RegionGrid {
+                cols: rng.gen_range(1..=7usize),
+                rows: rng.gen_range(1..=7usize),
+                cell_m,
+            };
+            let (w, h) = (grid.cols as f64 * cell_m, grid.rows as f64 * cell_m);
+            let mode = rng.gen_range(0..4u32);
+            let mut a = Position::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h));
+            let mut b = Position::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h));
+            match mode {
+                // Along a boundary: `a` sits a hair off a horizontal grid line.
+                1 => a.y = rng.gen_range(0..=grid.rows) as f64 * cell_m + rng.gen_range(-1e-3..1e-3),
+                // Across the field edge: `a` starts just inside the left border.
+                2 => a.x = rng.gen_range(0.0..1.0),
+                // Through a step-count transition: `dist` is a hair off a
+                // multiple of the half cell.
+                3 => {
+                    let half_cells = rng.gen_range(1..=8u32);
+                    b = Position::new(a.x + f64::from(half_cells) * cell_m * 0.5 + rng.gen_range(-0.05..0.05), a.y);
+                }
+                _ => {}
+            }
+            let mut anchor = CorridorAnchor::default();
+            let mut cells = vec![0u32; grid.max_corridor()];
+            let mut reused = 0;
+            for step in 0..300 {
+                let got = grid.corridor(a, b, &mut anchor, &mut cells);
+                prop_assert_eq!(got, &corridor_reference(&grid, a, b)[..], "step {} from {:?} to {:?}", step, a, b);
+                reused += usize::from(anchor.a != a || anchor.b != b);
+                for (p, pinned_y) in [(&mut a, mode == 1), (&mut b, false)] {
+                    let len = 10f64.powf(rng.gen_range(-2.0..1.7));
+                    let dir = rng.gen_range(0.0..std::f64::consts::TAU);
+                    p.x += len * dir.cos();
+                    // The boundary walker keeps to its line, give or take 0.1 mm.
+                    p.y += if pinned_y { rng.gen_range(-1e-4..1e-4) } else { len * dir.sin() };
+                }
+                if mode == 3 {
+                    // Keep `b` on `a`'s row so that only `dist` decides.
+                    b.y = a.y;
+                }
+            }
+            // The guard must not be vacuous: centimetre steps mostly reuse.
+            prop_assert!(mode != 0 || reused > 0, "no reuse in 300 free steps");
+        }
+    }
+
     fn sim_for(nodes: u16) -> SimConfig {
         let mut sim = SimConfig::default();
         sim.num_nodes = nodes;
@@ -852,13 +1344,13 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |n: NodeId| Position::new(100.0 + 300.0 * f64::from(n.0), 100.0);
-        let out = fluid.epoch(SimTime::ZERO, pos);
+        let out = fluid.epoch(SimTime::ZERO, true, pos);
         assert!(out.completions.is_empty());
         // Uncontended: the flow gets its full demand, so it finishes in 1 s.
         let next = out.next.expect("an active flow schedules a next epoch");
         assert!(close(next.as_secs(), 1.0), "{next}");
         assert!(!out.region_rates.is_empty());
-        let out = fluid.epoch(next, pos);
+        let out = fluid.epoch(next, true, pos);
         assert_eq!(out.completions.len(), 1);
         assert_eq!(out.completions[0].conn, 1);
         assert_eq!(out.completions[0].delivered, 10_000);
@@ -884,12 +1376,12 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |_: NodeId| Position::new(100.0, 100.0);
-        let free = fluid.epoch(SimTime::ZERO, pos);
+        let free = fluid.epoch(SimTime::ZERO, true, pos);
         let free_alloc = free.region_rates[0].2;
         // The fluid slice is *reserved*: moderate foreground (well under
         // channel − region_capacity) must leave it untouched…
         fluid.note_foreground(Position::new(100.0, 100.0), 100_000);
-        let light = fluid.epoch(SimTime::from_secs(1.0), pos);
+        let light = fluid.epoch(SimTime::from_secs(1.0), true, pos);
         assert_eq!(
             light.region_rates[0].2, free_alloc,
             "light foreground load must not dent the reserved fluid slice"
@@ -897,13 +1389,76 @@ mod tests {
         // …but foreground crowding the whole channel (1.3 MB/s of a
         // 1.375 MB/s channel) squeezes the slice down to what is left.
         fluid.note_foreground(Position::new(100.0, 100.0), 1_300_000);
-        let loaded = fluid.epoch(SimTime::from_secs(2.0), pos);
+        let loaded = fluid.epoch(SimTime::from_secs(2.0), true, pos);
         let loaded_alloc = loaded.region_rates[0].2;
         assert!(
             loaded_alloc < free_alloc,
             "saturating foreground load must shrink the fluid share \
              ({loaded_alloc} vs {free_alloc})"
         );
+    }
+
+    /// One state keeps its scratch and corridor cache for 200 epochs; its twin
+    /// is rebuilt before every epoch from a clone with both emptied.  Stale
+    /// scratch or a corridor reused past its guard would split them.
+    #[test]
+    fn reused_scratch_and_corridors_match_a_state_rebuilt_every_epoch() {
+        let mut sim = sim_for(40);
+        sim.field_width = 3000.0;
+        sim.field_height = 2500.0;
+        let mut cfg = FluidConfig::default();
+        cfg.flows = 120;
+        cfg.flow_bytes = 30_000;
+        cfg.demand_bytes_per_sec = 40_000.0;
+        cfg.capacity_share = 0.05;
+        cfg.arrival_spread = Duration::from_secs(6.0);
+        let mut kept = FluidState::new(&cfg, &sim);
+        let mut rebuilt = kept.clone();
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut nodes: Vec<Position> = (0..sim.num_nodes)
+            .map(|_| Position::new(rng.gen_range(0.0..3000.0), rng.gen_range(0.0..2500.0)))
+            .collect();
+        let mut completed = 0;
+        for k in 0..200u32 {
+            let now = SimTime::from_secs(0.05 * f64::from(k));
+            // Centimetre drift, and now and then a node far enough away that
+            // its corridors must be resampled.
+            for p in nodes.iter_mut() {
+                let hop = if rng.gen_range(0..50u32) == 0 {
+                    300.0
+                } else {
+                    0.05
+                };
+                p.x += rng.gen_range(-1.0..1.0) * hop;
+                p.y += rng.gen_range(-1.0..1.0) * hop;
+            }
+            let at = nodes[rng.gen_range(0..nodes.len())];
+            kept.note_foreground(at, 40_000);
+            rebuilt.note_foreground(at, 40_000);
+            rebuilt = FluidState {
+                anchors: vec![CorridorAnchor::default(); rebuilt.flows.len()],
+                scratch: EpochScratch::default(),
+                ..rebuilt.clone()
+            };
+            let a = kept.epoch(now, true, |n| nodes[n.index()]);
+            let b = rebuilt.epoch(now, true, |n| nodes[n.index()]);
+            assert_eq!(a.next, b.next, "epoch {k}");
+            assert_eq!(a.region_rates, b.region_rates, "epoch {k}");
+            completed += a.completions.len();
+            let bits = |s: &FluidState| -> Vec<u64> {
+                let rates = s.flows.iter().map(|f| f.rate.to_bits());
+                rates
+                    .chain(s.busy_frac.iter().map(|b| b.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&kept), bits(&rebuilt), "epoch {k}");
+        }
+        assert!(
+            completed > 20,
+            "flows must come and go: {completed} completed"
+        );
+        let reused = kept.anchors.iter().filter(|a| a.slack > 0.0).count();
+        assert!(reused > 0, "the kept state must hold live corridors");
     }
 
     #[test]
@@ -920,7 +1475,7 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |_: NodeId| Position::new(100.0, 100.0);
-        fluid.epoch(SimTime::ZERO, pos);
+        fluid.epoch(SimTime::ZERO, true, pos);
         let p = Position::new(100.0, 100.0);
         let period = cfg.pulse_period.as_secs();
         // At the start of a period the medium is virtually busy...
@@ -966,5 +1521,78 @@ mod tests {
         cfg.explicit[0].dst = NodeId(1);
         assert!(cfg.validate(sim.num_nodes).is_ok());
         assert!(cfg.validate(1).is_err(), "2 nodes needed");
+    }
+
+    fn explicit_flow(conn: u32) -> FluidFlowSpec {
+        FluidFlowSpec {
+            conn,
+            src: NodeId(0),
+            dst: NodeId(1),
+            start: Duration::ZERO,
+            bytes: 1_000,
+            demand_bytes_per_sec: 1_000.0,
+        }
+    }
+
+    /// Everything a deserialised duration can be that `from_secs` refuses.
+    const BAD_SECS: [f64; 3] = [-1.0, f64::INFINITY, f64::NAN];
+
+    #[test]
+    fn validate_rejects_two_explicit_flows_on_one_conn() {
+        let mut cfg = FluidConfig::default();
+        cfg.explicit = vec![explicit_flow(3), explicit_flow(4), explicit_flow(3)];
+        let err = cfg.validate(10).expect_err("conn 3 is listed twice");
+        assert!(err.contains("share conn 3"), "{err}");
+        cfg.explicit[2].conn = 5;
+        assert!(cfg.validate(10).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_arrival_spread() {
+        let mut cfg = FluidConfig::default();
+        cfg.flows = 4;
+        for secs in BAD_SECS {
+            cfg.arrival_spread = Duration::unchecked(secs);
+            let err = cfg.validate(10).expect_err("bad arrival_spread");
+            assert!(err.contains("arrival_spread"), "{secs}: {err}");
+        }
+        cfg.arrival_spread = Duration::ZERO;
+        assert!(
+            cfg.validate(10).is_ok(),
+            "all flows arriving at once is fine"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_a_bad_explicit_start() {
+        let mut cfg = FluidConfig::default();
+        cfg.explicit = vec![explicit_flow(3)];
+        for secs in BAD_SECS {
+            cfg.explicit[0].start = Duration::unchecked(secs);
+            let err = cfg.validate(10).expect_err("bad start");
+            assert!(err.contains("flow 3 start"), "{secs}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_pulse_period() {
+        let mut cfg = FluidConfig::default();
+        cfg.flows = 4;
+        for secs in [0.0, f64::INFINITY, f64::NAN] {
+            cfg.pulse_period = Duration::unchecked(secs);
+            let err = cfg.validate(10).expect_err("bad pulse_period");
+            assert!(err.contains("pulse_period"), "{secs}: {err}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_max_epoch_gap() {
+        let mut cfg = FluidConfig::default();
+        cfg.flows = 4;
+        for secs in [0.0, f64::INFINITY, f64::NAN] {
+            cfg.max_epoch_gap = Duration::unchecked(secs);
+            let err = cfg.validate(10).expect_err("bad max_epoch_gap");
+            assert!(err.contains("max_epoch_gap"), "{secs}: {err}");
+        }
     }
 }

@@ -37,6 +37,13 @@ impl Duration {
         Self::from_secs(us * 1e-6)
     }
 
+    /// Any f64 as a duration, unchecked: what a deserialised config can
+    /// carry past [`Duration::from_secs`], for the validation tests.
+    #[cfg(test)]
+    pub(crate) fn unchecked(s: f64) -> Self {
+        Duration(s)
+    }
+
     /// Value in seconds.
     #[inline]
     pub fn as_secs(self) -> f64 {

@@ -22,6 +22,7 @@ use manet_experiments::runner::run_scenario_traced;
 use manet_experiments::{Protocol, Scenario, TrafficFlow};
 use manet_netsim::{Duration, FluidConfig};
 use manet_wire::NodeId;
+use std::fmt::Debug;
 
 /// The PR 5 flow axis: the goodput peak sits at 5 concurrent flows.
 const FLOW_AXIS: [u16; 4] = [1, 5, 25, 50];
@@ -110,6 +111,69 @@ fn fluid_ledger_conserves_bytes_and_completes_bounded_flows() {
             .sum::<u64>()
     );
     assert!(metrics.fluid_delivered_bytes > 0);
+}
+
+/// FNV-1a over the `Debug` rendering of every item (the golden-trace digest:
+/// `f64` fields print their shortest round-trip form, so one changed bit in a
+/// completion time moves it).
+fn debug_digest<T: Debug>(items: impl IntoIterator<Item = T>) -> u64 {
+    use std::fmt::Write as _;
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut buf = String::new();
+    for item in items {
+        buf.clear();
+        let _ = write!(buf, "{item:?}");
+        for b in buf.as_bytes() {
+            hash ^= u64::from(*b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Pins one small hybrid run end to end: the packet trace (which the fluid
+/// busy pulses shape through carrier sense) and every fluid flow's ledger
+/// row, completion times included.  The background is contended (regions run
+/// out, 54 of 200 flows finish), so the allocations come out of many
+/// progressive-filling rounds.  The values were measured on the PR 13 engine,
+/// before the PR 14 epoch kernel: a rewrite of `netsim::fluid` that changes
+/// one bit of one allocation shows up here.
+#[test]
+fn small_hybrid_run_keeps_its_trace_and_fluid_ledger() {
+    let mut scenario = Scenario::scaled(Protocol::Mts, 100, 10.0, 1);
+    scenario.sim.duration = Duration::from_secs(5.0);
+    scenario = scenario.with_background(FluidConfig {
+        flows: 200,
+        flow_bytes: 30_000,
+        demand_bytes_per_sec: 40_000.0,
+        capacity_share: 0.15,
+        arrival_spread: Duration::from_secs(4.0),
+        ..FluidConfig::default()
+    });
+    let (metrics, recorder) = run_scenario_traced(&scenario);
+    let trace = recorder.trace();
+    let completed = recorder
+        .fluid_flows()
+        .values()
+        .filter(|f| f.completion_secs.is_some())
+        .count();
+    let pinned = (
+        debug_digest(trace),
+        trace.len(),
+        debug_digest(recorder.fluid_flows()),
+        metrics.fluid_delivered_bytes,
+        completed,
+    );
+    assert_eq!(
+        pinned,
+        (
+            4858641158121593617,
+            10124,
+            17623769688228130447,
+            3_265_654,
+            54
+        )
+    );
 }
 
 #[test]
