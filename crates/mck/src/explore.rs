@@ -29,7 +29,7 @@ use crate::invariant::Invariant;
 use manet_experiments::runner::run_scenario_hooked;
 use manet_experiments::{RunMetrics, Scenario};
 use manet_netsim::fasthash::{FxHashMap, FxHasher};
-use manet_netsim::{Duration, Recorder};
+use manet_netsim::{Duration, Recorder, TraceEvent};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -85,28 +85,51 @@ pub fn run_with_trace(scenario: &Scenario, trace: &ChoiceTrace) -> RunOutcome {
 /// behaviour).  Runs with equal fingerprints behaved identically.
 pub fn outcome_digest(outcome: &RunOutcome) -> u64 {
     let mut h = FxHasher::default();
-    let mut buf = String::new();
-    for ev in outcome.recorder.trace() {
-        buf.clear();
-        use std::fmt::Write as _;
-        let _ = write!(buf, "{ev:?}");
-        buf.hash(&mut h);
-    }
-    outcome.recorder.originated_data_packets().hash(&mut h);
-    outcome.recorder.delivered_data_packets().hash(&mut h);
-    outcome.recorder.delivered_payload_bytes().hash(&mut h);
-    outcome.recorder.adversary_drops().hash(&mut h);
-    outcome.recorder.total_drops().hash(&mut h);
-    outcome.log.eligible_seen.hash(&mut h);
-    for p in &outcome.log.points {
-        p.slot.hash(&mut h);
-        p.at.as_secs().to_bits().hash(&mut h);
-        p.from.hash(&mut h);
-        p.to.hash(&mut h);
-        p.kind.hash(&mut h);
-        p.broadcast.hash(&mut h);
-    }
+    hash_trace(outcome.recorder.trace(), &mut h);
+    hash_counters_and_choice_points(outcome, &mut h);
     h.finish()
+}
+
+fn hash_counters_and_choice_points(outcome: &RunOutcome, h: &mut FxHasher) {
+    outcome.recorder.originated_data_packets().hash(h);
+    outcome.recorder.delivered_data_packets().hash(h);
+    outcome.recorder.delivered_payload_bytes().hash(h);
+    outcome.recorder.adversary_drops().hash(h);
+    outcome.recorder.total_drops().hash(h);
+    outcome.log.eligible_seen.hash(h);
+    for p in &outcome.log.points {
+        p.slot.hash(h);
+        p.at.as_secs().to_bits().hash(h);
+        p.from.hash(h);
+        p.to.hash(h);
+        p.kind.hash(h);
+        p.broadcast.hash(h);
+    }
+}
+
+/// Feed the recorder trace to `h` field by field: a variant tag, the ids,
+/// the `kind` label and the bit pattern of the time.  Every event writes a
+/// tag-determined sequence of fixed-width words (the label is
+/// length-terminated by `str`'s `Hash`), so distinct traces feed distinct
+/// word streams; sim-times are finite, where equal bits and equal values
+/// coincide except for the sign of zero, which `Debug` tells apart too.
+fn hash_trace(trace: &[TraceEvent], h: &mut FxHasher) {
+    for ev in trace {
+        match *ev {
+            TraceEvent::TxStart {
+                node,
+                kind,
+                bytes,
+                at,
+            } => (0u8, node, kind, bytes, at.as_secs().to_bits()).hash(h),
+            TraceEvent::Delivered { node, packet, at } => {
+                (1u8, node, packet, at.as_secs().to_bits()).hash(h)
+            }
+            TraceEvent::LinkFailure { node, next_hop, at } => {
+                (2u8, node, next_hop, at.as_secs().to_bits()).hash(h)
+            }
+        }
+    }
 }
 
 /// A found invariant violation, with its replayable script.
@@ -245,4 +268,148 @@ pub fn explore(spec: &ExploreSpec) -> ExploreReport {
         frontier = next;
     }
     report(Verdict::Proved, runs, &seen, dedup_hits, max_eligible)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::blackhole_corridor;
+    use manet_experiments::Protocol;
+    use manet_netsim::telemetry::event::FRAME_KINDS;
+    use manet_netsim::SimTime;
+    use manet_wire::{NodeId, PacketId};
+    use proptest::prelude::*;
+
+    /// The trace hash `outcome_digest` used before it went structural: the
+    /// `Debug` rendering of every event, hashed as a string.  Kept as the
+    /// reference for the partition the structural hash must reproduce.
+    fn debug_hash_trace(trace: &[TraceEvent], h: &mut FxHasher) {
+        let mut buf = String::new();
+        for ev in trace {
+            buf.clear();
+            use std::fmt::Write as _;
+            let _ = write!(buf, "{ev:?}");
+            buf.hash(h);
+        }
+    }
+
+    fn structural(trace: &[TraceEvent]) -> u64 {
+        let mut h = FxHasher::default();
+        hash_trace(trace, &mut h);
+        h.finish()
+    }
+
+    fn by_debug(trace: &[TraceEvent]) -> u64 {
+        let mut h = FxHasher::default();
+        debug_hash_trace(trace, &mut h);
+        h.finish()
+    }
+
+    /// Times whose `Debug` forms differ in shape (plain, exponent, many
+    /// digits), nudged by `ulps` so neighbours one bit apart occur.
+    fn time(pick: u64, ulps: u64) -> SimTime {
+        const BASES: [f64; 6] = [0.0, 1e-7, 0.30000000000000004, 1.0, 123456.789, 1e16];
+        let base = BASES[(pick % BASES.len() as u64) as usize];
+        SimTime::from_secs(f64::from_bits(base.to_bits() + ulps))
+    }
+
+    /// One trace event from four small draws; small domains so that two
+    /// independent draws are often equal in all but one field.
+    fn event((variant, a, b, t): (u8, u16, u64, u64)) -> TraceEvent {
+        let at = time(t / 3, t % 3);
+        match variant {
+            0 => TraceEvent::TxStart {
+                node: NodeId(a),
+                kind: FRAME_KINDS[(b % 6) as usize],
+                bytes: (b / 6) as u32,
+                at,
+            },
+            1 => TraceEvent::Delivered {
+                node: NodeId(a),
+                packet: PacketId(b),
+                at,
+            },
+            _ => TraceEvent::LinkFailure {
+                node: NodeId(a),
+                next_hop: NodeId(b as u16),
+                at,
+            },
+        }
+    }
+
+    fn events() -> impl Strategy<Value = Vec<TraceEvent>> {
+        proptest::collection::vec((0u8..3, 0u16..3, 0u64..13, 0u64..18), 0..6)
+            .prop_map(|draws| draws.into_iter().map(event).collect())
+    }
+
+    proptest! {
+        /// The structural hash and the Debug-string hash induce the same
+        /// partition: two traces collide under one iff they collide under
+        /// the other (and iff they are equal).
+        #[test]
+        fn structural_and_debug_digests_partition_traces_alike(
+            a in events(),
+            b in events(),
+            splice in 0usize..8,
+        ) {
+            // Independent draws are rarely equal; also compare `a` with a
+            // copy that shares a prefix of `a` and continues as `b`.
+            let mut spliced: Vec<TraceEvent> = a.iter().take(splice).cloned().collect();
+            spliced.extend(b.iter().skip(splice).cloned());
+            for other in [&b, &spliced, &a] {
+                prop_assert_eq!(
+                    structural(&a) == structural(other),
+                    by_debug(&a) == by_debug(other),
+                    "digests disagree on {:?} vs {:?}", a, other
+                );
+                prop_assert_eq!(structural(&a) == structural(other), a == *other);
+            }
+        }
+    }
+
+    /// `outcome_digest` as it was with the Debug-string trace hash.
+    fn debug_outcome_digest(outcome: &RunOutcome) -> u64 {
+        let mut h = FxHasher::default();
+        debug_hash_trace(outcome.recorder.trace(), &mut h);
+        hash_counters_and_choice_points(outcome, &mut h);
+        h.finish()
+    }
+
+    /// On real outcomes (one corridor, every one-intervention schedule in a
+    /// two-slot window) the fingerprints fall into the same classes as with
+    /// the old trace hash, and those classes are not all singletons.
+    #[test]
+    fn real_outcomes_keep_their_fingerprint_classes() {
+        let scenario = blackhole_corridor(Protocol::MtsHardened, 6, 2.0, 3);
+        let mut plans = vec![Vec::new()];
+        for slot in 0..2 {
+            for action in [ScheduleAction::Drop, ScheduleAction::Delay] {
+                plans.push(vec![(slot, action)]);
+            }
+        }
+        let outcomes: Vec<RunOutcome> = plans
+            .into_iter()
+            .map(|actions| {
+                let trace = ChoiceTrace {
+                    actions,
+                    horizon: 5,
+                    delay: Duration::from_secs(0.002),
+                    kinds: vec!["DATA"],
+                };
+                run_with_trace(&scenario, &trace)
+            })
+            .collect();
+        let mut equal_pairs = 0;
+        for x in &outcomes {
+            for y in &outcomes {
+                let same = outcome_digest(x) == outcome_digest(y);
+                assert_eq!(same, debug_outcome_digest(x) == debug_outcome_digest(y));
+                equal_pairs += usize::from(same);
+            }
+        }
+        assert!(
+            equal_pairs > outcomes.len(),
+            "this corridor has behaviourally equal schedules: some class must hold two runs"
+        );
+    }
 }

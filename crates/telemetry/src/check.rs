@@ -91,7 +91,11 @@ pub fn check_conservation(events: &[TelemetryEvent]) -> Result<Conservation, Str
 /// Parse and schema-validate a whole NDJSON document (blank lines are
 /// ignored).  Returns the events, or the first offending line's complaint.
 pub fn validate_lines(ndjson: &str) -> Result<Vec<TelemetryEvent>, String> {
-    let mut events = Vec::new();
+    // One event per line; a line holds at least `MIN_LINE_BYTES`, which caps
+    // what a document of blank lines can reserve.
+    const MIN_LINE_BYTES: usize = 32;
+    let newlines = ndjson.bytes().filter(|b| *b == b'\n').count();
+    let mut events = Vec::with_capacity((newlines + 1).min(ndjson.len() / MIN_LINE_BYTES + 1));
     for (i, line) in ndjson.lines().enumerate() {
         if line.trim().is_empty() {
             continue;

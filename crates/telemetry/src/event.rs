@@ -215,24 +215,37 @@ pub enum TelemetryEvent {
         shard: u16,
         /// Window index (`floor(event time / window width)`).
         window: u64,
-        /// In-order bytes delivered per connection during the window.
-        goodput: BTreeMap<u32, u64>,
-        /// Peak MAC queue occupancy observed.
-        queue_peak: u32,
-        /// Calendar-queue resizes during the window.
-        cal_resizes: u64,
-        /// Peak suspicion-table size observed.
-        suspicion_peak: u32,
-        /// Cross-shard transmission announcements emitted.
-        xshard: u64,
-        /// Background fluid demand per region, bytes/s at the last epoch in
-        /// the window (empty unless the hybrid engine is on; shard 0 only).
-        fluid_demand: BTreeMap<u32, u64>,
-        /// Background fluid allocated rate per region, bytes/s (max-min fair
-        /// share of residual capacity; keys mirror `fluid_demand`).
-        fluid_alloc: BTreeMap<u32, u64>,
+        /// What the sampler accumulated over the window.  Boxed: the three
+        /// maps would otherwise set the size of every event in the buffer.
+        stats: Box<WindowStats>,
     },
 }
+
+/// The payload of a [`TelemetryEvent::Window`].  On the wire its fields
+/// follow `window` in declaration order, flat in the same object.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct WindowStats {
+    /// In-order bytes delivered per connection during the window.
+    pub goodput: BTreeMap<u32, u64>,
+    /// Peak MAC queue occupancy observed.
+    pub queue_peak: u32,
+    /// Calendar-queue resizes during the window.
+    pub cal_resizes: u64,
+    /// Peak suspicion-table size observed.
+    pub suspicion_peak: u32,
+    /// Cross-shard transmission announcements emitted.
+    pub xshard: u64,
+    /// Background fluid demand per region, bytes/s at the last epoch in
+    /// the window (empty unless the hybrid engine is on; shard 0 only).
+    pub fluid_demand: BTreeMap<u32, u64>,
+    /// Background fluid allocated rate per region, bytes/s (max-min fair
+    /// share of residual capacity; keys mirror `fluid_demand`).
+    pub fluid_alloc: BTreeMap<u32, u64>,
+}
+
+// The engine pushes one of these per hook and the shard merge sorts them:
+// keep the event within a cache line.
+const _: () = assert!(std::mem::size_of::<TelemetryEvent>() <= 64);
 
 impl TelemetryEvent {
     /// Simulation time of the event, seconds.
@@ -292,242 +305,217 @@ impl TelemetryEvent {
     /// Encode as one NDJSON line (no trailing newline).
     pub fn to_ndjson(&self) -> String {
         let mut s = String::with_capacity(96);
-        let _ = write!(s, "{{\"ev\":\"{}\"", self.name());
+        self.encode_into(&mut s);
+        s
+    }
+
+    /// Append this event's NDJSON line (no trailing newline) to `out`.
+    /// Allocates only if `out` has to grow, so a caller encoding many events
+    /// clears and reuses one buffer.
+    pub fn encode_into(&self, out: &mut String) {
+        out.push_str("{\"ev\":\"");
+        out.push_str(self.name());
+        out.push('"');
+        push_f64(out, ",\"t\":", self.time());
+        push_uint(out, ",\"shard\":", self.shard());
         match self {
             TelemetryEvent::Originate {
-                t,
-                shard,
                 node,
                 conn,
                 seq,
                 data,
                 bytes,
+                ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_u64(&mut s, "conn", u64::from(*conn));
-                push_u64(&mut s, "seq", *seq);
-                let _ = write!(s, ",\"data\":{data}");
-                push_u64(&mut s, "bytes", u64::from(*bytes));
+                push_uint(out, ",\"node\":", *node);
+                push_uint(out, ",\"conn\":", *conn);
+                push_uint(out, ",\"seq\":", *seq);
+                out.push_str(if *data {
+                    ",\"data\":true"
+                } else {
+                    ",\"data\":false"
+                });
+                push_uint(out, ",\"bytes\":", *bytes);
             }
             TelemetryEvent::FrameEnqueue {
-                t,
-                shard,
                 node,
                 kind,
                 bytes,
                 queue,
+                ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_str(&mut s, "kind", kind);
-                push_u64(&mut s, "bytes", u64::from(*bytes));
-                push_u64(&mut s, "queue", u64::from(*queue));
+                push_uint(out, ",\"node\":", *node);
+                push_label(out, ",\"kind\":\"", kind);
+                push_uint(out, ",\"bytes\":", *bytes);
+                push_uint(out, ",\"queue\":", *queue);
             }
             TelemetryEvent::TxStart {
-                t,
-                shard,
-                node,
-                kind,
-                bytes,
+                node, kind, bytes, ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_str(&mut s, "kind", kind);
-                push_u64(&mut s, "bytes", u64::from(*bytes));
+                push_uint(out, ",\"node\":", *node);
+                push_label(out, ",\"kind\":\"", kind);
+                push_uint(out, ",\"bytes\":", *bytes);
             }
-            TelemetryEvent::Collision {
-                t,
-                shard,
-                node,
-                from,
-            } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_u64(&mut s, "from", u64::from(*from));
+            TelemetryEvent::Collision { node, from, .. }
+            | TelemetryEvent::ForgedRrep { node, from, .. } => {
+                push_uint(out, ",\"node\":", *node);
+                push_uint(out, ",\"from\":", *from);
             }
             TelemetryEvent::Deliver {
-                t,
-                shard,
                 node,
                 from,
                 kind,
                 conn,
                 seq,
+                ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_u64(&mut s, "from", u64::from(*from));
-                push_str(&mut s, "kind", kind);
+                push_uint(out, ",\"node\":", *node);
+                push_uint(out, ",\"from\":", *from);
+                push_label(out, ",\"kind\":\"", kind);
                 if let Some(c) = conn {
-                    push_u64(&mut s, "conn", u64::from(*c));
+                    push_uint(out, ",\"conn\":", *c);
                 }
                 if let Some(q) = seq {
-                    push_u64(&mut s, "seq", *q);
+                    push_uint(out, ",\"seq\":", *q);
                 }
             }
             TelemetryEvent::Drop {
-                t,
-                shard,
                 node,
                 reason,
                 kind,
                 conn,
+                ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_str(&mut s, "reason", reason.label());
-                push_str(&mut s, "kind", kind);
+                push_uint(out, ",\"node\":", *node);
+                push_label(out, ",\"reason\":\"", reason.label());
+                push_label(out, ",\"kind\":\"", kind);
                 if let Some(c) = conn {
-                    push_u64(&mut s, "conn", u64::from(*c));
+                    push_uint(out, ",\"conn\":", *c);
                 }
             }
-            TelemetryEvent::ForgedRrep {
-                t,
-                shard,
-                node,
-                from,
-            } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_u64(&mut s, "from", u64::from(*from));
-            }
             TelemetryEvent::Suspicion {
-                t,
-                shard,
                 node,
                 suspect,
                 score,
                 table,
+                ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_u64(&mut s, "suspect", u64::from(*suspect));
-                push_num(&mut s, "score", *score);
-                push_u64(&mut s, "table", u64::from(*table));
+                push_uint(out, ",\"node\":", *node);
+                push_uint(out, ",\"suspect\":", *suspect);
+                push_f64(out, ",\"score\":", *score);
+                push_uint(out, ",\"table\":", *table);
             }
             TelemetryEvent::Timer {
-                t,
-                shard,
-                node,
-                class,
-                scope,
+                node, class, scope, ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_str(&mut s, "class", class);
-                push_u64(&mut s, "scope", u64::from(*scope));
+                push_uint(out, ",\"node\":", *node);
+                push_label(out, ",\"class\":\"", class);
+                push_uint(out, ",\"scope\":", *scope);
             }
             TelemetryEvent::FlowComplete {
-                t,
-                shard,
-                node,
-                conn,
-                bytes,
+                node, conn, bytes, ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "node", u64::from(*node));
-                push_u64(&mut s, "conn", u64::from(*conn));
-                push_u64(&mut s, "bytes", *bytes);
+                push_uint(out, ",\"node\":", *node);
+                push_uint(out, ",\"conn\":", *conn);
+                push_uint(out, ",\"bytes\":", *bytes);
             }
             TelemetryEvent::Provenance {
-                t,
-                shard,
                 stage,
                 node,
                 conn,
                 seq,
                 kind,
+                ..
             } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_str(&mut s, "stage", stage);
-                push_u64(&mut s, "node", u64::from(*node));
-                push_u64(&mut s, "conn", u64::from(*conn));
-                push_u64(&mut s, "seq", *seq);
-                push_str(&mut s, "kind", kind);
+                push_label(out, ",\"stage\":\"", stage);
+                push_uint(out, ",\"node\":", *node);
+                push_uint(out, ",\"conn\":", *conn);
+                push_uint(out, ",\"seq\":", *seq);
+                push_label(out, ",\"kind\":\"", kind);
             }
-            TelemetryEvent::Window {
-                t,
-                shard,
-                window,
-                goodput,
-                queue_peak,
-                cal_resizes,
-                suspicion_peak,
-                xshard,
-                fluid_demand,
-                fluid_alloc,
-            } => {
-                push_num(&mut s, "t", *t);
-                push_u64(&mut s, "shard", u64::from(*shard));
-                push_u64(&mut s, "window", *window);
-                push_u64_map(&mut s, "goodput", goodput);
-                push_u64(&mut s, "queue_peak", u64::from(*queue_peak));
-                push_u64(&mut s, "cal_resizes", *cal_resizes);
-                push_u64(&mut s, "suspicion_peak", u64::from(*suspicion_peak));
-                push_u64(&mut s, "xshard", *xshard);
-                push_u64_map(&mut s, "fluid_demand", fluid_demand);
-                push_u64_map(&mut s, "fluid_alloc", fluid_alloc);
+            TelemetryEvent::Window { window, stats, .. } => {
+                push_uint(out, ",\"window\":", *window);
+                push_map(out, ",\"goodput\":{", &stats.goodput);
+                push_uint(out, ",\"queue_peak\":", stats.queue_peak);
+                push_uint(out, ",\"cal_resizes\":", stats.cal_resizes);
+                push_uint(out, ",\"suspicion_peak\":", stats.suspicion_peak);
+                push_uint(out, ",\"xshard\":", stats.xshard);
+                push_map(out, ",\"fluid_demand\":{", &stats.fluid_demand);
+                push_map(out, ",\"fluid_alloc\":{", &stats.fluid_alloc);
             }
         }
-        s.push('}');
-        s
+        out.push('}');
     }
 }
 
-/// Append `,"key":<float>` using Rust's shortest-round-trip formatting
-/// (always valid JSON for finite values; telemetry never emits non-finite).
-fn push_num(s: &mut String, key: &str, v: f64) {
+/// Append `key` (a literal `,"name":`) and `v` in Rust's shortest
+/// round-trip formatting: plain decimal, never an exponent, so always valid
+/// JSON for finite values (telemetry never emits non-finite).
+fn push_f64(out: &mut String, key: &str, v: f64) {
     debug_assert!(v.is_finite(), "telemetry numbers must be finite");
-    let _ = write!(s, ",\"{key}\":{v}");
+    out.push_str(key);
+    let _ = write!(out, "{v}");
 }
 
-/// Append `,"key":<integer>`.
-fn push_u64(s: &mut String, key: &str, v: u64) {
-    let _ = write!(s, ",\"{key}\":{v}");
+/// Append `key` (a literal `,"name":`) and `v` in decimal.
+fn push_uint(out: &mut String, key: &str, v: impl Into<u64>) {
+    out.push_str(key);
+    push_decimal(out, v.into());
 }
 
-/// Append `,"key":{"k":v,...}` for an integer-keyed counter map.
-fn push_u64_map(s: &mut String, key: &str, map: &BTreeMap<u32, u64>) {
-    let _ = write!(s, ",\"{key}\":{{");
-    let mut first = true;
-    for (k, v) in map {
-        if !first {
-            s.push(',');
+fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
-        first = false;
-        let _ = write!(s, "\"{k}\":{v}");
     }
-    s.push('}');
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
-/// Append `,"key":"value"` (labels come from closed vocabularies that never
-/// need escaping, but escape defensively anyway).
-fn push_str(s: &mut String, key: &str, v: &str) {
-    let _ = write!(s, ",\"{key}\":\"");
+/// Append `key` (a literal `,"name":{`) and an integer-keyed counter map as
+/// `"k":v,...}`.
+fn push_map(out: &mut String, key: &str, map: &BTreeMap<u32, u64>) {
+    out.push_str(key);
+    for (i, (k, v)) in map.iter().enumerate() {
+        out.push_str(if i == 0 { "\"" } else { ",\"" });
+        push_decimal(out, u64::from(*k));
+        out.push_str("\":");
+        push_decimal(out, *v);
+    }
+    out.push('}');
+}
+
+/// Append `key` (a literal `,"name":"`), `v` and the closing quote.  Labels
+/// come from closed vocabularies that never need escaping; one that does
+/// (an event built by hand) takes the slow path.
+fn push_label(out: &mut String, key: &str, v: &str) {
+    out.push_str(key);
+    if v.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        push_escaped(out, v);
+    } else {
+        out.push_str(v);
+    }
+    out.push('"');
+}
+
+#[cold]
+fn push_escaped(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(s, "\\u{:04x}", c as u32);
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => s.push(c),
+            c => out.push(c),
         }
     }
-    s.push('"');
 }

@@ -38,7 +38,7 @@ pub mod sink;
 pub use check::{
     check_conservation, check_monotone_per_shard, validate_lines, ConnAccount, Conservation,
 };
-pub use event::{DropKind, TelemetryEvent};
+pub use event::{DropKind, TelemetryEvent, WindowStats};
 pub use sampler::Sampler;
 pub use sink::{write_ndjson, StringSink, TelemetrySink, WriteSink};
 
@@ -225,5 +225,7 @@ pub fn merge_events(parts: Vec<Vec<TelemetryEvent>>) -> Vec<TelemetryEvent> {
     all
 }
 
+#[cfg(test)]
+mod oracle;
 #[cfg(test)]
 mod tests;

@@ -8,20 +8,13 @@
 //! per-shard stream stays monotone).  Windows with no observations are
 //! skipped entirely — consumers treat a missing index as all-zero.
 
-use crate::event::TelemetryEvent;
-use std::collections::BTreeMap;
+use crate::event::{TelemetryEvent, WindowStats};
 
 /// Accumulator state of the current (not yet closed) window.
 #[derive(Debug, Default, Clone)]
 struct WindowAcc {
-    goodput: BTreeMap<u32, u64>,
-    queue_peak: u32,
-    suspicion_peak: u32,
-    xshard: u64,
-    /// Latest per-region fluid demand rate observed this window (bytes/s).
-    fluid_demand: BTreeMap<u32, u64>,
-    /// Latest per-region fluid allocated rate observed this window (bytes/s).
-    fluid_alloc: BTreeMap<u32, u64>,
+    /// The window's payload so far (`cal_resizes` is filled in at close).
+    stats: WindowStats,
     /// Calendar-resize total at the window's start (differenced at flush).
     cal_base: u64,
     /// Latest cumulative calendar-resize observation.
@@ -90,41 +83,37 @@ impl Sampler {
         if !acc.dirty {
             return;
         }
+        let mut stats = Box::new(acc.stats);
+        stats.cal_resizes = acc.cal_last.saturating_sub(acc.cal_base);
         out.push(TelemetryEvent::Window {
             t: (idx + 1) as f64 * self.window_secs,
             shard,
             window: idx,
-            goodput: acc.goodput,
-            queue_peak: acc.queue_peak,
-            cal_resizes: acc.cal_last.saturating_sub(acc.cal_base),
-            suspicion_peak: acc.suspicion_peak,
-            xshard: acc.xshard,
-            fluid_demand: acc.fluid_demand,
-            fluid_alloc: acc.fluid_alloc,
+            stats,
         });
     }
 
     /// Record delivered in-order bytes for `conn` in the open window.
     pub fn note_goodput(&mut self, conn: u32, bytes: u64) {
-        *self.acc.goodput.entry(conn).or_insert(0) += bytes;
+        *self.acc.stats.goodput.entry(conn).or_insert(0) += bytes;
         self.acc.dirty = true;
     }
 
     /// Record a MAC queue occupancy observation.
     pub fn note_queue_len(&mut self, len: u32) {
-        self.acc.queue_peak = self.acc.queue_peak.max(len);
+        self.acc.stats.queue_peak = self.acc.stats.queue_peak.max(len);
         self.acc.dirty = true;
     }
 
     /// Record a suspicion-table size observation.
     pub fn note_suspicion_size(&mut self, size: u32) {
-        self.acc.suspicion_peak = self.acc.suspicion_peak.max(size);
+        self.acc.stats.suspicion_peak = self.acc.stats.suspicion_peak.max(size);
         self.acc.dirty = true;
     }
 
     /// Record `n` cross-shard announcements.
     pub fn note_xshard(&mut self, n: u64) {
-        self.acc.xshard += n;
+        self.acc.stats.xshard += n;
         self.acc.dirty = true;
     }
 
@@ -132,8 +121,8 @@ impl Sampler {
     /// fluid epoch.  Later epochs in the same window overwrite earlier ones:
     /// the window reports the last-known allocation, not a sum of rates.
     pub fn note_fluid(&mut self, region: u32, demand: u64, alloc: u64) {
-        self.acc.fluid_demand.insert(region, demand);
-        self.acc.fluid_alloc.insert(region, alloc);
+        self.acc.stats.fluid_demand.insert(region, demand);
+        self.acc.stats.fluid_alloc.insert(region, alloc);
         self.acc.dirty = true;
     }
 

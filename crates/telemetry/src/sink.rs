@@ -35,8 +35,11 @@ impl TelemetrySink for StringSink {
 
 /// Encode `events` into `sink`, one NDJSON line per event.
 pub fn write_ndjson<S: TelemetrySink>(events: &[TelemetryEvent], sink: &mut S) -> io::Result<()> {
+    let mut line = String::with_capacity(128);
     for ev in events {
-        sink.line(&ev.to_ndjson())?;
+        line.clear();
+        ev.encode_into(&mut line);
+        sink.line(&line)?;
     }
     Ok(())
 }

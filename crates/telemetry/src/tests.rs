@@ -3,8 +3,9 @@
 //! ordering and the conservation ledger.
 
 use crate::check::{check_conservation, check_monotone_per_shard, validate_lines};
-use crate::event::{DropKind, TelemetryEvent, FRAME_KINDS, STAGES, TIMER_CLASSES};
+use crate::event::{DropKind, TelemetryEvent, WindowStats, FRAME_KINDS, STAGES, TIMER_CLASSES};
 use crate::json::parse_line;
+use crate::oracle;
 use crate::sink::{write_ndjson, StringSink};
 use crate::{merge_events, Telemetry, TelemetryConfig};
 use proptest::prelude::*;
@@ -101,13 +102,15 @@ fn exemplars() -> Vec<TelemetryEvent> {
             t: 2.0,
             shard: 1,
             window: 1,
-            goodput: BTreeMap::from([(1, 4096), (7, 512)]),
-            queue_peak: 9,
-            cal_resizes: 2,
-            suspicion_peak: 4,
-            xshard: 17,
-            fluid_demand: BTreeMap::from([(0, 16_000), (3, 8_000)]),
-            fluid_alloc: BTreeMap::from([(0, 12_500), (3, 8_000)]),
+            stats: Box::new(WindowStats {
+                goodput: BTreeMap::from([(1, 4096), (7, 512)]),
+                queue_peak: 9,
+                cal_resizes: 2,
+                suspicion_peak: 4,
+                xshard: 17,
+                fluid_demand: BTreeMap::from([(0, 16_000), (3, 8_000)]),
+                fluid_alloc: BTreeMap::from([(0, 12_500), (3, 8_000)]),
+            }),
         },
     ]
 }
@@ -231,17 +234,14 @@ fn sampler_buckets_and_skips_empty_windows() {
                 t,
                 shard,
                 window,
-                goodput,
-                queue_peak,
-                cal_resizes,
-                ..
+                stats,
             } => Some((
                 *t,
                 *shard,
                 *window,
-                goodput.clone(),
-                *queue_peak,
-                *cal_resizes,
+                stats.goodput.clone(),
+                stats.queue_peak,
+                stats.cal_resizes,
             )),
             _ => None,
         })
@@ -273,7 +273,7 @@ fn calendar_resizes_are_differenced_across_windows() {
         .events()
         .iter()
         .filter_map(|e| match e {
-            TelemetryEvent::Window { cal_resizes, .. } => Some(*cal_resizes),
+            TelemetryEvent::Window { stats, .. } => Some(stats.cal_resizes),
             _ => None,
         })
         .collect();
@@ -524,17 +524,33 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
             seq: big,
             kind,
         },
+        // Every fifth window has empty maps (a packet-only run's fluid maps,
+        // a window that saw no delivery).
         _ => TelemetryEvent::Window {
             t,
             shard,
             window: pick % 1000,
-            goodput: BTreeMap::from([(conn, big), (conn + 1, pick)]),
-            queue_peak: (pick % 64) as u32,
-            cal_resizes: pick % 10,
-            suspicion_peak: (pick % 50) as u32,
-            xshard: pick % 10_000,
-            fluid_demand: BTreeMap::from([(pick as u32 % 97, big % 1_000_000)]),
-            fluid_alloc: BTreeMap::from([(pick as u32 % 97, pick % 1_000_000)]),
+            stats: Box::new(WindowStats {
+                goodput: if pick.is_multiple_of(5) {
+                    BTreeMap::new()
+                } else {
+                    BTreeMap::from([(conn, big), (conn + 1, pick)])
+                },
+                queue_peak: (pick % 64) as u32,
+                cal_resizes: pick % 10,
+                suspicion_peak: (pick % 50) as u32,
+                xshard: pick % 10_000,
+                fluid_demand: if pick.is_multiple_of(5) {
+                    BTreeMap::new()
+                } else {
+                    BTreeMap::from([(pick as u32 % 97, big % 1_000_000)])
+                },
+                fluid_alloc: if pick.is_multiple_of(5) {
+                    BTreeMap::new()
+                } else {
+                    BTreeMap::from([(pick as u32 % 97, pick % 1_000_000)])
+                },
+            }),
         },
     }
 }
@@ -620,5 +636,415 @@ proptest! {
                 expected_residual.get(conn).copied().unwrap_or(0)
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The single-pass codec against the one it replaced (`crate::oracle`).
+// ---------------------------------------------------------------------------
+
+/// A tiny deterministic generator for the line rewriters below.
+fn next(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// The top-level `"key":value` fields of a canonical line (one the encoder
+/// wrote: no blanks, no escapes, no comma or brace inside a string).
+fn fields_of(line: &str) -> Vec<&str> {
+    let inner = &line[1..line.len() - 1];
+    let mut fields = Vec::new();
+    let (mut depth, mut start) = (0, 0);
+    for (i, b) in inner.bytes().enumerate() {
+        match b {
+            b'{' => depth += 1,
+            b'}' => depth -= 1,
+            b',' if depth == 0 => {
+                fields.push(&inner[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    fields.push(&inner[start..]);
+    fields
+}
+
+fn object_of(fields: &[&str]) -> String {
+    format!("{{{}}}", fields.join(","))
+}
+
+/// The same object with its fields in a random order.
+fn permuted(line: &str, state: &mut u64) -> String {
+    let mut fields = fields_of(line);
+    for i in (1..fields.len()).rev() {
+        fields.swap(i, (next(state) % (i as u64 + 1)) as usize);
+    }
+    object_of(&fields)
+}
+
+/// The same line with blanks and tabs around its structural characters.
+fn with_blanks(line: &str, state: &mut u64) -> String {
+    let mut pad = || ["", " ", "\t", " \t "][(next(state) % 4) as usize];
+    let mut out = String::from(pad());
+    let mut in_string = false;
+    for c in line.chars() {
+        let structural = !in_string && matches!(c, '{' | '}' | ':' | ',');
+        in_string ^= c == '"';
+        if structural {
+            out.push_str(pad());
+        }
+        out.push(c);
+        if structural {
+            out.push_str(pad());
+        }
+    }
+    out
+}
+
+/// The same line with some of its strings (keys and labels alike) spelled
+/// as `\uXXXX` escapes, in either hex case.
+fn with_escapes(line: &str, state: &mut u64) -> String {
+    let mut out = String::new();
+    for (i, piece) in line.split('"').enumerate() {
+        if i > 0 {
+            out.push('"');
+        }
+        // Odd pieces are string contents.
+        if i % 2 == 1 && next(state).is_multiple_of(2) {
+            for c in piece.chars() {
+                if next(state).is_multiple_of(2) {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                } else {
+                    out.push_str(&format!("\\u{:04X}", c as u32));
+                }
+            }
+        } else {
+            out.push_str(piece);
+        }
+    }
+    out
+}
+
+/// Replace the value of the first field whose key is one of `keys`.
+fn with_value(line: &str, keys: &[&str], value: &str) -> Option<String> {
+    let mut fields: Vec<String> = fields_of(line).into_iter().map(String::from).collect();
+    let field = fields
+        .iter_mut()
+        .find(|f| keys.iter().any(|k| f.starts_with(&format!("\"{k}\":"))))?;
+    let colon = field.find(':').expect("a field has a colon");
+    field.replace_range(colon + 1.., value);
+    Some(object_of(
+        &fields.iter().map(String::as_str).collect::<Vec<_>>(),
+    ))
+}
+
+/// One rewrite that breaks the schema (or, when it drops an optional field,
+/// happens not to).
+fn mutated(line: &str, which: u64, state: &mut u64) -> String {
+    let fields = fields_of(line);
+    let at = (next(state) % fields.len() as u64) as usize;
+    match which {
+        // Dropped field.
+        0 => {
+            let mut kept = fields.clone();
+            kept.remove(at);
+            object_of(&kept)
+        }
+        // Repeated field.
+        1 => {
+            let mut more = fields.clone();
+            more.insert(
+                (next(state) % (fields.len() as u64 + 1)) as usize,
+                fields[at],
+            );
+            object_of(&more)
+        }
+        // Unknown field.
+        2 => {
+            let mut more = fields.clone();
+            more.insert(at + 1, "\"zzz\":3");
+            object_of(&more)
+        }
+        // One past the u16 and the u32 range.
+        3 => with_value(line, &["node", "from", "shard"], "65536").expect("a shard at least"),
+        4 => with_value(
+            line,
+            &["conn", "bytes", "queue", "table", "queue_peak", "shard"],
+            "4294967296",
+        )
+        .expect("a shard at least"),
+        // A label outside its vocabulary (the event name, for want of another).
+        5 => with_value(
+            line,
+            &["kind", "class", "stage", "reason", "ev"],
+            "\"NOPE\"",
+        )
+        .expect("a name at least"),
+        // Trailing bytes.
+        _ => format!(
+            "{line}{}",
+            ["x", "{}", ",", "}", " 1"][(next(state) % 5) as usize]
+        ),
+    }
+}
+
+#[test]
+fn the_line_rewriters_do_what_they_say() {
+    let line = r#"{"ev":"window","t":2,"goodput":{"1":4,"7":5},"kind":"DATA"}"#;
+    assert_eq!(
+        fields_of(line),
+        vec![
+            r#""ev":"window""#,
+            r#""t":2"#,
+            r#""goodput":{"1":4,"7":5}"#,
+            r#""kind":"DATA""#
+        ]
+    );
+    assert_eq!(object_of(&fields_of(line)), line);
+    let mut state = 7;
+    let shuffled = permuted(line, &mut state);
+    let mut shuffled = fields_of(&shuffled);
+    shuffled.sort_unstable();
+    let mut sorted = fields_of(line);
+    sorted.sort_unstable();
+    assert_eq!(shuffled, sorted);
+    let blanks = with_blanks(line, &mut state);
+    assert_eq!(blanks.replace([' ', '\t'], ""), line);
+    assert!((0..20).any(|_| with_escapes(line, &mut state).contains("\\u")));
+    assert_eq!(
+        with_value(line, &["t"], "65536").unwrap(),
+        line.replace("\"t\":2", "\"t\":65536")
+    );
+    assert_eq!(with_value(line, &["node"], "1"), None);
+}
+
+#[test]
+fn labels_that_need_escaping_encode_like_the_oracle() {
+    let ev = TelemetryEvent::TxStart {
+        t: 0.5,
+        shard: 0,
+        node: 1,
+        kind: "q\"b\\s\nn\rr\tt\u{1}c é",
+        bytes: 8,
+    };
+    assert_eq!(ev.to_ndjson(), oracle::to_ndjson(&ev));
+    assert!(ev
+        .to_ndjson()
+        .contains(r#""kind":"q\"b\\s\nn\rr\tt\u0001c é""#));
+}
+
+/// An event, as `prop_round_trip` draws it but with times of every shape:
+/// dyadic fractions, whole numbers and arbitrary finite bit patterns (which
+/// print as up to three hundred digits, or as `-0`).
+fn drawn_event(pick: u64, mantissa: u64, node: u16, big: u64) -> TelemetryEvent {
+    let t = match pick % 3 {
+        0 => mantissa as f64 / 4096.0,
+        1 => (mantissa % 1000) as f64,
+        _ => Some(f64::from_bits(big.rotate_left(17)))
+            .filter(|t| t.is_finite())
+            .unwrap_or(0.0),
+    };
+    arbitrary_event(pick / 3, t, (pick % 64) as u16, node, big)
+}
+
+proptest! {
+    /// `encode_into` writes the bytes the `write!`-based encoder wrote, for
+    /// every variant, and appends: what the buffer held stays.
+    #[test]
+    fn prop_encoder_matches_the_oracle(
+        pick in 0u64..3_000_000,
+        mantissa in 0u64..1_000_000_000,
+        node in proptest::any::<u16>(),
+        big in proptest::any::<u64>(),
+    ) {
+        let ev = drawn_event(pick, mantissa, node, big);
+        let expected = oracle::to_ndjson(&ev);
+        prop_assert_eq!(ev.to_ndjson(), expected.as_str());
+        let mut buf = String::from("kept\n");
+        ev.encode_into(&mut buf);
+        prop_assert_eq!(buf, format!("kept\n{expected}"));
+    }
+
+    /// The single-pass parser returns what the oracle returns: on canonical
+    /// lines, with the fields in any order, with blanks and tabs between
+    /// tokens, and with strings spelled as `\uXXXX` escapes.
+    #[test]
+    fn prop_parser_matches_the_oracle(
+        pick in 0u64..3_000_000,
+        mantissa in 0u64..1_000_000_000,
+        node in proptest::any::<u16>(),
+        big in proptest::any::<u64>(),
+    ) {
+        let ev = drawn_event(pick, mantissa, node, big);
+        let line = ev.to_ndjson();
+        let mut state = big ^ pick;
+        let reordered = permuted(&line, &mut state);
+        let spaced = with_blanks(&reordered, &mut state);
+        for variant in [
+            with_escapes(&line, &mut state),
+            with_escapes(&spaced, &mut state),
+            line,
+            reordered,
+            spaced,
+        ] {
+            let parsed = parse_line(&variant);
+            prop_assert_eq!(&parsed, &oracle::parse_line(&variant), "on {}", variant);
+            prop_assert_eq!(parsed.as_ref(), Ok(&ev), "on {}", variant);
+        }
+    }
+
+    /// Both parsers refuse the same broken lines (a dropped, repeated or
+    /// unknown field, an integer past its width, a label outside its
+    /// vocabulary, trailing bytes), in canonical and in shuffled order, and
+    /// return the same event where the rewrite left the line legal.
+    #[test]
+    fn prop_mutated_lines_fail_alike(
+        pick in 0u64..3_000_000,
+        which in 0u64..7,
+        node in proptest::any::<u16>(),
+        big in proptest::any::<u64>(),
+    ) {
+        let ev = drawn_event(pick, big % 1_000_000_000, node, big);
+        let mut state = big ^ pick ^ which;
+        let broken = mutated(&ev.to_ndjson(), which, &mut state);
+        let shuffled = if which < 6 { permuted(&broken, &mut state) } else { broken.clone() };
+        for variant in [broken, shuffled] {
+            let (new, old) = (parse_line(&variant), oracle::parse_line(&variant));
+            prop_assert_eq!(new.is_err(), old.is_err(), "on {}: {:?} vs {:?}", variant, new, old);
+            if let (Ok(new), Ok(old)) = (new, old) {
+                prop_assert_eq!(new, old, "on {}", variant);
+                // Dropping `conn` or `seq` is the one rewrite that can leave
+                // a legal line.
+                prop_assert_eq!(which, 0, "rewrite {} left {} legal", which, variant);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Number grammar: JSON's, not `str::parse`'s.
+// ---------------------------------------------------------------------------
+
+/// A `suspicion` line with `t`, `node` and `score` spelled as given.
+fn suspicion_line(t: &str, node: &str, score: &str) -> String {
+    format!(
+        r#"{{"ev":"suspicion","t":{t},"shard":0,"node":{node},"suspect":4,"score":{score},"table":3}}"#
+    )
+}
+
+/// Each of `t`, `node`, `score` in turn spelled `bad`: refused, by name.
+fn assert_spelling_is_refused(bad: &str) {
+    for (field, line) in [
+        ("t", suspicion_line(bad, "2", "1.5")),
+        ("node", suspicion_line("1", bad, "1.5")),
+        ("score", suspicion_line("1", "2", bad)),
+    ] {
+        let err = parse_line(&line).expect_err(&line);
+        assert!(
+            err.contains(&format!("field {field:?}")),
+            "{line}: the complaint must name {field:?}, got: {err}"
+        );
+    }
+}
+
+#[test]
+fn a_leading_plus_sign_is_refused() {
+    assert!(parse_line(&suspicion_line("1", "2", "1.5")).is_ok());
+    assert_spelling_is_refused("+5");
+    // The spelling that used to pass as a `u16`.
+    assert!(oracle::parse_line(&suspicion_line("1", "+7", "1.5")).is_ok());
+    assert_spelling_is_refused("+7");
+}
+
+#[test]
+fn a_bare_fraction_is_refused() {
+    assert_spelling_is_refused(".5");
+}
+
+#[test]
+fn a_trailing_decimal_point_is_refused() {
+    assert_spelling_is_refused("5.");
+}
+
+#[test]
+fn leading_zeros_are_refused() {
+    assert_spelling_is_refused("007");
+    assert_spelling_is_refused("00");
+    assert_spelling_is_refused("-01");
+}
+
+#[test]
+fn exponents_and_fractions_are_legal_on_the_two_float_fields_only() {
+    for (t, score, expect) in [
+        ("1e0", "2E-1", (1.0, 0.2)),
+        ("1.5E+1", "0.25e1", (15.0, 2.5)),
+        ("0", "-0.5", (0.0, -0.5)),
+        ("-0", "10", (0.0, 10.0)),
+    ] {
+        match parse_line(&suspicion_line(t, "2", score)) {
+            Ok(TelemetryEvent::Suspicion { t, score, .. }) => assert_eq!((t, score), expect),
+            other => panic!("t={t} score={score}: {other:?}"),
+        }
+    }
+    for node in ["1e0", "2.0", "2.5", "-0", "-1", "1E2"] {
+        let err = parse_line(&suspicion_line("1", node, "1.5")).expect_err(node);
+        assert!(err.contains("field \"node\""), "{node}: {err}");
+    }
+    // Spelled legally, but not a finite f64.
+    let err = parse_line(&suspicion_line("1e999", "2", "1.5")).unwrap_err();
+    assert!(err.contains("field \"t\""), "{err}");
+    // Half-written exponents and doubled signs.
+    for t in ["1e", "1e+", "1.5.3", "--1", "1-2", "1e2e3", "-"] {
+        let err = parse_line(&suspicion_line(t, "2", "1.5")).expect_err(t);
+        assert!(err.contains("field \"t\""), "{t}: {err}");
+    }
+}
+
+#[test]
+fn map_keys_and_counts_follow_the_integer_grammar() {
+    let window = |goodput: &str| {
+        format!(
+            r#"{{"ev":"window","t":1,"shard":0,"window":0,"goodput":{goodput},"queue_peak":0,"cal_resizes":0,"suspicion_peak":0,"xshard":0,"fluid_demand":{{}},"fluid_alloc":{{}}}}"#
+        )
+    };
+    assert!(parse_line(&window(r#"{"1":5,"0":6}"#)).is_ok());
+    for bad in [
+        r#"{"+1":5}"#,
+        r#"{"01":5}"#,
+        r#"{"1":+5}"#,
+        r#"{"1":05}"#,
+        r#"{"1":5.0}"#,
+        r#"{"4294967296":5}"#,
+        r#"{"1":5,"1":6}"#,
+        r#"{"1":5,}"#,
+    ] {
+        assert!(parse_line(&window(bad)).is_err(), "{bad}");
+    }
+}
+
+#[test]
+fn unicode_escapes_take_exactly_four_hex_digits() {
+    let line = |kind: &str| {
+        format!(r#"{{"ev":"tx_start","t":1,"shard":0,"node":1,"kind":"{kind}","bytes":8}}"#)
+    };
+    assert!(parse_line(&line(r"D\u0041TA")).is_ok());
+    assert!(
+        parse_line(&line(r"D\u004aTA")).is_err(),
+        "DJTA is no frame kind"
+    );
+    // `from_str_radix` took a sign; JSON does not.
+    assert!(oracle::parse_line(&line(r"D\u+041TA")).is_ok());
+    for bad in [
+        r"D\u+041TA",
+        r"D\u41TA",
+        r"D\u004",
+        r"D\ud800TA",
+        r"D\xTA",
+        "D\\",
+    ] {
+        assert!(parse_line(&line(bad)).is_err(), "{bad}");
     }
 }

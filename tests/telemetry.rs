@@ -120,8 +120,8 @@ fn hybrid_run_windows_carry_the_fluid_ledger() {
         .filter(|ev| {
             matches!(
                 ev,
-                TelemetryEvent::Window { fluid_demand, fluid_alloc, .. }
-                    if !fluid_demand.is_empty() && !fluid_alloc.is_empty()
+                TelemetryEvent::Window { stats, .. }
+                    if !stats.fluid_demand.is_empty() && !stats.fluid_alloc.is_empty()
             )
         })
         .count();
