@@ -31,8 +31,11 @@
 //!   ([`Ctx::claim_packet`]).  The `payload_clones_avoided` /
 //!   `payload_deep_clones` counters account every hand-off; clean runs are
 //!   fully copy-free (asserted in `tests/queue_equivalence.rs`).
-//! * scratch-buffer reuse: receiver lists (pooled across in-flight
-//!   transmissions) and per-receiver outcome lists are recycled, and the
+//! * a per-node cached neighbourhood (`neighborhood.rs` has the argument): the
+//!   carrier-sense and receiver sets of a node's last scan are reused until
+//!   motion could change them, so most transmissions scan nothing.  The
+//!   receiver list is lent to the transmission in flight and handed back at
+//!   its `TxEnd`; the per-receiver outcome list is recycled and the
 //!   carrier-sense busy set lives in one dense 8-byte-per-node array, so
 //!   steady-state transmissions allocate nothing.
 //! * the future event list defaults to a self-tuning calendar queue
@@ -51,6 +54,7 @@ use crate::geometry::Position;
 use crate::grid::SpatialGrid;
 use crate::mac::{airtime, InFlight, MacState, RxInterval};
 use crate::mobility::{MobilityModel, Waypoint};
+use crate::neighborhood::{Neighborhood, SCAN_HORIZON_M};
 use crate::node::{Ctx, NodeStack, TimerToken};
 use crate::radio::LinkDynamics;
 use crate::recorder::{DropReason, EnginePerf, FluidFlowTotals, Recorder};
@@ -151,6 +155,7 @@ impl Kinematics {
 #[derive(Debug, Default)]
 struct PerfCells {
     neighbor_queries: Cell<u64>,
+    neighbor_cache_hits: Cell<u64>,
     candidates_scanned: Cell<u64>,
     grid_rebinds: Cell<u64>,
     grid_refreshes: Cell<u64>,
@@ -158,6 +163,7 @@ struct PerfCells {
     position_cache_misses: Cell<u64>,
     payload_clones_avoided: Cell<u64>,
     payload_deep_clones: Cell<u64>,
+    stale_tx_ends: Cell<u64>,
 }
 
 fn inc(c: &Cell<u64>) {
@@ -172,6 +178,7 @@ impl PerfCells {
     fn snapshot(&self) -> EnginePerf {
         EnginePerf {
             neighbor_queries: self.neighbor_queries.get(),
+            neighbor_cache_hits: self.neighbor_cache_hits.get(),
             candidates_scanned: self.candidates_scanned.get(),
             grid_rebinds: self.grid_rebinds.get(),
             grid_refreshes: self.grid_refreshes.get(),
@@ -179,6 +186,7 @@ impl PerfCells {
             position_cache_misses: self.position_cache_misses.get(),
             payload_clones_avoided: self.payload_clones_avoided.get(),
             payload_deep_clones: self.payload_deep_clones.get(),
+            stale_tx_ends: self.stale_tx_ends.get(),
             // Everything else (event-queue counters, shard counters) is
             // filled in by `SimCore::finalize`.
             ..EnginePerf::default()
@@ -253,9 +261,10 @@ pub struct World {
     /// Memoised position per node, keyed by the evaluation time.
     pos_cache: Vec<Cell<Option<(SimTime, Position)>>>,
     perf: PerfCells,
-    /// Recycled receiver buffers (receiver lists live inside [`InFlight`]
-    /// until the matching `TxEnd`, so they rotate through a small pool).
-    receiver_pool: Vec<Vec<NodeId>>,
+    /// Each node's cached neighbourhood (see [`crate::neighborhood`]).
+    hoods: Vec<Neighborhood>,
+    /// `v̂`: the largest leg speed the mobility model has issued so far.
+    top_speed: f64,
     /// Scratch for per-receiver delivery outcomes in `tx_end`.
     outcomes_scratch: Vec<(NodeId, bool)>,
     /// Carrier-sense state, dense: the medium at node `i` is busy until
@@ -268,9 +277,6 @@ pub struct World {
     /// (`None` for the serial engine — every serial code path treats the
     /// absence as "this shard owns every node" and pays nothing).
     pub(crate) shard: Option<ShardCtx>,
-    /// Scratch for the carrier-sense-touched node list of one transmission
-    /// (only filled under sharded execution, for cross-shard announcements).
-    announce_scratch: Vec<NodeId>,
     /// Precomputed selective-jamming parameters (`None` when no jammer is
     /// configured — the common case pays nothing).
     jam: Option<JamState>,
@@ -347,25 +353,81 @@ impl World {
     /// superset of the nodes within `radius`, which the caller must filter by
     /// exact distance.  Uses the spatial grid when enabled, otherwise scans
     /// all nodes.
-    fn query_range(&self, center: Position, radius: f64, mut f: impl FnMut(NodeId)) {
+    fn query_range(&self, center: Position, radius: f64, f: impl FnMut(NodeId)) {
         inc(&self.perf.neighbor_queries);
+        self.grid_sync();
+        add(&self.perf.candidates_scanned, self.scan(center, radius, f));
+    }
+
+    /// The candidate walk behind [`World::query_range`], counting nothing:
+    /// returns how many entries it scanned.  The grid must be in sync.
+    fn scan(&self, center: Position, radius: f64, mut f: impl FnMut(NodeId)) -> u64 {
         match &self.grid {
-            Some(grid) => {
-                self.grid_sync();
-                let g = grid.borrow();
-                let visited = g.spatial.for_each_candidate(center, radius, &mut f);
-                add(&self.perf.candidates_scanned, visited);
-            }
+            Some(grid) => grid
+                .borrow()
+                .spatial
+                .for_each_candidate(center, radius, &mut f),
             None => {
-                add(
-                    &self.perf.candidates_scanned,
-                    u64::from(self.config.num_nodes),
-                );
-                for i in 0..self.config.num_nodes {
-                    f(NodeId(i));
-                }
+                (0..self.config.num_nodes).for_each(|i| f(NodeId(i)));
+                u64::from(self.config.num_nodes)
             }
         }
+    }
+
+    /// Classify every candidate within `radius` of `node` (standing at `at`)
+    /// into `hood`; returns how many entries were scanned and the smallest
+    /// distance from a scanned node to either circle.
+    fn scan_into(
+        &self,
+        node: NodeId,
+        at: Position,
+        radius: f64,
+        hood: &mut Neighborhood,
+    ) -> (u64, f64) {
+        let range = self.config.radio.range_m;
+        let cs_range = self.config.radio.carrier_sense_range();
+        let mut gap = f64::INFINITY;
+        hood.begin();
+        let scanned = self.scan(at, radius, |other| {
+            if other != node {
+                // Direct kinematic evaluation: the per-(node, time) position
+                // cache never hits inside a single candidate scan (every
+                // candidate is distinct), so skip its read/write traffic.
+                let d_sq = self.kin[other.index()]
+                    .position_at(self.now)
+                    .distance_sq(at);
+                gap = gap.min(hood.offer(other, d_sq, range, cs_range));
+            }
+        });
+        (scanned, gap)
+    }
+
+    /// Make `hood` — `node`'s cached neighbourhood — hold at this instant:
+    /// kept while its validity lasts, otherwise rescanned over carrier-sense
+    /// range plus the horizon.  The brute-force index never caches.
+    fn resolve_neighborhood(&self, node: NodeId, at: Position, hood: &mut Neighborhood) {
+        inc(&self.perf.neighbor_queries);
+        // Due drift refreshes run on a hit too, so the grid's history does
+        // not depend on the hit rate.
+        self.grid_sync();
+        let cs_range = self.config.radio.carrier_sense_range();
+        if hood.holds_at(self.now) {
+            inc(&self.perf.neighbor_cache_hits);
+            #[cfg(debug_assertions)]
+            {
+                let mut fresh = Neighborhood::default();
+                self.scan_into(node, at, cs_range, &mut fresh);
+                assert!(
+                    fresh.same_sets(hood),
+                    "stale neighbourhood cache at node {node} at {}: cached {hood:?}, scan {fresh:?}",
+                    self.now
+                );
+            }
+            return;
+        }
+        let (scanned, gap) = self.scan_into(node, at, cs_range + SCAN_HORIZON_M, hood);
+        add(&self.perf.candidates_scanned, scanned);
+        hood.seal(self.now, gap, self.grid.as_ref().map(|_| self.top_speed));
     }
 
     /// Process every due entry of the drift-refresh queue, restoring the grid
@@ -409,26 +471,6 @@ impl World {
         let gen = g.gens[idx];
         if let Some(due) = NeighborGrid::refresh_due(g.spatial.slack(), leg, self.now) {
             g.refresh_queue.push(Reverse((due, node, gen)));
-        }
-    }
-
-    /// Grab a cleared receiver buffer from the pool.
-    fn take_receiver_buf(&mut self) -> Vec<NodeId> {
-        match self.receiver_pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Return a receiver buffer to the pool.
-    fn recycle_receiver_buf(&mut self, buf: Vec<NodeId>) {
-        // One buffer per concurrently in-flight transmission is the steady
-        // state; the cap only guards against pathological growth.
-        if self.receiver_pool.len() < 256 {
-            self.receiver_pool.push(buf);
         }
     }
 
@@ -794,6 +836,7 @@ impl<S: StackSlot> SimCore<S> {
             queue.schedule(SimTime::ZERO, Event::FluidEpoch { gen: 0 });
         }
         let kin = motions.iter().map(|m| Kinematics::of(&m.leg)).collect();
+        let top_speed = motions.iter().map(|m| m.leg.speed).fold(0.0, f64::max);
         let macs = (0..config.num_nodes).map(|_| MacState::new()).collect();
         let grid = match config.neighbor_index {
             NeighborIndex::BruteForce => None,
@@ -866,13 +909,15 @@ impl<S: StackSlot> SimCore<S> {
             grid,
             pos_cache,
             perf: PerfCells::default(),
-            receiver_pool: Vec::new(),
+            hoods: (0..config.num_nodes)
+                .map(|_| Neighborhood::default())
+                .collect(),
+            top_speed,
             outcomes_scratch: Vec::new(),
             busy: (0..config.num_nodes)
                 .map(|_| Cell::new(SimTime::ZERO))
                 .collect(),
             shard,
-            announce_scratch: Vec::new(),
             jam,
             rush_mask,
             choice: None,
@@ -1129,6 +1174,15 @@ impl<S: StackSlot> SimCore<S> {
                 },
             );
         }
+        // The cached neighbourhoods assume continuous motion at no more than
+        // `top_speed`; a leg that breaks either assumption empties them all.
+        if leg.speed > self.world.top_speed || leg.from != arrived_at {
+            self.world.top_speed = self.world.top_speed.max(leg.speed);
+            self.world
+                .hoods
+                .iter_mut()
+                .for_each(Neighborhood::invalidate);
+        }
         self.world.kin[idx] = Kinematics::of(&leg);
         self.world.motions[idx] = NodeMotion {
             leg,
@@ -1357,56 +1411,25 @@ impl<S: StackSlot> SimCore<S> {
         }
 
         // Determine receivers (transmission range) and busy set (carrier-sense
-        // range) in one fused pass over the grid candidates: each candidate's
-        // position is evaluated exactly once, busy-set writes land in the
-        // dense `busy` array (`Cell`-based, so the whole pass runs inside the
-        // `&self` query closure with no intermediate candidate buffer).
+        // range): from the node's cached neighbourhood while it holds, from a
+        // fresh scan otherwise.  Only membership comes from the cache; every
+        // write below happens per transmission.
         let my_pos = self.world.position_of(node);
         // Foreground load feedback: the fluid layer subtracts measured packet
         // throughput from each region's capacity at the next epoch.
         if let Some(fluid) = self.world.fluid.as_deref_mut() {
             fluid.note_foreground(my_pos, u64::from(bytes));
         }
-        let range_sq = self.world.config.radio.range_m * self.world.config.radio.range_m;
-        let cs_range = self.world.config.radio.carrier_sense_range();
-        let cs_sq = cs_range * cs_range;
-        let mut receivers = self.world.take_receiver_buf();
-        let sharded = self.world.shard.is_some();
-        let mut busy_touched = std::mem::take(&mut self.world.announce_scratch);
-        busy_touched.clear();
-        {
-            let world = &self.world;
-            world.query_range(my_pos, cs_range, |other| {
-                if other == node {
-                    return;
-                }
-                // Direct kinematic evaluation: the per-(node, time) position
-                // cache never hits inside a single candidate scan (every
-                // candidate is distinct), so skip its read/write traffic.
-                let d_sq = world.kin[other.index()]
-                    .position_at(world.now)
-                    .distance_sq(my_pos);
-                if d_sq <= cs_sq {
-                    let b = &world.busy[other.index()];
-                    if b.get() < end {
-                        b.set(end);
-                    }
-                    if sharded {
-                        busy_touched.push(other);
-                    }
-                }
-                if d_sq <= range_sq {
-                    receivers.push(other);
-                }
-            });
+        let mut hood = std::mem::take(&mut self.world.hoods[idx]);
+        self.world.resolve_neighborhood(node, my_pos, &mut hood);
+        for n in &hood.sensed {
+            let b = &self.world.busy[n.index()];
+            if b.get() < end {
+                b.set(end);
+            }
         }
-        // Grid candidates arrive in cell order and busy-set updates above
-        // commute, but receiver order fixes RNG consumption and callback
-        // order at TxEnd — sort it so runs are identical across
-        // neighbor-index strategies.
-        receivers.sort_unstable();
         // Register reception intervals (for collision detection).
-        for &r in &receivers {
+        for r in &hood.receivers {
             let m = &mut self.world.macs[r.index()];
             m.gc_intervals(now);
             // An already-ongoing reception at r collides with this new one; we
@@ -1417,11 +1440,11 @@ impl<S: StackSlot> SimCore<S> {
                 end,
             });
         }
-        if sharded {
-            self.world
-                .emit_announcement(node, tx, now, end, &receivers, &busy_touched);
-        }
-        self.world.announce_scratch = busy_touched;
+        self.world
+            .emit_announcement(node, tx, now, end, &hood.receivers, &hood.sensed);
+        // The receiver list rides with the transmission until its `TxEnd`.
+        let receivers = std::mem::take(&mut hood.receivers);
+        self.world.hoods[idx] = hood;
         let busy = &self.world.busy[idx];
         busy.set(busy.get().max(end));
         let mac = &mut self.world.macs[idx];
@@ -1442,7 +1465,10 @@ impl<S: StackSlot> SimCore<S> {
         let inflight = match self.world.macs[idx].transmitting.take() {
             Some(t) if t.tx == tx => t,
             other => {
-                // Stale TxEnd (should not happen); restore and ignore.
+                // A `TxEnd` is scheduled only with the transmission it ends,
+                // so this cannot happen: counted, and loud in debug builds.
+                debug_assert!(false, "stale TxEnd {tx:?} at node {node}");
+                inc(&self.world.perf.stale_tx_ends);
                 self.world.macs[idx].transmitting = other;
                 return;
             }
@@ -1827,7 +1853,7 @@ impl<S: StackSlot> SimCore<S> {
         // Recycle the scratch buffers for the next transmission.
         outcomes.clear();
         self.world.outcomes_scratch = outcomes;
-        self.world.recycle_receiver_buf(receivers);
+        self.world.hoods[idx].receivers = receivers;
         // Keep the pipeline moving.
         if !self.world.macs[idx].queue.is_empty() {
             self.world.ensure_attempt(node, Duration::ZERO);

@@ -53,6 +53,7 @@ pub mod geometry;
 pub mod grid;
 pub mod mac;
 pub mod mobility;
+mod neighborhood;
 pub mod node;
 pub mod radio;
 pub mod recorder;

@@ -35,7 +35,8 @@ pub struct InFlight {
     pub start: SimTime,
     /// When the transmission ends.
     pub end: SimTime,
-    /// Nodes that were within transmission range when the frame left.
+    /// Nodes that were within transmission range when the frame left (the
+    /// sender's cached receiver list, on loan until `TxEnd`).
     pub receivers: Vec<manet_wire::NodeId>,
 }
 

@@ -62,11 +62,14 @@ pub enum TraceEvent {
 /// hunting (e.g. a mobility change that silently explodes rebind rates).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnginePerf {
-    /// Range queries answered (broadcast receiver scans + `neighbors_of`-style
-    /// lookups).
+    /// Neighbourhoods resolved: one per transmission (answered from the
+    /// node's cache or by a scan) plus `neighbors_of`-style lookups.
     pub neighbor_queries: u64,
-    /// Grid candidates visited across all queries (the exact-distance filter
-    /// runs once per candidate; under brute force every node is a candidate).
+    /// Transmissions whose neighbourhood came from the node's cache, with no
+    /// scan (see `crate::neighborhood`; always 0 under brute force).
+    pub neighbor_cache_hits: u64,
+    /// Grid candidates really visited (the exact-distance filter runs once
+    /// per candidate; under brute force every node is a candidate).
     pub candidates_scanned: u64,
     /// Nodes rebinned into a different grid cell (leg changes + drift
     /// refreshes that crossed a cell boundary).
@@ -100,6 +103,9 @@ pub struct EnginePerf {
     /// steady state: unicast deliveries hand over the sole reference, and
     /// broadcast-flood duplicates are inspected by reference and dropped.
     pub payload_deep_clones: u64,
+    /// `TxEnd` events that did not match their node's transmission in
+    /// flight.  The engine never schedules one, so anything but 0 is a bug.
+    pub stale_tx_ends: u64,
 
     // --- sharded execution (all zero for a serial run) ------------------------
     /// Number of spatial shards the run was partitioned into (0 = serial).
@@ -765,6 +771,7 @@ impl Recorder {
             // Engine perf.
             let p = part.engine_perf;
             perf.neighbor_queries += p.neighbor_queries;
+            perf.neighbor_cache_hits += p.neighbor_cache_hits;
             perf.candidates_scanned += p.candidates_scanned;
             perf.grid_rebinds += p.grid_rebinds;
             perf.grid_refreshes += p.grid_refreshes;
@@ -777,6 +784,7 @@ impl Recorder {
             perf.calendar_resizes += p.calendar_resizes;
             perf.payload_clones_avoided += p.payload_clones_avoided;
             perf.payload_deep_clones += p.payload_deep_clones;
+            perf.stale_tx_ends += p.stale_tx_ends;
             perf.cross_shard_frames += p.cross_shard_frames;
             perf.cross_shard_announcements += p.cross_shard_announcements;
             perf.forwarded_events += p.forwarded_events;

@@ -7,13 +7,24 @@
 //! configurations through the public API over seeded random scenarios —
 //! including nodes placed exactly on the range circle — and require
 //! bit-identical results.
+//!
+//! The second half is the equivalence suite of the per-node neighbourhood
+//! cache (`src/neighborhood.rs`): a grid run answers most transmissions from
+//! the cache, a brute-force run scans on every one, and every reception,
+//! overhearing and link failure must come out the same, in the same order.
+//! Tests run in debug, where each cache hit is also checked against a scan.
 
-use manet_netsim::mobility::{RandomWaypoint, StaticPlacement};
+mod common;
+
+use common::{logging_chatter_stacks, Heard};
+use manet_netsim::mobility::{RandomWaypoint, StaticPlacement, Waypoint};
 use manet_netsim::{
-    Ctx, Duration, NeighborIndex, NodeStack, Position, SimConfig, SimTime, TimerToken,
+    Ctx, Duration, EnginePerf, MobilityModel, NeighborIndex, NodeStack, Position, SimConfig,
+    SimTime, Simulator, TimerToken, TraceEvent,
 };
 use manet_wire::{NetPacket, NodeId, SharedPacket};
 use rand::rngs::SmallRng;
+use rand::RngCore;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -224,4 +235,244 @@ fn grid_runs_report_index_perf_counters() {
         brute_perf.candidates_scanned
     );
     assert!(grid_perf.position_cache_hits > 0);
+}
+
+// ---- the neighbourhood cache against the uncached oracle ---------------------
+
+/// One finished run of the shared `Chatter` stacks, everything logged.
+struct TalkRun {
+    heard: Heard,
+    trace: Vec<TraceEvent>,
+    perf: EnginePerf,
+}
+
+impl TalkRun {
+    /// Transmissions that really scanned.
+    fn scans(&self) -> u64 {
+        self.perf.neighbor_queries - self.perf.neighbor_cache_hits
+    }
+
+    /// Frames `node` put on the air.
+    fn transmissions_of(&self, node: NodeId) -> u64 {
+        self.trace
+            .iter()
+            .filter(|ev| matches!(ev, TraceEvent::TxStart { node: n, .. } if *n == node))
+            .count() as u64
+    }
+}
+
+fn talk_run(
+    mut config: SimConfig,
+    mobility: &dyn Fn() -> Box<dyn MobilityModel + Send>,
+    index: NeighborIndex,
+) -> TalkRun {
+    config.neighbor_index = index;
+    let heard = Rc::new(RefCell::new(Vec::new()));
+    let stacks =
+        logging_chatter_stacks(config.num_nodes, Duration::from_millis(23.0), Some(&heard));
+    let mut sim = Simulator::new(config, mobility(), stacks);
+    sim.enable_trace();
+    let rec = sim.run();
+    let heard = heard.borrow().clone();
+    TalkRun {
+        heard,
+        trace: rec.trace().to_vec(),
+        perf: rec.engine_perf(),
+    }
+}
+
+/// Run `config` under both indexes and require the same run: the cached
+/// grid run against the brute-force run that scans on every transmission.
+fn cached_and_oracle(
+    config: &SimConfig,
+    mobility: &dyn Fn() -> Box<dyn MobilityModel + Send>,
+    what: &str,
+) -> TalkRun {
+    let grid = talk_run(config.clone(), mobility, NeighborIndex::Grid);
+    let brute = talk_run(config.clone(), mobility, NeighborIndex::BruteForce);
+    for how in ["receive", "overhear", "link failure"] {
+        assert!(
+            grid.heard.iter().any(|h| h.4 == how),
+            "{what}: no {how} in the run"
+        );
+    }
+    assert_eq!(grid.heard, brute.heard, "{what}: receptions diverged");
+    assert_eq!(grid.trace, brute.trace, "{what}: traces diverged");
+    assert_eq!(
+        grid.perf.neighbor_queries, brute.perf.neighbor_queries,
+        "{what}: a hit and a scan each count as one resolved neighbourhood"
+    );
+    assert_eq!(grid.perf.events_processed, brute.perf.events_processed);
+    assert_eq!(brute.perf.neighbor_cache_hits, 0, "the oracle never caches");
+    assert_eq!(grid.perf.stale_tx_ends + brute.perf.stale_tx_ends, 0);
+    grid
+}
+
+fn waypoint_config(n: u16, secs: f64, seed: u64, min: f64, max: f64, pause: f64) -> SimConfig {
+    let mut config = SimConfig::default();
+    config.num_nodes = n;
+    config.duration = Duration::from_secs(secs);
+    config.seed = seed;
+    config.mobility.min_speed = min;
+    config.mobility.max_speed = max;
+    config.mobility.pause = Duration::from_secs(pause);
+    config
+}
+
+fn random_waypoint(config: &SimConfig) -> impl Fn() -> Box<dyn MobilityModel + Send> {
+    let (w, h, m) = (config.field_width, config.field_height, config.mobility);
+    move || Box::new(RandomWaypoint::new(w, h, m))
+}
+
+#[test]
+fn cache_matches_the_oracle_with_fast_movers_and_no_pause() {
+    for seed in [1u64, 7, 101] {
+        // Everybody at the paper's top speed, all the time: the shortest
+        // validity the bound ever hands out.
+        let config = waypoint_config(30, 6.0, seed, 20.0, 20.0, 0.0);
+        let grid = cached_and_oracle(&config, &random_waypoint(&config), "20 m/s movers");
+        let perf = grid.perf;
+        assert!(perf.neighbor_cache_hits > 0, "seed {seed}: never hit");
+        assert!(grid.scans() > 30, "seed {seed}: fast movers must rescan");
+        assert!(
+            perf.candidates_scanned < perf.neighbor_queries * 30 / 2,
+            "seed {seed}: most transmissions scan nothing ({} candidates, {} queries)",
+            perf.candidates_scanned,
+            perf.neighbor_queries
+        );
+    }
+}
+
+/// A mobility model that plays per-node scripts of `(jump, to, speed)` legs
+/// and then pins the node; `jump` starts the leg somewhere the node is not.
+#[derive(Clone)]
+struct Scripted {
+    start: Vec<Position>,
+    legs: Vec<Vec<(Option<Position>, Position, f64)>>,
+}
+
+impl MobilityModel for Scripted {
+    fn initial_position(&mut self, idx: usize, _rng: &mut dyn RngCore) -> Position {
+        self.start[idx]
+    }
+    fn next_leg(
+        &mut self,
+        idx: usize,
+        current: Position,
+        now: SimTime,
+        epoch: u64,
+        _rng: &mut dyn RngCore,
+    ) -> Waypoint {
+        let (from, to, speed) = match self.legs[idx].get(epoch as usize) {
+            Some(&(jump, to, speed)) => (jump.unwrap_or(current), to, speed),
+            None => (current, current, 0.0),
+        };
+        Waypoint {
+            from,
+            to,
+            speed,
+            start: now,
+            epoch,
+        }
+    }
+}
+
+/// Three pinned nodes on a line and a fourth whose script is `legs`; every
+/// pairwise distance starts about 50 m or more from both circles, so at the
+/// first leg's 1 m/s a scan holds for longer than the run.
+fn line_with_a_mover(legs: Vec<(Option<Position>, Position, f64)>) -> (SimConfig, Scripted) {
+    let at = |x: f64| Position::new(x, 300.0);
+    let model = Scripted {
+        start: vec![at(0.0), at(100.0), at(200.0), at(600.0)],
+        legs: vec![vec![], vec![], vec![], legs],
+    };
+    (waypoint_config(4, 15.0, 5, 0.0, 0.0, 0.0), model)
+}
+
+#[test]
+fn a_leg_faster_than_all_before_it_empties_every_cache() {
+    let at = |x: f64| Position::new(x, 300.0);
+    let run = |second_leg_speed: f64| {
+        let (config, model) = line_with_a_mover(vec![
+            (None, at(598.0), 1.0),
+            // Through the carrier-sense circle of node 1 and the range
+            // circles of nodes 1 and 2, seconds into a validity that was
+            // granted for 24 s at the old bound.
+            (None, at(300.0), second_leg_speed),
+        ]);
+        let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel + Send>;
+        cached_and_oracle(&config, &mobility, "a faster leg")
+    };
+    let steady = run(1.0);
+    assert_eq!(steady.scans(), 4, "at 1 m/s throughout, one scan per node");
+    let faster = run(20.0);
+    assert!(
+        faster.scans() >= 8,
+        "the 20 m/s leg must make every node scan again ({} scans)",
+        faster.scans()
+    );
+    assert!(faster.perf.neighbor_cache_hits > 0);
+}
+
+#[test]
+fn a_leg_that_starts_elsewhere_empties_every_cache() {
+    let at = |x: f64| Position::new(x, 300.0);
+    // No faster than before, but the mover reappears next to node 2.
+    let (config, model) = line_with_a_mover(vec![
+        (None, at(598.0), 1.0),
+        (Some(at(320.0)), at(310.0), 1.0),
+    ]);
+    let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel + Send>;
+    let grid = cached_and_oracle(&config, &mobility, "a jump");
+    assert_eq!(
+        grid.scans(),
+        8,
+        "one scan per node before and after the jump"
+    );
+}
+
+#[test]
+fn a_static_placement_scans_once_per_node_for_the_whole_run() {
+    // 97 m spacing: no pairwise distance is within a micrometre of a circle.
+    let n = 20u16;
+    let config = waypoint_config(n, 8.0, 3, 0.0, 0.0, 0.0);
+    let mobility = || Box::new(StaticPlacement::grid(20, 5, 97.0)) as Box<dyn MobilityModel + Send>;
+    let grid = cached_and_oracle(&config, &mobility, "static placement");
+    assert_eq!(grid.scans(), u64::from(n));
+    assert_eq!(
+        grid.perf.neighbor_cache_hits,
+        grid.perf.neighbor_queries - u64::from(n)
+    );
+    assert!(grid.perf.neighbor_queries > 100 * u64::from(n));
+}
+
+#[test]
+fn nodes_on_a_circle_are_never_cached() {
+    let radio = SimConfig::default().radio;
+    // Node 1 exactly on node 0's range circle, node 2 exactly on its
+    // carrier-sense circle (and node 0 on theirs); node 3 is nowhere special.
+    let positions = vec![
+        Position::new(500.0, 500.0),
+        Position::new(500.0 + radio.range_m, 500.0),
+        Position::new(500.0, 500.0 + radio.carrier_sense_range()),
+        Position::new(530.0, 480.0),
+    ];
+    let config = waypoint_config(4, 4.0, 9, 0.0, 0.0, 0.0);
+    let mobility = {
+        let positions = positions.clone();
+        move || Box::new(StaticPlacement::new(positions.clone())) as Box<dyn MobilityModel + Send>
+    };
+    let grid = cached_and_oracle(&config, &mobility, "on-circle placement");
+    // `<=` keeps an on-circle node in: node 0's broadcasts reach node 1.
+    assert!(grid
+        .heard
+        .iter()
+        .any(|&(_, at, from, _, how)| at == NodeId(1) && from == NodeId(0) && how == "receive"));
+    let on_circle: u64 = (0..3).map(|i| grid.transmissions_of(NodeId(i))).sum();
+    assert!(on_circle > 100 && grid.transmissions_of(NodeId(3)) > 100);
+    assert_eq!(
+        grid.scans(),
+        on_circle + 1,
+        "nodes 0-2 scan on every transmission, node 3 once"
+    );
 }

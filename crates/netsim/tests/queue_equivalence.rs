@@ -10,89 +10,15 @@
 //! attack-enabled schedules (the wormhole's out-of-band `TunnelDeliver`
 //! events), and require byte-identical recorder traces.
 
+mod common;
+
+use common::chatter_stacks;
 use manet_netsim::mobility::{RandomWaypoint, StaticPlacement};
 use manet_netsim::{
     Ctx, Duration, EventQueueKind, NodeStack, Recorder, SimConfig, Simulator, TimerToken,
     WormholeConfig,
 };
 use manet_wire::{ConnectionId, DataPacket, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment};
-
-/// A stack that floods periodic data packets to a far destination and relays
-/// anything passing through, exercising broadcasts (via MAC-level contention
-/// of many same-instant timers) and unicast chains.
-struct Chatter {
-    me: NodeId,
-    n: u16,
-    next_packet: u64,
-    /// All nodes schedule their timers for the *same* instants, producing an
-    /// equal-timestamp storm in the event queue every period.
-    period: Duration,
-}
-
-impl Chatter {
-    fn fresh_id(&mut self) -> PacketId {
-        let id = PacketId((u64::from(self.me.0) << 40) | self.next_packet);
-        self.next_packet += 1;
-        id
-    }
-}
-
-impl NodeStack for Chatter {
-    fn start(&mut self, ctx: &mut Ctx<'_>) {
-        // Deliberately identical across nodes: every period boundary lands
-        // `num_nodes` timers on the exact same timestamp.
-        ctx.schedule_timer(self.period, TimerToken(0));
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
-        let dst = NodeId((self.me.0 + self.n / 2) % self.n);
-        let id = self.fresh_id();
-        let now = ctx.now();
-        let dp = DataPacket::new(
-            id,
-            self.me,
-            dst,
-            TcpSegment::data(ConnectionId(0), 0, 0, 512),
-        );
-        ctx.recorder()
-            .record_originated(id, ConnectionId(0), true, now);
-        // Alternate broadcast and a one-hop unicast to the right neighbour.
-        if self.next_packet.is_multiple_of(2) {
-            ctx.send_broadcast(NetPacket::Data(dp));
-        } else {
-            let next = NodeId((self.me.0 + 1) % self.n);
-            ctx.send_unicast(next, NetPacket::Data(dp));
-        }
-        let period = self.period;
-        ctx.schedule_timer(period, TimerToken(0));
-    }
-    fn on_receive(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, packet: SharedPacket) {
-        if let NetPacket::Data(dp) = &*packet {
-            if dp.dst == self.me || dp.src == self.me {
-                return;
-            }
-            // Forward one hop towards the destination id, re-using the
-            // shared allocation (no mutation needed for this test protocol).
-            if dp.hop_count == 0 {
-                let next = NodeId((self.me.0 + 1) % self.n);
-                ctx.send_unicast(next, packet);
-            }
-        }
-    }
-    fn on_link_failure(&mut self, _ctx: &mut Ctx<'_>, _n: NodeId, _p: NetPacket) {}
-}
-
-fn chatter_stacks(n: u16, period: Duration) -> Vec<Box<dyn NodeStack>> {
-    (0..n)
-        .map(|i| {
-            Box::new(Chatter {
-                me: NodeId(i),
-                n,
-                next_packet: 0,
-                period,
-            }) as Box<dyn NodeStack>
-        })
-        .collect()
-}
 
 /// Run `config` with the given queue backend and full tracing.
 fn traced_run(

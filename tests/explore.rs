@@ -116,6 +116,12 @@ fn stock_hunt_counterexample_is_minimal_pinned_and_replays_byte_identically() {
         spec.invariant.check(&plain.recorder).is_err(),
         "replay must still violate the invariant"
     );
+    // Corridors never move: a node scans for its first transmission and
+    // answers every later one from its neighbourhood cache.
+    let perf = plain.recorder.engine_perf();
+    let scans = perf.neighbor_queries - perf.neighbor_cache_hits;
+    assert!(scans <= 8, "{scans} scans for 8 pinned nodes: {perf:?}");
+    assert!(perf.neighbor_cache_hits > scans, "{perf:?}");
 
     // Replay with the telemetry stream on: observational, so the fingerprint
     // must not move, and the NDJSON-renderable event stream must exist.

@@ -15,14 +15,28 @@ quartile distance, and every pair.  It also compares the ``digest`` line of
 the two sides seed by seed and exits 1 if any differ, or if a run fails a
 benchmark gate.
 
+The digest hashes the engine's own counters (``EnginePerf``) next to the
+simulated results, so a change that only does less bookkeeping moves it.
+``--counts`` is the check for such a change.  Before the pairs it runs the
+parent twice and the change once with ``--trace 1`` at seeds 1 and 101.  A
+per-layer metric is *exact* if it is not a wall-clock one by its unit and the
+two parent runs agree on it to the last bit: deliveries, delay, goodput,
+events, drops, control packets, callbacks, explorer states.  Every exact
+metric must read the same on the change; the engine's and the allocator's
+own counters (``netsim.grid.*``, ``netsim.queue.*``, ``netsim.mobility.*``,
+``netsim.payload.*``, ``alloc.*``) are the exception: a difference there is
+printed and is what may explain a moved digest.  The exit status is then 1 if
+a result differs, if a metric exists on one side only, or if a workload's
+digest moved although none of its bookkeeping metrics did.
+
 Usage: python3 tools/ab.py <parent-rev> [--workload W] [--pairs 10]
-                           [--seeds 1,101,2,3]
+                           [--seeds 1,101,2,3] [--counts]
 
 Without ``--workload`` every workload of BENCHMARK.json is measured in turn.
-Seeds default to 1, 101 (the held-out seed), 2, 3, ... up to ``--pairs``.
-A traced pair, for the per-layer metrics, is one more run of each binary:
-``<binary> --workload W --seed S --seconds 10 --trace 1``; the two binaries
-are printed at the start.
+Seeds default to 1, 101 (the held-out seed), 2, 3, ... up to ``--pairs``;
+``--pairs 0`` skips the timing pairs.  A traced pair, for the other per-layer
+metrics, is one more run of each binary: ``<binary> --workload W --seed S
+--seconds 10 --trace 1``; the two binaries are printed at the start.
 """
 
 import argparse
@@ -68,15 +82,18 @@ def parent_checkout(root: Path, rev: str) -> tuple[str, Path]:
     return sha, checkout
 
 
-def measure(binary: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced run; the parsed result line plus the digest line."""
+COUNT_SEEDS = (1, 101)
+
+
+def measure(binary: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    """One run; the parsed result line plus the digest line."""
     done = subprocess.run(
         [
             str(binary),
             "--workload", workload,
             "--seed", str(seed),
             "--seconds", str(seconds),
-            "--trace", "0",
+            "--trace", str(trace),
         ],
         capture_output=True,
         text=True,
@@ -91,6 +108,50 @@ def measure(binary: Path, workload: str, seed: int, seconds: int) -> dict:
     digests = [ln.split()[1] for ln in lines if ln.startswith("digest ")]
     result["digest"] = digests[0] if digests else None
     return result
+
+
+# Units in which the benchmark reports nothing but wall-clock measurements.
+WALL_UNITS = {"s", "ns", "us", "1/s"}
+# Counters the engine and the allocator keep about their own work.
+BOOKKEEPING = ("netsim.grid.", "netsim.queue.", "netsim.mobility.", "netsim.payload.", "alloc.")
+
+
+def compare_counts(binaries: dict[str, Path], workload: str, seconds: int) -> tuple[bool, bool]:
+    """Traced runs at COUNT_SEEDS: (results equal, bookkeeping moved)."""
+    clean, moved = True, False
+    for seed in COUNT_SEEDS:
+        parent, again, change = (
+            measure(binaries[side], workload, seed, seconds, trace=1)
+            for side in ("parent", "parent", "change")
+        )
+        if not (parent["correct"] and again["correct"] and change["correct"]):
+            sys.exit(f"a traced run failed a benchmark gate on {workload} seed {seed}")
+        old, new = parent["metrics"], change["metrics"]
+        one_sided = sorted(set(old) ^ set(new))
+        exact = [
+            n
+            for n, m in old.items()
+            if n in new and m["unit"] not in WALL_UNITS and m == again["metrics"][n]
+        ]
+        differing = [n for n in exact if old[n]["value"] != new[n]["value"]]
+        for n in one_sided:
+            print(f"counts: {workload} s{seed} {n}: only in the {'parent' if n in old else 'change'}")
+        for n in differing:
+            note = " (bookkeeping)" if n.startswith(BOOKKEEPING) else ""
+            print(f"counts: {workload} s{seed} {n}: {old[n]['value']:g} -> {new[n]['value']:g}{note}")
+        results = [n for n in differing if not n.startswith(BOOKKEEPING)]
+        explained = len(differing) > len(results)
+        digest = "equal" if parent["digest"] == change["digest"] else "moved"
+        if digest == "moved" and not explained:
+            digest = "MOVED with no bookkeeping metric to explain it"
+            clean = False
+        print(
+            f"counts: {workload} s{seed}: {len(exact)} exact metrics, "
+            f"{len(results)} results differ, digest {digest}"
+        )
+        clean &= not results and not one_sided
+        moved |= explained
+    return clean, moved
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -141,6 +202,11 @@ def main() -> int:
     ap.add_argument("--workload", help="one workload (default: all of BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     ap.add_argument("--seeds", help="comma-separated benchmark seeds, one pair each")
+    ap.add_argument(
+        "--counts",
+        action="store_true",
+        help="compare the exact metrics of traced runs at seeds 1 and 101 first",
+    )
     args = ap.parse_args()
 
     root = repo_root()
@@ -153,28 +219,39 @@ def main() -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     else:
         seeds = ([1, 101] + list(range(2, args.pairs)))[: args.pairs]
-    if not seeds or min(seeds) < 1:
-        sys.exit("need at least one seed, all of them >= 1")
+    if seeds and min(seeds) < 1:
+        sys.exit("seeds start at 1")
+    if not seeds and not args.counts:
+        sys.exit("nothing to do: no pairs and no --counts")
 
     sha, checkout = parent_checkout(root, args.parent_rev)
     parent_bin, change_bin = build(checkout), build(root)
     print(f"parent {sha}: {parent_bin}\nchange (this tree): {change_bin}")
 
-    digests_equal = True
+    ok = True
+    binaries = {"parent": parent_bin, "change": change_bin}
     for workload in workloads:
+        explained = False
+        if args.counts:
+            clean, explained = compare_counts(binaries, workload, manifest["run_seconds"])
+            ok &= clean
+        if not seeds:
+            continue
         rows = []
         for i, seed in enumerate(seeds):
             pair = {}
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                binary = parent_bin if side == "parent" else change_bin
-                pair[side] = measure(binary, workload, seed, manifest["run_seconds"])
+                pair[side] = measure(binaries[side], workload, seed, manifest["run_seconds"])
                 if not pair[side]["correct"]:
                     sys.exit(f"{side} failed a benchmark gate on {workload} seed {seed}")
             rows.append((pair["parent"], pair["change"]))
             print(f"  {workload} s{seed} done ({order[0]} first)", file=sys.stderr)
-        digests_equal &= report(workload, manifest["end_to_end"], seeds, rows)
-    return 0 if digests_equal else 1
+        # A digest the bookkeeping counters of this workload moved is no finding.
+        ok &= report(workload, manifest["end_to_end"], seeds, rows) or explained
+    if args.counts:
+        print(f"\ncounts: {'clean' if ok else 'DIFFERENCES, see above'}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
