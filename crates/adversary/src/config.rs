@@ -316,7 +316,7 @@ impl AttackConfig {
     }
 
     /// The canonical attack matrix axis used by the experiment sweeps, the
-    /// `attack_matrix` bench and `reproduce --attacks`.
+    /// benchmark's `attack_matrix` workload and `reproduce attacks`.
     ///
     /// # Examples
     ///

@@ -4,7 +4,7 @@
 //! figure is a set of series (one per protocol) of `(max speed, value)`
 //! points; Table I is a per-node relay table for a single DSR run.  The
 //! generators only *select* data from a [`SweepOutcome`]; running the sweep is
-//! the caller's job (see `manet-bench`'s `reproduce` binary).
+//! the caller's job (see the root package's `reproduce` binary).
 
 use crate::metrics::RunMetrics;
 use crate::protocol::Protocol;

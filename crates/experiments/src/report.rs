@@ -1,6 +1,6 @@
 //! Plain-text rendering of figures, tables and sweep results.
 //!
-//! The `reproduce` binary in `manet-bench` prints these tables; EXPERIMENTS.md
+//! The `reproduce` binary of the root package prints these tables; EXPERIMENTS.md
 //! records them next to the paper's reported trends.
 
 use crate::figures::{figure_series, FigureId, FigureSeries};

@@ -27,8 +27,8 @@ pub fn run_scenario_with_recorder(scenario: &Scenario) -> (RunMetrics, Recorder)
 }
 
 /// Like [`run_scenario_with_recorder`] but with the human-readable event
-/// trace enabled on the recorder.  Used by the queue/payload equivalence
-/// checks (`reproduce --bench-json`, CI perf smoke), which diff the full
+/// trace enabled on the recorder.  Used by the equivalence suites (queue,
+/// shard, hybrid, golden trace; CI perf smoke), which diff the full
 /// trace of two runs for byte identity; costs memory proportional to the
 /// number of transmissions, so sweeps keep it off.
 pub fn run_scenario_traced(scenario: &Scenario) -> (RunMetrics, Recorder) {

@@ -164,10 +164,10 @@ impl Scenario {
 
     /// The paper's environment scaled to `num_nodes` (field grown to keep the
     /// 50-nodes-per-km² density), with one flow per started 100 nodes so the
-    /// traffic load grows with the network.  This is the scenario family the
-    /// `scale_nodes` bench, `reproduce --bench-json` and the large-scale
-    /// sweeps use; `num_nodes` of 100 / 200 / 500 / 1000 / 2000 are the
-    /// canonical points.
+    /// traffic load grows with the network.  This is the scenario family of
+    /// `reproduce trace`, the benchmark's `scale_flood` workload and the
+    /// release-scale equivalence tests; `num_nodes` of 100 / 200 / 500 / 1000
+    /// / 2000 are the canonical points.
     pub fn scaled(protocol: Protocol, num_nodes: u16, max_speed: f64, seed: u64) -> Self {
         let sim = SimConfig::scaled_environment(num_nodes, max_speed, seed);
         let mut scenario = Self::from_sim(protocol, sim);
@@ -246,8 +246,9 @@ impl Scenario {
     /// designated eavesdropper is excluded from the draws.
     ///
     /// The first flow and the eavesdropper match [`Scenario::scaled`] at the
-    /// same seed.  This is the scenario family behind the flow-scaling axis
-    /// of `reproduce --bench-json` / `BENCH_PR5.json`.
+    /// same seed.  This is the scenario family behind the benchmark's
+    /// `flows_congested` workload and the hybrid collapse curve
+    /// (`tests/hybrid.rs`).
     pub fn random_pairs(
         protocol: Protocol,
         num_nodes: u16,

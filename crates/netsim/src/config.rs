@@ -509,9 +509,8 @@ impl SimConfig {
 
     /// The paper's environment scaled to `num_nodes`, with the field grown so
     /// node density (nodes per square metre) matches the 50-node / 1 km²
-    /// original.  Used by the 100/200/500/1000/2000-node scaling scenarios,
-    /// the `scale_nodes` bench and the `reproduce --bench-json` perf
-    /// trajectory.
+    /// original.  Used by the 100/200/500/1000/2000-node scaling scenarios
+    /// (`Scenario::scaled`).
     ///
     /// # Panics
     /// Panics if `num_nodes` is zero.

@@ -198,7 +198,7 @@ pub enum TelemetryEvent {
         conn: u32,
         bytes: u64,
     },
-    /// The tagged packet (`--trace-packet conn:seq`) passed a pipeline stage.
+    /// The tagged packet (`reproduce trace --packet conn:seq`) passed a pipeline stage.
     Provenance {
         t: f64,
         shard: u16,

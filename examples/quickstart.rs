@@ -9,8 +9,8 @@ use mts_repro::prelude::*;
 
 fn main() {
     // A single seed and a shortened run keep the example quick; the full
-    // reproduction (200 s, five seeds) lives in the `reproduce` binary of the
-    // `manet-bench` crate.
+    // reproduction (200 s, five seeds) is `cargo run --release --bin reproduce
+    // -- figures`.
     let max_speed = 10.0;
     let seed = 1;
     let duration = 30.0;

@@ -60,9 +60,8 @@ fn runs_are_deterministic_for_a_fixed_seed() {
 /// single flow: a random-pairs traffic matrix produces identical runs across
 /// both event-queue backends, and the per-flow metrics are well-formed
 /// (goodput rows sum to the aggregate throughput, Jain's fairness in [0, 1]).
-/// The full-scale variant (n = 500, 50 flows, trace-diffed) runs in
-/// `bench_flows` / CI's perf-smoke job; this keeps a debug-build-sized copy
-/// in tier 1.
+/// Release builds (CI's perf-smoke job) add the full-scale inputs: the n = 500
+/// scaled scenario and 25 random-pair flows at n = 500, full traces diffed.
 #[test]
 fn multi_flow_runs_are_deterministic_across_queue_backends() {
     use mts_repro::netsim::EventQueueKind;
@@ -95,6 +94,36 @@ fn multi_flow_runs_are_deterministic_across_queue_backends() {
         .map(|f| f.goodput_bytes_per_sec)
         .sum();
     assert!(goodput > 0.0);
+
+    if cfg!(debug_assertions) {
+        return; // the n = 500 runs are release-scale
+    }
+    let scaled = Scenario::scaled(Protocol::Mts, 500, 10.0, 1);
+    let flows = Scenario::random_pairs(Protocol::Mts, 500, 25, 10.0, 1);
+    for (name, mut scenario) in [("scaled", scaled), ("25 flows", flows)] {
+        scenario.sim.duration = Duration::from_secs(3.0);
+        let mut traced = |queue: EventQueueKind| {
+            scenario.sim.event_queue = queue;
+            mts_repro::experiments::runner::run_scenario_traced(&scenario).1
+        };
+        let (calendar, heap) = (
+            traced(EventQueueKind::Calendar),
+            traced(EventQueueKind::Heap),
+        );
+        assert!(
+            calendar.delivered_data_packets() > 0,
+            "n=500 {name}: nothing delivered"
+        );
+        assert_eq!(
+            calendar.engine_perf().events_processed,
+            heap.engine_perf().events_processed,
+            "n=500 {name}: queue backends processed different event streams"
+        );
+        assert!(
+            calendar.trace() == heap.trace(),
+            "n=500 {name}: recorder traces diverged across queue backends"
+        );
+    }
 }
 
 #[test]

@@ -30,12 +30,12 @@ use manet_netsim::telemetry::event::DropKind;
 use manet_netsim::{DropReason, Duration, TelemetryConfig, TraceEvent};
 use proptest::prelude::*;
 
-/// One reorder quantum, matching `reproduce --explore`.
+/// One reorder quantum, matching `reproduce explore`.
 fn delay() -> Duration {
     Duration::from_secs(0.002)
 }
 
-/// The stock hunt of `reproduce --explore`: plain MTS on the blackhole
+/// The stock hunt of `reproduce explore`: plain MTS on the blackhole
 /// corridor, asking whether any schedule pushes the black hole's absorption
 /// past the bound the unforced run respects.
 fn hunt_spec() -> ExploreSpec {

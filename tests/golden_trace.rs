@@ -113,7 +113,7 @@ const GOLDEN: [GoldenRow; 3] = [
 
 /// Attack-matrix pin: delivered / adversary-drop counts of one hostile cell
 /// per protocol variant (2 black holes, 10 m/s, seed 1, 20 s).  Together with
-/// the clean-trace digests above this keeps the `reproduce --attacks` numbers
+/// the clean-trace digests above this keeps the `reproduce attacks` numbers
 /// stable across the connection-table refactor.
 const GOLDEN_ATTACK: [(Protocol, u64, u64, u64); 4] = [
     (Protocol::Dsr, 5, 0, 5),

@@ -75,8 +75,11 @@ fn single_shard(workers: u16) -> Execution {
     }
 }
 
-/// The three scenario families the determinism contract must hold on.
-fn contract_scenarios() -> Vec<(&'static str, Scenario)> {
+/// The three scenario families the determinism contract must hold on, each
+/// with the worker count of its single-shard run; release builds (CI's
+/// perf-smoke job) add the n = 1000 scaled scenario under a 2-worker pool, so
+/// the barrier path runs threaded.
+fn contract_scenarios() -> Vec<(&'static str, Scenario, u16)> {
     let mut paper = Scenario::paper(Protocol::Mts, 10.0, 1);
     paper.sim.duration = Duration::from_secs(10.0);
     let mut attack =
@@ -84,18 +87,24 @@ fn contract_scenarios() -> Vec<(&'static str, Scenario)> {
     attack.sim.duration = Duration::from_secs(10.0);
     let mut multi = Scenario::random_pairs(Protocol::Mts, 100, 4, 10.0, 1);
     multi.sim.duration = Duration::from_secs(10.0);
-    vec![
-        ("paper", paper),
-        ("blackhole-attack", attack),
-        ("multi-flow", multi),
-    ]
+    let mut scenarios = vec![
+        ("paper", paper, 1),
+        ("blackhole-attack", attack, 1),
+        ("multi-flow", multi, 1),
+    ];
+    if !cfg!(debug_assertions) {
+        let mut scaled = Scenario::scaled(Protocol::Mts, 1000, 10.0, 1);
+        scaled.sim.duration = Duration::from_secs(3.0);
+        scenarios.push(("scaled-1000", scaled, 2));
+    }
+    scenarios
 }
 
 #[test]
 fn one_shard_is_byte_identical_to_serial_on_every_contract_scenario() {
-    for (name, scenario) in contract_scenarios() {
+    for (name, scenario, workers) in contract_scenarios() {
         let serial = fingerprint(&with_execution(scenario.clone(), Execution::Serial));
-        let sharded = fingerprint(&with_execution(scenario, single_shard(1)));
+        let sharded = fingerprint(&with_execution(scenario, single_shard(workers)));
         assert_eq!(
             serial, sharded,
             "{name}: Sharded{{shards: 1}} drifted from the serial engine"

@@ -46,7 +46,14 @@ def main() -> int:
     root = repo_root()
     broken: list[str] = []
     checked = 0
+    scanned = 0
     for md in markdown_files(root):
+        if not md.exists():
+            # Deleted in the working tree; `git ls-files` lists it until the
+            # deletion is staged.
+            print(f"{md.relative_to(root)}: skipped, tracked but not on disk")
+            continue
+        scanned += 1
         text = md.read_text(encoding="utf-8")
         for match in LINK.finditer(text):
             target = match.group(1)
@@ -62,7 +69,7 @@ def main() -> int:
                 broken.append(f"{md.relative_to(root)}:{line}: broken link -> {target}")
     for b in broken:
         print(b)
-    print(f"checked {checked} relative links in {len(markdown_files(root))} markdown files")
+    print(f"checked {checked} relative links in {scanned} markdown files")
     return 1 if broken else 0
 
 

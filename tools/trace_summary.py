@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Summarise (or schema-check) a telemetry NDJSON stream.
 
-``reproduce --telemetry FILE`` writes one JSON object per line; this script
+``reproduce trace FILE`` writes one JSON object per line; this script
 renders the stream as a human-readable digest — event counts per type, drops
 by reason, per-connection conservation (originated vs delivered vs terminal
 drops), flow completions, the sampler's goodput time-series and, when
-``--trace-packet`` tagged a packet, its hop-by-hop provenance path.
+``--packet`` tagged a packet, its hop-by-hop provenance path.
 
 ``--check`` validates instead of summarising: every line must parse as JSON,
 carry a known ``ev`` discriminator with exactly the fields of
