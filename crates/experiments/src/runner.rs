@@ -196,8 +196,9 @@ impl SweepSpec {
         }
     }
 
-    /// A scaled-down grid for quick runs (CI, Criterion benches): the same
-    /// protocols and speeds, fewer seeds and a shorter duration.
+    /// A scaled-down grid for quick runs (`reproduce figures --duration D
+    /// --seeds S`): the same protocols and speeds, fewer seeds and a
+    /// shorter duration.
     pub fn quick(duration: f64, seeds: u64) -> Self {
         SweepSpec {
             protocols: Protocol::ALL.to_vec(),

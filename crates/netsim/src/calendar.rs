@@ -3,12 +3,17 @@
 //! A classic discrete-event simulator alternative to the binary heap
 //! ([Brown 1988]): pending events are hashed by firing time into an array of
 //! fixed-width time buckets, so in the steady state `schedule` is an O(1)
-//! push into a small `Vec` and `pop` scans forward from the current bucket —
-//! amortised O(1) against the heap's O(log n) sift per operation, and with
-//! far better cache behaviour (bucket entries are contiguous).
+//! push onto a short bucket list and `pop` scans forward from the current
+//! bucket — amortised O(1) against the heap's O(log n) sift per operation.
 //!
 //! # Design
 //!
+//! * **Storage**: every bucketed event lives in one slab of slots; a bucket
+//!   is a `u32` index of its first slot, and each slot links to the next
+//!   slot of its bucket.  Vacated slots go on a free list and are reused
+//!   before the slab grows, so the queue's memory follows the most events
+//!   pending at once — not the bucket count times each bucket's high-water
+//!   mark — and walking past an empty bucket reads one 4-byte head.
 //! * **Bucket width** starts at one MAC backoff slot — the granularity at
 //!   which steady-state MAC attempts and transmission ends land (see
 //!   [`CalendarQueue::width_for_mac`]) — and **self-tunes** from there:
@@ -22,20 +27,23 @@
 //!   go to an **overflow ladder** (a small binary heap).  Whenever the cursor
 //!   advances, every overflow event that now falls inside the window is
 //!   migrated into its bucket, so the FIFO tie-break order stays global.
-//! * **Resizing**: when occupancy exceeds `2 × nbuckets` the bucket array
-//!   doubles (events are re-hashed; the overflow ladder is re-examined
-//!   against the wider window).  Bucket-array growths and width re-tunes are
-//!   both counted as "resizes" for the perf report.
+//! * **Resizing**: when occupancy exceeds `2 × nbuckets` the bucket-head
+//!   array doubles.  A growth or width re-tune re-links every slot in place
+//!   (no event moves in the slab); events that fall past the new window
+//!   spill to the overflow ladder and overflow events inside it move in.
+//!   Bucket-array growths and width re-tunes are both counted as "resizes"
+//!   for the perf report.
 //!
 //! # Ordering contract
 //!
 //! Pops are **exactly** the order the binary-heap queue produces: ascending
 //! `(time, seq)`.  Two events with equal timestamps always hash to the same
 //! bucket (same time ⇒ same absolute bucket), and within a bucket the pop
-//! scans for the minimal `(time, seq)` pair, so the FIFO tie-break of the
-//! sequence number is preserved.  Events in the overflow ladder are always
-//! strictly later than every bucketed event (their absolute bucket lies past
-//! the window), so the two stores never compete for the same timestamp.
+//! scans the list for the minimal `(time, seq)` pair, so the FIFO tie-break
+//! of the sequence number is preserved whatever order the list is in.
+//! Events in the overflow ladder are always strictly later than every
+//! bucketed event (their absolute bucket lies past the window), so the two
+//! stores never compete for the same timestamp.
 //! `crates/netsim/tests/queue_equivalence.rs` asserts trace identity against
 //! the heap on full simulation runs.
 //!
@@ -49,7 +57,7 @@ use std::collections::BinaryHeap;
 /// Default number of buckets (power of two; grows by doubling).
 const INITIAL_BUCKETS: usize = 1024;
 
-/// Hard cap on the bucket array (2^20 buckets ≈ 8 MiB of `Vec` headers) —
+/// Hard cap on the bucket array (2^20 buckets = 4 MiB of list heads) —
 /// beyond this the queue degrades gracefully to larger per-bucket scans.
 const MAX_BUCKETS: usize = 1 << 20;
 
@@ -69,22 +77,36 @@ const ADAPT_SKIP_HIGH: f64 = 24.0;
 const MIN_WIDTH: f64 = 1e-7;
 const MAX_WIDTH: f64 = 1.0;
 
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: an event and the next slot of its bucket's list while
+/// occupied, or of the free list while vacant.
+#[derive(Debug)]
+struct Slot {
+    ev: Option<ScheduledEvent>,
+    next: u32,
+}
+
 /// A calendar queue over [`ScheduledEvent`]s.
 ///
 /// See the module docs for the design; [`crate::event::EventQueue`] wraps
 /// this behind the [`crate::config::EventQueueKind`] selector.
 #[derive(Debug)]
 pub struct CalendarQueue {
-    /// `buckets[b % nbuckets]` holds the events of absolute bucket `b` for
-    /// every `b` in the sliding window `[cursor, cursor + nbuckets)`.
-    buckets: Vec<Vec<ScheduledEvent>>,
-    /// Power-of-two bucket count (`mask = nbuckets - 1`).
-    nbuckets: usize,
+    /// Storage of every bucketed event (see the module docs).
+    slab: Vec<Slot>,
+    /// First vacant slot of `slab`, or [`NIL`].
+    free: u32,
+    /// `heads[b % nbuckets]` is the first slot of absolute bucket `b`'s list
+    /// (or [`NIL`]) for every `b` in the sliding window
+    /// `[cursor, cursor + nbuckets)`; `nbuckets` is a power of two.
+    heads: Vec<u32>,
     /// Seconds of simulated time per bucket.
     width: f64,
     /// Absolute bucket number of the earliest non-retired bucket.
     cursor: u64,
-    /// Events currently stored in `buckets`.
+    /// Events currently stored in the buckets (occupied slots).
     bucketed: usize,
     /// Far-future events (absolute bucket ≥ `cursor + nbuckets`).  Pops
     /// earliest-first thanks to [`ScheduledEvent`]'s inverted `Ord`.
@@ -112,8 +134,9 @@ impl CalendarQueue {
             "calendar bucket width must be positive and finite, got {width}"
         );
         CalendarQueue {
-            buckets: (0..INITIAL_BUCKETS).map(|_| Vec::new()).collect(),
-            nbuckets: INITIAL_BUCKETS,
+            slab: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; INITIAL_BUCKETS],
             width,
             cursor: 0,
             bucketed: 0,
@@ -143,6 +166,18 @@ impl CalendarQueue {
         (time.as_secs() / self.width) as u64
     }
 
+    /// Number of buckets in the window.
+    #[inline]
+    fn nbuckets(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Index into `heads` of an absolute bucket.
+    #[inline]
+    fn bucket_index(&self, abs_bucket: u64) -> usize {
+        (abs_bucket as usize) & (self.heads.len() - 1)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.bucketed + self.overflow.len()
@@ -160,17 +195,72 @@ impl CalendarQueue {
 
     /// Insert an event (the caller assigns `seq`).
     pub fn push(&mut self, ev: ScheduledEvent) {
-        let ab = self.abs_bucket(ev.time).max(self.cursor);
-        if ab >= self.cursor + self.nbuckets as u64 {
-            self.overflow.push(ev);
-            return;
-        }
-        let idx = (ab as usize) & (self.nbuckets - 1);
-        self.buckets[idx].push(ev);
-        self.bucketed += 1;
-        if self.bucketed > RESIZE_LOAD * self.nbuckets && self.nbuckets < MAX_BUCKETS {
+        if self.insert(ev)
+            && self.bucketed > RESIZE_LOAD * self.nbuckets()
+            && self.nbuckets() < MAX_BUCKETS
+        {
             self.grow();
         }
+    }
+
+    /// Put an event in its bucket, or in the overflow ladder if it lies
+    /// past the window.  Returns true if it was bucketed.
+    fn insert(&mut self, ev: ScheduledEvent) -> bool {
+        let ab = self.abs_bucket(ev.time).max(self.cursor);
+        if ab >= self.cursor + self.nbuckets() as u64 {
+            self.overflow.push(ev);
+            return false;
+        }
+        let slot = if self.free == NIL {
+            assert!(
+                self.slab.len() < NIL as usize,
+                "calendar queue holds fewer than 2^32 - 1 bucketed events"
+            );
+            let slot = self.slab.len() as u32;
+            self.slab.push(Slot {
+                ev: Some(ev),
+                next: NIL,
+            });
+            slot
+        } else {
+            let slot = self.free;
+            let vacant = &mut self.slab[slot as usize];
+            self.free = vacant.next;
+            vacant.ev = Some(ev);
+            slot
+        };
+        self.bucketed += 1;
+        self.link(slot, ab);
+        true
+    }
+
+    /// Prepend an occupied slot to absolute bucket `ab`'s list.
+    #[inline]
+    fn link(&mut self, slot: u32, ab: u64) {
+        let idx = self.bucket_index(ab);
+        self.slab[slot as usize].next = self.heads[idx];
+        self.heads[idx] = slot;
+    }
+
+    /// Take the event out of an (already unlinked) slot and put the slot on
+    /// the free list.
+    #[inline]
+    fn release(&mut self, slot: u32) -> ScheduledEvent {
+        let vacated = &mut self.slab[slot as usize];
+        let ev = vacated.ev.take().expect("released slot is occupied");
+        vacated.next = self.free;
+        self.free = slot;
+        self.bucketed -= 1;
+        ev
+    }
+
+    /// The event of an occupied slot.
+    #[inline]
+    fn event(&self, slot: u32) -> &ScheduledEvent {
+        self.slab[slot as usize]
+            .ev
+            .as_ref()
+            .expect("listed slot is occupied")
     }
 
     /// Remove and return the earliest pending event (ascending `(time, seq)`).
@@ -185,18 +275,32 @@ impl CalendarQueue {
         // Some bucket in the window is non-empty, and buckets earlier in the
         // window hold strictly earlier times, so the first non-empty bucket
         // contains the global minimum.
-        for step in 0..self.nbuckets as u64 {
+        for step in 0..self.nbuckets() as u64 {
             let b = self.cursor + step;
-            let idx = (b as usize) & (self.nbuckets - 1);
-            if self.buckets[idx].is_empty() {
+            let idx = self.bucket_index(b);
+            let head = self.heads[idx];
+            if head == NIL {
                 continue;
             }
-            self.pop_scans += self.buckets[idx].len() as u64;
+            let ev = if self.slab[head as usize].next == NIL {
+                // A single-entry bucket, the common case of sparse event
+                // streams: no list to walk.
+                self.pop_scans += 1;
+                self.heads[idx] = NIL;
+                self.release(head)
+            } else {
+                let (min, before, len) = self.list_min(head);
+                self.pop_scans += len;
+                let after = self.slab[min as usize].next;
+                if before == NIL {
+                    self.heads[idx] = after;
+                } else {
+                    self.slab[before as usize].next = after;
+                }
+                self.release(min)
+            };
             self.pop_skips += step;
             self.pops_since_adapt += 1;
-            let min = Self::bucket_min(&self.buckets[idx]);
-            let ev = self.buckets[idx].swap_remove(min);
-            self.bucketed -= 1;
             if step > 0 {
                 self.advance_to(b);
             }
@@ -207,6 +311,26 @@ impl CalendarQueue {
             return Some(ev);
         }
         unreachable!("bucketed > 0 but every bucket in the window is empty");
+    }
+
+    /// Walk the non-empty list starting at `head`: its slot with the minimal
+    /// `(time, seq)`, that slot's predecessor in the list ([`NIL`] if it is
+    /// the head) and the list's length.
+    #[inline]
+    fn list_min(&self, head: u32) -> (u32, u32, u64) {
+        let first = self.event(head);
+        let (mut min, mut before, mut key) = (head, NIL, (first.time, first.seq));
+        let (mut prev, mut cur, mut len) = (head, self.slab[head as usize].next, 1);
+        while cur != NIL {
+            let ev = self.event(cur);
+            if (ev.time, ev.seq) < key {
+                (min, before, key) = (cur, prev, (ev.time, ev.seq));
+            }
+            len += 1;
+            prev = cur;
+            cur = self.slab[cur as usize].next;
+        }
+        (min, before, len)
     }
 
     /// Re-tune the bucket width to the observed event density.
@@ -233,54 +357,59 @@ impl CalendarQueue {
             // put — otherwise repeated narrowing shrinks the window below
             // the MAC airtime horizon and every TxEnd thrashes through the
             // overflow ladder.
-            let new_n = (self.nbuckets * 2).min(MAX_BUCKETS);
+            let new_n = (self.nbuckets() * 2).min(MAX_BUCKETS);
             self.rebuild((self.width / 2.0).max(MIN_WIDTH), new_n);
         } else if mean_skip > ADAPT_SKIP_HIGH && self.width < MAX_WIDTH {
-            self.rebuild((self.width * 2.0).min(MAX_WIDTH), self.nbuckets);
+            self.rebuild((self.width * 2.0).min(MAX_WIDTH), self.nbuckets());
         }
     }
 
     /// Re-hash every pending event under a new bucket width / bucket count.
     fn rebuild(&mut self, new_width: f64, new_nbuckets: usize) {
         self.resizes += 1;
-        let mut drained: Vec<ScheduledEvent> = Vec::with_capacity(self.len());
-        for bucket in &mut self.buckets {
-            drained.append(bucket);
-        }
-        drained.extend(std::mem::take(&mut self.overflow));
-        if new_nbuckets != self.nbuckets {
-            self.buckets = (0..new_nbuckets).map(|_| Vec::new()).collect();
-            self.nbuckets = new_nbuckets;
-        }
-        self.bucketed = 0;
         self.width = new_width;
         self.cursor = self.abs_bucket(self.last_pop);
-        for ev in drained {
-            self.push_rehash(ev);
-        }
+        self.rehash(new_nbuckets);
     }
 
-    /// Push without load-factor checks (used while re-hashing).
-    fn push_rehash(&mut self, ev: ScheduledEvent) {
-        let ab = self.abs_bucket(ev.time).max(self.cursor);
-        if ab >= self.cursor + self.nbuckets as u64 {
-            self.overflow.push(ev);
-            return;
+    /// Double the bucket array and re-hash every bucketed event; the wider
+    /// window may also absorb overflow events.
+    fn grow(&mut self) {
+        self.resizes += 1;
+        self.rehash((self.nbuckets() * 2).min(MAX_BUCKETS));
+    }
+
+    /// Re-link every occupied slot into `nbuckets` fresh bucket lists under
+    /// the current width and cursor.  Events past the new window spill to
+    /// the overflow ladder (their slots are freed); overflow events inside
+    /// it then move in.
+    fn rehash(&mut self, nbuckets: usize) {
+        self.heads.clear();
+        self.heads.resize(nbuckets, NIL);
+        let horizon = self.cursor + nbuckets as u64;
+        for slot in 0..self.slab.len() as u32 {
+            let Some(time) = self.slab[slot as usize].ev.as_ref().map(|ev| ev.time) else {
+                continue;
+            };
+            let ab = self.abs_bucket(time).max(self.cursor);
+            if ab < horizon {
+                self.link(slot, ab);
+            } else {
+                let ev = self.release(slot);
+                self.overflow.push(ev);
+            }
         }
-        let idx = (ab as usize) & (self.nbuckets - 1);
-        self.buckets[idx].push(ev);
-        self.bucketed += 1;
+        self.migrate_overflow();
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         let mut best: Option<SimTime> = None;
         if self.bucketed > 0 {
-            for step in 0..self.nbuckets as u64 {
-                let idx = ((self.cursor + step) as usize) & (self.nbuckets - 1);
-                if !self.buckets[idx].is_empty() {
-                    let min = Self::bucket_min(&self.buckets[idx]);
-                    best = Some(self.buckets[idx][min].time);
+            for step in 0..self.nbuckets() as u64 {
+                let head = self.heads[self.bucket_index(self.cursor + step)];
+                if head != NIL {
+                    best = Some(self.event(self.list_min(head).0).time);
                     break;
                 }
             }
@@ -291,19 +420,6 @@ impl CalendarQueue {
             (None, Some(o)) => Some(o.time),
             (None, None) => None,
         }
-    }
-
-    /// Index of the minimal `(time, seq)` entry of a non-empty bucket.
-    #[inline]
-    fn bucket_min(bucket: &[ScheduledEvent]) -> usize {
-        let mut min = 0;
-        for (i, ev) in bucket.iter().enumerate().skip(1) {
-            let best = &bucket[min];
-            if (ev.time, ev.seq) < (best.time, best.seq) {
-                min = i;
-            }
-        }
-        min
     }
 
     /// Slide the window forward to `new_cursor` and migrate every overflow
@@ -317,39 +433,14 @@ impl CalendarQueue {
 
     /// Move overflow events inside the current window into their buckets.
     fn migrate_overflow(&mut self) {
-        let horizon = self.cursor + self.nbuckets as u64;
+        let horizon = self.cursor + self.nbuckets() as u64;
         while let Some(head) = self.overflow.peek() {
             if self.abs_bucket(head.time) >= horizon {
                 break;
             }
             let ev = self.overflow.pop().expect("peeked");
-            let ab = self.abs_bucket(ev.time).max(self.cursor);
-            let idx = (ab as usize) & (self.nbuckets - 1);
-            self.buckets[idx].push(ev);
-            self.bucketed += 1;
+            self.insert(ev);
         }
-    }
-
-    /// Double the bucket array and re-hash every bucketed event; the wider
-    /// window may also absorb overflow events.
-    fn grow(&mut self) {
-        self.resizes += 1;
-        let new_n = (self.nbuckets * 2).min(MAX_BUCKETS);
-        let mut drained: Vec<ScheduledEvent> = Vec::with_capacity(self.bucketed);
-        for bucket in &mut self.buckets {
-            drained.append(bucket);
-        }
-        self.buckets = (0..new_n).map(|_| Vec::new()).collect();
-        self.nbuckets = new_n;
-        self.bucketed = 0;
-        for ev in drained {
-            let ab = self.abs_bucket(ev.time).max(self.cursor);
-            debug_assert!(ab < self.cursor + self.nbuckets as u64);
-            let idx = (ab as usize) & (self.nbuckets - 1);
-            self.buckets[idx].push(ev);
-            self.bucketed += 1;
-        }
-        self.migrate_overflow();
     }
 }
 
@@ -357,6 +448,8 @@ impl CalendarQueue {
 mod tests {
     use super::*;
     use crate::event::Event;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
 
     fn ev(time: f64, seq: u64) -> ScheduledEvent {
         ScheduledEvent {
@@ -499,6 +592,238 @@ mod tests {
         assert!(popped
             .windows(2)
             .all(|w| (w[0].time, w[0].seq) < (w[1].time, w[1].seq)));
+    }
+
+    /// Which of the queue's structural edges a [`Script`] run crossed.
+    #[derive(Debug, Default)]
+    struct Edges {
+        grew: bool,
+        narrowed: bool,
+        widened: bool,
+        migrated: bool,
+        spilled: bool,
+    }
+
+    /// Drives a [`CalendarQueue`] and a `BinaryHeap` reference through the
+    /// same pushes and pops, checking after every operation that the two
+    /// agree and that the slab is no larger than the most events pending
+    /// at once.
+    struct Script {
+        q: CalendarQueue,
+        reference: BinaryHeap<ScheduledEvent>,
+        seq: u64,
+        now: f64,
+        peak: usize,
+        edges: Edges,
+        rng: rand::rngs::SmallRng,
+    }
+
+    impl Script {
+        fn new(width: f64, seed: u64) -> Self {
+            use rand::SeedableRng;
+            Script {
+                q: CalendarQueue::new(width),
+                reference: BinaryHeap::new(),
+                seq: 0,
+                now: 0.0,
+                peak: 0,
+                edges: Edges::default(),
+                rng: rand::rngs::SmallRng::seed_from_u64(seed),
+            }
+        }
+
+        fn unit(&mut self) -> f64 {
+            use rand::Rng;
+            self.rng.gen_range(0.0..1.0)
+        }
+
+        /// Push one event `dt` seconds after the last popped time.
+        fn push(&mut self, dt: f64) -> Result<(), TestCaseError> {
+            self.step(|s| {
+                let e = ev(s.now + dt, s.seq);
+                s.seq += 1;
+                s.reference.push(e.clone());
+                s.q.push(e);
+                s.peak = s.peak.max(s.reference.len());
+                Ok(())
+            })
+        }
+
+        fn pop(&mut self) -> Result<(), TestCaseError> {
+            self.step(|s| {
+                let want = s.reference.pop().map(|e| (e.time, e.seq));
+                let got = s.q.pop().map(|e| (e.time, e.seq));
+                prop_assert_eq!(got, want, "pop {} diverged from the heap", s.seq);
+                if let Some((time, _)) = got {
+                    s.now = time.as_secs();
+                }
+                Ok(())
+            })
+        }
+
+        /// Run one operation, then check the invariants and note the edges
+        /// it crossed.
+        fn step(
+            &mut self,
+            op: impl FnOnce(&mut Self) -> Result<(), TestCaseError>,
+        ) -> Result<(), TestCaseError> {
+            let (width, nbuckets) = (self.q.width, self.q.nbuckets());
+            let (overflow, direct) = (self.q.overflow.len(), usize::from(self.q.bucketed == 0));
+            op(self)?;
+            let edges = &mut self.edges;
+            edges.grew |= self.q.nbuckets() > nbuckets && self.q.width == width;
+            edges.narrowed |= self.q.width < width;
+            edges.widened |= self.q.width > width;
+            // A pop takes at most one event straight off the ladder (and
+            // only when no event is bucketed); anything more moved in.
+            edges.migrated |= self.q.overflow.len() + direct < overflow;
+            prop_assert_eq!(self.q.len(), self.reference.len());
+            prop_assert_eq!(self.q.peek_time(), self.reference.peek().map(|e| e.time));
+            prop_assert!(
+                self.q.slab.len() <= self.peak,
+                "slab holds {} slots but at most {} events were ever pending",
+                self.q.slab.len(),
+                self.peak
+            );
+            Ok(())
+        }
+
+        /// One phase of a generated workload: `count` operations of `kind`.
+        fn phase(&mut self, kind: u8, count: u32) -> Result<(), TestCaseError> {
+            match kind {
+                // Hold: pop one, schedule one a little later.
+                0 => {
+                    for _ in 0..count {
+                        self.pop()?;
+                        let dt = self.unit() * 0.01;
+                        self.push(dt)?;
+                    }
+                }
+                // Same-instant storm, half of it popped straight away.  Every
+                // pop scans the whole storm's bucket, so keep it short.
+                1 => {
+                    let dt = self.unit() * 0.005;
+                    let storm = 1 + count / 16;
+                    for _ in 0..storm {
+                        self.push(dt)?;
+                    }
+                    for _ in 0..storm / 2 {
+                        self.pop()?;
+                    }
+                }
+                // Far-future timers, interleaved with near events and pops:
+                // they wait in the overflow ladder and migrate in later.
+                2 => {
+                    for i in 0..count {
+                        let dt = 1.0 + self.unit() * 49.0;
+                        self.push(dt)?;
+                        let dt = self.unit() * 0.01;
+                        self.push(dt)?;
+                        if i % 2 == 0 {
+                            self.pop()?;
+                        }
+                    }
+                }
+                // Dense burst: about eight events per bucket, then drained.
+                // Enough of them grows the bucket array and narrows the width.
+                3 => {
+                    let span = f64::from(count) * self.q.width / 8.0;
+                    for _ in 0..count {
+                        let dt = self.unit() * span;
+                        self.push(dt)?;
+                    }
+                    for _ in 0..count {
+                        self.pop()?;
+                    }
+                }
+                // Sparse run: events forty buckets apart, then drained, so
+                // pops walk empty buckets and the width widens.
+                4 => {
+                    let gap = 40.0 * self.q.width;
+                    for i in 0..count {
+                        self.push(f64::from(i + 1) * gap)?;
+                    }
+                    for _ in 0..count {
+                        self.pop()?;
+                    }
+                }
+                // Events across the whole window, then a narrowing at the
+                // bucket cap, as `maybe_adapt_width` does once `MAX_BUCKETS`
+                // is reached: the window's time-span halves, so its far half
+                // spills to the overflow ladder.
+                5 => {
+                    let span = self.q.nbuckets() as f64 * self.q.width;
+                    for _ in 0..count {
+                        let dt = self.unit() * span;
+                        self.push(dt)?;
+                    }
+                    let overflow = self.q.overflow.len();
+                    self.step(|s| {
+                        s.q.rebuild((s.q.width / 2.0).max(MIN_WIDTH), s.q.nbuckets());
+                        Ok(())
+                    })?;
+                    self.edges.spilled |= self.q.overflow.len() > overflow;
+                    for _ in 0..count {
+                        self.pop()?;
+                    }
+                }
+                // Drain.
+                _ => {
+                    for _ in 0..count {
+                        self.pop()?;
+                    }
+                }
+            }
+            Ok(())
+        }
+
+        /// Run the phases, then drain the queue.
+        fn run(mut self, phases: &[(u8, u32)]) -> Result<Edges, TestCaseError> {
+            for &(kind, count) in phases {
+                self.phase(kind, count)?;
+            }
+            while !self.reference.is_empty() {
+                self.pop()?;
+            }
+            self.pop()?;
+            Ok(self.edges)
+        }
+    }
+
+    proptest! {
+        /// Pushes and pops through same-instant storms, overflow
+        /// migrations, bucket-array growth, both width re-tunes and
+        /// narrowings that spill to the overflow ladder: the
+        /// pop order is the binary heap's, and the slab never holds more
+        /// slots than the most events pending at once.
+        #[test]
+        fn slab_queue_matches_a_binary_heap(
+            width_exp in 0u32..4,
+            seed in any::<u64>(),
+            phases in proptest::collection::vec((0u8..7, 1u32..6_000), 1..8),
+        ) {
+            let width = 2e-5 * 4f64.powi(width_exp as i32);
+            Script::new(width, seed).run(&phases)?;
+        }
+    }
+
+    #[test]
+    fn the_property_script_reaches_every_structural_edge() {
+        let phases = [
+            (2, 300),
+            (3, 6_000),
+            (1, 2_000),
+            (4, 6_000),
+            (0, 3_000),
+            (0, 1),
+            (5, 10),
+        ];
+        let edges = Script::new(2e-5, 7).run(&phases).expect("matches the heap");
+        assert!(edges.grew, "{edges:?}");
+        assert!(edges.narrowed, "{edges:?}");
+        assert!(edges.widened, "{edges:?}");
+        assert!(edges.migrated, "{edges:?}");
+        assert!(edges.spilled, "{edges:?}");
     }
 
     #[test]

@@ -388,20 +388,29 @@ impl SimConfig {
         if self.num_nodes == 0 {
             return Err("num_nodes must be at least 1".into());
         }
-        if !(self.field_width > 0.0 && self.field_height > 0.0) {
-            return Err("field dimensions must be positive".into());
+        // Written so that NaN fails every check: a NaN compares false.
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        if !(positive(self.field_width) && positive(self.field_height)) {
+            return Err("field dimensions must be positive and finite".into());
         }
-        if self.radio.range_m <= 0.0 {
-            return Err("radio range must be positive".into());
+        if !positive(self.radio.range_m) {
+            return Err("radio range must be positive and finite".into());
+        }
+        // A transmitter's one neighbourhood scan runs at the carrier-sense
+        // radius and also collects its receivers, so carrier sense must
+        // reach at least the transmission range.
+        if !(self.radio.carrier_sense_factor >= 1.0 && self.radio.carrier_sense_factor.is_finite())
+        {
+            return Err("carrier_sense_factor must be finite and at least 1".into());
+        }
+        if !(self.mobility.min_speed >= 0.0 && self.mobility.max_speed.is_finite()) {
+            return Err("speeds must be non-negative and finite".into());
         }
         if self.mobility.max_speed < self.mobility.min_speed {
             return Err("max_speed must be >= min_speed".into());
         }
-        if self.mobility.min_speed < 0.0 {
-            return Err("min_speed must be non-negative".into());
-        }
-        if self.mac.data_rate_bps <= 0.0 || self.mac.basic_rate_bps <= 0.0 {
-            return Err("MAC rates must be positive".into());
+        if !(positive(self.mac.data_rate_bps) && positive(self.mac.basic_rate_bps)) {
+            return Err("MAC rates must be positive and finite".into());
         }
         if self.mac.cw_min == 0 || self.mac.cw_max < self.mac.cw_min {
             return Err("contention window must satisfy 0 < cw_min <= cw_max".into());
@@ -487,8 +496,9 @@ impl SimConfig {
             ..
         } = self.radio.channel
         {
-            if !(good_to_bad >= 0.0 && bad_to_good >= 0.0) {
-                return Err("shadowing transition rates must be non-negative".into());
+            let rate = |r: f64| r >= 0.0 && r.is_finite();
+            if !(rate(good_to_bad) && rate(bad_to_good)) {
+                return Err("shadowing transition rates must be non-negative and finite".into());
             }
         }
         Ok(())
@@ -713,5 +723,47 @@ mod tests {
         let mut c = SimConfig::default();
         c.duration = Duration::ZERO;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_and_impossible_values() {
+        type Edit = fn(&mut SimConfig);
+        let cases: [(&str, Edit); 12] = [
+            ("range_m = NaN", |c| c.radio.range_m = f64::NAN),
+            ("range_m = inf", |c| c.radio.range_m = f64::INFINITY),
+            ("carrier_sense_factor = NaN", |c| {
+                c.radio.carrier_sense_factor = f64::NAN
+            }),
+            ("carrier_sense_factor = 0.5", |c| {
+                c.radio.carrier_sense_factor = 0.5
+            }),
+            ("carrier_sense_factor = -1", |c| {
+                c.radio.carrier_sense_factor = -1.0
+            }),
+            ("data_rate_bps = NaN", |c| c.mac.data_rate_bps = f64::NAN),
+            ("basic_rate_bps = inf", |c| {
+                c.mac.basic_rate_bps = f64::INFINITY
+            }),
+            ("max_speed = NaN", |c| c.mobility.max_speed = f64::NAN),
+            ("max_speed = inf", |c| c.mobility.max_speed = f64::INFINITY),
+            ("min_speed = NaN", |c| c.mobility.min_speed = f64::NAN),
+            ("field_width = inf", |c| c.field_width = f64::INFINITY),
+            ("shadowing rate = inf", |c| {
+                c.radio.channel = ChannelModel::Shadowed {
+                    good_to_bad: f64::INFINITY,
+                    bad_to_good: 1.0,
+                    bad_delivery_prob: 0.0,
+                }
+            }),
+        ];
+        for (what, edit) in cases {
+            let mut c = SimConfig::default();
+            edit(&mut c);
+            assert!(c.validate().is_err(), "{what} must be rejected");
+        }
+        // The boundary itself is fine: carrier sense exactly at range.
+        let mut c = SimConfig::default();
+        c.radio.carrier_sense_factor = 1.0;
+        assert_eq!(c.validate(), Ok(()));
     }
 }

@@ -203,7 +203,7 @@ impl FluidConfig {
 ///
 /// A flow with an empty path is unconstrained by capacity and gets its
 /// demand.  Demands must not be NaN.  A thin wrapper: it flattens the paths
-/// for [`max_min_kernel`].
+/// for `max_min_kernel`.
 pub fn max_min_allocate(capacity: &[f64], paths: &[Vec<usize>], demands: &[f64]) -> Vec<f64> {
     assert_eq!(paths.len(), demands.len());
     let mut start = Vec::with_capacity(paths.len() + 1);

@@ -8,7 +8,7 @@
 //! the round-trip property tests both go through it).
 //!
 //! It is also *schema-directed*: the `"ev"` name selects one field table
-//! ([`Kind::fields`]), and each value is then read straight into the typed
+//! (`Kind::fields`), and each value is then read straight into the typed
 //! slot its table entry names, in one pass over the line and without
 //! building a generic JSON value first.  Keys, labels and numbers are
 //! borrowed from the line; only a string with a backslash escape is copied.

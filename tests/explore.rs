@@ -18,7 +18,8 @@
 //!    adversary) and surfaces through the telemetry stream.
 //! 4. Zero adversarial choices means **zero perturbation**: an unforced
 //!    explored schedule is trace-identical to the plain serial engine run,
-//!    whatever the seed or horizon (property-tested).
+//!    whatever the seed or horizon, with or without a fluid background
+//!    (property-tested).
 
 use manet_experiments::runner::run_scenario_traced;
 use manet_experiments::Protocol;
@@ -27,7 +28,7 @@ use manet_mck::{
     Invariant, ScheduleAction, Verdict,
 };
 use manet_netsim::telemetry::event::DropKind;
-use manet_netsim::{DropReason, Duration, TelemetryConfig, TraceEvent};
+use manet_netsim::{DropReason, Duration, FluidConfig, TelemetryConfig, TraceEvent};
 use proptest::prelude::*;
 
 /// One reorder quantum, matching `reproduce explore`.
@@ -244,14 +245,24 @@ proptest! {
     /// An explored schedule with no interventions is byte-identical to the
     /// plain serial engine run: same trace, same counters.  This is the
     /// soundness anchor of the whole search — the root of every explore tree
-    /// IS the unforced run.
+    /// IS the unforced run.  Half the draws put a small generated fluid
+    /// background under the corridor, so the hook also meets the fluid
+    /// layer's epoch events and busy pulses.
     #[test]
     fn unforced_schedule_matches_the_plain_engine(
         seed in 1u64..200,
         horizon in 0u32..32,
         n in 4u16..9,
+        fluid in any::<bool>(),
     ) {
-        let scenario = blackhole_corridor(Protocol::Mts, n, 1.0, seed);
+        let mut scenario = blackhole_corridor(Protocol::Mts, n, 1.0, seed);
+        if fluid {
+            scenario = scenario.with_background(FluidConfig {
+                flows: 3,
+                arrival_spread: Duration::from_secs(0.5),
+                ..FluidConfig::default()
+            });
+        }
         let (_, plain) = run_scenario_traced(&scenario);
         let hooked = run_with_trace(
             &scenario,
