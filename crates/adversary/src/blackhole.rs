@@ -22,7 +22,7 @@
 //! so attack runs are exactly reproducible and do not perturb the protocol
 //! random stream shared with honest nodes.
 
-use manet_netsim::telemetry::TelemetryEvent;
+use manet_netsim::telemetry::{FrameKind, Stage, TelemetryEvent};
 use manet_netsim::{Ctx, DropReason, NodeStack, TimerToken};
 use manet_wire::{Frame, NetPacket, NodeId, RouteReply, SeqNo, SharedPacket};
 use rand::rngs::SmallRng;
@@ -135,18 +135,18 @@ impl NodeStack for BlackholeStack {
                             shard,
                             node: node.0,
                             reason: DropReason::AdversaryDiscard,
-                            kind: "DATA",
+                            kind: FrameKind::Data,
                             conn: carries.then_some(conn),
                         });
                         if rec.telemetry.traced(conn, seq, carries) {
                             rec.telemetry.emit(TelemetryEvent::Provenance {
                                 t,
                                 shard,
-                                stage: "drop",
+                                stage: Stage::Drop,
                                 node: node.0,
                                 conn,
                                 seq,
-                                kind: "DATA",
+                                kind: FrameKind::Data,
                             });
                         }
                     }

@@ -275,7 +275,7 @@ mod tests {
     use super::*;
     use crate::blackhole_corridor;
     use manet_experiments::Protocol;
-    use manet_netsim::telemetry::event::FRAME_KINDS;
+    use manet_netsim::telemetry::FrameKind;
     use manet_netsim::SimTime;
     use manet_wire::{NodeId, PacketId};
     use proptest::prelude::*;
@@ -320,7 +320,7 @@ mod tests {
         match variant {
             0 => TraceEvent::TxStart {
                 node: NodeId(a),
-                kind: FRAME_KINDS[(b % 6) as usize],
+                kind: FrameKind::LABELS[(b % 6) as usize],
                 bytes: (b / 6) as u32,
                 at,
             },

@@ -61,7 +61,7 @@ use crate::recorder::{DropReason, EnginePerf, FluidFlowTotals, Recorder};
 use crate::rng::RngStreams;
 use crate::shard::{DeliverRecord, ShardCtx, TxAnnouncement};
 use crate::time::{Duration, SimTime};
-use manet_telemetry::{Telemetry, TelemetryEvent};
+use manet_telemetry::{FrameKind, Stage, Telemetry, TelemetryEvent};
 use manet_wire::{DataPacket, Frame, MacDest, NetPacket, NodeId, SharedPacket};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -75,7 +75,7 @@ use std::sync::Arc;
 /// in the outcome list can be schedule-dropped after an earlier delivery took
 /// ownership of the packet).
 struct DropMeta {
-    kind: &'static str,
+    kind: FrameKind,
     /// `(conn, seq, carries_data)` for data packets, `None` for control.
     data: Option<(u32, u64, bool)>,
 }
@@ -87,7 +87,7 @@ impl DropMeta {
             _ => None,
         };
         DropMeta {
-            kind: payload.kind(),
+            kind: payload.frame_kind(),
             data,
         }
     }
@@ -548,7 +548,7 @@ impl World {
         let tele = self.recorder.telemetry.enabled();
         let (kind, bytes, data) = if tele {
             (
-                frame.payload.kind(),
+                frame.payload.frame_kind(),
                 frame.size_bytes(),
                 match &*frame.payload {
                     NetPacket::Data(dp) => {
@@ -558,7 +558,7 @@ impl World {
                 },
             )
         } else {
-            ("", 0, None)
+            (FrameKind::Data, 0, None)
         };
         let accepted = self.macs[node.index()].enqueue(frame, capacity);
         if !accepted {
@@ -596,7 +596,7 @@ impl World {
                     telemetry.emit(TelemetryEvent::Provenance {
                         t,
                         shard,
-                        stage: "enqueue",
+                        stage: Stage::Enqueue,
                         node: node.0,
                         conn,
                         seq,
@@ -1384,7 +1384,7 @@ impl<S: StackSlot> SimCore<S> {
         if self.world.recorder.telemetry.enabled() {
             let t = now.as_secs();
             let resizes = self.world.queue.perf().calendar_resizes;
-            let kind = queued.frame.payload.kind();
+            let kind = queued.frame.payload.frame_kind();
             let telemetry = &mut self.world.recorder.telemetry;
             let shard = telemetry.shard();
             telemetry.note_calendar_resizes(t, resizes);
@@ -1400,7 +1400,7 @@ impl<S: StackSlot> SimCore<S> {
                     telemetry.emit(TelemetryEvent::Provenance {
                         t,
                         shard,
-                        stage: "tx_start",
+                        stage: Stage::TxStart,
                         node: node.0,
                         conn: dp.segment.conn.0,
                         seq: dp.segment.seq,
@@ -1550,7 +1550,7 @@ impl<S: StackSlot> SimCore<S> {
                 self.world.recorder.record_jammed(is_control);
                 if self.world.recorder.telemetry.enabled() {
                     let t = now.as_secs();
-                    let kind = queued.frame.payload.kind();
+                    let kind = queued.frame.payload.frame_kind();
                     let conn = match &*queued.frame.payload {
                         NetPacket::Data(dp) if dp.carries_data() => Some(dp.segment.conn.0),
                         _ => None,
@@ -1823,7 +1823,7 @@ impl<S: StackSlot> SimCore<S> {
                         self.world.recorder.record_link_failure(node, dst, now);
                         if self.world.recorder.telemetry.enabled() {
                             let t = now.as_secs();
-                            let kind = queued.frame.payload.kind();
+                            let kind = queued.frame.payload.frame_kind();
                             let conn = match &*queued.frame.payload {
                                 NetPacket::Data(dp) if dp.carries_data() => Some(dp.segment.conn.0),
                                 _ => None,
@@ -1866,7 +1866,7 @@ impl<S: StackSlot> SimCore<S> {
     fn tunnel_deliver(&mut self, to: NodeId, from: NodeId, packet: SharedPacket) {
         if self.world.recorder.telemetry.enabled() {
             if let NetPacket::Data(dp) = &*packet {
-                self.emit_stage_provenance("tunnel", to, dp);
+                self.emit_stage_provenance(Stage::Tunnel, to, dp);
             }
         }
         self.account_reception(to, from, &packet, true);
@@ -1891,7 +1891,7 @@ impl<S: StackSlot> SimCore<S> {
         // (see [`crate::choice`]), which stay on one shard.
         if self.world.shard.is_some() && self.world.recorder.telemetry.enabled() {
             if let NetPacket::Data(dp) = &*frame.payload {
-                self.emit_stage_provenance("cross_shard", to, dp);
+                self.emit_stage_provenance(Stage::CrossShard, to, dp);
             }
         }
         if addressed {
@@ -1947,7 +1947,7 @@ impl<S: StackSlot> SimCore<S> {
                         .recorder
                         .record_relay(node, dp.id, carries, self.world.now);
                     if self.world.recorder.telemetry.enabled() {
-                        self.emit_stage_provenance("relay", node, dp);
+                        self.emit_stage_provenance(Stage::Relay, node, dp);
                     }
                 }
             } else {
@@ -1973,7 +1973,7 @@ impl<S: StackSlot> SimCore<S> {
             shard,
             node: node.0,
             from: from.0,
-            kind: "DATA",
+            kind: FrameKind::Data,
             conn: Some(conn),
             // Pure ACKs carry no sequence payload on the wire; leaving `seq`
             // out keeps them outside the per-connection conservation ledger
@@ -1984,11 +1984,11 @@ impl<S: StackSlot> SimCore<S> {
             telemetry.emit(TelemetryEvent::Provenance {
                 t,
                 shard,
-                stage: "deliver",
+                stage: Stage::Deliver,
                 node: node.0,
                 conn,
                 seq,
-                kind: "DATA",
+                kind: FrameKind::Data,
             });
         }
     }
@@ -2019,7 +2019,7 @@ impl<S: StackSlot> SimCore<S> {
                     telemetry.emit(TelemetryEvent::Provenance {
                         t,
                         shard,
-                        stage: "drop",
+                        stage: Stage::Drop,
                         node: at.0,
                         conn,
                         seq,
@@ -2031,7 +2031,7 @@ impl<S: StackSlot> SimCore<S> {
     }
 
     /// Emit a provenance stage for `dp` at `node` if it is the tagged packet.
-    fn emit_stage_provenance(&mut self, stage: &'static str, node: NodeId, dp: &DataPacket) {
+    fn emit_stage_provenance(&mut self, stage: Stage, node: NodeId, dp: &DataPacket) {
         let t = self.world.now.as_secs();
         let telemetry = &mut self.world.recorder.telemetry;
         let conn = dp.segment.conn.0;
@@ -2045,7 +2045,7 @@ impl<S: StackSlot> SimCore<S> {
                 node: node.0,
                 conn,
                 seq,
-                kind: "DATA",
+                kind: FrameKind::Data,
             });
         }
     }

@@ -1,6 +1,6 @@
 //! Shared routing building blocks.
 
-use manet_netsim::telemetry::TelemetryEvent;
+use manet_netsim::telemetry::{FrameKind, Stage, TelemetryEvent};
 use manet_netsim::FxHashMap;
 use manet_netsim::{Ctx, DropReason};
 use manet_netsim::{Duration, SimTime};
@@ -29,18 +29,18 @@ pub fn record_data_drop(ctx: &mut Ctx<'_>, me: NodeId, reason: DropReason, packe
         shard,
         node: me.0,
         reason,
-        kind: "DATA",
+        kind: FrameKind::Data,
         conn: packet.carries_data().then_some(conn),
     });
     if rec.telemetry.traced(conn, seq, packet.carries_data()) {
         rec.telemetry.emit(TelemetryEvent::Provenance {
             t,
             shard,
-            stage: "drop",
+            stage: Stage::Drop,
             node: me.0,
             conn,
             seq,
-            kind: "DATA",
+            kind: FrameKind::Data,
         });
     }
 }

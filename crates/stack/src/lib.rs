@@ -24,7 +24,7 @@
 //! same node can never be confused.
 
 use manet_netsim::fasthash::FxHashMap;
-use manet_netsim::telemetry::TelemetryEvent;
+use manet_netsim::telemetry::{self, FrameKind, Stage, TelemetryEvent};
 use manet_netsim::{Ctx, Duration, NodeStack, SimTime, TimerToken};
 use manet_routing::agent::{RoutingAgent, RoutingStats, TimerClass};
 use manet_tcp::{FlowProfile, TcpConfig, TcpOutcome, TcpReceiver, TcpSender};
@@ -257,11 +257,11 @@ impl ManetStack {
                 rec.telemetry.emit(TelemetryEvent::Provenance {
                     t,
                     shard,
-                    stage: "originate",
+                    stage: Stage::Originate,
                     node: self.me.0,
                     conn: segment.conn.0,
                     seq: segment.seq,
-                    kind: "DATA",
+                    kind: FrameKind::Data,
                 });
             }
         }
@@ -269,7 +269,7 @@ impl ManetStack {
     }
 
     /// Telemetry hook: a protocol timer of `class` fired on this node.
-    fn note_timer(&mut self, ctx: &mut Ctx<'_>, class: &'static str, scope: u16) {
+    fn note_timer(&mut self, ctx: &mut Ctx<'_>, class: telemetry::TimerClass, scope: u16) {
         if !ctx.recorder().telemetry.enabled() {
             return;
         }
@@ -387,14 +387,14 @@ impl NodeStack for ManetStack {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
         if TimerClass::Transport.owns(token) {
-            self.note_timer(ctx, "transport", token.scope());
+            self.note_timer(ctx, telemetry::TimerClass::Transport, token.scope());
             let conn = ConnectionId(u32::from(token.scope()));
             let generation = token.seq();
             self.drive_sender(ctx, conn, |s, now| s.on_timer(generation, now));
             return;
         }
         if TimerClass::Application.owns(token) {
-            self.note_timer(ctx, "application", token.scope());
+            self.note_timer(ctx, telemetry::TimerClass::Application, token.scope());
             // Flow start or shape wake-up; both are an idempotent pump.
             let conn = ConnectionId(u32::from(token.scope()));
             self.drive_sender(ctx, conn, |s, now| s.on_wakeup(now));
@@ -403,9 +403,9 @@ impl NodeStack for ManetStack {
         // Routing (and RoutingAux) timers go to the agent; unknown classes are
         // ignored.
         if TimerClass::Routing.owns(token) {
-            self.note_timer(ctx, "routing", token.scope());
+            self.note_timer(ctx, telemetry::TimerClass::Routing, token.scope());
         } else if TimerClass::RoutingAux.owns(token) {
-            self.note_timer(ctx, "routing_aux", token.scope());
+            self.note_timer(ctx, telemetry::TimerClass::RoutingAux, token.scope());
         }
         self.agent.on_timer(ctx, token);
     }

@@ -14,7 +14,7 @@
 //! A negative residual means double accounting (a packet both delivered and
 //! terminally dropped) and fails the check.
 
-use crate::event::TelemetryEvent;
+use crate::event::{FrameKind, TelemetryEvent};
 use crate::json::parse_line;
 use std::collections::BTreeMap;
 
@@ -66,7 +66,7 @@ pub fn check_conservation(events: &[TelemetryEvent]) -> Result<Conservation, Str
             TelemetryEvent::Drop {
                 reason,
                 conn: Some(conn),
-                kind: "DATA",
+                kind: FrameKind::Data,
                 ..
             } if reason.is_terminal() => {
                 ledger.per_conn.entry(*conn).or_default().terminal_drops += 1;

@@ -2,74 +2,84 @@
 //!
 //! Every event serialises to one JSON object per line with a fixed field
 //! order, and every line parses back (see [`crate::json`]) to an identical
-//! event — the round-trip is exact because label fields come from closed
-//! vocabularies interned to `&'static str` and numbers use Rust's
-//! shortest-round-trip formatting.
+//! event — the round-trip is exact because label fields are one-byte enums
+//! over closed vocabularies and numbers use Rust's shortest-round-trip
+//! formatting.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Why a frame or packet was discarded.  One vocabulary shared by the
-/// recorder's drop counters and the telemetry stream (the netsim recorder
-/// re-exports this as `DropReason`).
-///
-/// *Terminal* reasons consume the packet outright; the rest describe a lost
-/// copy the protocol may still retry or salvage (see
-/// [`DropKind::is_terminal`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DropKind {
-    /// MAC interface queue was full at enqueue time.
-    QueueOverflow,
-    /// Unicast retry limit exhausted (feeds link-failure salvage).
-    RetryLimit,
-    /// Reception destroyed by an adversarial jammer.
-    Jammed,
-    /// Discarded by an adversarial (blackhole/grayhole) relay.
-    AdversaryDiscard,
-    /// Routing had no route and could not buffer the packet.
-    NoRoute,
-    /// Route discovery gave up (send-buffer expiry / retry cap).
-    DiscoveryFailed,
-    /// Link-failure salvage found no alternate route.
-    SalvageFailed,
-    /// Omitted by the bounded model-checking schedule explorer: the sender's
-    /// MAC saw a successful transmission but the receiver never got the
-    /// frame (message-omission fault model; see `crates/mck`).
-    ScheduleDrop,
+/// Define a closed label vocabulary: a one-byte enum whose variants map
+/// one-to-one onto snake_case (or upper-case, for frame kinds) wire labels,
+/// with `ALL` in discriminant order, `LABELS` parallel to it, `label()` and
+/// its inverse `from_label()`.
+macro_rules! vocabulary {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $label:literal,)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr(u8)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every value, in discriminant order.
+            pub const ALL: [$name; [$($label),+].len()] = [$($name::$variant),+];
+
+            /// The wire labels, parallel to `ALL`.
+            pub const LABELS: [&'static str; [$($label),+].len()] = [$($label),+];
+
+            /// Stable label used on the wire.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $($name::$variant => $label,)+
+                }
+            }
+
+            /// Inverse of `label`.
+            pub fn from_label(label: &str) -> Option<$name> {
+                $name::ALL.into_iter().find(|v| v.label() == label)
+            }
+        }
+    };
+}
+
+vocabulary! {
+    /// Why a frame or packet was discarded.  One vocabulary shared by the
+    /// recorder's drop counters and the telemetry stream (the netsim recorder
+    /// re-exports this as `DropReason`).
+    ///
+    /// *Terminal* reasons consume the packet outright; the rest describe a lost
+    /// copy the protocol may still retry or salvage (see
+    /// [`DropKind::is_terminal`]).
+    pub enum DropKind {
+        /// MAC interface queue was full at enqueue time.
+        QueueOverflow => "queue_overflow",
+        /// Unicast retry limit exhausted (feeds link-failure salvage).
+        RetryLimit => "retry_limit",
+        /// Reception destroyed by an adversarial jammer.
+        Jammed => "jammed",
+        /// Discarded by an adversarial (blackhole/grayhole) relay.
+        AdversaryDiscard => "adversary",
+        /// Routing had no route and could not buffer the packet.
+        NoRoute => "no_route",
+        /// Route discovery gave up (send-buffer expiry / retry cap).
+        DiscoveryFailed => "discovery_failed",
+        /// Link-failure salvage found no alternate route.
+        SalvageFailed => "salvage_failed",
+        /// Omitted by the bounded model-checking schedule explorer: the sender's
+        /// MAC saw a successful transmission but the receiver never got the
+        /// frame (message-omission fault model; see `crates/mck`).
+        ScheduleDrop => "schedule_drop",
+    }
 }
 
 impl DropKind {
-    /// All reasons, in a fixed order (report rendering, tests).
-    pub const ALL: [DropKind; 8] = [
-        DropKind::QueueOverflow,
-        DropKind::RetryLimit,
-        DropKind::Jammed,
-        DropKind::AdversaryDiscard,
-        DropKind::NoRoute,
-        DropKind::DiscoveryFailed,
-        DropKind::SalvageFailed,
-        DropKind::ScheduleDrop,
-    ];
-
-    /// Stable snake_case label used on the wire.
-    pub fn label(self) -> &'static str {
-        match self {
-            DropKind::QueueOverflow => "queue_overflow",
-            DropKind::RetryLimit => "retry_limit",
-            DropKind::Jammed => "jammed",
-            DropKind::AdversaryDiscard => "adversary",
-            DropKind::NoRoute => "no_route",
-            DropKind::DiscoveryFailed => "discovery_failed",
-            DropKind::SalvageFailed => "salvage_failed",
-            DropKind::ScheduleDrop => "schedule_drop",
-        }
-    }
-
-    /// Inverse of [`DropKind::label`].
-    pub fn from_label(label: &str) -> Option<DropKind> {
-        DropKind::ALL.into_iter().find(|r| r.label() == label)
-    }
-
     /// Whether this reason consumes the packet outright (counts against the
     /// per-connection conservation invariant).  `RetryLimit` feeds the
     /// routing layer's salvage path and `Jammed` losses are re-sent by the
@@ -79,27 +89,59 @@ impl DropKind {
     }
 }
 
-/// Frame kind labels (`NetPacket::kind()` vocabulary).
-pub const FRAME_KINDS: [&str; 6] = ["RREQ", "RREP", "RERR", "CHECK", "CHECK_ERR", "DATA"];
+vocabulary! {
+    /// The kind of a network-layer packet (`NetPacket::frame_kind()`); its
+    /// label is also the key of the recorder's per-kind control counters.
+    pub enum FrameKind {
+        /// Route request.
+        Rreq => "RREQ",
+        /// Route reply.
+        Rrep => "RREP",
+        /// Route error.
+        Rerr => "RERR",
+        /// MTS route-checking packet.
+        Check => "CHECK",
+        /// MTS checking-error packet.
+        CheckErr => "CHECK_ERR",
+        /// TCP data or ACK packet.
+        Data => "DATA",
+    }
+}
 
-/// Provenance stage labels.
-pub const STAGES: [&str; 8] = [
-    "originate",
-    "enqueue",
-    "tx_start",
-    "relay",
-    "deliver",
-    "drop",
-    "tunnel",
-    "cross_shard",
-];
+vocabulary! {
+    /// The pipeline stage a `provenance` event records.
+    pub enum Stage {
+        /// The source's stack handed the segment to routing.
+        Originate => "originate",
+        /// The frame joined a MAC interface queue.
+        Enqueue => "enqueue",
+        /// The frame started transmitting.
+        TxStart => "tx_start",
+        /// An intermediate node forwarded the packet.
+        Relay => "relay",
+        /// The packet reached its destination.
+        Deliver => "deliver",
+        /// The packet was discarded.
+        Drop => "drop",
+        /// A wormhole carried the frame out of band.
+        Tunnel => "tunnel",
+        /// The frame crossed a shard boundary.
+        CrossShard => "cross_shard",
+    }
+}
 
-/// Timer class labels.
-pub const TIMER_CLASSES: [&str; 4] = ["routing", "routing_aux", "transport", "application"];
-
-/// Intern `label` into a closed vocabulary.
-pub(crate) fn intern(label: &str, vocab: &[&'static str]) -> Option<&'static str> {
-    vocab.iter().find(|k| **k == label).copied()
+vocabulary! {
+    /// The layer whose timer fired (a `timer` event's `class`).
+    pub enum TimerClass {
+        /// The routing agent's main timer.
+        Routing => "routing",
+        /// The routing agent's auxiliary timer.
+        RoutingAux => "routing_aux",
+        /// A TCP timer.
+        Transport => "transport",
+        /// An application (traffic source) timer.
+        Application => "application",
+    }
 }
 
 /// One structured telemetry event.  All variants carry the simulation time
@@ -122,7 +164,7 @@ pub enum TelemetryEvent {
         t: f64,
         shard: u16,
         node: u16,
-        kind: &'static str,
+        kind: FrameKind,
         bytes: u32,
         /// Queue occupancy after the enqueue.
         queue: u32,
@@ -132,7 +174,7 @@ pub enum TelemetryEvent {
         t: f64,
         shard: u16,
         node: u16,
-        kind: &'static str,
+        kind: FrameKind,
         bytes: u32,
     },
     /// A reception was destroyed by a concurrent transmission.
@@ -149,7 +191,7 @@ pub enum TelemetryEvent {
         shard: u16,
         node: u16,
         from: u16,
-        kind: &'static str,
+        kind: FrameKind,
         /// Connection id, for data frames.
         conn: Option<u32>,
         /// TCP sequence number, for data frames.
@@ -161,7 +203,7 @@ pub enum TelemetryEvent {
         shard: u16,
         node: u16,
         reason: DropKind,
-        kind: &'static str,
+        kind: FrameKind,
         /// Connection id, when the dropped frame carried a data packet.
         conn: Option<u32>,
     },
@@ -187,7 +229,7 @@ pub enum TelemetryEvent {
         t: f64,
         shard: u16,
         node: u16,
-        class: &'static str,
+        class: TimerClass,
         scope: u16,
     },
     /// A bounded flow acknowledged its whole byte budget.
@@ -202,11 +244,11 @@ pub enum TelemetryEvent {
     Provenance {
         t: f64,
         shard: u16,
-        stage: &'static str,
+        stage: Stage,
         node: u16,
         conn: u32,
         seq: u64,
-        kind: &'static str,
+        kind: FrameKind,
     },
     /// One closed sampler window (fixed simulated-time bucket).  `t` is the
     /// window's *end* time so the per-shard stream stays monotone.
@@ -243,9 +285,10 @@ pub struct WindowStats {
     pub fluid_alloc: BTreeMap<u32, u64>,
 }
 
-// The engine pushes one of these per hook and the shard merge sorts them:
-// keep the event within a cache line.
-const _: () = assert!(std::mem::size_of::<TelemetryEvent>() <= 64);
+// The engine pushes one of these per hook and a telemetry-on run holds
+// hundreds of thousands of them: one-byte labels keep the event at the
+// 40 bytes `Deliver`'s two options need.
+const _: () = assert!(std::mem::size_of::<TelemetryEvent>() <= 40);
 
 impl TelemetryEvent {
     /// Simulation time of the event, seconds.
@@ -345,7 +388,7 @@ impl TelemetryEvent {
                 ..
             } => {
                 push_uint(out, ",\"node\":", *node);
-                push_label(out, ",\"kind\":\"", kind);
+                push_label(out, ",\"kind\":\"", kind.label());
                 push_uint(out, ",\"bytes\":", *bytes);
                 push_uint(out, ",\"queue\":", *queue);
             }
@@ -353,7 +396,7 @@ impl TelemetryEvent {
                 node, kind, bytes, ..
             } => {
                 push_uint(out, ",\"node\":", *node);
-                push_label(out, ",\"kind\":\"", kind);
+                push_label(out, ",\"kind\":\"", kind.label());
                 push_uint(out, ",\"bytes\":", *bytes);
             }
             TelemetryEvent::Collision { node, from, .. }
@@ -371,7 +414,7 @@ impl TelemetryEvent {
             } => {
                 push_uint(out, ",\"node\":", *node);
                 push_uint(out, ",\"from\":", *from);
-                push_label(out, ",\"kind\":\"", kind);
+                push_label(out, ",\"kind\":\"", kind.label());
                 if let Some(c) = conn {
                     push_uint(out, ",\"conn\":", *c);
                 }
@@ -388,7 +431,7 @@ impl TelemetryEvent {
             } => {
                 push_uint(out, ",\"node\":", *node);
                 push_label(out, ",\"reason\":\"", reason.label());
-                push_label(out, ",\"kind\":\"", kind);
+                push_label(out, ",\"kind\":\"", kind.label());
                 if let Some(c) = conn {
                     push_uint(out, ",\"conn\":", *c);
                 }
@@ -409,7 +452,7 @@ impl TelemetryEvent {
                 node, class, scope, ..
             } => {
                 push_uint(out, ",\"node\":", *node);
-                push_label(out, ",\"class\":\"", class);
+                push_label(out, ",\"class\":\"", class.label());
                 push_uint(out, ",\"scope\":", *scope);
             }
             TelemetryEvent::FlowComplete {
@@ -427,11 +470,11 @@ impl TelemetryEvent {
                 kind,
                 ..
             } => {
-                push_label(out, ",\"stage\":\"", stage);
+                push_label(out, ",\"stage\":\"", stage.label());
                 push_uint(out, ",\"node\":", *node);
                 push_uint(out, ",\"conn\":", *conn);
                 push_uint(out, ",\"seq\":", *seq);
-                push_label(out, ",\"kind\":\"", kind);
+                push_label(out, ",\"kind\":\"", kind.label());
             }
             TelemetryEvent::Window { window, stats, .. } => {
                 push_uint(out, ",\"window\":", *window);
@@ -491,31 +534,9 @@ fn push_map(out: &mut String, key: &str, map: &BTreeMap<u32, u64>) {
 }
 
 /// Append `key` (a literal `,"name":"`), `v` and the closing quote.  Labels
-/// come from closed vocabularies that never need escaping; one that does
-/// (an event built by hand) takes the slow path.
+/// come from closed vocabularies of plain ASCII words: none needs escaping.
 fn push_label(out: &mut String, key: &str, v: &str) {
     out.push_str(key);
-    if v.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        push_escaped(out, v);
-    } else {
-        out.push_str(v);
-    }
+    out.push_str(v);
     out.push('"');
-}
-
-#[cold]
-fn push_escaped(out: &mut String, v: &str) {
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
 }

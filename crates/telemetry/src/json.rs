@@ -15,9 +15,7 @@
 //! Fields may come in any order.  The encoder writes `"ev"` first; a line
 //! that does not is scanned once more, ahead of the pass, for its name.
 
-use crate::event::{
-    intern, DropKind, TelemetryEvent, WindowStats, FRAME_KINDS, STAGES, TIMER_CLASSES,
-};
+use crate::event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
@@ -31,10 +29,9 @@ enum Ty {
     U32,
     U64,
     Bool,
-    /// A string from the given closed vocabulary.
+    /// A string from the given closed vocabulary (an enum's `LABELS`),
+    /// stored as its index there.
     Label(&'static [&'static str]),
-    /// A [`DropKind`] label.
-    Reason,
     /// A flat `{"<u32>":<u64>,...}` object, stored in `Slots::maps[_]`.
     Map(usize),
 }
@@ -67,7 +64,7 @@ const T: Field = req("t", Ty::F64);
 const SHARD: Field = req("shard", Ty::U16);
 const NODE: Field = req("node", Ty::U16);
 const FROM: Field = req("from", Ty::U16);
-const KIND: Field = req("kind", Ty::Label(&FRAME_KINDS));
+const KIND: Field = req("kind", Ty::Label(&FrameKind::LABELS));
 
 // One table per event, in the encoder's field order.
 const ORIGINATE: &[Field] = &[
@@ -102,7 +99,7 @@ const DROP: &[Field] = &[
     T,
     SHARD,
     NODE,
-    req("reason", Ty::Reason),
+    req("reason", Ty::Label(&DropKind::LABELS)),
     KIND,
     opt("conn", Ty::U32),
 ];
@@ -118,14 +115,14 @@ const TIMER: &[Field] = &[
     T,
     SHARD,
     NODE,
-    req("class", Ty::Label(&TIMER_CLASSES)),
+    req("class", Ty::Label(&TimerClass::LABELS)),
     req("scope", Ty::U16),
 ];
 const FLOW_COMPLETE: &[Field] = &[T, SHARD, NODE, req("conn", Ty::U32), req("bytes", Ty::U64)];
 const PROVENANCE: &[Field] = &[
     T,
     SHARD,
-    req("stage", Ty::Label(&STAGES)),
+    req("stage", Ty::Label(&Stage::LABELS)),
     NODE,
     req("conn", Ty::U32),
     req("seq", Ty::U64),
@@ -217,7 +214,7 @@ impl Kind {
                 t,
                 shard,
                 node: s.u16(2),
-                kind: s.label[3],
+                kind: FrameKind::ALL[s.index(3)],
                 bytes: s.u32(4),
                 queue: s.u32(5),
             },
@@ -225,7 +222,7 @@ impl Kind {
                 t,
                 shard,
                 node: s.u16(2),
-                kind: s.label[3],
+                kind: FrameKind::ALL[s.index(3)],
                 bytes: s.u32(4),
             },
             Kind::Collision => TelemetryEvent::Collision {
@@ -239,7 +236,7 @@ impl Kind {
                 shard,
                 node: s.u16(2),
                 from: s.u16(3),
-                kind: s.label[4],
+                kind: FrameKind::ALL[s.index(4)],
                 conn: s.has(5).then(|| s.u32(5)),
                 seq: s.has(6).then(|| s.num[6]),
             },
@@ -247,8 +244,8 @@ impl Kind {
                 t,
                 shard,
                 node: s.u16(2),
-                reason: DropKind::ALL[s.num[3] as usize],
-                kind: s.label[4],
+                reason: DropKind::ALL[s.index(3)],
+                kind: FrameKind::ALL[s.index(4)],
                 conn: s.has(5).then(|| s.u32(5)),
             },
             Kind::ForgedRrep => TelemetryEvent::ForgedRrep {
@@ -269,7 +266,7 @@ impl Kind {
                 t,
                 shard,
                 node: s.u16(2),
-                class: s.label[3],
+                class: TimerClass::ALL[s.index(3)],
                 scope: s.u16(4),
             },
             Kind::FlowComplete => TelemetryEvent::FlowComplete {
@@ -282,11 +279,11 @@ impl Kind {
             Kind::Provenance => TelemetryEvent::Provenance {
                 t,
                 shard,
-                stage: s.label[2],
+                stage: Stage::ALL[s.index(2)],
                 node: s.u16(3),
                 conn: s.u32(4),
                 seq: s.num[5],
-                kind: s.label[6],
+                kind: FrameKind::ALL[s.index(6)],
             },
             Kind::Window => {
                 let (queue_peak, suspicion_peak) = (s.u32(4), s.u32(6));
@@ -316,10 +313,9 @@ struct Slots {
     /// Bit *i*: field *i* has been read (finds repeated and missing fields).
     seen: u16,
     /// Integers as themselves, already checked against the field's width;
-    /// booleans as 0/1, `f64`s as their bits, a drop reason as its index in
-    /// [`DropKind::ALL`].
+    /// booleans as 0/1, `f64`s as their bits, a label as its index in its
+    /// vocabulary's `ALL`.
     num: [u64; MAX_FIELDS],
-    label: [&'static str; MAX_FIELDS],
     maps: [BTreeMap<u32, u64>; 3],
 }
 
@@ -338,6 +334,10 @@ impl Slots {
 
     fn u16(&self, i: usize) -> u16 {
         self.num[i] as u16
+    }
+
+    fn index(&self, i: usize) -> usize {
+        self.num[i] as usize
     }
 }
 
@@ -621,13 +621,9 @@ impl<'a> Cursor<'a> {
             Ty::Bool => slots.num[i] = u64::from(self.boolean(key)?),
             Ty::Label(vocab) => {
                 let s = self.label(key)?;
-                slots.label[i] = intern(&s, vocab)
-                    .ok_or_else(|| format!("field {key:?}: unknown label {s:?}"))?;
-            }
-            Ty::Reason => {
-                let s = self.label(key)?;
-                let at = DropKind::ALL.iter().position(|r| r.label() == s);
-                slots.num[i] = at.ok_or_else(|| format!("unknown drop reason {s:?}"))? as u64;
+                let at = vocab.iter().position(|l| *l == s);
+                slots.num[i] =
+                    at.ok_or_else(|| format!("field {key:?}: unknown label {s:?}"))? as u64;
             }
             Ty::Map(m) => slots.maps[m] = self.map(key)?,
         }

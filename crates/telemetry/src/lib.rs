@@ -4,10 +4,11 @@
 //! simulation-time event stream, a windowed metrics sampler, and packet
 //! provenance tracing, all emitted as NDJSON (one JSON object per line).
 //!
-//! The crate sits *below* `manet_netsim` in the workspace graph and has no
-//! dependencies, so every layer (engine, MAC, routing, transport, stack) can
-//! push events into the per-run [`Telemetry`] buffer carried by the
-//! simulator's recorder.  Identifiers are plain integers (`u16` node ids,
+//! The crate sits *below* `manet_wire` and `manet_netsim` in the workspace
+//! graph and has no dependencies, so every layer (engine, MAC, routing,
+//! transport, stack) can push events into the per-run [`Telemetry`] buffer
+//! carried by the simulator's recorder, and `NetPacket` can name its
+//! [`FrameKind`].  Identifiers are plain integers (`u16` node ids,
 //! `u32` connection ids, `u64` packet sequence numbers) — the wire-level
 //! newtypes unwrap at the hook sites.
 //!
@@ -19,7 +20,9 @@
 //! disabled (the default) every hook is a single predictable branch on
 //! [`Telemetry::enabled`] and the buffer stays empty.  Telemetry output is
 //! *outside* the trace digest: two runs with different telemetry settings
-//! must produce the same digest, but nothing pins the NDJSON bytes.
+//! must produce the same digest.  The NDJSON bytes of one fixed run are
+//! pinned separately, by length and hash, in `tests/telemetry.rs`
+//! (`ndjson_bytes_of_a_fixed_run_are_pinned`).
 //!
 //! ## Stream shape
 //!
@@ -38,7 +41,7 @@ pub mod sink;
 pub use check::{
     check_conservation, check_monotone_per_shard, validate_lines, ConnAccount, Conservation,
 };
-pub use event::{DropKind, TelemetryEvent, WindowStats};
+pub use event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
 pub use sampler::Sampler;
 pub use sink::{write_ndjson, StringSink, TelemetrySink, WriteSink};
 

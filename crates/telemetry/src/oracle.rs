@@ -3,13 +3,12 @@
 //! encoder, and a parser that first builds a generic field list
 //! (`parse_object`) and then takes fields out of it by name (`Fields`).
 //!
-//! Only the `Window` arms were touched, to follow its payload into
-//! `WindowStats`.  The parser's number handling is deliberately left as it
+//! Only the `Window` arms and the label fields were touched, to follow the
+//! window payload into `WindowStats` and the labels into their one-byte
+//! enums.  The parser's number handling is deliberately left as it
 //! was: it accepts `+5`, `.5`, `5.` and `007`, which `crate::json` rejects.
 
-use crate::event::{
-    intern, DropKind, TelemetryEvent, WindowStats, FRAME_KINDS, STAGES, TIMER_CLASSES,
-};
+use crate::event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -47,7 +46,7 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             push_num(&mut s, "t", *t);
             push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
-            push_str(&mut s, "kind", kind);
+            push_str(&mut s, "kind", kind.label());
             push_u64(&mut s, "bytes", u64::from(*bytes));
             push_u64(&mut s, "queue", u64::from(*queue));
         }
@@ -61,7 +60,7 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             push_num(&mut s, "t", *t);
             push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
-            push_str(&mut s, "kind", kind);
+            push_str(&mut s, "kind", kind.label());
             push_u64(&mut s, "bytes", u64::from(*bytes));
         }
         TelemetryEvent::Collision {
@@ -88,7 +87,7 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "from", u64::from(*from));
-            push_str(&mut s, "kind", kind);
+            push_str(&mut s, "kind", kind.label());
             if let Some(c) = conn {
                 push_u64(&mut s, "conn", u64::from(*c));
             }
@@ -108,7 +107,7 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_str(&mut s, "reason", reason.label());
-            push_str(&mut s, "kind", kind);
+            push_str(&mut s, "kind", kind.label());
             if let Some(c) = conn {
                 push_u64(&mut s, "conn", u64::from(*c));
             }
@@ -149,7 +148,7 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             push_num(&mut s, "t", *t);
             push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
-            push_str(&mut s, "class", class);
+            push_str(&mut s, "class", class.label());
             push_u64(&mut s, "scope", u64::from(*scope));
         }
         TelemetryEvent::FlowComplete {
@@ -176,11 +175,11 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
         } => {
             push_num(&mut s, "t", *t);
             push_u64(&mut s, "shard", u64::from(*shard));
-            push_str(&mut s, "stage", stage);
+            push_str(&mut s, "stage", stage.label());
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "conn", u64::from(*conn));
             push_u64(&mut s, "seq", *seq);
-            push_str(&mut s, "kind", kind);
+            push_str(&mut s, "kind", kind.label());
         }
         TelemetryEvent::Window {
             t,
@@ -289,7 +288,7 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
             t: f.take_f64("t")?,
             shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
-            kind: f.take_label("kind", &FRAME_KINDS)?,
+            kind: f.take_label("kind", FrameKind::from_label)?,
             bytes: f.take_u32("bytes")?,
             queue: f.take_u32("queue")?,
         },
@@ -297,7 +296,7 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
             t: f.take_f64("t")?,
             shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
-            kind: f.take_label("kind", &FRAME_KINDS)?,
+            kind: f.take_label("kind", FrameKind::from_label)?,
             bytes: f.take_u32("bytes")?,
         },
         "collision" => TelemetryEvent::Collision {
@@ -311,7 +310,7 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
             shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             from: f.take_u16("from")?,
-            kind: f.take_label("kind", &FRAME_KINDS)?,
+            kind: f.take_label("kind", FrameKind::from_label)?,
             conn: f.take_opt_u32("conn")?,
             seq: f.take_opt_u64("seq")?,
         },
@@ -324,7 +323,7 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
                 DropKind::from_label(&label)
                     .ok_or_else(|| format!("unknown drop reason {label:?}"))?
             },
-            kind: f.take_label("kind", &FRAME_KINDS)?,
+            kind: f.take_label("kind", FrameKind::from_label)?,
             conn: f.take_opt_u32("conn")?,
         },
         "forged_rrep" => TelemetryEvent::ForgedRrep {
@@ -345,7 +344,7 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
             t: f.take_f64("t")?,
             shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
-            class: f.take_label("class", &TIMER_CLASSES)?,
+            class: f.take_label("class", TimerClass::from_label)?,
             scope: f.take_u16("scope")?,
         },
         "flow_complete" => TelemetryEvent::FlowComplete {
@@ -358,11 +357,11 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
         "provenance" => TelemetryEvent::Provenance {
             t: f.take_f64("t")?,
             shard: f.take_u16("shard")?,
-            stage: f.take_label("stage", &STAGES)?,
+            stage: f.take_label("stage", Stage::from_label)?,
             node: f.take_u16("node")?,
             conn: f.take_u32("conn")?,
             seq: f.take_u64("seq")?,
-            kind: f.take_label("kind", &FRAME_KINDS)?,
+            kind: f.take_label("kind", FrameKind::from_label)?,
         },
         "window" => TelemetryEvent::Window {
             t: f.take_f64("t")?,
@@ -405,9 +404,9 @@ impl Fields {
         }
     }
 
-    fn take_label(&mut self, key: &str, vocab: &[&'static str]) -> Result<&'static str, String> {
+    fn take_label<L>(&mut self, key: &str, from_label: fn(&str) -> Option<L>) -> Result<L, String> {
         let s = self.take_str(key)?;
-        intern(&s, vocab).ok_or_else(|| format!("field {key:?}: unknown label {s:?}"))
+        from_label(&s).ok_or_else(|| format!("field {key:?}: unknown label {s:?}"))
     }
 
     fn take_raw_num(&mut self, key: &str) -> Result<String, String> {

@@ -3,7 +3,7 @@
 //! ordering and the conservation ledger.
 
 use crate::check::{check_conservation, check_monotone_per_shard, validate_lines};
-use crate::event::{DropKind, TelemetryEvent, WindowStats, FRAME_KINDS, STAGES, TIMER_CLASSES};
+use crate::event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
 use crate::json::parse_line;
 use crate::oracle;
 use crate::sink::{write_ndjson, StringSink};
@@ -27,7 +27,7 @@ fn exemplars() -> Vec<TelemetryEvent> {
             t: 0.25,
             shard: 1,
             node: 7,
-            kind: "DATA",
+            kind: FrameKind::Data,
             bytes: 1500,
             queue: 4,
         },
@@ -35,7 +35,7 @@ fn exemplars() -> Vec<TelemetryEvent> {
             t: 0.3,
             shard: 0,
             node: 7,
-            kind: "RREQ",
+            kind: FrameKind::Rreq,
             bytes: 64,
         },
         TelemetryEvent::Collision {
@@ -49,7 +49,7 @@ fn exemplars() -> Vec<TelemetryEvent> {
             shard: 0,
             node: 20,
             from: 19,
-            kind: "DATA",
+            kind: FrameKind::Data,
             conn: Some(1),
             seq: Some(2896),
         },
@@ -58,7 +58,7 @@ fn exemplars() -> Vec<TelemetryEvent> {
             shard: 0,
             node: 5,
             reason: DropKind::QueueOverflow,
-            kind: "DATA",
+            kind: FrameKind::Data,
             conn: Some(1),
         },
         TelemetryEvent::ForgedRrep {
@@ -79,7 +79,7 @@ fn exemplars() -> Vec<TelemetryEvent> {
             t: 0.9,
             shard: 0,
             node: 3,
-            class: "transport",
+            class: TimerClass::Transport,
             scope: 1,
         },
         TelemetryEvent::FlowComplete {
@@ -92,11 +92,11 @@ fn exemplars() -> Vec<TelemetryEvent> {
         TelemetryEvent::Provenance {
             t: 1.1,
             shard: 1,
-            stage: "cross_shard",
+            stage: Stage::CrossShard,
             node: 12,
             conn: 1,
             seq: 1448,
-            kind: "DATA",
+            kind: FrameKind::Data,
         },
         TelemetryEvent::Window {
             t: 2.0,
@@ -132,7 +132,7 @@ fn optional_fields_may_be_absent() {
         shard: 0,
         node: 20,
         from: 19,
-        kind: "RREP",
+        kind: FrameKind::Rrep,
         conn: None,
         seq: None,
     };
@@ -149,11 +149,11 @@ fn large_packet_seq_stays_exact() {
     let ev = TelemetryEvent::Provenance {
         t: 3.5,
         shard: 0,
-        stage: "deliver",
+        stage: Stage::Deliver,
         node: 1,
         conn: 9,
         seq,
-        kind: "DATA",
+        kind: FrameKind::Data,
     };
     match parse_line(&ev.to_ndjson()).unwrap() {
         TelemetryEvent::Provenance { seq: back, .. } => assert_eq!(back, seq),
@@ -370,7 +370,7 @@ fn conservation_ledger_accounts_terminal_drops() {
         shard: 0,
         node: 2,
         from: 1,
-        kind: "DATA",
+        kind: FrameKind::Data,
         conn: Some(1),
         seq: Some(0),
     };
@@ -379,7 +379,7 @@ fn conservation_ledger_accounts_terminal_drops() {
         shard: 0,
         node: 1,
         reason: DropKind::NoRoute,
-        kind: "DATA",
+        kind: FrameKind::Data,
         conn: Some(2),
     };
     let non_terminal = TelemetryEvent::Drop {
@@ -387,7 +387,7 @@ fn conservation_ledger_accounts_terminal_drops() {
         shard: 0,
         node: 1,
         reason: DropKind::RetryLimit,
-        kind: "DATA",
+        kind: FrameKind::Data,
         conn: Some(2),
     };
     let ledger = check_conservation(&[
@@ -419,6 +419,46 @@ fn drop_kind_vocabulary_is_closed() {
     assert!(DropKind::QueueOverflow.is_terminal());
 }
 
+/// `ALL` and `LABELS` are parallel (the parser stores a label's index in
+/// `LABELS` and builds `ALL[index]`), every label maps back to its value,
+/// and each vocabulary fits one byte.
+#[test]
+fn label_vocabularies_are_one_byte_and_parallel() {
+    fn check<L: Copy + PartialEq + std::fmt::Debug>(
+        all: &[L],
+        labels: &[&str],
+        label: fn(L) -> &'static str,
+        from_label: fn(&str) -> Option<L>,
+    ) {
+        assert_eq!(std::mem::size_of::<L>(), 1);
+        assert_eq!(all.len(), labels.len());
+        for (v, l) in all.iter().zip(labels) {
+            assert_eq!(label(*v), *l);
+            assert_eq!(from_label(l), Some(*v));
+        }
+        assert_eq!(from_label("NOPE"), None);
+    }
+    check(
+        &DropKind::ALL,
+        &DropKind::LABELS,
+        DropKind::label,
+        DropKind::from_label,
+    );
+    check(
+        &FrameKind::ALL,
+        &FrameKind::LABELS,
+        FrameKind::label,
+        FrameKind::from_label,
+    );
+    check(&Stage::ALL, &Stage::LABELS, Stage::label, Stage::from_label);
+    check(
+        &TimerClass::ALL,
+        &TimerClass::LABELS,
+        TimerClass::label,
+        TimerClass::from_label,
+    );
+}
+
 #[test]
 fn config_validation_rejects_bad_windows() {
     let mut cfg = TelemetryConfig::default();
@@ -434,9 +474,9 @@ fn config_validation_rejects_bad_windows() {
 /// Strategy-built events with randomised numeric fields, cycling through
 /// every label vocabulary entry.
 fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> TelemetryEvent {
-    let kind = FRAME_KINDS[(pick % FRAME_KINDS.len() as u64) as usize];
-    let stage = STAGES[(pick % STAGES.len() as u64) as usize];
-    let class = TIMER_CLASSES[(pick % TIMER_CLASSES.len() as u64) as usize];
+    let kind = FrameKind::ALL[(pick % FrameKind::ALL.len() as u64) as usize];
+    let stage = Stage::ALL[(pick % Stage::ALL.len() as u64) as usize];
+    let class = TimerClass::ALL[(pick % TimerClass::ALL.len() as u64) as usize];
     let reason = DropKind::ALL[(pick % DropKind::ALL.len() as u64) as usize];
     let conn = (pick % 97) as u32;
     match pick % 12 {
@@ -619,12 +659,12 @@ proptest! {
             });
             match o {
                 0 => events.push(TelemetryEvent::Deliver {
-                    t: i as f64 + 0.5, shard: 0, node: 2, from: 1, kind: "DATA",
+                    t: i as f64 + 0.5, shard: 0, node: 2, from: 1, kind: FrameKind::Data,
                     conn: Some(*conn), seq: Some(seq),
                 }),
                 1 => events.push(TelemetryEvent::Drop {
                     t: i as f64 + 0.5, shard: 0, node: 1,
-                    reason: DropKind::NoRoute, kind: "DATA", conn: Some(*conn),
+                    reason: DropKind::NoRoute, kind: FrameKind::Data, conn: Some(*conn),
                 }),
                 _ => { *expected_residual.entry(*conn).or_insert(0) += 1; }
             }
@@ -819,21 +859,6 @@ fn the_line_rewriters_do_what_they_say() {
         line.replace("\"t\":2", "\"t\":65536")
     );
     assert_eq!(with_value(line, &["node"], "1"), None);
-}
-
-#[test]
-fn labels_that_need_escaping_encode_like_the_oracle() {
-    let ev = TelemetryEvent::TxStart {
-        t: 0.5,
-        shard: 0,
-        node: 1,
-        kind: "q\"b\\s\nn\rr\tt\u{1}c é",
-        bytes: 8,
-    };
-    assert_eq!(ev.to_ndjson(), oracle::to_ndjson(&ev));
-    assert!(ev
-        .to_ndjson()
-        .contains(r#""kind":"q\"b\\s\nn\rr\tt\u0001c é""#));
 }
 
 /// An event, as `prop_round_trip` draws it but with times of every shape:

@@ -5,6 +5,7 @@ use crate::routing_msgs::{
     CheckError, RouteCheck, RouteError, RouteReply, RouteRequest, SourceRoutedData,
 };
 use crate::tcp::TcpSegment;
+use manet_telemetry::FrameKind;
 use serde::{Deserialize, Serialize};
 
 /// Link-layer destination of a frame.
@@ -117,16 +118,22 @@ impl NetPacket {
         !matches!(self, NetPacket::Data(_))
     }
 
-    /// Short label used in traces and debug output.
-    pub fn kind(&self) -> &'static str {
+    /// The packet's kind, as the telemetry stream records it.
+    pub fn frame_kind(&self) -> FrameKind {
         match self {
-            NetPacket::Rreq(_) => "RREQ",
-            NetPacket::Rrep(_) => "RREP",
-            NetPacket::Rerr(_) => "RERR",
-            NetPacket::Check(_) => "CHECK",
-            NetPacket::CheckErr(_) => "CHECK_ERR",
-            NetPacket::Data(_) => "DATA",
+            NetPacket::Rreq(_) => FrameKind::Rreq,
+            NetPacket::Rrep(_) => FrameKind::Rrep,
+            NetPacket::Rerr(_) => FrameKind::Rerr,
+            NetPacket::Check(_) => FrameKind::Check,
+            NetPacket::CheckErr(_) => FrameKind::CheckErr,
+            NetPacket::Data(_) => FrameKind::Data,
         }
+    }
+
+    /// Short label used in traces and debug output (the label of
+    /// [`NetPacket::frame_kind`]).
+    pub fn kind(&self) -> &'static str {
+        self.frame_kind().label()
     }
 
     /// Borrow the inner data packet, if this is a data packet.
@@ -185,6 +192,7 @@ mod tests {
     fn kind_labels_are_distinct() {
         let d = NetPacket::Data(data_pkt());
         assert_eq!(d.kind(), "DATA");
+        assert_eq!(d.frame_kind(), FrameKind::Data);
         assert!(d.as_data().is_some());
     }
 

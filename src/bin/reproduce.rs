@@ -17,8 +17,7 @@ use manet_experiments::{Protocol, Scenario};
 use manet_mck::{
     blackhole_corridor, explore, outcome_digest, run_with_trace, ExploreSpec, Invariant, Verdict,
 };
-use manet_netsim::telemetry::event::FRAME_KINDS;
-use manet_netsim::telemetry::{write_ndjson, TelemetryEvent, WriteSink};
+use manet_netsim::telemetry::{write_ndjson, FrameKind, TelemetryEvent, WriteSink};
 use manet_netsim::{Duration, Execution, TelemetryConfig};
 use std::str::FromStr;
 
@@ -215,8 +214,12 @@ const KINDS: Flag = Flag {
     name: "--kinds",
     help: "K1,K2,..  frames open to intervention: RREQ RREP RERR CHECK CHECK_ERR DATA [DATA]",
     parse: |a, v| {
-        let known = |s: &str| FRAME_KINDS.iter().find(|k| k.eq_ignore_ascii_case(s));
-        put(&mut a.kinds, list(v, |s| known(s).copied()))
+        let known = |s: &str| {
+            FrameKind::LABELS
+                .into_iter()
+                .find(|k| k.eq_ignore_ascii_case(s))
+        };
+        put(&mut a.kinds, list(v, known))
     },
 };
 const NDJSON: Flag = Flag {

@@ -16,11 +16,12 @@
 use manet_experiments::runner::run_scenario_with_recorder;
 use manet_experiments::{AttackConfig, Protocol, Scenario};
 use manet_netsim::telemetry::{
-    check_conservation, check_monotone_per_shard, validate_lines, write_ndjson, StringSink,
+    check_conservation, check_monotone_per_shard, validate_lines, write_ndjson, Stage, StringSink,
     TelemetryEvent,
 };
-use manet_netsim::{Duration, Execution, Recorder, TelemetryConfig};
+use manet_netsim::{Duration, Execution, FxHasher, Recorder, TelemetryConfig};
 use proptest::prelude::*;
+use std::hash::Hasher;
 
 fn telemetry_on(trace_packet: Option<(u32, u64)>) -> TelemetryConfig {
     TelemetryConfig {
@@ -164,7 +165,7 @@ fn tagged_packet_walks_the_pipeline_in_order() {
         Scenario::paper(Protocol::Mts, 10.0, 1).with_telemetry(telemetry_on(Some((0, 0))));
     scenario.sim.duration = Duration::from_secs(10.0);
     let recorder = run(scenario);
-    let trail: Vec<(&'static str, f64)> = recorder
+    let trail: Vec<(Stage, f64)> = recorder
         .telemetry
         .events()
         .iter()
@@ -183,9 +184,13 @@ fn tagged_packet_walks_the_pipeline_in_order() {
         })
         .collect();
     assert!(!trail.is_empty(), "the tagged packet left no trail");
-    assert_eq!(trail[0].0, "originate", "trail must start at the source");
+    assert_eq!(
+        trail[0].0,
+        Stage::Originate,
+        "trail must start at the source"
+    );
     assert!(
-        trail.iter().any(|(stage, _)| *stage == "deliver"),
+        trail.iter().any(|(stage, _)| *stage == Stage::Deliver),
         "segment 0:0 of the paper flow is delivered within 10 s: {trail:?}"
     );
     for pair in trail.windows(2) {
@@ -223,9 +228,32 @@ fn provenance_survives_the_cross_shard_merge() {
     assert!(
         trail.iter().any(|ev| matches!(
             ev,
-            TelemetryEvent::Provenance { stage, .. } if *stage == "cross_shard"
+            TelemetryEvent::Provenance {
+                stage: Stage::CrossShard,
+                ..
+            }
         )),
         "multi-shard trail has no cross_shard stage"
+    );
+}
+
+/// The NDJSON bytes of one fixed run, pinned by length and FxHash: the
+/// in-memory event layout and the codec may change, the wire format may not.
+/// A deliberate format change updates both numbers and says so.
+#[test]
+fn ndjson_bytes_of_a_fixed_run_are_pinned() {
+    let mut scenario =
+        Scenario::paper(Protocol::Mts, 10.0, 1).with_telemetry(telemetry_on(Some((0, 0))));
+    scenario.sim.duration = Duration::from_secs(10.0);
+    let recorder = run(scenario);
+    let mut sink = StringSink::default();
+    write_ndjson(recorder.telemetry.events(), &mut sink).expect("string sink never fails");
+    let mut h = FxHasher::default();
+    h.write(sink.0.as_bytes());
+    assert_eq!(
+        (sink.0.len(), h.finish()),
+        (4_077_702, 16_261_995_561_051_158_861),
+        "the NDJSON bytes moved"
     );
 }
 

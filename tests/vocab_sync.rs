@@ -3,14 +3,15 @@
 //!
 //! The Python summariser validates NDJSON against *closed* label sets
 //! (drop reasons, frame kinds, provenance stages, timer classes).  Those
-//! sets are hand-maintained mirrors of the `manet_telemetry` constants, so
-//! a new enum variant that is not also added to the script silently turns
-//! every CI schema check into a false failure (or, worse, the script keeps
-//! accepting a label the Rust side no longer emits).  This test parses the
+//! sets are hand-maintained mirrors of the `manet_telemetry` label enums
+//! (`DropKind`, `FrameKind`, `Stage`, `TimerClass`), so a new enum variant
+//! that is not also added to the script silently turns every CI schema
+//! check into a false failure (or, worse, the script keeps accepting a
+//! label the Rust side no longer emits).  This test parses the
 //! script's literal sets out of its source and diffs them against the
 //! authoritative Rust vocabularies in both directions.
 
-use manet_netsim::telemetry::event::{DropKind, FRAME_KINDS, STAGES, TIMER_CLASSES};
+use manet_netsim::telemetry::{DropKind, FrameKind, Stage, TimerClass};
 use std::collections::BTreeSet;
 
 /// Extract the string literals of the `NAME = {...}` set assignment in
@@ -90,17 +91,17 @@ fn frame_kinds_stages_and_timer_classes_match() {
     let script = script_source();
     assert_eq!(
         python_set(&script, "FRAME_KINDS"),
-        as_set(&FRAME_KINDS),
+        as_set(&FrameKind::LABELS),
         "FRAME_KINDS drifted"
     );
     assert_eq!(
         python_set(&script, "STAGES"),
-        as_set(&STAGES),
+        as_set(&Stage::LABELS),
         "STAGES drifted"
     );
     assert_eq!(
         python_set(&script, "TIMER_CLASSES"),
-        as_set(&TIMER_CLASSES),
+        as_set(&TimerClass::LABELS),
         "TIMER_CLASSES drifted"
     );
 }
