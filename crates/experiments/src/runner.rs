@@ -12,7 +12,9 @@ use crate::scenario::Scenario;
 use crate::stack::{ManetStack, SharedTcpStats, TcpRunReport};
 use manet_adversary::{AttackKind, BlackholeStack, CorridorMobility};
 use manet_netsim::mobility::{MobilityModel, RandomWaypoint};
-use manet_netsim::{run_sharded, DeliveryChoiceHook, Execution, NodeStack, Recorder, Simulator};
+use manet_netsim::{
+    run_sharded, DeliveryChoiceHook, Execution, NodeStack, Recorder, Simulator, TraceMode,
+};
 use manet_tcp::TcpConfig;
 use manet_wire::{ConnectionId, NodeId};
 use parking_lot::Mutex;
@@ -120,7 +122,7 @@ fn run_scenario_inner(scenario: &Scenario, trace: bool) -> (RunMetrics, Recorder
             let mut sim =
                 Simulator::new(scenario.effective_sim(), build_mobility(scenario), stacks);
             if trace {
-                sim.enable_trace();
+                sim.set_trace_mode(TraceMode::Keep);
             }
             sim.run()
         }
@@ -143,9 +145,11 @@ pub fn run_scenario(scenario: &Scenario) -> RunMetrics {
 
 /// Execute one scenario on the serial engine with an adversarial
 /// delivery-choice hook installed (bounded model checking; see
-/// `manet_netsim::choice` and `crates/mck`).  The trace is always kept —
-/// the explorer fingerprints it for state-hash deduplication and replay
-/// byte-identity.
+/// `manet_netsim::choice` and `crates/mck`).  The trace is recorded in
+/// `trace`'s mode: the explorer's step folds it into the recorder's
+/// fingerprint only ([`TraceMode::Fingerprint`]), for state-hash
+/// deduplication; a counterexample replay also keeps it
+/// ([`TraceMode::Keep`]), to be read and compared.
 ///
 /// # Panics
 /// Panics when the scenario requests sharded execution: choice injection is
@@ -153,6 +157,7 @@ pub fn run_scenario(scenario: &Scenario) -> RunMetrics {
 pub fn run_scenario_hooked(
     scenario: &Scenario,
     hook: Box<dyn DeliveryChoiceHook>,
+    trace: TraceMode,
 ) -> (RunMetrics, Recorder) {
     scenario.validate().expect("invalid scenario");
     assert!(
@@ -164,7 +169,7 @@ pub fn run_scenario_hooked(
         .map(|i| build_stack(scenario, &stats, NodeId(i)) as Box<dyn NodeStack>)
         .collect();
     let mut sim = Simulator::new(scenario.effective_sim(), build_mobility(scenario), stacks);
-    sim.enable_trace();
+    sim.set_trace_mode(trace);
     sim.set_choice_hook(hook);
     let recorder = sim.run();
     let tcp_report = stats.lock().clone();

@@ -29,8 +29,11 @@ use crate::invariant::Invariant;
 use manet_experiments::runner::run_scenario_hooked;
 use manet_experiments::{RunMetrics, Scenario};
 use manet_netsim::fasthash::{FxHashMap, FxHasher};
-use manet_netsim::{Duration, Recorder, TraceEvent};
+use manet_netsim::telemetry::FrameKind;
+use manet_netsim::{Duration, Recorder, TraceMode};
+use rayon::prelude::*;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What to explore: scenario, bounds, and the property to check.
@@ -52,22 +55,60 @@ pub struct ExploreSpec {
     pub invariant: Invariant,
 }
 
+impl ExploreSpec {
+    /// Check that `kinds` opens at least one frame kind to intervention and
+    /// names only known ones ([`FrameKind`] labels).  A label no frame
+    /// carries leaves every schedule unforced, so a "proof" would cover an
+    /// empty schedule class.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.kinds.is_empty() {
+            return Err("kinds is empty: no frame is open to intervention".into());
+        }
+        match self
+            .kinds
+            .iter()
+            .find(|k| FrameKind::from_label(k).is_none())
+        {
+            Some(unknown) => Err(format!(
+                "unknown frame kind {unknown:?} in kinds (known: {})",
+                FrameKind::LABELS.join(" ")
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// The complete decision script of the schedule `actions`.
+    pub(crate) fn trace(&self, actions: &[(u32, ScheduleAction)]) -> ChoiceTrace {
+        ChoiceTrace {
+            actions: actions.to_vec(),
+            horizon: self.horizon,
+            delay: self.delay,
+            kinds: self.kinds.clone(),
+        }
+    }
+}
+
 /// The final state of one scripted run.
 pub struct RunOutcome {
     /// Extracted per-run metrics.
     pub metrics: RunMetrics,
-    /// The raw recorder (trace kept — fingerprints and invariants read it).
+    /// The raw recorder: invariants read it, and [`run_with_trace`] keeps
+    /// its trace.
     pub recorder: Recorder,
     /// The choice points the script was offered.
     pub log: RunLog,
 }
 
-/// Execute `scenario` under `trace` on the concrete engine.  This is both
-/// the explorer's step function and the counterexample replay path: same
-/// trace in, byte-identical run out.
+/// Execute `scenario` under `trace` on the concrete engine, keeping the
+/// recorder trace.  This is the counterexample replay path: same trace in,
+/// byte-identical run out, with the fingerprint the explorer saw.
 pub fn run_with_trace(scenario: &Scenario, trace: &ChoiceTrace) -> RunOutcome {
+    run_scripted(scenario, trace, TraceMode::Keep)
+}
+
+fn run_scripted(scenario: &Scenario, trace: &ChoiceTrace, mode: TraceMode) -> RunOutcome {
     let (hook, log) = ScheduleHook::new(trace);
-    let (metrics, recorder) = run_scenario_hooked(scenario, Box::new(hook));
+    let (metrics, recorder) = run_scenario_hooked(scenario, Box::new(hook), mode);
     let log = match Arc::try_unwrap(log) {
         Ok(m) => m.into_inner(),
         Err(arc) => arc.lock().clone(),
@@ -83,14 +124,17 @@ pub fn run_with_trace(scenario: &Scenario, trace: &ChoiceTrace) -> RunOutcome {
 /// and link event in order), the conservation counters, and the observed
 /// choice-point sequence (sans actions — those are script inputs, not
 /// behaviour).  Runs with equal fingerprints behaved identically.
+///
+/// The trace part is the recorder's streamed
+/// [`Recorder::trace_fingerprint`], so the value does not depend on whether
+/// the run kept its trace.
 pub fn outcome_digest(outcome: &RunOutcome) -> u64 {
-    let mut h = FxHasher::default();
-    hash_trace(outcome.recorder.trace(), &mut h);
+    let mut h = outcome.recorder.trace_fingerprint();
     hash_counters_and_choice_points(outcome, &mut h);
     h.finish()
 }
 
-fn hash_counters_and_choice_points(outcome: &RunOutcome, h: &mut FxHasher) {
+pub(crate) fn hash_counters_and_choice_points(outcome: &RunOutcome, h: &mut FxHasher) {
     outcome.recorder.originated_data_packets().hash(h);
     outcome.recorder.delivered_data_packets().hash(h);
     outcome.recorder.delivered_payload_bytes().hash(h);
@@ -107,33 +151,8 @@ fn hash_counters_and_choice_points(outcome: &RunOutcome, h: &mut FxHasher) {
     }
 }
 
-/// Feed the recorder trace to `h` field by field: a variant tag, the ids,
-/// the `kind` label and the bit pattern of the time.  Every event writes a
-/// tag-determined sequence of fixed-width words (the label is
-/// length-terminated by `str`'s `Hash`), so distinct traces feed distinct
-/// word streams; sim-times are finite, where equal bits and equal values
-/// coincide except for the sign of zero, which `Debug` tells apart too.
-fn hash_trace(trace: &[TraceEvent], h: &mut FxHasher) {
-    for ev in trace {
-        match *ev {
-            TraceEvent::TxStart {
-                node,
-                kind,
-                bytes,
-                at,
-            } => (0u8, node, kind, bytes, at.as_secs().to_bits()).hash(h),
-            TraceEvent::Delivered { node, packet, at } => {
-                (1u8, node, packet, at.as_secs().to_bits()).hash(h)
-            }
-            TraceEvent::LinkFailure { node, next_hop, at } => {
-                (2u8, node, next_hop, at.as_secs().to_bits()).hash(h)
-            }
-        }
-    }
-}
-
 /// A found invariant violation, with its replayable script.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// The complete decision script that reproduces the violation.
     pub trace: ChoiceTrace,
@@ -146,7 +165,7 @@ pub struct Violation {
 }
 
 /// The explorer's answer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
     /// Every schedule in the bounded class satisfies the invariant.
     Proved,
@@ -157,11 +176,13 @@ pub enum Verdict {
 }
 
 /// Search statistics alongside the verdict.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExploreReport {
     /// The answer.
     pub verdict: Verdict,
-    /// Engine runs executed.
+    /// Schedules run up to the verdict, in search order (a depth's
+    /// schedules run in parallel, so a violation may leave some schedules
+    /// after it run but not counted).
     pub runs: u64,
     /// Distinct run fingerprints seen.
     pub distinct_states: u64,
@@ -171,24 +192,47 @@ pub struct ExploreReport {
     pub max_eligible_seen: u64,
 }
 
+/// What the search reads of one explored run; the run itself is dropped.
+struct Step {
+    eligible_seen: u64,
+    state_hash: u64,
+    check: Result<(), String>,
+}
+
+/// The explorer's step: run one schedule with its trace folded into the
+/// fingerprint, never buffered, and keep only what the search reads.
+fn step(spec: &ExploreSpec, actions: &[(u32, ScheduleAction)]) -> Step {
+    let outcome = run_scripted(&spec.scenario, &spec.trace(actions), TraceMode::Fingerprint);
+    Step {
+        eligible_seen: outcome.log.eligible_seen,
+        state_hash: outcome_digest(&outcome),
+        check: spec.invariant.check(&outcome.recorder),
+    }
+}
+
 /// Exhaustively explore `spec`'s schedule class (see the module docs).
 ///
 /// Iterative deepening by intervention count: all zero-choice schedules
 /// first, then one-choice, then two-choice … so the first violation
 /// returned is minimal in the number of adversarial choices.
+///
+/// The schedules of one depth are independent runs, so they run on every
+/// core; their results are then merged in frontier order, which makes the
+/// report identical to a one-at-a-time search whatever the core count.
+/// Each run is dropped as soon as the search has read what it needs.
+///
+/// # Panics
+/// Panics if `spec` is invalid (see [`ExploreSpec::validate`]).
 pub fn explore(spec: &ExploreSpec) -> ExploreReport {
+    if let Err(e) = spec.validate() {
+        panic!("invalid explore spec: {e}");
+    }
     // state fingerprint -> smallest extension-window start already expanded
     // from a run with this fingerprint.
     let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
     let mut runs = 0u64;
     let mut dedup_hits = 0u64;
     let mut max_eligible = 0u64;
-    let trace_of = |actions: &[(u32, ScheduleAction)]| ChoiceTrace {
-        actions: actions.to_vec(),
-        horizon: spec.horizon,
-        delay: spec.delay,
-        kinds: spec.kinds.clone(),
-    };
     let report =
         |verdict, runs, seen: &FxHashMap<u64, u32>, dedup_hits, max_eligible| ExploreReport {
             verdict,
@@ -200,30 +244,38 @@ pub fn explore(spec: &ExploreSpec) -> ExploreReport {
 
     let mut frontier: Vec<Vec<(u32, ScheduleAction)>> = vec![Vec::new()];
     for depth in 0..=spec.max_interventions {
+        // The budget admits a prefix of this depth.  A schedule after a
+        // violating one cannot reach the merge below, so it is skipped once
+        // the violation is known.
+        let admitted = (spec.budget - runs).min(frontier.len() as u64) as usize;
+        let first_violation = AtomicUsize::new(usize::MAX);
+        let indices: Vec<usize> = (0..admitted).collect();
+        let steps: Vec<Option<Step>> = indices
+            .par_iter()
+            .map(|&i| {
+                if i > first_violation.load(Ordering::Relaxed) {
+                    return None;
+                }
+                let taken = step(spec, &frontier[i]);
+                if taken.check.is_err() {
+                    first_violation.fetch_min(i, Ordering::Relaxed);
+                }
+                Some(taken)
+            })
+            .collect();
         let mut next: Vec<Vec<(u32, ScheduleAction)>> = Vec::new();
-        for plan in &frontier {
-            if runs >= spec.budget {
-                return report(
-                    Verdict::BudgetExhausted,
-                    runs,
-                    &seen,
-                    dedup_hits,
-                    max_eligible,
-                );
-            }
-            let trace = trace_of(plan);
-            let outcome = run_with_trace(&spec.scenario, &trace);
+        for (plan, step) in frontier.iter().zip(steps) {
+            let step = step.expect("every schedule up to the first violation runs");
             runs += 1;
-            max_eligible = max_eligible.max(outcome.log.eligible_seen);
-            let state_hash = outcome_digest(&outcome);
+            max_eligible = max_eligible.max(step.eligible_seen);
             // The invariant is evaluated at every explored state, before any
             // deduplication: the first violation at this depth is minimal.
-            if let Err(reason) = spec.invariant.check(&outcome.recorder) {
+            if let Err(reason) = step.check {
                 let violation = Violation {
-                    trace,
+                    trace: spec.trace(plan),
                     choice_count: depth,
                     reason,
-                    state_hash,
+                    state_hash: step.state_hash,
                 };
                 return report(
                     Verdict::Violated(violation),
@@ -240,17 +292,17 @@ pub fn explore(spec: &ExploreSpec) -> ExploreReport {
             // only at slots this run actually exposed (beyond
             // `eligible_seen` the script would never fire).
             let start = plan.last().map_or(0, |&(s, _)| s + 1);
-            let limit = outcome.log.eligible_seen.min(u64::from(spec.horizon)) as u32;
+            let limit = step.eligible_seen.min(u64::from(spec.horizon)) as u32;
             // Exact dedup: a behaviourally identical run was already
             // expanded from a window starting at or before ours, so every
             // child state of this run was (or will be) reached from it.
-            match seen.get(&state_hash).copied() {
+            match seen.get(&step.state_hash).copied() {
                 Some(prev) if prev <= start => {
                     dedup_hits += 1;
                     continue;
                 }
                 _ => {
-                    let entry = seen.entry(state_hash).or_insert(start);
+                    let entry = seen.entry(step.state_hash).or_insert(start);
                     *entry = (*entry).min(start);
                 }
             }
@@ -261,6 +313,15 @@ pub fn explore(spec: &ExploreSpec) -> ExploreReport {
                     next.push(child);
                 }
             }
+        }
+        if admitted < frontier.len() {
+            return report(
+                Verdict::BudgetExhausted,
+                runs,
+                &seen,
+                dedup_hits,
+                max_eligible,
+            );
         }
         if next.is_empty() {
             break;
@@ -274,10 +335,10 @@ pub fn explore(spec: &ExploreSpec) -> ExploreReport {
 mod tests {
     use super::*;
     use crate::blackhole_corridor;
+    use crate::oracle::hash_trace;
     use manet_experiments::Protocol;
-    use manet_netsim::telemetry::FrameKind;
-    use manet_netsim::SimTime;
-    use manet_wire::{NodeId, PacketId};
+    use manet_netsim::{SimTime, TelemetryConfig, TraceEvent};
+    use manet_wire::{ConnectionId, NodeId, PacketId};
     use proptest::prelude::*;
 
     /// The trace hash `outcome_digest` used before it went structural: the
@@ -411,5 +472,244 @@ mod tests {
             equal_pairs > outcomes.len(),
             "this corridor has behaviourally equal schedules: some class must hold two runs"
         );
+    }
+
+    // -----------------------------------------------------------------------
+    // The parallel frontier against the serial oracle.
+    // -----------------------------------------------------------------------
+
+    const INVARIANTS: [Invariant; 4] = [
+        Invariant::NoAdversaryCapture,
+        Invariant::CaptureAtMost(0.5),
+        Invariant::CaptureAtMost(1.0),
+        Invariant::DeliversData,
+    ];
+
+    proptest! {
+        /// The parallel search returns the serial search's report: verdict,
+        /// violation script and fingerprint, and the four counters.  Budgets from zero to past the whole class
+        /// cut depths anywhere, and `NoAdversaryCapture` on plain MTS is
+        /// violated, so both early returns are exercised.
+        #[test]
+        fn parallel_explore_matches_the_serial_oracle(
+            hardened in any::<bool>(),
+            n in 4u16..9,
+            seed in 1u64..40,
+            horizon in 1u32..6,
+            max_interventions in 1u32..4,
+            budget in 0u64..80,
+            invariant in 0usize..INVARIANTS.len(),
+        ) {
+            let protocol = if hardened { Protocol::MtsHardened } else { Protocol::Mts };
+            let spec = ExploreSpec {
+                scenario: blackhole_corridor(protocol, n, 2.0, seed),
+                horizon,
+                max_interventions,
+                // Half the draws cut the search short, half bound nothing.
+                budget: if budget < 40 { budget } else { u64::MAX },
+                delay: Duration::from_secs(0.002),
+                kinds: vec!["DATA"],
+                invariant: INVARIANTS[invariant],
+            };
+            prop_assert_eq!(explore(&spec), crate::oracle::explore(&spec), "{:?}", spec);
+        }
+    }
+
+    /// The three verdicts pinned, each ending where the property draws it
+    /// only now and then: a violation inside depth two with more plans
+    /// after it, a budget spent inside depth two, and a proof over a class
+    /// with deduplicated states.
+    #[test]
+    fn parallel_explore_matches_the_serial_oracle_on_each_verdict() {
+        // (protocol, n, seed, budget, capture bound)
+        let cases = [
+            (Protocol::Mts, 8, 9, u64::MAX, 0.65),
+            (Protocol::MtsHardened, 6, 1, 9, 1.0),
+            (Protocol::MtsHardened, 6, 3, u64::MAX, 1.0),
+        ];
+        let specs = cases.map(|(protocol, n, seed, budget, bound)| ExploreSpec {
+            scenario: blackhole_corridor(protocol, n, 2.0, seed),
+            horizon: 3,
+            max_interventions: 3,
+            budget,
+            delay: Duration::from_secs(0.002),
+            kinds: vec!["DATA"],
+            invariant: Invariant::CaptureAtMost(bound),
+        });
+        let reports = specs.each_ref().map(explore);
+        for (spec, report) in specs.iter().zip(&reports) {
+            assert_eq!(*report, crate::oracle::explore(spec));
+        }
+        match &reports[0].verdict {
+            Verdict::Violated(v) => assert_eq!(v.choice_count, 2, "{v:?}"),
+            other => panic!("the hunt must find its two-choice violation, got {other:?}"),
+        }
+        assert_eq!(reports[1].verdict, Verdict::BudgetExhausted);
+        assert_eq!(reports[1].runs, 9);
+        assert_eq!(reports[2].verdict, Verdict::Proved);
+        assert!(reports[2].dedup_hits > 0, "{:?}", reports[2]);
+    }
+
+    // -----------------------------------------------------------------------
+    // The streamed fingerprint against the walked trace.
+    // -----------------------------------------------------------------------
+
+    /// A corridor whose nodes move at up to `speed` m/s, so routes break
+    /// and unicast frames exhaust their retries.
+    fn moving_corridor(protocol: Protocol, n: u16, seed: u64, speed: f64) -> Scenario {
+        let mut scenario = blackhole_corridor(protocol, n, 2.0, seed);
+        scenario.sim.mobility.max_speed = speed;
+        scenario
+    }
+
+    fn link_failures(trace: &[TraceEvent]) -> usize {
+        trace
+            .iter()
+            .filter(|ev| matches!(ev, TraceEvent::LinkFailure { .. }))
+            .count()
+    }
+
+    /// The streamed trace fingerprint of a kept run equals the walk over
+    /// its buffered trace, and the explorer's unbuffered step reports the
+    /// same digest as the replay.
+    fn assert_streamed_fingerprint(scenario: &Scenario, trace: &ChoiceTrace) -> usize {
+        let kept = run_with_trace(scenario, trace);
+        let mut walked = FxHasher::default();
+        hash_trace(kept.recorder.trace(), &mut walked);
+        assert_eq!(kept.recorder.trace_fingerprint().finish(), walked.finish());
+        assert_eq!(outcome_digest(&kept), crate::oracle::outcome_digest(&kept));
+        let streamed = run_scripted(scenario, trace, TraceMode::Fingerprint);
+        assert!(
+            streamed.recorder.trace().is_empty(),
+            "a fingerprint run keeps no trace"
+        );
+        assert_eq!(outcome_digest(&streamed), outcome_digest(&kept));
+        link_failures(kept.recorder.trace())
+    }
+
+    fn with_telemetry(scenario: Scenario, enabled: bool) -> Scenario {
+        scenario.with_telemetry(TelemetryConfig {
+            enabled,
+            window_secs: enabled.then_some(0.5),
+            trace_packet: None,
+        })
+    }
+
+    /// A moving corridor with link failures in its trace, telemetry on and
+    /// off, unforced and with one drop and one delay.
+    #[test]
+    fn streamed_fingerprint_covers_link_failures_with_telemetry_on_and_off() {
+        let scenario = moving_corridor(Protocol::MtsHardened, 8, 6, 20.0);
+        for telemetry in [false, true] {
+            let scenario = with_telemetry(scenario.clone(), telemetry);
+            for actions in [
+                vec![],
+                vec![(0, ScheduleAction::Drop), (2, ScheduleAction::Delay)],
+            ] {
+                let trace = ChoiceTrace {
+                    actions,
+                    horizon: 6,
+                    delay: Duration::from_secs(0.002),
+                    kinds: vec!["RREP", "DATA"],
+                };
+                let failures = assert_streamed_fingerprint(&scenario, &trace);
+                assert!(
+                    failures > 0,
+                    "this corridor must break links (telemetry {telemetry})"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_fingerprint_equals_the_walked_trace(
+            hardened in any::<bool>(),
+            n in 4u16..9,
+            seed in 1u64..200,
+            speed in 0u32..25,
+            telemetry in any::<bool>(),
+            drop_slot in 0u32..4,
+        ) {
+            let protocol = if hardened { Protocol::MtsHardened } else { Protocol::Mts };
+            let scenario = moving_corridor(protocol, n, seed, f64::from(speed));
+            let trace = ChoiceTrace {
+                actions: vec![(drop_slot, ScheduleAction::Drop)],
+                horizon: 4,
+                delay: Duration::from_secs(0.002),
+                kinds: vec!["DATA"],
+            };
+            assert_streamed_fingerprint(&with_telemetry(scenario, telemetry), &trace);
+        }
+
+        /// Event by event, the recorder folds exactly the words the walk
+        /// feeds, in the same order (a repeated delivery is not traced).
+        #[test]
+        fn recorder_folds_each_event_as_the_walk_does(trace in events()) {
+            let mut recorder = Recorder::new();
+            recorder.trace_mode = TraceMode::Fingerprint;
+            let mut traced = Vec::new();
+            for ev in trace {
+                let new = match ev {
+                    TraceEvent::TxStart { node, kind, bytes, at } => {
+                        recorder.record_tx(node, kind, kind != "DATA", bytes, at);
+                        true
+                    }
+                    TraceEvent::Delivered { node, packet, at } => {
+                        recorder.record_delivered(node, packet, ConnectionId(0), true, 512, at)
+                    }
+                    TraceEvent::LinkFailure { node, next_hop, at } => {
+                        recorder.record_link_failure(node, next_hop, at);
+                        true
+                    }
+                };
+                if new {
+                    traced.push(ev);
+                }
+            }
+            let mut walked = FxHasher::default();
+            hash_trace(&traced, &mut walked);
+            prop_assert_eq!(recorder.trace_fingerprint().finish(), walked.finish());
+            prop_assert!(recorder.trace().is_empty());
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // Vacuous specs are rejected.
+    // -----------------------------------------------------------------------
+
+    fn spec_with_kinds(kinds: Vec<&'static str>) -> ExploreSpec {
+        ExploreSpec {
+            scenario: blackhole_corridor(Protocol::MtsHardened, 6, 1.0, 3),
+            horizon: 3,
+            max_interventions: 1,
+            budget: 100,
+            delay: Duration::from_secs(0.002),
+            kinds,
+            invariant: Invariant::CaptureAtMost(1.0),
+        }
+    }
+
+    #[test]
+    fn validate_accepts_known_kinds_and_rejects_empty_or_unknown_ones() {
+        assert_eq!(spec_with_kinds(vec!["RREP", "DATA"]).validate(), Ok(()));
+        let empty = spec_with_kinds(vec![]).validate().unwrap_err();
+        assert!(empty.contains("empty"), "{empty}");
+        let typo = spec_with_kinds(vec!["DATA", "data"])
+            .validate()
+            .unwrap_err();
+        assert!(typo.contains("\"data\""), "{typo}");
+    }
+
+    #[test]
+    #[should_panic(expected = "kinds is empty")]
+    fn explore_panics_on_empty_kinds() {
+        explore(&spec_with_kinds(vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown frame kind \"BEACON\"")]
+    fn explore_panics_on_an_unknown_kind() {
+        explore(&spec_with_kinds(vec!["DATA", "BEACON"]));
     }
 }

@@ -18,7 +18,8 @@
 //!   (`manet_experiments::invariants`).
 //! * [`mod@explore`] — iterative-deepening exhaustive search with `fasthash`
 //!   state deduplication, a run budget, and minimal-counterexample
-//!   extraction.
+//!   extraction; each depth's schedules run on every core and merge in
+//!   search order.
 //! * [`scenarios`] — stock small topologies (static corridor, one black
 //!   hole) for the first targets.
 //!
@@ -31,6 +32,9 @@ pub mod explore;
 pub mod hook;
 pub mod invariant;
 pub mod scenarios;
+
+#[cfg(test)]
+mod oracle;
 
 pub use explore::{
     explore, outcome_digest, run_with_trace, ExploreReport, ExploreSpec, RunOutcome, Verdict,

@@ -57,7 +57,7 @@ use crate::mobility::{MobilityModel, Waypoint};
 use crate::neighborhood::{Neighborhood, SCAN_HORIZON_M};
 use crate::node::{Ctx, NodeStack, TimerToken};
 use crate::radio::LinkDynamics;
-use crate::recorder::{DropReason, EnginePerf, FluidFlowTotals, Recorder};
+use crate::recorder::{DropReason, EnginePerf, FluidFlowTotals, Recorder, TraceMode};
 use crate::rng::RngStreams;
 use crate::shard::{DeliverRecord, ShardCtx, TxAnnouncement};
 use crate::time::{Duration, SimTime};
@@ -933,10 +933,12 @@ impl<S: StackSlot> SimCore<S> {
         }
     }
 
-    /// Enable the human-readable trace on the recorder (must be called before
-    /// [`Simulator::run`]).
-    pub fn enable_trace(&mut self) {
-        self.world.recorder.keep_trace = true;
+    /// Choose what the recorder keeps of the trace (must be called before
+    /// [`Simulator::run`]): [`TraceMode::Keep`] for the human-readable
+    /// trace, [`TraceMode::Fingerprint`] to identify a traced run without
+    /// buffering its events.
+    pub fn set_trace_mode(&mut self, mode: TraceMode) {
+        self.world.recorder.trace_mode = mode;
     }
 
     /// Install an adversarial delivery-choice hook (must be called before

@@ -78,7 +78,7 @@ pub use mobility::{MobilityModel, RandomWaypoint, Waypoint};
 pub use node::{Ctx, NodeStack, TimerToken};
 pub use radio::{ChannelModel, RadioConfig};
 pub use recorder::EnginePerf;
-pub use recorder::{FluidFlowTotals, PacketSet, Recorder, TraceEvent};
+pub use recorder::{FluidFlowTotals, PacketSet, Recorder, TraceEvent, TraceMode};
 pub use rng::RngStreams;
 pub use shard::run_sharded;
 pub use time::{Duration, SimTime};

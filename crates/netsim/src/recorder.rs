@@ -7,11 +7,12 @@
 //! `manet-security` and `manet-experiments` crates turn this raw record into
 //! the figures.
 
-use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::fasthash::{FxHashMap, FxHashSet, FxHasher};
 use crate::time::{Duration, SimTime};
 use manet_telemetry::Telemetry;
 use manet_wire::{ConnectionId, NetPacket, NodeId, PacketId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hash;
 
 /// Why a frame or packet was discarded — the unified vocabulary shared by
 /// every layer's drop accounting and by the telemetry stream (it is
@@ -54,6 +55,46 @@ pub enum TraceEvent {
         /// Time of the failure.
         at: SimTime,
     },
+}
+
+impl TraceEvent {
+    /// Feed the event to `h` field by field: a variant tag, the ids, the
+    /// `kind` label and the bit pattern of the time.  Every event writes a
+    /// tag-determined sequence of fixed-width words (the label is
+    /// length-terminated by `str`'s `Hash`), so distinct traces feed
+    /// distinct word streams; sim-times are finite, where equal bits and
+    /// equal values coincide except for the sign of zero, which `Debug`
+    /// tells apart too.
+    fn fold_into(&self, h: &mut FxHasher) {
+        match *self {
+            TraceEvent::TxStart {
+                node,
+                kind,
+                bytes,
+                at,
+            } => (0u8, node, kind, bytes, at.as_secs().to_bits()).hash(h),
+            TraceEvent::Delivered { node, packet, at } => {
+                (1u8, node, packet, at.as_secs().to_bits()).hash(h)
+            }
+            TraceEvent::LinkFailure { node, next_hop, at } => {
+                (2u8, node, next_hop, at.as_secs().to_bits()).hash(h)
+            }
+        }
+    }
+}
+
+/// What a recorder keeps of the [`TraceEvent`] stream.  Every mode but
+/// `Off` folds each event into the trace fingerprint
+/// ([`Recorder::trace_fingerprint`]) as it happens.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TraceMode {
+    /// No trace (the default).
+    #[default]
+    Off,
+    /// The fingerprint only: a traced run's identity without the buffer.
+    Fingerprint,
+    /// The fingerprint and every event, readable through [`Recorder::trace`].
+    Keep,
 }
 
 /// Engine-internal performance counters for one run, filled in by the
@@ -353,9 +394,12 @@ struct DeliveredEntry {
 /// Everything recorded about one simulation run.
 #[derive(Debug, Default)]
 pub struct Recorder {
-    /// Keep a human-readable event trace (costs memory; off by default).
-    pub keep_trace: bool,
+    /// What to keep of the event trace (costs memory in `Keep`; off by
+    /// default).
+    pub trace_mode: TraceMode,
     trace: Vec<TraceEvent>,
+    /// Every trace event so far, folded in order (see [`TraceMode`]).
+    trace_hash: FxHasher,
 
     // --- data-plane accounting -------------------------------------------------
     originated: FxHashMap<PacketId, SimTime>,
@@ -432,7 +476,7 @@ impl Recorder {
     /// New recorder that also keeps the human-readable trace.
     pub fn with_trace() -> Self {
         Recorder {
-            keep_trace: true,
+            trace_mode: TraceMode::Keep,
             ..Self::default()
         }
     }
@@ -500,8 +544,8 @@ impl Recorder {
                 flow.delay_sum_secs += delay.as_secs();
             }
         }
-        if self.keep_trace {
-            self.trace.push(TraceEvent::Delivered { node, packet, at });
+        if self.trace_mode != TraceMode::Off {
+            self.push_trace(TraceEvent::Delivered { node, packet, at });
         }
         true
     }
@@ -606,8 +650,8 @@ impl Recorder {
         } else {
             self.data_tx += 1;
         }
-        if self.keep_trace {
-            self.trace.push(TraceEvent::TxStart {
+        if self.trace_mode != TraceMode::Off {
+            self.push_trace(TraceEvent::TxStart {
                 node,
                 kind,
                 bytes,
@@ -628,9 +672,16 @@ impl Recorder {
     /// A unicast frame exhausted its retry budget.
     pub fn record_link_failure(&mut self, node: NodeId, next_hop: NodeId, at: SimTime) {
         self.link_failures += 1;
-        if self.keep_trace {
-            self.trace
-                .push(TraceEvent::LinkFailure { node, next_hop, at });
+        if self.trace_mode != TraceMode::Off {
+            self.push_trace(TraceEvent::LinkFailure { node, next_hop, at });
+        }
+    }
+
+    /// Fold `ev` into the fingerprint, and keep it in `Keep` mode.
+    fn push_trace(&mut self, ev: TraceEvent) {
+        ev.fold_into(&mut self.trace_hash);
+        if self.trace_mode == TraceMode::Keep {
+            self.trace.push(ev);
         }
     }
 
@@ -670,7 +721,8 @@ impl Recorder {
     ///   them in delivery order;
     /// * traces interleave by `(time, shard id)`, each shard's own FIFO order
     ///   preserved (a stable sort extends the engine's sequence tie-break by
-    ///   shard id);
+    ///   shard id), and the fingerprint is folded afresh from the merged
+    ///   trace;
     /// * engine perf counters sum (max for queue occupancy), and the
     ///   per-shard event counts are folded into the min/max imbalance pair.
     pub fn merge(parts: Vec<Recorder>) -> Recorder {
@@ -679,7 +731,11 @@ impl Recorder {
             return parts.pop().unwrap_or_default();
         }
         let mut out = Recorder::new();
-        out.keep_trace = parts.iter().any(|p| p.keep_trace);
+        out.trace_mode = parts.iter().map(|p| p.trace_mode).max().unwrap_or_default();
+        assert!(
+            out.trace_mode != TraceMode::Fingerprint,
+            "a sharded run keeps its trace: the merged fingerprint is folded from it"
+        );
         let mut perf = EnginePerf {
             shard_events_min: u64::MAX,
             ..EnginePerf::default()
@@ -825,6 +881,9 @@ impl Recorder {
         }
         trace.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         out.trace = trace.into_iter().map(|(_, _, ev)| ev).collect();
+        for ev in &out.trace {
+            ev.fold_into(&mut out.trace_hash);
+        }
         if telemetry_enabled {
             // Each event already carries its shard stamp, so the merged
             // buffer just needs the deterministic (time, shard) interleave.
@@ -1104,9 +1163,17 @@ impl Recorder {
         self.collisions
     }
 
-    /// The kept trace (empty unless `keep_trace`).
+    /// The kept trace (empty unless the mode is [`TraceMode::Keep`]).
     pub fn trace(&self) -> &[TraceEvent] {
         &self.trace
+    }
+
+    /// The hasher every trace event so far was folded into, in order, one
+    /// tag-determined word sequence per event (empty-trace state when the
+    /// mode is [`TraceMode::Off`]).  Callers continue hashing from it to
+    /// fingerprint a run without walking, or keeping, [`Recorder::trace`].
+    pub fn trace_fingerprint(&self) -> FxHasher {
+        self.trace_hash
     }
 
     /// Engine-internal performance counters for this run.
@@ -1119,6 +1186,7 @@ impl Recorder {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::hash::Hasher;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -1320,10 +1388,35 @@ mod tests {
         assert!(silent.trace().is_empty());
 
         let mut loud = Recorder::with_trace();
-        loud.record_tx(NodeId(0), "DATA", false, 100, t(0.0));
-        loud.record_delivered(NodeId(1), PacketId(1), ConnectionId(0), true, 100, t(0.5));
-        loud.record_link_failure(NodeId(0), NodeId(1), t(0.7));
+        let mut quiet = Recorder::new();
+        quiet.trace_mode = TraceMode::Fingerprint;
+        for r in [&mut loud, &mut quiet] {
+            r.record_tx(NodeId(0), "DATA", false, 100, t(0.0));
+            r.record_delivered(NodeId(1), PacketId(1), ConnectionId(0), true, 100, t(0.5));
+            r.record_link_failure(NodeId(0), NodeId(1), t(0.7));
+        }
         assert_eq!(loud.trace().len(), 3);
+        assert!(quiet.trace().is_empty());
+        let fingerprint = |r: &Recorder| r.trace_fingerprint().finish();
+        assert_eq!(fingerprint(&quiet), fingerprint(&loud));
+        assert_ne!(fingerprint(&quiet), fingerprint(&silent));
+    }
+
+    #[test]
+    fn merged_fingerprint_is_folded_from_the_merged_trace() {
+        let mut a = Recorder::with_trace();
+        a.record_tx(NodeId(0), "DATA", false, 512, t(0.2));
+        let mut b = Recorder::with_trace();
+        b.record_tx(NodeId(1), "RREQ", true, 40, t(0.1));
+        let merged = Recorder::merge(vec![a, b]);
+        let mut serial = Recorder::new();
+        serial.trace_mode = TraceMode::Fingerprint;
+        serial.record_tx(NodeId(1), "RREQ", true, 40, t(0.1));
+        serial.record_tx(NodeId(0), "DATA", false, 512, t(0.2));
+        assert_eq!(
+            merged.trace_fingerprint().finish(),
+            serial.trace_fingerprint().finish()
+        );
     }
 
     #[test]

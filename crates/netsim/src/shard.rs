@@ -69,7 +69,7 @@ use crate::event::{Event, TxId};
 use crate::mac::RxInterval;
 use crate::mobility::MobilityModel;
 use crate::node::{Ctx, NodeStack, TimerToken};
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, TraceMode};
 use crate::rng::RngStreams;
 use crate::time::{Duration, SimTime};
 use manet_wire::{Frame, NodeId, SharedPacket};
@@ -380,7 +380,7 @@ where
         let rngs = RngStreams::new(config.seed);
         let mut core: ShardCore = SimCore::build(config, mobility_factory(), stacks, rngs, 0, None);
         if trace {
-            core.enable_trace();
+            core.set_trace_mode(TraceMode::Keep);
         }
         let mut recorder = core.run();
         let mut perf = recorder.engine_perf();
@@ -420,7 +420,7 @@ where
                 Some(ctx),
             );
             if trace {
-                core.enable_trace();
+                core.set_trace_mode(TraceMode::Keep);
             }
             Mutex::new(core)
         })

@@ -20,7 +20,7 @@ use common::{logging_chatter_stacks, Heard};
 use manet_netsim::mobility::{RandomWaypoint, StaticPlacement, Waypoint};
 use manet_netsim::{
     Ctx, Duration, EnginePerf, MobilityModel, NeighborIndex, NodeStack, Position, SimConfig,
-    SimTime, Simulator, TimerToken, TraceEvent,
+    SimTime, Simulator, TimerToken, TraceEvent, TraceMode,
 };
 use manet_wire::{NetPacket, NodeId, SharedPacket};
 use rand::rngs::SmallRng;
@@ -271,7 +271,7 @@ fn talk_run(
     let stacks =
         logging_chatter_stacks(config.num_nodes, Duration::from_millis(23.0), Some(&heard));
     let mut sim = Simulator::new(config, mobility(), stacks);
-    sim.enable_trace();
+    sim.set_trace_mode(TraceMode::Keep);
     let rec = sim.run();
     let heard = heard.borrow().clone();
     TalkRun {

@@ -16,7 +16,7 @@ use common::chatter_stacks;
 use manet_netsim::mobility::{RandomWaypoint, StaticPlacement};
 use manet_netsim::{
     Ctx, Duration, EventQueueKind, NodeStack, Recorder, SimConfig, Simulator, TimerToken,
-    WormholeConfig,
+    TraceMode, WormholeConfig,
 };
 use manet_wire::{ConnectionId, DataPacket, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment};
 
@@ -38,7 +38,7 @@ fn traced_run(
         Box::new(StaticPlacement::chain(config.num_nodes as usize, 180.0))
     };
     let mut sim = Simulator::new(config, mobility, stacks);
-    sim.enable_trace();
+    sim.set_trace_mode(TraceMode::Keep);
     sim.run()
 }
 

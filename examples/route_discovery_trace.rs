@@ -10,7 +10,9 @@
 
 use manet_experiments::stack::{ManetStack, SharedTcpStats, TcpRunReport};
 use manet_netsim::mobility::StaticPlacement;
-use manet_netsim::{Duration, NodeStack, Position, Recorder, SimConfig, Simulator, TraceEvent};
+use manet_netsim::{
+    Duration, NodeStack, Position, Recorder, SimConfig, Simulator, TraceEvent, TraceMode,
+};
 use manet_tcp::{FlowProfile, TcpConfig};
 use manet_wire::{ConnectionId, NodeId};
 use mts_repro::prelude::*;
@@ -54,7 +56,7 @@ fn main() {
         })
         .collect();
     let mut sim = Simulator::new(sim_cfg, Box::new(StaticPlacement::new(positions)), stacks);
-    sim.enable_trace();
+    sim.set_trace_mode(TraceMode::Keep);
     let recorder = sim.run();
 
     print_trace(&recorder);
