@@ -47,7 +47,7 @@ pub struct BlackholeStats {
 /// A [`NodeStack`] wrapper turning one node into a black/gray-hole relay.
 pub struct BlackholeStack {
     me: NodeId,
-    inner: Box<dyn NodeStack + Send>,
+    inner: Box<dyn NodeStack>,
     drop_fraction: f64,
     rng: SmallRng,
     stats: BlackholeStats,
@@ -58,12 +58,7 @@ impl BlackholeStack {
     ///
     /// `run_seed` is the scenario seed; the drop RNG is derived from it and
     /// the node id so coalitions of gray holes stay mutually independent.
-    pub fn new(
-        me: NodeId,
-        inner: Box<dyn NodeStack + Send>,
-        drop_fraction: f64,
-        run_seed: u64,
-    ) -> Self {
+    pub fn new(me: NodeId, inner: Box<dyn NodeStack>, drop_fraction: f64, run_seed: u64) -> Self {
         let salt = 0xb1ac_4041u64.wrapping_mul(u64::from(me.0) + 1);
         BlackholeStack {
             me,
@@ -129,10 +124,9 @@ impl NodeStack for BlackholeStack {
                     if rec.telemetry.enabled() {
                         let conn = d.segment.conn.0;
                         let seq = d.segment.seq;
-                        let shard = rec.telemetry.shard();
                         rec.telemetry.emit(TelemetryEvent::Drop {
                             t,
-                            shard,
+                            shard: 0,
                             node: node.0,
                             reason: DropReason::AdversaryDiscard,
                             kind: FrameKind::Data,
@@ -141,7 +135,7 @@ impl NodeStack for BlackholeStack {
                         if rec.telemetry.traced(conn, seq, carries) {
                             rec.telemetry.emit(TelemetryEvent::Provenance {
                                 t,
-                                shard,
+                                shard: 0,
                                 stage: Stage::Drop,
                                 node: node.0,
                                 conn,

@@ -248,12 +248,11 @@ impl Mts {
             self.penalty_log.clear();
             return;
         }
-        let shard = rec.telemetry.shard();
         rec.telemetry.note_suspicion_size(t, table);
         for (suspect, score) in self.penalty_log.drain(..) {
             rec.telemetry.emit(TelemetryEvent::Suspicion {
                 t,
-                shard,
+                shard: 0,
                 node: me,
                 suspect: suspect.0,
                 score,
@@ -511,10 +510,9 @@ impl Mts {
             if self.hardened_rrep_is_suspicious(from, &rrep) {
                 let rec = ctx.recorder();
                 if rec.telemetry.enabled() {
-                    let shard = rec.telemetry.shard();
                     rec.telemetry.emit(TelemetryEvent::ForgedRrep {
                         t: now.as_secs(),
-                        shard,
+                        shard: 0,
                         node: self.me.0,
                         from: from.0,
                     });

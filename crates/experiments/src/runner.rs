@@ -12,9 +12,7 @@ use crate::scenario::Scenario;
 use crate::stack::{ManetStack, SharedTcpStats, TcpRunReport};
 use manet_adversary::{AttackKind, BlackholeStack, CorridorMobility};
 use manet_netsim::mobility::{MobilityModel, RandomWaypoint};
-use manet_netsim::{
-    run_sharded, DeliveryChoiceHook, Execution, NodeStack, Recorder, Simulator, TraceMode,
-};
+use manet_netsim::{DeliveryChoiceHook, NodeStack, Recorder, Simulator, TraceMode};
 use manet_tcp::TcpConfig;
 use manet_wire::{ConnectionId, NodeId};
 use parking_lot::Mutex;
@@ -25,27 +23,21 @@ use std::sync::Arc;
 /// Execute one scenario and return its metrics together with the raw
 /// recorder (the recorder is needed for Table I style relay tables).
 pub fn run_scenario_with_recorder(scenario: &Scenario) -> (RunMetrics, Recorder) {
-    run_scenario_inner(scenario, false)
+    run_scenario_inner(scenario, TraceMode::Off, None)
 }
 
 /// Like [`run_scenario_with_recorder`] but with the human-readable event
 /// trace enabled on the recorder.  Used by the equivalence suites (queue,
-/// shard, hybrid, golden trace; CI perf smoke), which diff the full
+/// hybrid, golden trace; CI perf smoke), which diff the full
 /// trace of two runs for byte identity; costs memory proportional to the
 /// number of transmissions, so sweeps keep it off.
 pub fn run_scenario_traced(scenario: &Scenario) -> (RunMetrics, Recorder) {
-    run_scenario_inner(scenario, true)
+    run_scenario_inner(scenario, TraceMode::Keep, None)
 }
 
 /// Build node `me`'s protocol stack for `scenario`: the connection-table
 /// stack, wrapped into a hostile relay when `me` is a configured attacker.
-/// `Send` so the same construction serves both the serial engine and the
-/// sharded engine's per-shard stack factory.
-fn build_stack(
-    scenario: &Scenario,
-    stats: &SharedTcpStats,
-    me: NodeId,
-) -> Box<dyn NodeStack + Send> {
+fn build_stack(scenario: &Scenario, stats: &SharedTcpStats, me: NodeId) -> Box<dyn NodeStack> {
     let tcp_config: TcpConfig = scenario.tcp;
     let agent = scenario.protocol.build_agent(me, scenario.mts);
     // Flow `idx` is connection `idx`: every endpoint the node terminates
@@ -70,7 +62,7 @@ fn build_stack(
             }
         }
     }
-    let stack = Box::new(node_stack) as Box<dyn NodeStack + Send>;
+    let stack = Box::new(node_stack) as Box<dyn NodeStack>;
     // Hostile relays wrap the honest stack so they stay protocol-
     // conformant except for the forged replies and the data drops.
     if let AttackKind::Blackhole { drop_fraction, .. } = scenario.attack.kind {
@@ -86,11 +78,8 @@ fn build_stack(
     stack
 }
 
-/// Build the scenario's mobility model.  Called once per serial run and once
-/// per shard (plus the owner prepass) under sharded execution — every
-/// instance replays the same shard-invariant mobility RNG stream, so the
-/// replicas stay bit-identical.
-fn build_mobility(scenario: &Scenario) -> Box<dyn MobilityModel + Send> {
+/// Build the scenario's mobility model.
+fn build_mobility(scenario: &Scenario) -> Box<dyn MobilityModel> {
     let waypoint = RandomWaypoint::new(
         scenario.sim.field_width,
         scenario.sim.field_height,
@@ -111,28 +100,24 @@ fn build_mobility(scenario: &Scenario) -> Box<dyn MobilityModel + Send> {
     }
 }
 
-fn run_scenario_inner(scenario: &Scenario, trace: bool) -> (RunMetrics, Recorder) {
+/// Run `scenario` with the recorder keeping `trace`, and with `hook`
+/// offered every addressed reception when there is one.
+fn run_scenario_inner(
+    scenario: &Scenario,
+    trace: TraceMode,
+    hook: Option<Box<dyn DeliveryChoiceHook>>,
+) -> (RunMetrics, Recorder) {
     scenario.validate().expect("invalid scenario");
     let stats: SharedTcpStats = Arc::new(Mutex::new(TcpRunReport::default()));
-    let recorder = match scenario.sim.execution {
-        Execution::Serial => {
-            let stacks: Vec<Box<dyn NodeStack>> = (0..scenario.sim.num_nodes)
-                .map(|i| build_stack(scenario, &stats, NodeId(i)) as Box<dyn NodeStack>)
-                .collect();
-            let mut sim =
-                Simulator::new(scenario.effective_sim(), build_mobility(scenario), stacks);
-            if trace {
-                sim.set_trace_mode(TraceMode::Keep);
-            }
-            sim.run()
-        }
-        Execution::Sharded { .. } => run_sharded(
-            scenario.effective_sim(),
-            || build_mobility(scenario),
-            |me| build_stack(scenario, &stats, me),
-            trace,
-        ),
-    };
+    let stacks = (0..scenario.sim.num_nodes)
+        .map(|i| build_stack(scenario, &stats, NodeId(i)))
+        .collect();
+    let mut sim = Simulator::new(scenario.effective_sim(), build_mobility(scenario), stacks);
+    sim.set_trace_mode(trace);
+    if let Some(hook) = hook {
+        sim.set_choice_hook(hook);
+    }
+    let recorder = sim.run();
     let tcp_report = stats.lock().clone();
     let metrics = RunMetrics::extract(scenario, &recorder, &tcp_report);
     (metrics, recorder)
@@ -143,38 +128,18 @@ pub fn run_scenario(scenario: &Scenario) -> RunMetrics {
     run_scenario_with_recorder(scenario).0
 }
 
-/// Execute one scenario on the serial engine with an adversarial
-/// delivery-choice hook installed (bounded model checking; see
-/// `manet_netsim::choice` and `crates/mck`).  The trace is recorded in
-/// `trace`'s mode: the explorer's step folds it into the recorder's
-/// fingerprint only ([`TraceMode::Fingerprint`]), for state-hash
-/// deduplication; a counterexample replay also keeps it
+/// Execute one scenario with an adversarial delivery-choice hook installed
+/// (bounded model checking; see `manet_netsim::choice` and `crates/mck`).
+/// The trace is recorded in `trace`'s mode: the explorer's step folds it
+/// into the recorder's fingerprint only ([`TraceMode::Fingerprint`]), for
+/// state-hash deduplication; a counterexample replay also keeps it
 /// ([`TraceMode::Keep`]), to be read and compared.
-///
-/// # Panics
-/// Panics when the scenario requests sharded execution: choice injection is
-/// defined over the serial engine's total delivery order only.
 pub fn run_scenario_hooked(
     scenario: &Scenario,
     hook: Box<dyn DeliveryChoiceHook>,
     trace: TraceMode,
 ) -> (RunMetrics, Recorder) {
-    scenario.validate().expect("invalid scenario");
-    assert!(
-        matches!(scenario.sim.execution, Execution::Serial),
-        "delivery-choice hooks are serial-engine-only"
-    );
-    let stats: SharedTcpStats = Arc::new(Mutex::new(TcpRunReport::default()));
-    let stacks: Vec<Box<dyn NodeStack>> = (0..scenario.sim.num_nodes)
-        .map(|i| build_stack(scenario, &stats, NodeId(i)) as Box<dyn NodeStack>)
-        .collect();
-    let mut sim = Simulator::new(scenario.effective_sim(), build_mobility(scenario), stacks);
-    sim.set_trace_mode(trace);
-    sim.set_choice_hook(hook);
-    let recorder = sim.run();
-    let tcp_report = stats.lock().clone();
-    let metrics = RunMetrics::extract(scenario, &recorder, &tcp_report);
-    (metrics, recorder)
+    run_scenario_inner(scenario, trace, Some(hook))
 }
 
 /// Specification of a sweep over the paper's parameter grid.

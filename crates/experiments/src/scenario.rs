@@ -138,7 +138,16 @@ impl Scenario {
 
     /// Build a scenario from an explicit simulator configuration, drawing the
     /// endpoints and the eavesdropper from the configuration's seed.
+    ///
+    /// # Panics
+    /// Panics when `sim` has fewer than two nodes: the flow needs two
+    /// distinct endpoints.
     pub fn from_sim(protocol: Protocol, sim: SimConfig) -> Self {
+        assert!(
+            sim.num_nodes >= 2,
+            "a scenario needs at least 2 nodes for its flow's endpoints, got {}",
+            sim.num_nodes
+        );
         let mut rngs = RngStreams::new(sim.seed);
         let scen_rng = rngs.scenario();
         let n = sim.num_nodes;
@@ -540,6 +549,12 @@ mod tests {
         assert!(s.eavesdropper.is_some());
         // The eavesdropper is never a traffic endpoint.
         assert!(!s.endpoints().contains(&s.eavesdropper.unwrap()));
+    }
+
+    #[test]
+    #[should_panic(expected = "a scenario needs at least 2 nodes for its flow's endpoints, got 1")]
+    fn a_one_node_scenario_is_refused_instead_of_spinning() {
+        Scenario::scaled(Protocol::Mts, 1, 10.0, 1);
     }
 
     #[test]

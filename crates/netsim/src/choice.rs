@@ -1,6 +1,6 @@
 //! Adversarial delivery-choice injection (bounded model checking).
 //!
-//! The serial engine is fully deterministic: seed + configuration fix every
+//! The engine is fully deterministic: seed + configuration fix every
 //! transmission, backoff and delivery.  A [`DeliveryChoiceHook`] turns the one
 //! remaining free variable — *which addressed receptions actually arrive, and
 //! when* — into an explicit decision point.  Just before the engine would hand
@@ -24,8 +24,7 @@
 //! scheduling choice, and the wormhole's out-of-band tunnel is already an
 //! adversarial channel of its own; neither consults the hook.
 //!
-//! The hook is serial-engine-only (installing one on a shard panics): the
-//! bounded model-checking explorer in `crates/mck` drives tiny topologies
+//! The bounded model-checking explorer in `crates/mck` drives tiny topologies
 //! through this interface, enumerating decision sequences to find minimal
 //! attack schedules and to prove small-`n` invariants.  See
 //! `docs/VERIFICATION.md` for the state-space model.

@@ -212,70 +212,6 @@ pub enum EventQueueKind {
     Heap,
 }
 
-/// Execution strategy of the engine (see `crate::shard` for the sharded
-/// conservative-lookahead engine).
-///
-/// `Serial` is the reference implementation: one global event queue, one
-/// thread, bit-exact with every previously published golden trace.  `Sharded`
-/// partitions the field into vertical stripes aligned to the neighbor-grid
-/// cell structure; each shard owns the nodes inside its stripe, runs its own
-/// calendar queue, and advances under conservative lookahead, synchronizing
-/// with the other shards at window barriers where cross-shard traffic is
-/// exchanged and merged deterministically.
-///
-/// Determinism contract:
-/// * results depend on `shards` (the partition), **never** on `workers`
-///   (the parallelism) — any worker count replays the same trace byte for
-///   byte at a fixed shard count;
-/// * `Sharded { shards: 1, .. }` is byte-identical to `Serial` (asserted by
-///   `tests/shard_equivalence.rs`);
-/// * `shards > 1` relaxes cross-shard MAC coupling within one lookahead
-///   window (see `docs/ARCHITECTURE.md`), so it is statistically — not
-///   byte — equivalent to serial.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub enum Execution {
-    /// Single-threaded reference engine (the default).
-    #[default]
-    Serial,
-    /// Spatially sharded engine with conservative lookahead.
-    Sharded {
-        /// Number of spatial shards (vertical field stripes); must be >= 1.
-        /// This is the partition parameter: it affects results (for
-        /// `shards > 1`), so benchmarks report it alongside `workers`.
-        shards: u16,
-        /// Number of worker threads advancing shards; must be >= 1 and is
-        /// capped at `shards`.  Pure parallelism knob — never affects
-        /// results.
-        workers: u16,
-        /// Conservative lookahead window, seconds.  `None` picks the
-        /// engine default: minimum cross-shard propagation time of the
-        /// smallest frame (the PHY preamble) plus one MAC slot.  Any
-        /// positive value is *correct* (determinism holds for every
-        /// window); the value trades barrier overhead against
-        /// cross-shard staleness.
-        window: Option<Duration>,
-    },
-}
-
-impl Execution {
-    /// Number of shards this execution mode partitions the field into.
-    pub fn shard_count(&self) -> u16 {
-        match self {
-            Execution::Serial => 1,
-            Execution::Sharded { shards, .. } => (*shards).max(1),
-        }
-    }
-
-    /// Number of worker threads the mode requests (capped at the shard
-    /// count by the executor).
-    pub fn worker_count(&self) -> u16 {
-        match self {
-            Execution::Serial => 1,
-            Execution::Sharded { workers, .. } => (*workers).max(1),
-        }
-    }
-}
-
 /// Strategy the engine uses to answer "who can hear this transmission?".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum NeighborIndex {
@@ -341,9 +277,6 @@ pub struct SimConfig {
     pub wormhole: Option<WormholeConfig>,
     /// Rushing adversary, if any (see [`RushConfig`]).
     pub rush: Option<RushConfig>,
-    /// Engine execution strategy (serial reference engine by default; see
-    /// [`Execution`]).
-    pub execution: Execution,
     /// Structured telemetry (event stream / sampler / provenance tracing).
     /// Off by default, and purely observational when on: telemetry never
     /// draws randomness or schedules events, so it cannot change a run (the
@@ -373,7 +306,6 @@ impl Default for SimConfig {
             jamming: None,
             wormhole: None,
             rush: None,
-            execution: Execution::default(),
             telemetry: TelemetryConfig::default(),
             background: None,
         }
@@ -465,24 +397,6 @@ impl SimConfig {
             for (i, r) in rush.rushers.iter().enumerate() {
                 if rush.rushers[..i].contains(r) {
                     return Err(format!("rusher {r} is listed twice"));
-                }
-            }
-        }
-        if let Execution::Sharded {
-            shards,
-            workers,
-            window,
-        } = self.execution
-        {
-            if shards == 0 {
-                return Err("sharded execution needs at least one shard".into());
-            }
-            if workers == 0 {
-                return Err("sharded execution needs at least one worker".into());
-            }
-            if let Some(w) = window {
-                if w.as_secs() <= 0.0 {
-                    return Err("lookahead window must be positive".into());
                 }
             }
         }
@@ -662,34 +576,6 @@ mod tests {
         assert!(rush(vec![]).validate().is_err(), "non-empty");
         assert!(rush(vec![200]).validate().is_err(), "valid ids");
         assert!(rush(vec![3, 3]).validate().is_err(), "no duplicates");
-    }
-
-    #[test]
-    fn execution_config_is_validated() {
-        let sharded = |shards: u16, workers: u16, window: Option<f64>| {
-            let mut c = SimConfig::default();
-            c.execution = Execution::Sharded {
-                shards,
-                workers,
-                window: window.map(Duration::from_millis),
-            };
-            c
-        };
-        assert_eq!(SimConfig::default().execution, Execution::Serial);
-        sharded(4, 2, None).validate().unwrap();
-        sharded(1, 1, Some(1.0)).validate().unwrap();
-        assert!(sharded(0, 2, None).validate().is_err(), "zero shards");
-        assert!(sharded(4, 0, None).validate().is_err(), "zero workers");
-        assert!(sharded(4, 2, Some(0.0)).validate().is_err(), "zero window");
-        assert_eq!(Execution::Serial.shard_count(), 1);
-        assert_eq!(Execution::Serial.worker_count(), 1);
-        let e = Execution::Sharded {
-            shards: 8,
-            workers: 4,
-            window: None,
-        };
-        assert_eq!(e.shard_count(), 8);
-        assert_eq!(e.worker_count(), 4);
     }
 
     #[test]

@@ -59,7 +59,6 @@ use crate::node::{Ctx, NodeStack, TimerToken};
 use crate::radio::LinkDynamics;
 use crate::recorder::{DropReason, EnginePerf, FluidFlowTotals, Recorder, TraceMode};
 use crate::rng::RngStreams;
-use crate::shard::{DeliverRecord, ShardCtx, TxAnnouncement};
 use crate::time::{Duration, SimTime};
 use manet_telemetry::{FrameKind, Stage, Telemetry, TelemetryEvent};
 use manet_wire::{DataPacket, Frame, MacDest, NetPacket, NodeId, SharedPacket};
@@ -187,8 +186,7 @@ impl PerfCells {
             payload_clones_avoided: self.payload_clones_avoided.get(),
             payload_deep_clones: self.payload_deep_clones.get(),
             stale_tx_ends: self.stale_tx_ends.get(),
-            // Everything else (event-queue counters, shard counters) is
-            // filled in by `SimCore::finalize`.
+            // The event-queue counters are filled in by `Simulator::finalize`.
             ..EnginePerf::default()
         }
     }
@@ -241,7 +239,7 @@ pub struct World {
     pub config: SimConfig,
     /// Current simulation time.
     pub now: SimTime,
-    pub(crate) queue: EventQueue,
+    queue: EventQueue,
     rngs: RngStreams,
     recorder: Recorder,
     motions: Vec<NodeMotion>,
@@ -249,9 +247,9 @@ pub struct World {
     /// [`Kinematics`]); the transmit-path candidate scan evaluates positions
     /// through this array without touching the position cache.
     kin: Vec<Kinematics>,
-    pub(crate) macs: Vec<MacState>,
+    macs: Vec<MacState>,
     link_dynamics: LinkDynamics,
-    mobility: Box<dyn MobilityModel + Send>,
+    mobility: Box<dyn MobilityModel>,
     next_tx_id: u64,
     events_processed: u64,
     /// Neighbor index (`None` under [`NeighborIndex::BruteForce`]).  Behind a
@@ -272,11 +270,7 @@ pub struct World {
     /// busy-set update of a transmission walks one contiguous 8-byte-per-node
     /// array inside the `&self` grid-query closure instead of scattering
     /// writes across the much larger per-node MAC structs.
-    pub(crate) busy: Vec<Cell<SimTime>>,
-    /// Shard context when this world is one spatial shard of a sharded run
-    /// (`None` for the serial engine — every serial code path treats the
-    /// absence as "this shard owns every node" and pays nothing).
-    pub(crate) shard: Option<ShardCtx>,
+    busy: Vec<Cell<SimTime>>,
     /// Precomputed selective-jamming parameters (`None` when no jammer is
     /// configured — the common case pays nothing).
     jam: Option<JamState>,
@@ -285,13 +279,13 @@ pub struct World {
     rush_mask: Vec<bool>,
     /// Adversarial delivery-choice hook (bounded model checking; see
     /// [`crate::choice`]).  `None` on every ordinary run — the hot path pays
-    /// one branch.  Serial engine only.
+    /// one branch.
     choice: Option<Box<dyn DeliveryChoiceHook>>,
     /// Background fluid-traffic state (`None` unless
     /// [`SimConfig::background`] is set — the common case pays one branch on
     /// the carrier-sense path and nothing else; see [`crate::fluid`]).
     /// Boxed so the rare feature does not inflate the `World` struct.
-    pub(crate) fluid: Option<Box<FluidState>>,
+    fluid: Option<Box<FluidState>>,
 }
 
 impl World {
@@ -565,10 +559,9 @@ impl World {
             self.recorder.record_drop(DropReason::QueueOverflow);
             if tele {
                 let t = self.now.as_secs();
-                let shard = self.recorder.telemetry.shard();
                 self.recorder.telemetry.emit(TelemetryEvent::Drop {
                     t,
-                    shard,
+                    shard: 0,
                     node: node.0,
                     reason: DropReason::QueueOverflow,
                     kind,
@@ -581,11 +574,10 @@ impl World {
             let t = self.now.as_secs();
             let queue = self.macs[node.index()].queue.len() as u32;
             let telemetry = &mut self.recorder.telemetry;
-            let shard = telemetry.shard();
             telemetry.note_queue_len(t, queue);
             telemetry.emit(TelemetryEvent::FrameEnqueue {
                 t,
-                shard,
+                shard: 0,
                 node: node.0,
                 kind,
                 bytes,
@@ -595,7 +587,7 @@ impl World {
                 if telemetry.traced(conn, seq, carries) {
                     telemetry.emit(TelemetryEvent::Provenance {
                         t,
-                        shard,
+                        shard: 0,
                         stage: Stage::Enqueue,
                         node: node.0,
                         conn,
@@ -650,109 +642,12 @@ impl World {
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
-
-    /// True if this world owns `node` (always true for the serial engine;
-    /// under sharded execution, true only for nodes assigned to this shard —
-    /// non-owned nodes are mobility replicas whose stack and MAC events run
-    /// at their owner shard).
-    #[inline]
-    pub(crate) fn owns(&self, node: NodeId) -> bool {
-        match &self.shard {
-            None => true,
-            Some(s) => s.owner[node.index()] == s.id,
-        }
-    }
-
-    /// Under sharded execution, announce a starting transmission to the other
-    /// shards when it touches (carrier-senses or reaches) any node this shard
-    /// does not own, so their replicas learn the busy window and reception
-    /// interval at the next barrier.  No-op when serial or fully interior.
-    fn emit_announcement(
-        &mut self,
-        sender: NodeId,
-        tx: TxId,
-        start: SimTime,
-        end: SimTime,
-        receivers: &[NodeId],
-        busy_touched: &[NodeId],
-    ) {
-        let Some(shard) = self.shard.as_mut() else {
-            return;
-        };
-        let id = shard.id;
-        // Destination mask: the owner shards of every touched node.  The
-        // barrier applies the announcement only at shards in the mask — the
-        // rest skip it (and count the skip), instead of the old all-to-all
-        // fan-out.  64+ shards would overflow the bitmask; fall back to
-        // all-ones there (apply everywhere, still correct).
-        let mut dst_mask = 0u64;
-        let mut crosses = false;
-        for n in busy_touched.iter().chain(receivers) {
-            let owner = shard.owner[n.index()];
-            crosses |= owner != id;
-            dst_mask |= 1u64 << (u32::from(owner) & 63);
-        }
-        if shard.mail.len() > 64 {
-            dst_mask = u64::MAX;
-        }
-        if crosses {
-            shard.counters.cross_shard_announcements += 1;
-            shard.announcements.push(TxAnnouncement {
-                sender,
-                tx,
-                start,
-                end,
-                busy: busy_touched.to_vec(),
-                rx: receivers.to_vec(),
-                dst_mask,
-            });
-            if self.recorder.telemetry.enabled() {
-                self.recorder.telemetry.note_xshard(start.as_secs(), 1);
-            }
-        }
-    }
 }
 
-/// One slot of the simulator's per-node stack table.
-///
-/// The engine is generic over the slot type so one event-loop implementation
-/// drives both the serial simulator (plain `Box<dyn NodeStack>`, which keeps
-/// supporting non-`Send` test stacks built around `Rc`) and the sharded
-/// engine (`Box<dyn NodeStack + Send>`, required to move shards onto worker
-/// threads — see [`crate::shard`]).
-pub trait StackSlot {
-    /// Mutable access to the stack in this slot.
-    fn stack(&mut self) -> &mut dyn NodeStack;
-    /// Shared access to the stack in this slot.
-    fn stack_ref(&self) -> &dyn NodeStack;
-}
-
-impl StackSlot for Box<dyn NodeStack> {
-    fn stack(&mut self) -> &mut dyn NodeStack {
-        self.as_mut()
-    }
-    fn stack_ref(&self) -> &dyn NodeStack {
-        self.as_ref()
-    }
-}
-
-impl StackSlot for Box<dyn NodeStack + Send> {
-    fn stack(&mut self) -> &mut dyn NodeStack {
-        self.as_mut()
-    }
-    fn stack_ref(&self) -> &dyn NodeStack {
-        self.as_ref()
-    }
-}
-
-/// The simulator core: world + one protocol stack per node.  [`Simulator`]
-/// is the serial instantiation; the sharded engine instantiates it with
-/// `Send` stacks.
-pub struct SimCore<S: StackSlot> {
+/// The simulator: world + one protocol stack per node.
+pub struct Simulator {
     world: World,
-    stacks: Vec<S>,
-    started: bool,
-    finished: bool,
+    stacks: Vec<Box<dyn NodeStack>>,
     /// Same-timestamp epoch watchdog: the instant of the latest fluid epoch
     /// that asked for its successor at or before its own time, and how many
     /// did so at that instant.
@@ -764,11 +659,8 @@ pub struct SimCore<S: StackSlot> {
 /// reallocation) come in ones and twos.
 const FLUID_STALL_LIMIT: u32 = 10_000;
 
-/// The serial simulator (the instantiation every existing caller uses).
-pub type Simulator = SimCore<Box<dyn NodeStack>>;
-
 impl Simulator {
-    /// Build a serial simulator.
+    /// Build a simulator.
     ///
     /// `stacks` must contain exactly `config.num_nodes` protocol stacks
     /// (index = node id).  `mobility` provides initial placement and movement.
@@ -777,26 +669,8 @@ impl Simulator {
     /// Panics if the configuration is invalid or the stack count mismatches.
     pub fn new(
         config: SimConfig,
-        mobility: Box<dyn MobilityModel + Send>,
+        mut mobility: Box<dyn MobilityModel>,
         stacks: Vec<Box<dyn NodeStack>>,
-    ) -> Self {
-        let rngs = RngStreams::new(config.seed);
-        SimCore::build(config, mobility, stacks, rngs, 0, None)
-    }
-}
-
-impl<S: StackSlot> SimCore<S> {
-    /// Shared constructor behind [`Simulator::new`] and the sharded engine:
-    /// the serial path passes `RngStreams::new(seed)`, tx-id base 0 and no
-    /// shard context, which reproduces the historical construction
-    /// byte-for-byte.
-    pub(crate) fn build(
-        config: SimConfig,
-        mobility: Box<dyn MobilityModel + Send>,
-        stacks: Vec<S>,
-        rngs: RngStreams,
-        first_tx_id: u64,
-        shard: Option<ShardCtx>,
     ) -> Self {
         config.validate().expect("invalid simulation configuration");
         assert_eq!(
@@ -804,8 +678,7 @@ impl<S: StackSlot> SimCore<S> {
             config.num_nodes as usize,
             "need exactly one stack per node"
         );
-        let mut rngs = rngs;
-        let mut mobility = mobility;
+        let mut rngs = RngStreams::new(config.seed);
         let mut motions = Vec::with_capacity(config.num_nodes as usize);
         let mut queue = EventQueue::for_config(&config);
         for i in 0..config.num_nodes as usize {
@@ -891,9 +764,6 @@ impl<S: StackSlot> SimCore<S> {
         };
         let mut recorder = Recorder::new();
         recorder.telemetry = Telemetry::from_config(&config.telemetry);
-        if let Some(s) = &shard {
-            recorder.telemetry.set_shard(s.id);
-        }
         let world = World {
             now: SimTime::ZERO,
             queue,
@@ -904,7 +774,7 @@ impl<S: StackSlot> SimCore<S> {
             macs,
             link_dynamics: LinkDynamics::new(),
             mobility,
-            next_tx_id: first_tx_id,
+            next_tx_id: 0,
             events_processed: 0,
             grid,
             pos_cache,
@@ -917,18 +787,15 @@ impl<S: StackSlot> SimCore<S> {
             busy: (0..config.num_nodes)
                 .map(|_| Cell::new(SimTime::ZERO))
                 .collect(),
-            shard,
             jam,
             rush_mask,
             choice: None,
             fluid,
             config,
         };
-        SimCore {
+        Simulator {
             world,
             stacks,
-            started: false,
-            finished: false,
             fluid_stall: (SimTime::ZERO, 0),
         }
     }
@@ -947,15 +814,7 @@ impl<S: StackSlot> SimCore<S> {
     /// the bounded model-checking explorer in `crates/mck` enumerates these
     /// decisions.  A hook answering only [`ChoiceDecision::Deliver`] leaves
     /// the run byte-identical to a hook-free run.
-    ///
-    /// # Panics
-    /// Panics on a shard of a sharded run: choice injection is defined over
-    /// the serial engine's total delivery order only.
     pub fn set_choice_hook(&mut self, hook: Box<dyn DeliveryChoiceHook>) {
-        assert!(
-            self.world.shard.is_none(),
-            "delivery-choice hooks are serial-engine-only"
-        );
         self.world.choice = Some(hook);
     }
 
@@ -971,12 +830,12 @@ impl<S: StackSlot> SimCore<S> {
 
     /// Borrow a protocol stack (for post-run inspection in tests and metrics).
     pub fn stack(&self, node: NodeId) -> &dyn NodeStack {
-        self.stacks[node.index()].stack_ref()
+        self.stacks[node.index()].as_ref()
     }
 
     /// Mutably borrow a protocol stack (e.g. to configure it before `run`).
     pub fn stack_mut(&mut self, node: NodeId) -> &mut dyn NodeStack {
-        self.stacks[node.index()].stack()
+        self.stacks[node.index()].as_mut()
     }
 
     /// Run the simulation to completion and return the recorder.
@@ -990,22 +849,16 @@ impl<S: StackSlot> SimCore<S> {
             self.world.now = ev.time;
             self.world.events_processed += 1;
             match ev.event {
-                Event::Stop => {
-                    self.finish_stacks();
-                    break;
-                }
+                Event::Stop => break,
                 other => self.dispatch(other),
             }
         }
+        self.finish_stacks();
         self.finalize()
     }
 
-    /// Publish the final perf counters to the recorder and return it
-    /// (the common tail of [`SimCore::run`] and the sharded window loop).
-    pub(crate) fn finalize(mut self) -> Recorder {
-        if !self.finished {
-            self.finish_stacks();
-        }
+    /// Publish the final perf counters to the recorder and return it.
+    fn finalize(mut self) -> Recorder {
         let mut perf = self.world.perf.snapshot();
         perf.events_processed = self.world.events_processed;
         let queue = self.world.queue.perf();
@@ -1013,15 +866,9 @@ impl<S: StackSlot> SimCore<S> {
         perf.queue_pops = queue.pops;
         perf.queue_max_occupancy = queue.max_occupancy;
         perf.calendar_resizes = queue.calendar_resizes;
-        if let Some(shard) = &self.world.shard {
-            perf.cross_shard_frames = shard.counters.cross_shard_frames;
-            perf.cross_shard_announcements = shard.counters.cross_shard_announcements;
-            perf.forwarded_events = shard.counters.forwarded_events;
-            perf.announcements_skipped = shard.counters.announcements_skipped;
-        }
         if self.world.recorder.telemetry.enabled() {
             // Close the sampler's trailing window with the final resize count
-            // before the stream is sealed for merging/serialisation.
+            // before the stream is sealed for serialisation.
             let t = self.world.now.as_secs();
             let telemetry = &mut self.world.recorder.telemetry;
             telemetry.note_calendar_resizes(t, queue.calendar_resizes);
@@ -1031,89 +878,18 @@ impl<S: StackSlot> SimCore<S> {
         self.world.recorder
     }
 
-    /// True once the shard popped its `Stop` event (sharded execution).
-    pub(crate) fn is_finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Time of this shard's earliest pending event, if any.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.world.queue.peek_time()
-    }
-
-    /// Shared access to the world (sharded coordinator).
-    pub(crate) fn world_mut(&mut self) -> &mut World {
-        &mut self.world
-    }
-
-    /// Make sure the stacks have started (first window of a sharded run).
-    pub(crate) fn ensure_started(&mut self) {
-        self.start_stacks();
-    }
-
-    /// Process every pending event strictly before `window_end` (one
-    /// conservative-lookahead window of a sharded run).  Mirrors the serial
-    /// [`SimCore::run`] loop exactly, with two additions: popping `Stop`
-    /// finishes the shard, and events targeting a node this shard does not
-    /// own (wormhole tunnel deliveries whose endpoint lives elsewhere) are
-    /// diverted to the owner shard's mailbox instead of dispatched.
-    pub(crate) fn run_window(&mut self, window_end: SimTime) {
-        debug_assert!(self.started, "ensure_started before the first window");
-        while let Some(t) = self.world.queue.peek_time() {
-            if t >= window_end || self.finished {
-                break;
-            }
-            let ev = self.world.queue.pop().expect("peeked non-empty");
-            debug_assert!(
-                ev.time >= self.world.now,
-                "event time must not go backwards"
-            );
-            self.world.now = ev.time;
-            self.world.events_processed += 1;
-            match ev.event {
-                Event::Stop => {
-                    self.finish_stacks();
-                    self.finished = true;
-                    return;
-                }
-                Event::TunnelDeliver { to, from, packet } if !self.world.owns(to) => {
-                    let at = ev.time;
-                    let shard = self
-                        .world
-                        .shard
-                        .as_mut()
-                        .expect("owns() false implies shard");
-                    shard.counters.forwarded_events += 1;
-                    let dest = shard.owner[to.index()] as usize;
-                    shard.mail[dest]
-                        .forwarded
-                        .push((at, Event::TunnelDeliver { to, from, packet }));
-                }
-                other => self.dispatch(other),
-            }
-        }
-    }
-
     fn start_stacks(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
         for i in 0..self.stacks.len() {
             let node = NodeId(i as u16);
             let mut ctx = Ctx {
                 world: &mut self.world,
                 node,
             };
-            self.stacks[i].stack().start(&mut ctx);
+            self.stacks[i].start(&mut ctx);
         }
     }
 
     fn finish_stacks(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
         self.flush_fluid();
         for i in 0..self.stacks.len() {
             let node = NodeId(i as u16);
@@ -1121,7 +897,7 @@ impl<S: StackSlot> SimCore<S> {
                 world: &mut self.world,
                 node,
             };
-            self.stacks[i].stack().on_run_end(&mut ctx);
+            self.stacks[i].on_run_end(&mut ctx);
         }
     }
 
@@ -1132,17 +908,13 @@ impl<S: StackSlot> SimCore<S> {
                     world: &mut self.world,
                     node,
                 };
-                self.stacks[node.index()].stack().on_timer(&mut ctx, token);
+                self.stacks[node.index()].on_timer(&mut ctx, token);
             }
             Event::MacAttempt { node } => self.mac_attempt(node),
             Event::TxEnd { node, tx } => self.tx_end(node, tx),
             Event::WaypointReached { node, epoch } => self.waypoint_reached(node, epoch),
             Event::TunnelDeliver { to, from, packet } => self.tunnel_deliver(to, from, packet),
-            Event::RemoteDeliver {
-                to,
-                frame,
-                addressed,
-            } => self.remote_deliver(to, frame, addressed),
+            Event::DelayedDeliver { to, from, packet } => self.delayed_deliver(to, from, packet),
             Event::FluidEpoch { gen } => self.fluid_epoch(gen),
             Event::ChannelTick => { /* channel state is sampled lazily */ }
             Event::Stop => unreachable!("Stop handled in run()"),
@@ -1226,10 +998,7 @@ impl<S: StackSlot> SimCore<S> {
             return; // superseded by a forced reallocation
         }
         let now = self.world.now;
-        // Shard 0 only: the fluid state is replicated per shard, so letting
-        // every shard report its regions would multi-count on merge.
-        let sample_regions = self.world.recorder.telemetry.enabled()
-            && self.world.shard.as_ref().is_none_or(|s| s.id == 0);
+        let sample_regions = self.world.recorder.telemetry.enabled();
         let out = {
             let world = &self.world;
             fluid.epoch(now, sample_regions, |n| world.position_of(n))
@@ -1267,8 +1036,8 @@ impl<S: StackSlot> SimCore<S> {
     }
 
     /// Emit `FlowComplete` telemetry for fluid completions.  Each completion
-    /// is reported once, by the shard owning the flow's source, stamped at
-    /// the current simulation time (epochs fire at the analytic completion
+    /// is reported once, at the flow's source, stamped at the current
+    /// simulation time (epochs fire at the analytic completion
     /// instant, so the stamp and the analytic time normally coincide; the
     /// exact analytic time always lands in the recorder ledger).
     fn emit_fluid_completions(&mut self, completions: &[FluidCompletion]) {
@@ -1277,24 +1046,22 @@ impl<S: StackSlot> SimCore<S> {
         }
         let t = self.world.now.as_secs();
         for c in completions {
-            if !self.world.owns(c.src) {
-                continue;
-            }
-            let telemetry = &mut self.world.recorder.telemetry;
-            let shard = telemetry.shard();
-            telemetry.emit(TelemetryEvent::FlowComplete {
-                t,
-                shard,
-                node: c.src.0,
-                conn: c.conn,
-                bytes: c.delivered,
-            });
+            self.world
+                .recorder
+                .telemetry
+                .emit(TelemetryEvent::FlowComplete {
+                    t,
+                    shard: 0,
+                    node: c.src.0,
+                    conn: c.conn,
+                    bytes: c.delivered,
+                });
         }
     }
 
     /// Final fluid bookkeeping at `Stop`: advance the ledgers to the stop
     /// instant, emit trailing completions, and write one recorder row per
-    /// owned-source flow so fluid bytes stay in a ledger separate from the
+    /// flow so fluid bytes stay in a ledger separate from the
     /// packet byte counters (conservation invariants remain exact).
     fn flush_fluid(&mut self) {
         let Some(mut fluid) = self.world.fluid.take() else {
@@ -1306,9 +1073,6 @@ impl<S: StackSlot> SimCore<S> {
         self.world.fluid = Some(fluid);
         self.emit_fluid_completions(&completions);
         for row in rows {
-            if !self.world.owns(row.src) {
-                continue;
-            }
             self.world.recorder.record_fluid_flow(
                 row.conn,
                 FluidFlowTotals {
@@ -1388,11 +1152,10 @@ impl<S: StackSlot> SimCore<S> {
             let resizes = self.world.queue.perf().calendar_resizes;
             let kind = queued.frame.payload.frame_kind();
             let telemetry = &mut self.world.recorder.telemetry;
-            let shard = telemetry.shard();
             telemetry.note_calendar_resizes(t, resizes);
             telemetry.emit(TelemetryEvent::TxStart {
                 t,
-                shard,
+                shard: 0,
                 node: node.0,
                 kind,
                 bytes,
@@ -1401,7 +1164,7 @@ impl<S: StackSlot> SimCore<S> {
                 if telemetry.traced(dp.segment.conn.0, dp.segment.seq, dp.carries_data()) {
                     telemetry.emit(TelemetryEvent::Provenance {
                         t,
-                        shard,
+                        shard: 0,
                         stage: Stage::TxStart,
                         node: node.0,
                         conn: dp.segment.conn.0,
@@ -1442,8 +1205,6 @@ impl<S: StackSlot> SimCore<S> {
                 end,
             });
         }
-        self.world
-            .emit_announcement(node, tx, now, end, &hood.receivers, &hood.sensed);
         // The receiver list rides with the transmission until its `TxEnd`.
         let receivers = std::mem::take(&mut hood.receivers);
         self.world.hoods[idx] = hood;
@@ -1510,13 +1271,12 @@ impl<S: StackSlot> SimCore<S> {
                 self.world.recorder.record_collision();
                 if self.world.recorder.telemetry.enabled() {
                     let t = now.as_secs();
-                    let shard = self.world.recorder.telemetry.shard();
                     self.world
                         .recorder
                         .telemetry
                         .emit(TelemetryEvent::Collision {
                             t,
-                            shard,
+                            shard: 0,
                             node: r.0,
                             from: node.0,
                         });
@@ -1557,10 +1317,9 @@ impl<S: StackSlot> SimCore<S> {
                         NetPacket::Data(dp) if dp.carries_data() => Some(dp.segment.conn.0),
                         _ => None,
                     };
-                    let shard = self.world.recorder.telemetry.shard();
                     self.world.recorder.telemetry.emit(TelemetryEvent::Drop {
                         t,
-                        shard,
+                        shard: 0,
                         node: r.0,
                         reason: DropReason::Jammed,
                         kind,
@@ -1663,51 +1422,21 @@ impl<S: StackSlot> SimCore<S> {
                         // stack sees an ordinary `on_receive`.
                         self.world.queue.schedule(
                             now + by,
-                            Event::RemoteDeliver {
+                            Event::DelayedDeliver {
                                 to: r,
-                                frame: Frame {
-                                    mac_src: node,
-                                    mac_dst: MacDest::Broadcast,
-                                    payload: packet,
-                                },
-                                addressed: true,
+                                from: node,
+                                packet,
                             },
                         );
                         continue;
                     }
-                    if self.world.owns(r) {
-                        self.account_reception(r, node, &packet, true);
-                        add(&self.world.perf.payload_clones_avoided, 1);
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            node: r,
-                        };
-                        self.stacks[r.index()]
-                            .stack()
-                            .on_receive(&mut ctx, node, packet);
-                    } else {
-                        // Cross-shard reception: the outcome is resolved here
-                        // (sender side); the receiver-side bookkeeping and
-                        // stack callback run at the owner shard after the
-                        // next barrier.
-                        let shard = self
-                            .world
-                            .shard
-                            .as_mut()
-                            .expect("non-owned receiver implies shard");
-                        shard.counters.cross_shard_frames += 1;
-                        let dest = shard.owner[r.index()] as usize;
-                        shard.mail[dest].deliveries.push(DeliverRecord {
-                            at: now,
-                            to: r,
-                            frame: Frame {
-                                mac_src: node,
-                                mac_dst: MacDest::Broadcast,
-                                payload: packet,
-                            },
-                            addressed: true,
-                        });
-                    }
+                    self.account_reception(r, node, &packet, true);
+                    add(&self.world.perf.payload_clones_avoided, 1);
+                    let mut ctx = Ctx {
+                        world: &mut self.world,
+                        node: r,
+                    };
+                    self.stacks[r.index()].on_receive(&mut ctx, node, packet);
                 }
             }
             MacDest::Unicast(dst) => {
@@ -1720,33 +1449,15 @@ impl<S: StackSlot> SimCore<S> {
                 // of whether the addressed receiver got it.
                 for (r, ok) in &outcomes {
                     if *ok && *r != dst {
-                        if self.world.owns(*r) {
-                            self.account_reception(*r, node, &queued.frame.payload, false);
-                            let mut ctx = Ctx {
-                                world: &mut self.world,
-                                node: *r,
-                            };
-                            self.stacks[r.index()]
-                                .stack()
-                                .on_promiscuous(&mut ctx, &queued.frame);
-                        } else {
-                            let shard = self
-                                .world
-                                .shard
-                                .as_mut()
-                                .expect("non-owned receiver implies shard");
-                            shard.counters.cross_shard_frames += 1;
-                            let dest = shard.owner[r.index()] as usize;
-                            shard.mail[dest].deliveries.push(DeliverRecord {
-                                at: now,
-                                to: *r,
-                                frame: queued.frame.clone(),
-                                addressed: false,
-                            });
-                        }
+                        self.account_reception(*r, node, &queued.frame.payload, false);
+                        let mut ctx = Ctx {
+                            world: &mut self.world,
+                            node: *r,
+                        };
+                        self.stacks[r.index()].on_promiscuous(&mut ctx, &queued.frame);
                     }
                 }
-                if delivered && self.world.owns(dst) {
+                if delivered {
                     self.world.macs[idx].tx_ok += 1;
                     self.world.macs[idx].reset_backoff();
                     // Bounded model checking: the addressed reception is
@@ -1771,10 +1482,10 @@ impl<S: StackSlot> SimCore<S> {
                         ChoiceDecision::Delay(by) => {
                             self.world.queue.schedule(
                                 now + by,
-                                Event::RemoteDeliver {
+                                Event::DelayedDeliver {
                                     to: dst,
-                                    frame: queued.frame,
-                                    addressed: true,
+                                    from: node,
+                                    packet: queued.frame.payload,
                                 },
                             );
                         }
@@ -1789,29 +1500,9 @@ impl<S: StackSlot> SimCore<S> {
                                 world: &mut self.world,
                                 node: dst,
                             };
-                            self.stacks[dst.index()]
-                                .stack()
-                                .on_receive(&mut ctx, node, packet);
+                            self.stacks[dst.index()].on_receive(&mut ctx, node, packet);
                         }
                     }
-                } else if delivered {
-                    // Cross-shard unicast: the sender's MAC bookkeeping is
-                    // local, the delivery itself runs at dst's owner shard.
-                    self.world.macs[idx].tx_ok += 1;
-                    self.world.macs[idx].reset_backoff();
-                    let shard = self
-                        .world
-                        .shard
-                        .as_mut()
-                        .expect("non-owned receiver implies shard");
-                    shard.counters.cross_shard_frames += 1;
-                    let dest = shard.owner[dst.index()] as usize;
-                    shard.mail[dest].deliveries.push(DeliverRecord {
-                        at: now,
-                        to: dst,
-                        frame: queued.frame,
-                        addressed: true,
-                    });
                 } else {
                     let mut queued = queued;
                     queued.attempts += 1;
@@ -1830,10 +1521,9 @@ impl<S: StackSlot> SimCore<S> {
                                 NetPacket::Data(dp) if dp.carries_data() => Some(dp.segment.conn.0),
                                 _ => None,
                             };
-                            let shard = self.world.recorder.telemetry.shard();
                             self.world.recorder.telemetry.emit(TelemetryEvent::Drop {
                                 t,
-                                shard,
+                                shard: 0,
                                 node: node.0,
                                 reason: DropReason::RetryLimit,
                                 kind,
@@ -1845,9 +1535,7 @@ impl<S: StackSlot> SimCore<S> {
                             world: &mut self.world,
                             node,
                         };
-                        self.stacks[idx]
-                            .stack()
-                            .on_link_failure(&mut ctx, dst, packet);
+                        self.stacks[idx].on_link_failure(&mut ctx, dst, packet);
                     }
                 }
             }
@@ -1876,46 +1564,20 @@ impl<S: StackSlot> SimCore<S> {
             world: &mut self.world,
             node: to,
         };
-        self.stacks[to.index()]
-            .stack()
-            .on_receive(&mut ctx, from, packet);
+        self.stacks[to.index()].on_receive(&mut ctx, from, packet);
     }
 
-    /// Run the receiver-side half of a cross-shard reception (sharded
-    /// execution only): the sender's shard already resolved the channel
-    /// outcome, so this only does the recorder bookkeeping and the stack
-    /// callback, exactly as the serial `tx_end` would have.
-    fn remote_deliver(&mut self, to: NodeId, frame: Frame, addressed: bool) {
-        debug_assert!(self.world.owns(to), "RemoteDeliver routed to owner shard");
-        let from = frame.mac_src;
-        // Only an actual shard crossing is provenance-worthy: the serial
-        // engine reaches here solely for hook-delayed re-deliveries
-        // (see [`crate::choice`]), which stay on one shard.
-        if self.world.shard.is_some() && self.world.recorder.telemetry.enabled() {
-            if let NetPacket::Data(dp) = &*frame.payload {
-                self.emit_stage_provenance(Stage::CrossShard, to, dp);
-            }
-        }
-        if addressed {
-            self.account_reception(to, from, &frame.payload, true);
-            add(&self.world.perf.payload_clones_avoided, 1);
-            let mut ctx = Ctx {
-                world: &mut self.world,
-                node: to,
-            };
-            self.stacks[to.index()]
-                .stack()
-                .on_receive(&mut ctx, from, frame.payload);
-        } else {
-            self.account_reception(to, from, &frame.payload, false);
-            let mut ctx = Ctx {
-                world: &mut self.world,
-                node: to,
-            };
-            self.stacks[to.index()]
-                .stack()
-                .on_promiscuous(&mut ctx, &frame);
-        }
+    /// Deliver a reception the choice hook delayed: the outcome was resolved
+    /// at the frame's `TxEnd`, so this only does the recorder bookkeeping
+    /// and the stack callback, exactly as `tx_end` would have.
+    fn delayed_deliver(&mut self, to: NodeId, from: NodeId, packet: SharedPacket) {
+        self.account_reception(to, from, &packet, true);
+        add(&self.world.perf.payload_clones_avoided, 1);
+        let mut ctx = Ctx {
+            world: &mut self.world,
+            node: to,
+        };
+        self.stacks[to.index()].on_receive(&mut ctx, from, packet);
     }
 
     /// Update the recorder for a successful reception of `payload` at `node`.
@@ -1966,13 +1628,12 @@ impl<S: StackSlot> SimCore<S> {
         let seq = dp.segment.seq;
         let carries = dp.carries_data();
         let telemetry = &mut self.world.recorder.telemetry;
-        let shard = telemetry.shard();
         if carries {
             telemetry.note_goodput(t, conn, u64::from(dp.segment.payload_len));
         }
         telemetry.emit(TelemetryEvent::Deliver {
             t,
-            shard,
+            shard: 0,
             node: node.0,
             from: from.0,
             kind: FrameKind::Data,
@@ -1985,7 +1646,7 @@ impl<S: StackSlot> SimCore<S> {
         if telemetry.traced(conn, seq, carries) {
             telemetry.emit(TelemetryEvent::Provenance {
                 t,
-                shard,
+                shard: 0,
                 stage: Stage::Deliver,
                 node: node.0,
                 conn,
@@ -2004,13 +1665,12 @@ impl<S: StackSlot> SimCore<S> {
         if self.world.recorder.telemetry.enabled() {
             let t = self.world.now.as_secs();
             let telemetry = &mut self.world.recorder.telemetry;
-            let shard = telemetry.shard();
             let conn = meta
                 .data
                 .and_then(|(conn, _, carries)| carries.then_some(conn));
             telemetry.emit(TelemetryEvent::Drop {
                 t,
-                shard,
+                shard: 0,
                 node: at.0,
                 reason: DropReason::ScheduleDrop,
                 kind: meta.kind,
@@ -2020,7 +1680,7 @@ impl<S: StackSlot> SimCore<S> {
                 if telemetry.traced(conn, seq, carries) {
                     telemetry.emit(TelemetryEvent::Provenance {
                         t,
-                        shard,
+                        shard: 0,
                         stage: Stage::Drop,
                         node: at.0,
                         conn,
@@ -2039,10 +1699,9 @@ impl<S: StackSlot> SimCore<S> {
         let conn = dp.segment.conn.0;
         let seq = dp.segment.seq;
         if telemetry.traced(conn, seq, dp.carries_data()) {
-            let shard = telemetry.shard();
             telemetry.emit(TelemetryEvent::Provenance {
                 t,
-                shard,
+                shard: 0,
                 stage,
                 node: node.0,
                 conn,

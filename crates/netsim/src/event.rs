@@ -76,23 +76,17 @@ pub enum Event {
         /// variant from inflating every entry of the hot event queue).
         packet: SharedPacket,
     },
-    /// A frame heard across a shard boundary is delivered at the receiver's
-    /// owner shard (sharded execution only — the serial engine never
-    /// schedules this variant; see `crate::shard`).  The reception outcome
-    /// (collision, fading, loss, jamming) was already resolved at the
-    /// sender's shard; this event only runs the receiver-side bookkeeping
-    /// and stack callback.
-    RemoteDeliver {
-        /// Receiving node (owned by the shard executing this event).
+    /// A reception the delivery-choice hook delayed (see [`crate::choice`]):
+    /// the outcome was resolved at the frame's `TxEnd`; this event only runs
+    /// the receiver-side bookkeeping and the receiving stack's `on_receive`.
+    /// Only scheduled when a hook is installed.
+    DelayedDeliver {
+        /// Receiving node.
         to: NodeId,
-        /// The frame as transmitted.  Its payload shares the sender's
-        /// allocation, like every other delivery path.
-        frame: Frame,
-        /// True if the reception is addressed to `to` (unicast destination
-        /// or broadcast): the stack sees `on_receive`.  False for a
-        /// promiscuous overhearing of someone else's unicast: the stack
-        /// sees `on_promiscuous`.
-        addressed: bool,
+        /// Transmitting node (the `from` the stack callback sees).
+        from: NodeId,
+        /// The received packet, sharing the transmitted frame's allocation.
+        packet: SharedPacket,
     },
     /// Re-evaluate a shadowed link's fading state.
     ChannelTick,

@@ -620,9 +620,8 @@ pub(crate) struct FluidState {
 impl FluidState {
     /// Build the fluid layer for a run.  Generated flows draw their endpoint
     /// pairs from a dedicated seed-derived stream (SplitMix64 mixing, same
-    /// scheme as `crate::rng`) that is **not** shard-salted: every shard of a
-    /// sharded run replays the identical flow population, exactly like the
-    /// replicated mobility stream.
+    /// scheme as `crate::rng`), so the flow population depends on the seed
+    /// alone and not on how the packet layer consumed its streams.
     pub(crate) fn new(cfg: &FluidConfig, sim: &SimConfig) -> Self {
         let cell_m = sim.radio.carrier_sense_range().max(1.0);
         let grid = RegionGrid {
@@ -650,7 +649,7 @@ impl FluidState {
                 phase: FlowPhase::Pending,
             });
         }
-        // Seed-derived endpoint draws, shard-invariant by construction.
+        // Seed-derived endpoint draws.
         let mut z = sim.seed ^ 0x666c_7569u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

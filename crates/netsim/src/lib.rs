@@ -28,19 +28,14 @@
 //! * [`node`] — the [`NodeStack`] trait implemented by protocol stacks and the
 //!   [`Ctx`] handle they use to talk to the simulator.
 //! * [`engine`] — the [`Simulator`] that owns the world and runs the event loop.
-//! * [`shard`] — the sharded parallel engine: spatial partitions advancing
-//!   under conservative lookahead with a deterministic cross-shard merge
-//!   (selected via [`config::Execution`]).
 //! * [`recorder`] — per-run transmission/delivery trace used by the metrics.
 //! * [`rng`] — deterministic, purpose-split random number streams.
 //! * [`config`] — simulation parameters (field size, ranges, MAC timing).
 //!
-//! The serial engine is single-threaded and fully deterministic for a given
-//! [`config::SimConfig`] and seed.  The sharded engine is deterministic for
-//! a given configuration too — its schedule never depends on thread timing —
-//! and a single-shard run is byte-identical to a serial run (see [`shard`]
-//! for the exact contract).  Experiment sweeps additionally parallelise
-//! across independent runs (see `manet-experiments`).
+//! The engine is single-threaded and fully deterministic for a given
+//! [`config::SimConfig`] and seed.  Parallelism lives one level up:
+//! experiment sweeps run independent runs on every core (see
+//! `manet-experiments`).
 
 pub mod calendar;
 pub mod choice;
@@ -58,17 +53,16 @@ pub mod node;
 pub mod radio;
 pub mod recorder;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod topology;
 
 pub use calendar::CalendarQueue;
 pub use choice::{ChoiceDecision, ChoicePoint, DeliveryChoiceHook};
 pub use config::{
-    EventQueueKind, Execution, JamConfig, JamTarget, NeighborIndex, RushConfig, SimConfig,
-    TelemetryConfig, WormholeConfig,
+    EventQueueKind, JamConfig, JamTarget, NeighborIndex, RushConfig, SimConfig, TelemetryConfig,
+    WormholeConfig,
 };
-pub use engine::{SimCore, Simulator, StackSlot};
+pub use engine::Simulator;
 pub use event::{Event, EventQueue, QueuePerf, ScheduledEvent};
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use fluid::{max_min_allocate, FluidConfig, FluidFlowSpec, FLUID_CONN_BASE};
@@ -80,7 +74,6 @@ pub use radio::{ChannelModel, RadioConfig};
 pub use recorder::EnginePerf;
 pub use recorder::{FluidFlowTotals, PacketSet, Recorder, TraceEvent, TraceMode};
 pub use rng::RngStreams;
-pub use shard::run_sharded;
 pub use time::{Duration, SimTime};
 
 pub use manet_wire as wire;

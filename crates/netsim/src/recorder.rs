@@ -147,46 +147,6 @@ pub struct EnginePerf {
     /// `TxEnd` events that did not match their node's transmission in
     /// flight.  The engine never schedules one, so anything but 0 is a bug.
     pub stale_tx_ends: u64,
-
-    // --- sharded execution (all zero for a serial run) ------------------------
-    /// Number of spatial shards the run was partitioned into (0 = serial).
-    pub shards: u64,
-    /// Conservative-lookahead windows executed (each window ends in one
-    /// barrier, so this is also the barrier count).
-    pub windows: u64,
-    /// Width of the lookahead window in microseconds.
-    pub window_micros: u64,
-    /// Frame receptions that crossed a shard boundary (delivered at the
-    /// receiver's owner shard after a barrier).
-    pub cross_shard_frames: u64,
-    /// Transmissions announced to other shards because their carrier-sense
-    /// or reception footprint touched non-owned nodes.
-    pub cross_shard_announcements: u64,
-    /// Events (wormhole tunnel deliveries) re-routed to their owner shard.
-    pub forwarded_events: u64,
-    /// Cross-shard announcements a shard skipped applying because the
-    /// announcement's destination mask proved none of this shard's nodes
-    /// were touched (the fan-out fix in [`crate::shard`]; all-to-all
-    /// broadcast would make this 0).
-    pub announcements_skipped: u64,
-    /// Events processed by the least-loaded shard (shard-imbalance floor).
-    pub shard_events_min: u64,
-    /// Events processed by the most-loaded shard (shard-imbalance ceiling).
-    pub shard_events_max: u64,
-
-    // --- shard phase timers (wall clock; all zero for a serial run) ------------
-    // Summed across workers, these quantify where the sharded engine's wall
-    // time goes: executing windows, waiting at barriers, or applying
-    // cross-shard announcements/mail.  Wall-clock values are *not*
-    // deterministic — equivalence tests must compare EnginePerf with these
-    // masked (see [`EnginePerf::without_phase_timers`]).
-    /// Nanoseconds workers spent executing lookahead windows.
-    pub phase_execute_nanos: u64,
-    /// Nanoseconds workers spent parked at window barriers.
-    pub phase_barrier_nanos: u64,
-    /// Nanoseconds spent applying cross-shard announcements and mail at
-    /// barriers (a subset of the coordinator's serial section).
-    pub phase_apply_nanos: u64,
 }
 
 impl EnginePerf {
@@ -217,18 +177,6 @@ impl EnginePerf {
             0.0
         } else {
             self.payload_clones_avoided as f64 / total as f64
-        }
-    }
-
-    /// This perf record with the wall-clock phase timers zeroed — the
-    /// deterministic projection the equivalence tests compare (everything
-    /// else in `EnginePerf` is schedule-derived and reproducible).
-    pub fn without_phase_timers(&self) -> EnginePerf {
-        EnginePerf {
-            phase_execute_nanos: 0,
-            phase_barrier_nanos: 0,
-            phase_apply_nanos: 0,
-            ..*self
         }
     }
 }
@@ -379,18 +327,6 @@ impl Extend<PacketId> for PacketSet {
     }
 }
 
-/// What the recorder remembers about one delivered packet.  The connection,
-/// data flag and byte count ride along so [`Recorder::merge`] can rebuild the
-/// derived delivery aggregates (series, delays, per-flow counters) after
-/// deduplicating deliveries across shards.
-#[derive(Debug, Clone, Copy)]
-struct DeliveredEntry {
-    at: SimTime,
-    conn: ConnectionId,
-    carries_data: bool,
-    bytes: u32,
-}
-
 /// Everything recorded about one simulation run.
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -404,7 +340,7 @@ pub struct Recorder {
     // --- data-plane accounting -------------------------------------------------
     originated: FxHashMap<PacketId, SimTime>,
     originated_data: u64,
-    delivered: FxHashMap<PacketId, DeliveredEntry>,
+    delivered: FxHashSet<PacketId>,
     delivered_data: u64,
     delivered_bytes: u64,
     delays: Vec<Duration>,
@@ -413,9 +349,7 @@ pub struct Recorder {
     /// Per-connection origination/delivery counters (multi-flow runs).
     flow_counters: FxHashMap<ConnectionId, FlowCounters>,
     /// Byte ledgers of background fluid flows, keyed by connection id
-    /// (ordered so reports and merges are deterministic).  Under sharded
-    /// execution each flow is ledgered by the shard owning its source node,
-    /// so the per-shard maps are disjoint and merge by union.
+    /// (ordered so reports are deterministic).
     fluid_flows: BTreeMap<u32, FluidFlowTotals>,
 
     // --- per-node participation / eavesdropping --------------------------------
@@ -512,20 +446,11 @@ impl Recorder {
         payload_bytes: u32,
         at: SimTime,
     ) -> bool {
-        if self.delivered.contains_key(&packet) {
+        if !self.delivered.insert(packet) {
             // Duplicate delivery (e.g. a retransmission raced the original);
             // the paper's metrics count unique packets.
             return false;
         }
-        self.delivered.insert(
-            packet,
-            DeliveredEntry {
-                at,
-                conn,
-                carries_data,
-                bytes: payload_bytes,
-            },
-        );
         if carries_data {
             self.delivered_data += 1;
             self.delivered_bytes += u64::from(payload_bytes);
@@ -586,8 +511,7 @@ impl Recorder {
     }
 
     /// Record (or update) the byte ledger of one background fluid flow.  The
-    /// engine writes every flow once at the end of the run — and, under
-    /// sharded execution, only at the shard owning the flow's source node.
+    /// engine writes every flow once at the end of the run.
     pub fn record_fluid_flow(&mut self, conn: u32, totals: FluidFlowTotals) {
         self.fluid_flows.insert(conn, totals);
     }
@@ -694,212 +618,6 @@ impl Recorder {
     /// simulator at the end of the run).
     pub fn set_engine_perf(&mut self, perf: EnginePerf) {
         self.engine_perf = perf;
-    }
-
-    /// Time a trace event fired at (for the cross-shard trace merge).
-    fn trace_time(ev: &TraceEvent) -> SimTime {
-        match ev {
-            TraceEvent::TxStart { at, .. }
-            | TraceEvent::Delivered { at, .. }
-            | TraceEvent::LinkFailure { at, .. } => *at,
-        }
-    }
-
-    /// Merge the per-shard recorders of one sharded run into a single
-    /// recorder, deterministically.  `parts` must be ordered by shard id.
-    ///
-    /// Merging a single recorder returns it unchanged, so a one-shard run's
-    /// recorder is byte-identical to a serial run's.  With several shards:
-    ///
-    /// * plain counters (transmissions, collisions, drops, relays, ...) sum;
-    /// * per-node sets (heard, relayed, participation seconds) union;
-    /// * originations keep the earliest record per packet id; deliveries
-    ///   deduplicate per packet id keeping the earliest (ties: lowest shard),
-    ///   and the derived delivery aggregates — series, delays, per-flow
-    ///   delivery counters — are rebuilt from the deduplicated set in
-    ///   `(time, packet id)` order, mirroring how the serial recorder builds
-    ///   them in delivery order;
-    /// * traces interleave by `(time, shard id)`, each shard's own FIFO order
-    ///   preserved (a stable sort extends the engine's sequence tie-break by
-    ///   shard id), and the fingerprint is folded afresh from the merged
-    ///   trace;
-    /// * engine perf counters sum (max for queue occupancy), and the
-    ///   per-shard event counts are folded into the min/max imbalance pair.
-    pub fn merge(parts: Vec<Recorder>) -> Recorder {
-        let mut parts = parts;
-        if parts.len() <= 1 {
-            return parts.pop().unwrap_or_default();
-        }
-        let mut out = Recorder::new();
-        out.trace_mode = parts.iter().map(|p| p.trace_mode).max().unwrap_or_default();
-        assert!(
-            out.trace_mode != TraceMode::Fingerprint,
-            "a sharded run keeps its trace: the merged fingerprint is folded from it"
-        );
-        let mut perf = EnginePerf {
-            shard_events_min: u64::MAX,
-            ..EnginePerf::default()
-        };
-        let mut delivered: FxHashMap<PacketId, (DeliveredEntry, usize)> = FxHashMap::default();
-        let mut trace: Vec<(SimTime, usize, TraceEvent)> = Vec::new();
-        let mut telemetry_parts: Vec<Vec<manet_telemetry::TelemetryEvent>> = Vec::new();
-        let mut telemetry_enabled = false;
-        for (s, part) in parts.into_iter().enumerate() {
-            // Data plane: earliest origination per packet, per-shard delivery
-            // candidates (deduplicated below), per-flow origination sums.
-            for (id, at) in part.originated {
-                out.originated
-                    .entry(id)
-                    .and_modify(|t| {
-                        if at < *t {
-                            *t = at;
-                        }
-                    })
-                    .or_insert(at);
-            }
-            out.originated_data += part.originated_data;
-            for (id, entry) in part.delivered {
-                use std::collections::hash_map::Entry;
-                match delivered.entry(id) {
-                    Entry::Vacant(v) => {
-                        v.insert((entry, s));
-                    }
-                    Entry::Occupied(mut o) => {
-                        let (cur, cs) = *o.get();
-                        if (entry.at, s) < (cur.at, cs) {
-                            o.insert((entry, s));
-                        }
-                    }
-                }
-            }
-            for (conn, fc) in part.flow_counters {
-                out.flow_counters.entry(conn).or_default().originated_data += fc.originated_data;
-            }
-            // Fluid ledgers are disjoint across shards (each flow is written
-            // only by its source's owner shard), so union is exact.
-            out.fluid_flows.extend(part.fluid_flows);
-            // Per-node tables: element-wise sum / union.
-            for (i, c) in part.relays.into_iter().enumerate() {
-                grow_to(&mut out.relays, i);
-                out.relays[i] += c;
-            }
-            for (i, set) in part.heard.iter().enumerate() {
-                grow_to(&mut out.heard, i);
-                out.heard[i].extend(set.iter());
-            }
-            for (i, set) in part.relayed_ids.iter().enumerate() {
-                grow_to(&mut out.relayed_ids, i);
-                out.relayed_ids[i].extend(set.iter());
-            }
-            for (i, set) in part.participation_secs.into_iter().enumerate() {
-                grow_to(&mut out.participation_secs, i);
-                out.participation_secs[i].extend(set);
-            }
-            // Adversary accounting.
-            out.adversary_drops += part.adversary_drops;
-            out.adversary_data_drops += part.adversary_data_drops;
-            for (node, c) in part.adversary_drops_by_node {
-                *out.adversary_drops_by_node.entry(node).or_insert(0) += c;
-            }
-            out.jammed_control += part.jammed_control;
-            out.jammed_data += part.jammed_data;
-            out.tunneled_frames += part.tunneled_frames;
-            out.tunneled_data.extend(part.tunneled_data.iter());
-            // Control plane and MAC level.
-            out.control_tx += part.control_tx;
-            out.control_tx_bytes += part.control_tx_bytes;
-            for (kind, c) in part.control_tx_by_kind {
-                *out.control_tx_by_kind.entry(kind).or_insert(0) += c;
-            }
-            out.data_tx += part.data_tx;
-            for (reason, c) in part.drops {
-                *out.drops.entry(reason).or_insert(0) += c;
-            }
-            out.link_failures += part.link_failures;
-            out.collisions += part.collisions;
-            // Trace and telemetry (both interleave by (time, shard id)).
-            for ev in part.trace {
-                trace.push((Self::trace_time(&ev), s, ev));
-            }
-            let mut part_tel = part.telemetry;
-            telemetry_parts.push(part_tel.take_events());
-            telemetry_enabled |= part_tel.enabled();
-            // Engine perf.
-            let p = part.engine_perf;
-            perf.neighbor_queries += p.neighbor_queries;
-            perf.neighbor_cache_hits += p.neighbor_cache_hits;
-            perf.candidates_scanned += p.candidates_scanned;
-            perf.grid_rebinds += p.grid_rebinds;
-            perf.grid_refreshes += p.grid_refreshes;
-            perf.position_cache_hits += p.position_cache_hits;
-            perf.position_cache_misses += p.position_cache_misses;
-            perf.events_processed += p.events_processed;
-            perf.queue_pushes += p.queue_pushes;
-            perf.queue_pops += p.queue_pops;
-            perf.queue_max_occupancy = perf.queue_max_occupancy.max(p.queue_max_occupancy);
-            perf.calendar_resizes += p.calendar_resizes;
-            perf.payload_clones_avoided += p.payload_clones_avoided;
-            perf.payload_deep_clones += p.payload_deep_clones;
-            perf.stale_tx_ends += p.stale_tx_ends;
-            perf.cross_shard_frames += p.cross_shard_frames;
-            perf.cross_shard_announcements += p.cross_shard_announcements;
-            perf.forwarded_events += p.forwarded_events;
-            perf.announcements_skipped += p.announcements_skipped;
-            perf.phase_execute_nanos += p.phase_execute_nanos;
-            perf.phase_barrier_nanos += p.phase_barrier_nanos;
-            perf.phase_apply_nanos += p.phase_apply_nanos;
-            perf.shard_events_min = perf.shard_events_min.min(p.events_processed);
-            perf.shard_events_max = perf.shard_events_max.max(p.events_processed);
-        }
-        // Rebuild the derived delivery aggregates from the deduplicated set,
-        // in the order the serial recorder would have seen the deliveries.
-        let mut dedup: Vec<(PacketId, DeliveredEntry)> = delivered
-            .into_iter()
-            .map(|(id, (entry, _))| (id, entry))
-            .collect();
-        dedup.sort_by(|a, b| a.1.at.cmp(&b.1.at).then(a.0 .0.cmp(&b.0 .0)));
-        for (id, entry) in dedup {
-            if entry.carries_data {
-                out.delivered_data += 1;
-                out.delivered_bytes += u64::from(entry.bytes);
-                out.delivery_series.push((entry.at, entry.bytes));
-                let delay = out
-                    .originated
-                    .get(&id)
-                    .map(|&sent| entry.at.saturating_since(sent));
-                if let Some(delay) = delay {
-                    out.delays.push(delay);
-                }
-                let flow = out.flow_counters.entry(entry.conn).or_default();
-                flow.delivered_data += 1;
-                flow.delivered_bytes += u64::from(entry.bytes);
-                if let Some(delay) = delay {
-                    flow.delay_sum_secs += delay.as_secs();
-                }
-            }
-            out.delivered.insert(id, entry);
-        }
-        trace.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        out.trace = trace.into_iter().map(|(_, _, ev)| ev).collect();
-        for ev in &out.trace {
-            ev.fold_into(&mut out.trace_hash);
-        }
-        if telemetry_enabled {
-            // Each event already carries its shard stamp, so the merged
-            // buffer just needs the deterministic (time, shard) interleave.
-            out.telemetry = Telemetry::from_config(&manet_telemetry::TelemetryConfig {
-                enabled: true,
-                window_secs: None,
-                trace_packet: None,
-            });
-            out.telemetry
-                .set_events(manet_telemetry::merge_events(telemetry_parts));
-        }
-        if perf.shard_events_min == u64::MAX {
-            perf.shard_events_min = 0;
-        }
-        out.engine_perf = perf;
-        out
     }
 
     // ---- queries (used by the metrics layer) ----------------------------------
@@ -1019,7 +737,7 @@ impl Recorder {
 
     /// True if `packet` was delivered to its final destination.
     pub fn was_delivered(&self, packet: PacketId) -> bool {
-        self.delivered.contains_key(&packet)
+        self.delivered.contains(&packet)
     }
 
     /// Packets deliberately discarded by adversarial relays (all kinds).
@@ -1247,35 +965,6 @@ mod tests {
             prop_assert_eq!(as_set(&other), model);
         }
 
-        #[test]
-        fn merge_unions_the_capture_sets(a_ids in packet_ids(), b_ids in packet_ids()) {
-            // Each part relays its ids at node 3, overhears them at node 5
-            // and tunnels them through a wormhole.
-            let part = |ids: &[PacketId]| {
-                let mut r = Recorder::new();
-                for &id in ids {
-                    r.record_relay(NodeId(3), id, true, SimTime::ZERO);
-                    r.record_overheard(NodeId(5), id, true);
-                    r.record_tunneled(&NetPacket::Data(manet_wire::DataPacket::new(
-                        id,
-                        NodeId(0),
-                        NodeId(9),
-                        manet_wire::TcpSegment::data(ConnectionId(0), 0, 0, 100),
-                    )));
-                }
-                r
-            };
-            let union: FxHashSet<PacketId> = a_ids.iter().chain(&b_ids).copied().collect();
-            let m = Recorder::merge(vec![part(&a_ids), part(&b_ids)]);
-            let set_of = |s: Option<&PacketSet>| s.map(as_set).unwrap_or_default();
-            prop_assert_eq!(set_of(m.relayed_set(NodeId(3))), union.clone());
-            prop_assert_eq!(set_of(m.heard_set(NodeId(3))), union.clone());
-            prop_assert_eq!(set_of(m.heard_set(NodeId(5))), union.clone());
-            prop_assert_eq!(m.heard_count(NodeId(5)), union.len() as u64);
-            prop_assert_eq!(m.relay_count(NodeId(3)), (a_ids.len() + b_ids.len()) as u64);
-            prop_assert!(m.relayed_set(NodeId(5)).is_none());
-            prop_assert_eq!(as_set(m.tunneled_data_set()), union);
-        }
     }
 
     #[test]
@@ -1400,124 +1089,5 @@ mod tests {
         let fingerprint = |r: &Recorder| r.trace_fingerprint().finish();
         assert_eq!(fingerprint(&quiet), fingerprint(&loud));
         assert_ne!(fingerprint(&quiet), fingerprint(&silent));
-    }
-
-    #[test]
-    fn merged_fingerprint_is_folded_from_the_merged_trace() {
-        let mut a = Recorder::with_trace();
-        a.record_tx(NodeId(0), "DATA", false, 512, t(0.2));
-        let mut b = Recorder::with_trace();
-        b.record_tx(NodeId(1), "RREQ", true, 40, t(0.1));
-        let merged = Recorder::merge(vec![a, b]);
-        let mut serial = Recorder::new();
-        serial.trace_mode = TraceMode::Fingerprint;
-        serial.record_tx(NodeId(1), "RREQ", true, 40, t(0.1));
-        serial.record_tx(NodeId(0), "DATA", false, 512, t(0.2));
-        assert_eq!(
-            merged.trace_fingerprint().finish(),
-            serial.trace_fingerprint().finish()
-        );
-    }
-
-    #[test]
-    fn merge_of_one_part_is_the_identity() {
-        let mut r = Recorder::with_trace();
-        r.record_originated(PacketId(1), ConnectionId(0), true, t(0.0));
-        r.record_delivered(NodeId(2), PacketId(1), ConnectionId(0), true, 512, t(0.4));
-        r.record_tx(NodeId(0), "DATA", false, 512, t(0.0));
-        let trace_len = r.trace().len();
-        let merged = Recorder::merge(vec![r]);
-        assert_eq!(merged.delivered_data_packets(), 1);
-        assert_eq!(merged.trace().len(), trace_len);
-        assert_eq!(merged.originated_data_packets(), 1);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_unions_sets() {
-        let mut a = Recorder::new();
-        a.record_originated(PacketId(1), ConnectionId(0), true, t(0.0));
-        a.record_relay(NodeId(3), PacketId(1), true, t(0.1));
-        a.record_tx(NodeId(0), "RREQ", true, 44, t(0.0));
-        a.record_collision();
-        let mut b = Recorder::new();
-        b.record_originated(PacketId(2), ConnectionId(1), true, t(0.2));
-        b.record_relay(NodeId(3), PacketId(2), true, t(0.3));
-        b.record_relay(NodeId(7), PacketId(2), true, t(0.3));
-        b.record_tx(NodeId(1), "RREQ", true, 44, t(0.1));
-        b.record_drop(DropReason::RetryLimit);
-        let m = Recorder::merge(vec![a, b]);
-        assert_eq!(m.originated_data_packets(), 2);
-        assert_eq!(m.relay_counts()[&NodeId(3)], 2);
-        assert_eq!(m.relay_counts()[&NodeId(7)], 1);
-        assert_eq!(m.relayed_set(NodeId(3)).unwrap().len(), 2);
-        assert_eq!(m.control_transmissions(), 2);
-        assert_eq!(m.control_by_kind()["RREQ"], 2);
-        assert_eq!(m.collisions(), 1);
-        assert_eq!(m.drops(DropReason::RetryLimit), 1);
-    }
-
-    #[test]
-    fn merge_deduplicates_deliveries_keeping_the_earliest() {
-        let mut a = Recorder::new();
-        a.record_originated(PacketId(1), ConnectionId(0), true, t(0.0));
-        a.record_delivered(NodeId(2), PacketId(1), ConnectionId(0), true, 512, t(1.0));
-        let mut b = Recorder::new();
-        // The same packet observed delivered on another shard, later.
-        b.record_delivered(NodeId(2), PacketId(1), ConnectionId(0), true, 512, t(0.5));
-        b.record_delivered(NodeId(4), PacketId(2), ConnectionId(0), true, 256, t(0.8));
-        let m = Recorder::merge(vec![a, b]);
-        assert_eq!(m.delivered_data_packets(), 2);
-        assert_eq!(m.delivered_payload_bytes(), 512 + 256);
-        // Delay computed against the merged origination map, using the
-        // earliest delivery time (0.5 s from shard b, not 1.0 s from shard a).
-        assert_eq!(m.delays().len(), 1);
-        assert!((m.delays()[0].as_secs() - 0.5).abs() < 1e-9);
-        // Series rebuilt in time order.
-        let series = m.delivery_series();
-        assert_eq!(series.len(), 2);
-        assert!(series[0].0 <= series[1].0);
-    }
-
-    #[test]
-    fn merge_interleaves_traces_by_time_then_shard() {
-        let mut a = Recorder::with_trace();
-        a.record_tx(NodeId(0), "DATA", false, 100, t(0.2));
-        a.record_tx(NodeId(0), "DATA", false, 100, t(0.6));
-        let mut b = Recorder::with_trace();
-        b.record_tx(NodeId(1), "DATA", false, 100, t(0.2));
-        b.record_tx(NodeId(1), "DATA", false, 100, t(0.4));
-        let m = Recorder::merge(vec![a, b]);
-        let nodes: Vec<u16> = m
-            .trace()
-            .iter()
-            .map(|ev| match ev {
-                TraceEvent::TxStart { node, .. } => node.0,
-                _ => panic!("unexpected trace event"),
-            })
-            .collect();
-        // t=0.2 ties break on shard id (a before b), then time order.
-        assert_eq!(nodes, vec![0, 1, 1, 0]);
-    }
-
-    #[test]
-    fn merge_folds_engine_perf_including_shard_imbalance() {
-        let mut a = Recorder::new();
-        a.set_engine_perf(EnginePerf {
-            events_processed: 100,
-            queue_max_occupancy: 8,
-            ..EnginePerf::default()
-        });
-        let mut b = Recorder::new();
-        b.set_engine_perf(EnginePerf {
-            events_processed: 300,
-            queue_max_occupancy: 5,
-            ..EnginePerf::default()
-        });
-        let m = Recorder::merge(vec![a, b]);
-        let p = m.engine_perf();
-        assert_eq!(p.events_processed, 400);
-        assert_eq!(p.queue_max_occupancy, 8);
-        assert_eq!(p.shard_events_min, 100);
-        assert_eq!(p.shard_events_max, 300);
     }
 }

@@ -69,35 +69,6 @@ impl RngStreams {
         }
     }
 
-    /// Create the stream bundle for one shard of a sharded run.
-    ///
-    /// With `shards <= 1` this is exactly [`RngStreams::new`], so a
-    /// single-shard run consumes the very same random sequences as a serial
-    /// run (part of the byte-identity contract in `crate::shard`).  With
-    /// more shards, the **mobility** stream is still derived exactly as in
-    /// `new` — every shard replays the identical placement and waypoint
-    /// sequence, which is what keeps replicated trajectories bit-identical
-    /// across shards — while the MAC, channel, scenario and protocol streams
-    /// are decorrelated per shard so concurrent shards do not reuse each
-    /// other's draws.
-    pub fn for_shard(seed: u64, shard: u16, shards: u16) -> Self {
-        if shards <= 1 {
-            return Self::new(seed);
-        }
-        // Mix the shard index into the salt (not the seed) so the mobility
-        // derivation below stays byte-compatible with `new`.
-        let shard_salt =
-            |salt: u64| salt ^ (u64::from(shard) + 1).wrapping_mul(0xd6e8_feb8_6659_fd93);
-        RngStreams {
-            seed,
-            mobility: derive(seed, StreamKind::Mobility.salt()),
-            mac: derive(seed, shard_salt(StreamKind::Mac.salt())),
-            channel: derive(seed, shard_salt(StreamKind::Channel.salt())),
-            scenario: derive(seed, shard_salt(StreamKind::Scenario.salt())),
-            protocol: derive(seed, shard_salt(StreamKind::Protocol.salt())),
-        }
-    }
-
     /// The seed this bundle was created from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -180,35 +151,6 @@ mod tests {
         let xa: u64 = a.mobility().gen();
         let xb: u64 = b.mobility().gen();
         assert_eq!(xa, xb);
-    }
-
-    #[test]
-    fn single_shard_streams_match_serial_streams() {
-        let mut serial = RngStreams::new(42);
-        let mut sharded = RngStreams::for_shard(42, 0, 1);
-        for _ in 0..32 {
-            assert_eq!(serial.mac().gen::<u64>(), sharded.mac().gen::<u64>());
-            assert_eq!(
-                serial.channel().gen::<u64>(),
-                sharded.channel().gen::<u64>()
-            );
-            assert_eq!(
-                serial.mobility().gen::<u64>(),
-                sharded.mobility().gen::<u64>()
-            );
-        }
-    }
-
-    #[test]
-    fn shards_share_mobility_but_not_mac_streams() {
-        let mut a = RngStreams::for_shard(7, 0, 4);
-        let mut b = RngStreams::for_shard(7, 3, 4);
-        let ma: Vec<u64> = (0..16).map(|_| a.mobility().gen()).collect();
-        let mb: Vec<u64> = (0..16).map(|_| b.mobility().gen()).collect();
-        assert_eq!(ma, mb, "mobility replicas must replay the same stream");
-        let xa: Vec<u64> = (0..16).map(|_| a.mac().gen()).collect();
-        let xb: Vec<u64> = (0..16).map(|_| b.mac().gen()).collect();
-        assert_ne!(xa, xb, "per-shard MAC streams must be decorrelated");
     }
 
     #[test]

@@ -67,7 +67,7 @@ type SampleLog = Vec<(SimTime, NodeId, Vec<NodeId>)>;
 
 fn sample_run(
     config: SimConfig,
-    mobility: impl Fn() -> Box<dyn manet_netsim::MobilityModel + Send>,
+    mobility: impl Fn() -> Box<dyn manet_netsim::MobilityModel>,
     index: NeighborIndex,
 ) -> SampleLog {
     let mut config = config;
@@ -105,7 +105,7 @@ fn grid_matches_brute_force_across_random_waypoint_runs() {
                 1000.0,
                 1000.0,
                 SimConfig::default().mobility,
-            )) as Box<dyn manet_netsim::MobilityModel + Send>
+            )) as Box<dyn manet_netsim::MobilityModel>
         };
         // Both runs share the seed, so mobility histories are identical; the
         // sampled neighbourhoods must be too.
@@ -135,7 +135,7 @@ fn grid_matches_brute_force_with_small_slack_and_fast_nodes() {
             600.0,
             600.0,
             SimConfig::default().mobility,
-        )) as Box<dyn manet_netsim::MobilityModel + Send>
+        )) as Box<dyn manet_netsim::MobilityModel>
     };
     let grid = sample_run(config.clone(), mobility, NeighborIndex::Grid);
     let brute = sample_run(config, mobility, NeighborIndex::BruteForce);
@@ -172,7 +172,7 @@ fn grid_matches_brute_force_on_range_circle_boundaries() {
             let positions = positions.clone();
             move || {
                 Box::new(StaticPlacement::new(positions.clone()))
-                    as Box<dyn manet_netsim::MobilityModel + Send>
+                    as Box<dyn manet_netsim::MobilityModel>
             }
         };
         let grid = sample_run(config.clone(), &mobility, NeighborIndex::Grid);
@@ -263,7 +263,7 @@ impl TalkRun {
 
 fn talk_run(
     mut config: SimConfig,
-    mobility: &dyn Fn() -> Box<dyn MobilityModel + Send>,
+    mobility: &dyn Fn() -> Box<dyn MobilityModel>,
     index: NeighborIndex,
 ) -> TalkRun {
     config.neighbor_index = index;
@@ -285,7 +285,7 @@ fn talk_run(
 /// grid run against the brute-force run that scans on every transmission.
 fn cached_and_oracle(
     config: &SimConfig,
-    mobility: &dyn Fn() -> Box<dyn MobilityModel + Send>,
+    mobility: &dyn Fn() -> Box<dyn MobilityModel>,
     what: &str,
 ) -> TalkRun {
     let grid = talk_run(config.clone(), mobility, NeighborIndex::Grid);
@@ -319,7 +319,7 @@ fn waypoint_config(n: u16, secs: f64, seed: u64, min: f64, max: f64, pause: f64)
     config
 }
 
-fn random_waypoint(config: &SimConfig) -> impl Fn() -> Box<dyn MobilityModel + Send> {
+fn random_waypoint(config: &SimConfig) -> impl Fn() -> Box<dyn MobilityModel> {
     let (w, h, m) = (config.field_width, config.field_height, config.mobility);
     move || Box::new(RandomWaypoint::new(w, h, m))
 }
@@ -400,7 +400,7 @@ fn a_leg_faster_than_all_before_it_empties_every_cache() {
             // granted for 24 s at the old bound.
             (None, at(300.0), second_leg_speed),
         ]);
-        let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel + Send>;
+        let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel>;
         cached_and_oracle(&config, &mobility, "a faster leg")
     };
     let steady = run(1.0);
@@ -422,7 +422,7 @@ fn a_leg_that_starts_elsewhere_empties_every_cache() {
         (None, at(598.0), 1.0),
         (Some(at(320.0)), at(310.0), 1.0),
     ]);
-    let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel + Send>;
+    let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel>;
     let grid = cached_and_oracle(&config, &mobility, "a jump");
     assert_eq!(
         grid.scans(),
@@ -436,7 +436,7 @@ fn a_static_placement_scans_once_per_node_for_the_whole_run() {
     // 97 m spacing: no pairwise distance is within a micrometre of a circle.
     let n = 20u16;
     let config = waypoint_config(n, 8.0, 3, 0.0, 0.0, 0.0);
-    let mobility = || Box::new(StaticPlacement::grid(20, 5, 97.0)) as Box<dyn MobilityModel + Send>;
+    let mobility = || Box::new(StaticPlacement::grid(20, 5, 97.0)) as Box<dyn MobilityModel>;
     let grid = cached_and_oracle(&config, &mobility, "static placement");
     assert_eq!(grid.scans(), u64::from(n));
     assert_eq!(
@@ -460,7 +460,7 @@ fn nodes_on_a_circle_are_never_cached() {
     let config = waypoint_config(4, 4.0, 9, 0.0, 0.0, 0.0);
     let mobility = {
         let positions = positions.clone();
-        move || Box::new(StaticPlacement::new(positions.clone())) as Box<dyn MobilityModel + Send>
+        move || Box::new(StaticPlacement::new(positions.clone())) as Box<dyn MobilityModel>
     };
     let grid = cached_and_oracle(&config, &mobility, "on-circle placement");
     // `<=` keeps an on-circle node in: node 0's broadcasts reach node 1.

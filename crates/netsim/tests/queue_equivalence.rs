@@ -28,7 +28,7 @@ fn traced_run(
     stacks: Vec<Box<dyn NodeStack>>,
 ) -> Recorder {
     config.event_queue = kind;
-    let mobility: Box<dyn manet_netsim::MobilityModel + Send> = if mobile {
+    let mobility: Box<dyn manet_netsim::MobilityModel> = if mobile {
         Box::new(RandomWaypoint::new(
             config.field_width,
             config.field_height,

@@ -87,11 +87,7 @@ impl RoutingStats {
 ///
 /// `on_packet` returns the data packet that terminated at this node, if the
 /// received packet was one, so the caller can hand it to the transport layer.
-///
-/// `Send` is a supertrait so stacks built around a `Box<dyn RoutingAgent>`
-/// can move onto worker threads under sharded execution; agents are plain
-/// per-node state, so the bound costs implementors nothing.
-pub trait RoutingAgent: Send {
+pub trait RoutingAgent {
     /// Protocol name ("DSR", "AODV", "MTS").
     fn name(&self) -> &'static str;
 

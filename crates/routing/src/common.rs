@@ -23,10 +23,9 @@ pub fn record_data_drop(ctx: &mut Ctx<'_>, me: NodeId, reason: DropReason, packe
     }
     let conn = packet.segment.conn.0;
     let seq = packet.segment.seq;
-    let shard = rec.telemetry.shard();
     rec.telemetry.emit(TelemetryEvent::Drop {
         t,
-        shard,
+        shard: 0,
         node: me.0,
         reason,
         kind: FrameKind::Data,
@@ -35,7 +34,7 @@ pub fn record_data_drop(ctx: &mut Ctx<'_>, me: NodeId, reason: DropReason, packe
     if rec.telemetry.traced(conn, seq, packet.carries_data()) {
         rec.telemetry.emit(TelemetryEvent::Provenance {
             t,
-            shard,
+            shard: 0,
             stage: Stage::Drop,
             node: me.0,
             conn,

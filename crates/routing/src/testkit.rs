@@ -176,7 +176,7 @@ pub fn run_routing<A, F, M>(
 where
     A: RoutingAgent + 'static,
     F: FnMut(NodeId) -> A,
-    M: MobilityModel + Send + 'static,
+    M: MobilityModel + 'static,
 {
     let counters = Rc::new(RefCell::new(HarnessCounters::default()));
     let stacks: Vec<Box<dyn NodeStack>> = (0..config.num_nodes)

@@ -240,10 +240,9 @@ impl ManetStack {
         rec.record_originated(id, segment.conn, packet.carries_data(), now);
         if rec.telemetry.enabled() {
             let t = now.as_secs();
-            let shard = rec.telemetry.shard();
             rec.telemetry.emit(TelemetryEvent::Originate {
                 t,
-                shard,
+                shard: 0,
                 node: self.me.0,
                 conn: segment.conn.0,
                 seq: segment.seq,
@@ -256,7 +255,7 @@ impl ManetStack {
             {
                 rec.telemetry.emit(TelemetryEvent::Provenance {
                     t,
-                    shard,
+                    shard: 0,
                     stage: Stage::Originate,
                     node: self.me.0,
                     conn: segment.conn.0,
@@ -275,10 +274,9 @@ impl ManetStack {
         }
         let t = ctx.now().as_secs();
         let rec = ctx.recorder();
-        let shard = rec.telemetry.shard();
         rec.telemetry.emit(TelemetryEvent::Timer {
             t,
-            shard,
+            shard: 0,
             node: self.me.0,
             class,
             scope,
@@ -326,10 +324,9 @@ impl ManetStack {
             if just_completed {
                 let rec = ctx.recorder();
                 if rec.telemetry.enabled() {
-                    let shard = rec.telemetry.shard();
                     rec.telemetry.emit(TelemetryEvent::FlowComplete {
                         t: now.as_secs(),
-                        shard,
+                        shard: 0,
                         node: self.me.0,
                         conn: conn.0,
                         bytes,

@@ -105,23 +105,18 @@ pub fn validate_lines(ndjson: &str) -> Result<Vec<TelemetryEvent>, String> {
     Ok(events)
 }
 
-/// Check that the sequence is monotone in time within every shard (the
-/// emission-order contract each shard's buffer guarantees, preserved by the
-/// stable merge).
-pub fn check_monotone_per_shard(events: &[TelemetryEvent]) -> Result<(), String> {
-    let mut last: BTreeMap<u16, f64> = BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        let t = ev.time();
-        if let Some(prev) = last.get(&ev.shard()) {
-            if t < *prev {
-                return Err(format!(
-                    "event {i} ({}) at t={t} precedes t={prev} on shard {}",
-                    ev.name(),
-                    ev.shard()
-                ));
-            }
+/// Check that time never decreases along the stream (the emission-order
+/// contract of the run's buffer).
+pub fn check_monotone(events: &[TelemetryEvent]) -> Result<(), String> {
+    for (i, pair) in events.windows(2).enumerate() {
+        let (prev, t) = (pair[0].time(), pair[1].time());
+        if t < prev {
+            return Err(format!(
+                "event {} ({}) at t={t} precedes t={prev}",
+                i + 1,
+                pair[1].name()
+            ));
         }
-        last.insert(ev.shard(), t);
     }
     Ok(())
 }

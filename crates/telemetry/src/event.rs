@@ -125,7 +125,9 @@ vocabulary! {
         Drop => "drop",
         /// A wormhole carried the frame out of band.
         Tunnel => "tunnel",
-        /// The frame crossed a shard boundary.
+        /// Reserved: a frame crossing a shard boundary.  The engine has one
+        /// shard, so this is never emitted; the label stays in the
+        /// vocabulary for format stability.
         CrossShard => "cross_shard",
     }
 }
@@ -145,7 +147,7 @@ vocabulary! {
 }
 
 /// One structured telemetry event.  All variants carry the simulation time
-/// `t` (seconds) and the `shard` that recorded them.
+/// `t` (seconds) and a `shard`, always 0 and kept for format stability.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// A data segment entered the network at its source's routing layer.
@@ -251,7 +253,7 @@ pub enum TelemetryEvent {
         kind: FrameKind,
     },
     /// One closed sampler window (fixed simulated-time bucket).  `t` is the
-    /// window's *end* time so the per-shard stream stays monotone.
+    /// window's *end* time so the stream stays monotone.
     Window {
         t: f64,
         shard: u16,
@@ -275,10 +277,10 @@ pub struct WindowStats {
     pub cal_resizes: u64,
     /// Peak suspicion-table size observed.
     pub suspicion_peak: u32,
-    /// Cross-shard transmission announcements emitted.
+    /// Always 0: cross-shard announcements, kept for format stability.
     pub xshard: u64,
     /// Background fluid demand per region, bytes/s at the last epoch in
-    /// the window (empty unless the hybrid engine is on; shard 0 only).
+    /// the window (empty unless the hybrid engine is on).
     pub fluid_demand: BTreeMap<u32, u64>,
     /// Background fluid allocated rate per region, bytes/s (max-min fair
     /// share of residual capacity; keys mirror `fluid_demand`).
@@ -309,7 +311,7 @@ impl TelemetryEvent {
         }
     }
 
-    /// Shard that recorded the event.
+    /// The event's `shard` key (always 0 in a recorded stream).
     pub fn shard(&self) -> u16 {
         match self {
             TelemetryEvent::Originate { shard, .. }

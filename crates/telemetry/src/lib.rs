@@ -26,11 +26,11 @@
 //!
 //! ## Stream shape
 //!
-//! Events carry a simulation timestamp (`t`, seconds) and the shard that
-//! recorded them.  Within one shard the stream is monotone in `t`; the
-//! cross-shard merge interleaves by `(t, shard)` with a stable sort, so the
-//! merged stream is monotone too.  See `docs/OBSERVABILITY.md` for the full
-//! schema and [`check`] for the invariants the test-suite enforces.
+//! Events carry a simulation timestamp (`t`, seconds), and the stream is
+//! monotone in `t`.  Every event also carries a `shard` key, always 0: it is
+//! kept so the NDJSON format stays stable.  See `docs/OBSERVABILITY.md` for
+//! the full schema and [`check`] for the invariants the test-suite
+//! enforces.
 
 pub mod check;
 pub mod event;
@@ -38,9 +38,7 @@ pub mod json;
 pub mod sampler;
 pub mod sink;
 
-pub use check::{
-    check_conservation, check_monotone_per_shard, validate_lines, ConnAccount, Conservation,
-};
+pub use check::{check_conservation, check_monotone, validate_lines, ConnAccount, Conservation};
 pub use event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
 pub use sampler::Sampler;
 pub use sink::{write_ndjson, StringSink, TelemetrySink, WriteSink};
@@ -76,26 +74,24 @@ impl TelemetryConfig {
     }
 }
 
-/// Per-run (per-shard, under the sharded engine) telemetry buffer: the event
-/// vector, the optional metrics sampler, and the provenance tag.
+/// Per-run telemetry buffer: the event vector, the optional metrics sampler,
+/// and the provenance tag.
 ///
 /// Lives inside the simulator's recorder; hook sites guard on
 /// [`Telemetry::enabled`] so a disabled run never allocates.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     enabled: bool,
-    shard: u16,
     trace: Option<(u32, u64)>,
     sampler: Option<Sampler>,
     events: Vec<TelemetryEvent>,
 }
 
 impl Telemetry {
-    /// Build the buffer for one run (or one shard of one run).
+    /// Build the buffer for one run.
     pub fn from_config(cfg: &TelemetryConfig) -> Self {
         Telemetry {
             enabled: cfg.enabled,
-            shard: 0,
             trace: if cfg.enabled { cfg.trace_packet } else { None },
             sampler: match (cfg.enabled, cfg.window_secs) {
                 (true, Some(w)) if w > 0.0 => Some(Sampler::new(w)),
@@ -112,16 +108,6 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Stamp the shard id recorded on every subsequent event.
-    pub fn set_shard(&mut self, shard: u16) {
-        self.shard = shard;
-    }
-
-    /// The shard id stamped on events.
-    pub fn shard(&self) -> u16 {
-        self.shard
-    }
-
     /// Whether a payload-carrying segment `(conn, seq)` matches the
     /// provenance tag.  `data` is the segment's `carries_data()`: pure ACKs
     /// are never traced — the receiver's ACK stream reuses the sender's
@@ -133,10 +119,10 @@ impl Telemetry {
     }
 
     /// Append an event, first flushing any sampler windows that closed
-    /// before its timestamp (keeps the per-shard stream monotone in `t`).
+    /// before its timestamp (keeps the stream monotone in `t`).
     pub fn emit(&mut self, event: TelemetryEvent) {
         if let Some(s) = &mut self.sampler {
-            s.roll_to(event.time(), self.shard, &mut self.events);
+            s.roll_to(event.time(), &mut self.events);
         }
         self.events.push(event);
     }
@@ -144,7 +130,7 @@ impl Telemetry {
     /// Sampler: add `bytes` of in-order goodput for `conn` at time `t`.
     pub fn note_goodput(&mut self, t: f64, conn: u32, bytes: u64) {
         if let Some(s) = &mut self.sampler {
-            s.roll_to(t, self.shard, &mut self.events);
+            s.roll_to(t, &mut self.events);
             s.note_goodput(conn, bytes);
         }
     }
@@ -152,7 +138,7 @@ impl Telemetry {
     /// Sampler: a MAC queue reached `len` frames at time `t`.
     pub fn note_queue_len(&mut self, t: f64, len: u32) {
         if let Some(s) = &mut self.sampler {
-            s.roll_to(t, self.shard, &mut self.events);
+            s.roll_to(t, &mut self.events);
             s.note_queue_len(len);
         }
     }
@@ -160,16 +146,8 @@ impl Telemetry {
     /// Sampler: a suspicion table reached `size` tracked peers at time `t`.
     pub fn note_suspicion_size(&mut self, t: f64, size: u32) {
         if let Some(s) = &mut self.sampler {
-            s.roll_to(t, self.shard, &mut self.events);
+            s.roll_to(t, &mut self.events);
             s.note_suspicion_size(size);
-        }
-    }
-
-    /// Sampler: `n` cross-shard announcements were emitted at time `t`.
-    pub fn note_xshard(&mut self, t: f64, n: u64) {
-        if let Some(s) = &mut self.sampler {
-            s.roll_to(t, self.shard, &mut self.events);
-            s.note_xshard(n);
         }
     }
 
@@ -178,7 +156,7 @@ impl Telemetry {
     /// window overwrite earlier ones — the window reports last-known rates.
     pub fn note_fluid(&mut self, t: f64, region: u32, demand: u64, alloc: u64) {
         if let Some(s) = &mut self.sampler {
-            s.roll_to(t, self.shard, &mut self.events);
+            s.roll_to(t, &mut self.events);
             s.note_fluid(region, demand, alloc);
         }
     }
@@ -187,7 +165,7 @@ impl Telemetry {
     /// `total` as of time `t` (the sampler differences it per window).
     pub fn note_calendar_resizes(&mut self, t: f64, total: u64) {
         if let Some(s) = &mut self.sampler {
-            s.roll_to(t, self.shard, &mut self.events);
+            s.roll_to(t, &mut self.events);
             s.note_calendar_resizes(total);
         }
     }
@@ -195,7 +173,7 @@ impl Telemetry {
     /// Flush the trailing sampler window at end of run.
     pub fn finalize(&mut self) {
         if let Some(s) = &mut self.sampler {
-            s.flush(self.shard, &mut self.events);
+            s.flush(&mut self.events);
         }
     }
 
@@ -203,29 +181,6 @@ impl Telemetry {
     pub fn events(&self) -> &[TelemetryEvent] {
         &self.events
     }
-
-    /// Drain the collected events (used by the cross-shard merge).
-    pub fn take_events(&mut self) -> Vec<TelemetryEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Replace the event vector (used by the cross-shard merge).
-    pub fn set_events(&mut self, events: Vec<TelemetryEvent>) {
-        self.events = events;
-    }
-}
-
-/// Deterministically interleave per-shard event streams: a stable sort by
-/// `(time, shard)`, so equal-time events keep shard order and each shard's
-/// internal order is preserved.
-pub fn merge_events(parts: Vec<Vec<TelemetryEvent>>) -> Vec<TelemetryEvent> {
-    let mut all: Vec<TelemetryEvent> = parts.into_iter().flatten().collect();
-    all.sort_by(|a, b| {
-        a.time()
-            .total_cmp(&b.time())
-            .then_with(|| a.shard().cmp(&b.shard()))
-    });
-    all
 }
 
 #[cfg(test)]

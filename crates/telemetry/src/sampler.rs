@@ -1,11 +1,11 @@
 //! Windowed metrics sampler: fixed simulated-time buckets accumulating
 //! per-flow goodput, queue occupancy peaks, calendar resizes, suspicion-table
-//! sizes and cross-shard announcement volume.
+//! sizes and fluid allocations.
 //!
 //! Windows are emitted lazily: when the first observation at or past a
 //! window's end arrives, the closed window flushes as a
 //! [`TelemetryEvent::Window`] stamped with the window's *end* time (so the
-//! per-shard stream stays monotone).  Windows with no observations are
+//! stream stays monotone).  Windows with no observations are
 //! skipped entirely — consumers treat a missing index as all-zero.
 
 use crate::event::{TelemetryEvent, WindowStats};
@@ -63,19 +63,19 @@ impl Sampler {
     /// Advance to time `t`, flushing the open window into `out` if `t`
     /// falls past its end.  Every observation (and every event emission)
     /// rolls first, so window lines interleave correctly.
-    pub fn roll_to(&mut self, t: f64, shard: u16, out: &mut Vec<TelemetryEvent>) {
+    pub fn roll_to(&mut self, t: f64, out: &mut Vec<TelemetryEvent>) {
         let idx = self.index_of(t);
         match self.cur {
             None => self.cur = Some(idx),
             Some(cur) if idx > cur => {
-                self.close(cur, shard, out);
+                self.close(cur, out);
                 self.cur = Some(idx);
             }
             Some(_) => {}
         }
     }
 
-    fn close(&mut self, idx: u64, shard: u16, out: &mut Vec<TelemetryEvent>) {
+    fn close(&mut self, idx: u64, out: &mut Vec<TelemetryEvent>) {
         let acc = std::mem::take(&mut self.acc);
         // Carry the resize baseline into the next window.
         self.acc.cal_base = acc.cal_last.max(acc.cal_base);
@@ -87,7 +87,7 @@ impl Sampler {
         stats.cal_resizes = acc.cal_last.saturating_sub(acc.cal_base);
         out.push(TelemetryEvent::Window {
             t: (idx + 1) as f64 * self.window_secs,
-            shard,
+            shard: 0,
             window: idx,
             stats,
         });
@@ -111,12 +111,6 @@ impl Sampler {
         self.acc.dirty = true;
     }
 
-    /// Record `n` cross-shard announcements.
-    pub fn note_xshard(&mut self, n: u64) {
-        self.acc.stats.xshard += n;
-        self.acc.dirty = true;
-    }
-
     /// Record one region's fluid demand/allocation rates (bytes/s) from a
     /// fluid epoch.  Later epochs in the same window overwrite earlier ones:
     /// the window reports the last-known allocation, not a sum of rates.
@@ -134,9 +128,9 @@ impl Sampler {
     }
 
     /// Flush the trailing open window at end of run.
-    pub fn flush(&mut self, shard: u16, out: &mut Vec<TelemetryEvent>) {
+    pub fn flush(&mut self, out: &mut Vec<TelemetryEvent>) {
         if let Some(cur) = self.cur.take() {
-            self.close(cur, shard, out);
+            self.close(cur, out);
         }
     }
 }

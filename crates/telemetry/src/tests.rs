@@ -1,13 +1,13 @@
 //! Unit and property tests for the telemetry crate: exact NDJSON
-//! round-trips, strict schema rejection, sampler window algebra, merge
-//! ordering and the conservation ledger.
+//! round-trips, strict schema rejection, sampler window algebra, stream
+//! order and the conservation ledger.
 
-use crate::check::{check_conservation, check_monotone_per_shard, validate_lines};
+use crate::check::{check_conservation, check_monotone, validate_lines};
 use crate::event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
 use crate::json::parse_line;
 use crate::oracle;
 use crate::sink::{write_ndjson, StringSink};
-use crate::{merge_events, Telemetry, TelemetryConfig};
+use crate::{Telemetry, TelemetryConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -218,7 +218,6 @@ fn sampler_buckets_and_skips_empty_windows() {
         trace_packet: None,
     };
     let mut tel = Telemetry::from_config(&cfg);
-    tel.set_shard(3);
     tel.note_goodput(0.2, 1, 100);
     tel.note_goodput(0.7, 1, 50);
     tel.note_queue_len(0.8, 4);
@@ -248,14 +247,14 @@ fn sampler_buckets_and_skips_empty_windows() {
         .collect();
     assert_eq!(windows.len(), 2, "empty windows must be skipped");
     assert_eq!(windows[0].0, 1.0, "window line stamped with its end time");
-    assert_eq!(windows[0].1, 3);
+    assert_eq!(windows[0].1, 0, "the shard key is always 0");
     assert_eq!(windows[0].2, 0);
     assert_eq!(windows[0].3, BTreeMap::from([(1, 150)]));
     assert_eq!(windows[0].4, 4);
     assert_eq!(windows[1].2, 3);
     assert_eq!(windows[1].3, BTreeMap::from([(2, 7)]));
     assert_eq!(windows[1].5, 5, "resize delta against previous window");
-    check_monotone_per_shard(tel.events()).unwrap();
+    check_monotone(tel.events()).unwrap();
 }
 
 #[test]
@@ -283,7 +282,7 @@ fn calendar_resizes_are_differenced_across_windows() {
 #[test]
 fn emit_rolls_the_sampler_first() {
     // An event past the window boundary must flush the window *before*
-    // appending itself, or the per-shard stream goes non-monotone.
+    // appending itself, or the stream goes non-monotone.
     let cfg = TelemetryConfig {
         enabled: true,
         window_secs: Some(1.0),
@@ -300,7 +299,7 @@ fn emit_rolls_the_sampler_first() {
     tel.finalize();
     assert_eq!(tel.events().len(), 2);
     assert!(matches!(tel.events()[0], TelemetryEvent::Window { .. }));
-    check_monotone_per_shard(tel.events()).unwrap();
+    check_monotone(tel.events()).unwrap();
 }
 
 #[test]
@@ -319,39 +318,18 @@ fn provenance_tag_matches_exactly() {
 }
 
 #[test]
-fn merge_is_stable_by_time_then_shard() {
-    let a = vec![
-        TelemetryEvent::Collision {
-            t: 1.0,
-            shard: 0,
-            node: 1,
-            from: 2,
-        },
-        TelemetryEvent::Collision {
-            t: 2.0,
-            shard: 0,
-            node: 3,
-            from: 4,
-        },
-    ];
-    let b = vec![
-        TelemetryEvent::Collision {
-            t: 1.0,
-            shard: 1,
-            node: 5,
-            from: 6,
-        },
-        TelemetryEvent::Collision {
-            t: 1.5,
-            shard: 1,
-            node: 7,
-            from: 8,
-        },
-    ];
-    let merged = merge_events(vec![b, a]);
-    let order: Vec<(f64, u16)> = merged.iter().map(|e| (e.time(), e.shard())).collect();
-    assert_eq!(order, vec![(1.0, 0), (1.0, 1), (1.5, 1), (2.0, 0)]);
-    check_monotone_per_shard(&merged).unwrap();
+fn check_monotone_rejects_any_step_back_in_time() {
+    let at = |t: f64, shard: u16| TelemetryEvent::Collision {
+        t,
+        shard,
+        node: 1,
+        from: 2,
+    };
+    check_monotone(&[at(1.0, 0), at(1.0, 0), at(2.0, 0)]).unwrap();
+    let err = check_monotone(&[at(1.0, 0), at(2.0, 0), at(1.5, 0)]).unwrap_err();
+    assert_eq!(err, "event 2 (collision) at t=1.5 precedes t=2");
+    // The `shard` key does not split the stream into separate orders.
+    assert!(check_monotone(&[at(2.0, 1), at(1.0, 0)]).is_err());
 }
 
 #[test]
@@ -611,36 +589,6 @@ proptest! {
         let back = parse_line(&line).map_err(proptest::TestCaseError::fail)?;
         prop_assert_eq!(&back, &ev);
         prop_assert_eq!(back.to_ndjson(), line);
-    }
-
-    /// Merging arbitrarily-sliced per-shard streams preserves per-shard
-    /// monotonicity and loses nothing.
-    #[test]
-    fn prop_merge_monotone(
-        seed in proptest::any::<u64>(),
-        lens in proptest::collection::vec(0usize..40, 1..5),
-    ) {
-        let mut parts = Vec::new();
-        let mut state = seed;
-        let mut total = 0usize;
-        for (shard, len) in lens.iter().enumerate() {
-            let mut t = 0.0f64;
-            let mut part = Vec::new();
-            for _ in 0..*len {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                t += (state % 1024) as f64 / 256.0;
-                part.push(arbitrary_event(state % 11, t, shard as u16, (state % 100) as u16, state));
-                total += 1;
-            }
-            parts.push(part);
-        }
-        let merged = merge_events(parts);
-        prop_assert_eq!(merged.len(), total);
-        check_monotone_per_shard(&merged).map_err(proptest::TestCaseError::fail)?;
-        // The merged stream is also globally monotone in t.
-        for w in merged.windows(2) {
-            prop_assert!(w[0].time() <= w[1].time());
-        }
     }
 
     /// Synthetic flows where every origination is delivered or terminally

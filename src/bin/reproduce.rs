@@ -12,13 +12,13 @@
 use manet_experiments::attacks::{attack_matrix, render_attack_matrix, AttackSweepSpec};
 use manet_experiments::figures::{table1_relay_table, FigureId};
 use manet_experiments::report::{render_figure, render_relay_table};
-use manet_experiments::runner::{run_scenario_with_recorder, sweep_with, SweepSpec};
+use manet_experiments::runner::{run_scenario_with_recorder, sweep, SweepSpec};
 use manet_experiments::{Protocol, Scenario};
 use manet_mck::{
     blackhole_corridor, explore, outcome_digest, run_with_trace, ExploreSpec, Invariant, Verdict,
 };
 use manet_netsim::telemetry::{write_ndjson, FrameKind, TelemetryEvent, WriteSink};
-use manet_netsim::{Duration, Execution, TelemetryConfig};
+use manet_netsim::{Duration, TelemetryConfig};
 use std::str::FromStr;
 
 /// One checked invocation.
@@ -40,9 +40,6 @@ struct Args {
     figure: Option<FigureId>,
     table: bool,
     speeds: Option<Vec<f64>>,
-    /// `None` selects the serial engine.
-    shards: Option<u16>,
-    threads: Option<u16>,
     /// The operand of `trace`.
     file: String,
     nodes: Option<u16>,
@@ -84,7 +81,7 @@ const SUBCOMMANDS: [Subcommand; 4] = [
         operand: "",
         about: "run the paper sweep (3 protocols x 5 speeds x --seeds) and print Figs 5-11 and \
                 Table I, or the one --figure / --table names",
-        flags: &[DURATION, SEEDS, FIGURE, TABLE, SHARDS, THREADS],
+        flags: &[DURATION, SEEDS, FIGURE, TABLE],
         run: run_figures,
     },
     Subcommand {
@@ -100,7 +97,7 @@ const SUBCOMMANDS: [Subcommand; 4] = [
         operand: " FILE",
         about: "run one scaled MTS scenario with telemetry on (1 s sampler windows) and write \
                 the event stream to FILE as NDJSON",
-        flags: &[NODES, SECS, PACKET, SHARDS, THREADS],
+        flags: &[NODES, SECS, PACKET],
         run: run_trace,
     },
     Subcommand {
@@ -146,20 +143,10 @@ const SPEEDS: Flag = Flag {
         put(&mut a.speeds, list(v, speed))
     },
 };
-const SHARDS: Flag = Flag {
-    name: "--shards",
-    help: "S  run on the sharded engine with S >= 1 spatial shards [the serial engine]",
-    parse: |a, v| put(&mut a.shards, at_least(v, 1)),
-};
-const THREADS: Flag = Flag {
-    name: "--threads",
-    help: "W  worker threads of the sharded engine, W >= 1; results never depend on it [1]",
-    parse: |a, v| put(&mut a.threads, at_least(v, 1)),
-};
 const NODES: Flag = Flag {
     name: "--nodes",
-    help: "N  node count of the scaled scenario (constant density), N >= 1 [200]",
-    parse: |a, v| put(&mut a.nodes, at_least(v, 1)),
+    help: "N  node count of the scaled scenario (constant density), N >= 2 [200]",
+    parse: |a, v| put(&mut a.nodes, at_least(v, 2)),
 };
 const SECS: Flag = Flag {
     name: "--secs",
@@ -315,15 +302,6 @@ fn parse_flags(sub: &Subcommand, args: &[&str]) -> Result<Box<Args>, String> {
     }
 }
 
-fn execution(args: &Args) -> Execution {
-    args.shards
-        .map_or(Execution::Serial, |shards| Execution::Sharded {
-            shards,
-            workers: args.threads.unwrap_or(1),
-            window: None,
-        })
-}
-
 /// The paper's sweep size unless `--duration` / `--seeds` scale it down.
 fn sweep_size(args: &Args) -> (f64, u64) {
     (args.duration.unwrap_or(200.0), args.seeds.unwrap_or(5))
@@ -339,11 +317,7 @@ fn run_figures(args: &Args) -> Result<(), String> {
     );
     let all = args.figure.is_none() && !args.table;
     if all || args.figure.is_some() {
-        let execution = execution(args);
-        let outcome = sweep_with(&spec, |mut s| {
-            s.sim.execution = execution;
-            s
-        });
+        let outcome = sweep(&spec);
         // Figs 5..=11 are the first seven of `ALL`; Table I follows them.
         let curves = FigureId::ALL[..7].iter();
         for figure in curves.filter(|f| args.figure.is_none_or(|only| only == **f)) {
@@ -399,7 +373,6 @@ fn run_trace(args: &Args) -> Result<(), String> {
     let mut scenario = Scenario::scaled(Protocol::Mts, nodes, 10.0, 1);
     scenario = scenario.with_telemetry(telemetry_on(args.packet));
     scenario.sim.duration = Duration::from_secs(secs);
-    scenario.sim.execution = execution(args);
     let tagged = match args.packet {
         Some((conn, seq)) => format!(", tracing packet {conn}:{seq}"),
         None => String::new(),
@@ -529,20 +502,19 @@ mod tests {
         let mut expected = [(); 4].map(|_| Args::default());
         let [figures, attacks, trace, explore] = &mut expected;
         (figures.duration, figures.seeds, figures.table) = (Some(10.0), Some(2), true);
-        (figures.figure, figures.shards, figures.threads) =
-            (Some(FigureId::ALL[2]), Some(8), Some(4));
+        figures.figure = Some(FigureId::ALL[2]);
         (attacks.duration, attacks.seeds) = (Some(30.0), Some(1));
         attacks.speeds = Some(vec![0.0, 10.0]);
         (trace.file, trace.nodes, trace.secs) = ("out.ndjson".into(), Some(100), Some(3.0));
-        (trace.packet, trace.shards) = (Some((0, 1448)), Some(2));
+        trace.packet = Some((0, 1448));
         (explore.nodes, explore.horizon, explore.interventions) = (Some(6), Some(4), Some(1));
         (explore.budget, explore.secs, explore.seed) = (Some(50), Some(1.0), Some(3));
         (explore.invariant, explore.bound) = (Some(Invariant::NoAdversaryCapture), Some(0.5));
         (explore.kinds, explore.ndjson) = (Some(vec!["RREP", "DATA"]), Some("ce.ndjson".into()));
         let lines = [
-            "figures --duration 10 --seeds 2 --figure 7 --table 1 --shards 8 --threads 4",
+            "figures --duration 10 --seeds 2 --figure 7 --table 1",
             "attacks --duration 30 --seeds 1 --speeds 0,10",
-            "trace out.ndjson --nodes 100 --secs 3 --packet 0:1448 --shards 2",
+            "trace out.ndjson --nodes 100 --secs 3 --packet 0:1448",
             "explore --nodes 6 --horizon 4 --interventions 1 --budget 50 --secs 1 --seed 3 \
              --invariant no-capture --bound 0.5 --kinds rrep,DATA --ndjson ce.ndjson",
         ];
@@ -566,10 +538,11 @@ mod tests {
         figures --speeds 10 => --speeds is a flag of `reproduce attacks`, not of `figures`
         figures extra => unexpected argument \"extra\"
         attacks --seeds 0 => --seeds \"0\"
-        attacks --shards 2 => --shards is a flag of `reproduce figures` and `reproduce trace`
+        attacks --secs 2 => --secs is a flag of `reproduce trace` and `reproduce explore`
         trace --nodes 100 => missing the FILE operand
         trace a.ndjson b.ndjson => unexpected argument \"b.ndjson\"
         trace f --packet 7 => --packet \"7\"
+        trace f --nodes 1 => --nodes \"1\"
         explore --nodes 3 => --nodes \"3\"
         explore --invariant safe => --invariant \"safe\"
         explore --kinds DATA,BEACON => --kinds \"DATA,BEACON\"";

@@ -1,11 +1,10 @@
 //! End-to-end contracts of the telemetry stream (see docs/OBSERVABILITY.md).
 //!
-//! Golden-digest identity under telemetry lives in `tests/golden_trace.rs`
-//! and `tests/shard_equivalence.rs`; this suite pins the *content* of the
-//! stream itself, on real scenario runs through the whole stack:
+//! Golden-digest identity under telemetry lives in `tests/golden_trace.rs`;
+//! this suite pins the *content* of the stream itself, on real scenario runs
+//! through the whole stack:
 //!
-//! 1. **Monotonicity** — per shard, timestamps never go backwards, and the
-//!    cross-shard merge interleaves by `(t, shard)`.
+//! 1. **Monotonicity** — timestamps never go backwards along the stream.
 //! 2. **Conservation** — per connection, payload-carrying originations equal
 //!    deliveries plus terminal drops plus a non-negative in-flight residual.
 //! 3. **Round-trip** — every event encodes to one NDJSON line that parses
@@ -16,10 +15,10 @@
 use manet_experiments::runner::run_scenario_with_recorder;
 use manet_experiments::{AttackConfig, Protocol, Scenario};
 use manet_netsim::telemetry::{
-    check_conservation, check_monotone_per_shard, validate_lines, write_ndjson, Stage, StringSink,
+    check_conservation, check_monotone, validate_lines, write_ndjson, Stage, StringSink,
     TelemetryEvent,
 };
-use manet_netsim::{Duration, Execution, FxHasher, Recorder, TelemetryConfig};
+use manet_netsim::{Duration, FxHasher, Recorder, TelemetryConfig};
 use proptest::prelude::*;
 use std::hash::Hasher;
 
@@ -39,8 +38,7 @@ fn run(scenario: Scenario) -> Recorder {
 fn assert_stream_invariants(recorder: &Recorder, context: &str) {
     let events = recorder.telemetry.events();
     assert!(!events.is_empty(), "{context}: no telemetry collected");
-    check_monotone_per_shard(events)
-        .unwrap_or_else(|e| panic!("{context}: timestamps not monotone: {e}"));
+    check_monotone(events).unwrap_or_else(|e| panic!("{context}: timestamps not monotone: {e}"));
     let ledger = check_conservation(events)
         .unwrap_or_else(|e| panic!("{context}: conservation violated: {e}"));
     assert!(
@@ -75,31 +73,24 @@ fn serial_paper_run_satisfies_the_stream_invariants() {
 }
 
 #[test]
-fn sharded_blackhole_multiflow_run_satisfies_the_stream_invariants() {
+fn blackhole_multiflow_run_satisfies_the_stream_invariants() {
     let mut scenario = Scenario::random_pairs(Protocol::MtsHardened, 100, 4, 10.0, 1)
         .with_attack(AttackConfig::blackhole(2))
         .with_telemetry(telemetry_on(None));
     scenario.sim.duration = Duration::from_secs(10.0);
-    scenario.sim.execution = Execution::Sharded {
-        shards: 4,
-        workers: 2,
-        window: None,
-    };
     let recorder = run(scenario);
-    assert_stream_invariants(&recorder, "sharded black-hole run");
+    assert_stream_invariants(&recorder, "black-hole run");
     let events = recorder.telemetry.events();
-    // The merge interleaves the per-shard streams by (t, shard): globally
-    // non-decreasing time, shard id breaking ties.
+    // One stream: globally non-decreasing time, and the `shard` key every
+    // event keeps for format stability is always 0.
     for pair in events.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
         assert!(
-            (a.time(), a.shard()) <= (b.time(), b.shard()),
-            "merged stream out of order: {a:?} then {b:?}"
+            a.time() <= b.time(),
+            "stream out of order: {a:?} then {b:?}"
         );
     }
-    // All four stripes contributed events.
-    let shards: std::collections::BTreeSet<u16> = events.iter().map(|ev| ev.shard()).collect();
-    assert_eq!(shards.len(), 4, "expected all 4 shards, saw {shards:?}");
+    assert!(events.iter().all(|ev| ev.shard() == 0));
 }
 
 #[test]
@@ -201,42 +192,6 @@ fn tagged_packet_walks_the_pipeline_in_order() {
     }
 }
 
-#[test]
-fn provenance_survives_the_cross_shard_merge() {
-    let mut scenario =
-        Scenario::paper(Protocol::Mts, 10.0, 1).with_telemetry(telemetry_on(Some((0, 0))));
-    scenario.sim.duration = Duration::from_secs(10.0);
-    scenario.sim.execution = Execution::Sharded {
-        shards: 4,
-        workers: 2,
-        window: None,
-    };
-    let recorder = run(scenario);
-    let trail: Vec<&TelemetryEvent> = recorder
-        .telemetry
-        .events()
-        .iter()
-        .filter(|ev| matches!(ev, TelemetryEvent::Provenance { .. }))
-        .collect();
-    assert!(!trail.is_empty(), "the tagged packet left no sharded trail");
-    let shards: std::collections::BTreeSet<u16> = trail.iter().map(|ev| ev.shard()).collect();
-    // The paper flow's endpoints sit on opposite sides of the area, so the
-    // packet's 4-stripe trail must span more than one shard — and every
-    // shard handoff must be stamped by a cross_shard (or wormhole tunnel)
-    // stage, not appear out of thin air.
-    assert!(shards.len() > 1, "trail never left shard {shards:?}");
-    assert!(
-        trail.iter().any(|ev| matches!(
-            ev,
-            TelemetryEvent::Provenance {
-                stage: Stage::CrossShard,
-                ..
-            }
-        )),
-        "multi-shard trail has no cross_shard stage"
-    );
-}
-
 /// The NDJSON bytes of one fixed run, pinned by length and FxHash: the
 /// in-memory event layout and the codec may change, the wire format may not.
 /// A deliberate format change updates both numbers and says so.
@@ -257,9 +212,9 @@ fn ndjson_bytes_of_a_fixed_run_are_pinned() {
     );
 }
 
-/// A run with telemetry disabled must match an enabled run exactly once the
-/// wall-clock phase timers are masked: same events processed, same counters —
-/// the recording layer adds no work to the simulation itself.
+/// A run with telemetry disabled must match an enabled run exactly: same
+/// events processed, same counters — the recording layer adds no work to the
+/// simulation itself.
 #[test]
 fn disabled_and_enabled_runs_agree_on_engine_perf() {
     let mut base = Scenario::paper(Protocol::Mts, 10.0, 1);
@@ -269,34 +224,29 @@ fn disabled_and_enabled_runs_agree_on_engine_perf() {
     assert_eq!(off.telemetry.events().len(), 0);
     assert!(!on.telemetry.events().is_empty());
     assert_eq!(
-        off.engine_perf().without_phase_timers(),
-        on.engine_perf().without_phase_timers(),
+        off.engine_perf(),
+        on.engine_perf(),
         "telemetry changed the engine's perf counters"
     );
 }
 
 proptest! {
     /// Seed-randomized sweep of the three stream invariants on small
-    /// multi-flow scenarios, across serial and sharded execution: whatever
-    /// the seed, speed and shard count, timestamps stay monotone per shard,
-    /// every connection's ledger balances, and the NDJSON encoding
-    /// round-trips exactly.
+    /// multi-flow scenarios: whatever the seed and speed, timestamps stay
+    /// monotone, every connection's ledger balances, and the NDJSON
+    /// encoding round-trips exactly.
     #[test]
     fn stream_invariants_hold_for_random_scenarios(
         seed in 0u64..500,
         max_speed in 2.0f64..20.0,
-        shards in 1u16..4,
     ) {
         let mut scenario = Scenario::random_pairs(Protocol::Mts, 30, 2, max_speed, seed)
             .with_telemetry(telemetry_on(None));
         scenario.sim.duration = Duration::from_secs(5.0);
-        if shards > 1 {
-            scenario.sim.execution = Execution::Sharded { shards, workers: 2, window: None };
-        }
         let recorder = run(scenario);
         let events = recorder.telemetry.events();
         prop_assert!(!events.is_empty());
-        let monotone = check_monotone_per_shard(events);
+        let monotone = check_monotone(events);
         prop_assert!(monotone.is_ok(), "monotonicity: {:?}", monotone);
         let ledger = check_conservation(events);
         prop_assert!(ledger.is_ok(), "conservation: {:?}", ledger);

@@ -9,9 +9,10 @@ drops), flow completions, the sampler's goodput time-series and, when
 
 ``--check`` validates instead of summarising: every line must parse as JSON,
 carry a known ``ev`` discriminator with exactly the fields of
-docs/OBSERVABILITY.md's schema table, and timestamps must be monotone
-non-decreasing per shard.  Exit status 0 means the stream is well-formed
-(CI runs this against the smoke artifact).
+docs/OBSERVABILITY.md's schema table, and timestamps must never decrease
+along the stream.  Exit status 0 means the stream is well-formed (CI runs
+this against the smoke artifact).  The ``shard`` key is required by the
+schema but always 0: it is kept so the format stays stable.
 
 Usage: python3 tools/trace_summary.py [--check] [FILE.ndjson]
        (no file: read stdin)
@@ -20,7 +21,7 @@ Usage: python3 tools/trace_summary.py [--check] [FILE.ndjson]
 import json
 import signal
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 
 # ev -> (required fields, optional fields).  Mirrors the Rust encoder in
 # crates/telemetry/src/event.rs; keep the two in sync.
@@ -84,7 +85,7 @@ def check_line(i: int, ev: dict) -> str | None:
 
 def load(stream) -> tuple[list[dict], list[str]]:
     events, errors = [], []
-    last_t: dict[int, float] = {}
+    last_t = float("-inf")
     for i, line in enumerate(stream, 1):
         line = line.strip()
         if not line:
@@ -97,13 +98,10 @@ def load(stream) -> tuple[list[dict], list[str]]:
         if complaint := check_line(i, ev):
             errors.append(complaint)
             continue
-        shard, t = ev.get("shard", 0), ev["t"]
-        if t < last_t.get(shard, float("-inf")):
-            errors.append(
-                f"line {i}: t went backwards on shard {shard} "
-                f"({t} < {last_t[shard]})"
-            )
-        last_t[shard] = t
+        t = ev["t"]
+        if t < last_t:
+            errors.append(f"line {i}: t went backwards ({t} < {last_t})")
+        last_t = t
         events.append(ev)
     return events, errors
 
@@ -111,12 +109,8 @@ def load(stream) -> tuple[list[dict], list[str]]:
 def summarise(events: list[dict]) -> str:
     lines = []
     counts = Counter(ev["ev"] for ev in events)
-    shards = sorted({ev.get("shard", 0) for ev in events})
     span = (events[0]["t"], events[-1]["t"]) if events else (0.0, 0.0)
-    lines.append(
-        f"{len(events)} events, t in [{span[0]:.3f}, {span[1]:.3f}] s, "
-        f"{len(shards)} shard(s)"
-    )
+    lines.append(f"{len(events)} events, t in [{span[0]:.3f}, {span[1]:.3f}] s")
     lines.append("")
     lines.append("event counts:")
     for name in SCHEMA:
@@ -167,37 +161,22 @@ def summarise(events: list[dict]) -> str:
     windows = [ev for ev in events if ev["ev"] == "window"]
     if windows:
         lines.append("")
-        lines.append("sampler windows (aggregated across shards):")
-        agg: dict[int, dict] = defaultdict(
-            lambda: {"goodput": 0, "queue_peak": 0, "suspicion_peak": 0,
-                     "cal_resizes": 0, "xshard": 0,
-                     "fluid_demand": 0, "fluid_alloc": 0}
-        )
-        for ev in windows:
-            w = agg[ev["window"]]
-            w["goodput"] += sum(ev["goodput"].values())
-            w["queue_peak"] = max(w["queue_peak"], ev["queue_peak"])
-            w["suspicion_peak"] = max(w["suspicion_peak"], ev["suspicion_peak"])
-            w["cal_resizes"] += ev["cal_resizes"]
-            w["xshard"] += ev["xshard"]
-            w["fluid_demand"] += sum(ev.get("fluid_demand", {}).values())
-            w["fluid_alloc"] += sum(ev.get("fluid_alloc", {}).values())
-        has_fluid = any(w["fluid_demand"] or w["fluid_alloc"]
-                        for w in agg.values())
+        lines.append("sampler windows:")
+        has_fluid = any(ev["fluid_demand"] or ev["fluid_alloc"] for ev in windows)
         header = (f"  {'window':>6}  {'goodput B':>10}  {'queue peak':>10}"
-                  f"  {'suspicion':>9}  {'resizes':>7}  {'xshard':>6}")
+                  f"  {'suspicion':>9}  {'resizes':>7}")
         if has_fluid:
             header += f"  {'fluid dem':>10}  {'fluid alloc':>11}"
         lines.append(header)
-        for idx in sorted(agg):
-            w = agg[idx]
+        for ev in windows:
             row = (
-                f"  {idx:>6}  {w['goodput']:>10}  {w['queue_peak']:>10}"
-                f"  {w['suspicion_peak']:>9}  {w['cal_resizes']:>7}"
-                f"  {w['xshard']:>6}"
+                f"  {ev['window']:>6}  {sum(ev['goodput'].values()):>10}"
+                f"  {ev['queue_peak']:>10}  {ev['suspicion_peak']:>9}"
+                f"  {ev['cal_resizes']:>7}"
             )
             if has_fluid:
-                row += f"  {w['fluid_demand']:>10}  {w['fluid_alloc']:>11}"
+                row += (f"  {sum(ev['fluid_demand'].values()):>10}"
+                        f"  {sum(ev['fluid_alloc'].values()):>11}")
             lines.append(row)
 
     trail = [ev for ev in events if ev["ev"] == "provenance"]
@@ -207,8 +186,7 @@ def summarise(events: list[dict]) -> str:
         lines.append(f"provenance of packet {conn}:{seq} ({len(trail)} stages):")
         for ev in trail:
             lines.append(
-                f"  t={ev['t']:.6f}  shard {ev['shard']}  "
-                f"{ev['stage']:<12} node {ev['node']}"
+                f"  t={ev['t']:.6f}  {ev['stage']:<12} node {ev['node']}"
             )
 
     security = [ev for ev in events if ev["ev"] in ("forged_rrep", "suspicion")]
