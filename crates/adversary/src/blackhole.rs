@@ -22,8 +22,7 @@
 //! so attack runs are exactly reproducible and do not perturb the protocol
 //! random stream shared with honest nodes.
 
-use manet_netsim::telemetry::{FrameKind, Stage, TelemetryEvent};
-use manet_netsim::{Ctx, DropReason, NodeStack, TimerToken};
+use manet_netsim::{Ctx, DropReason, NodeStack, Observation, PacketRef, TimerToken};
 use manet_wire::{Frame, NetPacket, NodeId, RouteReply, SeqNo, SharedPacket};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -116,34 +115,11 @@ impl NodeStack for BlackholeStack {
                 self.stats.attracted_data += 1;
                 if self.should_drop() {
                     self.stats.dropped_data += 1;
-                    let node = self.me;
-                    let carries = d.carries_data();
-                    let t = ctx.now().as_secs();
-                    let rec = ctx.recorder();
-                    rec.record_adversary_drop(node, carries);
-                    if rec.telemetry.enabled() {
-                        let conn = d.segment.conn.0;
-                        let seq = d.segment.seq;
-                        rec.telemetry.emit(TelemetryEvent::Drop {
-                            t,
-                            shard: 0,
-                            node: node.0,
-                            reason: DropReason::AdversaryDiscard,
-                            kind: FrameKind::Data,
-                            conn: carries.then_some(conn),
-                        });
-                        if rec.telemetry.traced(conn, seq, carries) {
-                            rec.telemetry.emit(TelemetryEvent::Provenance {
-                                t,
-                                shard: 0,
-                                stage: Stage::Drop,
-                                node: node.0,
-                                conn,
-                                seq,
-                                kind: FrameKind::Data,
-                            });
-                        }
-                    }
+                    ctx.observe(Observation::Drop {
+                        node: self.me,
+                        reason: DropReason::AdversaryDiscard,
+                        packet: PacketRef::Data(d),
+                    });
                     // Swallowed: the upstream MAC saw a successful delivery,
                     // so no link failure or route error is triggered.
                 } else {

@@ -68,20 +68,34 @@ pub fn capture_report(recorder: &Recorder, attackers: &[NodeId]) -> CaptureRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_netsim::SimTime;
+    use manet_netsim::{Observation, SimTime};
     use manet_wire::{ConnectionId, DataPacket, NetPacket, PacketId, TcpSegment};
+
+    /// A 1000-byte data segment of connection 0 with id `id`, for node 9.
+    fn data(id: u64) -> DataPacket {
+        let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+        DataPacket::new(PacketId(id), NodeId(0), NodeId(9), segment)
+    }
 
     fn recorder() -> Recorder {
         let mut rec = Recorder::new();
         for id in 0..4u64 {
-            rec.record_originated(PacketId(id), ConnectionId(0), true, SimTime::ZERO);
-            rec.record_delivered(
-                NodeId(9),
-                PacketId(id),
-                ConnectionId(0),
-                true,
-                1000,
-                SimTime::from_secs(1.0),
+            let packet = &data(id);
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Originate {
+                    node: NodeId(0),
+                    packet,
+                },
+            );
+            let at = SimTime::from_secs(1.0);
+            rec.observe(
+                at,
+                Observation::Deliver {
+                    node: NodeId(9),
+                    from: NodeId(0),
+                    packet,
+                },
             );
         }
         rec
@@ -92,16 +106,18 @@ mod tests {
         let mut rec = recorder();
         // Attacker 3 relayed packets 0 and 1; packet 77 was never delivered.
         for id in [0u64, 1, 77] {
-            rec.record_relay(NodeId(3), PacketId(id), true, SimTime::ZERO);
+            let packet = &data(id);
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Relay {
+                    node: NodeId(3),
+                    packet,
+                },
+            );
         }
         // Packet 2 crossed the wormhole tunnel.
-        let dp = DataPacket::new(
-            PacketId(2),
-            NodeId(0),
-            NodeId(9),
-            TcpSegment::data(ConnectionId(0), 0, 0, 1000),
-        );
-        rec.record_tunneled(&NetPacket::Data(dp));
+        let packet = &NetPacket::Data(data(2));
+        rec.observe(SimTime::ZERO, Observation::Tunnel { packet });
         let report = capture_report(&rec, &[NodeId(3), NodeId(4)]);
         assert_eq!(report.captured_packets, 3); // 0, 1 relayed + 2 tunneled
         assert_eq!(report.packets_delivered, 4);

@@ -189,28 +189,49 @@ pub fn coalition_curve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_netsim::SimTime;
-    use manet_wire::{ConnectionId, PacketId};
+    use manet_netsim::{Observation, SimTime};
+    use manet_wire::{ConnectionId, DataPacket, PacketId, TcpSegment};
     use std::collections::HashSet;
+
+    /// A 1000-byte data segment of connection 0 with id `id`, for node 9.
+    fn data(id: u64) -> DataPacket {
+        let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+        DataPacket::new(PacketId(id), NodeId(0), NodeId(9), segment)
+    }
 
     /// A recorder where packets 0..delivered reach node 9 and each
     /// `(node, ids)` pair relayed exactly those packet ids.
     fn recorder_with(delivered: u64, relays: &[(u16, &[u64])]) -> Recorder {
         let mut rec = Recorder::new();
         for id in 0..delivered {
-            rec.record_originated(PacketId(id), ConnectionId(0), true, SimTime::ZERO);
-            rec.record_delivered(
-                NodeId(9),
-                PacketId(id),
-                ConnectionId(0),
-                true,
-                1000,
-                SimTime::from_secs(1.0),
+            let packet = &data(id);
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Originate {
+                    node: NodeId(0),
+                    packet,
+                },
+            );
+            let at = SimTime::from_secs(1.0);
+            rec.observe(
+                at,
+                Observation::Deliver {
+                    node: NodeId(9),
+                    from: NodeId(0),
+                    packet,
+                },
             );
         }
         for &(node, ids) in relays {
             for &id in ids {
-                rec.record_relay(NodeId(node), PacketId(id), true, SimTime::ZERO);
+                let packet = &data(id);
+                rec.observe(
+                    SimTime::ZERO,
+                    Observation::Relay {
+                        node: NodeId(node),
+                        packet,
+                    },
+                );
             }
         }
         rec
@@ -231,7 +252,14 @@ mod tests {
     #[test]
     fn heard_basis_includes_overhearing() {
         let mut rec = recorder_with(2, &[(2, &[0])]);
-        rec.record_overheard(NodeId(2), PacketId(1), true);
+        let packet = &data(1);
+        rec.observe(
+            SimTime::ZERO,
+            Observation::Overheard {
+                node: NodeId(2),
+                packet,
+            },
+        );
         let relayed = coalition_report(&rec, &[NodeId(2)], CoverageBasis::Relayed);
         let heard = coalition_report(&rec, &[NodeId(2)], CoverageBasis::Heard);
         assert_eq!(relayed.covered_packets, 1);

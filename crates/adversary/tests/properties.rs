@@ -3,13 +3,19 @@
 use manet_adversary::{
     coalition_curve, coalition_report, select_coalition_greedy, CoalitionPlacement, CoverageBasis,
 };
-use manet_netsim::{Recorder, SimTime};
+use manet_netsim::{Observation, Recorder, SimTime};
 use manet_security::interception::highest_interception_ratio;
-use manet_wire::{ConnectionId, NodeId, PacketId};
+use manet_wire::{ConnectionId, DataPacket, NodeId, PacketId, TcpSegment};
 use proptest::prelude::*;
 
 const NUM_NODES: u16 = 20;
 const DST: u16 = 19;
+
+/// A 1000-byte data segment of connection 0 with id `id`, for node `DST`.
+fn data(id: u64) -> DataPacket {
+    let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+    DataPacket::new(PacketId(id), NodeId(0), NodeId(DST), segment)
+}
 
 /// Build a recorder from arbitrary relay assignments: `delivered` packets
 /// 0..delivered reach node `DST`, and each `(node, packet)` pair records one
@@ -18,24 +24,29 @@ const DST: u16 = 19;
 fn build_recorder(delivered: u64, relays: &[(u16, u64)]) -> Recorder {
     let mut rec = Recorder::new();
     for id in 0..delivered {
-        rec.record_originated(PacketId(id), ConnectionId(0), true, SimTime::ZERO);
-        rec.record_delivered(
-            NodeId(DST),
-            PacketId(id),
-            ConnectionId(0),
-            true,
-            1000,
-            SimTime::from_secs(1.0),
+        let packet = &data(id);
+        rec.observe(
+            SimTime::ZERO,
+            Observation::Originate {
+                node: NodeId(0),
+                packet,
+            },
+        );
+        let at = SimTime::from_secs(1.0);
+        rec.observe(
+            at,
+            Observation::Deliver {
+                node: NodeId(DST),
+                from: NodeId(0),
+                packet,
+            },
         );
     }
-    for &(node, packet) in relays {
+    for &(node, id) in relays {
         // Half the id space points at never-delivered packets.
-        rec.record_relay(
-            NodeId(node % NUM_NODES),
-            PacketId(packet),
-            true,
-            SimTime::ZERO,
-        );
+        let packet = &data(id);
+        let node = NodeId(node % NUM_NODES);
+        rec.observe(SimTime::ZERO, Observation::Relay { node, packet });
     }
     rec
 }

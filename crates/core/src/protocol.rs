@@ -44,9 +44,8 @@
 use crate::config::MtsConfig;
 use crate::path_set::PathSet;
 use crate::source_state::{CheckArrival, SourceRouteState};
-use manet_netsim::telemetry::TelemetryEvent;
 use manet_netsim::FxHashMap;
-use manet_netsim::{Ctx, DropReason, Duration, SimTime, TimerToken};
+use manet_netsim::{Ctx, DropReason, Duration, Observation, SimTime, TimerToken};
 use manet_routing::agent::{RoutingAgent, RoutingStats, TimerClass};
 use manet_routing::common::{record_data_drop, PacketBuffer, SeenTable};
 use manet_routing::suspicion::SuspicionTable;
@@ -116,9 +115,9 @@ pub struct Mts {
     /// destination (source role only).
     quarantine: FxHashMap<NodeId, QuarantinedReplies>,
     /// Suspicion penalties `(suspect, score after)` applied since the last
-    /// telemetry flush.  Some penalties land in helpers without an engine
-    /// context, so they queue here and the nearest ctx-bearing caller emits
-    /// the events (the queue is drained/cleared either way and stays tiny).
+    /// flush.  Some penalties land in helpers without an engine context, so
+    /// they queue here and the nearest ctx-bearing caller observes them (the
+    /// queue is drained each time and stays tiny).
     penalty_log: Vec<(NodeId, f64)>,
 }
 
@@ -233,28 +232,14 @@ impl Mts {
         false
     }
 
-    /// Emit the queued suspicion-score telemetry events (hardened mode).
-    /// Clears the queue whether or not telemetry is enabled, so a disabled
-    /// run carries no per-penalty state beyond this call.
+    /// Observe the queued suspicion-score changes (hardened mode) and clear
+    /// the queue.
     fn flush_suspicion_events(&mut self, ctx: &mut Ctx<'_>) {
-        if self.penalty_log.is_empty() {
-            return;
-        }
-        let t = ctx.now().as_secs();
-        let me = self.me.0;
         let table = self.suspicion.tracked() as u32;
-        let rec = ctx.recorder();
-        if !rec.telemetry.enabled() {
-            self.penalty_log.clear();
-            return;
-        }
-        rec.telemetry.note_suspicion_size(t, table);
         for (suspect, score) in self.penalty_log.drain(..) {
-            rec.telemetry.emit(TelemetryEvent::Suspicion {
-                t,
-                shard: 0,
-                node: me,
-                suspect: suspect.0,
+            ctx.observe(Observation::Suspicion {
+                node: self.me,
+                suspect,
                 score,
                 table,
             });
@@ -508,15 +493,10 @@ impl Mts {
         let now = ctx.now();
         if self.config.route_check.enabled {
             if self.hardened_rrep_is_suspicious(from, &rrep) {
-                let rec = ctx.recorder();
-                if rec.telemetry.enabled() {
-                    rec.telemetry.emit(TelemetryEvent::ForgedRrep {
-                        t: now.as_secs(),
-                        shard: 0,
-                        node: self.me.0,
-                        from: from.0,
-                    });
-                }
+                ctx.observe(Observation::ForgedRrep {
+                    node: self.me,
+                    from,
+                });
                 return;
             }
             // A credible reply may have resolved quarantined claims.
@@ -582,12 +562,10 @@ impl Mts {
             // behaving recover one checking round at a time.
             self.suspicion
                 .decay_all(self.config.route_check.suspicion_decay);
-            let rec = ctx.recorder();
-            if rec.telemetry.enabled() {
-                // Periodic sampler feed: table size after the decay sweep.
-                rec.telemetry
-                    .note_suspicion_size(now.as_secs(), self.suspicion.tracked() as u32);
-            }
+            // Periodic sampler feed: table size after the decay sweep.
+            ctx.observe(Observation::SuspicionTable {
+                size: self.suspicion.tracked() as u32,
+            });
         }
         let Some(session) = self.sessions.get_mut(&source) else {
             return;

@@ -349,8 +349,31 @@ impl RunMetrics {
 mod tests {
     use super::*;
     use crate::protocol::Protocol;
-    use manet_netsim::{SimConfig, SimTime};
-    use manet_wire::{ConnectionId, NodeId, PacketId};
+    use manet_netsim::{EventQueue, Observation, SimConfig, SimTime};
+    use manet_wire::{
+        BroadcastId, ConnectionId, DataPacket, NetPacket, NodeId, PacketId, RouteRequest, SeqNo,
+        TcpSegment,
+    };
+
+    /// A 1000-byte data segment of `conn` with id `id`, from node 0 to node 9.
+    fn data(id: u64, conn: u32) -> DataPacket {
+        let segment = TcpSegment::data(ConnectionId(conn), 0, 0, 1000);
+        DataPacket::new(PacketId(id), NodeId(0), NodeId(9), segment)
+    }
+
+    /// Originate `packet` at node 0 at time 0, and deliver it at `at`.
+    fn originate_and_deliver(rec: &mut Recorder, packet: &DataPacket, at: SimTime) {
+        let (src, dst) = (packet.src, packet.dst);
+        rec.observe(SimTime::ZERO, Observation::Originate { node: src, packet });
+        rec.observe(
+            at,
+            Observation::Deliver {
+                node: dst,
+                from: src,
+                packet,
+            },
+        );
+    }
 
     fn small_scenario() -> Scenario {
         let mut sim = SimConfig::default();
@@ -361,20 +384,50 @@ mod tests {
     fn recorder_with_traffic() -> Recorder {
         let mut rec = Recorder::new();
         for id in 0..10u64 {
-            rec.record_originated(PacketId(id), ConnectionId(0), true, SimTime::ZERO);
-        }
-        for id in 0..8u64 {
-            rec.record_relay(NodeId(3), PacketId(id), true, SimTime::ZERO);
-            rec.record_delivered(
-                NodeId(9),
-                PacketId(id),
-                ConnectionId(0),
-                true,
-                1000,
-                SimTime::from_secs(1.0 + id as f64 * 0.01),
+            let packet = &data(id, 0);
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Originate {
+                    node: NodeId(0),
+                    packet,
+                },
             );
         }
-        rec.record_tx(NodeId(0), "RREQ", true, 44, SimTime::ZERO);
+        for id in 0..8u64 {
+            let packet = &data(id, 0);
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Relay {
+                    node: NodeId(3),
+                    packet,
+                },
+            );
+            let at = SimTime::from_secs(1.0 + id as f64 * 0.01);
+            rec.observe(
+                at,
+                Observation::Deliver {
+                    node: NodeId(9),
+                    from: NodeId(3),
+                    packet,
+                },
+            );
+        }
+        let rreq = NetPacket::Rreq(RouteRequest {
+            source: NodeId(0),
+            destination: NodeId(9),
+            broadcast_id: BroadcastId(0),
+            hop_count: 0,
+            route: vec![],
+            dest_seqno: SeqNo(0),
+            source_seqno: SeqNo(0),
+        });
+        let obs = Observation::TxStart {
+            node: NodeId(0),
+            packet: &rreq,
+            bytes: 44,
+            events: &EventQueue::default(),
+        };
+        rec.observe(SimTime::ZERO, obs);
         rec
     }
 
@@ -414,15 +467,7 @@ mod tests {
         let mut rec = Recorder::new();
         for (conn, ids) in [(0u32, 0..4u64), (1u32, 100..108u64)] {
             for id in ids {
-                rec.record_originated(PacketId(id), ConnectionId(conn), true, SimTime::ZERO);
-                rec.record_delivered(
-                    NodeId(9),
-                    PacketId(id),
-                    ConnectionId(conn),
-                    true,
-                    1000,
-                    SimTime::from_secs(1.0),
-                );
+                originate_and_deliver(&mut rec, &data(id, conn), SimTime::from_secs(1.0));
             }
         }
         let mut report = TcpRunReport::default();

@@ -90,9 +90,9 @@ mod tests {
     use crate::metrics::RunMetrics;
     use crate::protocol::Protocol;
     use crate::runner::{AggregatedPoint, SweepOutcome};
-    use manet_netsim::{Recorder, SimTime};
+    use manet_netsim::{Observation, Recorder, SimTime};
     use manet_security::relay_distribution;
-    use manet_wire::{NodeId, PacketId};
+    use manet_wire::{ConnectionId, DataPacket, NodeId, PacketId, TcpSegment};
 
     fn fake_outcome() -> SweepOutcome {
         let mut points = Vec::new();
@@ -137,11 +137,15 @@ mod tests {
         let mut rec = Recorder::new();
         for (node, count) in [(2u16, 10u64), (7, 30)] {
             for i in 0..count {
-                rec.record_relay(
-                    NodeId(node),
-                    PacketId(u64::from(node) * 1000 + i),
-                    true,
+                let id = PacketId(u64::from(node) * 1000 + i);
+                let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+                let packet = &DataPacket::new(id, NodeId(0), NodeId(9), segment);
+                rec.observe(
                     SimTime::ZERO,
+                    Observation::Relay {
+                        node: NodeId(node),
+                        packet,
+                    },
                 );
             }
         }

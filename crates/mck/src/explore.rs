@@ -337,8 +337,12 @@ mod tests {
     use crate::blackhole_corridor;
     use crate::oracle::hash_trace;
     use manet_experiments::Protocol;
-    use manet_netsim::{SimTime, TelemetryConfig, TraceEvent};
-    use manet_wire::{ConnectionId, NodeId, PacketId};
+    use manet_netsim::fasthash::FxHashSet;
+    use manet_netsim::{EventQueue, Observation, SimTime, TelemetryConfig, TraceEvent};
+    use manet_wire::{
+        BroadcastId, CheckError, CheckId, ConnectionId, DataPacket, NetPacket, NodeId, PacketId,
+        RouteCheck, RouteError, RouteReply, RouteRequest, SeqNo, TcpSegment,
+    };
     use proptest::prelude::*;
 
     /// The trace hash `outcome_digest` used before it went structural: the
@@ -395,6 +399,58 @@ mod tests {
                 next_hop: NodeId(b as u16),
                 at,
             },
+        }
+    }
+
+    /// A 512-byte data segment of connection 0, with id `id`, for `dst`.
+    fn data_packet(id: PacketId, dst: NodeId) -> DataPacket {
+        let segment = TcpSegment::data(ConnectionId(0), 0, 0, 512);
+        DataPacket::new(id, NodeId(0), dst, segment)
+    }
+
+    /// A packet of the kind labelled `kind`.
+    fn packet_of(kind: &str) -> NetPacket {
+        let (a, b) = (NodeId(0), NodeId(1));
+        match FrameKind::from_label(kind).expect("a frame kind label") {
+            FrameKind::Rreq => NetPacket::Rreq(RouteRequest {
+                source: a,
+                destination: b,
+                broadcast_id: BroadcastId(0),
+                hop_count: 0,
+                route: vec![],
+                dest_seqno: SeqNo(0),
+                source_seqno: SeqNo(0),
+            }),
+            FrameKind::Rrep => NetPacket::Rrep(RouteReply {
+                source: a,
+                destination: b,
+                reply_id: BroadcastId(0),
+                hop_count: 0,
+                route: vec![],
+                dest_seqno: SeqNo(0),
+            }),
+            FrameKind::Rerr => NetPacket::Rerr(RouteError {
+                reporter: a,
+                broken_next_hop: b,
+                unreachable: vec![],
+                dest_seqnos: vec![],
+            }),
+            FrameKind::Check => NetPacket::Check(RouteCheck {
+                source: a,
+                destination: b,
+                check_id: CheckId(0),
+                hop_count: 0,
+                path: vec![],
+                path_index: 0,
+            }),
+            FrameKind::CheckErr => NetPacket::CheckErr(CheckError {
+                reporter: a,
+                destination: b,
+                source: a,
+                check_id: CheckId(0),
+                path_index: 0,
+            }),
+            FrameKind::Data => NetPacket::Data(data_packet(PacketId(0), b)),
         }
     }
 
@@ -649,17 +705,24 @@ mod tests {
             let mut recorder = Recorder::new();
             recorder.trace_mode = TraceMode::Fingerprint;
             let mut traced = Vec::new();
+            let events = EventQueue::default();
+            let mut delivered = FxHashSet::default();
             for ev in trace {
                 let new = match ev {
                     TraceEvent::TxStart { node, kind, bytes, at } => {
-                        recorder.record_tx(node, kind, kind != "DATA", bytes, at);
+                        let packet = &packet_of(kind);
+                        let obs = Observation::TxStart { node, packet, bytes, events: &events };
+                        recorder.observe(at, obs);
                         true
                     }
                     TraceEvent::Delivered { node, packet, at } => {
-                        recorder.record_delivered(node, packet, ConnectionId(0), true, 512, at)
+                        let packet = &data_packet(packet, node);
+                        recorder.observe(at, Observation::Deliver { node, from: node, packet });
+                        delivered.insert(packet.id)
                     }
                     TraceEvent::LinkFailure { node, next_hop, at } => {
-                        recorder.record_link_failure(node, next_hop, at);
+                        let packet = &packet_of("DATA");
+                        recorder.observe(at, Observation::LinkFailure { node, next_hop, packet });
                         true
                     }
                 };

@@ -45,7 +45,7 @@ pub struct ChoiceTrace {
     pub horizon: u32,
     /// Extra delivery delay applied by [`ScheduleAction::Delay`].
     pub delay: Duration,
-    /// Frame kinds eligible for intervention (`NetPacket::kind()` labels).
+    /// Frame kinds eligible for intervention (`FrameKind` labels of `NetPacket::frame_kind()`).
     pub kinds: Vec<&'static str>,
 }
 
@@ -78,7 +78,7 @@ pub struct ChoiceRecord {
     pub from: NodeId,
     /// Receiving node.
     pub to: NodeId,
-    /// Frame kind (`NetPacket::kind()` label).
+    /// Frame kind (the `FrameKind` label of `NetPacket::frame_kind()`).
     pub kind: &'static str,
     /// Broadcast reception (false: unicast delivery).
     pub broadcast: bool,
@@ -134,7 +134,7 @@ impl ScheduleHook {
 
 impl DeliveryChoiceHook for ScheduleHook {
     fn decide(&mut self, point: &ChoicePoint<'_>) -> ChoiceDecision {
-        let kind = point.payload.kind();
+        let kind = point.payload.frame_kind().label();
         if !self.kinds.contains(&kind) {
             // Ineligible frame kinds deliver without consuming a slot, so
             // the branching factor stays bounded by the horizon.

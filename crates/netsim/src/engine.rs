@@ -57,40 +57,19 @@ use crate::mobility::{MobilityModel, Waypoint};
 use crate::neighborhood::{Neighborhood, SCAN_HORIZON_M};
 use crate::node::{Ctx, NodeStack, TimerToken};
 use crate::radio::LinkDynamics;
-use crate::recorder::{DropReason, EnginePerf, FluidFlowTotals, Recorder, TraceMode};
+use crate::recorder::{
+    DropReason, EnginePerf, FluidFlowTotals, Observation, PacketRef, Recorder, TraceMode,
+};
 use crate::rng::RngStreams;
 use crate::time::{Duration, SimTime};
-use manet_telemetry::{FrameKind, Stage, Telemetry, TelemetryEvent};
-use manet_wire::{DataPacket, Frame, MacDest, NetPacket, NodeId, SharedPacket};
+use manet_telemetry::Telemetry;
+use manet_wire::{Frame, MacDest, NetPacket, NodeId, SharedPacket};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// Snapshot of a payload's drop-telemetry fields, captured before the
-/// engine's payload reference may be handed away (a broadcast receiver late
-/// in the outcome list can be schedule-dropped after an earlier delivery took
-/// ownership of the packet).
-struct DropMeta {
-    kind: FrameKind,
-    /// `(conn, seq, carries_data)` for data packets, `None` for control.
-    data: Option<(u32, u64, bool)>,
-}
-
-impl DropMeta {
-    fn of(payload: &NetPacket) -> Self {
-        let data = match payload {
-            NetPacket::Data(dp) => Some((dp.segment.conn.0, dp.segment.seq, dp.carries_data())),
-            _ => None,
-        };
-        DropMeta {
-            kind: payload.frame_kind(),
-            data,
-        }
-    }
-}
 
 /// Per-node mobility bookkeeping.
 #[derive(Debug, Clone)]
@@ -524,7 +503,12 @@ impl World {
                     .wormhole
                     .as_ref()
                     .map_or(Duration::ZERO, |w| w.delay);
-                self.recorder.record_tunneled(&frame.payload);
+                self.recorder.observe(
+                    self.now,
+                    Observation::Tunnel {
+                        packet: &frame.payload,
+                    },
+                );
                 self.queue.schedule(
                     self.now + delay,
                     Event::TunnelDeliver {
@@ -537,66 +521,22 @@ impl World {
             }
         }
         let capacity = self.config.mac.queue_capacity;
-        // Telemetry reads the frame's headline facts before the MAC takes
-        // ownership; the events themselves fire after the enqueue decision.
-        let tele = self.recorder.telemetry.enabled();
-        let (kind, bytes, data) = if tele {
-            (
-                frame.payload.frame_kind(),
-                frame.size_bytes(),
-                match &*frame.payload {
-                    NetPacket::Data(dp) => {
-                        Some((dp.segment.conn.0, dp.segment.seq, dp.carries_data()))
-                    }
-                    _ => None,
-                },
-            )
-        } else {
-            (FrameKind::Data, 0, None)
-        };
-        let accepted = self.macs[node.index()].enqueue(frame, capacity);
-        if !accepted {
-            self.recorder.record_drop(DropReason::QueueOverflow);
-            if tele {
-                let t = self.now.as_secs();
-                self.recorder.telemetry.emit(TelemetryEvent::Drop {
-                    t,
-                    shard: 0,
-                    node: node.0,
-                    reason: DropReason::QueueOverflow,
-                    kind,
-                    conn: data.and_then(|(c, _, carries)| carries.then_some(c)),
-                });
-            }
+        let mac = &mut self.macs[node.index()];
+        if let Err(frame) = mac.enqueue(frame, capacity) {
+            let obs = Observation::Drop {
+                node,
+                reason: DropReason::QueueOverflow,
+                packet: PacketRef::Net(&frame.payload),
+            };
+            self.recorder.observe(self.now, obs);
             return;
         }
-        if tele {
-            let t = self.now.as_secs();
-            let queue = self.macs[node.index()].queue.len() as u32;
-            let telemetry = &mut self.recorder.telemetry;
-            telemetry.note_queue_len(t, queue);
-            telemetry.emit(TelemetryEvent::FrameEnqueue {
-                t,
-                shard: 0,
-                node: node.0,
-                kind,
-                bytes,
-                queue,
-            });
-            if let Some((conn, seq, carries)) = data {
-                if telemetry.traced(conn, seq, carries) {
-                    telemetry.emit(TelemetryEvent::Provenance {
-                        t,
-                        shard: 0,
-                        stage: Stage::Enqueue,
-                        node: node.0,
-                        conn,
-                        seq,
-                        kind,
-                    });
-                }
-            }
-        }
+        let obs = Observation::Enqueue {
+            node,
+            frame: &mac.queue.back().expect("just queued").frame,
+            queue: mac.queue.len() as u32,
+        };
+        self.recorder.observe(self.now, obs);
         self.ensure_attempt(node, Duration::ZERO);
     }
 
@@ -866,15 +806,10 @@ impl Simulator {
         perf.queue_pops = queue.pops;
         perf.queue_max_occupancy = queue.max_occupancy;
         perf.calendar_resizes = queue.calendar_resizes;
-        if self.world.recorder.telemetry.enabled() {
-            // Close the sampler's trailing window with the final resize count
-            // before the stream is sealed for serialisation.
-            let t = self.world.now.as_secs();
-            let telemetry = &mut self.world.recorder.telemetry;
-            telemetry.note_calendar_resizes(t, queue.calendar_resizes);
-            telemetry.finalize();
-        }
-        self.world.recorder.set_engine_perf(perf);
+        let now = self.world.now;
+        self.world
+            .recorder
+            .observe(now, Observation::Finalize { perf });
         self.world.recorder
     }
 
@@ -998,10 +933,9 @@ impl Simulator {
             return; // superseded by a forced reallocation
         }
         let now = self.world.now;
-        let sample_regions = self.world.recorder.telemetry.enabled();
         let out = {
             let world = &self.world;
-            fluid.epoch(now, sample_regions, |n| world.position_of(n))
+            fluid.epoch(now, |n| world.position_of(n))
         };
         // An epoch that asks for the next one at its own instant makes no
         // progress in simulated time.  A long run of them is a spin (PR 9's
@@ -1019,15 +953,11 @@ impl Simulator {
                 fluid.stall_report()
             );
         }
+        self.observe_fluid_completions(&out.completions);
+        let (demand, alloc) = fluid.region_rates();
+        let obs = Observation::FluidRates { demand, alloc };
+        self.world.recorder.observe(now, obs);
         self.world.fluid = Some(fluid);
-        self.emit_fluid_completions(&out.completions);
-        let t = now.as_secs();
-        for &(region, demand, alloc) in &out.region_rates {
-            self.world
-                .recorder
-                .telemetry
-                .note_fluid(t, region, demand, alloc);
-        }
         if let Some(next) = out.next {
             self.world
                 .queue
@@ -1035,27 +965,19 @@ impl Simulator {
         }
     }
 
-    /// Emit `FlowComplete` telemetry for fluid completions.  Each completion
-    /// is reported once, at the flow's source, stamped at the current
-    /// simulation time (epochs fire at the analytic completion
-    /// instant, so the stamp and the analytic time normally coincide; the
-    /// exact analytic time always lands in the recorder ledger).
-    fn emit_fluid_completions(&mut self, completions: &[FluidCompletion]) {
-        if completions.is_empty() || !self.world.recorder.telemetry.enabled() {
-            return;
-        }
-        let t = self.world.now.as_secs();
+    /// Observe fluid completions.  Each completion is reported once, at the
+    /// flow's source, stamped at the current simulation time (epochs fire at
+    /// the analytic completion instant, so the stamp and the analytic time
+    /// normally coincide; the exact analytic time always lands in the
+    /// recorder ledger).
+    fn observe_fluid_completions(&mut self, completions: &[FluidCompletion]) {
         for c in completions {
-            self.world
-                .recorder
-                .telemetry
-                .emit(TelemetryEvent::FlowComplete {
-                    t,
-                    shard: 0,
-                    node: c.src.0,
-                    conn: c.conn,
-                    bytes: c.delivered,
-                });
+            let obs = Observation::FlowComplete {
+                node: c.src,
+                conn: c.conn,
+                bytes: c.delivered,
+            };
+            self.world.recorder.observe(self.world.now, obs);
         }
     }
 
@@ -1071,18 +993,20 @@ impl Simulator {
         let completions = fluid.flush_completions(now);
         let rows = fluid.final_rows(now);
         self.world.fluid = Some(fluid);
-        self.emit_fluid_completions(&completions);
+        self.observe_fluid_completions(&completions);
         for row in rows {
-            self.world.recorder.record_fluid_flow(
-                row.conn,
-                FluidFlowTotals {
-                    src: row.src,
-                    dst: row.dst,
-                    offered_bytes: row.offered,
-                    delivered_bytes: row.delivered,
-                    completion_secs: row.completed_at.map(|t| t.as_secs()),
-                },
-            );
+            let totals = FluidFlowTotals {
+                src: row.src,
+                dst: row.dst,
+                offered_bytes: row.offered,
+                delivered_bytes: row.delivered,
+                completion_secs: row.completed_at.map(|t| t.as_secs()),
+            };
+            let obs = Observation::FluidFlow {
+                conn: row.conn,
+                totals,
+            };
+            self.world.recorder.observe(now, obs);
         }
     }
 
@@ -1140,40 +1064,16 @@ impl Simulator {
         let end = now + duration;
 
         // Record the transmission for the overhead metrics.
-        self.world.recorder.record_tx(
+        let World {
+            recorder, queue, ..
+        } = &mut self.world;
+        let obs = Observation::TxStart {
             node,
-            queued.frame.payload.kind(),
-            queued.frame.payload.is_control(),
+            packet: &queued.frame.payload,
             bytes,
-            now,
-        );
-        if self.world.recorder.telemetry.enabled() {
-            let t = now.as_secs();
-            let resizes = self.world.queue.perf().calendar_resizes;
-            let kind = queued.frame.payload.frame_kind();
-            let telemetry = &mut self.world.recorder.telemetry;
-            telemetry.note_calendar_resizes(t, resizes);
-            telemetry.emit(TelemetryEvent::TxStart {
-                t,
-                shard: 0,
-                node: node.0,
-                kind,
-                bytes,
-            });
-            if let NetPacket::Data(dp) = &*queued.frame.payload {
-                if telemetry.traced(dp.segment.conn.0, dp.segment.seq, dp.carries_data()) {
-                    telemetry.emit(TelemetryEvent::Provenance {
-                        t,
-                        shard: 0,
-                        stage: Stage::TxStart,
-                        node: node.0,
-                        conn: dp.segment.conn.0,
-                        seq: dp.segment.seq,
-                        kind,
-                    });
-                }
-            }
-        }
+            events: queue,
+        };
+        recorder.observe(now, obs);
 
         // Determine receivers (transmission range) and busy set (carrier-sense
         // range): from the node's cached neighbourhood while it holds, from a
@@ -1268,19 +1168,11 @@ impl Simulator {
                 m.reception_collided(tx, start, end) || m.was_transmitting_during(start, end)
             };
             if collided {
-                self.world.recorder.record_collision();
-                if self.world.recorder.telemetry.enabled() {
-                    let t = now.as_secs();
-                    self.world
-                        .recorder
-                        .telemetry
-                        .emit(TelemetryEvent::Collision {
-                            t,
-                            shard: 0,
-                            node: r.0,
-                            from: node.0,
-                        });
-                }
+                let obs = Observation::Collision {
+                    node: r,
+                    from: node,
+                };
+                self.world.recorder.observe(now, obs);
             }
             let faded = {
                 let World {
@@ -1309,23 +1201,12 @@ impl Simulator {
                 false
             };
             if jammed && !collided && !faded && !lost {
-                self.world.recorder.record_jammed(is_control);
-                if self.world.recorder.telemetry.enabled() {
-                    let t = now.as_secs();
-                    let kind = queued.frame.payload.frame_kind();
-                    let conn = match &*queued.frame.payload {
-                        NetPacket::Data(dp) if dp.carries_data() => Some(dp.segment.conn.0),
-                        _ => None,
-                    };
-                    self.world.recorder.telemetry.emit(TelemetryEvent::Drop {
-                        t,
-                        shard: 0,
-                        node: r.0,
-                        reason: DropReason::Jammed,
-                        kind,
-                        conn,
-                    });
-                }
+                let obs = Observation::Drop {
+                    node: r,
+                    reason: DropReason::Jammed,
+                    packet: PacketRef::Net(&queued.frame.payload),
+                };
+                self.world.recorder.observe(now, obs);
             }
             outcomes.push((r, !collided && !faded && !lost && !jammed));
         }
@@ -1346,7 +1227,10 @@ impl Simulator {
                             .wormhole
                             .as_ref()
                             .map_or(Duration::ZERO, |w| w.delay);
-                        self.world.recorder.record_tunneled(&queued.frame.payload);
+                        let obs = Observation::Tunnel {
+                            packet: &queued.frame.payload,
+                        };
+                        self.world.recorder.observe(now, obs);
                         add(&self.world.perf.payload_clones_avoided, 1);
                         self.world.queue.schedule(
                             now + delay,
@@ -1390,9 +1274,11 @@ impl Simulator {
                             })
                             .collect()
                     });
-                let drop_meta = decisions
+                // A late receiver can be schedule-dropped after an earlier
+                // delivery took ownership of the payload: summarise it now.
+                let dropped = decisions
                     .as_ref()
-                    .map(|_| DropMeta::of(payload.as_ref().expect("payload present")));
+                    .map(|_| PacketRef::summary(payload.as_ref().expect("payload present")));
                 let last_needed = match &decisions {
                     None => outcomes.iter().rposition(|&(_, ok)| ok),
                     Some(ds) => outcomes
@@ -1408,7 +1294,7 @@ impl Simulator {
                         .as_ref()
                         .map_or(ChoiceDecision::Deliver, |ds| ds[i]);
                     if decision == ChoiceDecision::Drop {
-                        self.record_schedule_drop(r, drop_meta.as_ref().expect("hook active"));
+                        self.observe_schedule_drop(r, dropped.expect("hook active"));
                         continue;
                     }
                     let packet = if Some(i) == last_needed {
@@ -1476,8 +1362,7 @@ impl Simulator {
                     };
                     match decision {
                         ChoiceDecision::Drop => {
-                            let meta = DropMeta::of(&queued.frame.payload);
-                            self.record_schedule_drop(dst, &meta);
+                            self.observe_schedule_drop(dst, PacketRef::Net(&queued.frame.payload));
                         }
                         ChoiceDecision::Delay(by) => {
                             self.world.queue.schedule(
@@ -1512,24 +1397,12 @@ impl Simulator {
                     } else {
                         self.world.macs[idx].retry_drops += 1;
                         self.world.macs[idx].reset_backoff();
-                        self.world.recorder.record_drop(DropReason::RetryLimit);
-                        self.world.recorder.record_link_failure(node, dst, now);
-                        if self.world.recorder.telemetry.enabled() {
-                            let t = now.as_secs();
-                            let kind = queued.frame.payload.frame_kind();
-                            let conn = match &*queued.frame.payload {
-                                NetPacket::Data(dp) if dp.carries_data() => Some(dp.segment.conn.0),
-                                _ => None,
-                            };
-                            self.world.recorder.telemetry.emit(TelemetryEvent::Drop {
-                                t,
-                                shard: 0,
-                                node: node.0,
-                                reason: DropReason::RetryLimit,
-                                kind,
-                                conn,
-                            });
-                        }
+                        let obs = Observation::LinkFailure {
+                            node,
+                            next_hop: dst,
+                            packet: &queued.frame.payload,
+                        };
+                        self.world.recorder.observe(now, obs);
                         let packet = self.world.claim_packet(queued.frame.payload);
                         let mut ctx = Ctx {
                             world: &mut self.world,
@@ -1554,11 +1427,11 @@ impl Simulator {
     /// stack sees an ordinary `on_receive` from the near endpoint, so honest
     /// routing logic treats the pair as direct neighbours.
     fn tunnel_deliver(&mut self, to: NodeId, from: NodeId, packet: SharedPacket) {
-        if self.world.recorder.telemetry.enabled() {
-            if let NetPacket::Data(dp) = &*packet {
-                self.emit_stage_provenance(Stage::Tunnel, to, dp);
-            }
-        }
+        let obs = Observation::TunnelExit {
+            node: to,
+            packet: &packet,
+        };
+        self.world.recorder.observe(self.world.now, obs);
         self.account_reception(to, from, &packet, true);
         let mut ctx = Ctx {
             world: &mut self.world,
@@ -1591,124 +1464,25 @@ impl Simulator {
         payload: &NetPacket,
         addressed: bool,
     ) {
-        if let NetPacket::Data(dp) = payload {
-            let carries = dp.carries_data();
-            if addressed {
-                if dp.dst == node {
-                    let first = self.world.recorder.record_delivered(
-                        node,
-                        dp.id,
-                        dp.segment.conn,
-                        carries,
-                        dp.segment.payload_len,
-                        self.world.now,
-                    );
-                    if first && self.world.recorder.telemetry.enabled() {
-                        self.emit_deliver_telemetry(node, from, dp);
-                    }
-                } else {
-                    self.world
-                        .recorder
-                        .record_relay(node, dp.id, carries, self.world.now);
-                    if self.world.recorder.telemetry.enabled() {
-                        self.emit_stage_provenance(Stage::Relay, node, dp);
-                    }
-                }
-            } else {
-                self.world.recorder.record_overheard(node, dp.id, carries);
-            }
+        if let NetPacket::Data(packet) = payload {
+            let obs = match (addressed, packet.dst == node) {
+                (true, true) => Observation::Deliver { node, from, packet },
+                (true, false) => Observation::Relay { node, packet },
+                (false, _) => Observation::Overheard { node, packet },
+            };
+            self.world.recorder.observe(self.world.now, obs);
         }
     }
 
-    /// Telemetry for a data packet's first arrival at its destination: the
-    /// `deliver` event, the goodput sample, and the provenance stage.
-    fn emit_deliver_telemetry(&mut self, node: NodeId, from: NodeId, dp: &DataPacket) {
-        let t = self.world.now.as_secs();
-        let conn = dp.segment.conn.0;
-        let seq = dp.segment.seq;
-        let carries = dp.carries_data();
-        let telemetry = &mut self.world.recorder.telemetry;
-        if carries {
-            telemetry.note_goodput(t, conn, u64::from(dp.segment.payload_len));
-        }
-        telemetry.emit(TelemetryEvent::Deliver {
-            t,
-            shard: 0,
-            node: node.0,
-            from: from.0,
-            kind: FrameKind::Data,
-            conn: Some(conn),
-            // Pure ACKs carry no sequence payload on the wire; leaving `seq`
-            // out keeps them outside the per-connection conservation ledger
-            // (only payload-carrying originations are counted there).
-            seq: carries.then_some(seq),
-        });
-        if telemetry.traced(conn, seq, carries) {
-            telemetry.emit(TelemetryEvent::Provenance {
-                t,
-                shard: 0,
-                stage: Stage::Deliver,
-                node: node.0,
-                conn,
-                seq,
-                kind: FrameKind::Data,
-            });
-        }
-    }
-
-    /// Account a schedule-controlled omission (see [`crate::choice`]): a
-    /// [`DropReason::ScheduleDrop`] drop counter tick, the telemetry `drop`
-    /// event, and — when the omitted packet is the traced one — a `drop`
-    /// provenance stage, mirroring how adversarial discards are recorded.
-    fn record_schedule_drop(&mut self, at: NodeId, meta: &DropMeta) {
-        self.world.recorder.record_drop(DropReason::ScheduleDrop);
-        if self.world.recorder.telemetry.enabled() {
-            let t = self.world.now.as_secs();
-            let telemetry = &mut self.world.recorder.telemetry;
-            let conn = meta
-                .data
-                .and_then(|(conn, _, carries)| carries.then_some(conn));
-            telemetry.emit(TelemetryEvent::Drop {
-                t,
-                shard: 0,
-                node: at.0,
-                reason: DropReason::ScheduleDrop,
-                kind: meta.kind,
-                conn,
-            });
-            if let Some((conn, seq, carries)) = meta.data {
-                if telemetry.traced(conn, seq, carries) {
-                    telemetry.emit(TelemetryEvent::Provenance {
-                        t,
-                        shard: 0,
-                        stage: Stage::Drop,
-                        node: at.0,
-                        conn,
-                        seq,
-                        kind: meta.kind,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Emit a provenance stage for `dp` at `node` if it is the tagged packet.
-    fn emit_stage_provenance(&mut self, stage: Stage, node: NodeId, dp: &DataPacket) {
-        let t = self.world.now.as_secs();
-        let telemetry = &mut self.world.recorder.telemetry;
-        let conn = dp.segment.conn.0;
-        let seq = dp.segment.seq;
-        if telemetry.traced(conn, seq, dp.carries_data()) {
-            telemetry.emit(TelemetryEvent::Provenance {
-                t,
-                shard: 0,
-                stage,
-                node: node.0,
-                conn,
-                seq,
-                kind: FrameKind::Data,
-            });
-        }
+    /// Observe a schedule-controlled omission (see [`crate::choice`]): a
+    /// [`DropReason::ScheduleDrop`] of `packet` at `at`.
+    fn observe_schedule_drop(&mut self, at: NodeId, packet: PacketRef<'_>) {
+        let obs = Observation::Drop {
+            node: at,
+            reason: DropReason::ScheduleDrop,
+            packet,
+        };
+        self.world.recorder.observe(self.world.now, obs);
     }
 }
 
@@ -1737,9 +1511,10 @@ mod tests {
                     self.last,
                     TcpSegment::data(ConnectionId(0), 0, 0, 1000),
                 );
-                let now = ctx.now();
-                ctx.recorder()
-                    .record_originated(dp.id, ConnectionId(0), true, now);
+                ctx.observe(Observation::Originate {
+                    node: self.me,
+                    packet: &dp,
+                });
                 let next = NodeId(self.me.0 + 1);
                 ctx.send_unicast(next, NetPacket::Data(dp));
             }

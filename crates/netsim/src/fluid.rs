@@ -436,10 +436,6 @@ pub(crate) struct EpochOutcome {
     pub completions: Vec<FluidCompletion>,
     /// When the next epoch should run (`None` once every flow is done).
     pub next: Option<SimTime>,
-    /// Per-region `(region, demand, allocated)` rates in bytes/sec, nonzero
-    /// regions only, for the telemetry window sampler; empty unless the
-    /// epoch was asked to sample them.
-    pub region_rates: Vec<(u32, u64, u64)>,
 }
 
 /// Snapshot of one flow's byte ledger (recorder rows, metrics, endpoints).
@@ -795,12 +791,11 @@ impl FluidState {
     /// current endpoint positions, and report when the next epoch is due.
     ///
     /// `position` must resolve a node's position at `now` (the engine passes
-    /// the memoised `World::position_of`).  `sample_regions` asks for
-    /// [`EpochOutcome::region_rates`], which only the telemetry sampler reads.
+    /// the memoised `World::position_of`).  The epoch's per-region rates
+    /// stay readable through [`FluidState::region_rates`] until the next one.
     pub(crate) fn epoch(
         &mut self,
         now: SimTime,
-        sample_regions: bool,
         mut position: impl FnMut(NodeId) -> Position,
     ) -> EpochOutcome {
         let mut out = EpochOutcome::default();
@@ -873,17 +868,6 @@ impl FluidState {
             // idle so foreground frames can never be starved outright.
             *busy = (a * self.cfg.busy_overhead / self.channel_rate).min(0.95);
         }
-        if sample_regions {
-            for r in 0..s.region_alloc.len() {
-                if s.region_demand[r] > 0.0 || s.region_alloc[r] > 0.0 {
-                    out.region_rates.push((
-                        r as u32,
-                        s.region_demand[r].round() as u64,
-                        s.region_alloc[r].round() as u64,
-                    ));
-                }
-            }
-        }
         // Next epoch: the earliest of next arrival, earliest analytic
         // completion, and the periodic cap — none once everything is done.
         let mut next: Option<SimTime> = None;
@@ -915,6 +899,12 @@ impl FluidState {
         }
         out.next = next;
         out
+    }
+
+    /// The last epoch's background demand and max-min allocation per region,
+    /// bytes/s, indexed by region.
+    pub(crate) fn region_rates(&self) -> (&[f64], &[f64]) {
+        (&self.scratch.region_demand, &self.scratch.region_alloc)
     }
 
     /// The state behind a run of same-instant epochs, for the engine's
@@ -973,6 +963,19 @@ mod tests {
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()))
+    }
+
+    /// The last epoch's nonzero `(region, demand, alloc)` rates, rounded as
+    /// the telemetry sampler reports them.
+    fn rates(fluid: &FluidState) -> Vec<(u32, u64, u64)> {
+        let (demand, alloc) = fluid.region_rates();
+        demand
+            .iter()
+            .zip(alloc)
+            .enumerate()
+            .filter(|(_, (&d, &a))| d > 0.0 || a > 0.0)
+            .map(|(r, (&d, &a))| (r as u32, d.round() as u64, a.round() as u64))
+            .collect()
     }
 
     /// The per-flow progressive filling [`max_min_kernel`] replaced, kept word
@@ -1343,13 +1346,13 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |n: NodeId| Position::new(100.0 + 300.0 * f64::from(n.0), 100.0);
-        let out = fluid.epoch(SimTime::ZERO, true, pos);
+        let out = fluid.epoch(SimTime::ZERO, pos);
         assert!(out.completions.is_empty());
         // Uncontended: the flow gets its full demand, so it finishes in 1 s.
         let next = out.next.expect("an active flow schedules a next epoch");
         assert!(close(next.as_secs(), 1.0), "{next}");
-        assert!(!out.region_rates.is_empty());
-        let out = fluid.epoch(next, true, pos);
+        assert!(!rates(&fluid).is_empty());
+        let out = fluid.epoch(next, pos);
         assert_eq!(out.completions.len(), 1);
         assert_eq!(out.completions[0].conn, 1);
         assert_eq!(out.completions[0].delivered, 10_000);
@@ -1375,21 +1378,22 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |_: NodeId| Position::new(100.0, 100.0);
-        let free = fluid.epoch(SimTime::ZERO, true, pos);
-        let free_alloc = free.region_rates[0].2;
+        fluid.epoch(SimTime::ZERO, pos);
+        let free_alloc = rates(&fluid)[0].2;
         // The fluid slice is *reserved*: moderate foreground (well under
         // channel − region_capacity) must leave it untouched…
         fluid.note_foreground(Position::new(100.0, 100.0), 100_000);
-        let light = fluid.epoch(SimTime::from_secs(1.0), true, pos);
+        fluid.epoch(SimTime::from_secs(1.0), pos);
         assert_eq!(
-            light.region_rates[0].2, free_alloc,
+            rates(&fluid)[0].2,
+            free_alloc,
             "light foreground load must not dent the reserved fluid slice"
         );
         // …but foreground crowding the whole channel (1.3 MB/s of a
         // 1.375 MB/s channel) squeezes the slice down to what is left.
         fluid.note_foreground(Position::new(100.0, 100.0), 1_300_000);
-        let loaded = fluid.epoch(SimTime::from_secs(2.0), true, pos);
-        let loaded_alloc = loaded.region_rates[0].2;
+        fluid.epoch(SimTime::from_secs(2.0), pos);
+        let loaded_alloc = rates(&fluid)[0].2;
         assert!(
             loaded_alloc < free_alloc,
             "saturating foreground load must shrink the fluid share \
@@ -1439,10 +1443,10 @@ mod tests {
                 scratch: EpochScratch::default(),
                 ..rebuilt.clone()
             };
-            let a = kept.epoch(now, true, |n| nodes[n.index()]);
-            let b = rebuilt.epoch(now, true, |n| nodes[n.index()]);
+            let a = kept.epoch(now, |n| nodes[n.index()]);
+            let b = rebuilt.epoch(now, |n| nodes[n.index()]);
             assert_eq!(a.next, b.next, "epoch {k}");
-            assert_eq!(a.region_rates, b.region_rates, "epoch {k}");
+            assert_eq!(rates(&kept), rates(&rebuilt), "epoch {k}");
             completed += a.completions.len();
             let bits = |s: &FluidState| -> Vec<u64> {
                 let rates = s.flows.iter().map(|f| f.rate.to_bits());
@@ -1474,7 +1478,7 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |_: NodeId| Position::new(100.0, 100.0);
-        fluid.epoch(SimTime::ZERO, true, pos);
+        fluid.epoch(SimTime::ZERO, pos);
         let p = Position::new(100.0, 100.0);
         let period = cfg.pulse_period.as_secs();
         // At the start of a period the medium is virtually busy...

@@ -72,7 +72,9 @@ pub use mobility::{MobilityModel, RandomWaypoint, Waypoint};
 pub use node::{Ctx, NodeStack, TimerToken};
 pub use radio::{ChannelModel, RadioConfig};
 pub use recorder::EnginePerf;
-pub use recorder::{FluidFlowTotals, PacketSet, Recorder, TraceEvent, TraceMode};
+pub use recorder::{
+    FluidFlowTotals, Observation, PacketRef, PacketSet, Recorder, TraceEvent, TraceMode,
+};
 pub use rng::RngStreams;
 pub use time::{Duration, SimTime};
 

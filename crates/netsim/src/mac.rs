@@ -81,15 +81,15 @@ impl MacState {
         Self::default()
     }
 
-    /// Try to enqueue a frame; returns false (and counts a drop) if the
+    /// Try to enqueue a frame; hands it back (and counts a drop) if the
     /// interface queue is full.
-    pub fn enqueue(&mut self, frame: Frame, capacity: usize) -> bool {
+    pub fn enqueue(&mut self, frame: Frame, capacity: usize) -> Result<(), Frame> {
         if self.queue.len() >= capacity {
             self.queue_drops += 1;
-            return false;
+            return Err(frame);
         }
         self.queue.push_back(QueuedFrame { frame, attempts: 0 });
-        true
+        Ok(())
     }
 
     /// Put a frame back at the head of the queue for a retry.
@@ -191,9 +191,9 @@ mod tests {
     #[test]
     fn queue_respects_capacity() {
         let mut m = MacState::new();
-        assert!(m.enqueue(frame(), 2));
-        assert!(m.enqueue(frame(), 2));
-        assert!(!m.enqueue(frame(), 2));
+        assert!(m.enqueue(frame(), 2).is_ok());
+        assert!(m.enqueue(frame(), 2).is_ok());
+        assert!(m.enqueue(frame(), 2).is_err());
         assert_eq!(m.queue.len(), 2);
         assert_eq!(m.queue_drops, 1);
     }
@@ -201,10 +201,10 @@ mod tests {
     #[test]
     fn requeue_front_preserves_retry_order() {
         let mut m = MacState::new();
-        m.enqueue(frame(), 10);
+        m.enqueue(frame(), 10).unwrap();
         let mut head = m.queue.pop_front().unwrap();
         head.attempts = 3;
-        m.enqueue(frame(), 10);
+        m.enqueue(frame(), 10).unwrap();
         m.requeue_front(head);
         assert_eq!(m.queue.front().unwrap().attempts, 3);
     }

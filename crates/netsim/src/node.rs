@@ -12,7 +12,7 @@
 //! workspace.
 
 use crate::engine::World;
-use crate::recorder::Recorder;
+use crate::recorder::{Observation, Recorder};
 use crate::time::{Duration, SimTime};
 use manet_wire::{Frame, NetPacket, NodeId, SharedPacket};
 use rand::rngs::SmallRng;
@@ -168,8 +168,14 @@ impl<'a> Ctx<'a> {
         self.world.protocol_rng()
     }
 
-    /// The per-run recorder, for stacks that record originations or custom
-    /// observations.
+    /// Report an observation at the current time (see
+    /// [`Recorder::observe`]).
+    pub fn observe(&mut self, obs: Observation<'_>) {
+        let now = self.world.now;
+        self.world.recorder_mut().observe(now, obs);
+    }
+
+    /// The per-run recorder.
     pub fn recorder(&mut self) -> &mut Recorder {
         self.world.recorder_mut()
     }

@@ -1,16 +1,19 @@
 //! Per-run trace recorder.
 //!
-//! The engine and the protocol stacks record every observable the paper's
+//! The engine and the protocol stacks report every observable the paper's
 //! metrics need: data-packet originations, per-hop relays, deliveries with
 //! latencies, promiscuous overhearing (for the eavesdropper), routing control
-//! transmissions (for the overhead metric) and MAC-level drops.  The
-//! `manet-security` and `manet-experiments` crates turn this raw record into
-//! the figures.
+//! transmissions (for the overhead metric) and drops.  Each event site makes
+//! one call, [`Recorder::observe`], with one [`Observation`]; the recorder
+//! folds it into its counters, the trace fingerprint and, when it is on, the
+//! telemetry stream.  The `manet-security` and `manet-experiments` crates
+//! turn this raw record into the figures.
 
+use crate::event::EventQueue;
 use crate::fasthash::{FxHashMap, FxHashSet, FxHasher};
 use crate::time::{Duration, SimTime};
-use manet_telemetry::Telemetry;
-use manet_wire::{ConnectionId, NetPacket, NodeId, PacketId};
+use manet_telemetry::{FrameKind, Stage, Telemetry, TelemetryEvent, TimerClass};
+use manet_wire::{ConnectionId, DataPacket, Frame, NetPacket, NodeId, PacketId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 
@@ -19,8 +22,9 @@ use std::hash::Hash;
 /// [`manet_telemetry::DropKind`] re-exported under the name the engine has
 /// always used).  MAC-level reasons (`QueueOverflow`, `RetryLimit`,
 /// `Jammed`), adversarial discards and routing-layer reasons (`NoRoute`,
-/// `DiscoveryFailed`, `SalvageFailed`) all funnel through
-/// [`Recorder::record_drop`].
+/// `DiscoveryFailed`, `SalvageFailed`) all arrive as an
+/// [`Observation::Drop`] (or, for `RetryLimit`, an
+/// [`Observation::LinkFailure`]).
 pub use manet_telemetry::DropKind as DropReason;
 
 /// A single trace entry (kept optionally, for debugging and the trace example).
@@ -95,6 +99,181 @@ pub enum TraceMode {
     Fingerprint,
     /// The fingerprint and every event, readable through [`Recorder::trace`].
     Keep,
+}
+
+/// One thing that happened in a run, as an event site reports it to
+/// [`Recorder::observe`].
+///
+/// Variants carry ids and small `Copy` fields, or borrow the packet they are
+/// about: whatever only telemetry needs (a frame's kind and size, a segment's
+/// connection and sequence number) is read inside `observe`, and only when
+/// telemetry is on.
+#[derive(Debug, Clone, Copy)]
+pub enum Observation<'a> {
+    /// A source's stack handed a data packet to its routing layer.
+    Originate {
+        node: NodeId,
+        packet: &'a DataPacket,
+    },
+    /// A frame joined `node`'s MAC queue, which now holds `queue` frames.
+    Enqueue {
+        node: NodeId,
+        frame: &'a Frame,
+        queue: u32,
+    },
+    /// `node` started transmitting a frame of `bytes` on-air bytes (the
+    /// engine reports every frame).  `events` is the future event list,
+    /// whose calendar-resize count the telemetry sampler reads.
+    TxStart {
+        node: NodeId,
+        packet: &'a NetPacket,
+        bytes: u32,
+        events: &'a EventQueue,
+    },
+    /// A concurrent transmission destroyed `node`'s reception from `from`.
+    Collision { node: NodeId, from: NodeId },
+    /// `node`, not the packet's final destination, received a data packet
+    /// to forward ("relayed" / "received" in the paper's Table I).
+    Relay {
+        node: NodeId,
+        packet: &'a DataPacket,
+    },
+    /// `node` overheard a data packet it was not the MAC destination of.
+    Overheard {
+        node: NodeId,
+        packet: &'a DataPacket,
+    },
+    /// A data packet reached its final destination `node` from the previous
+    /// hop `from`.  Only its first arrival counts; `observe` decides which
+    /// one that is.
+    Deliver {
+        node: NodeId,
+        from: NodeId,
+        packet: &'a DataPacket,
+    },
+    /// `node` discarded a frame or packet.  A unicast that exhausted its
+    /// retries is a [`Observation::LinkFailure`] instead.
+    Drop {
+        node: NodeId,
+        reason: DropReason,
+        packet: PacketRef<'a>,
+    },
+    /// A unicast from `node` to `next_hop` exhausted its retry budget: a
+    /// [`DropReason::RetryLimit`] drop and a link failure.
+    LinkFailure {
+        node: NodeId,
+        next_hop: NodeId,
+        packet: &'a NetPacket,
+    },
+    /// A frame entered a wormhole's out-of-band tunnel (either direction).
+    Tunnel { packet: &'a NetPacket },
+    /// A tunnelled frame came out at the far wormhole endpoint `node`.
+    TunnelExit { node: NodeId, packet: &'a NetPacket },
+    /// A protocol timer of `class` fired on `node`; `scope` is its
+    /// connection, or 0.
+    Timer {
+        node: NodeId,
+        class: TimerClass,
+        scope: u16,
+    },
+    /// A bounded flow (TCP or background fluid) from `node` moved its whole
+    /// byte budget, `bytes`.
+    FlowComplete { node: NodeId, conn: u32, bytes: u64 },
+    /// MTS at `node` rejected a route reply from `from` that failed source
+    /// verification.
+    ForgedRrep { node: NodeId, from: NodeId },
+    /// `node`'s suspicion score of `suspect` changed to `score`; its table
+    /// now tracks `table` peers.
+    Suspicion {
+        node: NodeId,
+        suspect: NodeId,
+        score: f64,
+        table: u32,
+    },
+    /// A suspicion table tracks `size` peers (the sampler's periodic feed).
+    SuspicionTable { size: u32 },
+    /// A fluid epoch set every region's background demand and max-min
+    /// allocation rates (bytes/s, indexed by region).
+    FluidRates { demand: &'a [f64], alloc: &'a [f64] },
+    /// The byte ledger of one background fluid flow (written once per flow
+    /// at the end of the run).
+    FluidFlow { conn: u32, totals: FluidFlowTotals },
+    /// The run ended with these engine counters.
+    Finalize { perf: EnginePerf },
+}
+
+impl Observation<'_> {
+    /// The provenance rule, for every observation in one place: the pipeline
+    /// stage this observation moves a packet through, the node, and the
+    /// packet's `(conn, seq, carries_data)`.  A drop ends the trail exactly
+    /// when its reason is terminal ([`DropReason::is_terminal`]).
+    fn stage(&self) -> Option<(Stage, NodeId, (u32, u64, bool))> {
+        let (stage, node, packet) = match *self {
+            Observation::Originate { node, packet } => {
+                (Stage::Originate, node, PacketRef::Data(packet))
+            }
+            Observation::Enqueue { node, frame, .. } => {
+                (Stage::Enqueue, node, PacketRef::Net(&frame.payload))
+            }
+            Observation::TxStart { node, packet, .. } => {
+                (Stage::TxStart, node, PacketRef::Net(packet))
+            }
+            Observation::Relay { node, packet } => (Stage::Relay, node, PacketRef::Data(packet)),
+            Observation::Deliver { node, packet, .. } => {
+                (Stage::Deliver, node, PacketRef::Data(packet))
+            }
+            Observation::Drop {
+                node,
+                reason,
+                packet,
+            } if reason.is_terminal() => (Stage::Drop, node, packet),
+            Observation::TunnelExit { node, packet } => {
+                (Stage::Tunnel, node, PacketRef::Net(packet))
+            }
+            _ => return None,
+        };
+        packet.segment().map(|segment| (stage, node, segment))
+    }
+}
+
+/// The packet an [`Observation::Drop`] is about, as much of it as the
+/// dropping site still holds.
+#[derive(Debug, Clone, Copy)]
+pub enum PacketRef<'a> {
+    /// A network packet of any kind.
+    Net(&'a NetPacket),
+    /// A data packet held above the MAC (routing buffers, adversaries).
+    Data(&'a DataPacket),
+    /// A frame whose payload the engine already handed on: its kind and,
+    /// for a data packet, `(conn, seq, carries_data)`.
+    Summary(FrameKind, Option<(u32, u64, bool)>),
+}
+
+impl PacketRef<'_> {
+    /// The summary of `packet`, for a drop observed after the payload itself
+    /// has been handed on.
+    pub(crate) fn summary(packet: &NetPacket) -> PacketRef<'static> {
+        PacketRef::Summary(packet.frame_kind(), PacketRef::Net(packet).segment())
+    }
+
+    /// The packet's kind.
+    fn kind(self) -> FrameKind {
+        match self {
+            PacketRef::Net(packet) => packet.frame_kind(),
+            PacketRef::Data(_) => FrameKind::Data,
+            PacketRef::Summary(kind, _) => kind,
+        }
+    }
+
+    /// `(conn, seq, carries_data)` of a data packet.
+    fn segment(self) -> Option<(u32, u64, bool)> {
+        let of = |dp: &DataPacket| (dp.segment.conn.0, dp.segment.seq, dp.carries_data());
+        match self {
+            PacketRef::Net(packet) => packet.as_data().map(of),
+            PacketRef::Data(dp) => Some(of(dp)),
+            PacketRef::Summary(_, segment) => segment,
+        }
+    }
 }
 
 /// Engine-internal performance counters for one run, filled in by the
@@ -395,9 +574,9 @@ pub struct Recorder {
     engine_perf: EnginePerf,
 
     /// Structured telemetry buffer (event stream, sampler, provenance tag).
-    /// Disabled by default; hook sites throughout the stack guard on
-    /// [`Telemetry::enabled`], so a disabled run pays one predictable branch
-    /// per site and records nothing.
+    /// Disabled by default.  Only [`Recorder::observe`] writes to it, behind
+    /// one branch on [`Telemetry::enabled`], so a disabled run records
+    /// nothing into it.
     pub telemetry: Telemetry,
 }
 
@@ -415,91 +594,335 @@ impl Recorder {
         }
     }
 
-    // ---- recording (called by the engine and by protocol stacks) -------------
+    // ---- observation (the one entry point of every event site) ---------------
 
-    /// A data packet was handed to the routing layer at its origin.  `conn`
-    /// keys the per-flow counters (every data packet carries exactly one TCP
-    /// segment, so the connection id is always known at the origin).
-    pub fn record_originated(
-        &mut self,
-        packet: PacketId,
-        conn: ConnectionId,
-        carries_data: bool,
-        at: SimTime,
-    ) {
-        self.originated.entry(packet).or_insert(at);
-        if carries_data {
-            self.originated_data += 1;
-            self.flow_counters.entry(conn).or_default().originated_data += 1;
+    /// Observe one event of the run at time `at`.  This is the only way the
+    /// engine, the stacks, routing and the adversaries report what happened,
+    /// and it feeds every consumer in one place:
+    ///
+    /// - it folds `obs` into the counters;
+    /// - unless the trace mode is [`TraceMode::Off`], it folds the matching
+    ///   [`TraceEvent`] into the fingerprint, and keeps it in `Keep` mode;
+    /// - when telemetry is on, it encodes the event, feeds the sampler and,
+    ///   if `obs` moves the tagged packet through a pipeline stage, emits the
+    ///   packet's provenance entry (one rule for all, `Observation::stage`).
+    ///
+    /// Only a packet's first delivery counts: a repeated one is recognised
+    /// here and goes no further.
+    #[inline]
+    pub fn observe(&mut self, at: SimTime, obs: Observation<'_>) {
+        if self.fold(at, &obs) && self.telemetry.enabled() {
+            self.emit(at, &obs);
         }
     }
 
-    /// A data packet reached its final destination.  Returns `true` if this
-    /// was the packet's *first* recorded delivery (telemetry hooks emit a
-    /// `deliver` event only then, matching the unique-packet metrics).
-    pub fn record_delivered(
-        &mut self,
-        node: NodeId,
-        packet: PacketId,
-        conn: ConnectionId,
-        carries_data: bool,
-        payload_bytes: u32,
-        at: SimTime,
-    ) -> bool {
-        if !self.delivered.insert(packet) {
-            // Duplicate delivery (e.g. a retransmission raced the original);
-            // the paper's metrics count unique packets.
-            return false;
-        }
-        if carries_data {
-            self.delivered_data += 1;
-            self.delivered_bytes += u64::from(payload_bytes);
-            self.delivery_series.push((at, payload_bytes));
-            let delay = self
-                .originated
-                .get(&packet)
-                .map(|&sent| at.saturating_since(sent));
-            if let Some(delay) = delay {
-                self.delays.push(delay);
+    /// Fold `obs` into the counters and the trace.  Returns `false` only for
+    /// a repeated delivery, which nothing else may see.
+    #[inline]
+    fn fold(&mut self, at: SimTime, obs: &Observation<'_>) -> bool {
+        match *obs {
+            Observation::Originate { packet, .. } => {
+                self.originated.entry(packet.id).or_insert(at);
+                if packet.carries_data() {
+                    self.originated_data += 1;
+                    let flow = self.flow_counters.entry(packet.segment.conn).or_default();
+                    flow.originated_data += 1;
+                }
             }
-            let flow = self.flow_counters.entry(conn).or_default();
-            flow.delivered_data += 1;
-            flow.delivered_bytes += u64::from(payload_bytes);
-            if let Some(delay) = delay {
-                flow.delay_sum_secs += delay.as_secs();
+            Observation::TxStart {
+                node,
+                packet,
+                bytes,
+                ..
+            } => {
+                let kind = packet.frame_kind();
+                if packet.is_control() {
+                    self.control_tx += 1;
+                    self.control_tx_bytes += u64::from(bytes);
+                    *self.control_tx_by_kind.entry(kind.label()).or_insert(0) += 1;
+                } else {
+                    self.data_tx += 1;
+                }
+                if self.trace_mode != TraceMode::Off {
+                    self.push_trace(TraceEvent::TxStart {
+                        node,
+                        kind: kind.label(),
+                        bytes,
+                        at,
+                    });
+                }
             }
-        }
-        if self.trace_mode != TraceMode::Off {
-            self.push_trace(TraceEvent::Delivered { node, packet, at });
+            Observation::Collision { .. } => self.collisions += 1,
+            Observation::Relay { node, packet } if packet.carries_data() => {
+                let i = Self::slot(node);
+                grow_to(&mut self.relays, i);
+                grow_to(&mut self.heard, i);
+                grow_to(&mut self.relayed_ids, i);
+                grow_to(&mut self.participation_secs, i);
+                self.relays[i] += 1;
+                self.heard[i].insert(packet.id);
+                self.relayed_ids[i].insert(packet.id);
+                // Time only moves forward, so the bucket of the previous relay is
+                // the set's largest: a run of relays inside one second inserts once.
+                let sec = at.as_secs().max(0.0) as u32;
+                let secs = &mut self.participation_secs[i];
+                if secs.last() != Some(&sec) {
+                    secs.insert(sec);
+                }
+            }
+            Observation::Overheard { node, packet } if packet.carries_data() => {
+                let i = Self::slot(node);
+                grow_to(&mut self.heard, i);
+                self.heard[i].insert(packet.id);
+            }
+            Observation::Deliver { node, packet, .. } => {
+                if !self.delivered.insert(packet.id) {
+                    // Duplicate delivery (e.g. a retransmission raced the
+                    // original); the paper's metrics count unique packets.
+                    return false;
+                }
+                if packet.carries_data() {
+                    let payload_bytes = packet.segment.payload_len;
+                    self.delivered_data += 1;
+                    self.delivered_bytes += u64::from(payload_bytes);
+                    self.delivery_series.push((at, payload_bytes));
+                    let delay = self
+                        .originated
+                        .get(&packet.id)
+                        .map(|&sent| at.saturating_since(sent));
+                    if let Some(delay) = delay {
+                        self.delays.push(delay);
+                    }
+                    let flow = self.flow_counters.entry(packet.segment.conn).or_default();
+                    flow.delivered_data += 1;
+                    flow.delivered_bytes += u64::from(payload_bytes);
+                    if let Some(delay) = delay {
+                        flow.delay_sum_secs += delay.as_secs();
+                    }
+                }
+                if self.trace_mode != TraceMode::Off {
+                    self.push_trace(TraceEvent::Delivered {
+                        node,
+                        packet: packet.id,
+                        at,
+                    });
+                }
+            }
+            Observation::Drop {
+                node,
+                reason,
+                packet,
+            } => {
+                *self.drops.entry(reason).or_insert(0) += 1;
+                match reason {
+                    DropReason::AdversaryDiscard => {
+                        self.adversary_drops += 1;
+                        if packet.segment().is_some_and(|(_, _, data)| data) {
+                            self.adversary_data_drops += 1;
+                        }
+                        *self.adversary_drops_by_node.entry(node).or_insert(0) += 1;
+                    }
+                    DropReason::Jammed if packet.kind() == FrameKind::Data => self.jammed_data += 1,
+                    DropReason::Jammed => self.jammed_control += 1,
+                    _ => {}
+                }
+            }
+            Observation::LinkFailure { node, next_hop, .. } => {
+                *self.drops.entry(DropReason::RetryLimit).or_insert(0) += 1;
+                self.link_failures += 1;
+                if self.trace_mode != TraceMode::Off {
+                    self.push_trace(TraceEvent::LinkFailure { node, next_hop, at });
+                }
+            }
+            Observation::Tunnel { packet } => {
+                self.tunneled_frames += 1;
+                if let NetPacket::Data(dp) = packet {
+                    if dp.carries_data() {
+                        self.tunneled_data.insert(dp.id);
+                    }
+                }
+            }
+            Observation::FluidFlow { conn, totals } => {
+                self.fluid_flows.insert(conn, totals);
+            }
+            Observation::Finalize { perf } => self.engine_perf = perf,
+            _ => {}
         }
         true
     }
 
-    /// A node that is not the packet's final destination received a data
-    /// packet to forward ("relayed" / "received" in the paper's Table I).
-    /// `at` feeds the windowed participant metric (1 s buckets).
-    pub fn record_relay(
-        &mut self,
-        node: NodeId,
-        packet: PacketId,
-        carries_data: bool,
-        at: SimTime,
-    ) {
-        if carries_data {
-            let i = Self::slot(node);
-            grow_to(&mut self.relays, i);
-            grow_to(&mut self.heard, i);
-            grow_to(&mut self.relayed_ids, i);
-            grow_to(&mut self.participation_secs, i);
-            self.relays[i] += 1;
-            self.heard[i].insert(packet);
-            self.relayed_ids[i].insert(packet);
-            // Time only moves forward, so the bucket of the previous relay is
-            // the set's largest: a run of relays inside one second inserts once.
-            let sec = at.as_secs().max(0.0) as u32;
-            let secs = &mut self.participation_secs[i];
-            if secs.last() != Some(&sec) {
-                secs.insert(sec);
+    /// Encode `obs` into the telemetry stream, feed the sampler, and emit the
+    /// tagged packet's provenance entry.  Called only when telemetry is on.
+    #[inline(never)]
+    fn emit(&mut self, at: SimTime, obs: &Observation<'_>) {
+        let t = at.as_secs();
+        let tele = &mut self.telemetry;
+        let event = match *obs {
+            Observation::Originate { node, packet } => Some(TelemetryEvent::Originate {
+                t,
+                shard: 0,
+                node: node.0,
+                conn: packet.segment.conn.0,
+                seq: packet.segment.seq,
+                data: packet.carries_data(),
+                bytes: packet.segment.payload_len,
+            }),
+            Observation::Enqueue { node, frame, queue } => {
+                tele.note_queue_len(t, queue);
+                Some(TelemetryEvent::FrameEnqueue {
+                    t,
+                    shard: 0,
+                    node: node.0,
+                    kind: frame.payload.frame_kind(),
+                    bytes: frame.size_bytes(),
+                    queue,
+                })
+            }
+            Observation::TxStart {
+                node,
+                packet,
+                bytes,
+                events,
+            } => {
+                tele.note_calendar_resizes(t, events.perf().calendar_resizes);
+                Some(TelemetryEvent::TxStart {
+                    t,
+                    shard: 0,
+                    node: node.0,
+                    kind: packet.frame_kind(),
+                    bytes,
+                })
+            }
+            Observation::Collision { node, from } => Some(TelemetryEvent::Collision {
+                t,
+                shard: 0,
+                node: node.0,
+                from: from.0,
+            }),
+            Observation::Deliver { node, from, packet } => {
+                let (conn, seq) = (packet.segment.conn.0, packet.segment.seq);
+                let carries = packet.carries_data();
+                if carries {
+                    tele.note_goodput(t, conn, u64::from(packet.segment.payload_len));
+                }
+                Some(TelemetryEvent::Deliver {
+                    t,
+                    shard: 0,
+                    node: node.0,
+                    from: from.0,
+                    kind: FrameKind::Data,
+                    conn: Some(conn),
+                    // Pure ACKs carry no sequence payload on the wire; leaving
+                    // `seq` out keeps them outside the per-connection
+                    // conservation ledger (only payload-carrying originations
+                    // are counted there).
+                    seq: carries.then_some(seq),
+                })
+            }
+            Observation::Drop {
+                node,
+                reason,
+                packet,
+            } => Some(TelemetryEvent::Drop {
+                t,
+                shard: 0,
+                node: node.0,
+                reason,
+                kind: packet.kind(),
+                // Only a payload-carrying packet names its connection: pure
+                // ACKs share the id but sit outside the conservation ledger.
+                conn: packet
+                    .segment()
+                    .and_then(|(conn, _, data)| data.then_some(conn)),
+            }),
+            // On the stream, a link failure is the drop of its frame.
+            Observation::LinkFailure { node, packet, .. } => {
+                let reason = DropReason::RetryLimit;
+                let packet = PacketRef::Net(packet);
+                return self.emit(
+                    at,
+                    &Observation::Drop {
+                        node,
+                        reason,
+                        packet,
+                    },
+                );
+            }
+            Observation::Timer { node, class, scope } => Some(TelemetryEvent::Timer {
+                t,
+                shard: 0,
+                node: node.0,
+                class,
+                scope,
+            }),
+            Observation::FlowComplete { node, conn, bytes } => Some(TelemetryEvent::FlowComplete {
+                t,
+                shard: 0,
+                node: node.0,
+                conn,
+                bytes,
+            }),
+            Observation::ForgedRrep { node, from } => Some(TelemetryEvent::ForgedRrep {
+                t,
+                shard: 0,
+                node: node.0,
+                from: from.0,
+            }),
+            Observation::Suspicion {
+                node,
+                suspect,
+                score,
+                table,
+            } => {
+                tele.note_suspicion_size(t, table);
+                Some(TelemetryEvent::Suspicion {
+                    t,
+                    shard: 0,
+                    node: node.0,
+                    suspect: suspect.0,
+                    score,
+                    table,
+                })
+            }
+            Observation::SuspicionTable { size } => {
+                tele.note_suspicion_size(t, size);
+                None
+            }
+            Observation::FluidRates { demand, alloc } => {
+                for (region, (&d, &a)) in demand.iter().zip(alloc).enumerate() {
+                    if d > 0.0 || a > 0.0 {
+                        tele.note_fluid(t, region as u32, d.round() as u64, a.round() as u64);
+                    }
+                }
+                None
+            }
+            Observation::Finalize { perf } => {
+                // Close the sampler's trailing window with the final resize
+                // count before the stream is sealed for serialisation.
+                tele.note_calendar_resizes(t, perf.calendar_resizes);
+                tele.finalize();
+                None
+            }
+            Observation::Relay { .. }
+            | Observation::Overheard { .. }
+            | Observation::Tunnel { .. }
+            | Observation::TunnelExit { .. }
+            | Observation::FluidFlow { .. } => None,
+        };
+        if let Some(event) = event {
+            tele.emit(event);
+        }
+        if let Some((stage, node, (conn, seq, data))) = obs.stage() {
+            if tele.traced(conn, seq, data) {
+                tele.emit(TelemetryEvent::Provenance {
+                    t,
+                    shard: 0,
+                    stage,
+                    node: node.0,
+                    conn,
+                    seq,
+                    kind: FrameKind::Data,
+                });
             }
         }
     }
@@ -510,114 +933,12 @@ impl Recorder {
         node.index()
     }
 
-    /// Record (or update) the byte ledger of one background fluid flow.  The
-    /// engine writes every flow once at the end of the run.
-    pub fn record_fluid_flow(&mut self, conn: u32, totals: FluidFlowTotals) {
-        self.fluid_flows.insert(conn, totals);
-    }
-
-    /// A packet crossed a wormhole's out-of-band tunnel (either direction).
-    pub fn record_tunneled(&mut self, packet: &NetPacket) {
-        self.tunneled_frames += 1;
-        if let NetPacket::Data(dp) = packet {
-            if dp.carries_data() {
-                self.tunneled_data.insert(dp.id);
-            }
-        }
-    }
-
-    /// An adversarial node (black hole / gray hole) deliberately discarded a
-    /// packet it was supposed to forward.  Also counted under
-    /// [`DropReason::AdversaryDiscard`] in the unified drop map.
-    pub fn record_adversary_drop(&mut self, node: NodeId, carries_data: bool) {
-        self.adversary_drops += 1;
-        if carries_data {
-            self.adversary_data_drops += 1;
-        }
-        *self.adversary_drops_by_node.entry(node).or_insert(0) += 1;
-        *self.drops.entry(DropReason::AdversaryDiscard).or_insert(0) += 1;
-    }
-
-    /// A reception was corrupted by a selective jammer.  Also counted under
-    /// [`DropReason::Jammed`] in the unified drop map.
-    pub fn record_jammed(&mut self, is_control: bool) {
-        if is_control {
-            self.jammed_control += 1;
-        } else {
-            self.jammed_data += 1;
-        }
-        *self.drops.entry(DropReason::Jammed).or_insert(0) += 1;
-    }
-
-    /// A node overheard a data packet it was not the MAC destination of.
-    pub fn record_overheard(&mut self, node: NodeId, packet: PacketId, carries_data: bool) {
-        if carries_data {
-            let i = Self::slot(node);
-            grow_to(&mut self.heard, i);
-            self.heard[i].insert(packet);
-        }
-    }
-
-    /// A frame started transmission (the engine calls this for every frame).
-    pub fn record_tx(
-        &mut self,
-        node: NodeId,
-        kind: &'static str,
-        is_control: bool,
-        bytes: u32,
-        at: SimTime,
-    ) {
-        if is_control {
-            self.control_tx += 1;
-            self.control_tx_bytes += u64::from(bytes);
-            *self.control_tx_by_kind.entry(kind).or_insert(0) += 1;
-        } else {
-            self.data_tx += 1;
-        }
-        if self.trace_mode != TraceMode::Off {
-            self.push_trace(TraceEvent::TxStart {
-                node,
-                kind,
-                bytes,
-                at,
-            });
-        }
-    }
-
-    /// A frame or packet was discarded for `reason` — the single entry point
-    /// for every layer's drop accounting (MAC queue overflows and retry
-    /// exhaustion, routing-layer no-route/discovery/salvage failures).
-    /// Jamming and adversarial discards come in through their dedicated
-    /// record methods, which feed the same map.
-    pub fn record_drop(&mut self, reason: DropReason) {
-        *self.drops.entry(reason).or_insert(0) += 1;
-    }
-
-    /// A unicast frame exhausted its retry budget.
-    pub fn record_link_failure(&mut self, node: NodeId, next_hop: NodeId, at: SimTime) {
-        self.link_failures += 1;
-        if self.trace_mode != TraceMode::Off {
-            self.push_trace(TraceEvent::LinkFailure { node, next_hop, at });
-        }
-    }
-
     /// Fold `ev` into the fingerprint, and keep it in `Keep` mode.
     fn push_trace(&mut self, ev: TraceEvent) {
         ev.fold_into(&mut self.trace_hash);
         if self.trace_mode == TraceMode::Keep {
             self.trace.push(ev);
         }
-    }
-
-    /// A reception was corrupted by a collision.
-    pub fn record_collision(&mut self) {
-        self.collisions += 1;
-    }
-
-    /// Store the engine's internal performance counters (called once by the
-    /// simulator at the end of the run).
-    pub fn set_engine_perf(&mut self, perf: EnginePerf) {
-        self.engine_perf = perf;
     }
 
     // ---- queries (used by the metrics layer) ----------------------------------
@@ -783,14 +1104,17 @@ impl Recorder {
     /// # Examples
     ///
     /// ```
-    /// use manet_netsim::{Recorder, SimTime};
-    /// use manet_netsim::wire::{NodeId, PacketId};
+    /// use manet_netsim::wire::{ConnectionId, DataPacket, NodeId, PacketId, TcpSegment};
+    /// use manet_netsim::{Observation, Recorder, SimTime};
     ///
+    /// let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+    /// let packet = &DataPacket::new(PacketId(10), NodeId(0), NodeId(9), segment);
     /// let mut rec = Recorder::new();
     /// // Nodes 1 and 2 relay early, node 3 relays in the third window.
-    /// rec.record_relay(NodeId(1), PacketId(10), true, SimTime::from_secs(1.0));
-    /// rec.record_relay(NodeId(2), PacketId(10), true, SimTime::from_secs(2.0));
-    /// rec.record_relay(NodeId(3), PacketId(11), true, SimTime::from_secs(25.0));
+    /// for (node, secs) in [(1, 1.0), (2, 2.0), (3, 25.0)] {
+    ///     let relay = Observation::Relay { node: NodeId(node), packet };
+    ///     rec.observe(SimTime::from_secs(secs), relay);
+    /// }
     /// assert_eq!(rec.windowed_participants(10.0), vec![2, 0, 1]);
     /// assert_eq!(rec.mean_windowed_participants(10.0), 1.0);
     /// ```
@@ -903,6 +1227,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_wire::TcpSegment;
     use proptest::prelude::*;
     use std::hash::Hasher;
 
@@ -967,11 +1292,77 @@ mod tests {
 
     }
 
+    /// A data segment of connection 0 with id `id` carrying `payload` bytes
+    /// (0 makes a pure ACK), from node 0 to node 9.
+    fn data(id: u64, payload: u32) -> DataPacket {
+        let segment = TcpSegment::data(ConnectionId(0), 0, 0, payload);
+        DataPacket::new(PacketId(id), NodeId(0), NodeId(9), segment)
+    }
+
+    fn relay(r: &mut Recorder, node: u16, id: u64, at: SimTime) {
+        let packet = &data(id, 1000);
+        r.observe(
+            at,
+            Observation::Relay {
+                node: NodeId(node),
+                packet,
+            },
+        );
+    }
+
+    fn overhear(r: &mut Recorder, node: u16, packet: &DataPacket) {
+        r.observe(
+            SimTime::ZERO,
+            Observation::Overheard {
+                node: NodeId(node),
+                packet,
+            },
+        );
+    }
+
+    fn deliver(r: &mut Recorder, packet: &DataPacket, at: SimTime) {
+        let (node, from) = (packet.dst, packet.src);
+        r.observe(at, Observation::Deliver { node, from, packet });
+    }
+
+    /// A route request, the smallest control packet to build.
+    fn rreq() -> NetPacket {
+        NetPacket::Rreq(manet_wire::RouteRequest {
+            source: NodeId(0),
+            destination: NodeId(9),
+            broadcast_id: manet_wire::BroadcastId(0),
+            hop_count: 0,
+            route: vec![],
+            dest_seqno: manet_wire::SeqNo(0),
+            source_seqno: manet_wire::SeqNo(0),
+        })
+    }
+
+    fn tx(r: &mut Recorder, node: u16, packet: &NetPacket, bytes: u32, at: SimTime) {
+        let events = &EventQueue::default();
+        let obs = Observation::TxStart {
+            node: NodeId(node),
+            packet,
+            bytes,
+            events,
+        };
+        r.observe(at, obs);
+    }
+
+    fn drop(r: &mut Recorder, node: u16, reason: DropReason, packet: &NetPacket) {
+        let obs = Observation::Drop {
+            node: NodeId(node),
+            reason,
+            packet: PacketRef::Net(packet),
+        };
+        r.observe(SimTime::ZERO, obs);
+    }
+
     #[test]
     fn relays_inside_one_second_share_a_participation_bucket() {
         let mut r = Recorder::new();
         for (i, secs) in [0.1, 0.5, 0.9, 1.0, 1.2, 3.7, 3.7].into_iter().enumerate() {
-            r.record_relay(NodeId(2), PacketId(i as u64), true, t(secs));
+            relay(&mut r, 2, i as u64, t(secs));
         }
         assert_eq!(
             r.participation_secs[2].iter().copied().collect::<Vec<_>>(),
@@ -983,11 +1374,19 @@ mod tests {
     #[test]
     fn delivery_rate_inputs_count_unique_packets() {
         let mut r = Recorder::new();
-        r.record_originated(PacketId(1), ConnectionId(0), true, t(0.0));
-        r.record_originated(PacketId(1), ConnectionId(0), true, t(0.1)); // retransmission of same id keeps first time
-        r.record_originated(PacketId(2), ConnectionId(0), true, t(0.2));
-        r.record_delivered(NodeId(9), PacketId(1), ConnectionId(0), true, 1000, t(1.0));
-        r.record_delivered(NodeId(9), PacketId(1), ConnectionId(0), true, 1000, t(1.5)); // duplicate ignored
+        let (one, two) = (&data(1, 1000), &data(2, 1000));
+        for (packet, at) in [(one, 0.0), (one, 0.1), (two, 0.2)] {
+            // A retransmission of the same id keeps the first time.
+            r.observe(
+                t(at),
+                Observation::Originate {
+                    node: NodeId(0),
+                    packet,
+                },
+            );
+        }
+        deliver(&mut r, one, t(1.0));
+        deliver(&mut r, one, t(1.5)); // duplicate ignored
         assert_eq!(r.originated_data_packets(), 3); // each handoff counted
         assert_eq!(r.delivered_data_packets(), 1);
         assert_eq!(r.delivered_payload_bytes(), 1000);
@@ -998,12 +1397,12 @@ mod tests {
     #[test]
     fn relays_and_heard_sets_are_tracked_per_node() {
         let mut r = Recorder::new();
-        r.record_relay(NodeId(3), PacketId(10), true, SimTime::ZERO);
-        r.record_relay(NodeId(3), PacketId(11), true, SimTime::ZERO);
-        r.record_relay(NodeId(3), PacketId(10), true, SimTime::ZERO); // second relay of same packet still counts a relay
-        r.record_overheard(NodeId(4), PacketId(10), true);
-        r.record_overheard(NodeId(4), PacketId(10), true); // unique set
-        r.record_overheard(NodeId(4), PacketId(12), false); // pure ACK ignored
+        relay(&mut r, 3, 10, SimTime::ZERO);
+        relay(&mut r, 3, 11, SimTime::ZERO);
+        relay(&mut r, 3, 10, SimTime::ZERO); // second relay of same packet still counts a relay
+        overhear(&mut r, 4, &data(10, 1000));
+        overhear(&mut r, 4, &data(10, 1000)); // unique set
+        overhear(&mut r, 4, &data(12, 0)); // pure ACK ignored
         assert_eq!(r.relay_counts()[&NodeId(3)], 3);
         assert_eq!(r.heard_count(NodeId(3)), 2);
         assert_eq!(r.heard_count(NodeId(4)), 1);
@@ -1013,9 +1412,9 @@ mod tests {
     #[test]
     fn control_and_data_transmissions_split() {
         let mut r = Recorder::new();
-        r.record_tx(NodeId(0), "RREQ", true, 44, t(0.0));
-        r.record_tx(NodeId(1), "RREQ", true, 48, t(0.1));
-        r.record_tx(NodeId(0), "DATA", false, 1040, t(0.2));
+        tx(&mut r, 0, &rreq(), 44, t(0.0));
+        tx(&mut r, 1, &rreq(), 48, t(0.1));
+        tx(&mut r, 0, &NetPacket::Data(data(1, 1000)), 1040, t(0.2));
         assert_eq!(r.control_transmissions(), 2);
         assert_eq!(r.data_transmissions(), 1);
         assert_eq!(r.control_bytes(), 92);
@@ -1025,27 +1424,45 @@ mod tests {
     #[test]
     fn mac_level_counters() {
         let mut r = Recorder::new();
-        r.record_drop(DropReason::QueueOverflow);
-        r.record_drop(DropReason::RetryLimit);
-        r.record_drop(DropReason::RetryLimit);
-        r.record_link_failure(NodeId(1), NodeId(2), t(3.0));
-        r.record_collision();
+        let packet = &NetPacket::Data(data(1, 1000));
+        drop(&mut r, 1, DropReason::QueueOverflow, packet);
+        for _ in 0..2 {
+            let obs = Observation::LinkFailure {
+                node: NodeId(1),
+                next_hop: NodeId(2),
+                packet,
+            };
+            r.observe(t(3.0), obs);
+        }
+        r.observe(
+            t(3.0),
+            Observation::Collision {
+                node: NodeId(2),
+                from: NodeId(1),
+            },
+        );
         assert_eq!(r.drops(DropReason::QueueOverflow), 1);
         assert_eq!(r.drops(DropReason::RetryLimit), 2);
         assert_eq!(r.total_drops(), 3);
-        assert_eq!(r.link_failures(), 1);
+        assert_eq!(r.link_failures(), 2);
         assert_eq!(r.collisions(), 1);
     }
 
     #[test]
     fn adversary_and_jamming_counters() {
         let mut r = Recorder::new();
-        r.record_adversary_drop(NodeId(4), true);
-        r.record_adversary_drop(NodeId(4), false);
-        r.record_adversary_drop(NodeId(7), true);
-        r.record_jammed(true);
-        r.record_jammed(false);
-        r.record_jammed(false);
+        for (node, payload) in [(4, 1000), (4, 0), (7, 1000)] {
+            let obs = Observation::Drop {
+                node: NodeId(node),
+                reason: DropReason::AdversaryDiscard,
+                packet: PacketRef::Data(&data(1, payload)),
+            };
+            r.observe(SimTime::ZERO, obs);
+        }
+        let data_frame = NetPacket::Data(data(1, 1000));
+        for packet in [&rreq(), &data_frame, &data_frame] {
+            drop(&mut r, 2, DropReason::Jammed, packet);
+        }
         assert_eq!(r.adversary_drops(), 3);
         assert_eq!(r.adversary_data_drops(), 2);
         assert_eq!(r.adversary_drops_by_node()[&NodeId(4)], 2);
@@ -1057,32 +1474,45 @@ mod tests {
     #[test]
     fn relayed_sets_track_unique_packets_per_node() {
         let mut r = Recorder::new();
-        r.record_relay(NodeId(3), PacketId(10), true, SimTime::ZERO);
-        r.record_relay(NodeId(3), PacketId(10), true, SimTime::ZERO); // duplicate relay, one set entry
-        r.record_relay(NodeId(3), PacketId(11), true, SimTime::ZERO);
-        r.record_overheard(NodeId(3), PacketId(12), true); // heard but not relayed
-        r.record_relay(NodeId(5), PacketId(10), false, SimTime::ZERO); // pure ACK ignored
+        relay(&mut r, 3, 10, SimTime::ZERO);
+        relay(&mut r, 3, 10, SimTime::ZERO); // duplicate relay, one set entry
+        relay(&mut r, 3, 11, SimTime::ZERO);
+        overhear(&mut r, 3, &data(12, 1000)); // heard but not relayed
+        let ack = &data(10, 0);
+        r.observe(
+            SimTime::ZERO,
+            Observation::Relay {
+                node: NodeId(5),
+                packet: ack,
+            },
+        ); // pure ACK ignored
         assert_eq!(r.relayed_set(NodeId(3)).unwrap().len(), 2);
         assert!(r.relayed_set(NodeId(5)).is_none());
         assert_eq!(r.heard_set(NodeId(3)).unwrap().len(), 3);
-        r.record_delivered(NodeId(9), PacketId(10), ConnectionId(0), true, 100, t(1.0));
+        deliver(&mut r, &data(10, 100), t(1.0));
         assert!(r.was_delivered(PacketId(10)));
         assert!(!r.was_delivered(PacketId(11)));
     }
 
     #[test]
     fn trace_kept_only_when_enabled() {
+        let frame = &NetPacket::Data(data(1, 100));
         let mut silent = Recorder::new();
-        silent.record_tx(NodeId(0), "DATA", false, 100, t(0.0));
+        tx(&mut silent, 0, frame, 100, t(0.0));
         assert!(silent.trace().is_empty());
 
         let mut loud = Recorder::with_trace();
         let mut quiet = Recorder::new();
         quiet.trace_mode = TraceMode::Fingerprint;
         for r in [&mut loud, &mut quiet] {
-            r.record_tx(NodeId(0), "DATA", false, 100, t(0.0));
-            r.record_delivered(NodeId(1), PacketId(1), ConnectionId(0), true, 100, t(0.5));
-            r.record_link_failure(NodeId(0), NodeId(1), t(0.7));
+            tx(r, 0, frame, 100, t(0.0));
+            deliver(r, &data(1, 100), t(0.5));
+            let obs = Observation::LinkFailure {
+                node: NodeId(0),
+                next_hop: NodeId(1),
+                packet: frame,
+            };
+            r.observe(t(0.7), obs);
         }
         assert_eq!(loud.trace().len(), 3);
         assert!(quiet.trace().is_empty());

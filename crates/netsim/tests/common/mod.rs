@@ -3,7 +3,7 @@
 
 #![allow(dead_code)] // each suite uses its own part
 
-use manet_netsim::{Ctx, Duration, NodeStack, SimTime, TimerToken};
+use manet_netsim::{Ctx, Duration, NodeStack, Observation, SimTime, TimerToken};
 use manet_wire::{
     ConnectionId, DataPacket, Frame, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment,
 };
@@ -52,15 +52,16 @@ impl NodeStack for Chatter {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
         let dst = NodeId((self.me.0 + self.n / 2) % self.n);
         let id = self.fresh_id();
-        let now = ctx.now();
         let dp = DataPacket::new(
             id,
             self.me,
             dst,
             TcpSegment::data(ConnectionId(0), 0, 0, 512),
         );
-        ctx.recorder()
-            .record_originated(id, ConnectionId(0), true, now);
+        ctx.observe(Observation::Originate {
+            node: self.me,
+            packet: &dp,
+        });
         // Alternate broadcast and a one-hop unicast to the right neighbour.
         if self.next_packet.is_multiple_of(2) {
             ctx.send_broadcast(NetPacket::Data(dp));

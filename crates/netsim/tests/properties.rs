@@ -4,7 +4,7 @@
 use manet_netsim::config::MobilityConfig;
 use manet_netsim::event::{Event, EventQueue};
 use manet_netsim::mobility::{MobilityModel, RandomWaypoint, Waypoint};
-use manet_netsim::{wire, Duration, Recorder, SimTime, TimerToken};
+use manet_netsim::{wire, Duration, Observation, Recorder, SimTime, TimerToken};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -78,7 +78,9 @@ proptest! {
     fn recorder_heard_counts_are_unique(ids in proptest::collection::vec(0u64..50, 1..300)) {
         let mut rec = Recorder::new();
         for &id in &ids {
-            rec.record_overheard(wire::NodeId(3), wire::PacketId(id), true);
+            let segment = wire::TcpSegment::data(wire::ConnectionId(0), 0, 0, 512);
+            let packet = &wire::DataPacket::new(wire::PacketId(id), wire::NodeId(0), wire::NodeId(9), segment);
+            rec.observe(SimTime::ZERO, Observation::Overheard { node: wire::NodeId(3), packet });
         }
         let distinct: std::collections::HashSet<u64> = ids.iter().copied().collect();
         prop_assert_eq!(rec.heard_count(wire::NodeId(3)), distinct.len() as u64);

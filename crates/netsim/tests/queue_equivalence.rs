@@ -15,8 +15,8 @@ mod common;
 use common::chatter_stacks;
 use manet_netsim::mobility::{RandomWaypoint, StaticPlacement};
 use manet_netsim::{
-    Ctx, Duration, EventQueueKind, NodeStack, Recorder, SimConfig, Simulator, TimerToken,
-    TraceMode, WormholeConfig,
+    Ctx, Duration, EventQueueKind, NodeStack, Observation, Recorder, SimConfig, Simulator,
+    TimerToken, TraceMode, WormholeConfig,
 };
 use manet_wire::{ConnectionId, DataPacket, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment};
 
@@ -192,9 +192,10 @@ fn unicast_chains_claim_payloads_without_a_single_deep_clone() {
                     self.last,
                     TcpSegment::data(ConnectionId(0), 0, 0, 1000),
                 );
-                let now = ctx.now();
-                ctx.recorder()
-                    .record_originated(dp.id, ConnectionId(0), true, now);
+                ctx.observe(Observation::Originate {
+                    node: self.me,
+                    packet: &dp,
+                });
                 ctx.send_unicast(NodeId(1), NetPacket::Data(dp));
             }
         }

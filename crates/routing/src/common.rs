@@ -1,47 +1,20 @@
 //! Shared routing building blocks.
 
-use manet_netsim::telemetry::{FrameKind, Stage, TelemetryEvent};
 use manet_netsim::FxHashMap;
-use manet_netsim::{Ctx, DropReason};
+use manet_netsim::{Ctx, DropReason, Observation, PacketRef};
 use manet_netsim::{Duration, SimTime};
 use manet_wire::{BroadcastId, DataPacket, NodeId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-/// Record a routing-layer data-packet drop through the unified accounting:
-/// bump the recorder's per-reason drop counter and, when telemetry is
-/// enabled, emit a structured `drop` event (plus a provenance hop if this is
-/// the traced packet).  The `conn` field is attached only when the packet
-/// carries TCP payload — pure ACKs share the connection id but sit outside
-/// the conservation ledger.
+/// Observe a routing-layer drop of a data packet at `me` (see
+/// [`Observation::Drop`]).
 pub fn record_data_drop(ctx: &mut Ctx<'_>, me: NodeId, reason: DropReason, packet: &DataPacket) {
-    let t = ctx.now().as_secs();
-    let rec = ctx.recorder();
-    rec.record_drop(reason);
-    if !rec.telemetry.enabled() {
-        return;
-    }
-    let conn = packet.segment.conn.0;
-    let seq = packet.segment.seq;
-    rec.telemetry.emit(TelemetryEvent::Drop {
-        t,
-        shard: 0,
-        node: me.0,
+    ctx.observe(Observation::Drop {
+        node: me,
         reason,
-        kind: FrameKind::Data,
-        conn: packet.carries_data().then_some(conn),
+        packet: PacketRef::Data(packet),
     });
-    if rec.telemetry.traced(conn, seq, packet.carries_data()) {
-        rec.telemetry.emit(TelemetryEvent::Provenance {
-            t,
-            shard: 0,
-            stage: Stage::Drop,
-            node: me.0,
-            conn,
-            seq,
-            kind: FrameKind::Data,
-        });
-    }
 }
 
 /// Duplicate-suppression table for flooded packets.

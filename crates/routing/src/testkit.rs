@@ -11,7 +11,8 @@
 
 use crate::agent::{RoutingAgent, TimerClass};
 use manet_netsim::{
-    Ctx, Duration, MobilityModel, NodeStack, Recorder, SimConfig, Simulator, TimerToken,
+    Ctx, Duration, MobilityModel, NodeStack, Observation, Recorder, SimConfig, Simulator,
+    TimerToken,
 };
 use manet_wire::{ConnectionId, DataPacket, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment};
 use std::cell::RefCell;
@@ -97,9 +98,10 @@ impl<A: RoutingAgent> HarnessStack<A> {
             flow.payload,
         );
         let pkt = DataPacket::new(id, flow.src, flow.dst, seg);
-        let now = ctx.now();
-        ctx.recorder()
-            .record_originated(id, ConnectionId(0), true, now);
+        ctx.observe(Observation::Originate {
+            node: self.me,
+            packet: &pkt,
+        });
         self.counters.borrow_mut().originated += 1;
         self.agent.send_data(ctx, pkt);
         // Schedule the next emission.

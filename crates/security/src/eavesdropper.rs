@@ -92,8 +92,14 @@ impl EavesdropperReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_netsim::SimTime;
-    use manet_wire::{ConnectionId, PacketId};
+    use manet_netsim::{Observation, SimTime};
+    use manet_wire::{ConnectionId, DataPacket, PacketId, TcpSegment};
+
+    /// A 1000-byte data segment of connection 0 with id `id`, for node 9.
+    fn data(id: u64) -> DataPacket {
+        let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+        DataPacket::new(PacketId(id), NodeId(0), NodeId(9), segment)
+    }
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -170,14 +176,41 @@ mod tests {
     #[test]
     fn report_computes_ratio_from_recorder() {
         let mut rec = Recorder::new();
-        let t = SimTime::from_secs(1.0);
         // 4 packets delivered to node 9; node 3 heard 2 of them.
         for id in 0..4u64 {
-            rec.record_originated(PacketId(id), ConnectionId(0), true, SimTime::ZERO);
-            rec.record_delivered(NodeId(9), PacketId(id), ConnectionId(0), true, 1000, t);
+            let packet = &data(id);
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Originate {
+                    node: NodeId(0),
+                    packet,
+                },
+            );
+            let at = SimTime::from_secs(1.0);
+            rec.observe(
+                at,
+                Observation::Deliver {
+                    node: NodeId(9),
+                    from: NodeId(0),
+                    packet,
+                },
+            );
         }
-        rec.record_overheard(NodeId(3), PacketId(0), true);
-        rec.record_relay(NodeId(3), PacketId(1), true, SimTime::ZERO);
+        let (node, t0) = (NodeId(3), SimTime::ZERO);
+        rec.observe(
+            t0,
+            Observation::Overheard {
+                node,
+                packet: &data(0),
+            },
+        );
+        rec.observe(
+            t0,
+            Observation::Relay {
+                node,
+                packet: &data(1),
+            },
+        );
         let report = EavesdropperReport::from_recorder(&rec, NodeId(3));
         assert_eq!(report.packets_heard, 2);
         assert_eq!(report.packets_delivered, 4);

@@ -90,27 +90,48 @@ pub fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_netsim::SimTime;
-    use manet_wire::{ConnectionId, PacketId};
+    use manet_netsim::{Observation, SimTime};
+    use manet_wire::{ConnectionId, DataPacket, PacketId, TcpSegment};
+
+    /// A 1000-byte data segment of connection 0 with id `id`, for node 9.
+    fn data(id: u64) -> DataPacket {
+        let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+        DataPacket::new(PacketId(id), NodeId(0), NodeId(9), segment)
+    }
 
     /// Build a recorder where node 9 receives `delivered` packets and each
     /// `(node, n)` pair relays (and therefore also hears) `n` unique packets.
     fn recorder_with(delivered: u64, relayed: &[(u16, u64)]) -> Recorder {
         let mut rec = Recorder::new();
         for id in 0..delivered {
-            rec.record_originated(PacketId(id), ConnectionId(0), true, SimTime::ZERO);
-            rec.record_delivered(
-                NodeId(9),
-                PacketId(id),
-                ConnectionId(0),
-                true,
-                1000,
-                SimTime::from_secs(1.0),
+            let packet = &data(id);
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Originate {
+                    node: NodeId(0),
+                    packet,
+                },
+            );
+            let at = SimTime::from_secs(1.0);
+            rec.observe(
+                at,
+                Observation::Deliver {
+                    node: NodeId(9),
+                    from: NodeId(0),
+                    packet,
+                },
             );
         }
         for &(node, n) in relayed {
             for id in 0..n {
-                rec.record_relay(NodeId(node), PacketId(id), true, SimTime::ZERO);
+                let packet = &data(id);
+                rec.observe(
+                    SimTime::ZERO,
+                    Observation::Relay {
+                        node: NodeId(node),
+                        packet,
+                    },
+                );
             }
         }
         rec

@@ -100,15 +100,23 @@ pub fn relay_distribution(recorder: &Recorder) -> RelayDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_netsim::SimTime;
-    use manet_wire::PacketId;
+    use manet_netsim::{Observation, SimTime};
+    use manet_wire::{ConnectionId, DataPacket, PacketId, TcpSegment};
 
     fn recorder_with_relays(counts: &[(u16, u64)]) -> Recorder {
         let mut rec = Recorder::new();
         let mut pid = 0u64;
         for &(node, n) in counts {
             for _ in 0..n {
-                rec.record_relay(NodeId(node), PacketId(pid), true, SimTime::ZERO);
+                let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+                let packet = &DataPacket::new(PacketId(pid), NodeId(0), NodeId(9), segment);
+                rec.observe(
+                    SimTime::ZERO,
+                    Observation::Relay {
+                        node: NodeId(node),
+                        packet,
+                    },
+                );
                 pid += 1;
             }
         }

@@ -1,30 +1,56 @@
 //! Property-based tests for the confidentiality metrics.
 
-use manet_netsim::{Recorder, SimTime};
+use manet_netsim::{Observation, Recorder, SimTime};
 use manet_security::interception::{highest_interception_ratio, interception_ratio};
 use manet_security::{participating_nodes, relay_distribution};
-use manet_wire::{ConnectionId, NodeId, PacketId};
+use manet_wire::{ConnectionId, DataPacket, NodeId, PacketId, TcpSegment};
 use proptest::prelude::*;
+
+/// A 1000-byte data segment of connection 0 with id `id`, for node 999.
+fn data(id: u64) -> DataPacket {
+    let segment = TcpSegment::data(ConnectionId(0), 0, 0, 1000);
+    DataPacket::new(PacketId(id), NodeId(0), NodeId(999), segment)
+}
+
+/// `node` relays packet `id` at time 0.
+fn relay(rec: &mut Recorder, node: u16, id: u64) {
+    let packet = &data(id);
+    rec.observe(
+        SimTime::ZERO,
+        Observation::Relay {
+            node: NodeId(node),
+            packet,
+        },
+    );
+}
 
 /// Build a recorder from `(node, relay_count)` pairs plus `delivered` packets
 /// arriving at node 999.
 fn build_recorder(relays: &[(u16, u64)], delivered: u64) -> Recorder {
     let mut rec = Recorder::new();
     for id in 0..delivered {
-        rec.record_originated(PacketId(id), ConnectionId(0), true, SimTime::ZERO);
-        rec.record_delivered(
-            NodeId(999),
-            PacketId(id),
-            ConnectionId(0),
-            true,
-            1000,
-            SimTime::from_secs(1.0),
+        let packet = &data(id);
+        rec.observe(
+            SimTime::ZERO,
+            Observation::Originate {
+                node: NodeId(0),
+                packet,
+            },
+        );
+        let at = SimTime::from_secs(1.0);
+        rec.observe(
+            at,
+            Observation::Deliver {
+                node: NodeId(999),
+                from: NodeId(0),
+                packet,
+            },
         );
     }
     let mut pid = 10_000u64;
     for &(node, count) in relays {
         for _ in 0..count {
-            rec.record_relay(NodeId(node), PacketId(pid), true, SimTime::ZERO);
+            relay(&mut rec, node, pid);
             pid += 1;
         }
     }
@@ -69,7 +95,7 @@ proptest! {
         let mut rec = build_recorder(&[], delivered);
         for &(node, n) in &relayed {
             for id in 0..n {
-                rec.record_relay(NodeId(node), PacketId(id), true, SimTime::ZERO);
+                relay(&mut rec, node, id);
             }
         }
         let endpoints = [NodeId(0), NodeId(999)];

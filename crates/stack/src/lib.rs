@@ -24,8 +24,8 @@
 //! same node can never be confused.
 
 use manet_netsim::fasthash::FxHashMap;
-use manet_netsim::telemetry::{self, FrameKind, Stage, TelemetryEvent};
-use manet_netsim::{Ctx, Duration, NodeStack, SimTime, TimerToken};
+use manet_netsim::telemetry;
+use manet_netsim::{Ctx, Duration, NodeStack, Observation, SimTime, TimerToken};
 use manet_routing::agent::{RoutingAgent, RoutingStats, TimerClass};
 use manet_tcp::{FlowProfile, TcpConfig, TcpOutcome, TcpReceiver, TcpSender};
 use manet_wire::{
@@ -235,49 +235,17 @@ impl ManetStack {
     fn send_segment(&mut self, ctx: &mut Ctx<'_>, dst: NodeId, segment: TcpSegment) {
         let id = self.fresh_packet_id();
         let packet = DataPacket::new(id, self.me, dst, segment);
-        let now = ctx.now();
-        let rec = ctx.recorder();
-        rec.record_originated(id, segment.conn, packet.carries_data(), now);
-        if rec.telemetry.enabled() {
-            let t = now.as_secs();
-            rec.telemetry.emit(TelemetryEvent::Originate {
-                t,
-                shard: 0,
-                node: self.me.0,
-                conn: segment.conn.0,
-                seq: segment.seq,
-                data: packet.carries_data(),
-                bytes: segment.payload_len,
-            });
-            if rec
-                .telemetry
-                .traced(segment.conn.0, segment.seq, packet.carries_data())
-            {
-                rec.telemetry.emit(TelemetryEvent::Provenance {
-                    t,
-                    shard: 0,
-                    stage: Stage::Originate,
-                    node: self.me.0,
-                    conn: segment.conn.0,
-                    seq: segment.seq,
-                    kind: FrameKind::Data,
-                });
-            }
-        }
+        ctx.observe(Observation::Originate {
+            node: self.me,
+            packet: &packet,
+        });
         self.agent.send_data(ctx, packet);
     }
 
-    /// Telemetry hook: a protocol timer of `class` fired on this node.
-    fn note_timer(&mut self, ctx: &mut Ctx<'_>, class: telemetry::TimerClass, scope: u16) {
-        if !ctx.recorder().telemetry.enabled() {
-            return;
-        }
-        let t = ctx.now().as_secs();
-        let rec = ctx.recorder();
-        rec.telemetry.emit(TelemetryEvent::Timer {
-            t,
-            shard: 0,
-            node: self.me.0,
+    /// A protocol timer of `class` fired on this node.
+    fn note_timer(&self, ctx: &mut Ctx<'_>, class: telemetry::TimerClass, scope: u16) {
+        ctx.observe(Observation::Timer {
+            node: self.me,
             class,
             scope,
         });
@@ -322,16 +290,11 @@ impl ManetStack {
             let bytes = sender.bytes_acked();
             self.apply_outcome(ctx, conn, peer, outcome);
             if just_completed {
-                let rec = ctx.recorder();
-                if rec.telemetry.enabled() {
-                    rec.telemetry.emit(TelemetryEvent::FlowComplete {
-                        t: now.as_secs(),
-                        shard: 0,
-                        node: self.me.0,
-                        conn: conn.0,
-                        bytes,
-                    });
-                }
+                ctx.observe(Observation::FlowComplete {
+                    node: self.me,
+                    conn: conn.0,
+                    bytes,
+                });
             }
         }
     }

@@ -5,20 +5,21 @@
 //! provenance tracing, all emitted as NDJSON (one JSON object per line).
 //!
 //! The crate sits *below* `manet_wire` and `manet_netsim` in the workspace
-//! graph and has no dependencies, so every layer (engine, MAC, routing,
-//! transport, stack) can push events into the per-run [`Telemetry`] buffer
-//! carried by the simulator's recorder, and `NetPacket` can name its
-//! [`FrameKind`].  Identifiers are plain integers (`u16` node ids,
-//! `u32` connection ids, `u64` packet sequence numbers) — the wire-level
-//! newtypes unwrap at the hook sites.
+//! graph and has no dependencies, so `NetPacket` can name its [`FrameKind`]
+//! and the simulator's recorder can carry the per-run [`Telemetry`] buffer.
+//! Every layer (engine, MAC, routing, transport, stack) reports through the
+//! recorder's one observation call, `Recorder::observe`, which is the only
+//! code that writes to the buffer.  Identifiers are plain integers (`u16`
+//! node ids, `u32` connection ids, `u64` packet sequence numbers) — the
+//! wire-level newtypes unwrap inside the recorder.
 //!
 //! ## Determinism contract
 //!
-//! Telemetry **observes, never perturbs**: hooks fire after the simulation
-//! decision they describe, draw no random numbers and schedule no events, so
-//! enabling telemetry leaves golden-trace digests byte-identical.  When
-//! disabled (the default) every hook is a single predictable branch on
-//! [`Telemetry::enabled`] and the buffer stays empty.  Telemetry output is
+//! Telemetry **observes, never perturbs**: observations are made after the
+//! simulation decision they describe, draw no random numbers and schedule no
+//! events, so enabling telemetry leaves golden-trace digests byte-identical.
+//! When disabled (the default) each observation pays a single predictable
+//! branch on [`Telemetry::enabled`] and the buffer stays empty.  Telemetry output is
 //! *outside* the trace digest: two runs with different telemetry settings
 //! must produce the same digest.  The NDJSON bytes of one fixed run are
 //! pinned separately, by length and hash, in `tests/telemetry.rs`
@@ -45,7 +46,7 @@ pub use sink::{write_ndjson, StringSink, TelemetrySink, WriteSink};
 
 /// Run-level telemetry settings.  The default is **off**: no events, no
 /// sampler state, no provenance matching — the hot path pays one predictable
-/// branch per hook site.
+/// branch per observation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetryConfig {
     /// Master switch for the event stream (and the provenance/sampler
@@ -77,8 +78,9 @@ impl TelemetryConfig {
 /// Per-run telemetry buffer: the event vector, the optional metrics sampler,
 /// and the provenance tag.
 ///
-/// Lives inside the simulator's recorder; hook sites guard on
-/// [`Telemetry::enabled`] so a disabled run never allocates.
+/// Lives inside the simulator's recorder, whose one observation call is the
+/// only writer and checks [`Telemetry::enabled`] first, so a disabled run
+/// never allocates.
 #[derive(Debug, Default)]
 pub struct Telemetry {
     enabled: bool,
@@ -101,7 +103,7 @@ impl Telemetry {
         }
     }
 
-    /// Whether any telemetry is being collected.  Hook sites check this
+    /// Whether any telemetry is being collected.  The recorder checks this
     /// first; when it is `false` no other method is called.
     #[inline]
     pub fn enabled(&self) -> bool {

@@ -130,12 +130,6 @@ impl NetPacket {
         }
     }
 
-    /// Short label used in traces and debug output (the label of
-    /// [`NetPacket::frame_kind`]).
-    pub fn kind(&self) -> &'static str {
-        self.frame_kind().label()
-    }
-
     /// Borrow the inner data packet, if this is a data packet.
     pub fn as_data(&self) -> Option<&DataPacket> {
         match self {
@@ -191,8 +185,8 @@ mod tests {
     #[test]
     fn kind_labels_are_distinct() {
         let d = NetPacket::Data(data_pkt());
-        assert_eq!(d.kind(), "DATA");
         assert_eq!(d.frame_kind(), FrameKind::Data);
+        assert_eq!(d.frame_kind().label(), "DATA");
         assert!(d.as_data().is_some());
     }
 
@@ -217,6 +211,6 @@ mod tests {
         let back = p.clone();
         assert_eq!(p, back);
         assert_eq!(p.size_bytes(), back.size_bytes());
-        assert_eq!(p.kind(), back.kind());
+        assert_eq!(p.frame_kind(), back.frame_kind());
     }
 }

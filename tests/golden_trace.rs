@@ -254,7 +254,7 @@ fn zero_flow_background_keeps_the_golden_digests() {
 
 /// The flip side of the contract: with telemetry at its default (off), the
 /// event buffer stays empty — the hot path pays one predictable branch per
-/// hook site and allocates nothing.
+/// observation and allocates nothing.
 #[test]
 fn disabled_telemetry_collects_nothing() {
     let mut scenario = Scenario::paper(Protocol::Mts, 10.0, 1);

@@ -11,14 +11,16 @@
 //!    back to an identical event.
 //! 4. **Provenance** — a tagged packet's trail starts at `originate` and
 //!    walks the pipeline stages in simulation-time order.
+//! 5. **Agreement** — the stream counts the transmissions, collisions,
+//!    originations, deliveries and drops the recorder counts.
 
 use manet_experiments::runner::run_scenario_with_recorder;
 use manet_experiments::{AttackConfig, Protocol, Scenario};
 use manet_netsim::telemetry::{
-    check_conservation, check_monotone, validate_lines, write_ndjson, Stage, StringSink,
+    check_conservation, check_monotone, validate_lines, write_ndjson, DropKind, Stage, StringSink,
     TelemetryEvent,
 };
-use manet_netsim::{Duration, FxHasher, Recorder, TelemetryConfig};
+use manet_netsim::{Duration, FxHasher, JamTarget, Recorder, TelemetryConfig};
 use proptest::prelude::*;
 use std::hash::Hasher;
 
@@ -34,7 +36,52 @@ fn run(scenario: Scenario) -> Recorder {
     run_scenario_with_recorder(&scenario).1
 }
 
-/// Assert the three stream invariants on a recorder's collected events.
+/// Where the stream and the recorder disagree: the count of `tx_start`,
+/// `collision`, payload-carrying `originate`, `deliver` with a sequence
+/// number, and `drop` per reason, against the recorder's own counters.
+fn stream_recorder_mismatch(recorder: &Recorder) -> Option<String> {
+    let events = recorder.telemetry.events();
+    let count =
+        |pred: &dyn Fn(&TelemetryEvent) -> bool| events.iter().filter(|ev| pred(ev)).count() as u64;
+    let mut pairs = vec![
+        (
+            "tx_start",
+            count(&|ev| matches!(ev, TelemetryEvent::TxStart { .. })),
+            recorder.control_transmissions() + recorder.data_transmissions(),
+        ),
+        (
+            "collision",
+            count(&|ev| matches!(ev, TelemetryEvent::Collision { .. })),
+            recorder.collisions(),
+        ),
+        (
+            "originate{data:true}",
+            count(&|ev| matches!(ev, TelemetryEvent::Originate { data: true, .. })),
+            recorder.originated_data_packets(),
+        ),
+        (
+            "deliver{seq:Some}",
+            count(&|ev| matches!(ev, TelemetryEvent::Deliver { seq: Some(_), .. })),
+            recorder.delivered_data_packets(),
+        ),
+    ];
+    for kind in DropKind::ALL {
+        pairs.push((
+            kind.label(),
+            count(&|ev| matches!(ev, TelemetryEvent::Drop { reason, .. } if *reason == kind)),
+            recorder.drops(kind),
+        ));
+    }
+    let wrong: Vec<String> = pairs
+        .into_iter()
+        .filter(|(_, stream, counted)| stream != counted)
+        .map(|(what, stream, counted)| format!("{what}: stream {stream}, recorder {counted}"))
+        .collect();
+    (!wrong.is_empty()).then(|| wrong.join("; "))
+}
+
+/// Assert the stream invariants on a recorder's collected events, and that
+/// the stream agrees with the recorder's counters.
 fn assert_stream_invariants(recorder: &Recorder, context: &str) {
     let events = recorder.telemetry.events();
     assert!(!events.is_empty(), "{context}: no telemetry collected");
@@ -54,6 +101,22 @@ fn assert_stream_invariants(recorder: &Recorder, context: &str) {
         events,
         "{context}: round-tripped events differ"
     );
+    if let Some(wrong) = stream_recorder_mismatch(recorder) {
+        panic!("{context}: the stream disagrees with the recorder: {wrong}");
+    }
+}
+
+/// The provenance trail of the tagged packet: `(stage, node, t)` in order.
+fn trail(recorder: &Recorder) -> Vec<(Stage, u16, f64)> {
+    recorder
+        .telemetry
+        .events()
+        .iter()
+        .filter_map(|ev| match ev {
+            TelemetryEvent::Provenance { stage, node, t, .. } => Some((*stage, *node, *t)),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -91,6 +154,81 @@ fn blackhole_multiflow_run_satisfies_the_stream_invariants() {
         );
     }
     assert!(events.iter().all(|ev| ev.shard() == 0));
+}
+
+#[test]
+fn jamming_run_satisfies_the_stream_invariants() {
+    let mut scenario = Scenario::random_pairs(Protocol::Mts, 100, 4, 10.0, 1)
+        .with_attack(AttackConfig::jamming(2, JamTarget::Data, 0.8))
+        .with_telemetry(telemetry_on(None));
+    scenario.sim.duration = Duration::from_secs(10.0);
+    let recorder = run(scenario);
+    assert!(
+        recorder.drops(DropKind::Jammed) > 0,
+        "the jammers jammed nothing"
+    );
+    assert_stream_invariants(&recorder, "jamming run");
+}
+
+#[test]
+fn wormhole_run_satisfies_the_stream_invariants_and_traces_the_tunnel() {
+    let mut scenario = Scenario::paper(Protocol::Mts, 1.0, 1)
+        .with_attack(AttackConfig::wormhole())
+        .with_telemetry(telemetry_on(Some(TUNNELLED)));
+    scenario.sim.duration = Duration::from_secs(10.0);
+    let recorder = run(scenario);
+    assert!(recorder.tunneled_frames() > 0, "nothing crossed the tunnel");
+    assert_stream_invariants(&recorder, "wormhole run");
+    let trail = trail(&recorder);
+    let exit = trail
+        .iter()
+        .position(|&(stage, ..)| stage == Stage::Tunnel)
+        .unwrap_or_else(|| panic!("the tagged packet never left the tunnel: {trail:?}"));
+    // It comes out at the far endpoint, which then relays or takes it.
+    let (_, node, t) = trail[exit];
+    let received = trail.get(exit + 1).is_some_and(|&(stage, n, u)| {
+        matches!(stage, Stage::Relay | Stage::Deliver) && (n, u) == (node, t)
+    });
+    assert!(
+        received,
+        "the tunnel exit is not followed by a reception there: {trail:?}"
+    );
+}
+
+/// A segment of the paper flow that crosses the wormhole in the run above.
+const TUNNELLED: (u32, u64) = (0, 34_000);
+
+/// A tagged segment lost to a full MAC queue ends its trail with a `drop`
+/// stage there, like every other terminal drop.
+#[test]
+fn queue_overflow_of_the_tagged_packet_leaves_a_drop_stage() {
+    let mut scenario = Scenario::random_pairs(Protocol::Aodv, 100, 20, 10.0, 4)
+        .with_telemetry(telemetry_on(Some((2, 37_000))));
+    scenario.sim.duration = Duration::from_secs(10.0);
+    let recorder = run(scenario);
+    let trail = trail(&recorder);
+    // The first copy reaches node 51 and overflows its queue at once.
+    let relay = trail
+        .iter()
+        .position(|&(stage, node, _)| (stage, node) == (Stage::Relay, 51))
+        .unwrap_or_else(|| panic!("the tagged packet never reached node 51: {trail:?}"));
+    let t = trail[relay].2;
+    assert_eq!(
+        trail.get(relay + 1),
+        Some(&(Stage::Drop, 51, t)),
+        "the overflow at node 51 left no drop stage: {trail:?}"
+    );
+    let overflowed = recorder.telemetry.events().iter().any(|ev| match *ev {
+        TelemetryEvent::Drop {
+            t: u,
+            node,
+            reason,
+            conn,
+            ..
+        } => (u, node, reason, conn) == (t, 51, DropKind::QueueOverflow, Some(2)),
+        _ => false,
+    });
+    assert!(overflowed, "no queue_overflow drop at node 51 at t = {t}");
 }
 
 #[test]
@@ -231,10 +369,10 @@ fn disabled_and_enabled_runs_agree_on_engine_perf() {
 }
 
 proptest! {
-    /// Seed-randomized sweep of the three stream invariants on small
-    /// multi-flow scenarios: whatever the seed and speed, timestamps stay
-    /// monotone, every connection's ledger balances, and the NDJSON
-    /// encoding round-trips exactly.
+    /// Seed-randomized sweep of the stream invariants on small multi-flow
+    /// scenarios: whatever the seed and speed, timestamps stay monotone,
+    /// every connection's ledger balances, the NDJSON encoding round-trips
+    /// exactly, and the stream counts what the recorder counts.
     #[test]
     fn stream_invariants_hold_for_random_scenarios(
         seed in 0u64..500,
@@ -256,5 +394,7 @@ proptest! {
         prop_assert!(parsed.is_ok(), "round-trip: {:?}", parsed);
         let parsed = parsed.unwrap();
         prop_assert_eq!(parsed.as_slice(), events);
+        let wrong = stream_recorder_mismatch(&recorder);
+        prop_assert!(wrong.is_none(), "stream vs recorder: {:?}", wrong);
     }
 }
