@@ -237,6 +237,93 @@ fn drop_intervention_is_accounted_as_schedule_drop() {
     );
 }
 
+/// One pinned replay on the plain-MTS corridor with RREQ broadcasts and
+/// DATA unicasts both open to intervention.
+struct ReplayPin {
+    actions: &'static [(u32, ScheduleAction)],
+    /// `ChoiceRecord::broadcast` of each intervened slot, in order.
+    broadcast: &'static [bool],
+    trace_digest: u64,
+    trace_len: usize,
+    delivered: u64,
+    schedule_drops: u64,
+}
+
+/// Replay A: a broadcast drop, a unicast delay and a unicast drop.  Replay
+/// B: a broadcast delay and a broadcast drop.  The other intervening tests
+/// open only DATA or RREP, so these are the pins on the broadcast branch of
+/// the choice hook.
+const REPLAY_PINS: [ReplayPin; 2] = [
+    ReplayPin {
+        actions: &[
+            (0, ScheduleAction::Drop),
+            (3, ScheduleAction::Delay),
+            (5, ScheduleAction::Drop),
+        ],
+        broadcast: &[true, false, false],
+        trace_digest: 19267026171422074,
+        trace_len: 4050,
+        delivered: 1027,
+        schedule_drops: 2,
+    },
+    ReplayPin {
+        actions: &[(0, ScheduleAction::Delay), (1, ScheduleAction::Drop)],
+        broadcast: &[true, true],
+        trace_digest: 17103747277753462336,
+        trace_len: 33,
+        delivered: 1,
+        schedule_drops: 1,
+    },
+];
+
+#[test]
+fn broadcast_and_unicast_interventions_replay_to_their_pins() {
+    let regen = std::env::var_os("GOLDEN_REGEN").is_some();
+    let scenario = blackhole_corridor(Protocol::Mts, 8, 2.0, 9);
+    for pin in &REPLAY_PINS {
+        let actions = pin.actions;
+        let trace = ChoiceTrace {
+            actions: actions.to_vec(),
+            horizon: 8,
+            delay: delay(),
+            kinds: vec!["RREQ", "DATA"],
+        };
+        let outcome = run_with_trace(&scenario, &trace);
+        let recorder = &outcome.recorder;
+        let row = (
+            trace_digest(recorder.trace()),
+            recorder.trace().len(),
+            recorder.delivered_data_packets(),
+            recorder.drops(DropReason::ScheduleDrop),
+        );
+        let intervened: Vec<bool> = outcome
+            .log
+            .points
+            .iter()
+            .filter(|p| p.action.is_some())
+            .map(|p| p.broadcast)
+            .collect();
+        if regen {
+            println!("{actions:?}: {row:?}, broadcast {intervened:?}");
+            continue;
+        }
+        assert_eq!(
+            intervened, pin.broadcast,
+            "{actions:?}: the intervened slots changed branch"
+        );
+        assert_eq!(
+            row,
+            (
+                pin.trace_digest,
+                pin.trace_len,
+                pin.delivered,
+                pin.schedule_drops
+            ),
+            "{actions:?}: (trace digest, trace length, delivered, schedule drops) drifted"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 4.  Zero choices == zero perturbation (property-tested).
 // ---------------------------------------------------------------------------

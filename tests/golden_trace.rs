@@ -263,3 +263,127 @@ fn disabled_telemetry_collects_nothing() {
     assert!(!recorder.telemetry.enabled());
     assert!(recorder.telemetry.events().is_empty());
 }
+
+/// Everything one hostile-medium row pins: the full-trace digest plus the
+/// counters the engine's jam, tunnel and rush branches move.
+#[derive(Debug, PartialEq)]
+struct MediumRow {
+    protocol: Protocol,
+    attack: &'static str,
+    trace_digest: u64,
+    trace_len: usize,
+    delivered: u64,
+    control_tx: u64,
+    collisions: u64,
+    jammed: u64,
+    tunneled: u64,
+}
+
+/// The attack behind a [`MediumRow::attack`] label.
+fn medium_attack(label: &str) -> manet_experiments::AttackConfig {
+    use manet_experiments::AttackConfig;
+    use manet_netsim::JamTarget;
+    match label {
+        "jam-control" => AttackConfig::jamming(2, JamTarget::Control, 0.8),
+        "jam-data" => AttackConfig::jamming(2, JamTarget::Data, 0.8),
+        "wormhole" => AttackConfig::wormhole(),
+        "rushing" => AttackConfig::rushing(2),
+        other => panic!("no medium attack labelled {other}"),
+    }
+}
+
+fn measure_medium(protocol: Protocol, attack: &'static str) -> MediumRow {
+    let mut scenario = Scenario::paper(protocol, 10.0, 1).with_attack(medium_attack(attack));
+    scenario.sim.duration = Duration::from_secs(20.0);
+    let (_, recorder) = run_scenario_traced(&scenario);
+    MediumRow {
+        protocol,
+        attack,
+        trace_digest: trace_digest(recorder.trace()),
+        trace_len: recorder.trace().len(),
+        delivered: recorder.delivered_data_packets(),
+        control_tx: recorder.control_transmissions(),
+        collisions: recorder.collisions(),
+        jammed: recorder.jammed_frames(),
+        tunneled: recorder.tunneled_frames(),
+    }
+}
+
+/// The hostile medium: selective jamming of either frame class, the
+/// wormhole's unicast shortcut and broadcast replay, and the rushers'
+/// backoff exemption (paper scenario, 10 m/s, seed 1, 20 s).  The clean and
+/// black-hole pins above never reach these engine branches.
+const GOLDEN_MEDIUM: [MediumRow; 5] = [
+    MediumRow {
+        protocol: Protocol::Mts,
+        attack: "jam-control",
+        trace_digest: 6363512863085945413,
+        trace_len: 39671,
+        delivered: 1872,
+        control_tx: 694,
+        collisions: 528,
+        jammed: 2108,
+        tunneled: 0,
+    },
+    MediumRow {
+        protocol: Protocol::Mts,
+        attack: "jam-data",
+        trace_digest: 5090625172242917199,
+        trace_len: 736,
+        delivered: 2,
+        control_tx: 617,
+        collisions: 54,
+        jammed: 313,
+        tunneled: 0,
+    },
+    MediumRow {
+        protocol: Protocol::Mts,
+        attack: "wormhole",
+        trace_digest: 13849926513489265871,
+        trace_len: 41753,
+        delivered: 3268,
+        control_tx: 778,
+        collisions: 447,
+        jammed: 0,
+        tunneled: 3542,
+    },
+    MediumRow {
+        protocol: Protocol::Mts,
+        attack: "rushing",
+        trace_digest: 11209226537813781865,
+        trace_len: 39988,
+        delivered: 2308,
+        control_tx: 673,
+        collisions: 638,
+        jammed: 0,
+        tunneled: 0,
+    },
+    MediumRow {
+        protocol: Protocol::Dsr,
+        attack: "wormhole",
+        trace_digest: 14450156811751744965,
+        trace_len: 16866,
+        delivered: 1189,
+        control_tx: 185,
+        collisions: 1856,
+        jammed: 0,
+        tunneled: 1153,
+    },
+];
+
+#[test]
+fn hostile_medium_runs_are_pinned() {
+    let regen = std::env::var_os("GOLDEN_REGEN").is_some();
+    for golden in &GOLDEN_MEDIUM {
+        let row = measure_medium(golden.protocol, golden.attack);
+        if regen {
+            println!("    {row:#?},");
+            continue;
+        }
+        assert_eq!(
+            &row, golden,
+            "{} under {}: the hostile-medium trace drifted from its pin",
+            golden.protocol, golden.attack
+        );
+    }
+}
