@@ -34,7 +34,6 @@ use manet_netsim::{Duration, Recorder, TraceMode};
 use rayon::prelude::*;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// What to explore: scenario, bounds, and the property to check.
 #[derive(Debug, Clone)]
@@ -109,10 +108,7 @@ pub fn run_with_trace(scenario: &Scenario, trace: &ChoiceTrace) -> RunOutcome {
 fn run_scripted(scenario: &Scenario, trace: &ChoiceTrace, mode: TraceMode) -> RunOutcome {
     let (hook, log) = ScheduleHook::new(trace);
     let (metrics, recorder) = run_scenario_hooked(scenario, Box::new(hook), mode);
-    let log = match Arc::try_unwrap(log) {
-        Ok(m) => m.into_inner(),
-        Err(arc) => arc.lock().clone(),
-    };
+    let log = log.take();
     RunOutcome {
         metrics,
         recorder,

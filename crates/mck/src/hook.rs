@@ -9,8 +9,8 @@
 
 use manet_netsim::{ChoiceDecision, ChoicePoint, DeliveryChoiceHook, Duration, SimTime};
 use manet_wire::NodeId;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// One adversarial intervention kind the explorer branches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -102,7 +102,7 @@ pub struct ScheduleHook {
     plan: Vec<Option<ScheduleAction>>,
     delay: Duration,
     kinds: Vec<&'static str>,
-    log: Arc<Mutex<RunLog>>,
+    log: Rc<RefCell<RunLog>>,
 }
 
 impl ScheduleHook {
@@ -111,7 +111,7 @@ impl ScheduleHook {
     ///
     /// # Panics
     /// Panics if an action slot lies at or beyond the trace's horizon.
-    pub fn new(trace: &ChoiceTrace) -> (Self, Arc<Mutex<RunLog>>) {
+    pub fn new(trace: &ChoiceTrace) -> (Self, Rc<RefCell<RunLog>>) {
         let mut plan = vec![None; trace.horizon as usize];
         for &(slot, action) in &trace.actions {
             assert!(
@@ -121,12 +121,12 @@ impl ScheduleHook {
             );
             plan[slot as usize] = Some(action);
         }
-        let log = Arc::new(Mutex::new(RunLog::default()));
+        let log = Rc::new(RefCell::new(RunLog::default()));
         let hook = ScheduleHook {
             plan,
             delay: trace.delay,
             kinds: trace.kinds.clone(),
-            log: Arc::clone(&log),
+            log: Rc::clone(&log),
         };
         (hook, log)
     }
@@ -140,7 +140,7 @@ impl DeliveryChoiceHook for ScheduleHook {
             // the branching factor stays bounded by the horizon.
             return ChoiceDecision::Deliver;
         }
-        let mut log = self.log.lock();
+        let mut log = self.log.borrow_mut();
         let slot = log.eligible_seen;
         log.eligible_seen += 1;
         if slot >= self.plan.len() as u64 {

@@ -448,6 +448,8 @@ impl CalendarQueue {
 mod tests {
     use super::*;
     use crate::event::Event;
+    use crate::node::TimerToken;
+    use manet_wire::NodeId;
     use proptest::prelude::*;
     use proptest::TestCaseError;
 
@@ -455,7 +457,10 @@ mod tests {
         ScheduledEvent {
             time: SimTime::from_secs(time),
             seq,
-            event: Event::ChannelTick,
+            event: Event::Timer {
+                node: NodeId(0),
+                token: TimerToken(0),
+            },
         }
     }
 

@@ -3,9 +3,14 @@
 //! The engine is fully deterministic: seed + configuration fix every
 //! transmission, backoff and delivery.  A [`DeliveryChoiceHook`] turns the one
 //! remaining free variable — *which addressed receptions actually arrive, and
-//! when* — into an explicit decision point.  Just before the engine would hand
-//! a successfully received frame to the receiving stack, it offers the
-//! reception to the installed hook, which may:
+//! when* — into an explicit decision point.
+//!
+//! The hook sits at the last of the medium's stages (see the
+//! [engine docs](crate::engine)).  At a frame's `TxEnd` the outcome stage
+//! first settles, per receiver, collision and then jamming; a reception that
+//! survives both and is addressed — the unicast destination, or any
+//! broadcast receiver — is then offered to the hook before its stack sees
+//! it.  The hook may answer:
 //!
 //! * [`ChoiceDecision::Deliver`] — proceed exactly as without a hook (the
 //!   all-`Deliver` hook is byte-identical to a hook-free run);
@@ -19,10 +24,11 @@
 //!   delay, reordering it against other in-flight traffic.  The receiving
 //!   stack sees an ordinary `on_receive`.
 //!
-//! Only **addressed** receptions are offered (unicast destinations and
-//! broadcast receivers).  Promiscuous overhearing is radio physics, not a
-//! scheduling choice, and the wormhole's out-of-band tunnel is already an
-//! adversarial channel of its own; neither consults the hook.
+//! One frame's receptions are offered in receiver order, all of them before
+//! the first is handed over; a unicast is offered after third parties
+//! overheard it.  Promiscuous overhearing is radio physics, not a scheduling
+//! choice, and the wormhole's out-of-band tunnel is already an adversarial
+//! channel of its own; neither consults the hook.
 //!
 //! The bounded model-checking explorer in `crates/mck` drives tiny topologies
 //! through this interface, enumerating decision sequences to find minimal
@@ -67,7 +73,7 @@ pub enum ChoiceDecision {
 /// for replay to be byte-identical: the engine consults the hook in a
 /// deterministic order, so a scripted hook that replays a recorded decision
 /// sequence reproduces the run exactly.
-pub trait DeliveryChoiceHook: Send {
+pub trait DeliveryChoiceHook {
     /// Decide the fate of one addressed reception.
     fn decide(&mut self, point: &ChoicePoint<'_>) -> ChoiceDecision;
 }

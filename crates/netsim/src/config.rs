@@ -5,7 +5,7 @@
 //! waypoint mobility with a 1 s pause, 200 s per run.
 
 use crate::fluid::FluidConfig;
-use crate::radio::{ChannelModel, RadioConfig};
+use crate::radio::RadioConfig;
 use crate::time::Duration;
 use manet_wire::NodeId;
 use serde::{Deserialize, Serialize};
@@ -37,9 +37,6 @@ pub struct MacConfig {
     pub retry_limit: u32,
     /// Capacity of the per-node interface queue, in frames (drop-tail).
     pub queue_capacity: usize,
-    /// Probability that an otherwise-successful unicast reception is lost
-    /// anyway (models residual channel error). 0 disables it.
-    pub random_loss: f64,
 }
 
 impl Default for MacConfig {
@@ -55,7 +52,6 @@ impl Default for MacConfig {
             cw_max: 1023,
             retry_limit: 5,
             queue_capacity: 64,
-            random_loss: 0.0,
         }
     }
 }
@@ -110,8 +106,8 @@ impl JamTarget {
 /// a reception at node `r` is destroyed with probability `loss_prob` whenever
 /// some jammer is within `range_m` of `r` and the frame class matches
 /// `target`.  Jammers move like ordinary nodes, so the jammed region follows
-/// them.  With `jamming: None` the engine draws no extra randomness and runs
-/// are byte-identical to pre-adversary traces.
+/// them.  With `jamming: None` or a `loss_prob` of 0 the engine draws no
+/// extra randomness and runs are byte-identical to pre-adversary traces.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JamConfig {
     /// Nodes acting as jammers.
@@ -221,8 +217,8 @@ pub enum NeighborIndex {
     /// results are exactly those of the brute-force scan.
     #[default]
     Grid,
-    /// Scan every node on every query — O(N) per transmission.  Kept for
-    /// equivalence tests and as the baseline of the `scale_nodes` bench.
+    /// Scan every node on every query — O(N) per transmission.  Kept as the
+    /// reference implementation the grid-equivalence tests compare against.
     BruteForce,
 }
 
@@ -353,9 +349,6 @@ impl SimConfig {
         if self.mac.queue_capacity == 0 {
             return Err("queue_capacity must be at least 1".into());
         }
-        if !(0.0..1.0).contains(&self.mac.random_loss) {
-            return Err("random_loss must be in [0, 1)".into());
-        }
         if self.duration.as_secs() <= 0.0 {
             return Err("duration must be positive".into());
         }
@@ -404,17 +397,6 @@ impl SimConfig {
             background.validate(self.num_nodes)?;
         }
         self.telemetry.validate()?;
-        if let ChannelModel::Shadowed {
-            good_to_bad,
-            bad_to_good,
-            ..
-        } = self.radio.channel
-        {
-            let rate = |r: f64| r >= 0.0 && r.is_finite();
-            if !(rate(good_to_bad) && rate(bad_to_good)) {
-                return Err("shadowing transition rates must be non-negative and finite".into());
-            }
-        }
         Ok(())
     }
 
@@ -603,10 +585,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = SimConfig::default();
-        c.mac.random_loss = 1.5;
-        assert!(c.validate().is_err());
-
-        let mut c = SimConfig::default();
         c.duration = Duration::ZERO;
         assert!(c.validate().is_err());
     }
@@ -614,7 +592,7 @@ mod tests {
     #[test]
     fn validation_rejects_non_finite_and_impossible_values() {
         type Edit = fn(&mut SimConfig);
-        let cases: [(&str, Edit); 12] = [
+        let cases: [(&str, Edit); 11] = [
             ("range_m = NaN", |c| c.radio.range_m = f64::NAN),
             ("range_m = inf", |c| c.radio.range_m = f64::INFINITY),
             ("carrier_sense_factor = NaN", |c| {
@@ -634,13 +612,6 @@ mod tests {
             ("max_speed = inf", |c| c.mobility.max_speed = f64::INFINITY),
             ("min_speed = NaN", |c| c.mobility.min_speed = f64::NAN),
             ("field_width = inf", |c| c.field_width = f64::INFINITY),
-            ("shadowing rate = inf", |c| {
-                c.radio.channel = ChannelModel::Shadowed {
-                    good_to_bad: f64::INFINITY,
-                    bad_to_good: 1.0,
-                    bad_delivery_prob: 0.0,
-                }
-            }),
         ];
         for (what, edit) in cases {
             let mut c = SimConfig::default();

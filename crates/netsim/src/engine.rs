@@ -1,8 +1,34 @@
 //! The discrete-event engine.
 //!
-//! [`Simulator`] owns the [`World`] (positions, MAC state, channel state, the
-//! event queue, the recorder) and one [`NodeStack`] per node, and runs the
-//! event loop until the configured duration elapses.
+//! [`Simulator`] owns the [`World`] (positions, MAC state, carrier-sense
+//! state, the event queue, the recorder) and one [`NodeStack`] per node, and
+//! runs the event loop until the configured duration elapses.
+//!
+//! # The medium
+//!
+//! A frame crosses the medium through one ordered path, one site per
+//! concern:
+//!
+//! 1. **Pre-transmit.**  `World::mac_enqueue` sends a unicast between the
+//!    wormhole endpoints through the tunnel (`World::tunnel`) instead of the
+//!    radio.  Every other frame waits for a `MacAttempt` after
+//!    `World::backoff` (DIFS plus a random backoff, nothing for a rusher),
+//!    and defers while carrier sense finds the medium busy.
+//! 2. **Outcome**, per receiver, at the frame's `TxEnd`
+//!    (`World::received_intact`): collision, then jamming.  Each observes
+//!    what destroyed the reception.  A wormhole endpoint's broadcast is then
+//!    replayed through the tunnel to the far endpoint, unless radio got it
+//!    there; third parties overhear a unicast promiscuously.
+//! 3. **Hand-over** (`Simulator::hand_over`): the choice hook, if one is
+//!    installed, decides each addressed reception (deliver, drop or delay;
+//!    see [`crate::choice`]), and `Simulator::deliver` hands it to its
+//!    stack.  The tunnel exit and a delayed reception end in the same
+//!    `deliver`.
+//!
+//! The radio is a unit disk (see [`crate::radio`]).  The outcome stage
+//! draws from the channel stream only for a targeted frame near a jammer,
+//! so runs without a jammer are byte-identical to runs of an engine that
+//! has none.
 //!
 //! # The broadcast hot path
 //!
@@ -48,7 +74,7 @@
 
 use crate::choice::{ChoiceDecision, ChoicePoint, DeliveryChoiceHook};
 use crate::config::{NeighborIndex, SimConfig};
-use crate::event::{Event, EventQueue, TxId};
+use crate::event::{Event, EventQueue, QueuedFrame, TxId};
 use crate::fluid::{FluidCompletion, FluidState};
 use crate::geometry::Position;
 use crate::grid::SpatialGrid;
@@ -56,7 +82,6 @@ use crate::mac::{airtime, InFlight, MacState, RxInterval};
 use crate::mobility::{MobilityModel, Waypoint};
 use crate::neighborhood::{Neighborhood, SCAN_HORIZON_M};
 use crate::node::{Ctx, NodeStack, TimerToken};
-use crate::radio::LinkDynamics;
 use crate::recorder::{
     DropReason, EnginePerf, FluidFlowTotals, Observation, PacketRef, Recorder, TraceMode,
 };
@@ -171,16 +196,6 @@ impl PerfCells {
     }
 }
 
-/// Precomputed jamming parameters (derived once from
-/// [`SimConfig::jamming`] so the per-transmission check allocates nothing).
-#[derive(Debug)]
-struct JamState {
-    nodes: Vec<NodeId>,
-    target: crate::config::JamTarget,
-    loss_prob: f64,
-    radius_sq: f64,
-}
-
 /// The spatial grid plus its drift-refresh machinery.
 ///
 /// `refresh_queue` holds at most one live `(due, node, generation)` entry per
@@ -227,7 +242,6 @@ pub struct World {
     /// through this array without touching the position cache.
     kin: Vec<Kinematics>,
     macs: Vec<MacState>,
-    link_dynamics: LinkDynamics,
     mobility: Box<dyn MobilityModel>,
     next_tx_id: u64,
     events_processed: u64,
@@ -242,20 +256,15 @@ pub struct World {
     hoods: Vec<Neighborhood>,
     /// `v̂`: the largest leg speed the mobility model has issued so far.
     top_speed: f64,
-    /// Scratch for per-receiver delivery outcomes in `tx_end`.
-    outcomes_scratch: Vec<(NodeId, bool)>,
+    /// Scratch for the per-receiver outcomes of one `TxEnd`: `None` for a
+    /// reception the medium destroyed, otherwise the hand-over decision.
+    outcomes_scratch: Vec<(NodeId, Option<ChoiceDecision>)>,
     /// Carrier-sense state, dense: the medium at node `i` is busy until
     /// `busy[i]`.  Kept outside [`MacState`] (and behind `Cell`) so the
     /// busy-set update of a transmission walks one contiguous 8-byte-per-node
     /// array inside the `&self` grid-query closure instead of scattering
     /// writes across the much larger per-node MAC structs.
     busy: Vec<Cell<SimTime>>,
-    /// Precomputed selective-jamming parameters (`None` when no jammer is
-    /// configured — the common case pays nothing).
-    jam: Option<JamState>,
-    /// Per-node rushing flags (empty when no rushing adversary is configured,
-    /// so the lookup is a bounds-checked miss on the clean path).
-    rush_mask: Vec<bool>,
     /// Adversarial delivery-choice hook (bounded model checking; see
     /// [`crate::choice`]).  `None` on every ordinary run — the hot path pays
     /// one branch.
@@ -486,37 +495,39 @@ impl World {
         self.config.wormhole.as_ref().and_then(|w| w.peer_of(node))
     }
 
-    /// True if `node` transmits with zero DIFS/backoff (rushing adversary).
-    fn is_rusher(&self, node: NodeId) -> bool {
-        self.rush_mask.get(node.index()).copied().unwrap_or(false)
+    /// Carry `packet` from wormhole endpoint `from` to its peer `to` through
+    /// the out-of-band tunnel: it arrives after the tunnel delay as a
+    /// `TunnelDeliver`, with no airtime, carrier sense or retries.
+    fn tunnel(&mut self, from: NodeId, to: NodeId, packet: SharedPacket) {
+        let delay = self
+            .config
+            .wormhole
+            .as_ref()
+            .map_or(Duration::ZERO, |w| w.delay);
+        self.recorder
+            .observe(self.now, Observation::Tunnel { packet: &packet });
+        let deliver = Event::TunnelDeliver { to, from, packet };
+        self.queue.schedule(self.now + delay, deliver);
+    }
+
+    /// The delay before `node`'s next transmission attempt: DIFS plus a
+    /// random contention backoff, or nothing at all for a rushing attacker,
+    /// which then consumes no MAC randomness either.
+    fn backoff(&mut self, node: NodeId) -> Duration {
+        let rushing = self.config.rush.as_ref();
+        if rushing.is_some_and(|rush| rush.rushers.contains(&node)) {
+            return Duration::ZERO;
+        }
+        self.macs[node.index()].draw_backoff(&self.config.mac, self.rngs.mac())
     }
 
     /// Queue a frame at `node`'s MAC and make sure a transmission attempt is
-    /// scheduled.
+    /// scheduled.  A unicast between the wormhole endpoints takes the tunnel
+    /// instead of the radio.
     pub fn mac_enqueue(&mut self, node: NodeId, frame: Frame) {
-        // Wormhole shortcut: a unicast between the tunnel endpoints never
-        // touches the radio — no airtime, no carrier sense, no retries.
         if let MacDest::Unicast(dst) = frame.mac_dst {
             if self.wormhole_peer(node) == Some(dst) {
-                let delay = self
-                    .config
-                    .wormhole
-                    .as_ref()
-                    .map_or(Duration::ZERO, |w| w.delay);
-                self.recorder.observe(
-                    self.now,
-                    Observation::Tunnel {
-                        packet: &frame.payload,
-                    },
-                );
-                self.queue.schedule(
-                    self.now + delay,
-                    Event::TunnelDeliver {
-                        to: dst,
-                        from: node,
-                        packet: frame.payload,
-                    },
-                );
+                self.tunnel(node, dst, frame.payload);
                 return;
             }
         }
@@ -547,17 +558,65 @@ impl World {
         if self.macs[idx].attempt_pending || self.macs[idx].transmitting.is_some() {
             return;
         }
-        // A rushing attacker skips DIFS + backoff entirely (and consumes no
-        // MAC randomness); honest nodes contend normally.
-        let backoff = if self.is_rusher(node) {
-            Duration::ZERO
-        } else {
-            let mac_rng = self.rngs.mac();
-            self.macs[idx].draw_backoff(&self.config.mac, mac_rng)
-        };
+        let backoff = self.backoff(node);
         self.macs[idx].attempt_pending = true;
         let at = self.now + extra + backoff;
         self.queue.schedule(at, Event::MacAttempt { node });
+    }
+
+    /// The outcome stage for one receiver `r` of the frame `from` sent from
+    /// `start` to `end`: collision, then jamming.  Observes what destroyed
+    /// the reception and returns whether it arrived intact.
+    fn received_intact(
+        &mut self,
+        from: NodeId,
+        r: NodeId,
+        tx: TxId,
+        start: SimTime,
+        end: SimTime,
+        payload: &NetPacket,
+    ) -> bool {
+        let m = &self.macs[r.index()];
+        let collided =
+            m.reception_collided(tx, start, end) || m.was_transmitting_during(start, end);
+        if collided {
+            let obs = Observation::Collision { node: r, from };
+            self.recorder.observe(self.now, obs);
+        }
+        // The jammer draws for a collided reception too, so the channel
+        // stream does not depend on collisions.
+        if self.jammed(from, r, payload) && !collided {
+            let obs = Observation::Drop {
+                node: r,
+                reason: DropReason::Jammed,
+                packet: PacketRef::Net(payload),
+            };
+            self.recorder.observe(self.now, obs);
+            return false;
+        }
+        !collided
+    }
+
+    /// Does a selective jammer corrupt `r`'s reception of a frame from
+    /// `from`?  A jammer acts near itself, but neither on frames arriving at
+    /// itself nor on its own frames (half-duplex: it cannot jam while
+    /// sending).  Draws from the channel stream only for a targeted frame
+    /// near a jammer, and never with no jammer or a `loss_prob` of 0.
+    fn jammed(&mut self, from: NodeId, r: NodeId, payload: &NetPacket) -> bool {
+        let Some(jam) = &self.config.jamming else {
+            return false;
+        };
+        if jam.loss_prob <= 0.0 || !jam.target.matches(payload.is_control()) {
+            return false;
+        }
+        let radius = jam.effective_range(self.config.radio.range_m);
+        let radius_sq = radius * radius;
+        let rx_pos = self.position_of(r);
+        let near = jam
+            .jammers
+            .iter()
+            .any(|&j| j != r && j != from && self.position_of(j).distance_sq(rx_pos) <= radius_sq);
+        near && self.rngs.channel().gen::<f64>() < jam.loss_prob
     }
 
     fn fresh_tx_id(&mut self) -> TxId {
@@ -679,29 +738,6 @@ impl Simulator {
             }
         };
         let pos_cache = (0..config.num_nodes).map(|_| Cell::new(None)).collect();
-        let jam = config.jamming.as_ref().and_then(|jam| {
-            if jam.loss_prob > 0.0 {
-                let r = jam.effective_range(config.radio.range_m);
-                Some(JamState {
-                    nodes: jam.jammers.clone(),
-                    target: jam.target,
-                    loss_prob: jam.loss_prob,
-                    radius_sq: r * r,
-                })
-            } else {
-                None
-            }
-        });
-        let rush_mask = match &config.rush {
-            None => Vec::new(),
-            Some(rush) => {
-                let mut mask = vec![false; config.num_nodes as usize];
-                for r in &rush.rushers {
-                    mask[r.index()] = true;
-                }
-                mask
-            }
-        };
         let mut recorder = Recorder::new();
         recorder.telemetry = Telemetry::from_config(&config.telemetry);
         let world = World {
@@ -712,7 +748,6 @@ impl Simulator {
             motions,
             kin,
             macs,
-            link_dynamics: LinkDynamics::new(),
             mobility,
             next_tx_id: 0,
             events_processed: 0,
@@ -727,8 +762,6 @@ impl Simulator {
             busy: (0..config.num_nodes)
                 .map(|_| Cell::new(SimTime::ZERO))
                 .collect(),
-            jam,
-            rush_mask,
             choice: None,
             fluid,
             config,
@@ -851,7 +884,6 @@ impl Simulator {
             Event::TunnelDeliver { to, from, packet } => self.tunnel_deliver(to, from, packet),
             Event::DelayedDeliver { to, from, packet } => self.delayed_deliver(to, from, packet),
             Event::FluidEpoch { gen } => self.fluid_epoch(gen),
-            Event::ChannelTick => { /* channel state is sampled lazily */ }
             Event::Stop => unreachable!("Stop handled in run()"),
         }
     }
@@ -1035,18 +1067,7 @@ impl Simulator {
         if busy_until > now {
             let wait = busy_until.since(now);
             self.world.macs[idx].attempt_pending = true;
-            // Rushing attackers re-attempt the instant the medium frees up.
-            let backoff = if self.world.is_rusher(node) {
-                Duration::ZERO
-            } else {
-                // Split the borrows field-wise: the MAC config is read-only
-                // while the RNG and the MAC state are distinct fields, so no
-                // per-transmission clone of the config is needed.
-                let World {
-                    macs, rngs, config, ..
-                } = &mut self.world;
-                macs[idx].draw_backoff(&config.mac, rngs.mac())
-            };
+            let backoff = self.world.backoff(node);
             self.world
                 .queue
                 .schedule(now + wait + backoff, Event::MacAttempt { node });
@@ -1143,198 +1164,35 @@ impl Simulator {
             end,
             receivers,
         } = inflight;
-        let now = self.world.now;
-        let channel = self.world.config.radio.channel;
-        let random_loss = self.world.config.mac.random_loss;
-        let is_control = queued.frame.payload.is_control();
-        // Selective jamming: the parameters were precomputed at construction
-        // (no per-transmission allocation).  With no jammer configured the
-        // engine draws no extra randomness, so clean runs stay byte-identical
-        // to pre-adversary traces.
-        let jam_active = self
-            .world
-            .jam
-            .as_ref()
-            .is_some_and(|j| j.target.matches(is_control));
-        let jam_loss = self.world.jam.as_ref().map_or(0.0, |j| j.loss_prob);
-
-        // Work out, per receiver, whether the frame arrived intact (into the
-        // reusable outcome scratch — no per-transmission allocation).
+        // Outcome stage: which receivers got the frame intact.
         let mut outcomes = std::mem::take(&mut self.world.outcomes_scratch);
-        outcomes.clear();
         for &r in &receivers {
-            let collided = {
-                let m = &self.world.macs[r.index()];
-                m.reception_collided(tx, start, end) || m.was_transmitting_during(start, end)
-            };
-            if collided {
-                let obs = Observation::Collision {
-                    node: r,
-                    from: node,
-                };
-                self.world.recorder.observe(now, obs);
-            }
-            let faded = {
-                let World {
-                    link_dynamics,
-                    rngs,
-                    ..
-                } = &mut self.world;
-                !link_dynamics.link_usable(node, r, now, channel, rngs.channel())
-            };
-            let lost = random_loss > 0.0 && self.world.rngs.channel().gen::<f64>() < random_loss;
-            let jammed = if jam_active {
-                // A jammer corrupts receptions near it, but not receptions of
-                // its own frames (half-duplex: it cannot jam while sending)
-                // and not frames arriving at itself.
-                let near = {
-                    let jam = self.world.jam.as_ref().expect("jam_active checked");
-                    let rx_pos = self.world.position_of(r);
-                    jam.nodes.iter().any(|&j| {
-                        j != r
-                            && j != node
-                            && self.world.position_of(j).distance_sq(rx_pos) <= jam.radius_sq
-                    })
-                };
-                near && self.world.rngs.channel().gen::<f64>() < jam_loss
-            } else {
-                false
-            };
-            if jammed && !collided && !faded && !lost {
-                let obs = Observation::Drop {
-                    node: r,
-                    reason: DropReason::Jammed,
-                    packet: PacketRef::Net(&queued.frame.payload),
-                };
-                self.world.recorder.observe(now, obs);
-            }
-            outcomes.push((r, !collided && !faded && !lost && !jammed));
+            let payload = &queued.frame.payload;
+            let intact = self.world.received_intact(node, r, tx, start, end, payload);
+            outcomes.push((r, intact.then_some(ChoiceDecision::Deliver)));
         }
+        self.world.hoods[idx].receivers = receivers;
 
-        match queued.frame.mac_dst {
+        let failed_unicast = match queued.frame.mac_dst {
             MacDest::Broadcast => {
-                self.world.macs[idx].tx_ok += 1;
-                self.world.macs[idx].reset_backoff();
                 // Wormhole replay: a broadcast *by* a tunnel endpoint also
                 // reaches the far endpoint (unless radio already got it
                 // there), so discovery floods cross the tunnel.
                 if let Some(peer) = self.world.wormhole_peer(node) {
-                    let heard_by_radio = outcomes.iter().any(|&(r, ok)| r == peer && ok);
-                    if !heard_by_radio {
-                        let delay = self
-                            .world
-                            .config
-                            .wormhole
-                            .as_ref()
-                            .map_or(Duration::ZERO, |w| w.delay);
-                        let obs = Observation::Tunnel {
-                            packet: &queued.frame.payload,
-                        };
-                        self.world.recorder.observe(now, obs);
+                    if !outcomes.iter().any(|&(r, o)| r == peer && o.is_some()) {
                         add(&self.world.perf.payload_clones_avoided, 1);
-                        self.world.queue.schedule(
-                            now + delay,
-                            Event::TunnelDeliver {
-                                to: peer,
-                                from: node,
-                                packet: Arc::clone(&queued.frame.payload),
-                            },
-                        );
+                        let packet = Arc::clone(&queued.frame.payload);
+                        self.world.tunnel(node, peer, packet);
                     }
                 }
-                // All successful receivers share one payload allocation; the
-                // last one is handed the engine's own reference, so a sole
-                // receiver (and the last of many, once the earlier stacks
-                // dropped theirs) can take ownership without any copy.
-                let mut payload = Some(queued.frame.payload);
-                // Bounded model checking: with a choice hook installed, every
-                // addressed reception is offered to it first.  Decisions are
-                // collected up front so the hand-off of the engine's own
-                // payload reference can be recomputed over the receptions
-                // that still need the payload (`Drop` needs none); an
-                // all-`Deliver` answer reproduces the hook-free hand-off
-                // byte-for-byte.
-                let decisions: Option<Vec<ChoiceDecision>> =
-                    self.world.choice.as_mut().map(|hook| {
-                        let p = payload.as_ref().expect("payload present");
-                        outcomes
-                            .iter()
-                            .map(|&(r, ok)| {
-                                if ok {
-                                    hook.decide(&ChoicePoint {
-                                        at: now,
-                                        from: node,
-                                        to: r,
-                                        broadcast: true,
-                                        payload: p,
-                                    })
-                                } else {
-                                    ChoiceDecision::Deliver
-                                }
-                            })
-                            .collect()
-                    });
-                // A late receiver can be schedule-dropped after an earlier
-                // delivery took ownership of the payload: summarise it now.
-                let dropped = decisions
-                    .as_ref()
-                    .map(|_| PacketRef::summary(payload.as_ref().expect("payload present")));
-                let last_needed = match &decisions {
-                    None => outcomes.iter().rposition(|&(_, ok)| ok),
-                    Some(ds) => outcomes
-                        .iter()
-                        .enumerate()
-                        .rposition(|(i, &(_, ok))| ok && ds[i] != ChoiceDecision::Drop),
-                };
-                for (i, &(r, ok)) in outcomes.iter().enumerate() {
-                    if !ok {
-                        continue;
-                    }
-                    let decision = decisions
-                        .as_ref()
-                        .map_or(ChoiceDecision::Deliver, |ds| ds[i]);
-                    if decision == ChoiceDecision::Drop {
-                        self.observe_schedule_drop(r, dropped.expect("hook active"));
-                        continue;
-                    }
-                    let packet = if Some(i) == last_needed {
-                        payload.take().expect("last receiver")
-                    } else {
-                        Arc::clone(payload.as_ref().expect("not last"))
-                    };
-                    if let ChoiceDecision::Delay(by) = decision {
-                        // Hand the reception to the receiver-side-only
-                        // delivery path after the extra delay; the receiving
-                        // stack sees an ordinary `on_receive`.
-                        self.world.queue.schedule(
-                            now + by,
-                            Event::DelayedDeliver {
-                                to: r,
-                                from: node,
-                                packet,
-                            },
-                        );
-                        continue;
-                    }
-                    self.account_reception(r, node, &packet, true);
-                    add(&self.world.perf.payload_clones_avoided, 1);
-                    let mut ctx = Ctx {
-                        world: &mut self.world,
-                        node: r,
-                    };
-                    self.stacks[r.index()].on_receive(&mut ctx, node, packet);
-                }
+                None
             }
             MacDest::Unicast(dst) => {
-                let delivered = outcomes
-                    .iter()
-                    .find(|(r, _)| *r == dst)
-                    .map(|(_, ok)| *ok)
-                    .unwrap_or(false);
-                // Promiscuous overhearing by third parties happens regardless
-                // of whether the addressed receiver got it.
-                for (r, ok) in &outcomes {
-                    if *ok && *r != dst {
+                // Third parties overhear promiscuously whether or not the
+                // addressed receiver got the frame; only `dst` stays
+                // addressed.
+                for (r, outcome) in &mut outcomes {
+                    if *r != dst && outcome.take().is_some() {
                         self.account_reception(*r, node, &queued.frame.payload, false);
                         let mut ctx = Ctx {
                             world: &mut self.world,
@@ -1343,84 +1201,114 @@ impl Simulator {
                         self.stacks[r.index()].on_promiscuous(&mut ctx, &queued.frame);
                     }
                 }
-                if delivered {
-                    self.world.macs[idx].tx_ok += 1;
-                    self.world.macs[idx].reset_backoff();
-                    // Bounded model checking: the addressed reception is
-                    // offered to the choice hook.  The sender's MAC already
-                    // saw success, so `Drop` is a pure receiver-side omission
-                    // (no retry, no link failure).
-                    let decision = match self.world.choice.as_mut() {
-                        None => ChoiceDecision::Deliver,
-                        Some(hook) => hook.decide(&ChoicePoint {
-                            at: now,
-                            from: node,
-                            to: dst,
-                            broadcast: false,
-                            payload: &queued.frame.payload,
-                        }),
-                    };
-                    match decision {
-                        ChoiceDecision::Drop => {
-                            self.observe_schedule_drop(dst, PacketRef::Net(&queued.frame.payload));
-                        }
-                        ChoiceDecision::Delay(by) => {
-                            self.world.queue.schedule(
-                                now + by,
-                                Event::DelayedDeliver {
-                                    to: dst,
-                                    from: node,
-                                    packet: queued.frame.payload,
-                                },
-                            );
-                        }
-                        ChoiceDecision::Deliver => {
-                            self.account_reception(dst, node, &queued.frame.payload, true);
-                            // Move the payload out of the finished frame: the
-                            // receiving stack gets the sole reference and can
-                            // take ownership without a copy.
-                            let packet = queued.frame.payload;
-                            add(&self.world.perf.payload_clones_avoided, 1);
-                            let mut ctx = Ctx {
-                                world: &mut self.world,
-                                node: dst,
-                            };
-                            self.stacks[dst.index()].on_receive(&mut ctx, node, packet);
-                        }
-                    }
-                } else {
-                    let mut queued = queued;
-                    queued.attempts += 1;
-                    if queued.attempts < self.world.config.mac.retry_limit {
-                        self.world.macs[idx].escalate_backoff();
-                        self.world.macs[idx].requeue_front(queued);
-                    } else {
-                        self.world.macs[idx].retry_drops += 1;
-                        self.world.macs[idx].reset_backoff();
-                        let obs = Observation::LinkFailure {
-                            node,
-                            next_hop: dst,
-                            packet: &queued.frame.payload,
-                        };
-                        self.world.recorder.observe(now, obs);
-                        let packet = self.world.claim_packet(queued.frame.payload);
-                        let mut ctx = Ctx {
-                            world: &mut self.world,
-                            node,
-                        };
-                        self.stacks[idx].on_link_failure(&mut ctx, dst, packet);
-                    }
-                }
+                (!outcomes.iter().any(|(_, o)| o.is_some())).then_some(dst)
             }
+        };
+        match failed_unicast {
+            None => {
+                self.world.macs[idx].tx_ok += 1;
+                self.world.macs[idx].reset_backoff();
+                let broadcast = queued.frame.mac_dst == MacDest::Broadcast;
+                self.hand_over(node, broadcast, &mut outcomes, queued.frame.payload);
+            }
+            Some(dst) => self.retry_or_fail(node, dst, queued),
         }
-        // Recycle the scratch buffers for the next transmission.
+        // Recycle the scratch buffer for the next transmission.
         outcomes.clear();
         self.world.outcomes_scratch = outcomes;
-        self.world.hoods[idx].receivers = receivers;
         // Keep the pipeline moving.
         if !self.world.macs[idx].queue.is_empty() {
             self.world.ensure_attempt(node, Duration::ZERO);
         }
+    }
+
+    /// The choice and hand-over stages of one frame `from` a transmitter:
+    /// `outcomes` holds `Some(Deliver)` for each addressed reception that
+    /// arrived intact, in receiver order.
+    ///
+    /// With a choice hook installed, each of them is offered to it first
+    /// (see [`crate::choice`]); a `Drop` is a receiver-side omission, since
+    /// the sender's MAC already saw success.  Every reception that still
+    /// needs the payload shares its one allocation, and the last is handed
+    /// the engine's own reference, so a sole receiver (and the last of many,
+    /// once the earlier stacks dropped theirs) takes ownership without a
+    /// copy.  An all-`Deliver` hook reproduces the hook-free run.
+    fn hand_over(
+        &mut self,
+        from: NodeId,
+        broadcast: bool,
+        outcomes: &mut [(NodeId, Option<ChoiceDecision>)],
+        payload: SharedPacket,
+    ) {
+        let now = self.world.now;
+        if let Some(hook) = self.world.choice.as_mut() {
+            for (to, outcome) in outcomes.iter_mut() {
+                if let Some(decision) = outcome {
+                    *decision = hook.decide(&ChoicePoint {
+                        at: now,
+                        from,
+                        to: *to,
+                        broadcast,
+                        payload: &payload,
+                    });
+                }
+            }
+        }
+        // A schedule drop after the last hand-over finds the payload gone.
+        let dropped = PacketRef::summary(&payload);
+        let last = outcomes
+            .iter()
+            .rposition(|&(_, o)| o.is_some_and(|d| d != ChoiceDecision::Drop));
+        let mut payload = Some(payload);
+        for (i, &(to, outcome)) in outcomes.iter().enumerate() {
+            let Some(decision) = outcome else { continue };
+            if decision == ChoiceDecision::Drop {
+                self.observe_schedule_drop(to, dropped);
+                continue;
+            }
+            let packet = if Some(i) == last {
+                payload.take()
+            } else {
+                payload.clone()
+            }
+            .expect("the payload is held until the last hand-over");
+            match decision {
+                ChoiceDecision::Delay(by) => {
+                    let delayed = Event::DelayedDeliver { to, from, packet };
+                    self.world.queue.schedule(now + by, delayed);
+                }
+                _ => {
+                    add(&self.world.perf.payload_clones_avoided, 1);
+                    self.deliver(to, from, packet);
+                }
+            }
+        }
+    }
+
+    /// A unicast `dst` did not receive: retry it, or past the retry limit
+    /// report a link failure to the sender's stack.
+    fn retry_or_fail(&mut self, node: NodeId, dst: NodeId, mut queued: QueuedFrame) {
+        let mac = &mut self.world.macs[node.index()];
+        queued.attempts += 1;
+        if queued.attempts < self.world.config.mac.retry_limit {
+            mac.escalate_backoff();
+            mac.requeue_front(queued);
+            return;
+        }
+        mac.retry_drops += 1;
+        mac.reset_backoff();
+        let obs = Observation::LinkFailure {
+            node,
+            next_hop: dst,
+            packet: &queued.frame.payload,
+        };
+        self.world.recorder.observe(self.world.now, obs);
+        let packet = self.world.claim_packet(queued.frame.payload);
+        let mut ctx = Ctx {
+            world: &mut self.world,
+            node,
+        };
+        self.stacks[node.index()].on_link_failure(&mut ctx, dst, packet);
     }
 
     /// Deliver a tunneled packet at the far wormhole endpoint.  The receiving
@@ -1432,20 +1320,20 @@ impl Simulator {
             packet: &packet,
         };
         self.world.recorder.observe(self.world.now, obs);
-        self.account_reception(to, from, &packet, true);
-        let mut ctx = Ctx {
-            world: &mut self.world,
-            node: to,
-        };
-        self.stacks[to.index()].on_receive(&mut ctx, from, packet);
+        self.deliver(to, from, packet);
     }
 
-    /// Deliver a reception the choice hook delayed: the outcome was resolved
-    /// at the frame's `TxEnd`, so this only does the recorder bookkeeping
-    /// and the stack callback, exactly as `tx_end` would have.
+    /// Deliver a reception the choice hook delayed: its outcome was resolved
+    /// at the frame's `TxEnd`.
     fn delayed_deliver(&mut self, to: NodeId, from: NodeId, packet: SharedPacket) {
-        self.account_reception(to, from, &packet, true);
         add(&self.world.perf.payload_clones_avoided, 1);
+        self.deliver(to, from, packet);
+    }
+
+    /// The one hand-over of an addressed reception to its stack: the
+    /// recorder's relay/delivery accounting, then `on_receive`.
+    fn deliver(&mut self, to: NodeId, from: NodeId, packet: SharedPacket) {
+        self.account_reception(to, from, &packet, true);
         let mut ctx = Ctx {
             world: &mut self.world,
             node: to,

@@ -88,8 +88,6 @@ pub enum Event {
         /// The received packet, sharing the transmitted frame's allocation.
         packet: SharedPacket,
     },
-    /// Re-evaluate a shadowed link's fading state.
-    ChannelTick,
     /// End of the simulated run.
     Stop,
 }
@@ -278,11 +276,19 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// An event whose payload the queue never looks at.
+    fn filler() -> Event {
+        Event::Timer {
+            node: NodeId(0),
+            token: TimerToken(0),
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(t(3.0), Event::Stop);
-        q.schedule(t(1.0), Event::ChannelTick);
+        q.schedule(t(1.0), filler());
         q.schedule(t(2.0), Event::Stop);
         let times: Vec<f64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.time.as_secs())
@@ -367,8 +373,8 @@ mod tests {
         let mut heap = EventQueue::new();
         let mut cal = EventQueue::calendar(3.6e-4);
         for &t in &times {
-            heap.schedule(SimTime::from_secs(t), Event::ChannelTick);
-            cal.schedule(SimTime::from_secs(t), Event::ChannelTick);
+            heap.schedule(SimTime::from_secs(t), filler());
+            cal.schedule(SimTime::from_secs(t), filler());
         }
         loop {
             match (heap.pop(), cal.pop()) {

@@ -21,7 +21,7 @@
 //! * [`grid`] — the uniform spatial grid indexing node positions; the
 //!   engine's broadcast hot path answers range queries through it instead of
 //!   scanning all nodes (see `crates/netsim/README.md` for the design).
-//! * [`radio`] — propagation / channel models (unit disk, shadowed links).
+//! * [`radio`] — radio parameters (unit-disk range, carrier-sense range).
 //! * [`mac`] — a simplified IEEE 802.11 DCF MAC: carrier sense, slotted
 //!   binary-exponential backoff, receiver-side collisions, airtime accounting,
 //!   unicast retry limit with link-failure feedback.
@@ -70,7 +70,7 @@ pub use geometry::{Position, Vector2};
 pub use grid::SpatialGrid;
 pub use mobility::{MobilityModel, RandomWaypoint, Waypoint};
 pub use node::{Ctx, NodeStack, TimerToken};
-pub use radio::{ChannelModel, RadioConfig};
+pub use radio::RadioConfig;
 pub use recorder::EnginePerf;
 pub use recorder::{
     FluidFlowTotals, Observation, PacketRef, PacketSet, Recorder, TraceEvent, TraceMode,

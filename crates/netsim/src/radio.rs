@@ -1,52 +1,23 @@
-//! Radio propagation / channel models.
+//! Radio parameters.
 //!
 //! The paper's setup uses a 250 m transmission range over the ns-2 two-ray
 //! ground model; for the metrics it reports, what matters is *which nodes can
-//! hear a transmission* and how that set changes with mobility.  We therefore
-//! provide:
-//!
-//! * [`ChannelModel::UnitDisk`] — a node hears a transmission iff it is within
-//!   `range_m` of the transmitter (the default, matching the paper's fixed
-//!   250 m range), and
-//! * [`ChannelModel::Shadowed`] — the same geometric rule gated by a per-link
-//!   two-state (good/bad) Gilbert–Elliott process whose dwell times model the
-//!   channel coherence time that motivates MTS's 2–4 s checking period.
+//! hear a transmission* and how that set changes with mobility.  The engine
+//! therefore uses unit-disk propagation: a node hears a transmission iff it
+//! is within `range_m` of the transmitter, and senses the medium busy within
+//! [`RadioConfig::carrier_sense_range`].
 
-use crate::time::{Duration, SimTime};
-use manet_wire::NodeId;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-
-/// Channel variation model applied on top of the geometric range check.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub enum ChannelModel {
-    /// Pure unit-disk propagation: reception iff distance <= range.
-    #[default]
-    UnitDisk,
-    /// Unit disk gated by a per-link Gilbert–Elliott good/bad process.
-    Shadowed {
-        /// Rate (1/s) of good→bad transitions; 1/rate is the mean good dwell.
-        good_to_bad: f64,
-        /// Rate (1/s) of bad→good transitions.
-        bad_to_good: f64,
-        /// Probability a frame survives while the link is in the bad state.
-        bad_delivery_prob: f64,
-    },
-}
 
 /// Radio parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RadioConfig {
     /// Transmission range in metres (paper: 250 m).
     pub range_m: f64,
-    /// Carrier-sense range in metres; transmissions within this range keep the
-    /// medium busy even when they cannot be decoded.  Usually ~2× the
-    /// transmission range; we default to the same 250 m for simplicity plus a
-    /// separate factor.
+    /// Carrier-sense range as a multiple of the transmission range;
+    /// transmissions within it keep the medium busy even when they cannot be
+    /// decoded.
     pub carrier_sense_factor: f64,
-    /// Channel variation model.
-    pub channel: ChannelModel,
 }
 
 impl Default for RadioConfig {
@@ -54,7 +25,6 @@ impl Default for RadioConfig {
         RadioConfig {
             range_m: 250.0,
             carrier_sense_factor: 1.8,
-            channel: ChannelModel::UnitDisk,
         }
     }
 }
@@ -66,209 +36,14 @@ impl RadioConfig {
     }
 }
 
-/// Per-link fading state for the shadowed channel model.
-#[derive(Debug, Clone, Copy)]
-struct LinkState {
-    good: bool,
-    /// When this state was last (re)sampled.
-    sampled_at: SimTime,
-}
-
-/// Tracks the time-varying state of every link under the shadowed model.
-///
-/// State is sampled lazily: when a link is consulted, the elapsed time since
-/// the last sample is folded into the two-state Markov process.
-#[derive(Debug, Default)]
-pub struct LinkDynamics {
-    links: HashMap<(NodeId, NodeId), LinkState>,
-}
-
-fn canonical(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-    if a.0 <= b.0 {
-        (a, b)
-    } else {
-        (b, a)
-    }
-}
-
-impl LinkDynamics {
-    /// Empty link-state table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of links with cached state (diagnostic).
-    pub fn tracked_links(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Is the link `a`–`b` currently usable under `model` at time `now`?
-    ///
-    /// For [`ChannelModel::UnitDisk`] this is always true (geometry is checked
-    /// separately by the MAC).  For the shadowed model the two-state process
-    /// is advanced lazily and the bad state lets frames through with
-    /// `bad_delivery_prob`.
-    pub fn link_usable(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        now: SimTime,
-        model: ChannelModel,
-        rng: &mut impl Rng,
-    ) -> bool {
-        match model {
-            ChannelModel::UnitDisk => true,
-            ChannelModel::Shadowed {
-                good_to_bad,
-                bad_to_good,
-                bad_delivery_prob,
-            } => {
-                let key = canonical(a, b);
-                let entry = self.links.entry(key).or_insert(LinkState {
-                    good: true,
-                    sampled_at: now,
-                });
-                // Advance the two-state process over the elapsed interval using
-                // the embedded transition probabilities.
-                let dt = now.saturating_since(entry.sampled_at).as_secs();
-                if dt > 0.0 {
-                    let flip_prob = if entry.good {
-                        1.0 - (-good_to_bad * dt).exp()
-                    } else {
-                        1.0 - (-bad_to_good * dt).exp()
-                    };
-                    if rng.gen::<f64>() < flip_prob {
-                        entry.good = !entry.good;
-                    }
-                    entry.sampled_at = now;
-                }
-                if entry.good {
-                    true
-                } else {
-                    rng.gen::<f64>() < bad_delivery_prob
-                }
-            }
-        }
-    }
-
-    /// Drop all cached link state (e.g. between runs).
-    pub fn reset(&mut self) {
-        self.links.clear();
-    }
-}
-
-/// Helper used by tests and by the MAC: is `b` within transmission range of
-/// `a` given their distance?
-#[inline]
-pub fn within_range(distance_m: f64, config: &RadioConfig) -> bool {
-    distance_m <= config.range_m
-}
-
-/// Is a transmitter at `distance_m` close enough to keep the medium busy?
-#[inline]
-pub fn within_carrier_sense(distance_m: f64, config: &RadioConfig) -> bool {
-    distance_m <= config.carrier_sense_range()
-}
-
-/// Expected coherence time (mean dwell in the good state) for a shadowed
-/// channel model, if applicable.  The paper sizes the MTS checking period from
-/// this quantity ("two to four seconds is acceptable").
-pub fn coherence_time(model: ChannelModel) -> Option<Duration> {
-    match model {
-        ChannelModel::UnitDisk => None,
-        ChannelModel::Shadowed { good_to_bad, .. } => {
-            if good_to_bad > 0.0 {
-                Some(Duration::from_secs(1.0 / good_to_bad))
-            } else {
-                None
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn default_radio_matches_paper_range() {
         let r = RadioConfig::default();
         assert_eq!(r.range_m, 250.0);
         assert!(r.carrier_sense_range() > r.range_m);
-        assert!(within_range(250.0, &r));
-        assert!(!within_range(250.1, &r));
-        assert!(within_carrier_sense(300.0, &r));
-    }
-
-    #[test]
-    fn unit_disk_links_always_usable() {
-        let mut dyn_ = LinkDynamics::new();
-        let mut rng = SmallRng::seed_from_u64(1);
-        for t in 0..100 {
-            assert!(dyn_.link_usable(
-                NodeId(1),
-                NodeId(2),
-                SimTime::from_secs(t as f64),
-                ChannelModel::UnitDisk,
-                &mut rng
-            ));
-        }
-        assert_eq!(dyn_.tracked_links(), 0);
-    }
-
-    #[test]
-    fn shadowed_links_eventually_go_bad_and_recover() {
-        let model = ChannelModel::Shadowed {
-            good_to_bad: 0.5,
-            bad_to_good: 0.5,
-            bad_delivery_prob: 0.0,
-        };
-        let mut dyn_ = LinkDynamics::new();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut good = 0usize;
-        let mut bad = 0usize;
-        for step in 0..2000 {
-            let now = SimTime::from_secs(step as f64 * 0.5);
-            if dyn_.link_usable(NodeId(0), NodeId(1), now, model, &mut rng) {
-                good += 1;
-            } else {
-                bad += 1;
-            }
-        }
-        // With symmetric rates the link spends a nontrivial share of time in
-        // each state.
-        assert!(good > 200, "good={good}");
-        assert!(bad > 200, "bad={bad}");
-        assert_eq!(dyn_.tracked_links(), 1);
-    }
-
-    #[test]
-    fn link_key_is_symmetric() {
-        let model = ChannelModel::Shadowed {
-            good_to_bad: 0.1,
-            bad_to_good: 0.1,
-            bad_delivery_prob: 0.0,
-        };
-        let mut dyn_ = LinkDynamics::new();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let _ = dyn_.link_usable(NodeId(5), NodeId(2), SimTime::ZERO, model, &mut rng);
-        let _ = dyn_.link_usable(NodeId(2), NodeId(5), SimTime::ZERO, model, &mut rng);
-        assert_eq!(dyn_.tracked_links(), 1);
-        dyn_.reset();
-        assert_eq!(dyn_.tracked_links(), 0);
-    }
-
-    #[test]
-    fn coherence_time_reported_for_shadowed_only() {
-        assert!(coherence_time(ChannelModel::UnitDisk).is_none());
-        let c = coherence_time(ChannelModel::Shadowed {
-            good_to_bad: 0.25,
-            bad_to_good: 1.0,
-            bad_delivery_prob: 0.1,
-        })
-        .unwrap();
-        assert!((c.as_secs() - 4.0).abs() < 1e-12);
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic random-number streams.
 //!
-//! Each stochastic subsystem (mobility, MAC backoff, channel fading, traffic,
+//! Each stochastic subsystem (mobility, MAC backoff, jamming, traffic,
 //! scenario placement) draws from its own seeded stream so that changing one
 //! subsystem's consumption pattern does not perturb the others.  This keeps
 //! paired comparisons between protocols meaningful: DSR, AODV and MTS runs
@@ -16,7 +16,7 @@ pub enum StreamKind {
     Mobility,
     /// MAC backoff slots and jitter.
     Mac,
-    /// Channel fading / shadowing processes.
+    /// Channel losses (the selective jammer's draws).
     Channel,
     /// Traffic endpoints and eavesdropper selection.
     Scenario,
@@ -95,7 +95,7 @@ impl RngStreams {
         &mut self.mac
     }
 
-    /// Channel stream (fading, shadowing).
+    /// Channel stream (the selective jammer's draws).
     pub fn channel(&mut self) -> &mut SmallRng {
         &mut self.channel
     }
