@@ -19,9 +19,11 @@
 
 use manet_experiments::runner::{run_scenario_traced, run_scenario_with_recorder};
 use manet_experiments::{Protocol, Scenario, TrafficFlow};
-use manet_netsim::{Duration, FluidConfig};
+use manet_netsim::telemetry::{write_ndjson, StringSink};
+use manet_netsim::{Duration, FluidConfig, FluidFlowSpec, FxHasher, TelemetryConfig};
 use manet_wire::NodeId;
 use std::fmt::Debug;
+use std::hash::Hasher;
 
 /// The PR 5 flow axis: the goodput peak sits at 5 concurrent flows.
 const FLOW_AXIS: [u16; 4] = [1, 5, 25, 50];
@@ -248,6 +250,77 @@ fn small_hybrid_run_keeps_its_trace_and_fluid_ledger() {
             17623769688228130447,
             3_265_654,
             54
+        )
+    );
+}
+
+/// Pins a hybrid run that mixes what the single-demand pin above never
+/// does: generated bounded flows at one demand beside explicit flows at two
+/// others (so the max-min demand order has several keys), two explicit flows
+/// arriving at one instant, unbounded flows that run to the end, moving
+/// endpoints whose leg changes force epochs and resample corridors, and
+/// telemetry windows carrying the per-region `fluid_demand`/`fluid_alloc`
+/// maps.  Pinned: the packet trace, every fluid ledger row, the completed
+/// count and the FxHash of the run's NDJSON stream.
+#[test]
+fn mixed_demand_hybrid_run_keeps_its_trace_ledger_and_stream() {
+    let spec =
+        |conn: u32, (src, dst): (u16, u16), start: f64, bytes: u64, demand: f64| FluidFlowSpec {
+            conn,
+            src: NodeId(src),
+            dst: NodeId(dst),
+            start: Duration::from_secs(start),
+            bytes,
+            demand_bytes_per_sec: demand,
+        };
+    let mut scenario =
+        Scenario::scaled(Protocol::Mts, 100, 10.0, 3).with_telemetry(TelemetryConfig {
+            enabled: true,
+            window_secs: Some(1.0),
+            trace_packet: None,
+        });
+    scenario.sim.duration = Duration::from_secs(5.0);
+    scenario = scenario.with_background(FluidConfig {
+        flows: 150,
+        flow_bytes: 20_000,
+        demand_bytes_per_sec: 30_000.0,
+        capacity_share: 0.15,
+        arrival_spread: Duration::from_secs(3.0),
+        explicit: vec![
+            spec(1_000, (3, 70), 0.5, 25_000, 12_000.0),
+            spec(1_001, (15, 42), 0.5, 0, 55_000.0),
+            spec(1_002, (60, 8), 1.25, 40_000, 12_000.0),
+            spec(1_003, (88, 21), 2.0, 0, 55_000.0),
+        ],
+        ..FluidConfig::default()
+    });
+    let (metrics, recorder) = run_scenario_traced(&scenario);
+    let completed = recorder
+        .fluid_flows()
+        .values()
+        .filter(|f| f.completion_secs.is_some())
+        .count();
+    let mut sink = StringSink::default();
+    write_ndjson(recorder.telemetry.events(), &mut sink).expect("string sink never fails");
+    let mut ndjson = FxHasher::default();
+    ndjson.write(sink.0.as_bytes());
+    let pinned = (
+        debug_digest(recorder.trace()),
+        debug_digest(recorder.fluid_flows()),
+        metrics.fluid_delivered_bytes,
+        completed,
+        sink.0.len(),
+        ndjson.finish(),
+    );
+    assert_eq!(
+        pinned,
+        (
+            3697082810068180473,
+            6412514128305459891,
+            2_743_227,
+            90,
+            1_430_589,
+            17174040034934135617
         )
     );
 }
