@@ -915,14 +915,18 @@ impl Simulator {
                 },
             );
         }
-        // The cached neighbourhoods assume continuous motion at no more than
-        // `top_speed`; a leg that breaks either assumption empties them all.
+        // The cached neighbourhoods and the fluid corridors' validity windows
+        // assume continuous motion at no more than `top_speed`; a leg that
+        // breaks either assumption empties them all.
         if leg.speed > self.world.top_speed || leg.from != arrived_at {
             self.world.top_speed = self.world.top_speed.max(leg.speed);
             self.world
                 .hoods
                 .iter_mut()
                 .for_each(Neighborhood::invalidate);
+            if let Some(fluid) = self.world.fluid.as_deref_mut() {
+                fluid.close_windows();
+            }
         }
         self.world.kin[idx] = Kinematics::of(&leg);
         self.world.motions[idx] = NodeMotion {
@@ -967,7 +971,7 @@ impl Simulator {
         let now = self.world.now;
         let out = {
             let world = &self.world;
-            fluid.epoch(now, |n| world.position_of(n))
+            fluid.epoch(now, world.top_speed, |n| world.position_of(n))
         };
         // An epoch that asks for the next one at its own instant makes no
         // progress in simulated time.  A long run of them is a spin (PR 9's

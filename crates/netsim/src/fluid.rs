@@ -202,45 +202,151 @@ impl FluidConfig {
 /// capacity on every resource (the property tests below assert all three).
 ///
 /// A flow with an empty path is unconstrained by capacity and gets its
-/// demand.  Demands must not be NaN.  A thin wrapper: it flattens the paths
-/// for `max_min_kernel`.
+/// demand.  Demands must not be NaN (asserted).  A thin wrapper: it flattens
+/// the paths and adds each flow to fresh `MaxMinInputs` for
+/// `max_min_kernel`, the update a fluid epoch applies to an arriving flow.
 pub fn max_min_allocate(capacity: &[f64], paths: &[Vec<usize>], demands: &[f64]) -> Vec<f64> {
     assert_eq!(paths.len(), demands.len());
+    if let Some(f) = demands.iter().position(|d| d.is_nan()) {
+        panic!("flow {f} has a NaN demand");
+    }
     let mut start = Vec::with_capacity(paths.len() + 1);
     let mut regions = Vec::new();
+    let mut entries = vec![0; capacity.len()];
     start.push(0);
     for path in paths {
         for &r in path {
             assert!(r < capacity.len(), "path names region {r}, out of range");
             regions.push(u32::try_from(r).expect("region index fits u32"));
+            entries[r] += 1;
         }
-        start.push(u32::try_from(regions.len()).expect("path entries fit u32"));
+        start.push(regions.len());
+    }
+    let path = |f: usize| &regions[start[f]..start[f + 1]];
+    let mut inputs = MaxMinInputs::new(capacity.len(), demands.to_vec());
+    for (crossing, &n) in inputs.crossing.iter_mut().zip(&entries) {
+        crossing.reserve_exact(n);
+    }
+    // Added by ascending demand, every insertion into the demand order is an
+    // append; the order is the same multiset whatever the order of adding.
+    let mut order: Vec<usize> = (0..paths.len()).collect();
+    order.sort_unstable_by(|&a, &b| demands[a].total_cmp(&demands[b]));
+    for f in order {
+        inputs.join(f);
+        inputs.cross(f, path(f));
     }
     let mut scratch = MaxMinScratch::default();
-    max_min_kernel(capacity, &start, &regions, demands, &mut scratch);
+    max_min_kernel(capacity, &inputs, path, &mut scratch);
     scratch.alloc
 }
 
-/// [`max_min_kernel`]'s vectors, kept between epochs so none allocates.
+/// Regions the kernel's subtraction chain advances in step.
+const LANES: usize = 8;
+
+/// [`max_min_kernel`]'s inputs, kept up to date by the flows that join,
+/// leave or change their path rather than rebuilt per call.  Flows are ids
+/// `0..demand.len()`; only those with a positive demand take part, the rest
+/// stay at rate 0.
+#[derive(Debug, Clone, Default)]
+struct MaxMinInputs {
+    /// Every id's demand cap, taking part or not.
+    demand: Vec<f64>,
+    /// Path entries of the taking-part flows per region (a repeated region
+    /// counts once per mention), zero-padded to a multiple of [`LANES`].
+    load: Vec<u32>,
+    /// The joined flows, by ascending demand; ties in any order.
+    by_demand: Vec<u32>,
+    /// Region → crossing flows, one per path entry, in any order.
+    crossing: Vec<Vec<u32>>,
+}
+
+impl MaxMinInputs {
+    fn new(regions: usize, demand: Vec<f64>) -> Self {
+        MaxMinInputs {
+            demand,
+            load: vec![0; regions.next_multiple_of(LANES)],
+            by_demand: Vec::new(),
+            crossing: vec![Vec::new(); regions],
+        }
+    }
+
+    fn takes_part(&self, f: usize) -> bool {
+        self.demand[f] > 0.0
+    }
+
+    /// Put flow `f` into the demand order, after its ties.
+    fn join(&mut self, f: usize) {
+        if self.takes_part(f) {
+            let d = self.demand[f];
+            let at = match self.by_demand.last() {
+                // Flows mostly join in demand order: equal generated demands,
+                // or the wrapper's sorted flows.
+                Some(&g) if self.demand[g as usize] > d => self
+                    .by_demand
+                    .partition_point(|&g| self.demand[g as usize] <= d),
+                _ => self.by_demand.len(),
+            };
+            self.by_demand.insert(at, f as u32);
+        }
+    }
+
+    /// Take flow `f` out of the demand order.
+    fn leave(&mut self, f: usize) {
+        if self.takes_part(f) {
+            let d = self.demand[f];
+            let ties = self
+                .by_demand
+                .partition_point(|&g| self.demand[g as usize] < d);
+            let at = ties
+                + self.by_demand[ties..]
+                    .iter()
+                    .position(|&g| g as usize == f)
+                    .expect("a leaving flow has joined");
+            self.by_demand.remove(at);
+        }
+    }
+
+    /// Count flow `f`'s path into the loads and adjacency lists.
+    fn cross(&mut self, f: usize, path: &[u32]) {
+        if self.takes_part(f) {
+            for &r in path {
+                self.load[r as usize] += 1;
+                self.crossing[r as usize].push(f as u32);
+            }
+        }
+    }
+
+    /// Take flow `f`'s path, as last crossed, back out.
+    fn uncross(&mut self, f: usize, path: &[u32]) {
+        if self.takes_part(f) {
+            for &r in path {
+                self.load[r as usize] -= 1;
+                let list = &mut self.crossing[r as usize];
+                let at = list
+                    .iter()
+                    .position(|&g| g as usize == f)
+                    .expect("an uncrossed path was crossed");
+                list.swap_remove(at);
+            }
+        }
+    }
+}
+
+/// [`max_min_kernel`]'s working vectors, kept between epochs so none
+/// allocates.
 #[derive(Debug, Clone, Default)]
 struct MaxMinScratch {
     /// The result: `alloc[f]` is flow `f`'s rate.
     alloc: Vec<f64>,
     frozen: Vec<bool>,
     remaining: Vec<f64>,
-    /// Path entries of unfrozen flows per region (a repeated region counts
-    /// once per mention).
+    /// [`MaxMinInputs::load`] less the entries of the flows frozen so far.
     load: Vec<u32>,
-    /// The positive-demand flows, by ascending demand.
-    by_demand: Vec<u32>,
-    /// Region → crossing flows, one per path entry: region `r` owns
-    /// `crossing[cross_end[r - 1]..cross_end[r]]` (from 0 for region 0).
-    cross_end: Vec<u32>,
-    crossing: Vec<u32>,
 }
 
-/// [`max_min_allocate`] over flat paths: flow `f` crosses
-/// `regions[start[f]..start[f + 1]]`; the rates land in `s.alloc`.
+/// [`max_min_allocate`] over maintained inputs: flow `f` crosses `path(f)`,
+/// the path last passed to [`MaxMinInputs::cross`]; the rates land in
+/// `s.alloc`.
 ///
 /// Progressive filling as one *water level*: every unfrozen flow has taken
 /// the same increments from 0.0, so all hold the same rate, and a flow's rate
@@ -253,12 +359,12 @@ struct MaxMinScratch {
 /// entry, as `load[r]` *repeated* subtractions (order-free, but `load × delta`
 /// would round differently); and freezing reads only the level and the
 /// remaining capacities, which do not move within a round, so its order is
-/// free and an exhausted region's flows come from its adjacency list.
-fn max_min_kernel(
+/// free, ties in the demand order and the order of the adjacency lists
+/// included, and an exhausted region's flows come from its adjacency list.
+fn max_min_kernel<'p>(
     capacity: &[f64],
-    start: &[u32],
-    regions: &[u32],
-    demands: &[f64],
+    inputs: &MaxMinInputs,
+    path: impl Fn(usize) -> &'p [u32],
     s: &mut MaxMinScratch,
 ) {
     fn freeze(f: usize, level: f64, path: &[u32], s: &mut MaxMinScratch) {
@@ -268,52 +374,20 @@ fn max_min_kernel(
             s.load[r as usize] -= 1;
         }
     }
-    const LANES: usize = 8;
-    let n = demands.len();
-    assert_eq!(start.len(), n + 1);
-    let path = |f: usize| &regions[start[f] as usize..start[f + 1] as usize];
+    let demands = &inputs.demand;
+    let by_demand = &inputs.by_demand;
     s.alloc.clear();
-    s.alloc.resize(n, 0.0);
+    s.alloc.resize(demands.len(), 0.0);
     s.frozen.clear();
-    s.frozen.resize(n, false);
+    s.frozen.resize(demands.len(), false);
     // Padding regions carry no load, so no round looks at them.
-    let padded = capacity.len().next_multiple_of(LANES);
     s.remaining.clear();
     s.remaining.extend_from_slice(capacity);
-    s.remaining.resize(padded, 0.0);
+    s.remaining.resize(inputs.load.len(), 0.0);
     s.load.clear();
-    s.load.resize(padded, 0);
-    s.by_demand.clear();
-    for (f, &demand) in demands.iter().enumerate() {
-        if demand <= 0.0 {
-            s.frozen[f] = true;
-            continue;
-        }
-        s.by_demand.push(f as u32);
-        for &r in path(f) {
-            s.load[r as usize] += 1;
-        }
-    }
-    s.by_demand
-        .sort_unstable_by(|&a, &b| demands[a as usize].total_cmp(&demands[b as usize]));
-    // `cross_end[r]` starts as region r's first slot and, advanced once per
-    // entry written, finishes one past its last.
-    s.cross_end.clear();
-    let mut slots = 0;
-    for &entries in &s.load {
-        s.cross_end.push(slots);
-        slots += entries;
-    }
-    s.crossing.clear();
-    s.crossing.resize(slots as usize, 0);
-    for &f in &s.by_demand {
-        for &r in path(f as usize) {
-            s.crossing[s.cross_end[r as usize] as usize] = f;
-            s.cross_end[r as usize] += 1;
-        }
-    }
+    s.load.extend_from_slice(&inputs.load);
     let mut level = 0.0f64;
-    let mut active = s.by_demand.len();
+    let mut active = by_demand.len();
     // First flow in demand order that may still be unfrozen.
     let mut lowest = 0;
     while active > 0 {
@@ -325,16 +399,17 @@ fn max_min_kernel(
                 delta = delta.min(rem / f64::from(load));
             }
         }
-        while s.frozen[s.by_demand[lowest] as usize] {
+        while s.frozen[by_demand[lowest] as usize] {
             lowest += 1;
         }
-        delta = delta.min(demands[s.by_demand[lowest] as usize] - level);
+        delta = delta.min(demands[by_demand[lowest] as usize] - level);
         if !delta.is_finite() {
             // No flow crosses any finite-capacity resource: everyone gets
             // their full demand.
-            for (f, &demand) in demands.iter().enumerate() {
+            for &f in &by_demand[lowest..] {
+                let f = f as usize;
                 if !s.frozen[f] {
-                    s.alloc[f] = demand;
+                    s.alloc[f] = demands[f];
                 }
             }
             return;
@@ -361,8 +436,8 @@ fn max_min_kernel(
         }
         // Freeze flows that hit their demand or cross an exhausted resource.
         let before = active;
-        while lowest < s.by_demand.len() {
-            let f = s.by_demand[lowest] as usize;
+        while lowest < by_demand.len() {
+            let f = by_demand[lowest] as usize;
             if !s.frozen[f] {
                 if level >= demands[f] - 1e-9 {
                     freeze(f, level, path(f), s);
@@ -373,13 +448,12 @@ fn max_min_kernel(
             }
             lowest += 1;
         }
-        for r in 0..s.remaining.len() {
+        for (r, crossing) in inputs.crossing.iter().enumerate() {
             // Load left on an exhausted region: all of it freezes here, so
             // each adjacency list is walked at most once per call.
             if s.load[r] > 0 && s.remaining[r] <= 1e-9 {
-                let first = if r == 0 { 0 } else { s.cross_end[r - 1] };
-                for slot in first..s.cross_end[r] {
-                    let f = s.crossing[slot as usize] as usize;
+                for &f in crossing {
+                    let f = f as usize;
                     if !s.frozen[f] {
                         freeze(f, level, path(f), s);
                         active -= 1;
@@ -391,19 +465,12 @@ fn max_min_kernel(
             break; // numerical stall guard; cannot happen with positive slack
         }
     }
-    for f in 0..n {
+    for &f in &by_demand[lowest..] {
+        let f = f as usize;
         if !s.frozen[f] {
             s.alloc[f] = level;
         }
     }
-}
-
-/// Lifecycle of one fluid flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlowPhase {
-    Pending,
-    Active,
-    Done,
 }
 
 #[derive(Debug, Clone)]
@@ -414,10 +481,8 @@ struct Flow {
     start: SimTime,
     /// Total bytes to transfer; `f64::INFINITY` for unbounded flows.
     total: f64,
-    demand: f64,
     delivered: f64,
     rate: f64,
-    phase: FlowPhase,
 }
 
 /// A flow that analytically finished during an epoch advance.
@@ -455,6 +520,15 @@ pub(crate) struct FluidLedgerRow {
 /// be invisible in the u64 byte ledgers.
 const COMPLETION_EPS_BYTES: f64 = 1e-6;
 
+/// Margin the corridor guard withholds from the slack, metres: six orders
+/// above the rounding in the sampled coordinates.
+const GUARD_MARGIN_M: f64 = 1e-6;
+
+/// Margin a validity window withholds on top of the guard's, metres: it
+/// absorbs the rounding of position evaluation and of leg hand-overs, as
+/// the neighbourhood cache's does.
+const WINDOW_MARGIN_M: f64 = 1e-6;
+
 /// The grid of carrier-sense-sized regions laid over the field.
 #[derive(Debug, Clone, Copy)]
 struct RegionGrid {
@@ -472,6 +546,41 @@ struct CorridorAnchor {
     b: Position,
     slack: f64,
     len: usize,
+}
+
+impl CorridorAnchor {
+    /// Max-norm displacement of endpoints at `a` and `b` from the sampled
+    /// ones.
+    fn moved(&self, a: Position, b: Position) -> f64 {
+        (a.x - self.a.x)
+            .abs()
+            .max((a.y - self.a.y).abs())
+            .max((b.x - self.b.x).abs())
+            .max((b.y - self.b.y).abs())
+    }
+
+    /// The guard: endpoints `moved` (max-norm) from the sampled ones get the
+    /// cached corridor from a fresh sample (see [`RegionGrid::sample`]).
+    fn holds(&self, moved: f64) -> bool {
+        std::f64::consts::SQRT_2 * moved < self.slack - GUARD_MARGIN_M
+    }
+
+    /// The validity window a guard check at `now` that measured `moved`
+    /// opens: the guard holds at every instant before the one returned.  No
+    /// endpoint moves faster than `top_speed` (`v̂`), so each axis of `moved`
+    /// grows by at most `v̂·t` in `t` seconds and the guard holds for
+    /// `(slack − 1e-6 − √2·moved − margin) / (√2·v̂)` more.
+    fn window(&self, now: SimTime, moved: f64, top_speed: f64) -> SimTime {
+        let sqrt2 = std::f64::consts::SQRT_2;
+        let margin = self.slack - GUARD_MARGIN_M - sqrt2 * moved - WINDOW_MARGIN_M;
+        if margin > 0.0 {
+            // `v̂ = 0` divides to infinity: nothing moves until a leg does,
+            // and that leg closes every window.
+            now + Duration::from_secs((margin / (sqrt2 * top_speed)).min(f64::MAX))
+        } else {
+            now
+        }
+    }
 }
 
 impl RegionGrid {
@@ -504,10 +613,10 @@ impl RegionGrid {
     }
 
     /// Straight-line corridor of regions between two positions, sampled at
-    /// half-cell steps into the front of `cells` (room for `max_corridor`) —
-    /// or, while both endpoints are provably within the slack of the sample
-    /// cached there, that sample (endpoints drift centimetres per epoch;
-    /// corridors change about once a simulated second).
+    /// half-cell steps into the front of `cells` (room for `max_corridor`),
+    /// and anchored in `anchor` with the slack [`CorridorAnchor::holds`]
+    /// checks (endpoints drift centimetres per epoch; corridors change about
+    /// once a simulated second).
     ///
     /// Column and row indices are monotone in the sample index, so a region
     /// once left is never revisited and comparing with the last one
@@ -520,21 +629,13 @@ impl RegionGrid {
     /// boundary.  √2 × the max-norm displacement bounds the Euclidean one and
     /// 1e-6 m dwarfs the rounding in the sampled coordinates, so the result
     /// always equals a fresh sample.
-    fn corridor<'c>(
+    fn sample<'c>(
         &self,
         a: Position,
         b: Position,
         anchor: &mut CorridorAnchor,
         cells: &'c mut [u32],
     ) -> &'c [u32] {
-        let moved = (a.x - anchor.a.x)
-            .abs()
-            .max((a.y - anchor.a.y).abs())
-            .max((b.x - anchor.b.x).abs())
-            .max((b.y - anchor.b.y).abs());
-        if std::f64::consts::SQRT_2 * moved < anchor.slack - 1e-6 {
-            return &cells[..anchor.len];
-        }
         let half_cell = self.cell_m * 0.5;
         let span = a.distance_to(b) / half_cell;
         let steps = (span.ceil() as usize).max(1);
@@ -563,13 +664,8 @@ impl RegionGrid {
 /// Per-epoch working vectors, cleared and refilled rather than reallocated.
 #[derive(Debug, Clone, Default)]
 struct EpochScratch {
-    /// Indices into `flows` of the active flows; `demands`, `start` and the
-    /// kernel's `alloc` run parallel to it.
-    active: Vec<usize>,
-    demands: Vec<f64>,
-    /// Active flow `k` crosses `regions[start[k]..start[k + 1]]`.
-    start: Vec<u32>,
-    regions: Vec<u32>,
+    /// A resampled corridor's previous regions.
+    old_path: Vec<u32>,
     residual: Vec<f64>,
     region_demand: Vec<f64>,
     region_alloc: Vec<f64>,
@@ -577,6 +673,12 @@ struct EpochScratch {
 }
 
 /// Runtime state of the fluid layer (lives in `World.fluid`).
+///
+/// The max-min kernel's inputs live here between epochs and move only with
+/// the flows: an arrival joins the demand order and crosses its corridor, a
+/// completion leaves both, and a corridor that resamples to new regions is
+/// uncrossed and crossed again.  Every other epoch input is read in place:
+/// the corridors from `corridor_cells`, the demands from `inputs`.
 #[derive(Debug, Clone)]
 pub(crate) struct FluidState {
     cfg: FluidConfig,
@@ -587,7 +689,8 @@ pub(crate) struct FluidState {
     region_capacity: f64,
     /// All flows, sorted by `(start, conn)`.
     flows: Vec<Flow>,
-    /// Index of the first flow not yet activated.
+    /// Index of the first flow not yet activated: flows before it are active
+    /// or done, flows from it on are pending.
     next_arrival: usize,
     /// Epoch generation; bumped when an endpoint's leg changes so stale
     /// scheduled epochs can be recognised and dropped.
@@ -606,10 +709,21 @@ pub(crate) struct FluidState {
     fg_since: SimTime,
     /// Completion times of flows that finished (conn order mirrors `flows`).
     completed_at: Vec<Option<SimTime>>,
+    /// Indices into `flows` of the active flows, ascending: the order the
+    /// per-region sums add them in.
+    active: Vec<u32>,
+    /// The active flows with a byte budget, in any order: the only ones that
+    /// can complete.
+    bounded: Vec<u32>,
     /// Cached corridor of flow `i`: `corridor_cells[i × max_corridor..]`,
     /// valid as `anchors[i]` says.
     anchors: Vec<CorridorAnchor>,
     corridor_cells: Vec<u32>,
+    /// Flow `i`'s validity window: before `valid_until[i]` its guard holds
+    /// without evaluating either endpoint (see [`CorridorAnchor::window`]).
+    valid_until: Vec<SimTime>,
+    /// The max-min kernel's inputs over the active flows, by flow index.
+    inputs: MaxMinInputs,
     scratch: EpochScratch,
 }
 
@@ -627,23 +741,21 @@ impl FluidState {
         };
         let channel_rate = sim.mac.data_rate_bps / 8.0;
         let region_capacity = channel_rate * cfg.capacity_share;
+        let bytes = |b: u64| if b == 0 { f64::INFINITY } else { b as f64 };
         let mut flows = Vec::with_capacity(cfg.total_flows());
         for spec in &cfg.explicit {
-            flows.push(Flow {
-                conn: spec.conn,
-                src: spec.src,
-                dst: spec.dst,
-                start: SimTime::ZERO + spec.start,
-                total: if spec.bytes == 0 {
-                    f64::INFINITY
-                } else {
-                    spec.bytes as f64
+            flows.push((
+                Flow {
+                    conn: spec.conn,
+                    src: spec.src,
+                    dst: spec.dst,
+                    start: SimTime::ZERO + spec.start,
+                    total: bytes(spec.bytes),
+                    delivered: 0.0,
+                    rate: 0.0,
                 },
-                demand: spec.demand_bytes_per_sec,
-                delivered: 0.0,
-                rate: 0.0,
-                phase: FlowPhase::Pending,
-            });
+                spec.demand_bytes_per_sec,
+            ));
         }
         // Seed-derived endpoint draws.
         let mut z = sim.seed ^ 0x666c_7569u64.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -664,23 +776,21 @@ impl FluidState {
             // Deterministic even arrival spacing keeps epochs spread out
             // without extra randomness.
             let start = spread * (f64::from(k) + 0.5) / f64::from(cfg.flows.max(1));
-            flows.push(Flow {
-                conn: FLUID_CONN_BASE + k,
-                src,
-                dst,
-                start: SimTime::from_secs(start),
-                total: if cfg.flow_bytes == 0 {
-                    f64::INFINITY
-                } else {
-                    cfg.flow_bytes as f64
+            flows.push((
+                Flow {
+                    conn: FLUID_CONN_BASE + k,
+                    src,
+                    dst,
+                    start: SimTime::from_secs(start),
+                    total: bytes(cfg.flow_bytes),
+                    delivered: 0.0,
+                    rate: 0.0,
                 },
-                demand: cfg.demand_bytes_per_sec,
-                delivered: 0.0,
-                rate: 0.0,
-                phase: FlowPhase::Pending,
-            });
+                cfg.demand_bytes_per_sec,
+            ));
         }
-        flows.sort_by(|a, b| a.start.cmp(&b.start).then(a.conn.cmp(&b.conn)));
+        flows.sort_by(|(a, _), (b, _)| a.start.cmp(&b.start).then(a.conn.cmp(&b.conn)));
+        let (flows, demands): (Vec<Flow>, Vec<f64>) = flows.into_iter().unzip();
         let mut endpoint = vec![false; n as usize];
         for f in &flows {
             endpoint[f.src.index()] = true;
@@ -701,8 +811,12 @@ impl FluidState {
             fg_rate: vec![0.0; regions],
             fg_since: SimTime::ZERO,
             completed_at: vec![None; flows.len()],
+            active: Vec::new(),
+            bounded: Vec::new(),
             anchors: vec![CorridorAnchor::default(); flows.len()],
             corridor_cells: vec![0; flows.len() * grid.max_corridor()],
+            valid_until: vec![SimTime::ZERO; flows.len()],
+            inputs: MaxMinInputs::new(regions, demands),
             scratch: EpochScratch::default(),
             flows,
         }
@@ -713,6 +827,14 @@ impl FluidState {
     #[inline]
     pub(crate) fn is_endpoint(&self, node: NodeId) -> bool {
         self.endpoint.get(node.index()).copied().unwrap_or(false)
+    }
+
+    /// Close every corridor's validity window: the engine calls this when a
+    /// leg breaks the motion bound the windows assume (faster than `v̂`, or
+    /// not starting where its node stands).  The guards stay valid, so the
+    /// next epoch checks each corridor against them.
+    pub(crate) fn close_windows(&mut self) {
+        self.valid_until.fill(SimTime::ZERO);
     }
 
     /// Tally foreground bytes transmitted at `pos` (packet → fluid coupling).
@@ -744,6 +866,58 @@ impl FluidState {
         }
     }
 
+    /// Resample flow `i`'s corridor for endpoints at `a` and `b` at `now`,
+    /// moving its path in the kernel inputs with it when the regions changed
+    /// (most resamples, forced by a guard that is only sufficient, do not).
+    fn resample(&mut self, i: usize, a: Position, b: Position, now: SimTime, top_speed: f64) {
+        let stride = self.grid.max_corridor();
+        let cells = &mut self.corridor_cells[i * stride..(i + 1) * stride];
+        let anchor = &mut self.anchors[i];
+        let old = &mut self.scratch.old_path;
+        old.clear();
+        old.extend_from_slice(&cells[..anchor.len]);
+        let path = self.grid.sample(a, b, anchor, cells);
+        if path != &old[..] {
+            self.inputs.uncross(i, old);
+            self.inputs.cross(i, path);
+        }
+        self.valid_until[i] = anchor.window(now, 0.0, top_speed);
+    }
+
+    /// Activate flow `i` at `now`: it joins the active lists and the kernel
+    /// inputs with a fresh corridor.  Building the inputs from nothing is
+    /// this update applied to every active flow.
+    fn admit(
+        &mut self,
+        i: usize,
+        now: SimTime,
+        top_speed: f64,
+        position: &mut impl FnMut(NodeId) -> Position,
+    ) {
+        self.active.push(i as u32);
+        if self.flows[i].total.is_finite() {
+            self.bounded.push(i as u32);
+        }
+        self.inputs.join(i);
+        let (a, b) = (position(self.flows[i].src), position(self.flows[i].dst));
+        self.resample(i, a, b, now, top_speed);
+    }
+
+    /// Take the finished flow `i` out of the bounded list and the kernel
+    /// inputs (the caller drops it from `active`).
+    fn retire(&mut self, i: usize) {
+        let at = self
+            .bounded
+            .iter()
+            .position(|&g| g as usize == i)
+            .expect("a finishing flow is bounded");
+        self.bounded.swap_remove(at);
+        let stride = self.grid.max_corridor();
+        let path = &self.corridor_cells[i * stride..i * stride + self.anchors[i].len];
+        self.inputs.uncross(i, path);
+        self.inputs.leave(i);
+    }
+
     /// Advance every active flow analytically to `now`, collecting flows
     /// that completed on the way (with their exact analytic completion
     /// times).
@@ -757,53 +931,87 @@ impl FluidState {
     /// time.
     fn advance(&mut self, now: SimTime, completions: &mut Vec<FluidCompletion>) {
         let dt = now.as_secs() - self.last_advance.as_secs();
-        for (i, f) in self.flows.iter_mut().enumerate() {
-            if f.phase != FlowPhase::Active || f.rate <= 0.0 {
-                continue;
-            }
-            let remaining = f.total - f.delivered;
-            let moved = f.rate * dt;
-            if moved >= remaining - COMPLETION_EPS_BYTES {
-                let at = SimTime::from_secs(
-                    (self.last_advance.as_secs() + (remaining / f.rate).max(0.0))
-                        .min(now.as_secs()),
-                );
-                f.delivered = f.total;
-                f.phase = FlowPhase::Done;
-                self.completed_at[i] = Some(at);
-                completions.push(FluidCompletion {
-                    conn: f.conn,
-                    src: f.src,
-                    delivered: f.total as u64,
-                    at,
-                });
-            } else {
+        let mut kept = 0;
+        for k in 0..self.active.len() {
+            let i = self.active[k] as usize;
+            let f = &mut self.flows[i];
+            if f.rate > 0.0 {
+                let remaining = f.total - f.delivered;
+                let moved = f.rate * dt;
+                if moved >= remaining - COMPLETION_EPS_BYTES {
+                    let at = SimTime::from_secs(
+                        (self.last_advance.as_secs() + (remaining / f.rate).max(0.0))
+                            .min(now.as_secs()),
+                    );
+                    f.delivered = f.total;
+                    self.completed_at[i] = Some(at);
+                    completions.push(FluidCompletion {
+                        conn: f.conn,
+                        src: f.src,
+                        delivered: f.total as u64,
+                        at,
+                    });
+                    self.retire(i);
+                    continue;
+                }
                 f.delivered += moved;
             }
+            self.active[kept] = i as u32;
+            kept += 1;
         }
+        self.active.truncate(kept);
         // Completion order = analytic completion time, ties by conn.
         completions.sort_by(|x, y| x.at.cmp(&y.at).then(x.conn.cmp(&y.conn)));
         self.last_advance = now;
     }
 
     /// One epoch: advance the ledgers, admit arrivals, re-estimate the
-    /// foreground load, recompute the max-min fair allocation from the
-    /// current endpoint positions, and report when the next epoch is due.
+    /// foreground load, bring the corridors up to date with the endpoint
+    /// positions, recompute the max-min fair allocation, and report when the
+    /// next epoch is due.
     ///
     /// `position` must resolve a node's position at `now` (the engine passes
-    /// the memoised `World::position_of`).  The epoch's per-region rates
-    /// stay readable through [`FluidState::region_rates`] until the next one.
+    /// the memoised `World::position_of`), and no node may have moved faster
+    /// than `top_speed` since the last [`FluidState::close_windows`].  A
+    /// corridor inside its validity window evaluates neither endpoint.  The
+    /// epoch's per-region rates stay readable through
+    /// [`FluidState::region_rates`] until the next one.
     pub(crate) fn epoch(
         &mut self,
         now: SimTime,
+        top_speed: f64,
         mut position: impl FnMut(NodeId) -> Position,
     ) -> EpochOutcome {
         let mut out = EpochOutcome::default();
         self.advance(now, &mut out.completions);
-        while self.next_arrival < self.flows.len() && self.flows[self.next_arrival].start <= now {
-            if self.flows[self.next_arrival].phase == FlowPhase::Pending {
-                self.flows[self.next_arrival].phase = FlowPhase::Active;
+        for k in 0..self.active.len() {
+            let i = self.active[k] as usize;
+            let f = &self.flows[i];
+            let anchor = &self.anchors[i];
+            if now < self.valid_until[i] {
+                #[cfg(debug_assertions)]
+                {
+                    let moved = anchor.moved(position(f.src), position(f.dst));
+                    assert!(
+                        anchor.holds(moved),
+                        "fluid conn {} kept its corridor past the guard at {now}: \
+                         moved {moved} m, slack {} m",
+                        f.conn,
+                        anchor.slack
+                    );
+                }
+                continue;
             }
+            let (a, b) = (position(f.src), position(f.dst));
+            let moved = anchor.moved(a, b);
+            if anchor.holds(moved) {
+                self.valid_until[i] = anchor.window(now, moved, top_speed);
+            } else {
+                self.resample(i, a, b, now, top_speed);
+            }
+        }
+        while self.next_arrival < self.flows.len() && self.flows[self.next_arrival].start <= now {
+            self.admit(self.next_arrival, now, top_speed, &mut position);
             self.next_arrival += 1;
         }
         // Foreground rate estimate over the elapsed interval (kept from the
@@ -818,26 +1026,6 @@ impl FluidState {
         }
         // Max-min fair shares over the residual capacity.
         let s = &mut self.scratch;
-        s.active.clear();
-        s.demands.clear();
-        s.regions.clear();
-        s.start.clear();
-        s.start.push(0);
-        let stride = self.grid.max_corridor();
-        for (i, f) in self.flows.iter().enumerate() {
-            if f.phase != FlowPhase::Active {
-                continue;
-            }
-            s.regions.extend_from_slice(self.grid.corridor(
-                position(f.src),
-                position(f.dst),
-                &mut self.anchors[i],
-                &mut self.corridor_cells[i * stride..(i + 1) * stride],
-            ));
-            s.start.push(s.regions.len() as u32);
-            s.demands.push(f.demand);
-            s.active.push(i);
-        }
         // Fluid flows own a reserved slice (`region_capacity`) of the channel;
         // foreground squeezes that slice only once it crowds the *whole*
         // channel, not byte-for-byte — otherwise any corridor with live packet
@@ -849,16 +1037,21 @@ impl FluidState {
                 .iter()
                 .map(|&fg| self.region_capacity.min((self.channel_rate - fg).max(0.0))),
         );
-        max_min_kernel(&s.residual, &s.start, &s.regions, &s.demands, &mut s.kernel);
+        let stride = self.grid.max_corridor();
+        let (cells, anchors) = (&self.corridor_cells, &self.anchors);
+        let path = |i: usize| &cells[i * stride..i * stride + anchors[i].len];
+        max_min_kernel(&s.residual, &self.inputs, path, &mut s.kernel);
         for sums in [&mut s.region_demand, &mut s.region_alloc] {
             sums.clear();
             sums.resize(self.busy_frac.len(), 0.0);
         }
-        for (k, &i) in s.active.iter().enumerate() {
-            let rate = s.kernel.alloc[k];
+        for &i in &self.active {
+            let i = i as usize;
+            let rate = s.kernel.alloc[i];
             self.flows[i].rate = rate;
-            for &r in &s.regions[s.start[k] as usize..s.start[k + 1] as usize] {
-                s.region_demand[r as usize] += s.demands[k];
+            let demand = self.inputs.demand[i];
+            for &r in path(i) {
+                s.region_demand[r as usize] += demand;
                 s.region_alloc[r as usize] += rate;
             }
         }
@@ -880,13 +1073,9 @@ impl FluidState {
         if self.next_arrival < self.flows.len() {
             consider(self.flows[self.next_arrival].start.max(now));
         }
-        let mut any_active = false;
-        for f in &self.flows {
-            if f.phase != FlowPhase::Active {
-                continue;
-            }
-            any_active = true;
-            if f.rate > 0.0 && f.total.is_finite() {
+        for &i in &self.bounded {
+            let f = &self.flows[i as usize];
+            if f.rate > 0.0 {
                 // Floor the wait at 1 µs: a nearly-done flow must never
                 // round its next epoch onto the current f64 timestamp, or
                 // the engine would spin without advancing time.
@@ -894,7 +1083,7 @@ impl FluidState {
                 consider(SimTime::from_secs(now.as_secs() + wait));
             }
         }
-        if any_active {
+        if !self.active.is_empty() {
             consider(now + self.cfg.max_epoch_gap);
         }
         out.next = next;
@@ -911,9 +1100,12 @@ impl FluidState {
     /// watchdog: a flow that is all but done and cannot finish is the known
     /// way to get one.
     pub(crate) fn stall_report(&self) -> String {
-        let active = self.flows.iter().filter(|f| f.phase == FlowPhase::Active);
-        let left = active.clone().map(|f| f.total - f.delivered);
-        let (count, smallest) = (active.count(), left.fold(f64::INFINITY, f64::min));
+        let left = self.active.iter().map(|&i| {
+            let f = &self.flows[i as usize];
+            f.total - f.delivered
+        });
+        let smallest = left.fold(f64::INFINITY, f64::min);
+        let count = self.active.len();
         format!("{count} active flows, smallest remaining {smallest} bytes")
     }
 
@@ -1213,13 +1405,22 @@ mod tests {
             let mut scratch = MaxMinScratch::default();
             for _ in 0..4 {
                 let (caps, paths, demands) = random_problem(&mut rng);
-                let mut start = vec![0u32];
-                let mut regions = Vec::new();
-                for path in &paths {
-                    regions.extend(path.iter().map(|&r| r as u32));
-                    start.push(regions.len() as u32);
+                let paths: Vec<Vec<u32>> = paths
+                    .iter()
+                    .map(|path| path.iter().map(|&r| r as u32).collect())
+                    .collect();
+                // Joined in flow order, not by demand: most insertions land
+                // mid-order.
+                let mut inputs = MaxMinInputs::new(caps.len(), demands.clone());
+                for (f, path) in paths.iter().enumerate() {
+                    inputs.join(f);
+                    inputs.cross(f, path);
                 }
-                max_min_kernel(&caps, &start, &regions, &demands, &mut scratch);
+                max_min_kernel(&caps, &inputs, |f| &paths[f], &mut scratch);
+                let paths: Vec<Vec<usize>> = paths
+                    .iter()
+                    .map(|path| path.iter().map(|&r| r as usize).collect())
+                    .collect();
                 let want = max_min_reference(&caps, &paths, &demands);
                 prop_assert_eq!(
                     want.iter().map(|w| w.to_bits()).collect::<Vec<_>>(),
@@ -1233,6 +1434,28 @@ mod tests {
     #[should_panic(expected = "names region 3, out of range")]
     fn out_of_range_region_is_rejected() {
         max_min_allocate(&[1.0, 1.0, 1.0], &[vec![0, 3]], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 1 has a NaN demand")]
+    fn nan_demand_is_rejected() {
+        max_min_allocate(&[5.0], &[vec![0], vec![]], &[1.0, f64::NAN]);
+    }
+
+    /// The epoch's corridor lookup without the window: the cached corridor
+    /// while the guard holds, a fresh sample otherwise.
+    fn guarded_corridor<'c>(
+        grid: &RegionGrid,
+        a: Position,
+        b: Position,
+        anchor: &mut CorridorAnchor,
+        cells: &'c mut [u32],
+    ) -> &'c [u32] {
+        if anchor.holds(anchor.moved(a, b)) {
+            &cells[..anchor.len]
+        } else {
+            grid.sample(a, b, anchor, cells)
+        }
     }
 
     /// The corridor the pre-arena code sampled: `contains` for the dedup, a
@@ -1289,7 +1512,7 @@ mod tests {
             let mut cells = vec![0u32; grid.max_corridor()];
             let mut reused = 0;
             for step in 0..300 {
-                let got = grid.corridor(a, b, &mut anchor, &mut cells);
+                let got = guarded_corridor(&grid, a, b, &mut anchor, &mut cells);
                 prop_assert_eq!(got, &corridor_reference(&grid, a, b)[..], "step {} from {:?} to {:?}", step, a, b);
                 reused += usize::from(anchor.a != a || anchor.b != b);
                 for (p, pinned_y) in [(&mut a, mode == 1), (&mut b, false)] {
@@ -1346,13 +1569,13 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |n: NodeId| Position::new(100.0 + 300.0 * f64::from(n.0), 100.0);
-        let out = fluid.epoch(SimTime::ZERO, pos);
+        let out = fluid.epoch(SimTime::ZERO, 0.0, pos);
         assert!(out.completions.is_empty());
         // Uncontended: the flow gets its full demand, so it finishes in 1 s.
         let next = out.next.expect("an active flow schedules a next epoch");
         assert!(close(next.as_secs(), 1.0), "{next}");
         assert!(!rates(&fluid).is_empty());
-        let out = fluid.epoch(next, pos);
+        let out = fluid.epoch(next, 0.0, pos);
         assert_eq!(out.completions.len(), 1);
         assert_eq!(out.completions[0].conn, 1);
         assert_eq!(out.completions[0].delivered, 10_000);
@@ -1378,12 +1601,12 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |_: NodeId| Position::new(100.0, 100.0);
-        fluid.epoch(SimTime::ZERO, pos);
+        fluid.epoch(SimTime::ZERO, 0.0, pos);
         let free_alloc = rates(&fluid)[0].2;
         // The fluid slice is *reserved*: moderate foreground (well under
         // channel − region_capacity) must leave it untouched…
         fluid.note_foreground(Position::new(100.0, 100.0), 100_000);
-        fluid.epoch(SimTime::from_secs(1.0), pos);
+        fluid.epoch(SimTime::from_secs(1.0), 0.0, pos);
         assert_eq!(
             rates(&fluid)[0].2,
             free_alloc,
@@ -1392,7 +1615,7 @@ mod tests {
         // …but foreground crowding the whole channel (1.3 MB/s of a
         // 1.375 MB/s channel) squeezes the slice down to what is left.
         fluid.note_foreground(Position::new(100.0, 100.0), 1_300_000);
-        fluid.epoch(SimTime::from_secs(2.0), pos);
+        fluid.epoch(SimTime::from_secs(2.0), 0.0, pos);
         let loaded_alloc = rates(&fluid)[0].2;
         assert!(
             loaded_alloc < free_alloc,
@@ -1401,67 +1624,150 @@ mod tests {
         );
     }
 
-    /// One state keeps its scratch and corridor cache for 200 epochs; its twin
-    /// is rebuilt before every epoch from a clone with both emptied.  Stale
-    /// scratch or a corridor reused past its guard would split them.
-    #[test]
-    fn reused_scratch_and_corridors_match_a_state_rebuilt_every_epoch() {
-        let mut sim = sim_for(40);
-        sim.field_width = 3000.0;
-        sim.field_height = 2500.0;
-        let mut cfg = FluidConfig::default();
-        cfg.flows = 120;
-        cfg.flow_bytes = 30_000;
-        cfg.demand_bytes_per_sec = 40_000.0;
-        cfg.capacity_share = 0.05;
-        cfg.arrival_spread = Duration::from_secs(6.0);
-        let mut kept = FluidState::new(&cfg, &sim);
-        let mut rebuilt = kept.clone();
-        let mut rng = SmallRng::seed_from_u64(7);
-        let mut nodes: Vec<Position> = (0..sim.num_nodes)
-            .map(|_| Position::new(rng.gen_range(0.0..3000.0), rng.gen_range(0.0..2500.0)))
-            .collect();
-        let mut completed = 0;
-        for k in 0..200u32 {
-            let now = SimTime::from_secs(0.05 * f64::from(k));
-            // Centimetre drift, and now and then a node far enough away that
-            // its corridors must be resampled.
-            for p in nodes.iter_mut() {
-                let hop = if rng.gen_range(0..50u32) == 0 {
-                    300.0
-                } else {
-                    0.05
-                };
-                p.x += rng.gen_range(-1.0..1.0) * hop;
-                p.y += rng.gen_range(-1.0..1.0) * hop;
-            }
-            let at = nodes[rng.gen_range(0..nodes.len())];
-            kept.note_foreground(at, 40_000);
-            rebuilt.note_foreground(at, 40_000);
-            rebuilt = FluidState {
-                anchors: vec![CorridorAnchor::default(); rebuilt.flows.len()],
+    impl FluidState {
+        /// `self` with its kernel inputs, corridors, windows and scratch
+        /// thrown away and rebuilt by admitting every active flow again at
+        /// `now`: the from-scratch state an epoch at `now` would start from
+        /// without incremental upkeep.
+        fn rebuilt(&self, now: SimTime, mut position: impl FnMut(NodeId) -> Position) -> Self {
+            let mut twin = FluidState {
+                active: Vec::new(),
+                bounded: Vec::new(),
+                anchors: vec![CorridorAnchor::default(); self.flows.len()],
+                valid_until: vec![SimTime::ZERO; self.flows.len()],
+                inputs: MaxMinInputs::new(self.busy_frac.len(), self.inputs.demand.clone()),
                 scratch: EpochScratch::default(),
-                ..rebuilt.clone()
+                ..self.clone()
             };
-            let a = kept.epoch(now, |n| nodes[n.index()]);
-            let b = rebuilt.epoch(now, |n| nodes[n.index()]);
-            assert_eq!(a.next, b.next, "epoch {k}");
-            assert_eq!(rates(&kept), rates(&rebuilt), "epoch {k}");
-            completed += a.completions.len();
-            let bits = |s: &FluidState| -> Vec<u64> {
-                let rates = s.flows.iter().map(|f| f.rate.to_bits());
-                rates
-                    .chain(s.busy_frac.iter().map(|b| b.to_bits()))
+            for &i in &self.active {
+                twin.admit(i as usize, now, 0.0, &mut position);
+            }
+            twin
+        }
+
+        /// Every f64 an epoch leaves behind, as bits: the flow rates, the
+        /// busy fractions and both region-rate vectors.
+        fn epoch_bits(&self) -> Vec<u64> {
+            let rates = self.flows.iter().map(|f| f.rate);
+            let (demand, alloc) = self.region_rates();
+            let all = rates
+                .chain(self.busy_frac.iter().copied())
+                .chain(demand.iter().copied())
+                .chain(alloc.iter().copied());
+            all.map(f64::to_bits).collect()
+        }
+    }
+
+    proptest! {
+        /// One state keeps its kernel inputs, corridors and windows for 150
+        /// epochs; its twin is rebuilt from nothing before every epoch.
+        /// Drawn: generated flows, bounded or not, arriving spread out or all
+        /// at once; explicit flows at two other demands, two of them starting
+        /// together; nodes static (`v̂ = 0`) or moving at up to `v̂`; one
+        /// epoch that raises `v̂` and one that teleports a node, both
+        /// followed by [`FluidState::close_windows`]; now and then a second
+        /// epoch at the same instant.  A stale input, a skipped corridor
+        /// that a fresh sample would change, or a completion the maintained
+        /// lists miss splits the two, bit for bit.
+        #[test]
+        fn reused_scratch_and_corridors_match_a_state_rebuilt_every_epoch(seed in any::<u64>()) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut sim = sim_for(40);
+            sim.field_width = 3000.0;
+            sim.field_height = 2500.0;
+            let spec = |conn: u32, start: f64, bytes: u64, demand: f64, rng: &mut SmallRng| {
+                let src = rng.gen_range(0..40u16);
+                FluidFlowSpec {
+                    conn,
+                    src: NodeId(src),
+                    dst: NodeId((src + rng.gen_range(1..40u16)) % 40),
+                    start: Duration::from_secs(start),
+                    bytes,
+                    demand_bytes_per_sec: demand,
+                }
+            };
+            let together = rng.gen_range(0.0..2.0);
+            let cfg = FluidConfig {
+                flows: rng.gen_range(0..120u32),
+                flow_bytes: [0, 8_000, 20_000][rng.gen_range(0..3usize)],
+                demand_bytes_per_sec: 40_000.0,
+                capacity_share: 0.05,
+                arrival_spread: Duration::from_secs([0.0, 6.0][rng.gen_range(0..2usize)]),
+                explicit: vec![
+                    spec(1, together, 4_000, 9_000.0, &mut rng),
+                    spec(2, together, 0, 90_000.0, &mut rng),
+                    spec(3, rng.gen_range(0.0..6.0), 0, 9_000.0, &mut rng),
+                    spec(4, rng.gen_range(0.0..6.0), 25_000, 90_000.0, &mut rng),
+                ],
+                ..FluidConfig::default()
+            };
+            let mut kept = FluidState::new(&cfg, &sim);
+            let mut twin = kept.clone();
+            let mut nodes: Vec<Position> = (0..sim.num_nodes)
+                .map(|_| Position::new(rng.gen_range(0.0..3000.0), rng.gen_range(0.0..2500.0)))
+                .collect();
+            // Velocities of at most `v̂`, a hair under it so that the
+            // summed steps never outrun the bound by rounding.
+            let mut top_speed = [0.0, rng.gen_range(0.5..20.0)][rng.gen_range(0..2usize)];
+            let velocities = |v: f64, rng: &mut SmallRng| -> Vec<(f64, f64)> {
+                (0..40)
+                    .map(|_| {
+                        let (speed, dir) = (v * rng.gen_range(0.0..0.999), rng.gen_range(0.0..std::f64::consts::TAU));
+                        (speed * dir.cos(), speed * dir.sin())
+                    })
                     .collect()
             };
-            assert_eq!(bits(&kept), bits(&rebuilt), "epoch {k}");
+            let mut velocity = velocities(top_speed, &mut rng);
+            let (speed_up, teleport) = (rng.gen_range(1..150u32), rng.gen_range(1..150u32));
+            let (mut evaluated_kept, mut evaluated_twin, mut completed) = (0u64, 0u64, 0);
+            let mut now = SimTime::ZERO;
+            for k in 0..150u32 {
+                if k > 0 && rng.gen_range(0..10u32) != 0 {
+                    let dt = 0.05;
+                    now = SimTime::from_secs(now.as_secs() + dt);
+                    for (p, (vx, vy)) in nodes.iter_mut().zip(&velocity) {
+                        p.x += vx * dt;
+                        p.y += vy * dt;
+                    }
+                }
+                if k == speed_up {
+                    top_speed = 3.0 * top_speed + 5.0;
+                    velocity = velocities(top_speed, &mut rng);
+                    kept.close_windows();
+                }
+                if k == teleport {
+                    nodes[rng.gen_range(0..40usize)].x += 300.0;
+                    kept.close_windows();
+                }
+                let at = nodes[rng.gen_range(0..nodes.len())];
+                kept.note_foreground(at, 40_000);
+                twin.note_foreground(at, 40_000);
+                let mut twin_position = |n: NodeId| {
+                    evaluated_twin += 1;
+                    nodes[n.index()]
+                };
+                twin = twin.rebuilt(now, &mut twin_position);
+                let b = twin.epoch(now, top_speed, &mut twin_position);
+                let a = kept.epoch(now, top_speed, |n: NodeId| {
+                    evaluated_kept += 1;
+                    nodes[n.index()]
+                });
+                prop_assert_eq!(a.next, b.next, "epoch {}", k);
+                let done = |out: &EpochOutcome| -> Vec<(u32, u64, SimTime)> {
+                    out.completions.iter().map(|c| (c.conn, c.delivered, c.at)).collect()
+                };
+                prop_assert_eq!(done(&a), done(&b), "epoch {}", k);
+                prop_assert!(kept.epoch_bits() == twin.epoch_bits(), "epoch {}: rates split", k);
+                completed += a.completions.len();
+            }
+            prop_assert!(completed > 0, "no flow completed");
+            prop_assert!(
+                evaluated_kept <= evaluated_twin,
+                "kept evaluated {} positions, rebuilt {}",
+                evaluated_kept,
+                evaluated_twin
+            );
         }
-        assert!(
-            completed > 20,
-            "flows must come and go: {completed} completed"
-        );
-        let reused = kept.anchors.iter().filter(|a| a.slack > 0.0).count();
-        assert!(reused > 0, "the kept state must hold live corridors");
     }
 
     #[test]
@@ -1478,7 +1784,7 @@ mod tests {
         });
         let mut fluid = FluidState::new(&cfg, &sim_for(2));
         let pos = |_: NodeId| Position::new(100.0, 100.0);
-        fluid.epoch(SimTime::ZERO, pos);
+        fluid.epoch(SimTime::ZERO, 0.0, pos);
         let p = Position::new(100.0, 100.0);
         let period = cfg.pulse_period.as_secs();
         // At the start of a period the medium is virtually busy...
