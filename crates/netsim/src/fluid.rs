@@ -13,7 +13,12 @@
 //! analytic completions, endpoint waypoint changes, and a periodic cap
 //! ([`FluidConfig::max_epoch_gap`]) — never per frame, which is what lets the
 //! hybrid engine carry thousands of background flows for a handful of events
-//! each.
+//! each.  An epoch costs its active flows, not all flows: the max-min
+//! kernel's inputs are kept between epochs and change only with an arrival,
+//! a completion or a corridor that moves to new regions, and a cached
+//! corridor is not even looked at while a kinetic validity window proves
+//! that its endpoints cannot have moved far enough to change it
+//! (docs/TRAFFIC.md, "Inputs kept between epochs").
 //!
 //! Coupling is bidirectional:
 //!
@@ -227,9 +232,10 @@ pub fn max_min_allocate(capacity: &[f64], paths: &[Vec<usize>], demands: &[f64])
     for (crossing, &n) in inputs.crossing.iter_mut().zip(&entries) {
         crossing.reserve_exact(n);
     }
+    // A flow without positive demand takes no capacity and stays at 0.
     // Added by ascending demand, every insertion into the demand order is an
     // append; the order is the same multiset whatever the order of adding.
-    let mut order: Vec<usize> = (0..paths.len()).collect();
+    let mut order: Vec<usize> = (0..paths.len()).filter(|&f| demands[f] > 0.0).collect();
     order.sort_unstable_by(|&a, &b| demands[a].total_cmp(&demands[b]));
     for f in order {
         inputs.join(f);
@@ -245,14 +251,14 @@ const LANES: usize = 8;
 
 /// [`max_min_kernel`]'s inputs, kept up to date by the flows that join,
 /// leave or change their path rather than rebuilt per call.  Flows are ids
-/// `0..demand.len()`; only those with a positive demand take part, the rest
-/// stay at rate 0.
+/// `0..demand.len()`; only joined flows take part, and they must have a
+/// positive demand.  The rest stay at rate 0.
 #[derive(Debug, Clone, Default)]
 struct MaxMinInputs {
     /// Every id's demand cap, taking part or not.
     demand: Vec<f64>,
-    /// Path entries of the taking-part flows per region (a repeated region
-    /// counts once per mention), zero-padded to a multiple of [`LANES`].
+    /// Path entries of the joined flows per region (a repeated region counts
+    /// once per mention), zero-padded to a multiple of [`LANES`].
     load: Vec<u32>,
     /// The joined flows, by ascending demand; ties in any order.
     by_demand: Vec<u32>,
@@ -270,64 +276,53 @@ impl MaxMinInputs {
         }
     }
 
-    fn takes_part(&self, f: usize) -> bool {
-        self.demand[f] > 0.0
-    }
-
     /// Put flow `f` into the demand order, after its ties.
     fn join(&mut self, f: usize) {
-        if self.takes_part(f) {
-            let d = self.demand[f];
-            let at = match self.by_demand.last() {
-                // Flows mostly join in demand order: equal generated demands,
-                // or the wrapper's sorted flows.
-                Some(&g) if self.demand[g as usize] > d => self
-                    .by_demand
-                    .partition_point(|&g| self.demand[g as usize] <= d),
-                _ => self.by_demand.len(),
-            };
-            self.by_demand.insert(at, f as u32);
-        }
+        let d = self.demand[f];
+        debug_assert!(d > 0.0, "flow {f} joins with demand {d}");
+        let at = match self.by_demand.last() {
+            // Flows mostly join in demand order: equal generated demands, or
+            // the wrapper's sorted flows.
+            Some(&g) if self.demand[g as usize] > d => self
+                .by_demand
+                .partition_point(|&g| self.demand[g as usize] <= d),
+            _ => self.by_demand.len(),
+        };
+        self.by_demand.insert(at, f as u32);
     }
 
     /// Take flow `f` out of the demand order.
     fn leave(&mut self, f: usize) {
-        if self.takes_part(f) {
-            let d = self.demand[f];
-            let ties = self
-                .by_demand
-                .partition_point(|&g| self.demand[g as usize] < d);
-            let at = ties
-                + self.by_demand[ties..]
-                    .iter()
-                    .position(|&g| g as usize == f)
-                    .expect("a leaving flow has joined");
-            self.by_demand.remove(at);
-        }
+        let d = self.demand[f];
+        let ties = self
+            .by_demand
+            .partition_point(|&g| self.demand[g as usize] < d);
+        let at = ties
+            + self.by_demand[ties..]
+                .iter()
+                .position(|&g| g as usize == f)
+                .expect("a leaving flow has joined");
+        self.by_demand.remove(at);
     }
 
     /// Count flow `f`'s path into the loads and adjacency lists.
     fn cross(&mut self, f: usize, path: &[u32]) {
-        if self.takes_part(f) {
-            for &r in path {
-                self.load[r as usize] += 1;
-                self.crossing[r as usize].push(f as u32);
-            }
+        for &r in path {
+            self.load[r as usize] += 1;
+            self.crossing[r as usize].push(f as u32);
         }
     }
 
     /// Take flow `f`'s path, as last crossed, back out.
     fn uncross(&mut self, f: usize, path: &[u32]) {
-        if self.takes_part(f) {
-            for &r in path {
-                self.load[r as usize] -= 1;
-                let list = &mut self.crossing[r as usize];
-                let at = list
-                    .iter()
-                    .position(|&g| g as usize == f)
-                    .expect("an uncrossed path was crossed");
-                list.swap_remove(at);
-            }
+        for &r in path {
+            self.load[r as usize] -= 1;
+            let list = &mut self.crossing[r as usize];
+            let at = list
+                .iter()
+                .position(|&g| g as usize == f)
+                .expect("an uncrossed path was crossed");
+            list.swap_remove(at);
         }
     }
 }
@@ -1412,7 +1407,7 @@ mod tests {
                 // Joined in flow order, not by demand: most insertions land
                 // mid-order.
                 let mut inputs = MaxMinInputs::new(caps.len(), demands.clone());
-                for (f, path) in paths.iter().enumerate() {
+                for (f, path) in paths.iter().enumerate().filter(|&(f, _)| demands[f] > 0.0) {
                     inputs.join(f);
                     inputs.cross(f, path);
                 }
