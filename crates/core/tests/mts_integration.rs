@@ -3,8 +3,9 @@
 //! `manet-routing::testkit`.
 
 use manet_netsim::mobility::StaticPlacement;
-use manet_netsim::{Duration, Position, SimConfig};
+use manet_netsim::{DropReason, Duration, Position, SimConfig};
 use manet_routing::testkit::{run_routing, TestFlow};
+use manet_routing::{Aodv, AodvConfig, Dsr, DsrConfig, RoutingAgent};
 use manet_wire::NodeId;
 use mts_core::{Mts, MtsConfig};
 
@@ -147,15 +148,46 @@ fn mts_striping_ablation_still_delivers() {
     );
 }
 
-#[test]
-fn unreachable_destination_is_handled_gracefully() {
+/// Originated packets, control transmissions, `DiscoveryFailed` drops and
+/// `NoRoute` drops of one 40 s run towards a destination out of range.
+fn unreachable_counts<A: RoutingAgent + 'static>(make_agent: impl FnMut(NodeId) -> A) -> [u64; 4] {
     let flows = [TestFlow::simple(NodeId(0), NodeId(1))];
     let result = run_routing(
-        config(2, 10.0),
+        config(2, 40.0),
         StaticPlacement::chain(2, 800.0),
         &flows,
-        |me| Mts::new(me, MtsConfig::default()),
+        make_agent,
     );
     assert_eq!(result.delivered, 0);
-    assert!(result.originated > 0);
+    let r = &result.recorder;
+    [
+        result.originated,
+        r.control_transmissions(),
+        r.drops(DropReason::DiscoveryFailed),
+        r.drops(DropReason::NoRoute),
+    ]
+}
+
+#[test]
+fn unreachable_destination_is_handled_gracefully() {
+    // All three agents share one discovery policy: three floods 1 s apart,
+    // then a 5 s hold-down, with at most 64 packets buffered for at most
+    // 8 s.  So they flood, buffer, evict and give up identically.
+    let runs = [
+        (
+            "DSR",
+            unreachable_counts(|me| Dsr::new(me, DsrConfig::default())),
+        ),
+        (
+            "AODV",
+            unreachable_counts(|me| Aodv::new(me, AodvConfig::default())),
+        ),
+        (
+            "MTS",
+            unreachable_counts(|me| Mts::new(me, MtsConfig::default())),
+        ),
+    ];
+    for (name, counts) in runs {
+        assert_eq!(counts, [390, 15, 286, 66], "{name}");
+    }
 }
