@@ -6,9 +6,11 @@ use serde::{Deserialize, Serialize};
 /// Tuning parameters for the MTS protocol.
 ///
 /// Defaults follow the paper: at most five disjoint paths stored at the
-/// destination, a route-checking period of three seconds (the paper says
+/// destination and a route-checking period of three seconds (the paper says
 /// "two to four seconds is acceptable", sized from the channel coherence
-/// time), and AODV-like discovery retry behaviour.  The route-check
+/// time).  Route discovery (retries, hold-down, packet buffer) is the one
+/// DSR and AODV run too, [`manet_routing::common::Discovery`], and has no
+/// knobs.  The route-check
 /// hardening mode (suspicious-reply cross-validation + per-relay suspicion,
 /// see [`RouteCheckConfig`]) is off by default, keeping the default
 /// configuration byte-identical to the paper's protocol.
@@ -18,19 +20,6 @@ pub struct MtsConfig {
     pub max_paths: usize,
     /// Period between route-checking rounds emitted by the destination, s.
     pub check_period: f64,
-    /// Random jitter added to each checking round, s (avoids synchronising
-    /// the checking packets of several sessions).
-    pub check_jitter: f64,
-    /// Lifetime of a forward/reverse routing entry, s.
-    pub route_lifetime: f64,
-    /// How long the source waits for a RREP before retrying a discovery, s.
-    pub discovery_timeout: f64,
-    /// Maximum discovery attempts per destination.
-    pub discovery_retries: u32,
-    /// Capacity of the awaiting-route packet buffer (per destination).
-    pub buffer_capacity: usize,
-    /// Maximum age of a buffered packet, s.
-    pub buffer_max_age: f64,
     /// Ablation switch: stripe data packets round-robin over every fresh path
     /// instead of using only the best one (SMR-like concurrent multipath,
     /// which the related work shows hurts TCP).
@@ -44,12 +33,6 @@ impl Default for MtsConfig {
         MtsConfig {
             max_paths: 5,
             check_period: 3.0,
-            check_jitter: 0.2,
-            route_lifetime: 10.0,
-            discovery_timeout: 1.0,
-            discovery_retries: 3,
-            buffer_capacity: 64,
-            buffer_max_age: 8.0,
             concurrent_striping: false,
             route_check: RouteCheckConfig::default(),
         }
@@ -62,20 +45,8 @@ impl MtsConfig {
         if self.max_paths == 0 {
             return Err("max_paths must be at least 1".into());
         }
-        if self.check_period <= 0.0 {
-            return Err("check_period must be positive".into());
-        }
-        if self.check_jitter < 0.0 {
-            return Err("check_jitter must be non-negative".into());
-        }
-        if self.route_lifetime <= 0.0 {
-            return Err("route_lifetime must be positive".into());
-        }
-        if self.discovery_retries == 0 {
-            return Err("discovery_retries must be at least 1".into());
-        }
-        if self.buffer_capacity == 0 {
-            return Err("buffer_capacity must be at least 1".into());
+        if !(self.check_period > 0.0 && self.check_period.is_finite()) {
+            return Err("check_period must be positive and finite".into());
         }
         self.route_check.validate()?;
         Ok(())
@@ -163,41 +134,13 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_values() {
-        assert!(MtsConfig {
+        let bad = |c: MtsConfig| assert!(c.validate().is_err(), "{c:?}");
+        bad(MtsConfig {
             max_paths: 0,
             ..Default::default()
+        });
+        for check_period in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            bad(MtsConfig::with_check_period(check_period));
         }
-        .validate()
-        .is_err());
-        assert!(MtsConfig {
-            check_period: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(MtsConfig {
-            check_jitter: -1.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(MtsConfig {
-            route_lifetime: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(MtsConfig {
-            discovery_retries: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(MtsConfig {
-            buffer_capacity: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 }

@@ -45,9 +45,9 @@ use crate::config::MtsConfig;
 use crate::path_set::PathSet;
 use crate::source_state::{CheckArrival, SourceRouteState};
 use manet_netsim::FxHashMap;
-use manet_netsim::{Ctx, DropReason, Duration, Observation, SimTime, TimerToken};
+use manet_netsim::{Ctx, DropReason, Duration, Observation, TimerToken};
 use manet_routing::agent::{RoutingAgent, RoutingStats, TimerClass};
-use manet_routing::common::{record_data_drop, PacketBuffer, SeenTable};
+use manet_routing::common::{record_data_drop, Discovery, Retry, SeenTable};
 use manet_routing::suspicion::SuspicionTable;
 use manet_routing::table::RoutingTable;
 use manet_wire::{
@@ -55,6 +55,10 @@ use manet_wire::{
     RouteReply, RouteRequest, SeqNo, SharedPacket,
 };
 use rand::Rng;
+
+/// Upper bound of the random delay added to each checking round, s (avoids
+/// synchronising the checking packets of several sessions).
+const CHECK_JITTER_SECS: f64 = 0.2;
 
 /// Destination-side session state (per source that talks to this node).
 #[derive(Debug)]
@@ -65,13 +69,6 @@ struct DestinationSession {
     timer_generation: u64,
     /// Checking is running for this session.
     checking_active: bool,
-}
-
-/// Source-side discovery state (per destination this node talks to).
-#[derive(Debug, Clone)]
-struct PendingDiscovery {
-    attempts: u32,
-    generation: u64,
 }
 
 /// The suspicious route replies held for cross-validation towards one
@@ -92,18 +89,14 @@ pub struct Mts {
     /// checking packets) and reverse entries towards sources (from RREQs).
     table: RoutingTable,
     seen: SeenTable,
-    buffer: PacketBuffer,
+    discovery: Discovery,
     own_seqno: SeqNo,
     next_broadcast_id: BroadcastId,
     /// Source-side adaptive route state, per destination.
     sources: FxHashMap<NodeId, SourceRouteState>,
     /// Destination-side sessions, per talking source.
     sessions: FxHashMap<NodeId, DestinationSession>,
-    pending: FxHashMap<NodeId, PendingDiscovery>,
-    /// Per-destination hold-down after a failed discovery (exponential-backoff
-    /// style damping, as real DSR/AODV implementations apply): no new flood is
-    /// started for the destination before this time.
-    holddown: FxHashMap<NodeId, manet_netsim::SimTime>,
+    /// Payload of the last checking timer armed, for any session.
     timer_generation: u64,
     stats: RoutingStats,
     // ---- hardened mode only (empty and untouched when disabled) ----
@@ -127,16 +120,14 @@ impl Mts {
         config.validate().expect("invalid MTS configuration");
         Mts {
             me,
-            buffer: PacketBuffer::new(config.buffer_capacity, config.buffer_max_age),
             config,
             table: RoutingTable::new(),
             seen: SeenTable::default(),
+            discovery: Discovery::default(),
             own_seqno: SeqNo(0),
             next_broadcast_id: BroadcastId(0),
             sources: FxHashMap::default(),
             sessions: FxHashMap::default(),
-            pending: FxHashMap::default(),
-            holddown: FxHashMap::default(),
             timer_generation: 0,
             stats: RoutingStats::default(),
             suspicion: SuspicionTable::new(),
@@ -249,28 +240,9 @@ impl Mts {
     // ---- source side -----------------------------------------------------------
 
     fn start_discovery(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
-        if self.pending.contains_key(&dest) {
-            return;
+        if self.discovery.start(ctx, dest) {
+            self.emit_rreq(ctx, dest);
         }
-        if let Some(&until) = self.holddown.get(&dest) {
-            if ctx.now() < until {
-                return; // recent discovery failed; damp the flood rate
-            }
-        }
-        self.timer_generation += 1;
-        let generation = self.timer_generation;
-        self.pending.insert(
-            dest,
-            PendingDiscovery {
-                attempts: 1,
-                generation,
-            },
-        );
-        self.emit_rreq(ctx, dest);
-        ctx.schedule_timer(
-            Duration::from_secs(self.config.discovery_timeout),
-            TimerClass::Routing.token(generation),
-        );
     }
 
     fn emit_rreq(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
@@ -314,25 +286,18 @@ impl Mts {
         match next {
             Some(next_hop) => {
                 packet.hop_count += 1;
-                self.table.refresh(dst, self.config.route_lifetime, now);
+                self.table.refresh(dst, now);
                 ctx.send_unicast(next_hop, NetPacket::Data(packet));
             }
             None => {
-                if let Some(evicted) = self.buffer.push(dst, packet, now) {
-                    record_data_drop(ctx, self.me, DropReason::NoRoute, &evicted);
-                }
+                self.discovery.hold(ctx, self.me, packet);
                 self.start_discovery(ctx, dst);
             }
         }
     }
 
     fn flush_buffered(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
-        let now = ctx.now();
-        let (packets, expired) = self.buffer.drain(dest, now);
-        for p in &expired {
-            record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-        }
-        for p in packets {
+        for p in self.discovery.release(ctx, self.me, dest) {
             self.originate_data(ctx, p);
         }
     }
@@ -344,8 +309,7 @@ impl Mts {
         match self.table.lookup(packet.dst, now) {
             Some(entry) => {
                 let next = entry.next_hop;
-                self.table
-                    .refresh(packet.dst, self.config.route_lifetime, now);
+                self.table.refresh(packet.dst, now);
                 packet.hop_count += 1;
                 self.stats.data_forwarded += 1;
                 ctx.send_unicast(next, NetPacket::Data(packet));
@@ -410,7 +374,6 @@ impl Mts {
             from,
             rreq.hop_count + 1,
             rreq.source_seqno,
-            self.config.route_lifetime,
             now,
         );
 
@@ -467,8 +430,7 @@ impl Mts {
         // Newer floods flush the stored set inside `offer`; every copy is a
         // candidate for the disjoint set (unless its relays are suspects).
         if !path_tainted {
-            let stored = session.paths.offer(rreq.broadcast_id, full_path, now);
-            let _ = stored;
+            session.paths.offer(rreq.broadcast_id, full_path, now);
         }
 
         if first_copy {
@@ -508,13 +470,11 @@ impl Mts {
             from,
             rrep.hop_count + 1,
             rrep.dest_seqno,
-            self.config.route_lifetime,
             now,
         );
         if rrep.source == self.me {
             // Initial route for this session.
-            self.pending.remove(&rrep.destination);
-            self.holddown.remove(&rrep.destination);
+            self.discovery.resolved(rrep.destination);
             let state = self.sources.entry(rrep.destination).or_default();
             state.install_initial(from, rrep.full_path());
             self.stats.route_switches += 1;
@@ -540,23 +500,25 @@ impl Mts {
             return;
         }
         session.checking_active = true;
+        self.arm_check_timer(ctx, source);
+    }
+
+    /// Schedule the next checking round of the session with `source`.
+    fn arm_check_timer(&mut self, ctx: &mut Ctx<'_>, source: NodeId) {
+        let Some(session) = self.sessions.get_mut(&source) else {
+            return;
+        };
         self.timer_generation += 1;
         session.timer_generation = self.timer_generation;
-        let jitter = if self.config.check_jitter > 0.0 {
-            ctx.rng().gen_range(0.0..self.config.check_jitter)
-        } else {
-            0.0
-        };
-        let delay = Duration::from_secs(self.config.check_period + jitter);
+        let jitter = ctx.rng().gen_range(0.0..CHECK_JITTER_SECS);
         ctx.schedule_timer(
-            delay,
+            Duration::from_secs(self.config.check_period + jitter),
             TimerClass::RoutingAux.token(session.timer_generation),
         );
     }
 
     /// Emit one round of checking packets for the session with `source`.
     fn run_check_round(&mut self, ctx: &mut Ctx<'_>, source: NodeId) {
-        let now = ctx.now();
         if self.config.route_check.enabled {
             // Suspicion is evidence with a half-life: relays that keep
             // behaving recover one checking round at a time.
@@ -603,22 +565,7 @@ impl Mts {
             }
         }
         // Re-arm the periodic timer.
-        let Some(session) = self.sessions.get_mut(&source) else {
-            return;
-        };
-        self.timer_generation += 1;
-        session.timer_generation = self.timer_generation;
-        let jitter = if self.config.check_jitter > 0.0 {
-            ctx.rng().gen_range(0.0..self.config.check_jitter)
-        } else {
-            0.0
-        };
-        let delay = Duration::from_secs(self.config.check_period + jitter);
-        ctx.schedule_timer(
-            delay,
-            TimerClass::RoutingAux.token(session.timer_generation),
-        );
-        let _ = now;
+        self.arm_check_timer(ctx, source);
     }
 
     fn handle_check(&mut self, ctx: &mut Ctx<'_>, from: NodeId, mut check: RouteCheck) {
@@ -631,7 +578,6 @@ impl Mts {
             from,
             check.hop_count + 1,
             SeqNo(check.check_id.0),
-            self.config.route_lifetime,
             now,
         );
         if check.source == self.me {
@@ -736,7 +682,6 @@ impl Mts {
 
     /// Handle a route error (by reference — RERRs are broadcast).
     fn handle_rerr(&mut self, ctx: &mut Ctx<'_>, from: NodeId, rerr: &RouteError) {
-        let now = ctx.now();
         let mut lost_any = false;
         for (dest, seqno) in rerr.unreachable.iter().zip(rerr.dest_seqnos.iter()) {
             if self.table.invalidate_dest_via(*dest, from, *seqno) {
@@ -759,7 +704,6 @@ impl Mts {
             self.stats.rerr_tx += 1;
             ctx.send_broadcast(NetPacket::Rerr(rerr_fwd));
         }
-        let _ = now;
     }
 }
 
@@ -841,51 +785,20 @@ impl RoutingAgent for Mts {
             }
             return;
         }
-        if !TimerClass::Routing.owns(token) {
-            return;
-        }
-        // Discovery retry timer.
-        let generation = token.payload();
         let now = ctx.now();
-        let dest = self
-            .pending
-            .iter()
-            .find(|(_, p)| p.generation == generation)
-            .map(|(d, _)| *d);
-        let Some(dest) = dest else { return };
-        let have_route = self.sources.get(&dest).and_then(|s| s.next_hop()).is_some()
-            || self.table.lookup(dest, now).is_some();
-        if have_route {
-            self.pending.remove(&dest);
-            self.flush_buffered(ctx, dest);
-            return;
+        let has_route = |dest| {
+            self.sources.get(&dest).and_then(|s| s.next_hop()).is_some()
+                || self.table.lookup(dest, now).is_some()
+        };
+        match self.discovery.on_timer(ctx, self.me, token, has_route) {
+            Retry::Resolved(dest) => self.flush_buffered(ctx, dest),
+            Retry::Flood(dest) => self.emit_rreq(ctx, dest),
+            Retry::GaveUp(dropped) => self.stats.data_dropped_no_route += dropped,
+            Retry::Stale => {}
         }
-        let attempts = self.pending.get(&dest).map(|p| p.attempts).unwrap_or(0);
-        if attempts >= self.config.discovery_retries {
-            self.pending.remove(&dest);
-            self.holddown.insert(dest, now + Duration::from_secs(5.0));
-            let dropped = self.buffer.discard(dest);
-            self.stats.data_dropped_no_route += dropped.len() as u64;
-            for p in &dropped {
-                record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-            }
-            return;
-        }
-        self.timer_generation += 1;
-        let generation = self.timer_generation;
-        if let Some(p) = self.pending.get_mut(&dest) {
-            p.attempts += 1;
-            p.generation = generation;
-        }
-        self.emit_rreq(ctx, dest);
-        ctx.schedule_timer(
-            Duration::from_secs(self.config.discovery_timeout),
-            TimerClass::Routing.token(generation),
-        );
     }
 
     fn on_link_failure(&mut self, ctx: &mut Ctx<'_>, next_hop: NodeId, packet: NetPacket) {
-        let now = ctx.now();
         // MAC feedback: the downstream node is gone (paper §III-E).
         let broken = self.table.invalidate_via(next_hop);
         match packet {
@@ -897,9 +810,7 @@ impl RoutingAgent for Mts {
                         state.invalidate_via(next_hop);
                     }
                     let dst = d.dst;
-                    if let Some(evicted) = self.buffer.push(dst, d, now) {
-                        record_data_drop(ctx, self.me, DropReason::NoRoute, &evicted);
-                    }
+                    self.discovery.hold(ctx, self.me, d);
                     self.start_discovery(ctx, dst);
                 } else {
                     // Intermediate: notify upstream towards the source; the
@@ -936,17 +847,6 @@ impl RoutingAgent for Mts {
     fn stats(&self) -> RoutingStats {
         self.stats
     }
-}
-
-/// Convenience constructor used by the experiment harness and examples.
-pub fn mts_with_defaults(me: NodeId) -> Mts {
-    Mts::new(me, MtsConfig::default())
-}
-
-/// Internal helper: current time shorthand for doc-tests of this module.
-#[allow(dead_code)]
-fn _doc_now() -> SimTime {
-    SimTime::ZERO
 }
 
 #[cfg(test)]

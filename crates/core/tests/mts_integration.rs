@@ -5,7 +5,7 @@
 use manet_netsim::mobility::StaticPlacement;
 use manet_netsim::{DropReason, Duration, Position, SimConfig};
 use manet_routing::testkit::{run_routing, TestFlow};
-use manet_routing::{Aodv, AodvConfig, Dsr, DsrConfig, RoutingAgent};
+use manet_routing::{Aodv, Dsr, RoutingAgent};
 use manet_wire::NodeId;
 use mts_core::{Mts, MtsConfig};
 
@@ -174,14 +174,8 @@ fn unreachable_destination_is_handled_gracefully() {
     // then a 5 s hold-down, with at most 64 packets buffered for at most
     // 8 s.  So they flood, buffer, evict and give up identically.
     let runs = [
-        (
-            "DSR",
-            unreachable_counts(|me| Dsr::new(me, DsrConfig::default())),
-        ),
-        (
-            "AODV",
-            unreachable_counts(|me| Aodv::new(me, AodvConfig::default())),
-        ),
+        ("DSR", unreachable_counts(Dsr::new)),
+        ("AODV", unreachable_counts(Aodv::new)),
         (
             "MTS",
             unreachable_counts(|me| Mts::new(me, MtsConfig::default())),

@@ -1,6 +1,6 @@
 //! Protocol selection.
 
-use manet_routing::{Aodv, AodvConfig, Dsr, DsrConfig, RoutingAgent};
+use manet_routing::{Aodv, Dsr, RoutingAgent};
 use manet_wire::NodeId;
 use mts_core::{Mts, MtsConfig};
 use serde::{Deserialize, Serialize};
@@ -54,8 +54,8 @@ impl Protocol {
     /// of the given configuration.
     pub fn build_agent(self, me: NodeId, mts_config: MtsConfig) -> Box<dyn RoutingAgent> {
         match self {
-            Protocol::Dsr => Box::new(Dsr::new(me, DsrConfig::default())),
-            Protocol::Aodv => Box::new(Aodv::new(me, AodvConfig::default())),
+            Protocol::Dsr => Box::new(Dsr::new(me)),
+            Protocol::Aodv => Box::new(Aodv::new(me)),
             Protocol::Mts => Box::new(Mts::new(me, mts_config)),
             Protocol::MtsHardened => Box::new(Mts::new(me, mts_config.hardened())),
         }

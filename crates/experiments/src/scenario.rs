@@ -684,6 +684,20 @@ mod tests {
     }
 
     #[test]
+    fn validation_rejects_non_finite_protocol_knobs() {
+        // Each of these used to pass validation and then panic mid-run.
+        let mut s = Scenario::paper(Protocol::Mts, 5.0, 1);
+        s.mts.check_period = f64::INFINITY;
+        assert!(s.validate().is_err(), "infinite check period rejected");
+        let mut s = Scenario::paper(Protocol::Mts, 5.0, 1);
+        s.mts.check_period = f64::NAN;
+        assert!(s.validate().is_err(), "NaN check period rejected");
+        let mut s = Scenario::paper(Protocol::Aodv, 5.0, 1);
+        s.tcp.min_rto = f64::NAN;
+        assert!(s.validate().is_err(), "NaN min_rto rejected");
+    }
+
+    #[test]
     fn validation_catches_bad_flows() {
         let mut s = Scenario::paper(Protocol::Aodv, 5.0, 1);
         s.flows = vec![];

@@ -7,87 +7,36 @@
 //! fresh-enough routes, hop-by-hop forwarding, and route errors driven by
 //! MAC-layer link-failure feedback.
 
-use crate::agent::{RoutingAgent, RoutingStats, TimerClass};
-use crate::common::{record_data_drop, PacketBuffer, SeenTable};
+use crate::agent::{RoutingAgent, RoutingStats};
+use crate::common::{record_data_drop, Discovery, Retry, SeenTable};
 use crate::table::RoutingTable;
-use manet_netsim::FxHashMap;
-use manet_netsim::{Ctx, DropReason, Duration, TimerToken};
+use manet_netsim::{Ctx, DropReason, TimerToken};
 use manet_wire::{
     BroadcastId, DataPacket, NetPacket, NodeId, RouteError, RouteReply, RouteRequest, SeqNo,
     SharedPacket,
 };
-use serde::{Deserialize, Serialize};
-
-/// AODV tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AodvConfig {
-    /// Lifetime of an installed route, seconds (ACTIVE_ROUTE_TIMEOUT).
-    pub active_route_lifetime: f64,
-    /// How long the source waits for a RREP before retrying the discovery.
-    pub discovery_timeout: f64,
-    /// Maximum number of discovery attempts per destination.
-    pub discovery_retries: u32,
-    /// Allow intermediate nodes with fresh-enough routes to answer RREQs.
-    pub intermediate_reply: bool,
-    /// Capacity of the awaiting-route packet buffer (per destination).
-    pub buffer_capacity: usize,
-    /// Maximum age of a buffered packet, seconds.
-    pub buffer_max_age: f64,
-}
-
-impl Default for AodvConfig {
-    fn default() -> Self {
-        AodvConfig {
-            active_route_lifetime: 10.0,
-            discovery_timeout: 1.0,
-            discovery_retries: 3,
-            intermediate_reply: true,
-            buffer_capacity: 64,
-            buffer_max_age: 8.0,
-        }
-    }
-}
-
-/// State of an in-flight route discovery at the originator.
-#[derive(Debug, Clone)]
-struct PendingDiscovery {
-    attempts: u32,
-    /// Generation guard for the retry timer.
-    generation: u64,
-}
 
 /// One node's AODV agent.
 pub struct Aodv {
     me: NodeId,
-    config: AodvConfig,
     table: RoutingTable,
     seen: SeenTable,
-    buffer: PacketBuffer,
+    discovery: Discovery,
     own_seqno: SeqNo,
     next_broadcast_id: BroadcastId,
-    pending: FxHashMap<NodeId, PendingDiscovery>,
-    /// Per-destination hold-down after a failed discovery (exponential-backoff
-    /// style damping, as real DSR/AODV implementations apply): no new flood is
-    /// started for the destination before this time.
-    holddown: FxHashMap<NodeId, manet_netsim::SimTime>,
-    timer_generation: u64,
     stats: RoutingStats,
 }
 
 impl Aodv {
     /// Create the agent for node `me`.
-    pub fn new(me: NodeId, config: AodvConfig) -> Self {
+    pub fn new(me: NodeId) -> Self {
         Aodv {
             me,
-            buffer: PacketBuffer::new(config.buffer_capacity, config.buffer_max_age),
-            config,
             table: RoutingTable::new(),
             seen: SeenTable::default(),
+            discovery: Discovery::default(),
             own_seqno: SeqNo(0),
             next_broadcast_id: BroadcastId(0),
-            pending: FxHashMap::default(),
-            holddown: FxHashMap::default(),
-            timer_generation: 0,
             stats: RoutingStats::default(),
         }
     }
@@ -103,28 +52,9 @@ impl Aodv {
     }
 
     fn start_discovery(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
-        if self.pending.contains_key(&dest) {
-            return;
+        if self.discovery.start(ctx, dest) {
+            self.emit_rreq(ctx, dest);
         }
-        if let Some(&until) = self.holddown.get(&dest) {
-            if ctx.now() < until {
-                return; // recent discovery failed; damp the flood rate
-            }
-        }
-        self.timer_generation += 1;
-        let generation = self.timer_generation;
-        self.pending.insert(
-            dest,
-            PendingDiscovery {
-                attempts: 1,
-                generation,
-            },
-        );
-        self.emit_rreq(ctx, dest);
-        ctx.schedule_timer(
-            Duration::from_secs(self.config.discovery_timeout),
-            TimerClass::Routing.token(generation),
-        );
     }
 
     fn emit_rreq(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
@@ -163,9 +93,7 @@ impl Aodv {
         if self.table.lookup(dst, now).is_some() {
             self.forward_data_known(ctx, packet);
         } else if packet.src == self.me {
-            if let Some(evicted) = self.buffer.push(dst, packet, now) {
-                record_data_drop(ctx, self.me, DropReason::NoRoute, &evicted);
-            }
+            self.discovery.hold(ctx, self.me, packet);
             self.start_discovery(ctx, dst);
         } else {
             self.stats.data_dropped_no_route += 1;
@@ -181,8 +109,7 @@ impl Aodv {
             .lookup(packet.dst, now)
             .expect("caller checked a route exists");
         let next = entry.next_hop;
-        self.table
-            .refresh(packet.dst, self.config.active_route_lifetime, now);
+        self.table.refresh(packet.dst, now);
         packet.hop_count += 1;
         if packet.src != self.me {
             self.stats.data_forwarded += 1;
@@ -227,7 +154,6 @@ impl Aodv {
             from,
             rreq.hop_count + 1,
             rreq.source_seqno,
-            self.config.active_route_lifetime,
             now,
         );
         if rreq.destination == self.me {
@@ -250,23 +176,20 @@ impl Aodv {
         }
         // Intermediate node with a fresh-enough route may reply on the
         // destination's behalf.
-        if self.config.intermediate_reply {
-            if let Some(entry) = self.table.lookup(rreq.destination, now) {
-                if entry.dest_seqno.fresher_than(rreq.dest_seqno)
-                    || entry.dest_seqno == rreq.dest_seqno
-                {
-                    let rrep = RouteReply {
-                        source: rreq.source,
-                        destination: rreq.destination,
-                        reply_id: rreq.broadcast_id,
-                        hop_count: entry.hop_count,
-                        route: rreq.route.clone(),
-                        dest_seqno: entry.dest_seqno,
-                    };
-                    self.stats.rrep_tx += 1;
-                    ctx.send_unicast(from, NetPacket::Rrep(rrep));
-                    return;
-                }
+        if let Some(entry) = self.table.lookup(rreq.destination, now) {
+            if entry.dest_seqno.fresher_than(rreq.dest_seqno) || entry.dest_seqno == rreq.dest_seqno
+            {
+                let rrep = RouteReply {
+                    source: rreq.source,
+                    destination: rreq.destination,
+                    reply_id: rreq.broadcast_id,
+                    hop_count: entry.hop_count,
+                    route: rreq.route.clone(),
+                    dest_seqno: entry.dest_seqno,
+                };
+                self.stats.rrep_tx += 1;
+                ctx.send_unicast(from, NetPacket::Rrep(rrep));
+                return;
             }
         }
         // Otherwise forward the flood (the one genuine copy).
@@ -285,19 +208,13 @@ impl Aodv {
             from,
             rrep.hop_count + 1,
             rrep.dest_seqno,
-            self.config.active_route_lifetime,
             now,
         );
         if rrep.source == self.me {
             // Discovery complete: flush buffered packets.
-            self.pending.remove(&rrep.destination);
-            self.holddown.remove(&rrep.destination);
+            self.discovery.resolved(rrep.destination);
             self.stats.route_switches += 1;
-            let (packets, expired) = self.buffer.drain(rrep.destination, now);
-            for p in &expired {
-                record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-            }
-            for p in packets {
+            for p in self.discovery.release(ctx, self.me, rrep.destination) {
                 self.route_or_buffer(ctx, p);
             }
             return;
@@ -388,51 +305,16 @@ impl RoutingAgent for Aodv {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        if !TimerClass::Routing.owns(token) {
-            return;
-        }
-        let generation = token.payload();
         let now = ctx.now();
-        // Find the discovery this retry timer belongs to.
-        let dest = self
-            .pending
-            .iter()
-            .find(|(_, p)| p.generation == generation)
-            .map(|(d, _)| *d);
-        let Some(dest) = dest else { return };
-        if self.table.lookup(dest, now).is_some() {
-            self.pending.remove(&dest);
-            return;
+        let has_route = |dest| self.table.lookup(dest, now).is_some();
+        match self.discovery.on_timer(ctx, self.me, token, has_route) {
+            Retry::Flood(dest) => self.emit_rreq(ctx, dest),
+            Retry::GaveUp(dropped) => self.stats.data_dropped_no_route += dropped,
+            Retry::Stale | Retry::Resolved(_) => {}
         }
-        let attempts = self.pending.get(&dest).map(|p| p.attempts).unwrap_or(0);
-        if attempts >= self.config.discovery_retries {
-            // Give up: drop buffered packets and hold further discoveries for
-            // this destination down for a while.
-            self.pending.remove(&dest);
-            self.holddown.insert(dest, now + Duration::from_secs(5.0));
-            let dropped = self.buffer.discard(dest);
-            self.stats.data_dropped_no_route += dropped.len() as u64;
-            for p in &dropped {
-                record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-            }
-            return;
-        }
-        // Retry the flood.
-        self.timer_generation += 1;
-        let generation = self.timer_generation;
-        if let Some(p) = self.pending.get_mut(&dest) {
-            p.attempts += 1;
-            p.generation = generation;
-        }
-        self.emit_rreq(ctx, dest);
-        ctx.schedule_timer(
-            Duration::from_secs(self.config.discovery_timeout),
-            TimerClass::Routing.token(generation),
-        );
     }
 
     fn on_link_failure(&mut self, ctx: &mut Ctx<'_>, next_hop: NodeId, packet: NetPacket) {
-        let now = ctx.now();
         let broken = self.table.invalidate_via(next_hop);
         if !broken.is_empty() {
             let rerr = RouteError {
@@ -449,9 +331,7 @@ impl RoutingAgent for Aodv {
         if let NetPacket::Data(d) = packet {
             if d.src == self.me {
                 let dst = d.dst;
-                if let Some(evicted) = self.buffer.push(dst, d, now) {
-                    record_data_drop(ctx, self.me, DropReason::NoRoute, &evicted);
-                }
+                self.discovery.hold(ctx, self.me, d);
                 self.start_discovery(ctx, dst);
             } else {
                 // Intermediate: nothing to salvage with — the packet dies
@@ -471,16 +351,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_reasonable() {
-        let c = AodvConfig::default();
-        assert!(c.active_route_lifetime > 0.0);
-        assert!(c.discovery_retries >= 1);
-        assert!(c.intermediate_reply);
-    }
-
-    #[test]
     fn agent_reports_name_and_initial_stats() {
-        let a = Aodv::new(NodeId(3), AodvConfig::default());
+        let a = Aodv::new(NodeId(3));
         assert_eq!(a.name(), "AODV");
         assert_eq!(a.me(), NodeId(3));
         assert_eq!(a.stats(), RoutingStats::default());

@@ -1,7 +1,8 @@
 //! Shared routing building blocks.
 
+use crate::agent::TimerClass;
 use manet_netsim::FxHashMap;
-use manet_netsim::{Ctx, DropReason, Observation, PacketRef};
+use manet_netsim::{Ctx, DropReason, Observation, PacketRef, TimerToken};
 use manet_netsim::{Duration, SimTime};
 use manet_wire::{BroadcastId, DataPacket, NodeId};
 use std::collections::hash_map::Entry;
@@ -92,28 +93,180 @@ impl Default for SeenTable {
     }
 }
 
+/// Seconds the source waits for a RREP before flooding again.
+const RETRY_SECS: f64 = 1.0;
+/// RREQ floods per discovery before it gives up.
+const FLOODS: u32 = 3;
+/// Seconds a destination stays held down after a failed discovery: no new
+/// flood starts for it before then.
+const HOLDDOWN_SECS: f64 = 5.0;
+
+/// What a discovery retry timer asks of its agent (see
+/// [`Discovery::on_timer`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retry {
+    /// Not a retry timer, or one whose discovery already ended.
+    Stale,
+    /// A route to this destination appeared without a RREP reaching the
+    /// source; the discovery ended.
+    Resolved(NodeId),
+    /// No route yet: flood the RREQ for this destination again.
+    Flood(NodeId),
+    /// The last flood went unanswered: this many buffered packets were
+    /// dropped and the destination is held down.
+    GaveUp(u64),
+}
+
+/// A discovery in flight towards one destination.
+#[derive(Debug)]
+struct Pending {
+    floods: u32,
+    /// Payload of the retry timer that is armed for it.
+    generation: u64,
+}
+
+/// The on-demand route discovery DSR, AODV and MTS share (paper §III-B):
+/// buffer the packet, flood a RREQ, flood again every second while no route
+/// exists, and after the third unanswered flood drop the buffered packets and
+/// hold the destination down for five seconds.
+///
+/// The agent keeps what differs between protocols: the RREQ it floods, its
+/// has-route predicate and what a [`Retry`] triggers.  Discovery owns the
+/// per-destination packet buffer (64 packets, each kept at most 8 s), the
+/// pending discoveries, the hold-downs and the retry timers, which are
+/// [`TimerClass::Routing`] tokens.
+#[derive(Debug, Default)]
+pub struct Discovery {
+    buffer: PacketBuffer,
+    pending: FxHashMap<NodeId, Pending>,
+    holddown: FxHashMap<NodeId, SimTime>,
+    generation: u64,
+}
+
+impl Discovery {
+    /// Buffer a packet `me` originated until a route to its destination
+    /// exists.  A packet evicted from a full buffer is observed as a
+    /// [`DropReason::NoRoute`] drop.
+    pub fn hold(&mut self, ctx: &mut Ctx<'_>, me: NodeId, packet: DataPacket) {
+        let (dest, now) = (packet.dst, ctx.now());
+        if let Some(evicted) = self.buffer.push(dest, packet, now) {
+            record_data_drop(ctx, me, DropReason::NoRoute, &evicted);
+        }
+    }
+
+    /// Start a discovery towards `dest` and arm its retry timer.  Returns
+    /// false, doing nothing, while one is pending or `dest` is held down;
+    /// on true the caller floods its RREQ.
+    #[must_use = "the caller floods its RREQ when a discovery starts"]
+    pub fn start(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) -> bool {
+        let held_down = self.holddown.get(&dest).is_some_and(|&t| ctx.now() < t);
+        if held_down || self.pending.contains_key(&dest) {
+            return false;
+        }
+        let generation = self.arm(ctx);
+        self.pending.insert(
+            dest,
+            Pending {
+                floods: 1,
+                generation,
+            },
+        );
+        true
+    }
+
+    /// A RREP for `dest` reached the source: the discovery ends and any
+    /// hold-down is lifted.
+    pub fn resolved(&mut self, dest: NodeId) {
+        self.pending.remove(&dest);
+        self.holddown.remove(&dest);
+    }
+
+    /// Take every packet buffered for `dest`.  Those older than the buffer's
+    /// age limit are observed as [`DropReason::DiscoveryFailed`] drops; the
+    /// rest are returned in arrival order for the caller to route.
+    #[must_use = "the returned packets must be routed"]
+    pub fn release(&mut self, ctx: &mut Ctx<'_>, me: NodeId, dest: NodeId) -> Vec<DataPacket> {
+        let (fresh, expired) = self.buffer.drain(dest, ctx.now());
+        for p in &expired {
+            record_data_drop(ctx, me, DropReason::DiscoveryFailed, p);
+        }
+        fresh
+    }
+
+    /// Handle a timer of `me`.  `has_route` is the agent's route predicate
+    /// for the timer's destination.  Giving up observes every buffered
+    /// packet as a [`DropReason::DiscoveryFailed`] drop.
+    pub fn on_timer(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        me: NodeId,
+        token: TimerToken,
+        has_route: impl FnOnce(NodeId) -> bool,
+    ) -> Retry {
+        if !TimerClass::Routing.owns(token) {
+            return Retry::Stale;
+        }
+        let generation = token.payload();
+        let Some((dest, floods)) = self
+            .pending
+            .iter()
+            .find(|(_, p)| p.generation == generation)
+            .map(|(&dest, p)| (dest, p.floods))
+        else {
+            return Retry::Stale;
+        };
+        if has_route(dest) {
+            self.pending.remove(&dest);
+            return Retry::Resolved(dest);
+        }
+        if floods >= FLOODS {
+            self.pending.remove(&dest);
+            self.holddown
+                .insert(dest, ctx.now() + Duration::from_secs(HOLDDOWN_SECS));
+            let dropped = self.buffer.discard(dest);
+            for p in &dropped {
+                record_data_drop(ctx, me, DropReason::DiscoveryFailed, p);
+            }
+            return Retry::GaveUp(dropped.len() as u64);
+        }
+        let generation = self.arm(ctx);
+        let pending = self.pending.get_mut(&dest).expect("found above");
+        pending.floods += 1;
+        pending.generation = generation;
+        Retry::Flood(dest)
+    }
+
+    /// Schedule the next retry timer and return its payload.
+    fn arm(&mut self, ctx: &mut Ctx<'_>) -> u64 {
+        self.generation += 1;
+        ctx.schedule_timer(
+            Duration::from_secs(RETRY_SECS),
+            TimerClass::Routing.token(self.generation),
+        );
+        self.generation
+    }
+}
+
 /// Per-destination buffer of data packets awaiting a route.
 ///
 /// On-demand protocols queue packets while a discovery is in flight; the
 /// buffer is bounded (drop-oldest) and entries expire so that stale TCP
 /// segments are not injected long after the transport has given up on them.
 #[derive(Debug)]
-pub struct PacketBuffer {
+struct PacketBuffer {
     capacity_per_dest: usize,
     max_age_secs: f64,
     queues: FxHashMap<NodeId, VecDeque<(DataPacket, SimTime)>>,
-    dropped: u64,
 }
 
 impl PacketBuffer {
     /// Buffer holding at most `capacity_per_dest` packets per destination,
     /// each for at most `max_age_secs` seconds.
-    pub fn new(capacity_per_dest: usize, max_age_secs: f64) -> Self {
+    fn new(capacity_per_dest: usize, max_age_secs: f64) -> Self {
         PacketBuffer {
             capacity_per_dest,
             max_age_secs,
             queues: FxHashMap::default(),
-            dropped: 0,
         }
     }
 
@@ -121,10 +274,9 @@ impl PacketBuffer {
     /// oldest packet is evicted and returned so the caller can account the
     /// drop.
     #[must_use = "the evicted packet (if any) must be accounted as a drop"]
-    pub fn push(&mut self, dest: NodeId, packet: DataPacket, now: SimTime) -> Option<DataPacket> {
+    fn push(&mut self, dest: NodeId, packet: DataPacket, now: SimTime) -> Option<DataPacket> {
         let q = self.queues.entry(dest).or_default();
         let evicted = if q.len() >= self.capacity_per_dest {
-            self.dropped += 1;
             q.pop_front().map(|(p, _)| p)
         } else {
             None
@@ -137,7 +289,7 @@ impl PacketBuffer {
     /// (first element, for the caller to re-route) and expired ones (second
     /// element, for the caller to account as drops).
     #[must_use = "expired packets (the second element) must be accounted as drops"]
-    pub fn drain(&mut self, dest: NodeId, now: SimTime) -> (Vec<DataPacket>, Vec<DataPacket>) {
+    fn drain(&mut self, dest: NodeId, now: SimTime) -> (Vec<DataPacket>, Vec<DataPacket>) {
         let max_age = self.max_age_secs;
         let (mut fresh, mut expired) = (Vec::new(), Vec::new());
         if let Some(q) = self.queues.remove(&dest) {
@@ -149,34 +301,21 @@ impl PacketBuffer {
                 }
             }
         }
-        self.dropped += expired.len() as u64;
         (fresh, expired)
     }
 
     /// Discard everything buffered for `dest`, returning the dropped packets.
     #[must_use = "discarded packets must be accounted as drops"]
-    pub fn discard(&mut self, dest: NodeId) -> Vec<DataPacket> {
-        let packets: Vec<DataPacket> = self
-            .queues
+    fn discard(&mut self, dest: NodeId) -> Vec<DataPacket> {
+        self.queues
             .remove(&dest)
-            .map_or_else(Vec::new, |q| q.into_iter().map(|(p, _)| p).collect());
-        self.dropped += packets.len() as u64;
-        packets
+            .map_or_else(Vec::new, |q| q.into_iter().map(|(p, _)| p).collect())
     }
 
     /// Number of packets currently buffered for `dest`.
-    pub fn len_for(&self, dest: NodeId) -> usize {
+    #[cfg(test)]
+    fn len_for(&self, dest: NodeId) -> usize {
         self.queues.get(&dest).map_or(0, |q| q.len())
-    }
-
-    /// Total packets dropped from the buffer (overflow or discard).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// True if a discovery is already worthwhile (anything buffered).
-    pub fn has_packets_for(&self, dest: NodeId) -> bool {
-        self.len_for(dest) > 0
     }
 }
 
@@ -189,8 +328,14 @@ impl Default for PacketBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_wire::{ConnectionId, PacketId, TcpSegment};
+    use crate::agent::{RoutingAgent, RoutingStats};
+    use crate::testkit::{run_routing, TestFlow};
+    use manet_netsim::mobility::StaticPlacement;
+    use manet_netsim::SimConfig;
+    use manet_wire::{ConnectionId, NetPacket, PacketId, SharedPacket, TcpSegment};
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -318,6 +463,124 @@ mod tests {
         }
     }
 
+    /// What a [`Probe`] saw, with the time in tenths of a second.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Started(u32),
+        Flooded(u32),
+        GaveUp(u32, u64),
+        Released(u32, usize),
+    }
+
+    /// An agent that only runs a [`Discovery`]: it floods nothing and has a
+    /// route from `route_from` seconds on.
+    struct Probe {
+        me: NodeId,
+        discovery: Discovery,
+        route_from: f64,
+        log: Rc<RefCell<Vec<Step>>>,
+    }
+
+    fn tenths(ctx: &Ctx<'_>) -> u32 {
+        (ctx.now().as_secs() * 10.0).round() as u32
+    }
+
+    impl RoutingAgent for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn start(&mut self, _ctx: &mut Ctx<'_>) {}
+        fn send_data(&mut self, ctx: &mut Ctx<'_>, packet: DataPacket) {
+            let dest = packet.dst;
+            self.discovery.hold(ctx, self.me, packet);
+            if self.discovery.start(ctx, dest) {
+                self.log.borrow_mut().push(Step::Started(tenths(ctx)));
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: NodeId, _: SharedPacket) -> Option<DataPacket> {
+            None
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+            let route = ctx.now().as_secs() >= self.route_from;
+            let step = match self.discovery.on_timer(ctx, self.me, token, |_| route) {
+                Retry::Stale => return,
+                Retry::Flood(_) => Step::Flooded(tenths(ctx)),
+                Retry::GaveUp(dropped) => Step::GaveUp(tenths(ctx), dropped),
+                Retry::Resolved(dest) => {
+                    let released = self.discovery.release(ctx, self.me, dest);
+                    Step::Released(tenths(ctx), released.len())
+                }
+            };
+            self.log.borrow_mut().push(step);
+        }
+        fn on_link_failure(&mut self, _: &mut Ctx<'_>, _: NodeId, _: NetPacket) {}
+        fn stats(&self) -> RoutingStats {
+            RoutingStats::default()
+        }
+    }
+
+    /// Run a probe at node 0 sending one packet every 0.7 s from t = 1 s to
+    /// the out-of-range node 1 for `secs` seconds.
+    fn probe_log(route_from: f64, secs: f64) -> Vec<Step> {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut config = SimConfig::default();
+        config.num_nodes = 2;
+        config.duration = Duration::from_secs(secs);
+        let flow = TestFlow {
+            rate_pps: 1.0 / 0.7,
+            ..TestFlow::simple(NodeId(0), NodeId(1))
+        };
+        run_routing(config, StaticPlacement::chain(2, 800.0), &[flow], |me| {
+            Probe {
+                me,
+                discovery: Discovery::default(),
+                route_from,
+                log: Rc::clone(&log),
+            }
+        });
+        log.take()
+    }
+
+    #[test]
+    fn discovery_floods_three_times_then_holds_the_destination_down() {
+        use Step::*;
+        // Floods at 1, 2 and 3 s; giving up at 4 s drops the 5 packets sent
+        // so far.  The 7 packets from 4.5 to 8.7 s are buffered but find the
+        // destination held down until 9 s, so the next discovery starts at
+        // 9.4 s, and giving up again drops them with the 5 sent since.
+        assert_eq!(
+            probe_log(f64::INFINITY, 13.0),
+            [
+                Started(10),
+                Flooded(20),
+                Flooded(30),
+                GaveUp(40, 5),
+                Started(94),
+                Flooded(104),
+                Flooded(114),
+                GaveUp(124, 12),
+            ]
+        );
+    }
+
+    #[test]
+    fn discovery_ends_when_a_route_appears_and_releases_the_buffer() {
+        use Step::*;
+        // A route exists from 2.5 s: the retry timer at 3 s finds it and the
+        // 3 packets sent so far are released.  The next packet (3.1 s) finds
+        // no discovery pending, so it starts one at once.
+        assert_eq!(
+            probe_log(2.5, 4.5),
+            [
+                Started(10),
+                Flooded(20),
+                Released(30, 3),
+                Started(31),
+                Released(41, 2),
+            ]
+        );
+    }
+
     #[test]
     fn buffer_drain_splits_fresh_from_expired() {
         let mut b = PacketBuffer::new(10, 2.0);
@@ -329,7 +592,6 @@ mod tests {
         assert_eq!(fresh[0].id, PacketId(2));
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].id, PacketId(1));
-        assert_eq!(b.dropped(), 1);
         assert_eq!(b.len_for(NodeId(9)), 0);
     }
 
@@ -341,7 +603,6 @@ mod tests {
         let evicted = b.push(NodeId(9), pkt(3), t(0.2));
         assert_eq!(evicted.map(|p| p.id), Some(PacketId(1)));
         assert_eq!(b.len_for(NodeId(9)), 2);
-        assert_eq!(b.dropped(), 1);
         let (fresh, expired) = b.drain(NodeId(9), t(0.3));
         assert_eq!(fresh.iter().map(|p| p.id.0).collect::<Vec<_>>(), vec![2, 3]);
         assert!(expired.is_empty());
@@ -352,13 +613,12 @@ mod tests {
         let mut b = PacketBuffer::default();
         assert!(b.push(NodeId(4), pkt(1), t(0.0)).is_none());
         assert!(b.push(NodeId(4), pkt(2), t(0.0)).is_none());
-        assert!(b.has_packets_for(NodeId(4)));
+        assert_eq!(b.len_for(NodeId(4)), 2);
         let dropped = b.discard(NodeId(4));
         assert_eq!(
             dropped.iter().map(|p| p.id.0).collect::<Vec<_>>(),
             vec![1, 2]
         );
-        assert_eq!(b.dropped(), 2);
-        assert!(!b.has_packets_for(NodeId(4)));
+        assert_eq!(b.len_for(NodeId(4)), 0);
     }
 }

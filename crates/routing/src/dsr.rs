@@ -4,7 +4,7 @@
 //!
 //! * on-demand discovery where the RREQ accumulates the traversed node list,
 //! * a route cache at the source (and at intermediate nodes) holding whole
-//!   source routes, with optional replies-from-cache,
+//!   source routes, from which intermediate nodes also answer RREQs,
 //! * source-routed data: every data packet carries its full route,
 //! * route errors that name the broken link so caches can purge every route
 //!   using it.
@@ -12,86 +12,39 @@
 //! The cache is exactly what makes DSR fast at low speed and fragile at high
 //! speed (stale routes), which is the behaviour behind Figs. 8–10.
 
-use crate::agent::{RoutingAgent, RoutingStats, TimerClass};
+use crate::agent::{RoutingAgent, RoutingStats};
 use crate::cache::RouteCache;
-use crate::common::{record_data_drop, PacketBuffer, SeenTable};
-use manet_netsim::FxHashMap;
-use manet_netsim::{Ctx, DropReason, Duration, TimerToken};
+use crate::common::{record_data_drop, Discovery, Retry, SeenTable};
+use manet_netsim::{Ctx, DropReason, TimerToken};
 use manet_wire::{
     BroadcastId, DataPacket, NetPacket, NodeId, RouteError, RouteReply, RouteRequest, SeqNo,
     SharedPacket,
 };
-use serde::{Deserialize, Serialize};
 
-/// DSR tuning parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DsrConfig {
-    /// Maximum routes cached per destination.
-    pub cache_routes_per_dest: usize,
-    /// Maximum age of a cached route, seconds.
-    pub cache_max_age: f64,
-    /// Let intermediate nodes answer RREQs from their caches.
-    pub reply_from_cache: bool,
-    /// How long the source waits for a RREP before retrying the discovery.
-    pub discovery_timeout: f64,
-    /// Maximum number of discovery attempts per destination.
-    pub discovery_retries: u32,
-    /// Capacity of the awaiting-route packet buffer (per destination).
-    pub buffer_capacity: usize,
-    /// Maximum age of a buffered packet, seconds.
-    pub buffer_max_age: f64,
-}
-
-impl Default for DsrConfig {
-    fn default() -> Self {
-        DsrConfig {
-            cache_routes_per_dest: 4,
-            cache_max_age: 30.0,
-            reply_from_cache: true,
-            discovery_timeout: 1.0,
-            discovery_retries: 3,
-            buffer_capacity: 64,
-            buffer_max_age: 8.0,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct PendingDiscovery {
-    attempts: u32,
-    generation: u64,
-}
+/// Routes cached per destination.
+const CACHE_ROUTES_PER_DEST: usize = 4;
+/// Seconds a cached route stays usable.
+const CACHE_MAX_AGE_SECS: f64 = 30.0;
 
 /// One node's DSR agent.
 pub struct Dsr {
     me: NodeId,
-    config: DsrConfig,
     cache: RouteCache,
     seen: SeenTable,
-    buffer: PacketBuffer,
+    discovery: Discovery,
     next_broadcast_id: BroadcastId,
-    pending: FxHashMap<NodeId, PendingDiscovery>,
-    /// Per-destination hold-down after a failed discovery (exponential-backoff
-    /// style damping, as real DSR/AODV implementations apply): no new flood is
-    /// started for the destination before this time.
-    holddown: FxHashMap<NodeId, manet_netsim::SimTime>,
-    timer_generation: u64,
     stats: RoutingStats,
 }
 
 impl Dsr {
     /// Create the agent for node `me`.
-    pub fn new(me: NodeId, config: DsrConfig) -> Self {
+    pub fn new(me: NodeId) -> Self {
         Dsr {
             me,
-            cache: RouteCache::new(config.cache_routes_per_dest, config.cache_max_age),
+            cache: RouteCache::new(CACHE_ROUTES_PER_DEST, CACHE_MAX_AGE_SECS),
             seen: SeenTable::default(),
-            buffer: PacketBuffer::new(config.buffer_capacity, config.buffer_max_age),
-            config,
+            discovery: Discovery::default(),
             next_broadcast_id: BroadcastId(0),
-            pending: FxHashMap::default(),
-            holddown: FxHashMap::default(),
-            timer_generation: 0,
             stats: RoutingStats::default(),
         }
     }
@@ -107,28 +60,16 @@ impl Dsr {
     }
 
     fn start_discovery(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
-        if self.pending.contains_key(&dest) {
-            return;
+        if self.discovery.start(ctx, dest) {
+            self.emit_rreq(ctx, dest);
         }
-        if let Some(&until) = self.holddown.get(&dest) {
-            if ctx.now() < until {
-                return; // recent discovery failed; damp the flood rate
-            }
+    }
+
+    /// Route every packet buffered for `dest` again.
+    fn release(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
+        for p in self.discovery.release(ctx, self.me, dest) {
+            self.originate_data(ctx, p);
         }
-        self.timer_generation += 1;
-        let generation = self.timer_generation;
-        self.pending.insert(
-            dest,
-            PendingDiscovery {
-                attempts: 1,
-                generation,
-            },
-        );
-        self.emit_rreq(ctx, dest);
-        ctx.schedule_timer(
-            Duration::from_secs(self.config.discovery_timeout),
-            TimerClass::Routing.token(generation),
-        );
     }
 
     fn emit_rreq(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
@@ -166,9 +107,7 @@ impl Dsr {
             routed.hop_count = packet.hop_count;
             self.forward_source_routed(ctx, routed);
         } else {
-            if let Some(evicted) = self.buffer.push(dst, packet, now) {
-                record_data_drop(ctx, self.me, DropReason::NoRoute, &evicted);
-            }
+            self.discovery.hold(ctx, self.me, packet);
             self.start_discovery(ctx, dst);
         }
     }
@@ -236,32 +175,30 @@ impl Dsr {
             self.send_rrep(ctx, rrep);
             return;
         }
-        if self.config.reply_from_cache {
-            if let Some(cached) = self.cache.best_route(rreq.destination, now) {
-                // Splice: source -> ...rreq.route... -> me -> ...cached tail... -> dest.
-                // Only use the cached tail if it does not revisit nodes already
-                // on the request path (avoids loops).
-                let tail: Vec<NodeId> = cached.path.iter().copied().skip(1).collect();
-                let no_overlap = tail
-                    .iter()
-                    .all(|n| *n != rreq.source && !rreq.route.contains(n) && *n != self.me);
-                if no_overlap {
-                    let mut full_route = rreq.route.clone();
-                    full_route.push(self.me);
-                    // tail ends at the destination; route field excludes endpoints.
-                    let mut spliced = full_route;
-                    spliced.extend(tail.iter().copied().take(tail.len().saturating_sub(1)));
-                    let rrep = RouteReply {
-                        source: rreq.source,
-                        destination: rreq.destination,
-                        reply_id: rreq.broadcast_id,
-                        hop_count: spliced.len() as u32 + 1,
-                        route: spliced,
-                        dest_seqno: SeqNo(0),
-                    };
-                    self.send_rrep(ctx, rrep);
-                    return;
-                }
+        if let Some(cached) = self.cache.best_route(rreq.destination, now) {
+            // Splice: source -> ...rreq.route... -> me -> ...cached tail... -> dest.
+            // Only use the cached tail if it does not revisit nodes already
+            // on the request path (avoids loops).
+            let tail: Vec<NodeId> = cached.path.iter().copied().skip(1).collect();
+            let no_overlap = tail
+                .iter()
+                .all(|n| *n != rreq.source && !rreq.route.contains(n) && *n != self.me);
+            if no_overlap {
+                let mut full_route = rreq.route.clone();
+                full_route.push(self.me);
+                // tail ends at the destination; route field excludes endpoints.
+                let mut spliced = full_route;
+                spliced.extend(tail.iter().copied().take(tail.len().saturating_sub(1)));
+                let rrep = RouteReply {
+                    source: rreq.source,
+                    destination: rreq.destination,
+                    reply_id: rreq.broadcast_id,
+                    hop_count: spliced.len() as u32 + 1,
+                    route: spliced,
+                    dest_seqno: SeqNo(0),
+                };
+                self.send_rrep(ctx, rrep);
+                return;
             }
         }
         // Forward the flood with ourselves appended (the one genuine copy).
@@ -295,16 +232,9 @@ impl Dsr {
         if rrep.source == self.me {
             // Cache the forward route source..=destination and flush traffic.
             self.cache.insert(rrep.destination, full, now);
-            self.pending.remove(&rrep.destination);
-            self.holddown.remove(&rrep.destination);
+            self.discovery.resolved(rrep.destination);
             self.stats.route_switches += 1;
-            let (packets, expired) = self.buffer.drain(rrep.destination, now);
-            for p in &expired {
-                record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-            }
-            for p in packets {
-                self.originate_data(ctx, p);
-            }
+            self.release(ctx, rrep.destination);
             return;
         }
         // Intermediate node: learn the sub-route from us to the destination,
@@ -320,22 +250,14 @@ impl Dsr {
 
     /// Handle a route error (by reference — RERRs can arrive broadcast).
     fn handle_rerr(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, rerr: &RouteError) {
-        let now = ctx.now();
         let removed = self.cache.remove_link(rerr.reporter, rerr.broken_next_hop);
         if removed > 0 {
             self.stats.route_switches += 1;
         }
         // If we have traffic buffered (we were mid-discovery or the error
         // raced a send), try again with whatever routes remain.
-        let dests: Vec<NodeId> = rerr.unreachable.clone();
-        for dest in dests {
-            let (packets, expired) = self.buffer.drain(dest, now);
-            for p in &expired {
-                record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-            }
-            for p in packets {
-                self.originate_data(ctx, p);
-            }
+        for &dest in &rerr.unreachable {
+            self.release(ctx, dest);
         }
     }
 
@@ -417,43 +339,13 @@ impl RoutingAgent for Dsr {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        if !TimerClass::Routing.owns(token) {
-            return;
-        }
-        let generation = token.payload();
         let now = ctx.now();
-        let dest = self
-            .pending
-            .iter()
-            .find(|(_, p)| p.generation == generation)
-            .map(|(d, _)| *d);
-        let Some(dest) = dest else { return };
-        if self.cache.best_route(dest, now).is_some() {
-            self.pending.remove(&dest);
-            return;
+        let has_route = |dest| self.cache.best_route(dest, now).is_some();
+        match self.discovery.on_timer(ctx, self.me, token, has_route) {
+            Retry::Flood(dest) => self.emit_rreq(ctx, dest),
+            Retry::GaveUp(dropped) => self.stats.data_dropped_no_route += dropped,
+            Retry::Stale | Retry::Resolved(_) => {}
         }
-        let attempts = self.pending.get(&dest).map(|p| p.attempts).unwrap_or(0);
-        if attempts >= self.config.discovery_retries {
-            self.pending.remove(&dest);
-            self.holddown.insert(dest, now + Duration::from_secs(5.0));
-            let dropped = self.buffer.discard(dest);
-            self.stats.data_dropped_no_route += dropped.len() as u64;
-            for p in &dropped {
-                record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-            }
-            return;
-        }
-        self.timer_generation += 1;
-        let generation = self.timer_generation;
-        if let Some(p) = self.pending.get_mut(&dest) {
-            p.attempts += 1;
-            p.generation = generation;
-        }
-        self.emit_rreq(ctx, dest);
-        ctx.schedule_timer(
-            Duration::from_secs(self.config.discovery_timeout),
-            TimerClass::Routing.token(generation),
-        );
     }
 
     fn on_link_failure(&mut self, ctx: &mut Ctx<'_>, next_hop: NodeId, packet: NetPacket) {
@@ -468,17 +360,9 @@ impl RoutingAgent for Dsr {
                 // (possibly triggering a fresh discovery).
                 let dst = d.dst;
                 let plain = DataPacket::new(d.id, d.src, d.dst, d.segment);
-                if let Some(evicted) = self.buffer.push(dst, plain, now) {
-                    record_data_drop(ctx, self.me, DropReason::NoRoute, &evicted);
-                }
+                self.discovery.hold(ctx, self.me, plain);
                 if self.cache.best_route(dst, now).is_some() {
-                    let (packets, expired) = self.buffer.drain(dst, now);
-                    for p in &expired {
-                        record_data_drop(ctx, self.me, DropReason::DiscoveryFailed, p);
-                    }
-                    for p in packets {
-                        self.originate_data(ctx, p);
-                    }
+                    self.release(ctx, dst);
                 } else {
                     self.start_discovery(ctx, dst);
                 }
@@ -500,15 +384,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_enables_cache_replies() {
-        let c = DsrConfig::default();
-        assert!(c.reply_from_cache);
-        assert!(c.cache_max_age > 0.0);
-    }
-
-    #[test]
     fn agent_reports_name() {
-        let d = Dsr::new(NodeId(1), DsrConfig::default());
+        let d = Dsr::new(NodeId(1));
         assert_eq!(d.name(), "DSR");
         assert_eq!(d.me(), NodeId(1));
         assert!(d.cache().is_empty());

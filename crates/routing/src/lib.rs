@@ -4,8 +4,9 @@
 //!
 //! * [`agent`] — the [`RoutingAgent`] trait every protocol implements, plus
 //!   per-protocol statistics and the timer-token namespace convention.
-//! * [`common`] — shared building blocks: duplicate-RREQ suppression, the
-//!   per-destination packet buffer used while a discovery is in flight.
+//! * [`common`] — shared building blocks: duplicate-RREQ suppression and
+//!   [`Discovery`], the route-discovery state machine (packet buffer, retry
+//!   timer, give-up and hold-down) that DSR, AODV and MTS all run.
 //! * [`table`] — AODV/MTS-style hop-by-hop routing table with destination
 //!   sequence numbers and lifetimes.
 //! * [`cache`] — DSR-style route cache holding full source routes.
@@ -30,9 +31,9 @@ pub mod table;
 pub mod testkit;
 
 pub use agent::{RoutingAgent, RoutingStats, TimerClass};
-pub use aodv::{Aodv, AodvConfig};
+pub use aodv::Aodv;
 pub use cache::RouteCache;
-pub use common::{PacketBuffer, SeenTable};
-pub use dsr::{Dsr, DsrConfig};
+pub use common::{Discovery, SeenTable};
+pub use dsr::Dsr;
 pub use suspicion::{RouteCheckConfig, SuspicionTable};
 pub use table::{RouteEntry, RoutingTable};

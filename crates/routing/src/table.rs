@@ -4,6 +4,10 @@ use manet_netsim::FxHashMap;
 use manet_netsim::SimTime;
 use manet_wire::{NodeId, SeqNo};
 
+/// Seconds an installed or refreshed route stays usable (AODV's
+/// `ACTIVE_ROUTE_TIMEOUT`).
+const ROUTE_LIFETIME_SECS: f64 = 10.0;
+
 /// One route entry: how to reach a destination.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteEntry {
@@ -57,10 +61,9 @@ impl RoutingTable {
         next_hop: NodeId,
         hop_count: u32,
         dest_seqno: SeqNo,
-        lifetime_secs: f64,
         now: SimTime,
     ) -> bool {
-        let expires = now + manet_netsim::Duration::from_secs(lifetime_secs);
+        let expires = now + manet_netsim::Duration::from_secs(ROUTE_LIFETIME_SECS);
         match self.entries.get_mut(&dest) {
             None => {
                 self.entries.insert(
@@ -104,10 +107,10 @@ impl RoutingTable {
     }
 
     /// Extend the lifetime of an active route (called when it carries data).
-    pub fn refresh(&mut self, dest: NodeId, lifetime_secs: f64, now: SimTime) {
+    pub fn refresh(&mut self, dest: NodeId, now: SimTime) {
         if let Some(e) = self.entries.get_mut(&dest) {
             if e.valid {
-                let new_exp = now + manet_netsim::Duration::from_secs(lifetime_secs);
+                let new_exp = now + manet_netsim::Duration::from_secs(ROUTE_LIFETIME_SECS);
                 e.expires = e.expires.max(new_exp);
             }
         }
@@ -180,7 +183,7 @@ mod tests {
     fn lookup_only_returns_valid_unexpired_routes() {
         let mut rt = RoutingTable::new();
         assert!(rt.lookup(D, t(0.0)).is_none());
-        rt.update(D, NodeId(1), 3, SeqNo(1), 10.0, t(0.0));
+        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
         assert_eq!(rt.lookup(D, t(5.0)).unwrap().next_hop, NodeId(1));
         assert!(
             rt.lookup(D, t(11.0)).is_none(),
@@ -191,21 +194,21 @@ mod tests {
     #[test]
     fn fresher_seqno_replaces_route() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 3, SeqNo(1), 10.0, t(0.0));
-        assert!(rt.update(D, NodeId(2), 5, SeqNo(2), 10.0, t(1.0)));
+        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
+        assert!(rt.update(D, NodeId(2), 5, SeqNo(2), t(1.0)));
         assert_eq!(rt.lookup(D, t(2.0)).unwrap().next_hop, NodeId(2));
     }
 
     #[test]
     fn same_seqno_prefers_shorter_route() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 4, SeqNo(1), 10.0, t(0.0));
+        rt.update(D, NodeId(1), 4, SeqNo(1), t(0.0));
         assert!(
-            !rt.update(D, NodeId(2), 6, SeqNo(1), 10.0, t(0.1)),
+            !rt.update(D, NodeId(2), 6, SeqNo(1), t(0.1)),
             "longer route rejected"
         );
         assert!(
-            rt.update(D, NodeId(3), 2, SeqNo(1), 10.0, t(0.2)),
+            rt.update(D, NodeId(3), 2, SeqNo(1), t(0.2)),
             "shorter route accepted"
         );
         assert_eq!(rt.lookup(D, t(1.0)).unwrap().next_hop, NodeId(3));
@@ -214,17 +217,17 @@ mod tests {
     #[test]
     fn stale_seqno_rejected_even_if_shorter() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 4, SeqNo(5), 10.0, t(0.0));
-        assert!(!rt.update(D, NodeId(2), 1, SeqNo(4), 10.0, t(0.1)));
+        rt.update(D, NodeId(1), 4, SeqNo(5), t(0.0));
+        assert!(!rt.update(D, NodeId(2), 1, SeqNo(4), t(0.1)));
         assert_eq!(rt.lookup(D, t(1.0)).unwrap().next_hop, NodeId(1));
     }
 
     #[test]
     fn invalidate_via_breaks_matching_routes_and_bumps_seqno() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 3, SeqNo(1), 10.0, t(0.0));
-        rt.update(NodeId(8), NodeId(1), 2, SeqNo(7), 10.0, t(0.0));
-        rt.update(NodeId(7), NodeId(2), 2, SeqNo(3), 10.0, t(0.0));
+        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
+        rt.update(NodeId(8), NodeId(1), 2, SeqNo(7), t(0.0));
+        rt.update(NodeId(7), NodeId(2), 2, SeqNo(3), t(0.0));
         let broken = rt.invalidate_via(NodeId(1));
         assert_eq!(broken.len(), 2);
         assert!(rt.lookup(D, t(1.0)).is_none());
@@ -236,24 +239,24 @@ mod tests {
     #[test]
     fn invalidated_route_can_be_reinstalled() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 3, SeqNo(1), 10.0, t(0.0));
+        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
         rt.invalidate_via(NodeId(1));
-        assert!(rt.update(D, NodeId(4), 6, SeqNo(1), 10.0, t(1.0)));
+        assert!(rt.update(D, NodeId(4), 6, SeqNo(1), t(1.0)));
         assert_eq!(rt.lookup(D, t(2.0)).unwrap().next_hop, NodeId(4));
     }
 
     #[test]
     fn refresh_extends_lifetime() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 3, SeqNo(1), 5.0, t(0.0));
-        rt.refresh(D, 5.0, t(4.0));
-        assert!(rt.lookup(D, t(8.0)).is_some());
+        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
+        rt.refresh(D, t(4.0));
+        assert!(rt.lookup(D, t(12.0)).is_some());
     }
 
     #[test]
     fn precursors_are_deduplicated() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 3, SeqNo(1), 5.0, t(0.0));
+        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
         rt.add_precursor(D, NodeId(5));
         rt.add_precursor(D, NodeId(5));
         rt.add_precursor(D, NodeId(6));
@@ -263,7 +266,7 @@ mod tests {
     #[test]
     fn rerr_invalidation_requires_matching_next_hop() {
         let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 3, SeqNo(1), 10.0, t(0.0));
+        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
         assert!(!rt.invalidate_dest_via(D, NodeId(2), SeqNo(9)));
         assert!(rt.invalidate_dest_via(D, NodeId(1), SeqNo(9)));
         assert!(rt.lookup(D, t(1.0)).is_none());

@@ -214,8 +214,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aodv::{Aodv, AodvConfig};
-    use crate::dsr::{Dsr, DsrConfig};
+    use crate::aodv::Aodv;
+    use crate::dsr::Dsr;
     use manet_netsim::mobility::StaticPlacement;
 
     fn chain_config(n: u16, secs: f64) -> SimConfig {
@@ -234,7 +234,7 @@ mod tests {
             cfg,
             StaticPlacement::chain(n as usize, 200.0),
             &flows,
-            |me| Aodv::new(me, AodvConfig::default()),
+            Aodv::new,
         );
         assert!(result.originated > 100, "originated={}", result.originated);
         assert!(
@@ -261,7 +261,7 @@ mod tests {
             cfg,
             StaticPlacement::chain(n as usize, 200.0),
             &flows,
-            |me| Dsr::new(me, DsrConfig::default()),
+            Dsr::new,
         );
         assert!(
             result.delivery_ratio() > 0.9,
@@ -278,7 +278,7 @@ mod tests {
         let cfg = chain_config(2, 10.0);
         let flows = [TestFlow::simple(NodeId(0), NodeId(1))];
         let result = run_routing(cfg, StaticPlacement::chain(2, 900.0), &flows, |me| {
-            Aodv::new(me, AodvConfig::default())
+            Aodv::new(me)
         });
         assert_eq!(result.delivered, 0);
         assert!(result.originated > 0);
@@ -301,7 +301,7 @@ mod tests {
         ];
         let flows = [TestFlow::simple(NodeId(0), NodeId(3))];
         let result = run_routing(cfg, StaticPlacement::new(positions), &flows, |me| {
-            Aodv::new(me, AodvConfig::default())
+            Aodv::new(me)
         });
         assert!(
             result.delivery_ratio() > 0.8,

@@ -1,7 +1,7 @@
 use super::*;
 use manet_netsim::mobility::StaticPlacement;
 use manet_netsim::{Recorder, SimConfig, Simulator};
-use manet_routing::{Aodv, AodvConfig, Dsr, DsrConfig};
+use manet_routing::{Aodv, Dsr};
 use mts_core::{Mts, MtsConfig};
 
 enum Proto {
@@ -12,8 +12,8 @@ enum Proto {
 
 fn agent(p: &Proto, me: NodeId) -> Box<dyn RoutingAgent> {
     match p {
-        Proto::Dsr => Box::new(Dsr::new(me, DsrConfig::default())),
-        Proto::Aodv => Box::new(Aodv::new(me, AodvConfig::default())),
+        Proto::Dsr => Box::new(Dsr::new(me)),
+        Proto::Aodv => Box::new(Aodv::new(me)),
         Proto::Mts => Box::new(Mts::new(me, MtsConfig::default())),
     }
 }
@@ -140,11 +140,7 @@ fn a_node_can_terminate_a_sender_and_a_receiver_concurrently() {
     let stacks: Vec<Box<dyn NodeStack>> = (0..n)
         .map(|i| {
             let me = NodeId(i);
-            let mut stack = ManetStack::new(
-                me,
-                Box::new(Aodv::new(me, AodvConfig::default())),
-                Arc::clone(&stats),
-            );
+            let mut stack = ManetStack::new(me, Box::new(Aodv::new(me)), Arc::clone(&stats));
             if i == 0 {
                 stack.add_sender(
                     ConnectionId(0),
@@ -219,11 +215,7 @@ fn staggered_budgeted_flow_reports_completion() {
     let stacks: Vec<Box<dyn NodeStack>> = (0..n)
         .map(|i| {
             let me = NodeId(i);
-            let mut stack = ManetStack::new(
-                me,
-                Box::new(Aodv::new(me, AodvConfig::default())),
-                Arc::clone(&stats),
-            );
+            let mut stack = ManetStack::new(me, Box::new(Aodv::new(me)), Arc::clone(&stats));
             if i == 0 {
                 stack.add_sender(
                     ConnectionId(0),
@@ -265,11 +257,7 @@ fn staggered_budgeted_flow_reports_completion() {
 #[should_panic(expected = "already terminates")]
 fn duplicate_connection_endpoints_are_rejected() {
     let stats: SharedTcpStats = Arc::new(Mutex::new(TcpRunReport::default()));
-    let mut stack = ManetStack::new(
-        NodeId(0),
-        Box::new(Aodv::new(NodeId(0), AodvConfig::default())),
-        stats,
-    );
+    let mut stack = ManetStack::new(NodeId(0), Box::new(Aodv::new(NodeId(0))), stats);
     stack.add_receiver(ConnectionId(3), NodeId(1));
     stack.add_receiver(ConnectionId(3), NodeId(2));
 }

@@ -4,7 +4,7 @@
 
 use manet_netsim::mobility::StaticPlacement;
 use manet_netsim::{Duration, NodeStack, Recorder, SimConfig, Simulator};
-use manet_routing::{Aodv, AodvConfig};
+use manet_routing::Aodv;
 use manet_stack::{ManetStack, SharedTcpStats, TcpRunReport};
 use manet_tcp::{FlowProfile, TcpConfig};
 use manet_wire::{ConnectionId, NodeId};
@@ -28,11 +28,7 @@ fn run_flows(flows: &[(u16, u16, u64)], secs: f64) -> (Recorder, TcpRunReport) {
     let stacks: Vec<Box<dyn NodeStack>> = (0..n)
         .map(|i| {
             let me = NodeId(i);
-            let mut stack = ManetStack::new(
-                me,
-                Box::new(Aodv::new(me, AodvConfig::default())),
-                Arc::clone(&stats),
-            );
+            let mut stack = ManetStack::new(me, Box::new(Aodv::new(me)), Arc::clone(&stats));
             for (idx, &(src, dst, bytes)) in flows.iter().enumerate() {
                 let conn = ConnectionId(idx as u32);
                 if src == i {

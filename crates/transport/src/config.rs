@@ -143,14 +143,14 @@ impl TcpConfig {
         if self.mss == 0 {
             return Err("mss must be positive".into());
         }
-        if self.initial_cwnd < 1.0 {
-            return Err("initial_cwnd must be at least one segment".into());
+        if !(self.initial_cwnd >= 1.0 && self.initial_cwnd.is_finite()) {
+            return Err("initial_cwnd must be a finite number of at least one segment".into());
         }
-        if self.receiver_window < 1.0 {
-            return Err("receiver_window must be at least one segment".into());
+        if !(self.receiver_window >= 1.0 && self.receiver_window.is_finite()) {
+            return Err("receiver_window must be a finite number of at least one segment".into());
         }
-        if self.min_rto <= 0.0 || self.max_rto < self.min_rto {
-            return Err("RTO bounds must satisfy 0 < min_rto <= max_rto".into());
+        if !(self.min_rto > 0.0 && self.min_rto <= self.max_rto && self.max_rto.is_finite()) {
+            return Err("RTO bounds must satisfy 0 < min_rto <= max_rto < inf".into());
         }
         if self.dupack_threshold == 0 {
             return Err("dupack_threshold must be at least 1".into());
@@ -276,5 +276,28 @@ mod tests {
         }
         .validate()
         .is_err());
+        // Non-finite values fail validation instead of panicking mid-run.
+        for x in [f64::NAN, f64::INFINITY] {
+            for bad in [
+                TcpConfig {
+                    initial_cwnd: x,
+                    ..Default::default()
+                },
+                TcpConfig {
+                    receiver_window: x,
+                    ..Default::default()
+                },
+                TcpConfig {
+                    min_rto: x,
+                    ..Default::default()
+                },
+                TcpConfig {
+                    max_rto: x,
+                    ..Default::default()
+                },
+            ] {
+                assert!(bad.validate().is_err(), "{bad:?}");
+            }
+        }
     }
 }
