@@ -193,9 +193,10 @@ impl Discovery {
         fresh
     }
 
-    /// Handle a timer of `me`.  `has_route` is the agent's route predicate
-    /// for the timer's destination.  Giving up observes every buffered
-    /// packet as a [`DropReason::DiscoveryFailed`] drop.
+    /// Handle a timer delivered to `me`; tokens of other classes are
+    /// [`Retry::Stale`].  `has_route` is the agent's route predicate for the
+    /// timer's destination.  Giving up observes every buffered packet as a
+    /// [`DropReason::DiscoveryFailed`] drop.
     pub fn on_timer(
         &mut self,
         ctx: &mut Ctx<'_>,
