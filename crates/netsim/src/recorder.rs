@@ -760,7 +760,6 @@ impl Recorder {
         let event = match *obs {
             Observation::Originate { node, packet } => Some(TelemetryEvent::Originate {
                 t,
-                shard: 0,
                 node: node.0,
                 conn: packet.segment.conn.0,
                 seq: packet.segment.seq,
@@ -771,7 +770,6 @@ impl Recorder {
                 tele.note_queue_len(t, queue);
                 Some(TelemetryEvent::FrameEnqueue {
                     t,
-                    shard: 0,
                     node: node.0,
                     kind: frame.payload.frame_kind(),
                     bytes: frame.size_bytes(),
@@ -787,7 +785,6 @@ impl Recorder {
                 tele.note_calendar_resizes(t, events.perf().calendar_resizes);
                 Some(TelemetryEvent::TxStart {
                     t,
-                    shard: 0,
                     node: node.0,
                     kind: packet.frame_kind(),
                     bytes,
@@ -795,7 +792,6 @@ impl Recorder {
             }
             Observation::Collision { node, from } => Some(TelemetryEvent::Collision {
                 t,
-                shard: 0,
                 node: node.0,
                 from: from.0,
             }),
@@ -807,7 +803,6 @@ impl Recorder {
                 }
                 Some(TelemetryEvent::Deliver {
                     t,
-                    shard: 0,
                     node: node.0,
                     from: from.0,
                     kind: FrameKind::Data,
@@ -825,7 +820,6 @@ impl Recorder {
                 packet,
             } => Some(TelemetryEvent::Drop {
                 t,
-                shard: 0,
                 node: node.0,
                 reason,
                 kind: packet.kind(),
@@ -850,21 +844,18 @@ impl Recorder {
             }
             Observation::Timer { node, class, scope } => Some(TelemetryEvent::Timer {
                 t,
-                shard: 0,
                 node: node.0,
                 class,
                 scope,
             }),
             Observation::FlowComplete { node, conn, bytes } => Some(TelemetryEvent::FlowComplete {
                 t,
-                shard: 0,
                 node: node.0,
                 conn,
                 bytes,
             }),
             Observation::ForgedRrep { node, from } => Some(TelemetryEvent::ForgedRrep {
                 t,
-                shard: 0,
                 node: node.0,
                 from: from.0,
             }),
@@ -877,7 +868,6 @@ impl Recorder {
                 tele.note_suspicion_size(t, table);
                 Some(TelemetryEvent::Suspicion {
                     t,
-                    shard: 0,
                     node: node.0,
                     suspect: suspect.0,
                     score,
@@ -916,7 +906,6 @@ impl Recorder {
             if tele.traced(conn, seq, data) {
                 tele.emit(TelemetryEvent::Provenance {
                     t,
-                    shard: 0,
                     stage,
                     node: node.0,
                     conn,

@@ -125,10 +125,6 @@ vocabulary! {
         Drop => "drop",
         /// A wormhole carried the frame out of band.
         Tunnel => "tunnel",
-        /// Reserved: a frame crossing a shard boundary.  The engine has one
-        /// shard, so this is never emitted; the label stays in the
-        /// vocabulary for format stability.
-        CrossShard => "cross_shard",
     }
 }
 
@@ -147,13 +143,12 @@ vocabulary! {
 }
 
 /// One structured telemetry event.  All variants carry the simulation time
-/// `t` (seconds) and a `shard`, always 0 and kept for format stability.
+/// `t` (seconds).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TelemetryEvent {
     /// A data segment entered the network at its source's routing layer.
     Originate {
         t: f64,
-        shard: u16,
         node: u16,
         conn: u32,
         seq: u64,
@@ -164,7 +159,6 @@ pub enum TelemetryEvent {
     /// A frame joined a MAC interface queue.
     FrameEnqueue {
         t: f64,
-        shard: u16,
         node: u16,
         kind: FrameKind,
         bytes: u32,
@@ -174,7 +168,6 @@ pub enum TelemetryEvent {
     /// A frame started transmitting on the air.
     TxStart {
         t: f64,
-        shard: u16,
         node: u16,
         kind: FrameKind,
         bytes: u32,
@@ -182,7 +175,6 @@ pub enum TelemetryEvent {
     /// A reception was destroyed by a concurrent transmission.
     Collision {
         t: f64,
-        shard: u16,
         /// Receiver whose reception collided.
         node: u16,
         from: u16,
@@ -190,7 +182,6 @@ pub enum TelemetryEvent {
     /// A frame reached its addressed destination (first arrival only).
     Deliver {
         t: f64,
-        shard: u16,
         node: u16,
         from: u16,
         kind: FrameKind,
@@ -202,7 +193,6 @@ pub enum TelemetryEvent {
     /// A frame or packet was discarded.
     Drop {
         t: f64,
-        shard: u16,
         node: u16,
         reason: DropKind,
         kind: FrameKind,
@@ -210,16 +200,10 @@ pub enum TelemetryEvent {
         conn: Option<u32>,
     },
     /// MTS rejected a route reply that failed source verification.
-    ForgedRrep {
-        t: f64,
-        shard: u16,
-        node: u16,
-        from: u16,
-    },
+    ForgedRrep { t: f64, node: u16, from: u16 },
     /// A suspicion score changed.
     Suspicion {
         t: f64,
-        shard: u16,
         node: u16,
         suspect: u16,
         score: f64,
@@ -229,7 +213,6 @@ pub enum TelemetryEvent {
     /// A protocol timer fired.
     Timer {
         t: f64,
-        shard: u16,
         node: u16,
         class: TimerClass,
         scope: u16,
@@ -237,7 +220,6 @@ pub enum TelemetryEvent {
     /// A bounded flow acknowledged its whole byte budget.
     FlowComplete {
         t: f64,
-        shard: u16,
         node: u16,
         conn: u32,
         bytes: u64,
@@ -245,7 +227,6 @@ pub enum TelemetryEvent {
     /// The tagged packet (`reproduce trace --packet conn:seq`) passed a pipeline stage.
     Provenance {
         t: f64,
-        shard: u16,
         stage: Stage,
         node: u16,
         conn: u32,
@@ -256,7 +237,6 @@ pub enum TelemetryEvent {
     /// window's *end* time so the stream stays monotone.
     Window {
         t: f64,
-        shard: u16,
         /// Window index (`floor(event time / window width)`).
         window: u64,
         /// What the sampler accumulated over the window.  Boxed: the three
@@ -277,8 +257,6 @@ pub struct WindowStats {
     pub cal_resizes: u64,
     /// Peak suspicion-table size observed.
     pub suspicion_peak: u32,
-    /// Always 0: cross-shard announcements, kept for format stability.
-    pub xshard: u64,
     /// Background fluid demand per region, bytes/s at the last epoch in
     /// the window (empty unless the hybrid engine is on).
     pub fluid_demand: BTreeMap<u32, u64>,
@@ -308,24 +286,6 @@ impl TelemetryEvent {
             | TelemetryEvent::FlowComplete { t, .. }
             | TelemetryEvent::Provenance { t, .. }
             | TelemetryEvent::Window { t, .. } => *t,
-        }
-    }
-
-    /// The event's `shard` key (always 0 in a recorded stream).
-    pub fn shard(&self) -> u16 {
-        match self {
-            TelemetryEvent::Originate { shard, .. }
-            | TelemetryEvent::FrameEnqueue { shard, .. }
-            | TelemetryEvent::TxStart { shard, .. }
-            | TelemetryEvent::Collision { shard, .. }
-            | TelemetryEvent::Deliver { shard, .. }
-            | TelemetryEvent::Drop { shard, .. }
-            | TelemetryEvent::ForgedRrep { shard, .. }
-            | TelemetryEvent::Suspicion { shard, .. }
-            | TelemetryEvent::Timer { shard, .. }
-            | TelemetryEvent::FlowComplete { shard, .. }
-            | TelemetryEvent::Provenance { shard, .. }
-            | TelemetryEvent::Window { shard, .. } => *shard,
         }
     }
 
@@ -362,7 +322,6 @@ impl TelemetryEvent {
         out.push_str(self.name());
         out.push('"');
         push_f64(out, ",\"t\":", self.time());
-        push_uint(out, ",\"shard\":", self.shard());
         match self {
             TelemetryEvent::Originate {
                 node,
@@ -484,7 +443,6 @@ impl TelemetryEvent {
                 push_uint(out, ",\"queue_peak\":", stats.queue_peak);
                 push_uint(out, ",\"cal_resizes\":", stats.cal_resizes);
                 push_uint(out, ",\"suspicion_peak\":", stats.suspicion_peak);
-                push_uint(out, ",\"xshard\":", stats.xshard);
                 push_map(out, ",\"fluid_demand\":{", &stats.fluid_demand);
                 push_map(out, ",\"fluid_alloc\":{", &stats.fluid_alloc);
             }

@@ -1,7 +1,6 @@
 //! A strict, dependency-free parser for the telemetry NDJSON schema.
 //!
-//! The vendored `serde` is an offline no-op shim, so the stream is decoded
-//! by hand.  The parser is deliberately *strict*: unknown `"ev"` names,
+//! The stream is decoded by hand, with no serialization library.  The parser is deliberately *strict*: unknown `"ev"` names,
 //! missing fields, extra fields, repeated fields, out-of-range integers,
 //! numbers JSON's grammar forbids and labels outside their vocabulary are
 //! all errors — parsing doubles as schema validation (the CI smoke job and
@@ -61,7 +60,6 @@ const fn opt(key: &'static str, ty: Ty) -> Field {
 }
 
 const T: Field = req("t", Ty::F64);
-const SHARD: Field = req("shard", Ty::U16);
 const NODE: Field = req("node", Ty::U16);
 const FROM: Field = req("from", Ty::U16);
 const KIND: Field = req("kind", Ty::Label(&FrameKind::LABELS));
@@ -69,26 +67,17 @@ const KIND: Field = req("kind", Ty::Label(&FrameKind::LABELS));
 // One table per event, in the encoder's field order.
 const ORIGINATE: &[Field] = &[
     T,
-    SHARD,
     NODE,
     req("conn", Ty::U32),
     req("seq", Ty::U64),
     req("data", Ty::Bool),
     req("bytes", Ty::U32),
 ];
-const FRAME_ENQUEUE: &[Field] = &[
-    T,
-    SHARD,
-    NODE,
-    KIND,
-    req("bytes", Ty::U32),
-    req("queue", Ty::U32),
-];
-const TX_START: &[Field] = &[T, SHARD, NODE, KIND, req("bytes", Ty::U32)];
-const COLLISION: &[Field] = &[T, SHARD, NODE, FROM];
+const FRAME_ENQUEUE: &[Field] = &[T, NODE, KIND, req("bytes", Ty::U32), req("queue", Ty::U32)];
+const TX_START: &[Field] = &[T, NODE, KIND, req("bytes", Ty::U32)];
+const COLLISION: &[Field] = &[T, NODE, FROM];
 const DELIVER: &[Field] = &[
     T,
-    SHARD,
     NODE,
     FROM,
     KIND,
@@ -97,7 +86,6 @@ const DELIVER: &[Field] = &[
 ];
 const DROP: &[Field] = &[
     T,
-    SHARD,
     NODE,
     req("reason", Ty::Label(&DropKind::LABELS)),
     KIND,
@@ -105,7 +93,6 @@ const DROP: &[Field] = &[
 ];
 const SUSPICION: &[Field] = &[
     T,
-    SHARD,
     NODE,
     req("suspect", Ty::U16),
     req("score", Ty::F64),
@@ -113,15 +100,13 @@ const SUSPICION: &[Field] = &[
 ];
 const TIMER: &[Field] = &[
     T,
-    SHARD,
     NODE,
     req("class", Ty::Label(&TimerClass::LABELS)),
     req("scope", Ty::U16),
 ];
-const FLOW_COMPLETE: &[Field] = &[T, SHARD, NODE, req("conn", Ty::U32), req("bytes", Ty::U64)];
+const FLOW_COMPLETE: &[Field] = &[T, NODE, req("conn", Ty::U32), req("bytes", Ty::U64)];
 const PROVENANCE: &[Field] = &[
     T,
-    SHARD,
     req("stage", Ty::Label(&Stage::LABELS)),
     NODE,
     req("conn", Ty::U32),
@@ -130,19 +115,17 @@ const PROVENANCE: &[Field] = &[
 ];
 const WINDOW: &[Field] = &[
     T,
-    SHARD,
     req("window", Ty::U64),
     req("goodput", Ty::Map(0)),
     req("queue_peak", Ty::U32),
     req("cal_resizes", Ty::U64),
     req("suspicion_peak", Ty::U32),
-    req("xshard", Ty::U64),
     req("fluid_demand", Ty::Map(1)),
     req("fluid_alloc", Ty::Map(2)),
 ];
 
 /// The most fields any event has (`window`); `Slots::seen` is a `u16`.
-const MAX_FIELDS: usize = 10;
+const MAX_FIELDS: usize = 8;
 
 /// The event a line's `"ev"` names.  `fields` and `build` are the schema:
 /// entry *i* of the table is argument *i* of the constructor, in the
@@ -199,105 +182,92 @@ impl Kind {
     }
 
     fn build(self, s: Slots) -> TelemetryEvent {
-        let (t, shard) = (s.f64(0), s.u16(1));
+        let t = s.f64(0);
         match self {
             Kind::Originate => TelemetryEvent::Originate {
                 t,
-                shard,
-                node: s.u16(2),
-                conn: s.u32(3),
-                seq: s.num[4],
-                data: s.num[5] != 0,
-                bytes: s.u32(6),
+                node: s.u16(1),
+                conn: s.u32(2),
+                seq: s.num[3],
+                data: s.num[4] != 0,
+                bytes: s.u32(5),
             },
             Kind::FrameEnqueue => TelemetryEvent::FrameEnqueue {
                 t,
-                shard,
-                node: s.u16(2),
-                kind: FrameKind::ALL[s.index(3)],
-                bytes: s.u32(4),
-                queue: s.u32(5),
+                node: s.u16(1),
+                kind: FrameKind::ALL[s.index(2)],
+                bytes: s.u32(3),
+                queue: s.u32(4),
             },
             Kind::TxStart => TelemetryEvent::TxStart {
                 t,
-                shard,
-                node: s.u16(2),
-                kind: FrameKind::ALL[s.index(3)],
-                bytes: s.u32(4),
+                node: s.u16(1),
+                kind: FrameKind::ALL[s.index(2)],
+                bytes: s.u32(3),
             },
             Kind::Collision => TelemetryEvent::Collision {
                 t,
-                shard,
-                node: s.u16(2),
-                from: s.u16(3),
+                node: s.u16(1),
+                from: s.u16(2),
             },
             Kind::Deliver => TelemetryEvent::Deliver {
                 t,
-                shard,
-                node: s.u16(2),
-                from: s.u16(3),
-                kind: FrameKind::ALL[s.index(4)],
-                conn: s.has(5).then(|| s.u32(5)),
-                seq: s.has(6).then(|| s.num[6]),
+                node: s.u16(1),
+                from: s.u16(2),
+                kind: FrameKind::ALL[s.index(3)],
+                conn: s.has(4).then(|| s.u32(4)),
+                seq: s.has(5).then(|| s.num[5]),
             },
             Kind::Drop => TelemetryEvent::Drop {
                 t,
-                shard,
-                node: s.u16(2),
-                reason: DropKind::ALL[s.index(3)],
-                kind: FrameKind::ALL[s.index(4)],
-                conn: s.has(5).then(|| s.u32(5)),
+                node: s.u16(1),
+                reason: DropKind::ALL[s.index(2)],
+                kind: FrameKind::ALL[s.index(3)],
+                conn: s.has(4).then(|| s.u32(4)),
             },
             Kind::ForgedRrep => TelemetryEvent::ForgedRrep {
                 t,
-                shard,
-                node: s.u16(2),
-                from: s.u16(3),
+                node: s.u16(1),
+                from: s.u16(2),
             },
             Kind::Suspicion => TelemetryEvent::Suspicion {
                 t,
-                shard,
-                node: s.u16(2),
-                suspect: s.u16(3),
-                score: s.f64(4),
-                table: s.u32(5),
+                node: s.u16(1),
+                suspect: s.u16(2),
+                score: s.f64(3),
+                table: s.u32(4),
             },
             Kind::Timer => TelemetryEvent::Timer {
                 t,
-                shard,
-                node: s.u16(2),
-                class: TimerClass::ALL[s.index(3)],
-                scope: s.u16(4),
+                node: s.u16(1),
+                class: TimerClass::ALL[s.index(2)],
+                scope: s.u16(3),
             },
             Kind::FlowComplete => TelemetryEvent::FlowComplete {
                 t,
-                shard,
-                node: s.u16(2),
-                conn: s.u32(3),
-                bytes: s.num[4],
+                node: s.u16(1),
+                conn: s.u32(2),
+                bytes: s.num[3],
             },
             Kind::Provenance => TelemetryEvent::Provenance {
                 t,
-                shard,
-                stage: Stage::ALL[s.index(2)],
-                node: s.u16(3),
-                conn: s.u32(4),
-                seq: s.num[5],
-                kind: FrameKind::ALL[s.index(6)],
+                stage: Stage::ALL[s.index(1)],
+                node: s.u16(2),
+                conn: s.u32(3),
+                seq: s.num[4],
+                kind: FrameKind::ALL[s.index(5)],
             },
             Kind::Window => {
-                let (queue_peak, suspicion_peak) = (s.u32(4), s.u32(6));
+                let (queue_peak, suspicion_peak) = (s.u32(3), s.u32(5));
                 let [goodput, fluid_demand, fluid_alloc] = s.maps;
                 TelemetryEvent::Window {
                     t,
-                    shard,
-                    window: s.num[2],
+                    window: s.num[1],
                     stats: Box::new(WindowStats {
                         goodput,
                         queue_peak,
-                        cal_resizes: s.num[5],
+                        cal_resizes: s.num[4],
                         suspicion_peak,
-                        xshard: s.num[7],
                         fluid_demand,
                         fluid_alloc,
                     }),

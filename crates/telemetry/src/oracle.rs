@@ -3,9 +3,10 @@
 //! encoder, and a parser that first builds a generic field list
 //! (`parse_object`) and then takes fields out of it by name (`Fields`).
 //!
-//! Only the `Window` arms and the label fields were touched, to follow the
-//! window payload into `WindowStats` and the labels into their one-byte
-//! enums.  The parser's number handling is deliberately left as it
+//! Only the `Window` arms, the label fields and the field lists were
+//! touched, to follow the window payload into `WindowStats`, the labels into
+//! their one-byte enums and the format into NDJSON v2 (no `shard` or
+//! `xshard` key).  The parser's number handling is deliberately left as it
 //! was: it accepts `+5`, `.5`, `5.` and `007`, which `crate::json` rejects.
 
 use crate::event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
@@ -20,7 +21,6 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
     match ev {
         TelemetryEvent::Originate {
             t,
-            shard,
             node,
             conn,
             seq,
@@ -28,7 +28,6 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             bytes,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "conn", u64::from(*conn));
             push_u64(&mut s, "seq", *seq);
@@ -37,14 +36,12 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
         }
         TelemetryEvent::FrameEnqueue {
             t,
-            shard,
             node,
             kind,
             bytes,
             queue,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_str(&mut s, "kind", kind.label());
             push_u64(&mut s, "bytes", u64::from(*bytes));
@@ -52,31 +49,22 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
         }
         TelemetryEvent::TxStart {
             t,
-            shard,
             node,
             kind,
             bytes,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_str(&mut s, "kind", kind.label());
             push_u64(&mut s, "bytes", u64::from(*bytes));
         }
-        TelemetryEvent::Collision {
-            t,
-            shard,
-            node,
-            from,
-        } => {
+        TelemetryEvent::Collision { t, node, from } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "from", u64::from(*from));
         }
         TelemetryEvent::Deliver {
             t,
-            shard,
             node,
             from,
             kind,
@@ -84,7 +72,6 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             seq,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "from", u64::from(*from));
             push_str(&mut s, "kind", kind.label());
@@ -97,14 +84,12 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
         }
         TelemetryEvent::Drop {
             t,
-            shard,
             node,
             reason,
             kind,
             conn,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_str(&mut s, "reason", reason.label());
             push_str(&mut s, "kind", kind.label());
@@ -112,27 +97,19 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
                 push_u64(&mut s, "conn", u64::from(*c));
             }
         }
-        TelemetryEvent::ForgedRrep {
-            t,
-            shard,
-            node,
-            from,
-        } => {
+        TelemetryEvent::ForgedRrep { t, node, from } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "from", u64::from(*from));
         }
         TelemetryEvent::Suspicion {
             t,
-            shard,
             node,
             suspect,
             score,
             table,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "suspect", u64::from(*suspect));
             push_num(&mut s, "score", *score);
@@ -140,33 +117,28 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
         }
         TelemetryEvent::Timer {
             t,
-            shard,
             node,
             class,
             scope,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_str(&mut s, "class", class.label());
             push_u64(&mut s, "scope", u64::from(*scope));
         }
         TelemetryEvent::FlowComplete {
             t,
-            shard,
             node,
             conn,
             bytes,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "conn", u64::from(*conn));
             push_u64(&mut s, "bytes", *bytes);
         }
         TelemetryEvent::Provenance {
             t,
-            shard,
             stage,
             node,
             conn,
@@ -174,36 +146,27 @@ pub(crate) fn to_ndjson(ev: &TelemetryEvent) -> String {
             kind,
         } => {
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_str(&mut s, "stage", stage.label());
             push_u64(&mut s, "node", u64::from(*node));
             push_u64(&mut s, "conn", u64::from(*conn));
             push_u64(&mut s, "seq", *seq);
             push_str(&mut s, "kind", kind.label());
         }
-        TelemetryEvent::Window {
-            t,
-            shard,
-            window,
-            stats,
-        } => {
+        TelemetryEvent::Window { t, window, stats } => {
             let WindowStats {
                 goodput,
                 queue_peak,
                 cal_resizes,
                 suspicion_peak,
-                xshard,
                 fluid_demand,
                 fluid_alloc,
             } = &**stats;
             push_num(&mut s, "t", *t);
-            push_u64(&mut s, "shard", u64::from(*shard));
             push_u64(&mut s, "window", *window);
             push_u64_map(&mut s, "goodput", goodput);
             push_u64(&mut s, "queue_peak", u64::from(*queue_peak));
             push_u64(&mut s, "cal_resizes", *cal_resizes);
             push_u64(&mut s, "suspicion_peak", u64::from(*suspicion_peak));
-            push_u64(&mut s, "xshard", *xshard);
             push_u64_map(&mut s, "fluid_demand", fluid_demand);
             push_u64_map(&mut s, "fluid_alloc", fluid_alloc);
         }
@@ -277,7 +240,6 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
     let event = match ev.as_str() {
         "originate" => TelemetryEvent::Originate {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             conn: f.take_u32("conn")?,
             seq: f.take_u64("seq")?,
@@ -286,7 +248,6 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
         },
         "frame_enqueue" => TelemetryEvent::FrameEnqueue {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             kind: f.take_label("kind", FrameKind::from_label)?,
             bytes: f.take_u32("bytes")?,
@@ -294,20 +255,17 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
         },
         "tx_start" => TelemetryEvent::TxStart {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             kind: f.take_label("kind", FrameKind::from_label)?,
             bytes: f.take_u32("bytes")?,
         },
         "collision" => TelemetryEvent::Collision {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             from: f.take_u16("from")?,
         },
         "deliver" => TelemetryEvent::Deliver {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             from: f.take_u16("from")?,
             kind: f.take_label("kind", FrameKind::from_label)?,
@@ -316,7 +274,6 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
         },
         "drop" => TelemetryEvent::Drop {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             reason: {
                 let label = f.take_str("reason")?;
@@ -328,13 +285,11 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
         },
         "forged_rrep" => TelemetryEvent::ForgedRrep {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             from: f.take_u16("from")?,
         },
         "suspicion" => TelemetryEvent::Suspicion {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             suspect: f.take_u16("suspect")?,
             score: f.take_f64("score")?,
@@ -342,21 +297,18 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
         },
         "timer" => TelemetryEvent::Timer {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             class: f.take_label("class", TimerClass::from_label)?,
             scope: f.take_u16("scope")?,
         },
         "flow_complete" => TelemetryEvent::FlowComplete {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             node: f.take_u16("node")?,
             conn: f.take_u32("conn")?,
             bytes: f.take_u64("bytes")?,
         },
         "provenance" => TelemetryEvent::Provenance {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             stage: f.take_label("stage", Stage::from_label)?,
             node: f.take_u16("node")?,
             conn: f.take_u32("conn")?,
@@ -365,14 +317,12 @@ pub(crate) fn parse_line(line: &str) -> Result<TelemetryEvent, String> {
         },
         "window" => TelemetryEvent::Window {
             t: f.take_f64("t")?,
-            shard: f.take_u16("shard")?,
             window: f.take_u64("window")?,
             stats: Box::new(WindowStats {
                 goodput: f.take_u64_map("goodput")?,
                 queue_peak: f.take_u32("queue_peak")?,
                 cal_resizes: f.take_u64("cal_resizes")?,
                 suspicion_peak: f.take_u32("suspicion_peak")?,
-                xshard: f.take_u64("xshard")?,
                 fluid_demand: f.take_u64_map("fluid_demand")?,
                 fluid_alloc: f.take_u64_map("fluid_alloc")?,
             }),

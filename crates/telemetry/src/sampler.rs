@@ -87,7 +87,6 @@ impl Sampler {
         stats.cal_resizes = acc.cal_last.saturating_sub(acc.cal_base);
         out.push(TelemetryEvent::Window {
             t: (idx + 1) as f64 * self.window_secs,
-            shard: 0,
             window: idx,
             stats,
         });

@@ -16,7 +16,6 @@ fn exemplars() -> Vec<TelemetryEvent> {
     vec![
         TelemetryEvent::Originate {
             t: 0.125,
-            shard: 0,
             node: 3,
             conn: 1,
             seq: 1448,
@@ -25,7 +24,6 @@ fn exemplars() -> Vec<TelemetryEvent> {
         },
         TelemetryEvent::FrameEnqueue {
             t: 0.25,
-            shard: 1,
             node: 7,
             kind: FrameKind::Data,
             bytes: 1500,
@@ -33,20 +31,17 @@ fn exemplars() -> Vec<TelemetryEvent> {
         },
         TelemetryEvent::TxStart {
             t: 0.3,
-            shard: 0,
             node: 7,
             kind: FrameKind::Rreq,
             bytes: 64,
         },
         TelemetryEvent::Collision {
             t: 0.4,
-            shard: 2,
             node: 9,
             from: 11,
         },
         TelemetryEvent::Deliver {
             t: 0.5,
-            shard: 0,
             node: 20,
             from: 19,
             kind: FrameKind::Data,
@@ -55,7 +50,6 @@ fn exemplars() -> Vec<TelemetryEvent> {
         },
         TelemetryEvent::Drop {
             t: 0.6,
-            shard: 0,
             node: 5,
             reason: DropKind::QueueOverflow,
             kind: FrameKind::Data,
@@ -63,13 +57,11 @@ fn exemplars() -> Vec<TelemetryEvent> {
         },
         TelemetryEvent::ForgedRrep {
             t: 0.7,
-            shard: 0,
             node: 2,
             from: 40,
         },
         TelemetryEvent::Suspicion {
             t: 0.8,
-            shard: 0,
             node: 2,
             suspect: 40,
             score: 1.5,
@@ -77,22 +69,19 @@ fn exemplars() -> Vec<TelemetryEvent> {
         },
         TelemetryEvent::Timer {
             t: 0.9,
-            shard: 0,
             node: 3,
             class: TimerClass::Transport,
             scope: 1,
         },
         TelemetryEvent::FlowComplete {
             t: 1.0,
-            shard: 0,
             node: 3,
             conn: 1,
             bytes: 5_000_000,
         },
         TelemetryEvent::Provenance {
             t: 1.1,
-            shard: 1,
-            stage: Stage::CrossShard,
+            stage: Stage::Tunnel,
             node: 12,
             conn: 1,
             seq: 1448,
@@ -100,14 +89,12 @@ fn exemplars() -> Vec<TelemetryEvent> {
         },
         TelemetryEvent::Window {
             t: 2.0,
-            shard: 1,
             window: 1,
             stats: Box::new(WindowStats {
                 goodput: BTreeMap::from([(1, 4096), (7, 512)]),
                 queue_peak: 9,
                 cal_resizes: 2,
                 suspicion_peak: 4,
-                xshard: 17,
                 fluid_demand: BTreeMap::from([(0, 16_000), (3, 8_000)]),
                 fluid_alloc: BTreeMap::from([(0, 12_500), (3, 8_000)]),
             }),
@@ -129,7 +116,6 @@ fn every_variant_round_trips_exactly() {
 fn optional_fields_may_be_absent() {
     let ev = TelemetryEvent::Deliver {
         t: 0.5,
-        shard: 0,
         node: 20,
         from: 19,
         kind: FrameKind::Rrep,
@@ -148,7 +134,6 @@ fn large_packet_seq_stays_exact() {
     let seq = (u64::from(u16::MAX) << 40) | 12345;
     let ev = TelemetryEvent::Provenance {
         t: 3.5,
-        shard: 0,
         stage: Stage::Deliver,
         node: 1,
         conn: 9,
@@ -164,20 +149,17 @@ fn large_packet_seq_stays_exact() {
 #[test]
 fn schema_is_strict() {
     // Unknown event name.
-    assert!(parse_line(r#"{"ev":"bogus","t":1,"shard":0}"#).is_err());
+    assert!(parse_line(r#"{"ev":"bogus","t":1}"#).is_err());
     // Missing field.
-    assert!(parse_line(r#"{"ev":"collision","t":1,"shard":0,"node":1}"#).is_err());
+    assert!(parse_line(r#"{"ev":"collision","t":1,"node":1}"#).is_err());
     // Extra field.
-    assert!(parse_line(r#"{"ev":"collision","t":1,"shard":0,"node":1,"from":2,"zzz":3}"#).is_err());
+    assert!(parse_line(r#"{"ev":"collision","t":1,"node":1,"from":2,"zzz":3}"#).is_err());
     // Label outside its vocabulary.
-    assert!(
-        parse_line(r#"{"ev":"tx_start","t":1,"shard":0,"node":1,"kind":"NOPE","bytes":8}"#)
-            .is_err()
-    );
+    assert!(parse_line(r#"{"ev":"tx_start","t":1,"node":1,"kind":"NOPE","bytes":8}"#).is_err());
     // Integer overflow of the declared width.
-    assert!(parse_line(r#"{"ev":"collision","t":1,"shard":0,"node":70000,"from":2}"#).is_err());
+    assert!(parse_line(r#"{"ev":"collision","t":1,"node":70000,"from":2}"#).is_err());
     // Repeated field.
-    assert!(parse_line(r#"{"ev":"collision","t":1,"t":2,"shard":0,"node":1,"from":2}"#).is_err());
+    assert!(parse_line(r#"{"ev":"collision","t":1,"t":2,"node":1,"from":2}"#).is_err());
     // Not an object at all.
     assert!(parse_line("[1,2,3]").is_err());
 }
@@ -229,14 +211,8 @@ fn sampler_buckets_and_skips_empty_windows() {
         .events()
         .iter()
         .filter_map(|e| match e {
-            TelemetryEvent::Window {
-                t,
-                shard,
-                window,
-                stats,
-            } => Some((
+            TelemetryEvent::Window { t, window, stats } => Some((
                 *t,
-                *shard,
                 *window,
                 stats.goodput.clone(),
                 stats.queue_peak,
@@ -247,13 +223,12 @@ fn sampler_buckets_and_skips_empty_windows() {
         .collect();
     assert_eq!(windows.len(), 2, "empty windows must be skipped");
     assert_eq!(windows[0].0, 1.0, "window line stamped with its end time");
-    assert_eq!(windows[0].1, 0, "the shard key is always 0");
-    assert_eq!(windows[0].2, 0);
-    assert_eq!(windows[0].3, BTreeMap::from([(1, 150)]));
-    assert_eq!(windows[0].4, 4);
-    assert_eq!(windows[1].2, 3);
-    assert_eq!(windows[1].3, BTreeMap::from([(2, 7)]));
-    assert_eq!(windows[1].5, 5, "resize delta against previous window");
+    assert_eq!(windows[0].1, 0);
+    assert_eq!(windows[0].2, BTreeMap::from([(1, 150)]));
+    assert_eq!(windows[0].3, 4);
+    assert_eq!(windows[1].1, 3);
+    assert_eq!(windows[1].2, BTreeMap::from([(2, 7)]));
+    assert_eq!(windows[1].4, 5, "resize delta against previous window");
     check_monotone(tel.events()).unwrap();
 }
 
@@ -292,7 +267,6 @@ fn emit_rolls_the_sampler_first() {
     tel.note_goodput(0.5, 1, 10);
     tel.emit(TelemetryEvent::Collision {
         t: 1.5,
-        shard: 0,
         node: 1,
         from: 2,
     });
@@ -319,24 +293,20 @@ fn provenance_tag_matches_exactly() {
 
 #[test]
 fn check_monotone_rejects_any_step_back_in_time() {
-    let at = |t: f64, shard: u16| TelemetryEvent::Collision {
+    let at = |t: f64| TelemetryEvent::Collision {
         t,
-        shard,
         node: 1,
         from: 2,
     };
-    check_monotone(&[at(1.0, 0), at(1.0, 0), at(2.0, 0)]).unwrap();
-    let err = check_monotone(&[at(1.0, 0), at(2.0, 0), at(1.5, 0)]).unwrap_err();
+    check_monotone(&[at(1.0), at(1.0), at(2.0)]).unwrap();
+    let err = check_monotone(&[at(1.0), at(2.0), at(1.5)]).unwrap_err();
     assert_eq!(err, "event 2 (collision) at t=1.5 precedes t=2");
-    // The `shard` key does not split the stream into separate orders.
-    assert!(check_monotone(&[at(2.0, 1), at(1.0, 0)]).is_err());
 }
 
 #[test]
 fn conservation_ledger_accounts_terminal_drops() {
     let mk_orig = |conn: u32| TelemetryEvent::Originate {
         t: 0.0,
-        shard: 0,
         node: 1,
         conn,
         seq: 0,
@@ -345,7 +315,6 @@ fn conservation_ledger_accounts_terminal_drops() {
     };
     let deliver = TelemetryEvent::Deliver {
         t: 1.0,
-        shard: 0,
         node: 2,
         from: 1,
         kind: FrameKind::Data,
@@ -354,7 +323,6 @@ fn conservation_ledger_accounts_terminal_drops() {
     };
     let terminal = TelemetryEvent::Drop {
         t: 1.0,
-        shard: 0,
         node: 1,
         reason: DropKind::NoRoute,
         kind: FrameKind::Data,
@@ -362,7 +330,6 @@ fn conservation_ledger_accounts_terminal_drops() {
     };
     let non_terminal = TelemetryEvent::Drop {
         t: 1.0,
-        shard: 0,
         node: 1,
         reason: DropKind::RetryLimit,
         kind: FrameKind::Data,
@@ -451,7 +418,7 @@ fn config_validation_rejects_bad_windows() {
 
 /// Strategy-built events with randomised numeric fields, cycling through
 /// every label vocabulary entry.
-fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> TelemetryEvent {
+fn arbitrary_event(pick: u64, t: f64, node: u16, big: u64) -> TelemetryEvent {
     let kind = FrameKind::ALL[(pick % FrameKind::ALL.len() as u64) as usize];
     let stage = Stage::ALL[(pick % Stage::ALL.len() as u64) as usize];
     let class = TimerClass::ALL[(pick % TimerClass::ALL.len() as u64) as usize];
@@ -460,7 +427,6 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
     match pick % 12 {
         0 => TelemetryEvent::Originate {
             t,
-            shard,
             node,
             conn,
             seq: big,
@@ -469,7 +435,6 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
         },
         1 => TelemetryEvent::FrameEnqueue {
             t,
-            shard,
             node,
             kind,
             bytes: (big % 65536) as u32,
@@ -477,20 +442,17 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
         },
         2 => TelemetryEvent::TxStart {
             t,
-            shard,
             node,
             kind,
             bytes: (big % 65536) as u32,
         },
         3 => TelemetryEvent::Collision {
             t,
-            shard,
             node,
             from: node.wrapping_add(1),
         },
         4 => TelemetryEvent::Deliver {
             t,
-            shard,
             node,
             from: node.wrapping_add(1),
             kind,
@@ -499,7 +461,6 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
         },
         5 => TelemetryEvent::Drop {
             t,
-            shard,
             node,
             reason,
             kind,
@@ -507,13 +468,11 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
         },
         6 => TelemetryEvent::ForgedRrep {
             t,
-            shard,
             node,
             from: node.wrapping_add(7),
         },
         7 => TelemetryEvent::Suspicion {
             t,
-            shard,
             node,
             suspect: node.wrapping_add(7),
             score: (pick % 1000) as f64 / 8.0,
@@ -521,21 +480,18 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
         },
         8 => TelemetryEvent::Timer {
             t,
-            shard,
             node,
             class,
             scope: (pick % 500) as u16,
         },
         9 => TelemetryEvent::FlowComplete {
             t,
-            shard,
             node,
             conn,
             bytes: big,
         },
         10 => TelemetryEvent::Provenance {
             t,
-            shard,
             stage,
             node,
             conn,
@@ -546,7 +502,6 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
         // a window that saw no delivery).
         _ => TelemetryEvent::Window {
             t,
-            shard,
             window: pick % 1000,
             stats: Box::new(WindowStats {
                 goodput: if pick.is_multiple_of(5) {
@@ -557,7 +512,6 @@ fn arbitrary_event(pick: u64, t: f64, shard: u16, node: u16, big: u64) -> Teleme
                 queue_peak: (pick % 64) as u32,
                 cal_resizes: pick % 10,
                 suspicion_peak: (pick % 50) as u32,
-                xshard: pick % 10_000,
                 fluid_demand: if pick.is_multiple_of(5) {
                     BTreeMap::new()
                 } else {
@@ -579,12 +533,11 @@ proptest! {
     fn prop_round_trip(
         pick in 0u64..1_000_000,
         mantissa in 0u64..1_000_000_000,
-        shard in 0u16..64,
         node in proptest::any::<u16>(),
         big in proptest::any::<u64>(),
     ) {
         let t = mantissa as f64 / 4096.0;
-        let ev = arbitrary_event(pick, t, shard, node, big);
+        let ev = arbitrary_event(pick, t, node, big);
         let line = ev.to_ndjson();
         let back = parse_line(&line).map_err(proptest::TestCaseError::fail)?;
         prop_assert_eq!(&back, &ev);
@@ -603,15 +556,15 @@ proptest! {
         for (i, (o, conn)) in outcomes.iter().zip(&conns).enumerate() {
             let seq = i as u64 * 1448;
             events.push(TelemetryEvent::Originate {
-                t: i as f64, shard: 0, node: 1, conn: *conn, seq, data: true, bytes: 1448,
+                t: i as f64, node: 1, conn: *conn, seq, data: true, bytes: 1448,
             });
             match o {
                 0 => events.push(TelemetryEvent::Deliver {
-                    t: i as f64 + 0.5, shard: 0, node: 2, from: 1, kind: FrameKind::Data,
+                    t: i as f64 + 0.5, node: 2, from: 1, kind: FrameKind::Data,
                     conn: Some(*conn), seq: Some(seq),
                 }),
                 1 => events.push(TelemetryEvent::Drop {
-                    t: i as f64 + 0.5, shard: 0, node: 1,
+                    t: i as f64 + 0.5, node: 1,
                     reason: DropKind::NoRoute, kind: FrameKind::Data, conn: Some(*conn),
                 }),
                 _ => { *expected_residual.entry(*conn).or_insert(0) += 1; }
@@ -756,14 +709,19 @@ fn mutated(line: &str, which: u64, state: &mut u64) -> String {
             more.insert(at + 1, "\"zzz\":3");
             object_of(&more)
         }
-        // One past the u16 and the u32 range.
-        3 => with_value(line, &["node", "from", "shard"], "65536").expect("a shard at least"),
+        // One past the u16 and the u32 range.  A window has no u16 field and
+        // a collision, a forged RREP and a timer have no u32 field: each
+        // takes the other width's overflow instead.
+        3 => with_value(line, &["node", "from"], "65536")
+            .or_else(|| with_value(line, &["queue_peak"], "4294967296"))
+            .expect("a node or a queue peak"),
         4 => with_value(
             line,
-            &["conn", "bytes", "queue", "table", "queue_peak", "shard"],
+            &["conn", "bytes", "queue", "table", "queue_peak"],
             "4294967296",
         )
-        .expect("a shard at least"),
+        .or_else(|| with_value(line, &["node"], "4294967296"))
+        .expect("a node at least"),
         // A label outside its vocabulary (the event name, for want of another).
         5 => with_value(
             line,
@@ -820,7 +778,7 @@ fn drawn_event(pick: u64, mantissa: u64, node: u16, big: u64) -> TelemetryEvent 
             .filter(|t| t.is_finite())
             .unwrap_or(0.0),
     };
-    arbitrary_event(pick / 3, t, (pick % 64) as u16, node, big)
+    arbitrary_event(pick / 3, t, node, big)
 }
 
 proptest! {
@@ -903,9 +861,7 @@ proptest! {
 
 /// A `suspicion` line with `t`, `node` and `score` spelled as given.
 fn suspicion_line(t: &str, node: &str, score: &str) -> String {
-    format!(
-        r#"{{"ev":"suspicion","t":{t},"shard":0,"node":{node},"suspect":4,"score":{score},"table":3}}"#
-    )
+    format!(r#"{{"ev":"suspicion","t":{t},"node":{node},"suspect":4,"score":{score},"table":3}}"#)
 }
 
 /// Each of `t`, `node`, `score` in turn spelled `bad`: refused, by name.
@@ -980,7 +936,7 @@ fn exponents_and_fractions_are_legal_on_the_two_float_fields_only() {
 fn map_keys_and_counts_follow_the_integer_grammar() {
     let window = |goodput: &str| {
         format!(
-            r#"{{"ev":"window","t":1,"shard":0,"window":0,"goodput":{goodput},"queue_peak":0,"cal_resizes":0,"suspicion_peak":0,"xshard":0,"fluid_demand":{{}},"fluid_alloc":{{}}}}"#
+            r#"{{"ev":"window","t":1,"window":0,"goodput":{goodput},"queue_peak":0,"cal_resizes":0,"suspicion_peak":0,"fluid_demand":{{}},"fluid_alloc":{{}}}}"#
         )
     };
     assert!(parse_line(&window(r#"{"1":5,"0":6}"#)).is_ok());
@@ -1000,9 +956,8 @@ fn map_keys_and_counts_follow_the_integer_grammar() {
 
 #[test]
 fn unicode_escapes_take_exactly_four_hex_digits() {
-    let line = |kind: &str| {
-        format!(r#"{{"ev":"tx_start","t":1,"shard":0,"node":1,"kind":"{kind}","bytes":8}}"#)
-    };
+    let line =
+        |kind: &str| format!(r#"{{"ev":"tx_start","t":1,"node":1,"kind":"{kind}","bytes":8}}"#);
     assert!(parse_line(&line(r"D\u0041TA")).is_ok());
     assert!(
         parse_line(&line(r"D\u004aTA")).is_err(),

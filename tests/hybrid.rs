@@ -261,7 +261,9 @@ fn small_hybrid_run_keeps_its_trace_and_fluid_ledger() {
 /// endpoints whose leg changes force epochs and resample corridors, and
 /// telemetry windows carrying the per-region `fluid_demand`/`fluid_alloc`
 /// maps.  Pinned: the packet trace, every fluid ledger row, the completed
-/// count and the FxHash of the run's NDJSON stream.
+/// count and the FxHash of the run's NDJSON stream.  The stream's v2 pin is
+/// the v1 stream (1 430 589 bytes, FxHash 17 174 040 034 934 135 617) with
+/// every `,"shard":0` and `,"xshard":0` deleted.
 #[test]
 fn mixed_demand_hybrid_run_keeps_its_trace_ledger_and_stream() {
     let spec =
@@ -319,8 +321,8 @@ fn mixed_demand_hybrid_run_keeps_its_trace_ledger_and_stream() {
             6412514128305459891,
             2_743_227,
             90,
-            1_430_589,
-            17174040034934135617
+            1_280_363,
+            6342558166062381059
         )
     );
 }

@@ -16,6 +16,7 @@
 
 use manet_experiments::runner::run_scenario_with_recorder;
 use manet_experiments::{AttackConfig, Protocol, Scenario};
+use manet_netsim::telemetry::json::parse_line;
 use manet_netsim::telemetry::{
     check_conservation, check_monotone, validate_lines, write_ndjson, DropKind, Stage, StringSink,
     TelemetryEvent,
@@ -144,8 +145,7 @@ fn blackhole_multiflow_run_satisfies_the_stream_invariants() {
     let recorder = run(scenario);
     assert_stream_invariants(&recorder, "black-hole run");
     let events = recorder.telemetry.events();
-    // One stream: globally non-decreasing time, and the `shard` key every
-    // event keeps for format stability is always 0.
+    // One stream: globally non-decreasing time.
     for pair in events.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
         assert!(
@@ -153,7 +153,6 @@ fn blackhole_multiflow_run_satisfies_the_stream_invariants() {
             "stream out of order: {a:?} then {b:?}"
         );
     }
-    assert!(events.iter().all(|ev| ev.shard() == 0));
 }
 
 #[test]
@@ -332,7 +331,10 @@ fn tagged_packet_walks_the_pipeline_in_order() {
 
 /// The NDJSON bytes of one fixed run, pinned by length and FxHash: the
 /// in-memory event layout and the codec may change, the wire format may not.
-/// A deliberate format change updates both numbers and says so.
+/// A deliberate format change updates both numbers and says so.  The v1
+/// stream of this run was 4 077 702 bytes with FxHash 16 261 995 561 051 158 861;
+/// the v2 pin below is exactly those bytes with every `,"shard":0` and
+/// `,"xshard":0` deleted.
 #[test]
 fn ndjson_bytes_of_a_fixed_run_are_pinned() {
     let mut scenario =
@@ -345,9 +347,33 @@ fn ndjson_bytes_of_a_fixed_run_are_pinned() {
     h.write(sink.0.as_bytes());
     assert_eq!(
         (sink.0.len(), h.finish()),
-        (4_077_702, 16_261_995_561_051_158_861),
+        (3_645_071, 15_035_400_315_220_484_574),
         "the NDJSON bytes moved"
     );
+}
+
+/// A v1 stream (written before the dead `shard` and `xshard` keys were
+/// dropped: one line of each event kind, kept in `tests/data`) is not v2.
+/// The strict parser refuses every line by naming the first legacy key, as
+/// it would any unknown field; `tools/trace_summary.py` still reads it.
+#[test]
+fn the_strict_parser_rejects_every_v1_line_by_its_shard_key() {
+    let v1 = include_str!("data/telemetry_v1.ndjson");
+    let mut kinds = std::collections::BTreeSet::new();
+    for line in v1.lines() {
+        assert_eq!(
+            parse_line(line),
+            Err(r#"unknown field "shard""#.to_string()),
+            "on {line}"
+        );
+        let v2 = line
+            .replace(r#","shard":0"#, "")
+            .replace(r#","xshard":0"#, "");
+        let event = parse_line(&v2).unwrap_or_else(|e| panic!("{v2}: {e}"));
+        assert_eq!(event.to_ndjson(), v2, "the v2 line is not canonical");
+        kinds.insert(event.name());
+    }
+    assert_eq!(kinds.len(), 12, "the fixture holds one line of each kind");
 }
 
 /// A run with telemetry disabled must match an enabled run exactly: same

@@ -11,8 +11,12 @@ drops), flow completions, the sampler's goodput time-series and, when
 carry a known ``ev`` discriminator with exactly the fields of
 docs/OBSERVABILITY.md's schema table, and timestamps must never decrease
 along the stream.  Exit status 0 means the stream is well-formed (CI runs
-this against the smoke artifact).  The ``shard`` key is required by the
-schema but always 0: it is kept so the format stays stable.
+this against the smoke artifact).
+
+The schema is NDJSON v2.  v1 streams, written before the sharded engine
+was removed, also carry ``shard`` on every line and ``xshard`` on window
+lines, both always 0; those keys (``LEGACY_FIELDS``) are ignored, so old
+streams still check and summarise.
 
 Usage: python3 tools/trace_summary.py [--check] [FILE.ndjson]
        (no file: read stdin)
@@ -24,25 +28,28 @@ import sys
 from collections import Counter
 
 # ev -> (required fields, optional fields).  Mirrors the Rust encoder in
-# crates/telemetry/src/event.rs; keep the two in sync.
+# crates/telemetry/src/event.rs; tests/vocab_sync.rs fails when they differ.
 SCHEMA = {
-    "originate": ({"t", "shard", "node", "conn", "seq", "data", "bytes"}, set()),
-    "frame_enqueue": ({"t", "shard", "node", "kind", "bytes", "queue"}, set()),
-    "tx_start": ({"t", "shard", "node", "kind", "bytes"}, set()),
-    "collision": ({"t", "shard", "node", "from"}, set()),
-    "deliver": ({"t", "shard", "node", "from", "kind"}, {"conn", "seq"}),
-    "drop": ({"t", "shard", "node", "reason", "kind"}, {"conn"}),
-    "forged_rrep": ({"t", "shard", "node", "from"}, set()),
-    "suspicion": ({"t", "shard", "node", "suspect", "score", "table"}, set()),
-    "timer": ({"t", "shard", "node", "class", "scope"}, set()),
-    "flow_complete": ({"t", "shard", "node", "conn", "bytes"}, set()),
-    "provenance": ({"t", "shard", "stage", "node", "conn", "seq", "kind"}, set()),
+    "originate": ({"t", "node", "conn", "seq", "data", "bytes"}, set()),
+    "frame_enqueue": ({"t", "node", "kind", "bytes", "queue"}, set()),
+    "tx_start": ({"t", "node", "kind", "bytes"}, set()),
+    "collision": ({"t", "node", "from"}, set()),
+    "deliver": ({"t", "node", "from", "kind"}, {"conn", "seq"}),
+    "drop": ({"t", "node", "reason", "kind"}, {"conn"}),
+    "forged_rrep": ({"t", "node", "from"}, set()),
+    "suspicion": ({"t", "node", "suspect", "score", "table"}, set()),
+    "timer": ({"t", "node", "class", "scope"}, set()),
+    "flow_complete": ({"t", "node", "conn", "bytes"}, set()),
+    "provenance": ({"t", "stage", "node", "conn", "seq", "kind"}, set()),
     "window": (
-        {"t", "shard", "window", "goodput", "queue_peak", "cal_resizes",
-         "suspicion_peak", "xshard", "fluid_demand", "fluid_alloc"},
+        {"t", "window", "goodput", "queue_peak", "cal_resizes",
+         "suspicion_peak", "fluid_demand", "fluid_alloc"},
         set(),
     ),
 }
+
+# Keys of v1 streams that v2 dropped; accepted anywhere and ignored.
+LEGACY_FIELDS = {"shard", "xshard"}
 
 DROP_REASONS = {
     "queue_overflow", "retry_limit", "jammed", "adversary",
@@ -55,7 +62,7 @@ NON_TERMINAL = {"retry_limit", "jammed"}
 
 FRAME_KINDS = {"RREQ", "RREP", "RERR", "CHECK", "CHECK_ERR", "DATA"}
 STAGES = {"originate", "enqueue", "tx_start", "relay", "deliver", "drop",
-          "tunnel", "cross_shard"}
+          "tunnel"}
 TIMER_CLASSES = {"routing", "routing_aux", "transport", "application"}
 
 
@@ -65,7 +72,7 @@ def check_line(i: int, ev: dict) -> str | None:
     if name not in SCHEMA:
         return f"line {i}: unknown event type {name!r}"
     required, optional = SCHEMA[name]
-    fields = set(ev) - {"ev"}
+    fields = set(ev) - {"ev"} - LEGACY_FIELDS
     if missing := required - fields:
         return f"line {i}: {name} missing fields {sorted(missing)}"
     if extra := fields - required - optional:
