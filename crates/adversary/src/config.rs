@@ -7,11 +7,10 @@
 
 use manet_netsim::{Duration, JamConfig, JamTarget, RushConfig, WormholeConfig};
 use manet_wire::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How colluding eavesdroppers are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoalitionPlacement {
     /// `k` distinct non-endpoint nodes drawn uniformly from the scenario seed
     /// (nested: the size-`k` coalition is a prefix of the size-`k+1` one, so
@@ -33,7 +32,7 @@ impl CoalitionPlacement {
 }
 
 /// Which per-node packet set the coalition unions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoverageBasis {
     /// Packets *received to relay* (the paper's β, Fig. 7 worst-case basis).
     Relayed,
@@ -43,7 +42,7 @@ pub enum CoverageBasis {
 }
 
 /// The adversary model of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackKind {
     /// No adversary: the clean baseline every attack is compared against.
     None,
@@ -103,7 +102,7 @@ pub enum AttackKind {
 }
 
 /// Attack configuration carried by a scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackConfig {
     /// The adversary model (and its intensity knobs).
     pub kind: AttackKind,

@@ -1,7 +1,6 @@
 //! MTS protocol configuration.
 
 use manet_routing::suspicion::RouteCheckConfig;
-use serde::{Deserialize, Serialize};
 
 /// Tuning parameters for the MTS protocol.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// hardening mode (suspicious-reply cross-validation + per-relay suspicion,
 /// see [`RouteCheckConfig`]) is off by default, keeping the default
 /// configuration byte-identical to the paper's protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MtsConfig {
     /// Maximum number of disjoint paths kept at the destination (paper: 5).
     pub max_paths: usize,

@@ -9,10 +9,9 @@
 use crate::disjoint::{first_last_hop_disjoint, has_loop};
 use manet_netsim::SimTime;
 use manet_wire::{BroadcastId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// One stored path at the destination.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredPath {
     /// Full node sequence `source, intermediates..., destination`.
     pub full_path: Vec<NodeId>,

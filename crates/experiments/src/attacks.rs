@@ -16,11 +16,10 @@ use crate::runner::run_scenario;
 use crate::scenario::Scenario;
 use manet_adversary::AttackConfig;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Specification of an attack matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackSweepSpec {
     /// Protocols to compare.
     pub protocols: Vec<Protocol>,
@@ -66,7 +65,7 @@ impl AttackSweepSpec {
 }
 
 /// One aggregated (protocol, attack, speed) cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackCell {
     /// Routing protocol of the cell.
     pub protocol: Protocol,
@@ -81,7 +80,7 @@ pub struct AttackCell {
 }
 
 /// Result of an attack-matrix sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AttackMatrixOutcome {
     /// One cell per (protocol, attack, speed), ordered speed-major, then
     /// attack, then protocol.

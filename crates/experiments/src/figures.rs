@@ -11,10 +11,9 @@ use crate::protocol::Protocol;
 use crate::runner::SweepOutcome;
 use crate::scenario::Scenario;
 use manet_security::RelayDistribution;
-use serde::{Deserialize, Serialize};
 
 /// Which figure/table of the paper a result regenerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FigureId {
     /// Fig. 5 — number of participating nodes vs. speed.
     Fig5ParticipatingNodes,
@@ -77,7 +76,7 @@ impl FigureId {
 }
 
 /// One `(speed, value)` point of a figure series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FigurePoint {
     /// Maximum node speed, m/s (the x axis of every figure).
     pub max_speed: f64,
@@ -86,7 +85,7 @@ pub struct FigurePoint {
 }
 
 /// One protocol's series in a figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureSeries {
     /// The figure this series belongs to.
     pub figure: FigureId,

@@ -12,14 +12,13 @@ use manet_security::{
     interception::summarize, participating_nodes, relay_distribution, RelayDistribution,
 };
 use manet_wire::{ConnectionId, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// Per-flow metrics of one run (one row per scenario flow).
 ///
 /// Packet counts come from the recorder's [`ConnectionId`]-keyed counters;
 /// the in-order byte counts and completion time come from the flow's TCP
 /// endpoints in the run's [`TcpRunReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowMetrics {
     /// Raw connection id (the flow's index in the scenario).
     pub conn: u32,
@@ -60,7 +59,7 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 }
 
 /// Every metric the paper's evaluation reports, for one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunMetrics {
     // --- security (Figs. 5-7, Table I) -----------------------------------------
     /// Number of intermediate nodes that relayed at least one data packet (Fig. 5).

@@ -3,13 +3,12 @@
 use manet_routing::{Aodv, Dsr, RoutingAgent};
 use manet_wire::NodeId;
 use mts_core::{Mts, MtsConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The routing protocol a run uses (the paper compares the first three;
 /// [`Protocol::MtsHardened`] adds the route-check-hardened MTS variant to
 /// attack-aware sweeps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Dynamic Source Routing (baseline).
     Dsr,

@@ -17,7 +17,6 @@ use manet_tcp::TcpConfig;
 use manet_wire::{ConnectionId, NodeId};
 use parking_lot::Mutex;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Execute one scenario and return its metrics together with the raw
@@ -143,7 +142,7 @@ pub fn run_scenario_hooked(
 }
 
 /// Specification of a sweep over the paper's parameter grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Protocols to compare (the paper uses all three).
     pub protocols: Vec<Protocol>,
@@ -185,7 +184,7 @@ impl SweepSpec {
 }
 
 /// The averaged metrics of one (protocol, speed) grid point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregatedPoint {
     /// Routing protocol of this point.
     pub protocol: Protocol,
@@ -198,7 +197,7 @@ pub struct AggregatedPoint {
 }
 
 /// Result of a sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepOutcome {
     /// One aggregated point per (protocol, speed) pair, ordered by protocol
     /// then speed.

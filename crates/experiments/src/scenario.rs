@@ -14,14 +14,13 @@ use manet_tcp::{FlowProfile, FlowShape, TcpConfig};
 use manet_wire::NodeId;
 use mts_core::MtsConfig;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One TCP flow of a scenario: the endpoint pair plus the application-level
 /// profile (start time, traffic pattern, byte budget).
 ///
 /// [`TrafficFlow::bulk`] — an unbounded bulk transfer from time 0 — is the
 /// paper's traffic model and the default everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficFlow {
     /// TCP sender node.
     pub src: NodeId,
@@ -75,7 +74,7 @@ impl TrafficFlow {
 }
 
 /// A complete experiment scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Simulator configuration (nodes, field, MAC, mobility, duration, seed).
     pub sim: SimConfig,

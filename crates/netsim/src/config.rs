@@ -8,12 +8,11 @@ use crate::fluid::FluidConfig;
 use crate::radio::RadioConfig;
 use crate::time::Duration;
 use manet_wire::NodeId;
-use serde::{Deserialize, Serialize};
 
 pub use manet_telemetry::TelemetryConfig;
 
 /// MAC-layer timing and behaviour parameters (simplified 802.11 DCF).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MacConfig {
     /// Link rate for unicast data frames, bits per second (802.11b: 11 Mbit/s).
     pub data_rate_bps: f64,
@@ -57,7 +56,7 @@ impl Default for MacConfig {
 }
 
 /// Mobility parameters for the random waypoint model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MobilityConfig {
     /// Minimum node speed, m/s.
     pub min_speed: f64,
@@ -78,7 +77,7 @@ impl Default for MobilityConfig {
 }
 
 /// Which frame class a selective jammer targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JamTarget {
     /// Only routing control frames (RREQ/RREP/RERR/CHECK...).
     Control,
@@ -108,7 +107,7 @@ impl JamTarget {
 /// `target`.  Jammers move like ordinary nodes, so the jammed region follows
 /// them.  With `jamming: None` or a `loss_prob` of 0 the engine draws no
 /// extra randomness and runs are byte-identical to pre-adversary traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JamConfig {
     /// Nodes acting as jammers.
     pub jammers: Vec<NodeId>,
@@ -149,7 +148,7 @@ impl JamConfig {
 /// *capture* metrics).  With `wormhole: None` the engine takes no extra
 /// branches and draws no extra randomness, so clean runs stay byte-identical
 /// to pre-adversary traces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WormholeConfig {
     /// One tunnel endpoint.
     pub a: NodeId,
@@ -183,7 +182,7 @@ impl WormholeConfig {
 /// rushing node simply skips both (it still defers while the medium is
 /// sensed busy — it cheats the protocol, not physics).  With `rush: None`
 /// the backoff path is untouched and clean runs stay byte-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RushConfig {
     /// Nodes transmitting without DIFS or backoff.
     pub rushers: Vec<NodeId>,
@@ -198,7 +197,7 @@ pub struct RushConfig {
 /// heap's O(log n) once thousands of events are pending; the heap is kept as
 /// the reference implementation and comparison baseline, the same way
 /// [`NeighborIndex::BruteForce`] backs the spatial grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EventQueueKind {
     /// Calendar/bucket queue tuned to the MAC contention timescale
     /// (amortised O(1); see [`crate::calendar::CalendarQueue`]).
@@ -209,7 +208,7 @@ pub enum EventQueueKind {
 }
 
 /// Strategy the engine uses to answer "who can hear this transmission?".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NeighborIndex {
     /// Uniform spatial grid over node anchors (see `crate::grid`): a
     /// maximal (carrier-sense) range query visits at most the 5×5 block of
@@ -240,7 +239,7 @@ pub enum NeighborIndex {
 /// assert_eq!(config.mobility.max_speed, 10.0);
 /// assert!(config.jamming.is_none() && config.wormhole.is_none() && config.rush.is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Number of nodes (paper: 50).
     pub num_nodes: u16,

@@ -41,7 +41,6 @@ use crate::time::{Duration, SimTime};
 use manet_wire::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// First connection id used for generated background flows.  Foreground
 /// (scenario) connections are indices below `u16::MAX`, and the stack asserts
@@ -51,7 +50,7 @@ pub const FLUID_CONN_BASE: u32 = 1 << 16;
 /// One explicitly placed background flow (used by the experiment runner to
 /// route scenario flows through the fluid engine; generated flows draw their
 /// endpoints from the seed instead).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FluidFlowSpec {
     /// Connection id.  Explicit flows use scenario connection ids (below
     /// [`FLUID_CONN_BASE`]) so stack reports and metrics line up.
@@ -74,7 +73,7 @@ pub struct FluidFlowSpec {
 /// `None` disables the fluid layer entirely: the engine takes no extra
 /// branches, draws no randomness and schedules no events, so runs are
 /// byte-identical to pre-hybrid traces (asserted by the golden-trace suite).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FluidConfig {
     /// Number of generated background flows (seed-derived random endpoint
     /// pairs, arrivals spread evenly over [`FluidConfig::arrival_spread`]).

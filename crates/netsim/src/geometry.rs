@@ -1,10 +1,9 @@
 //! 2-D geometry for node placement and mobility.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Sub};
 
 /// A point in the simulation field, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate, metres.
     pub x: f64,
@@ -13,7 +12,7 @@ pub struct Position {
 }
 
 /// A displacement / direction vector, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vector2 {
     /// X component, metres.
     pub x: f64,

@@ -11,11 +11,10 @@ use crate::config::MobilityConfig;
 use crate::geometry::Position;
 use crate::time::{Duration, SimTime};
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
 
 /// One leg of movement: from `from` towards `to` at `speed`, starting at
 /// `start` (after any pause has elapsed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// Position at the start of the leg.
     pub from: Position,

@@ -7,10 +7,8 @@
 //! is within `range_m` of the transmitter, and senses the medium busy within
 //! [`RadioConfig::carrier_sense_range`].
 
-use serde::{Deserialize, Serialize};
-
 /// Radio parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
     /// Transmission range in metres (paper: 250 m).
     pub range_m: f64,

@@ -5,13 +5,12 @@
 //! can be used as a binary-heap key, plus convenience constructors for the
 //! units that appear throughout the MAC and protocol code (µs, ms, s).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A length of simulated time, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Duration(f64);
 
 impl Duration {
@@ -86,7 +85,7 @@ impl fmt::Display for Duration {
 }
 
 /// An absolute instant of simulated time, in seconds since the start of the run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

@@ -2,7 +2,6 @@
 
 use manet_netsim::{Ctx, TimerToken};
 use manet_wire::{DataPacket, NetPacket, NodeId, SharedPacket};
-use serde::{Deserialize, Serialize};
 
 /// Timer-token class namespaces used across the stack.
 ///
@@ -46,7 +45,7 @@ impl TimerClass {
 /// Counters every routing agent maintains; used by tests and by the
 /// experiment reports (the paper's Fig. 11 control-overhead metric is counted
 /// at the MAC by the recorder, so these are complementary diagnostics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoutingStats {
     /// Route discoveries initiated (RREQ floods started at this node).
     pub discoveries: u64,

@@ -25,7 +25,6 @@
 
 use manet_netsim::FxHashMap;
 use manet_wire::{NodeId, SeqNo};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the MTS route-check hardening mode.
 ///
@@ -51,7 +50,7 @@ use serde::{Deserialize, Serialize};
 /// // ... a black hole's near-maximal forgery is not.
 /// assert!(hard.seqno_is_suspicious(SeqNo(0x00FF_FFFF), Some(SeqNo(9))));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteCheckConfig {
     /// Master switch.  `false` (default) leaves every hardened code path
     /// unentered: runs are byte-identical to the unhardened protocol.

@@ -2,7 +2,6 @@
 //! application-level traffic shape of one flow ([`FlowProfile`]).
 
 use manet_wire::sizes::DEFAULT_MSS;
-use serde::{Deserialize, Serialize};
 
 /// The application-level send pattern of one flow.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// other shapes model the traffic mixes of a production deployment (bursty
 /// media, request/response RPC) so multi-flow scenarios can stress the
 /// routing layer with diverse offered loads.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FlowShape {
     /// FTP-like bulk transfer: an unbounded backlog of application data
     /// (the paper's traffic model).
@@ -42,7 +41,7 @@ pub enum FlowShape {
 /// The default profile (`start` 0, [`FlowShape::Bulk`], no byte budget) is
 /// exactly the paper's single bulk flow, so single-flow scenarios built from
 /// defaults stay byte-identical to the pre-profile transport.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FlowProfile {
     /// Simulated seconds after run start at which the flow opens.
     pub start: f64,
@@ -100,7 +99,7 @@ impl FlowProfile {
 /// 1000-byte segments, an initial congestion window of one segment, a 64
 /// segment receive window, a 1 s minimum / 64 s maximum retransmission
 /// timeout and three duplicate ACKs triggering fast retransmit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes per segment).
     pub mss: u32,

@@ -7,11 +7,10 @@
 //! congestion-control reactions the paper's related work warns about.
 
 use manet_wire::{ConnectionId, TcpSegment};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Statistics the receiver exposes for the experiment metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReceiverStats {
     /// Data segments received (including duplicates and out-of-order ones).
     pub segments_received: u64,

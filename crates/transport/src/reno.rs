@@ -12,10 +12,8 @@
 //!   further duplicate ACK until a new ACK deflates it back to `ssthresh`;
 //! * timeout — `ssthresh = flight/2`, `cwnd = 1`, back to slow start.
 
-use serde::{Deserialize, Serialize};
-
 /// The congestion-control phase the sender is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CongestionState {
     /// Exponential window growth.
     SlowStart,
@@ -26,7 +24,7 @@ pub enum CongestionState {
 }
 
 /// Reno congestion controller (window arithmetic only — no clocks, no I/O).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RenoController {
     cwnd: f64,
     ssthresh: f64,

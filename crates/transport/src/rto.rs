@@ -6,10 +6,9 @@
 //! consecutive timeouts.
 
 use manet_netsim::Duration;
-use serde::{Deserialize, Serialize};
 
 /// Round-trip-time estimator producing the retransmission timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtoEstimator {
     /// Smoothed RTT, seconds (`None` until the first sample).
     srtt: Option<f64>,

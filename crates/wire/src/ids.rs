@@ -4,14 +4,13 @@
 //! `Copy`, hashes cheaply and cannot be confused with another kind of id at
 //! compile time (e.g. a node index versus a broadcast id).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in the simulated network.
 ///
 /// Nodes are indexed densely from `0..n`, which lets the simulator store
 /// per-node state in plain vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
 
 impl NodeId {
@@ -36,7 +35,7 @@ impl From<u16> for NodeId {
 
 /// Broadcast id of a route request.  Together with the source and destination
 /// addresses it uniquely identifies one route-discovery flood (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BroadcastId(pub u32);
 
 impl BroadcastId {
@@ -50,7 +49,7 @@ impl BroadcastId {
 /// Checking-packet id used by MTS route checking (paper §III-D).  Incremented
 /// each time the destination emits a round of checking packets; cached by the
 /// intermediate nodes as a freshness stamp ("entry ID").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CheckId(pub u32);
 
 impl CheckId {
@@ -63,9 +62,7 @@ impl CheckId {
 
 /// Destination sequence number (AODV-style).  Monotonically increasing; a
 /// higher value means fresher routing information.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SeqNo(pub u32);
 
 impl SeqNo {
@@ -85,11 +82,11 @@ impl SeqNo {
 
 /// Globally unique identifier of a network-layer data packet.  Used by the
 /// security metrics to count *unique* intercepted packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 /// Identifier of one TCP connection (source/destination application pair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectionId(pub u32);
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ pub type SharedPacket = Arc<NetPacket>;
 ///
 /// `mac_src` / `mac_dst` describe the current hop; the network-layer
 /// addresses live inside [`NetPacket`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Transmitting node of this hop.
     pub mac_src: NodeId,

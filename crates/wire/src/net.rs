@@ -6,10 +6,9 @@ use crate::routing_msgs::{
 };
 use crate::tcp::TcpSegment;
 use manet_telemetry::FrameKind;
-use serde::{Deserialize, Serialize};
 
 /// Link-layer destination of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MacDest {
     /// Every node within radio range receives the frame (no MAC ACK).
     Broadcast,
@@ -22,7 +21,7 @@ pub enum MacDest {
 /// `id` is globally unique and survives hop-by-hop forwarding, which lets the
 /// security metrics count *unique* packets intercepted by an eavesdropper and
 /// the delay metric match send and arrival times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPacket {
     /// Globally unique packet identifier.
     pub id: PacketId,
@@ -82,7 +81,7 @@ impl DataPacket {
 }
 
 /// Every kind of packet the network layer can carry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NetPacket {
     /// Route request (flooded).
     Rreq(RouteRequest),
@@ -190,23 +189,10 @@ mod tests {
         assert!(d.as_data().is_some());
     }
 
-    /// Preserved compile-gated pending the real-serde swap (see the
-    /// `serde-json-roundtrip` feature in this crate's manifest).
-    #[cfg(feature = "serde-json-roundtrip")]
-    #[test]
-    fn serde_round_trip() {
-        let p = NetPacket::Data(data_pkt());
-        let json = serde_json::to_string(&p).unwrap();
-        let back: NetPacket = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
-    }
-
     #[test]
     fn clone_round_trip() {
-        // The offline build vendors serde as a no-op shim (no serde_json), so
-        // the persistence round-trip is checked structurally: a clone is a
-        // distinct value that compares equal field-for-field and reports the
-        // same on-air size.
+        // A clone is a distinct value that compares equal field-for-field and
+        // reports the same on-air size.
         let p = NetPacket::Data(data_pkt());
         let back = p.clone();
         assert_eq!(p, back);

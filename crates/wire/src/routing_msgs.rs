@@ -8,10 +8,9 @@
 
 use crate::ids::{BroadcastId, CheckId, NodeId, SeqNo};
 use crate::sizes;
-use serde::{Deserialize, Serialize};
 
 /// Route request, flooded by the source during route discovery (paper §III-B).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteRequest {
     /// Originator of the discovery.
     pub source: NodeId,
@@ -50,7 +49,7 @@ impl RouteRequest {
 
 /// Route reply, unicast from the destination back to the source along the
 /// reverse path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteReply {
     /// Source of the original discovery (the node the RREP travels towards).
     pub source: NodeId,
@@ -85,7 +84,7 @@ impl RouteReply {
 
 /// Route error, propagated towards the source when a link on an active route
 /// breaks (MAC-layer feedback, paper §III-E).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteError {
     /// Node that detected the broken link (upstream endpoint).
     pub reporter: NodeId,
@@ -110,7 +109,7 @@ impl RouteError {
 
 /// MTS route-checking packet, sent periodically by the destination along each
 /// stored disjoint path (paper §III-D).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteCheck {
     /// Source of the TCP session (the node the checking packet travels to).
     pub source: NodeId,
@@ -146,7 +145,7 @@ impl RouteCheck {
 
 /// MTS checking-error packet: reports that a checking packet could not be
 /// forwarded, so the destination should delete the failed path.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckError {
     /// Node that observed the failure.
     pub reporter: NodeId,
@@ -169,7 +168,7 @@ impl CheckError {
 
 /// DSR-style source-routed data envelope: the full route travels with the
 /// packet and each hop forwards to the next listed node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceRoutedData {
     /// Complete node sequence, `route[0]` = source, `route.last()` = destination.
     pub route: Vec<NodeId>,

@@ -7,10 +7,9 @@
 
 use crate::ids::ConnectionId;
 use crate::sizes;
-use serde::{Deserialize, Serialize};
 
 /// TCP header flags (only the ones Reno uses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TcpFlags {
     /// Connection-establishment flag.
     pub syn: bool,
@@ -21,7 +20,7 @@ pub struct TcpFlags {
 }
 
 /// One TCP segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpSegment {
     /// The connection this segment belongs to.
     pub conn: ConnectionId,

@@ -68,10 +68,7 @@ proptest! {
 
     /// NetPacket round-trips losslessly through a clone: equality is
     /// structural and the modelled on-air size is a pure function of the
-    /// fields.  (The offline build vendors serde as a no-op shim, so the
-    /// JSON round-trip is deferred until real serde/serde_json are
-    /// available; clone + PartialEq covers the same field-for-field
-    /// faithfulness.)
+    /// fields.
     #[test]
     fn net_packet_clone_round_trip(seg in arb_segment(), src in arb_node(), dst in arb_node()) {
         let pkt = NetPacket::Data(DataPacket::new(PacketId(42), src, dst, seg));
@@ -101,27 +98,5 @@ proptest! {
         let uni = Frame::unicast(src, dst, pkt);
         prop_assert!(!uni.is_broadcast());
         prop_assert_eq!(uni.mac_dst, MacDest::Unicast(dst));
-    }
-}
-
-/// The original JSON round-trip property, preserved compile-gated: it needs
-/// real `serde` + a `serde_json` dev-dependency, which the offline build
-/// cannot provide.  When swapping the vendored serde shim for the real crate,
-/// enable the `serde-json-roundtrip` feature and add `serde_json` to
-/// `[dev-dependencies]` — until both happen, enabling the feature fails to
-/// compile, which is the intended reminder.
-#[cfg(feature = "serde-json-roundtrip")]
-mod json_round_trip {
-    use super::*;
-
-    proptest! {
-        /// NetPacket serde round-trips losslessly (scenario/result persistence).
-        #[test]
-        fn net_packet_serde_round_trip(seg in arb_segment(), src in arb_node(), dst in arb_node()) {
-            let pkt = NetPacket::Data(DataPacket::new(PacketId(42), src, dst, seg));
-            let json = serde_json::to_string(&pkt).unwrap();
-            let back: NetPacket = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(pkt, back);
-        }
     }
 }
