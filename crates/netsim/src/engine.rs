@@ -806,11 +806,6 @@ impl Simulator {
         self.stacks[node.index()].as_ref()
     }
 
-    /// Mutably borrow a protocol stack (e.g. to configure it before `run`).
-    pub fn stack_mut(&mut self, node: NodeId) -> &mut dyn NodeStack {
-        self.stacks[node.index()].as_mut()
-    }
-
     /// Run the simulation to completion and return the recorder.
     pub fn run(mut self) -> Recorder {
         self.start_stacks();

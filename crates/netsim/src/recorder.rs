@@ -339,15 +339,6 @@ impl EnginePerf {
         }
     }
 
-    /// Mean candidates visited per neighbor query (0 if none).
-    pub fn mean_candidates_per_query(&self) -> f64 {
-        if self.neighbor_queries == 0 {
-            0.0
-        } else {
-            self.candidates_scanned as f64 / self.neighbor_queries as f64
-        }
-    }
-
     /// Fraction of payload hand-offs served by sharing the transmitted
     /// packet's allocation (1.0 = fully zero-copy; 0 if no hand-offs).
     pub fn payload_share_rate(&self) -> f64 {

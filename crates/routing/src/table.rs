@@ -155,14 +155,6 @@ impl RoutingTable {
         false
     }
 
-    /// Number of valid entries at `now`.
-    pub fn valid_routes(&self, now: SimTime) -> usize {
-        self.entries
-            .values()
-            .filter(|e| e.valid && e.expires > now)
-            .count()
-    }
-
     /// All destinations with any entry.
     pub fn destinations(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.entries.keys().copied()

@@ -26,7 +26,7 @@
 use manet_netsim::fasthash::FxHashMap;
 use manet_netsim::telemetry;
 use manet_netsim::{Ctx, Duration, NodeStack, Observation, SimTime, TimerToken};
-use manet_routing::agent::{RoutingAgent, RoutingStats, TimerClass};
+use manet_routing::agent::{RoutingAgent, TimerClass};
 use manet_tcp::{FlowProfile, TcpConfig, TcpOutcome, TcpReceiver, TcpSender};
 use manet_wire::{
     ConnectionId, DataPacket, Frame, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment,
@@ -218,11 +218,6 @@ impl ManetStack {
     /// Number of TCP endpoints terminated at this node.
     pub fn endpoint_count(&self) -> usize {
         self.conns.len()
-    }
-
-    /// The routing agent's statistics (for tests and reports).
-    pub fn routing_stats(&self) -> RoutingStats {
-        self.agent.stats()
     }
 
     fn fresh_packet_id(&mut self) -> PacketId {
