@@ -1,7 +1,8 @@
 //! A strict, dependency-free parser for the telemetry NDJSON schema.
 //!
-//! The stream is decoded by hand, with no serialization library.  The parser is deliberately *strict*: unknown `"ev"` names,
-//! missing fields, extra fields, repeated fields, out-of-range integers,
+//! The stream is decoded by hand, with no serialization library.  The
+//! parser is deliberately *strict*: unknown `"ev"` names, missing fields,
+//! extra fields, repeated fields, out-of-range integers,
 //! numbers JSON's grammar forbids and labels outside their vocabulary are
 //! all errors — parsing doubles as schema validation (the CI smoke job and
 //! the round-trip property tests both go through it).

@@ -29,11 +29,10 @@
 //!
 //! Events carry a simulation timestamp (`t`, seconds), and the stream is
 //! monotone in `t`.  This is NDJSON v2: every key is one the engine fills.
-//! v1 streams also carried `shard` and, on `window` lines, `xshard`, both
-//! always 0; the parser rejects them as unknown fields, while
-//! `tools/trace_summary.py` still reads them.  See `docs/OBSERVABILITY.md`
-//! for the full schema and [`check`] for the invariants the test-suite
-//! enforces.
+//! v1 streams carry two more keys, always 0.  The parser rejects them as
+//! unknown fields, while `tools/trace_summary.py` still reads them.  See
+//! `docs/OBSERVABILITY.md` for the full schema and [`check`] for the
+//! invariants the test-suite enforces.
 
 pub mod check;
 pub mod event;

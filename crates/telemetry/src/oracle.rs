@@ -5,9 +5,9 @@
 //!
 //! Only the `Window` arms, the label fields and the field lists were
 //! touched, to follow the window payload into `WindowStats`, the labels into
-//! their one-byte enums and the format into NDJSON v2 (no `shard` or
-//! `xshard` key).  The parser's number handling is deliberately left as it
-//! was: it accepts `+5`, `.5`, `5.` and `007`, which `crate::json` rejects.
+//! their one-byte enums and the format into NDJSON v2.  The parser's number
+//! handling is deliberately left as it was: it accepts `+5`, `.5`, `5.` and
+//! `007`, which `crate::json` rejects.
 
 use crate::event::{DropKind, FrameKind, Stage, TelemetryEvent, TimerClass, WindowStats};
 use std::collections::BTreeMap;

@@ -712,7 +712,7 @@ fn mutated(line: &str, which: u64, state: &mut u64) -> String {
         // One past the u16 and the u32 range.  A window has no u16 field and
         // a collision, a forged RREP and a timer have no u32 field: each
         // takes the other width's overflow instead.
-        3 => with_value(line, &["node", "from"], "65536")
+        3 => with_value(line, &["node"], "65536")
             .or_else(|| with_value(line, &["queue_peak"], "4294967296"))
             .expect("a node or a queue peak"),
         4 => with_value(

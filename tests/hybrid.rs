@@ -261,9 +261,7 @@ fn small_hybrid_run_keeps_its_trace_and_fluid_ledger() {
 /// endpoints whose leg changes force epochs and resample corridors, and
 /// telemetry windows carrying the per-region `fluid_demand`/`fluid_alloc`
 /// maps.  Pinned: the packet trace, every fluid ledger row, the completed
-/// count and the FxHash of the run's NDJSON stream.  The stream's v2 pin is
-/// the v1 stream (1 430 589 bytes, FxHash 17 174 040 034 934 135 617) with
-/// every `,"shard":0` and `,"xshard":0` deleted.
+/// count and the FxHash of the run's NDJSON stream.
 #[test]
 fn mixed_demand_hybrid_run_keeps_its_trace_ledger_and_stream() {
     let spec =

@@ -331,10 +331,7 @@ fn tagged_packet_walks_the_pipeline_in_order() {
 
 /// The NDJSON bytes of one fixed run, pinned by length and FxHash: the
 /// in-memory event layout and the codec may change, the wire format may not.
-/// A deliberate format change updates both numbers and says so.  The v1
-/// stream of this run was 4 077 702 bytes with FxHash 16 261 995 561 051 158 861;
-/// the v2 pin below is exactly those bytes with every `,"shard":0` and
-/// `,"xshard":0` deleted.
+/// A deliberate format change updates both numbers and says so.
 #[test]
 fn ndjson_bytes_of_a_fixed_run_are_pinned() {
     let mut scenario =

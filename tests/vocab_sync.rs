@@ -67,25 +67,11 @@ fn python_schema(source: &str) -> BTreeMap<String, Fields> {
         let tail = &rest[open + 1..];
         let close = tail.find('"').expect("unterminated event name in SCHEMA");
         let name = &tail[..close];
-        let entry = |s: &'static str, at: &str| format!("SCHEMA[{name:?}]: expected {s} at {at:?}");
-        let after = tail[close + 1..].trim_start();
-        let after = after
-            .strip_prefix(':')
-            .unwrap_or_else(|| panic!("{}", entry(":", after)));
+        let after = eat(eat(&tail[close + 1..], ":", name), "(", name);
+        let (required, after) = set_literal(after, name);
+        let (optional, after) = set_literal(eat(after, ",", name), name);
         let after = after.trim_start();
-        let after = after
-            .strip_prefix('(')
-            .unwrap_or_else(|| panic!("{}", entry("(", after)));
-        let (required, after) = set_literal(after.trim_start(), name);
-        let after = after.trim_start();
-        let after = after
-            .strip_prefix(',')
-            .unwrap_or_else(|| panic!("{}", entry(",", after)));
-        let (optional, after) = set_literal(after.trim_start(), name);
-        let after = after.trim_start().trim_start_matches(',').trim_start();
-        rest = after
-            .strip_prefix(')')
-            .unwrap_or_else(|| panic!("{}", entry(")", after)));
+        rest = eat(after.strip_prefix(',').unwrap_or(after), ")", name);
         assert!(
             out.insert(name.to_string(), (required, optional)).is_none(),
             "SCHEMA lists {name:?} twice"
@@ -95,19 +81,24 @@ fn python_schema(source: &str) -> BTreeMap<String, Fields> {
     out
 }
 
-/// The Python set literal at the start of `s` (`set()` or `{"a", ...}`) and
-/// what follows it.
+/// The Python set literal at the start of `s` (`set()` or `{"a", ...}`,
+/// after blanks) and what follows it.
 fn set_literal<'a>(s: &'a str, name: &str) -> (BTreeSet<String>, &'a str) {
-    if let Some(rest) = s.strip_prefix("set()") {
+    if let Some(rest) = s.trim_start().strip_prefix("set()") {
         return (BTreeSet::new(), rest);
     }
-    let body = s
-        .strip_prefix('{')
-        .unwrap_or_else(|| panic!("SCHEMA[{name:?}]: expected a set literal at {s:?}"));
+    let body = eat(s, "{", name);
     let end = body
         .find('}')
         .unwrap_or_else(|| panic!("SCHEMA[{name:?}]: unterminated set literal"));
     (quoted_strings(&body[..end], name), &body[end + 1..])
+}
+
+/// `s` past its leading blanks and `token`, which must come next.
+fn eat<'a>(s: &'a str, token: &str, name: &str) -> &'a str {
+    let s = s.trim_start();
+    s.strip_prefix(token)
+        .unwrap_or_else(|| panic!("SCHEMA[{name:?}]: expected {token:?} at {s:?}"))
 }
 
 /// The top-level keys of one NDJSON line, `"ev"` aside.
