@@ -10,11 +10,14 @@
 //!   1000 m × 1000 m, 250 m range, random waypoint with 1 s pause, one bulk
 //!   TCP flow, one random eavesdropper, 200 s), plus the multi-flow traffic
 //!   matrices ([`Scenario::random_pairs`], [`Scenario::many_to_one`],
-//!   [`Scenario::hotspot`]) and custom scenarios for the examples and tests.
+//!   [`Scenario::hotspot`]) and custom scenarios for the examples and tests,
+//!   on random-waypoint or hand-placed static topologies ([`Placement`]).
 //! * [`metrics`] — per-run metric extraction: the security metrics (Figs. 5–7,
 //!   Table I) and the TCP metrics (Figs. 8–11).
-//! * [`runner`] — single-run execution and the rayon-parallel sweep over
-//!   protocol × speed × seed.
+//! * [`runner`] — the one run assembly, [`run_with`] (stacks, mobility and
+//!   simulator for a scenario; [`RunOptions`] add a kept trace, a
+//!   delivery-choice hook or a stack decorator), and the rayon-parallel sweep
+//!   over protocol × speed × seed.
 //! * [`attacks`] — the attack-aware matrix: protocol × attack × seed against
 //!   the `manet-adversary` attacker models (coalitions, black/gray holes,
 //!   mobile eavesdropper, selective jamming).
@@ -44,6 +47,6 @@ pub use manet_tcp::{FlowProfile, FlowShape};
 pub use metrics::{FlowMetrics, RunMetrics};
 pub use protocol::Protocol;
 pub use runner::{
-    run_scenario, run_scenario_hooked, sweep, AggregatedPoint, SweepOutcome, SweepSpec,
+    run_scenario, run_with, sweep, AggregatedPoint, RunOptions, SweepOutcome, SweepSpec,
 };
-pub use scenario::{Scenario, TrafficFlow};
+pub use scenario::{Placement, Scenario, TrafficFlow};

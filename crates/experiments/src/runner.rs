@@ -1,17 +1,22 @@
 //! Run execution and parameter sweeps.
 //!
-//! [`run_scenario`] executes one scenario inside the discrete-event simulator
-//! and extracts its [`RunMetrics`].  [`sweep`] runs the paper's full grid —
-//! protocol × maximum speed × seed — in parallel with rayon (the runs are
-//! independent, so the sweep scales linearly with cores) and averages the
-//! seeds per point, exactly as the paper averages its five repetitions.
+//! [`run_with`] is the one place that assembles a run: it builds every
+//! node's stack (the connection-table stack, wrapped into a hostile relay on
+//! a configured black hole, then handed to [`RunOptions::decorate`] when
+//! there is one), the scenario's mobility ([`Placement`]) and the
+//! [`Simulator`], runs it and extracts the [`RunMetrics`].  [`run_scenario`]
+//! and [`run_scenario_with_recorder`] are `run_with` with default options.
+//! [`sweep`] runs the paper's full grid — protocol × maximum speed × seed —
+//! in parallel with rayon (the runs are independent, so the sweep scales
+//! linearly with cores) and averages the seeds per point, exactly as the
+//! paper averages its five repetitions.
 
 use crate::metrics::RunMetrics;
 use crate::protocol::Protocol;
-use crate::scenario::Scenario;
+use crate::scenario::{Placement, Scenario};
 use crate::stack::{ManetStack, SharedTcpStats, TcpRunReport};
 use manet_adversary::{AttackKind, BlackholeStack, CorridorMobility};
-use manet_netsim::mobility::{MobilityModel, RandomWaypoint};
+use manet_netsim::mobility::{MobilityModel, RandomWaypoint, StaticPlacement};
 use manet_netsim::{DeliveryChoiceHook, NodeStack, Recorder, Simulator, TraceMode};
 use manet_tcp::TcpConfig;
 use manet_wire::{ConnectionId, NodeId};
@@ -19,19 +24,23 @@ use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Execute one scenario and return its metrics together with the raw
-/// recorder (the recorder is needed for Table I style relay tables).
-pub fn run_scenario_with_recorder(scenario: &Scenario) -> (RunMetrics, Recorder) {
-    run_scenario_inner(scenario, TraceMode::Off, None)
-}
-
-/// Like [`run_scenario_with_recorder`] but with the human-readable event
-/// trace enabled on the recorder.  Used by the equivalence suites (queue,
-/// hybrid, golden trace; CI perf smoke), which diff the full
-/// trace of two runs for byte identity; costs memory proportional to the
-/// number of transmissions, so sweeps keep it off.
-pub fn run_scenario_traced(scenario: &Scenario) -> (RunMetrics, Recorder) {
-    run_scenario_inner(scenario, TraceMode::Keep, None)
+/// How [`run_with`] runs a scenario, beyond what the scenario itself fixes.
+/// The default keeps no trace, installs no hook and decorates nothing.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// What the recorder keeps of the event trace.  The equivalence suites
+    /// keep it ([`TraceMode::Keep`]) to diff two runs byte for byte; the
+    /// explorer folds it into the fingerprint only
+    /// ([`TraceMode::Fingerprint`]); sweeps keep it off, since a kept trace
+    /// costs memory proportional to the number of transmissions.
+    pub trace: TraceMode,
+    /// Offered every addressed reception (bounded model checking; see
+    /// `manet_netsim::choice` and `crates/mck`).
+    pub hook: Option<Box<dyn DeliveryChoiceHook>>,
+    /// Called once per node with its finished stack (after the black-hole
+    /// wrapper); the engine runs the stack it returns.  A measuring wrapper
+    /// that forwards every callback leaves the run unchanged.
+    pub decorate: Option<&'a dyn Fn(NodeId, Box<dyn NodeStack>) -> Box<dyn NodeStack>>,
 }
 
 /// Build node `me`'s protocol stack for `scenario`: the connection-table
@@ -79,6 +88,9 @@ fn build_stack(scenario: &Scenario, stats: &SharedTcpStats, me: NodeId) -> Box<d
 
 /// Build the scenario's mobility model.
 fn build_mobility(scenario: &Scenario) -> Box<dyn MobilityModel> {
+    if let Placement::Static(positions) = &scenario.placement {
+        return Box::new(StaticPlacement::new(positions.clone()));
+    }
     let waypoint = RandomWaypoint::new(
         scenario.sim.field_width,
         scenario.sim.field_height,
@@ -99,21 +111,28 @@ fn build_mobility(scenario: &Scenario) -> Box<dyn MobilityModel> {
     }
 }
 
-/// Run `scenario` with the recorder keeping `trace`, and with `hook`
-/// offered every addressed reception when there is one.
-fn run_scenario_inner(
-    scenario: &Scenario,
-    trace: TraceMode,
-    hook: Option<Box<dyn DeliveryChoiceHook>>,
-) -> (RunMetrics, Recorder) {
+/// Execute one scenario as `options` say and return its metrics together
+/// with the raw recorder (Table I style relay tables, trace diffs and
+/// fingerprints read it).
+///
+/// # Panics
+/// Panics when [`Scenario::validate`] rejects `scenario`.
+pub fn run_with(scenario: &Scenario, options: RunOptions<'_>) -> (RunMetrics, Recorder) {
     scenario.validate().expect("invalid scenario");
     let stats: SharedTcpStats = Arc::new(Mutex::new(TcpRunReport::default()));
     let stacks = (0..scenario.sim.num_nodes)
-        .map(|i| build_stack(scenario, &stats, NodeId(i)))
+        .map(|i| {
+            let me = NodeId(i);
+            let stack = build_stack(scenario, &stats, me);
+            match options.decorate {
+                Some(decorate) => decorate(me, stack),
+                None => stack,
+            }
+        })
         .collect();
     let mut sim = Simulator::new(scenario.effective_sim(), build_mobility(scenario), stacks);
-    sim.set_trace_mode(trace);
-    if let Some(hook) = hook {
+    sim.set_trace_mode(options.trace);
+    if let Some(hook) = options.hook {
         sim.set_choice_hook(hook);
     }
     let recorder = sim.run();
@@ -122,23 +141,15 @@ fn run_scenario_inner(
     (metrics, recorder)
 }
 
+/// Execute one scenario and return its metrics and recorder
+/// ([`run_with`] with default options).
+pub fn run_scenario_with_recorder(scenario: &Scenario) -> (RunMetrics, Recorder) {
+    run_with(scenario, RunOptions::default())
+}
+
 /// Execute one scenario and return its metrics.
 pub fn run_scenario(scenario: &Scenario) -> RunMetrics {
     run_scenario_with_recorder(scenario).0
-}
-
-/// Execute one scenario with an adversarial delivery-choice hook installed
-/// (bounded model checking; see `manet_netsim::choice` and `crates/mck`).
-/// The trace is recorded in `trace`'s mode: the explorer's step folds it
-/// into the recorder's fingerprint only ([`TraceMode::Fingerprint`]), for
-/// state-hash deduplication; a counterexample replay also keeps it
-/// ([`TraceMode::Keep`]), to be read and compared.
-pub fn run_scenario_hooked(
-    scenario: &Scenario,
-    hook: Box<dyn DeliveryChoiceHook>,
-    trace: TraceMode,
-) -> (RunMetrics, Recorder) {
-    run_scenario_inner(scenario, trace, Some(hook))
 }
 
 /// Specification of a sweep over the paper's parameter grid.

@@ -2,13 +2,14 @@
 //!
 //! A [`Scenario`] bundles everything one simulation run needs: the simulator
 //! configuration (field, mobility, MAC), the routing protocol, the TCP
-//! parameters, the traffic flows and the eavesdropper choice.  The
-//! [`Scenario::paper`] constructor reproduces the environment of Section IV-A.
+//! parameters, the traffic flows, the eavesdropper choice and the node
+//! [`Placement`].  The [`Scenario::paper`] constructor reproduces the
+//! environment of Section IV-A.
 
 use crate::protocol::Protocol;
 use manet_adversary::{AttackConfig, AttackKind};
 use manet_netsim::rng::RngStreams;
-use manet_netsim::{Duration, FluidConfig, FluidFlowSpec, SimConfig};
+use manet_netsim::{Duration, FluidConfig, FluidFlowSpec, Position, SimConfig};
 use manet_security::select_eavesdropper;
 use manet_tcp::{FlowProfile, FlowShape, TcpConfig};
 use manet_wire::NodeId;
@@ -73,6 +74,20 @@ impl TrafficFlow {
     }
 }
 
+/// Where a scenario's nodes are and how they move.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub enum Placement {
+    /// Random waypoint over the field with `sim.mobility`'s speeds and
+    /// pause (the paper's model; a mobile-eavesdropper attack steers the
+    /// eavesdropper's legs).
+    #[default]
+    Waypoint,
+    /// Node `i` stays at position `i` for the whole run (the hand-placed
+    /// topologies of the paper's Figs. 1–4).  Positions may lie outside the
+    /// field.
+    Static(Vec<Position>),
+}
+
 /// A complete experiment scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -96,6 +111,8 @@ pub struct Scenario {
     /// the scenario seed by [`Scenario::with_attack`]; empty for passive or
     /// clean runs.
     pub attackers: Vec<NodeId>,
+    /// Node placement and movement.
+    pub placement: Placement,
 }
 
 impl Scenario {
@@ -167,6 +184,7 @@ impl Scenario {
             eavesdropper,
             attack: AttackConfig::none(),
             attackers: Vec::new(),
+            placement: Placement::Waypoint,
         }
     }
 
@@ -348,6 +366,7 @@ impl Scenario {
             eavesdropper: None,
             attack: AttackConfig::none(),
             attackers: Vec::new(),
+            placement: Placement::Waypoint,
         }
     }
 
@@ -527,6 +546,26 @@ impl Scenario {
             && self.eavesdropper.is_none()
         {
             return Err("mobile-eavesdropper attack needs a designated eavesdropper".into());
+        }
+        if let Placement::Static(positions) = &self.placement {
+            if positions.len() != usize::from(self.sim.num_nodes) {
+                return Err(format!(
+                    "static placement has {} positions for {} nodes",
+                    positions.len(),
+                    self.sim.num_nodes
+                ));
+            }
+            if let Some(p) = positions
+                .iter()
+                .find(|p| !p.x.is_finite() || !p.y.is_finite())
+            {
+                return Err(format!("static position ({}, {}) is not finite", p.x, p.y));
+            }
+            if matches!(self.attack.kind, AttackKind::MobileEavesdropper { .. }) {
+                return Err("mobile-eavesdropper attack steers a random-waypoint node; \
+                     it cannot run on a static placement"
+                    .into());
+            }
         }
         Ok(())
     }
@@ -713,6 +752,23 @@ mod tests {
         let mut s = Scenario::paper(Protocol::Aodv, 5.0, 1);
         s.eavesdropper = Some(s.flows[0].src);
         assert!(s.validate().is_err());
+
+        // A static placement needs one finite position per node; it may
+        // leave the field.
+        let line = |n: u16| (0..n).map(|i| Position::new(f64::from(i) * 100.0, -130.0));
+        let mut s = Scenario::paper(Protocol::Aodv, 5.0, 1);
+        s.placement = Placement::Static(line(50).collect());
+        s.validate().unwrap();
+        s.placement = Placement::Static(line(49).collect());
+        assert!(s.validate().is_err(), "one position short rejected");
+        s.placement = Placement::Static(line(49).chain([Position::new(f64::NAN, 0.0)]).collect());
+        assert!(s.validate().is_err(), "NaN coordinate rejected");
+        s.placement = Placement::Static(
+            line(49)
+                .chain([Position::new(0.0, f64::INFINITY)])
+                .collect(),
+        );
+        assert!(s.validate().is_err(), "infinite coordinate rejected");
     }
 
     #[test]
@@ -806,6 +862,15 @@ mod tests {
             Scenario::paper(Protocol::Mts, 5.0, 1).with_attack(AttackConfig::mobile_eavesdropper());
         s.eavesdropper = None;
         assert!(s.validate().is_err(), "mobile eve needs an eavesdropper");
+
+        let mut s =
+            Scenario::paper(Protocol::Mts, 5.0, 1).with_attack(AttackConfig::mobile_eavesdropper());
+        s.placement =
+            Placement::Static((0..50).map(|i| Position::new(f64::from(i), 0.0)).collect());
+        assert!(
+            s.validate().is_err(),
+            "mobile eve needs a waypoint placement"
+        );
     }
 
     #[test]

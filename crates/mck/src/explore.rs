@@ -26,7 +26,7 @@
 
 use crate::hook::{ChoiceTrace, RunLog, ScheduleAction, ScheduleHook};
 use crate::invariant::Invariant;
-use manet_experiments::runner::run_scenario_hooked;
+use manet_experiments::runner::{run_with, RunOptions};
 use manet_experiments::{RunMetrics, Scenario};
 use manet_netsim::fasthash::{FxHashMap, FxHasher};
 use manet_netsim::telemetry::FrameKind;
@@ -107,7 +107,12 @@ pub fn run_with_trace(scenario: &Scenario, trace: &ChoiceTrace) -> RunOutcome {
 
 fn run_scripted(scenario: &Scenario, trace: &ChoiceTrace, mode: TraceMode) -> RunOutcome {
     let (hook, log) = ScheduleHook::new(trace);
-    let (metrics, recorder) = run_scenario_hooked(scenario, Box::new(hook), mode);
+    let options = RunOptions {
+        trace: mode,
+        hook: Some(Box::new(hook)),
+        decorate: None,
+    };
+    let (metrics, recorder) = run_with(scenario, options);
     let log = log.take();
     RunOutcome {
         metrics,

@@ -8,16 +8,8 @@
 //! cargo run --release --example route_discovery_trace
 //! ```
 
-use manet_experiments::stack::{ManetStack, SharedTcpStats, TcpRunReport};
-use manet_netsim::mobility::StaticPlacement;
-use manet_netsim::{
-    Duration, NodeStack, Position, Recorder, SimConfig, Simulator, TraceEvent, TraceMode,
-};
-use manet_tcp::{FlowProfile, TcpConfig};
-use manet_wire::{ConnectionId, NodeId};
+use manet_netsim::{Duration, Position, Recorder, SimConfig, TraceEvent, TraceMode};
 use mts_repro::prelude::*;
-use parking_lot::Mutex;
-use std::sync::Arc;
 
 fn main() {
     // Diamond topology: 0 (source) - {1 upper, 2 lower} - 3 (destination),
@@ -29,35 +21,21 @@ fn main() {
         Position::new(400.0, 0.0),
         Position::new(120.0, 240.0),
     ];
-    let n = positions.len() as u16;
-    let mut sim_cfg = SimConfig::default();
-    sim_cfg.num_nodes = n;
-    sim_cfg.duration = Duration::from_secs(12.0);
-    sim_cfg.mobility.max_speed = 0.0;
-
-    let stats: SharedTcpStats = Arc::new(Mutex::new(TcpRunReport::default()));
-    let stacks: Vec<Box<dyn NodeStack>> = (0..n)
-        .map(|i| {
-            let me = NodeId(i);
-            let agent = Protocol::Mts.build_agent(me, MtsConfig::default());
-            let mut stack = ManetStack::new(me, agent, Arc::clone(&stats));
-            if i == 0 {
-                stack.add_sender(
-                    ConnectionId(0),
-                    NodeId(3),
-                    TcpConfig::default(),
-                    FlowProfile::bulk(),
-                );
-            }
-            if i == 3 {
-                stack.add_receiver(ConnectionId(0), NodeId(0));
-            }
-            Box::new(stack) as Box<dyn NodeStack>
-        })
-        .collect();
-    let mut sim = Simulator::new(sim_cfg, Box::new(StaticPlacement::new(positions)), stacks);
-    sim.set_trace_mode(TraceMode::Keep);
-    let recorder = sim.run();
+    let mut sim = SimConfig::default();
+    sim.num_nodes = positions.len() as u16;
+    sim.duration = Duration::from_secs(12.0);
+    sim.mobility.max_speed = 0.0;
+    let mut scenario = Scenario::custom(
+        Protocol::Mts,
+        sim,
+        vec![TrafficFlow::bulk(NodeId(0), NodeId(3))],
+    );
+    scenario.placement = Placement::Static(positions);
+    let options = RunOptions {
+        trace: TraceMode::Keep,
+        ..RunOptions::default()
+    };
+    let (_, recorder) = run_with(&scenario, options);
 
     print_trace(&recorder);
     print_summary(&recorder);

@@ -42,9 +42,12 @@ pub mod prelude {
     pub use manet_experiments::figures::{figure_series, table1_relay_table, FigureId};
     pub use manet_experiments::report::{render_figure, render_relay_table};
     pub use manet_experiments::runner::{
-        run_scenario, run_scenario_with_recorder, sweep, sweep_with, SweepSpec,
+        run_scenario, run_scenario_with_recorder, run_with, sweep, sweep_with, RunOptions,
+        SweepSpec,
     };
-    pub use manet_experiments::{FlowMetrics, Protocol, RunMetrics, Scenario, TrafficFlow};
+    pub use manet_experiments::{
+        FlowMetrics, Placement, Protocol, RunMetrics, Scenario, TrafficFlow,
+    };
     pub use manet_netsim::{Duration, JamTarget, RushConfig, SimConfig, SimTime, WormholeConfig};
     pub use manet_stack::{ManetStack, SharedTcpStats, TcpRunReport, TcpRunStats};
     pub use manet_tcp::{FlowProfile, FlowShape};

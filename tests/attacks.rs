@@ -176,8 +176,8 @@ fn mobile_eavesdropper_changes_the_run_but_stays_deterministic() {
 
 #[test]
 fn mobile_eavesdropper_runs_alike_with_and_without_the_neighbourhood_cache() {
-    use mts_repro::experiments::runner::run_scenario_traced;
-    use mts_repro::netsim::NeighborIndex;
+    use mts_repro::experiments::runner::{run_with, RunOptions};
+    use mts_repro::netsim::{NeighborIndex, TraceMode};
     // The hunter re-aims at the corridor in short hops at the model's top
     // speed.  The grid run answers most transmissions from the per-node
     // neighbourhood cache, the brute-force run scans on every one: the
@@ -189,7 +189,14 @@ fn mobile_eavesdropper_runs_alike_with_and_without_the_neighbourhood_cache() {
                 .with_attack(AttackConfig::mobile_eavesdropper());
             scenario.sim.duration = Duration::from_secs(8.0);
             scenario.sim.neighbor_index = index;
-            run_scenario_traced(&scenario)
+            let trace = TraceMode::Keep;
+            run_with(
+                &scenario,
+                RunOptions {
+                    trace,
+                    ..RunOptions::default()
+                },
+            )
         };
         let (grid, grid_rec) = run(NeighborIndex::Grid);
         let (brute, brute_rec) = run(NeighborIndex::BruteForce);

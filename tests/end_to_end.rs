@@ -64,7 +64,7 @@ fn runs_are_deterministic_for_a_fixed_seed() {
 /// scaled scenario and 25 random-pair flows at n = 500, full traces diffed.
 #[test]
 fn multi_flow_runs_are_deterministic_across_queue_backends() {
-    use mts_repro::netsim::EventQueueKind;
+    use mts_repro::netsim::{EventQueueKind, TraceMode};
     let build = |queue: EventQueueKind| {
         let mut scenario = Scenario::random_pairs(Protocol::Mts, 100, 10, 10.0, 3);
         scenario.sim.duration = Duration::from_secs(10.0);
@@ -104,7 +104,15 @@ fn multi_flow_runs_are_deterministic_across_queue_backends() {
         scenario.sim.duration = Duration::from_secs(3.0);
         let mut traced = |queue: EventQueueKind| {
             scenario.sim.event_queue = queue;
-            mts_repro::experiments::runner::run_scenario_traced(&scenario).1
+            let trace = TraceMode::Keep;
+            run_with(
+                &scenario,
+                RunOptions {
+                    trace,
+                    ..RunOptions::default()
+                },
+            )
+            .1
         };
         let (calendar, heap) = (
             traced(EventQueueKind::Calendar),

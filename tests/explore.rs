@@ -21,14 +21,14 @@
 //!    whatever the seed or horizon, with or without a fluid background
 //!    (property-tested).
 
-use manet_experiments::runner::run_scenario_traced;
+use manet_experiments::runner::{run_with, RunOptions};
 use manet_experiments::Protocol;
 use manet_mck::{
     blackhole_corridor, explore, outcome_digest, run_with_trace, ChoiceTrace, ExploreSpec,
     Invariant, ScheduleAction, Verdict,
 };
 use manet_netsim::telemetry::event::DropKind;
-use manet_netsim::{DropReason, Duration, FluidConfig, TelemetryConfig, TraceEvent};
+use manet_netsim::{DropReason, Duration, FluidConfig, TelemetryConfig, TraceEvent, TraceMode};
 use proptest::prelude::*;
 
 /// One reorder quantum, matching `reproduce explore`.
@@ -350,7 +350,8 @@ proptest! {
                 ..FluidConfig::default()
             });
         }
-        let (_, plain) = run_scenario_traced(&scenario);
+        let trace = TraceMode::Keep;
+        let (_, plain) = run_with(&scenario, RunOptions { trace, ..RunOptions::default() });
         let hooked = run_with_trace(
             &scenario,
             &ChoiceTrace::unforced(horizon, delay(), vec!["RREQ", "RREP", "DATA"]),

@@ -15,9 +15,26 @@
 //!
 //! and paste the printed table over `GOLDEN`.
 
-use manet_experiments::runner::run_scenario_traced;
-use manet_experiments::{Protocol, Scenario};
-use manet_netsim::{Duration, TraceEvent};
+use manet_experiments::runner::{run_with, RunOptions};
+use manet_experiments::{Placement, Protocol, RunMetrics, Scenario, TrafficFlow};
+use manet_netsim::{
+    Ctx, Duration, NodeStack, Position, Recorder, SimConfig, TimerToken, TraceEvent, TraceMode,
+};
+use manet_wire::{Frame, NetPacket, NodeId, SharedPacket};
+use std::cell::RefCell;
+use std::hash::Hasher;
+
+/// Run `scenario` keeping the full event trace.
+fn run_traced(scenario: &Scenario) -> (RunMetrics, Recorder) {
+    let trace = TraceMode::Keep;
+    run_with(
+        scenario,
+        RunOptions {
+            trace,
+            ..RunOptions::default()
+        },
+    )
+}
 
 /// FNV-1a over the Debug rendering of every trace event: stable across runs
 /// (no randomized hashers) and sensitive to any reordering, retiming or
@@ -40,6 +57,7 @@ fn trace_digest(trace: &[TraceEvent]) -> u64 {
 /// Everything one golden row pins about a run.
 #[derive(Debug, PartialEq)]
 struct GoldenRow {
+    scenario: &'static str,
     protocol: Protocol,
     trace_digest: u64,
     trace_len: usize,
@@ -52,11 +70,46 @@ struct GoldenRow {
     bytes_delivered: u64,
 }
 
-fn measure(protocol: Protocol) -> GoldenRow {
-    let mut scenario = Scenario::paper(protocol, 10.0, 1);
-    scenario.sim.duration = Duration::from_secs(30.0);
-    let (metrics, recorder) = run_scenario_traced(&scenario);
+/// The scenario a [`GoldenRow`] pins: `"paper"` is the paper environment
+/// (10 m/s, seed 1, 30 s), `"diamond"` the hand-placed topology of
+/// `examples/route_discovery_trace.rs` (source 0 and destination 3 joined
+/// through relays 1 and 2, a longer path over relay 4, 12 s).
+fn golden_scenario(label: &str, protocol: Protocol) -> Scenario {
+    match label {
+        "paper" => {
+            let mut scenario = Scenario::paper(protocol, 10.0, 1);
+            scenario.sim.duration = Duration::from_secs(30.0);
+            scenario
+        }
+        "diamond" => {
+            let mut sim = SimConfig::default();
+            sim.num_nodes = 5;
+            sim.duration = Duration::from_secs(12.0);
+            sim.mobility.max_speed = 0.0;
+            let flow = TrafficFlow::bulk(NodeId(0), NodeId(3));
+            let mut scenario = Scenario::custom(protocol, sim, vec![flow]);
+            scenario.placement = Placement::Static(vec![
+                Position::new(0.0, 0.0),
+                Position::new(200.0, 130.0),
+                Position::new(200.0, -130.0),
+                Position::new(400.0, 0.0),
+                Position::new(120.0, 240.0),
+            ]);
+            scenario
+        }
+        other => panic!("no golden scenario labelled {other}"),
+    }
+}
+
+/// The golden row of one run of `golden_scenario(scenario, protocol)`.
+fn golden_row(
+    scenario: &'static str,
+    protocol: Protocol,
+    metrics: &RunMetrics,
+    recorder: &Recorder,
+) -> GoldenRow {
     GoldenRow {
+        scenario,
         protocol,
         trace_digest: trace_digest(recorder.trace()),
         trace_len: recorder.trace().len(),
@@ -70,10 +123,18 @@ fn measure(protocol: Protocol) -> GoldenRow {
     }
 }
 
+fn measure(scenario: &'static str, protocol: Protocol) -> GoldenRow {
+    let (metrics, recorder) = run_traced(&golden_scenario(scenario, protocol));
+    golden_row(scenario, protocol, &metrics, &recorder)
+}
+
 /// Measured from the pre-refactor (PR 4) single-flow stack: paper scenario,
-/// 10 m/s, seed 1, 30 simulated seconds.
-const GOLDEN: [GoldenRow; 3] = [
+/// 10 m/s, seed 1, 30 simulated seconds.  The diamond row was measured from
+/// the simulator the route-discovery example assembled by hand before it
+/// became a `Scenario`, so it pins the two assemblies as equal.
+const GOLDEN: [GoldenRow; 4] = [
     GoldenRow {
+        scenario: "paper",
         protocol: Protocol::Dsr,
         trace_digest: 16152132416890033848,
         trace_len: 15983,
@@ -86,6 +147,7 @@ const GOLDEN: [GoldenRow; 3] = [
         bytes_delivered: 1015000,
     },
     GoldenRow {
+        scenario: "paper",
         protocol: Protocol::Aodv,
         trace_digest: 6229608777755142515,
         trace_len: 61532,
@@ -98,6 +160,7 @@ const GOLDEN: [GoldenRow; 3] = [
         bytes_delivered: 3124000,
     },
     GoldenRow {
+        scenario: "paper",
         protocol: Protocol::Mts,
         trace_digest: 9826943569750941382,
         trace_len: 24423,
@@ -108,6 +171,19 @@ const GOLDEN: [GoldenRow; 3] = [
         link_failures: 51,
         bytes_acked: 1269000,
         bytes_delivered: 1270000,
+    },
+    GoldenRow {
+        scenario: "diamond",
+        protocol: Protocol::Mts,
+        trace_digest: 1508093889572365115,
+        trace_len: 19881,
+        originated: 3344,
+        delivered: 3326,
+        control_tx: 18,
+        collisions: 0,
+        link_failures: 0,
+        bytes_acked: 3231000,
+        bytes_delivered: 3326000,
     },
 ];
 
@@ -155,16 +231,16 @@ fn attack_matrix_cells_are_pinned_at_equal_seeds() {
 fn paper_single_flow_runs_are_byte_identical_to_the_pre_refactor_stack() {
     let regen = std::env::var_os("GOLDEN_REGEN").is_some();
     for golden in &GOLDEN {
-        let row = measure(golden.protocol);
+        let row = measure(golden.scenario, golden.protocol);
         if regen {
             println!("    {row:#?},");
             continue;
         }
         assert_eq!(
             &row, golden,
-            "{}: the paper scenario's recorder trace drifted from the \
-             pinned pre-refactor run (see the module docs for regeneration)",
-            golden.protocol
+            "{} {}: the recorder trace drifted from the pinned run (see the \
+             module docs for regeneration)",
+            golden.scenario, golden.protocol
         );
     }
 }
@@ -180,35 +256,25 @@ fn telemetry_enabled_runs_keep_the_golden_digests() {
         return; // the pinned rows are regenerated by the test above
     }
     for golden in &GOLDEN {
-        let mut scenario = Scenario::paper(golden.protocol, 10.0, 1).with_telemetry(
+        let scenario = golden_scenario(golden.scenario, golden.protocol).with_telemetry(
             manet_netsim::TelemetryConfig {
                 enabled: true,
                 window_secs: Some(1.0),
                 trace_packet: Some((0, 0)),
             },
         );
-        scenario.sim.duration = Duration::from_secs(30.0);
-        let (metrics, recorder) = run_scenario_traced(&scenario);
-        let row = GoldenRow {
-            protocol: golden.protocol,
-            trace_digest: trace_digest(recorder.trace()),
-            trace_len: recorder.trace().len(),
-            originated: recorder.originated_data_packets(),
-            delivered: recorder.delivered_data_packets(),
-            control_tx: recorder.control_transmissions(),
-            collisions: recorder.collisions(),
-            link_failures: recorder.link_failures(),
-            bytes_acked: metrics.tcp_bytes_acked,
-            bytes_delivered: recorder.delivered_payload_bytes(),
-        };
+        let (metrics, recorder) = run_traced(&scenario);
         assert_eq!(
-            &row, golden,
-            "{}: enabling telemetry changed the pinned golden trace",
+            &golden_row(golden.scenario, golden.protocol, &metrics, &recorder),
+            golden,
+            "{} {}: enabling telemetry changed the pinned golden trace",
+            golden.scenario,
             golden.protocol
         );
         assert!(
             !recorder.telemetry.events().is_empty(),
-            "{}: the telemetry-on run collected no events",
+            "{} {}: the telemetry-on run collected no events",
+            golden.scenario,
             golden.protocol
         );
     }
@@ -224,28 +290,18 @@ fn zero_flow_background_keeps_the_golden_digests() {
         return; // the pinned rows are regenerated by the test above
     }
     for golden in &GOLDEN {
-        let mut scenario =
-            Scenario::paper(golden.protocol, 10.0, 1).with_background(manet_netsim::FluidConfig {
+        let scenario = golden_scenario(golden.scenario, golden.protocol).with_background(
+            manet_netsim::FluidConfig {
                 flows: 0,
                 ..manet_netsim::FluidConfig::default()
-            });
-        scenario.sim.duration = Duration::from_secs(30.0);
-        let (metrics, recorder) = run_scenario_traced(&scenario);
-        let row = GoldenRow {
-            protocol: golden.protocol,
-            trace_digest: trace_digest(recorder.trace()),
-            trace_len: recorder.trace().len(),
-            originated: recorder.originated_data_packets(),
-            delivered: recorder.delivered_data_packets(),
-            control_tx: recorder.control_transmissions(),
-            collisions: recorder.collisions(),
-            link_failures: recorder.link_failures(),
-            bytes_acked: metrics.tcp_bytes_acked,
-            bytes_delivered: recorder.delivered_payload_bytes(),
-        };
+            },
+        );
+        let (metrics, recorder) = run_traced(&scenario);
         assert_eq!(
-            &row, golden,
-            "{}: a zero-flow fluid background changed the pinned golden trace",
+            &golden_row(golden.scenario, golden.protocol, &metrics, &recorder),
+            golden,
+            "{} {}: a zero-flow fluid background changed the pinned golden trace",
+            golden.scenario,
             golden.protocol
         );
         assert!(recorder.fluid_flows().is_empty());
@@ -259,7 +315,7 @@ fn zero_flow_background_keeps_the_golden_digests() {
 fn disabled_telemetry_collects_nothing() {
     let mut scenario = Scenario::paper(Protocol::Mts, 10.0, 1);
     scenario.sim.duration = Duration::from_secs(10.0);
-    let (_, recorder) = run_scenario_traced(&scenario);
+    let (_, recorder) = run_traced(&scenario);
     assert!(!recorder.telemetry.enabled());
     assert!(recorder.telemetry.events().is_empty());
 }
@@ -295,7 +351,7 @@ fn medium_attack(label: &str) -> manet_experiments::AttackConfig {
 fn measure_medium(protocol: Protocol, attack: &'static str) -> MediumRow {
     let mut scenario = Scenario::paper(protocol, 10.0, 1).with_attack(medium_attack(attack));
     scenario.sim.duration = Duration::from_secs(20.0);
-    let (_, recorder) = run_scenario_traced(&scenario);
+    let (_, recorder) = run_traced(&scenario);
     MediumRow {
         protocol,
         attack,
@@ -385,5 +441,79 @@ fn hostile_medium_runs_are_pinned() {
             "{} under {}: the hostile-medium trace drifted from its pin",
             golden.protocol, golden.attack
         );
+    }
+}
+
+/// Forwards every callback to the stack it wraps.
+struct PassThrough(Box<dyn NodeStack>);
+
+impl NodeStack for PassThrough {
+    fn start(&mut self, ctx: &mut Ctx<'_>) {
+        self.0.start(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+        self.0.on_timer(ctx, token);
+    }
+
+    fn on_receive(&mut self, ctx: &mut Ctx<'_>, from: NodeId, packet: SharedPacket) {
+        self.0.on_receive(ctx, from, packet);
+    }
+
+    fn on_promiscuous(&mut self, ctx: &mut Ctx<'_>, frame: &Frame) {
+        self.0.on_promiscuous(ctx, frame);
+    }
+
+    fn on_link_failure(&mut self, ctx: &mut Ctx<'_>, next_hop: NodeId, packet: NetPacket) {
+        self.0.on_link_failure(ctx, next_hop, packet);
+    }
+
+    fn on_run_end(&mut self, ctx: &mut Ctx<'_>) {
+        self.0.on_run_end(ctx);
+    }
+}
+
+/// A stack decorator sees every node's finished stack exactly once, the
+/// black-hole relays and the fluid flows' inert endpoints included, and a
+/// decorator that only forwards leaves the run unchanged.
+#[test]
+fn a_forwarding_decorator_sees_every_node_once_and_changes_nothing() {
+    use manet_experiments::AttackConfig;
+    let mut blackhole =
+        Scenario::paper(Protocol::MtsHardened, 10.0, 1).with_attack(AttackConfig::blackhole(2));
+    blackhole.sim.duration = Duration::from_secs(10.0);
+    let mut fluid = Scenario::paper(Protocol::Mts, 5.0, 1);
+    fluid.sim.duration = Duration::from_secs(10.0);
+    fluid.eavesdropper = None;
+    fluid.flows.push(TrafficFlow::fluid(NodeId(10), NodeId(40)));
+    for scenario in [blackhole, fluid] {
+        let trace = TraceMode::Fingerprint;
+        let (plain_metrics, plain) = run_with(
+            &scenario,
+            RunOptions {
+                trace,
+                ..RunOptions::default()
+            },
+        );
+        let seen = RefCell::new(Vec::new());
+        let decorate = |me: NodeId, stack: Box<dyn NodeStack>| -> Box<dyn NodeStack> {
+            seen.borrow_mut().push(me);
+            Box::new(PassThrough(stack))
+        };
+        let options = RunOptions {
+            trace,
+            decorate: Some(&decorate),
+            ..RunOptions::default()
+        };
+        let (metrics, recorder) = run_with(&scenario, options);
+        assert_eq!(metrics, plain_metrics);
+        assert_eq!(
+            recorder.trace_fingerprint().finish(),
+            plain.trace_fingerprint().finish()
+        );
+        let mut seen = seen.into_inner();
+        seen.sort_unstable();
+        let every_node: Vec<NodeId> = (0..scenario.sim.num_nodes).map(NodeId).collect();
+        assert_eq!(seen, every_node, "each node decorated exactly once");
     }
 }

@@ -17,13 +17,27 @@
 //! (~3M events per seed at 50 flows), so it no-ops under debug builds; CI
 //! runs it via `cargo test --release --test hybrid`.
 
-use manet_experiments::runner::{run_scenario_traced, run_scenario_with_recorder};
-use manet_experiments::{Protocol, Scenario, TrafficFlow};
+use manet_experiments::runner::{run_scenario_with_recorder, run_with, RunOptions};
+use manet_experiments::{Protocol, RunMetrics, Scenario, TrafficFlow};
 use manet_netsim::telemetry::{write_ndjson, StringSink};
-use manet_netsim::{Duration, FluidConfig, FluidFlowSpec, FxHasher, TelemetryConfig};
+use manet_netsim::{
+    Duration, FluidConfig, FluidFlowSpec, FxHasher, Recorder, TelemetryConfig, TraceMode,
+};
 use manet_wire::NodeId;
 use std::fmt::Debug;
 use std::hash::Hasher;
+
+/// Run `scenario` keeping the full event trace.
+fn run_traced(scenario: &Scenario) -> (RunMetrics, Recorder) {
+    let trace = TraceMode::Keep;
+    run_with(
+        scenario,
+        RunOptions {
+            trace,
+            ..RunOptions::default()
+        },
+    )
+}
 
 /// The PR 5 flow axis: the goodput peak sits at 5 concurrent flows.
 const FLOW_AXIS: [u16; 4] = [1, 5, 25, 50];
@@ -115,8 +129,8 @@ fn zero_flow_background_is_byte_identical_to_no_background() {
     });
     with_empty_background.sim.duration = Duration::from_secs(10.0);
 
-    let (_, base) = run_scenario_traced(&baseline);
-    let (fluid_metrics, fluid) = run_scenario_traced(&with_empty_background);
+    let (_, base) = run_traced(&baseline);
+    let (fluid_metrics, fluid) = run_traced(&with_empty_background);
     assert_eq!(
         base.trace(),
         fluid.trace(),
@@ -144,7 +158,7 @@ fn fluid_ledger_conserves_bytes_and_completes_bounded_flows() {
         flow_bytes: 20_000,
         ..hybrid_background()
     });
-    let (metrics, recorder) = run_scenario_traced(&scenario);
+    let (metrics, recorder) = run_traced(&scenario);
 
     assert_eq!(
         metrics.fluid_flows, 9,
@@ -228,7 +242,7 @@ fn small_hybrid_run_keeps_its_trace_and_fluid_ledger() {
         arrival_spread: Duration::from_secs(4.0),
         ..FluidConfig::default()
     });
-    let (metrics, recorder) = run_scenario_traced(&scenario);
+    let (metrics, recorder) = run_traced(&scenario);
     let trace = recorder.trace();
     let completed = recorder
         .fluid_flows()
@@ -294,7 +308,7 @@ fn mixed_demand_hybrid_run_keeps_its_trace_ledger_and_stream() {
         ],
         ..FluidConfig::default()
     });
-    let (metrics, recorder) = run_scenario_traced(&scenario);
+    let (metrics, recorder) = run_traced(&scenario);
     let completed = recorder
         .fluid_flows()
         .values()
@@ -337,8 +351,8 @@ fn hybrid_collapse_curve_stays_within_documented_tolerance() {
     // At or below the foreground cap no flow is converted, so the hybrid run
     // is the packet run (Off means identical, at release scale).
     for flows in FLOW_AXIS.into_iter().filter(|f| *f <= FOREGROUND) {
-        let (_, packet) = run_scenario_traced(&offered_load(flows, 1, false));
-        let (_, hybrid) = run_scenario_traced(&offered_load(flows, 1, true));
+        let (_, packet) = run_traced(&offered_load(flows, 1, false));
+        let (_, hybrid) = run_traced(&offered_load(flows, 1, true));
         assert_eq!(
             packet.trace(),
             hybrid.trace(),
