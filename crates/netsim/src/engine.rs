@@ -486,7 +486,12 @@ impl World {
 
     /// Schedule a protocol timer.
     pub fn schedule_timer(&mut self, node: NodeId, delay: Duration, token: TimerToken) {
-        let at = self.now + delay;
+        self.schedule_timer_at(node, self.now + delay, token);
+    }
+
+    /// Schedule a timer event for `node` at the instant `at`.
+    pub(crate) fn schedule_timer_at(&mut self, node: NodeId, at: SimTime, token: TimerToken) {
+        debug_assert!(at >= self.now, "timer at {at:?} is in the past");
         self.queue.schedule(at, Event::Timer { node, token });
     }
 

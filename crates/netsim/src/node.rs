@@ -9,7 +9,9 @@
 //! Timers are *not* cancellable: stacks should keep a generation counter (or
 //! equivalent) in the [`TimerToken`] payload and ignore stale firings.  This
 //! keeps the event queue simple and is the idiom used by all protocols in this
-//! workspace.
+//! workspace.  A timer whose deadline moves on every packet (TCP's
+//! retransmission timer) should not schedule an event per move: it keeps the
+//! deadline and one pending event, re-arming when that event fires early.
 
 use crate::engine::World;
 use crate::recorder::{Observation, Recorder};
@@ -87,6 +89,13 @@ impl<'a> Ctx<'a> {
     /// Schedule a timer that will fire `delay` from now with the given token.
     pub fn schedule_timer(&mut self, delay: Duration, token: TimerToken) {
         self.world.schedule_timer(self.node, delay, token);
+    }
+
+    /// Schedule a timer that will fire at the instant `at` (not before now)
+    /// with the given token.  For a deadline the stack already holds as an
+    /// instant: `now + (at - now)` need not round back to `at`.
+    pub fn schedule_timer_at(&mut self, at: SimTime, token: TimerToken) {
+        self.world.schedule_timer_at(self.node, at, token);
     }
 
     /// Hand a frame to this node's MAC for transmission.

@@ -497,6 +497,86 @@ impl Extend<PacketId> for PacketSet {
     }
 }
 
+/// How far past the ids an origin has recorded so far a packet id may
+/// reach.  Ids are minted densely, so a longer jump is a corrupt id, and
+/// growing a ledger to it could allocate up to 2^40 slots.
+const LEDGER_REACH: usize = 1 << 20;
+
+/// The send times and deliveries of the packets of one origin, indexed by
+/// the counter half of their id (`(origin << 40) | counter`, minted densely
+/// from 0 by the origin's stack).
+#[derive(Debug, Default)]
+struct OriginLedger {
+    /// First origination time of each counter, in seconds; NaN where the
+    /// counter was never originated.
+    sent: Vec<f64>,
+    /// One bit per counter: delivered to its final destination.
+    delivered: Vec<u64>,
+}
+
+impl OriginLedger {
+    /// The origin's ledger slot and the counter of `id`.
+    #[inline]
+    fn split(id: PacketId) -> (usize, usize) {
+        let origin = id.0 >> 40;
+        assert!(
+            origin <= u64::from(u16::MAX),
+            "packet id {:#x} names no node as its origin",
+            id.0
+        );
+        (origin as usize, (id.0 & ((1 << 40) - 1)) as usize)
+    }
+
+    /// Panic unless `counter` is within reach of the ids recorded so far.
+    fn check_reach(&self, counter: usize) {
+        let recorded = self.sent.len().max(self.delivered.len() * 64);
+        assert!(
+            counter < recorded + LEDGER_REACH,
+            "packet counter {counter} is far past the {recorded} ids of its origin"
+        );
+    }
+
+    /// Record an origination of `counter` at `at`; the first one wins.
+    #[inline]
+    fn originate(&mut self, counter: usize, at: SimTime) {
+        if counter >= self.sent.len() {
+            self.check_reach(counter);
+            self.sent.resize(counter + 1, f64::NAN);
+        }
+        let sent = &mut self.sent[counter];
+        if sent.is_nan() {
+            *sent = at.as_secs();
+        }
+    }
+
+    /// When `counter` was first originated, if it was.
+    #[inline]
+    fn sent_at(&self, counter: usize) -> Option<SimTime> {
+        let secs = *self.sent.get(counter)?;
+        (!secs.is_nan()).then(|| SimTime::from_secs(secs))
+    }
+
+    /// Record a delivery of `counter`; `false` if it was delivered before.
+    #[inline]
+    fn deliver(&mut self, counter: usize) -> bool {
+        let (word, bit) = (counter / 64, 1u64 << (counter % 64));
+        if word >= self.delivered.len() {
+            self.check_reach(counter);
+            self.delivered.resize(word + 1, 0);
+        }
+        let new = self.delivered[word] & bit == 0;
+        self.delivered[word] |= bit;
+        new
+    }
+
+    /// Was `counter` delivered?
+    fn was_delivered(&self, counter: usize) -> bool {
+        self.delivered
+            .get(counter / 64)
+            .is_some_and(|bits| bits >> (counter % 64) & 1 == 1)
+    }
+}
+
 /// Everything recorded about one simulation run.
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -508,9 +588,10 @@ pub struct Recorder {
     trace_hash: FxHasher,
 
     // --- data-plane accounting -------------------------------------------------
-    originated: FxHashMap<PacketId, SimTime>,
+    /// Send times and deliveries of every packet, by origin (`None` for a
+    /// node whose packets were never seen, so it costs one word).
+    ledgers: Vec<Option<Box<OriginLedger>>>,
     originated_data: u64,
-    delivered: FxHashSet<PacketId>,
     delivered_data: u64,
     delivered_bytes: u64,
     delays: Vec<Duration>,
@@ -613,7 +694,8 @@ impl Recorder {
     fn fold(&mut self, at: SimTime, obs: &Observation<'_>) -> bool {
         match *obs {
             Observation::Originate { packet, .. } => {
-                self.originated.entry(packet.id).or_insert(at);
+                let (origin, counter) = OriginLedger::split(packet.id);
+                self.ledger_mut(origin).originate(counter, at);
                 if packet.carries_data() {
                     self.originated_data += 1;
                     let flow = self.flow_counters.entry(packet.segment.conn).or_default();
@@ -667,20 +749,20 @@ impl Recorder {
                 self.heard[i].insert(packet.id);
             }
             Observation::Deliver { node, packet, .. } => {
-                if !self.delivered.insert(packet.id) {
+                let (origin, counter) = OriginLedger::split(packet.id);
+                let ledger = self.ledger_mut(origin);
+                if !ledger.deliver(counter) {
                     // Duplicate delivery (e.g. a retransmission raced the
                     // original); the paper's metrics count unique packets.
                     return false;
                 }
+                let sent = ledger.sent_at(counter);
                 if packet.carries_data() {
                     let payload_bytes = packet.segment.payload_len;
                     self.delivered_data += 1;
                     self.delivered_bytes += u64::from(payload_bytes);
                     self.delivery_series.push((at, payload_bytes));
-                    let delay = self
-                        .originated
-                        .get(&packet.id)
-                        .map(|&sent| at.saturating_since(sent));
+                    let delay = sent.map(|sent| at.saturating_since(sent));
                     if let Some(delay) = delay {
                         self.delays.push(delay);
                     }
@@ -913,6 +995,13 @@ impl Recorder {
         node.index()
     }
 
+    /// The ledger of `origin`, created empty on first use.
+    #[inline]
+    fn ledger_mut(&mut self, origin: usize) -> &mut OriginLedger {
+        grow_to(&mut self.ledgers, origin);
+        self.ledgers[origin].get_or_insert_with(Box::default)
+    }
+
     /// Fold `ev` into the fingerprint, and keep it in `Keep` mode.
     fn push_trace(&mut self, ev: TraceEvent) {
         ev.fold_into(&mut self.trace_hash);
@@ -1038,7 +1127,11 @@ impl Recorder {
 
     /// True if `packet` was delivered to its final destination.
     pub fn was_delivered(&self, packet: PacketId) -> bool {
-        self.delivered.contains(&packet)
+        let (origin, counter) = OriginLedger::split(packet);
+        self.ledgers
+            .get(origin)
+            .and_then(Option::as_deref)
+            .is_some_and(|ledger| ledger.was_delivered(counter))
     }
 
     /// Packets deliberately discarded by adversarial relays (all kinds).
@@ -1277,6 +1370,84 @@ mod tests {
     fn data(id: u64, payload: u32) -> DataPacket {
         let segment = TcpSegment::data(ConnectionId(0), 0, 0, payload);
         DataPacket::new(PacketId(id), NodeId(0), NodeId(9), segment)
+    }
+
+    /// Reference model of the recorder's packet ledgers: a first-time-wins
+    /// hash map of send times and a hash set of delivered ids.
+    #[derive(Default)]
+    struct LedgerModel {
+        originated: FxHashMap<PacketId, SimTime>,
+        delivered: FxHashSet<PacketId>,
+        delays: Vec<Duration>,
+        delivered_data: u64,
+    }
+
+    impl LedgerModel {
+        fn originate(&mut self, packet: &DataPacket, at: SimTime) {
+            self.originated.entry(packet.id).or_insert(at);
+        }
+
+        fn deliver(&mut self, packet: &DataPacket, at: SimTime) {
+            if self.delivered.insert(packet.id) && packet.carries_data() {
+                self.delivered_data += 1;
+                if let Some(&sent) = self.originated.get(&packet.id) {
+                    self.delays.push(at.saturating_since(sent));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Random Originate/Deliver streams over several origins, with
+        /// repeated originations and deliveries, deliveries out of order
+        /// and of ids never originated, data and pure ACKs: the dense
+        /// per-origin ledgers agree with the hash-table model on the
+        /// delays, the delivered count and `was_delivered`.
+        #[test]
+        fn dense_ledgers_match_the_hash_table_model(
+            ops in proptest::collection::vec(
+                ((0u8..2, 0u64..5), 0u64..300, 0u8..4, 0u16..500),
+                0..400,
+            ),
+        ) {
+            let origins = [0u64, 1, 2, 7, 2_000];
+            let mut r = Recorder::new();
+            let mut model = LedgerModel::default();
+            let mut now = SimTime::ZERO;
+            for ((kind, origin), counter, flavour, gap_ms) in ops {
+                now += Duration::from_millis(f64::from(gap_ms));
+                let id = (origins[origin as usize] << 40) | counter;
+                // One pure ACK in four: delivered, but not a data packet.
+                let packet = &data(id, if flavour == 0 { 0 } else { 1000 });
+                if kind == 0 {
+                    let node = NodeId(origins[origin as usize] as u16);
+                    r.observe(now, Observation::Originate { node, packet });
+                    model.originate(packet, now);
+                } else {
+                    deliver(&mut r, packet, now);
+                    model.deliver(packet, now);
+                }
+            }
+            prop_assert_eq!(r.delays(), &model.delays[..]);
+            prop_assert_eq!(r.delivered_data_packets(), model.delivered_data);
+            for &origin in &origins {
+                for counter in 0..320 {
+                    let id = PacketId((origin << 40) | counter);
+                    prop_assert_eq!(
+                        r.was_delivered(id),
+                        model.delivered.contains(&id),
+                        "{:?}", id
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "far past")]
+    fn an_id_far_past_its_origin_fails_loudly() {
+        let mut r = Recorder::new();
+        deliver(&mut r, &data((3 << 40) | (1 << 39), 1000), t(1.0));
     }
 
     fn relay(r: &mut Recorder, node: u16, id: u64, at: SimTime) {

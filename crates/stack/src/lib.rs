@@ -246,9 +246,9 @@ impl ManetStack {
         });
     }
 
-    /// Apply a [`TcpOutcome`] of connection `conn`: transmit segments, arm the
-    /// (connection-scoped) retransmission timer and schedule any application
-    /// wake-up the flow shape asked for.
+    /// Apply a [`TcpOutcome`] of connection `conn`: transmit segments,
+    /// schedule the (connection-scoped) retransmission timer event at its
+    /// instant and any application wake-up the flow shape asked for.
     fn apply_outcome(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -261,8 +261,8 @@ impl ManetStack {
         }
         let scope = conn.0 as u16;
         if let Some(timer) = outcome.timer {
-            ctx.schedule_timer(
-                timer.delay,
+            ctx.schedule_timer_at(
+                timer.at,
                 TimerClass::Transport.scoped_token(scope, timer.generation),
             );
         }

@@ -9,24 +9,46 @@
 //! the on-off / request-response shapes used by multi-flow scenarios.  When a
 //! shape gates new data, the sender asks for an application wake-up
 //! ([`TcpOutcome::wakeup`]) instead of polling.
+//!
+//! ## Timer discipline
+//!
+//! The simulator's timers cannot be cancelled, and every new ACK moves the
+//! retransmission deadline (`now + RTO`).  Scheduling a fresh event per ACK
+//! would leave one stale event behind per ACK, so the sender keeps the
+//! deadline itself and at most one pending timer event per connection:
+//!
+//! - arming moves the deadline and schedules an event only when none is
+//!   pending at or before it; when the RTO shrank below the pending event, an
+//!   earlier event is scheduled under a new generation, and the later one is
+//!   ignored when it fires;
+//! - an event that fires before the deadline re-arms exactly at the deadline
+//!   and takes no timeout;
+//! - an event that fires at the deadline times out.
+//!
+//! A [`TimerHandle`] names the absolute instant of its event, so the stack
+//! schedules it with [`Ctx::schedule_timer_at`](manet_netsim::Ctx::schedule_timer_at):
+//! re-deriving it as `now + (at - now)` need not round back to `at`.  Timeouts
+//! therefore happen at the same instants as with one event per arm.
 
 use crate::config::{FlowProfile, FlowShape, TcpConfig};
 use crate::reno::{CongestionState, RenoController};
 use crate::rto::RtoEstimator;
 use manet_netsim::{Duration, SimTime};
 use manet_wire::{ConnectionId, TcpSegment};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
-/// Identifies the retransmission timer the stack should arm.
+/// The retransmission timer event the stack should schedule.
 ///
-/// The sender bumps the generation every time the timer must be re-armed;
-/// stale timer firings (older generations) are ignored, which matches the
-/// simulator's non-cancellable timers.
+/// Events are not cancellable; a firing whose generation is not the
+/// sender's current one is superseded and ignored (see the module doc).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerHandle {
-    /// Generation of the timer; echo it back in `on_timer`.
+    /// Generation of the event; echo it back in `on_timer`.
     pub generation: u64,
-    /// Delay after which the timer should fire.
+    /// Instant at which the event should fire.
+    pub at: SimTime,
+    /// `at` less the instant the handle was made, for a driver that keeps
+    /// relative time; a simulator schedules `at`.
     pub delay: Duration,
 }
 
@@ -35,7 +57,7 @@ pub struct TimerHandle {
 pub struct TcpOutcome {
     /// Segments to transmit, in order.
     pub segments: Vec<TcpSegment>,
-    /// Retransmission timer to arm (if any).
+    /// Retransmission timer event to schedule (if any).
     pub timer: Option<TimerHandle>,
     /// Application wake-up to schedule: call [`TcpSender::on_wakeup`] after
     /// this delay (on-off phase changes, request-response think times).
@@ -47,6 +69,7 @@ pub struct TcpOutcome {
 /// Book-keeping for one in-flight segment.
 #[derive(Debug, Clone, Copy)]
 struct InFlightSegment {
+    seq: u64,
     len: u32,
     sent_at: SimTime,
     retransmitted: bool,
@@ -64,17 +87,24 @@ pub struct TcpSender {
     snd_nxt: u64,
     /// Oldest unacknowledged byte.
     snd_una: u64,
-    /// In-flight segments keyed by their starting sequence number.
-    in_flight: BTreeMap<u64, InFlightSegment>,
+    /// In-flight segments in sequence order (they go out in order, and a
+    /// retransmission reuses the front entry).
+    in_flight: VecDeque<InFlightSegment>,
     /// Duplicate-ACK counter for the current `snd_una`.
     dupacks: u32,
     /// Highest sequence outstanding when fast recovery started (new ACKs above
     /// this end recovery).
     recovery_point: u64,
-    /// Current retransmission-timer generation.
+    /// When the outstanding data times out (`None` while disarmed).
+    rto_deadline: Option<SimTime>,
+    /// Instant of the one timer event pending in the simulator, if any.
+    timer_pending: Option<SimTime>,
+    /// Generation of the pending timer event.
     timer_generation: u64,
-    /// Whether a timer is conceptually armed.
-    timer_armed: bool,
+    /// Schedule one timer event per arm, as the reference model of the
+    /// timer discipline does.
+    #[cfg(test)]
+    eager_timers: bool,
     // --- flow shaping -----------------------------------------------------
     /// Request-response: bytes the application has released for sending so
     /// far (ignored by the other shapes).
@@ -117,11 +147,14 @@ impl TcpSender {
             profile,
             snd_nxt: 0,
             snd_una: 0,
-            in_flight: BTreeMap::new(),
+            in_flight: VecDeque::new(),
             dupacks: 0,
             recovery_point: 0,
+            rto_deadline: None,
+            timer_pending: None,
             timer_generation: 0,
-            timer_armed: false,
+            #[cfg(test)]
+            eager_timers: false,
             released: 0,
             next_release_at: None,
             wakeup_at: None,
@@ -202,13 +235,29 @@ impl TcpSender {
         self.flight_bytes() as f64 / f64::from(self.config.mss)
     }
 
-    fn arm_timer(&mut self) -> Option<TimerHandle> {
+    /// Move the retransmission deadline to `now + RTO`, and put into `out`
+    /// the timer event to schedule if none is pending at or before it.
+    fn arm_timer(&mut self, now: SimTime, out: &mut TcpOutcome) {
+        let deadline = now + self.rto.rto();
+        self.rto_deadline = Some(deadline);
+        let pending_first = self.timer_pending.is_some_and(|at| at <= deadline);
+        #[cfg(test)]
+        let pending_first = pending_first && !self.eager_timers;
+        if pending_first {
+            return; // the pending event fires first and re-arms
+        }
+        out.timer = Some(self.schedule_timer(now, deadline));
+    }
+
+    /// A timer event at `at` under a new generation, made at `now`.
+    fn schedule_timer(&mut self, now: SimTime, at: SimTime) -> TimerHandle {
         self.timer_generation += 1;
-        self.timer_armed = true;
-        Some(TimerHandle {
+        self.timer_pending = Some(at);
+        TimerHandle {
             generation: self.timer_generation,
-            delay: self.rto.rto(),
-        })
+            at,
+            delay: at.saturating_since(now),
+        }
     }
 
     /// Highest sequence number the application currently offers for
@@ -277,25 +326,29 @@ impl TcpSender {
     /// and whenever the window may have opened.
     pub fn pump(&mut self, now: SimTime) -> TcpOutcome {
         let mut out = TcpOutcome::default();
-        let offer = self.offered_limit(now, &mut out);
+        self.pump_into(now, &mut out);
+        out
+    }
+
+    /// [`TcpSender::pump`], appending to `out`.
+    fn pump_into(&mut self, now: SimTime, out: &mut TcpOutcome) {
+        let offer = self.offered_limit(now, out);
         let window_bytes = self.reno.usable_window() * u64::from(self.config.mss);
+        let already = out.segments.len();
         while self.flight_bytes() + u64::from(self.config.mss) <= window_bytes
             && self.snd_nxt < offer
         {
             let seq = self.snd_nxt;
             let len = (u64::from(self.config.mss).min(offer - seq)) as u32;
-            let seg = TcpSegment::data(self.conn, seq, 0, len);
-            self.in_flight.insert(
+            self.in_flight.push_back(InFlightSegment {
                 seq,
-                InFlightSegment {
-                    len,
-                    sent_at: now,
-                    retransmitted: false,
-                },
-            );
+                len,
+                sent_at: now,
+                retransmitted: false,
+            });
             self.snd_nxt += u64::from(len);
             self.segments_sent += 1;
-            out.segments.push(seg);
+            out.segments.push(TcpSegment::data(self.conn, seq, 0, len));
         }
         // A request-response flow whose current request is fully acknowledged
         // schedules the think-time release of the next one.
@@ -306,13 +359,12 @@ impl TcpSender {
             {
                 let at = now + Duration::from_secs(think_secs);
                 self.next_release_at = Some(at);
-                self.request_wakeup(now, at, &mut out);
+                self.request_wakeup(now, at, out);
             }
         }
-        if !out.segments.is_empty() && !self.timer_armed {
-            out.timer = self.arm_timer();
+        if out.segments.len() > already && self.rto_deadline.is_none() {
+            self.arm_timer(now, out);
         }
-        out
     }
 
     /// An application wake-up requested through [`TcpOutcome::wakeup`] fired.
@@ -341,15 +393,13 @@ impl TcpSender {
             self.bytes_acked += newly_acked;
             // RTT sample from the oldest segment this ACK covers, if it was
             // never retransmitted (Karn's rule).
-            let covered: Vec<u64> = self.in_flight.range(..ack).map(|(&seq, _)| seq).collect();
             let mut sampled = false;
-            for seq in covered {
-                if let Some(info) = self.in_flight.remove(&seq) {
-                    if !sampled && !info.retransmitted {
-                        self.rto
-                            .sample(now.saturating_since(info.sent_at).as_secs());
-                        sampled = true;
-                    }
+            while self.in_flight.front().is_some_and(|info| info.seq < ack) {
+                let info = self.in_flight.pop_front().expect("front exists");
+                if !sampled && !info.retransmitted {
+                    self.rto
+                        .sample(now.saturating_since(info.sent_at).as_secs());
+                    sampled = true;
                 }
             }
             self.snd_una = ack;
@@ -366,14 +416,12 @@ impl TcpSender {
                 self.reno.on_new_ack();
             }
             // Grow / refill the window.
-            let mut pumped = self.pump(now);
-            out.segments.append(&mut pumped.segments);
-            out.wakeup = out.wakeup.or(pumped.wakeup);
+            self.pump_into(now, &mut out);
             // Re-arm the timer for remaining in-flight data.
             if self.flight_bytes() > 0 {
-                out.timer = self.arm_timer();
+                self.arm_timer(now, &mut out);
             } else {
-                self.timer_armed = false;
+                self.rto_deadline = None;
             }
         } else if ack == self.snd_una && self.flight_bytes() > 0 {
             // Duplicate ACK.
@@ -382,12 +430,10 @@ impl TcpSender {
                 self.recovery_point = self.snd_nxt;
                 self.reno.on_fast_retransmit(self.flight_segments());
                 out.segments.push(self.retransmit_front(now));
-                out.timer = self.arm_timer();
+                self.arm_timer(now, &mut out);
             } else if self.dupacks > self.config.dupack_threshold {
                 self.reno.on_extra_dupack();
-                let mut pumped = self.pump(now);
-                out.segments.append(&mut pumped.segments);
-                out.wakeup = out.wakeup.or(pumped.wakeup);
+                self.pump_into(now, &mut out);
             }
         }
         out
@@ -396,32 +442,48 @@ impl TcpSender {
     /// Retransmit the oldest unacknowledged segment.
     fn retransmit_front(&mut self, now: SimTime) -> TcpSegment {
         let seq = self.snd_una;
-        let len = self
-            .in_flight
-            .get(&seq)
-            .map(|i| i.len)
-            .unwrap_or(self.config.mss);
-        self.in_flight.insert(
-            seq,
-            InFlightSegment {
-                len,
-                sent_at: now,
-                retransmitted: true,
-            },
-        );
+        let len = match self.in_flight.front_mut() {
+            Some(front) if front.seq == seq => {
+                front.sent_at = now;
+                front.retransmitted = true;
+                front.len
+            }
+            // Every entry below `snd_una` is acknowledged and gone, so a
+            // segment starting at `snd_una` belongs at the front.
+            _ => {
+                let len = self.config.mss;
+                self.in_flight.push_front(InFlightSegment {
+                    seq,
+                    len,
+                    sent_at: now,
+                    retransmitted: true,
+                });
+                len
+            }
+        };
         self.segments_sent += 1;
         self.retransmissions += 1;
         TcpSegment::data(self.conn, seq, 0, len)
     }
 
-    /// The retransmission timer with `generation` fired.
+    /// The retransmission timer event with `generation` fired: a superseded
+    /// event is ignored, an early one re-arms at the deadline, and one at the
+    /// deadline times out.
     pub fn on_timer(&mut self, generation: u64, now: SimTime) -> TcpOutcome {
         let mut out = TcpOutcome::default();
-        if generation != self.timer_generation || !self.timer_armed {
-            return out; // stale timer
+        if generation != self.timer_generation {
+            return out; // superseded by an earlier event
+        }
+        self.timer_pending = None;
+        let Some(deadline) = self.rto_deadline else {
+            return out; // disarmed since the event was scheduled
+        };
+        if now < deadline {
+            out.timer = Some(self.schedule_timer(now, deadline));
+            return out;
         }
         if self.flight_bytes() == 0 {
-            self.timer_armed = false;
+            self.rto_deadline = None;
             return out;
         }
         // Timeout: collapse the window, back off the RTO, retransmit the
@@ -430,11 +492,11 @@ impl TcpSender {
         self.reno.on_timeout(self.flight_segments());
         self.rto.back_off();
         self.dupacks = 0;
-        for info in self.in_flight.values_mut() {
+        for info in &mut self.in_flight {
             info.retransmitted = true;
         }
         out.segments.push(self.retransmit_front(now));
-        out.timer = self.arm_timer();
+        self.arm_timer(now, &mut out);
         out
     }
 }
@@ -442,6 +504,7 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const CONN: ConnectionId = ConnectionId(1);
 
@@ -525,16 +588,69 @@ mod tests {
     }
 
     #[test]
-    fn stale_timer_generations_are_ignored() {
+    fn acks_while_an_event_is_pending_schedule_nothing() {
         let mut s = sender();
-        let first = s.pump(t(0.0));
-        let old_generation = first.timer.unwrap().generation;
         let mss = u64::from(TcpConfig::default().mss);
-        // The ACK re-arms the timer with a newer generation.
-        let _ = s.on_ack(&ack(mss), t(0.1));
-        let out = s.on_timer(old_generation, t(5.0));
+        let first = s
+            .pump(t(0.0))
+            .timer
+            .expect("the first segment arms the timer");
+        assert_eq!(first.at, t(1.0), "the initial RTO is one second");
+        // Every ACK moves the deadline past the pending event, so none of
+        // them schedules another.
+        for (i, now) in [0.1, 0.2, 0.3].into_iter().enumerate() {
+            let out = s.on_ack(&ack((i as u64 + 1) * mss), t(now));
+            assert!(!out.segments.is_empty());
+            assert_eq!(out.timer, None, "ACK at {now} scheduled a timer event");
+        }
+    }
+
+    #[test]
+    fn an_early_firing_rearms_at_the_deadline_and_a_firing_at_it_times_out() {
+        let mut s = sender();
+        let mss = u64::from(TcpConfig::default().mss);
+        let first = s.pump(t(0.0)).timer.expect("armed");
+        let _ = s.on_ack(&ack(mss), t(0.25));
+        // The ACK moved the deadline to 0.25 + RTO (1 s, the floor).
+        let out = s.on_timer(first.generation, first.at);
         assert!(out.segments.is_empty());
         assert_eq!(s.timeouts(), 0);
+        let rearmed = out.timer.expect("an early firing re-arms");
+        assert_eq!(rearmed.at, t(0.25) + Duration::from_secs(1.0));
+        let out = s.on_timer(rearmed.generation, rearmed.at);
+        assert_eq!(s.timeouts(), 1);
+        assert_eq!(out.segments.len(), 1);
+        assert_eq!(out.segments[0].seq, mss, "the oldest unacked segment");
+        // Backed off: twice srtt + 4 rttvar = 2 × (0.25 + 0.5) s.
+        let next = out.timer.expect("the timeout arms the backed-off timer");
+        assert_eq!(next.at, rearmed.at + Duration::from_secs(1.5));
+    }
+
+    #[test]
+    fn a_superseded_generation_is_ignored() {
+        let config = TcpConfig {
+            min_rto: 0.1,
+            ..TcpConfig::default()
+        };
+        let mut s = TcpSender::new(CONN, config);
+        let mss = u64::from(config.mss);
+        let first = s.pump(t(0.0)).timer.expect("armed");
+        assert_eq!(first.at, t(1.0), "no RTT sample yet: one second");
+        // The first sample shrinks the RTO to 0.3 s, below the pending
+        // event, so an earlier event goes out under a new generation.
+        let out = s.on_ack(&ack(mss), t(0.1));
+        let earlier = out
+            .timer
+            .expect("a shrunken RTO schedules an earlier event");
+        assert_ne!(earlier.generation, first.generation);
+        assert!((earlier.at.as_secs() - 0.4).abs() < 1e-12, "{earlier:?}");
+        let _ = s.on_timer(earlier.generation, earlier.at);
+        assert_eq!(s.timeouts(), 1);
+        let retransmissions = s.retransmissions();
+        let out = s.on_timer(first.generation, first.at);
+        assert!(out.segments.is_empty() && out.timer.is_none());
+        assert_eq!(s.timeouts(), 1);
+        assert_eq!(s.retransmissions(), retransmissions);
     }
 
     #[test]
@@ -713,5 +829,104 @@ mod tests {
         assert!(s.bytes_acked() > 100 * mss);
         assert!(s.cwnd() <= TcpConfig::default().receiver_window + 1.0);
         assert_eq!(s.retransmissions(), 0);
+    }
+
+    /// What a sender did on one scripted run.
+    #[derive(Debug, PartialEq)]
+    struct Transcript {
+        /// `(instant, seq)` of every segment sent.
+        segments: Vec<(SimTime, u64)>,
+        /// Instants of the timeouts taken.
+        timeouts_at: Vec<SimTime>,
+        timeouts: u64,
+        retransmissions: u64,
+        fast_retransmits: u64,
+        bytes_acked: u64,
+    }
+
+    /// Drive `s` through `steps` of `(kind, gap in ms, acked segments)`:
+    /// time moves on by the gap, the timer events due by then fire in
+    /// `(instant, scheduling order)` order as the simulator pops them, then
+    /// kind 0 delivers a new cumulative ACK, kind 1 a duplicate ACK, and
+    /// any other kind nothing.  Returns the transcript and the number of
+    /// timer events scheduled.
+    fn drive(mut s: TcpSender, steps: &[(u8, u16, u8)]) -> (Transcript, usize) {
+        let mss = u64::from(s.config.mss);
+        let mut transcript = Transcript {
+            segments: Vec::new(),
+            timeouts_at: Vec::new(),
+            timeouts: 0,
+            retransmissions: 0,
+            fast_retransmits: 0,
+            bytes_acked: 0,
+        };
+        let mut pending: Vec<(SimTime, usize, u64)> = Vec::new();
+        let mut scheduled = 0;
+        let mut apply = |out: TcpOutcome,
+                         now: SimTime,
+                         pending: &mut Vec<(SimTime, usize, u64)>,
+                         transcript: &mut Transcript| {
+            transcript
+                .segments
+                .extend(out.segments.iter().map(|seg| (now, seg.seq)));
+            if let Some(timer) = out.timer {
+                assert!(timer.at >= now, "timer event in the past");
+                pending.push((timer.at, scheduled, timer.generation));
+                scheduled += 1;
+            }
+        };
+        let mut now = SimTime::ZERO;
+        let out = s.pump(now);
+        apply(out, now, &mut pending, &mut transcript);
+        for &(kind, gap_ms, acked) in steps {
+            now += Duration::from_millis(f64::from(gap_ms));
+            while let Some(i) = (0..pending.len())
+                .filter(|&i| pending[i].0 <= now)
+                .min_by_key(|&i| (pending[i].0, pending[i].1))
+            {
+                let (at, _, generation) = pending.swap_remove(i);
+                let before = s.timeouts();
+                let out = s.on_timer(generation, at);
+                if s.timeouts() > before {
+                    transcript.timeouts_at.push(at);
+                }
+                apply(out, at, &mut pending, &mut transcript);
+            }
+            let ack_no = match kind {
+                0 => (s.snd_una + u64::from(acked % 4 + 1) * mss).min(s.snd_nxt),
+                1 => s.snd_una,
+                _ => continue,
+            };
+            let out = s.on_ack(&ack(ack_no), now);
+            apply(out, now, &mut pending, &mut transcript);
+        }
+        transcript.timeouts = s.timeouts();
+        transcript.retransmissions = s.retransmissions();
+        transcript.fast_retransmits = s.fast_retransmits();
+        transcript.bytes_acked = s.bytes_acked();
+        (transcript, scheduled)
+    }
+
+    proptest! {
+        /// Against the reference that schedules a fresh timer event on
+        /// every arm: random new-ACK, duplicate-ACK and idle sequences give
+        /// the same segments at the same instants, the same timeout
+        /// instants and the same counts, with no more timer events.
+        #[test]
+        fn one_pending_timer_event_matches_an_event_per_arm(
+            min_rto_ms in 10u16..1_500,
+            steps in proptest::collection::vec((0u8..4, 0u16..2_500, any::<u8>()), 1..120),
+        ) {
+            let config = TcpConfig {
+                min_rto: f64::from(min_rto_ms) / 1e3,
+                ..TcpConfig::default()
+            };
+            let mut eager = TcpSender::new(CONN, config);
+            eager.eager_timers = true;
+            let (expected, eager_events) = drive(eager, &steps);
+            let (got, events) = drive(TcpSender::new(CONN, config), &steps);
+            prop_assert_eq!(got, expected);
+            prop_assert!(events <= eager_events, "{} > {} timer events", events, eager_events);
+        }
     }
 }

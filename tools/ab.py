@@ -22,12 +22,14 @@ parent twice and the change once with ``--trace 1`` at seeds 1 and 101.  A
 per-layer metric is *exact* if it is not a wall-clock one by its unit and the
 two parent runs agree on it to the last bit: deliveries, delay, goodput,
 events, drops, control packets, callbacks, explorer states.  Every exact
-metric must read the same on the change; the engine's and the allocator's
-own counters (``netsim.grid.*``, ``netsim.queue.*``, ``netsim.mobility.*``,
-``netsim.payload.*``, ``alloc.*``) are the exception: a difference there is
-printed and is what may explain a moved digest.  The exit status is then 1 if
-a result differs, if a metric exists on one side only, or if a workload's
-digest moved although none of its bookkeeping metrics did.
+metric must read the same on the change; one that differs is printed with
+both values at full precision (``repr``) and the relative change.  The
+engine's and the allocator's own counters (``netsim.grid.*``,
+``netsim.queue.*``, ``netsim.mobility.*``, ``netsim.payload.*``, ``alloc.*``)
+are the exception: a difference there is printed and is what may explain a
+moved digest.  The exit status is then 1 if a result differs, if a metric
+exists on one side only, or if a workload's digest moved although none of
+its bookkeeping metrics did.
 
 Usage: python3 tools/ab.py <parent-rev> [--workload W] [--pairs 10]
                            [--seeds 1,101,2,3] [--counts]
@@ -138,7 +140,9 @@ def compare_counts(binaries: dict[str, Path], workload: str, seconds: int) -> tu
             print(f"counts: {workload} s{seed} {n}: only in the {'parent' if n in old else 'change'}")
         for n in differing:
             note = " (bookkeeping)" if n.startswith(BOOKKEEPING) else ""
-            print(f"counts: {workload} s{seed} {n}: {old[n]['value']:g} -> {new[n]['value']:g}{note}")
+            a, b = old[n]["value"], new[n]["value"]
+            rel = f"rel {(b - a) / abs(a):+.3g}" if a else "from 0"
+            print(f"counts: {workload} s{seed} {n}: {a!r} -> {b!r} ({rel}){note}")
         results = [n for n in differing if not n.startswith(BOOKKEEPING)]
         explained = len(differing) > len(results)
         digest = "equal" if parent["digest"] == change["digest"] else "moved"
