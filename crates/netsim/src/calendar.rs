@@ -36,7 +36,7 @@
 //!
 //! # Ordering contract
 //!
-//! Pops are **exactly** the order the binary-heap queue produces: ascending
+//! Pops are **exactly** the order a binary heap produces: ascending
 //! `(time, seq)`.  Two events with equal timestamps always hash to the same
 //! bucket (same time ⇒ same absolute bucket), and within a bucket the pop
 //! scans the list for the minimal `(time, seq)` pair, so the FIFO tie-break
@@ -44,8 +44,9 @@
 //! Events in the overflow ladder are always strictly later than every
 //! bucketed event (their absolute bucket lies past the window), so the two
 //! stores never compete for the same timestamp.
-//! `crates/netsim/tests/queue_equivalence.rs` asserts trace identity against
-//! the heap on full simulation runs.
+//! The `slab_queue_matches_a_binary_heap` property below checks this against
+//! a `BinaryHeap` model, and debug builds of [`crate::event::EventQueue`]
+//! assert it on every pop of every simulation run.
 //!
 //! [Brown 1988]: R. Brown, "Calendar queues: a fast O(1) priority queue
 //! implementation for the simulation event set problem", CACM 31(10).
@@ -91,7 +92,7 @@ struct Slot {
 /// A calendar queue over [`ScheduledEvent`]s.
 ///
 /// See the module docs for the design; [`crate::event::EventQueue`] wraps
-/// this behind the [`crate::config::EventQueueKind`] selector.
+/// it with the sequence numbers and the lifetime counters.
 #[derive(Debug)]
 pub struct CalendarQueue {
     /// Storage of every bucketed event (see the module docs).

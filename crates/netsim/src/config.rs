@@ -188,39 +188,6 @@ pub struct RushConfig {
     pub rushers: Vec<NodeId>,
 }
 
-/// Backend of the future event list (see [`crate::event::EventQueue`]).
-///
-/// Both backends pop events in exactly the same order — ascending time with
-/// FIFO tie-break on the schedule sequence — so a run is trace-identical
-/// under either (asserted by `tests/queue_equivalence.rs`).  The calendar
-/// queue is the default because its amortised O(1) schedule/pop beats the
-/// heap's O(log n) once thousands of events are pending; the heap is kept as
-/// the reference implementation and comparison baseline, the same way
-/// [`NeighborIndex::BruteForce`] backs the spatial grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EventQueueKind {
-    /// Calendar/bucket queue tuned to the MAC contention timescale
-    /// (amortised O(1); see [`crate::calendar::CalendarQueue`]).
-    #[default]
-    Calendar,
-    /// Binary heap (O(log n) per operation; reference backend).
-    Heap,
-}
-
-/// Strategy the engine uses to answer "who can hear this transmission?".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NeighborIndex {
-    /// Uniform spatial grid over node anchors (see `crate::grid`): a
-    /// maximal (carrier-sense) range query visits at most the 5×5 block of
-    /// half-reach cells around the query point.  This is the default;
-    /// results are exactly those of the brute-force scan.
-    #[default]
-    Grid,
-    /// Scan every node on every query — O(N) per transmission.  Kept as the
-    /// reference implementation the grid-equivalence tests compare against.
-    BruteForce,
-}
-
 /// Full simulation configuration.
 ///
 /// # Examples
@@ -257,14 +224,9 @@ pub struct SimConfig {
     pub duration: Duration,
     /// Run seed; together with the configuration it fully determines the run.
     pub seed: u64,
-    /// Neighbor-query strategy (spatial grid by default).
-    pub neighbor_index: NeighborIndex,
-    /// Event-queue backend (calendar queue by default; the heap backend is
-    /// the trace-identical reference implementation).
-    pub event_queue: EventQueueKind,
     /// Maximum anchor drift, metres, the spatial grid tolerates before a
     /// node is rebinned (larger values mean fewer rebinds but bigger
-    /// candidate sets).  Ignored under [`NeighborIndex::BruteForce`].
+    /// candidate sets).
     pub grid_slack_m: f64,
     /// Selective jamming adversary, if any (see [`JamConfig`]).
     pub jamming: Option<JamConfig>,
@@ -295,8 +257,6 @@ impl Default for SimConfig {
             mobility: MobilityConfig::default(),
             duration: Duration::from_secs(200.0),
             seed: 1,
-            neighbor_index: NeighborIndex::default(),
-            event_queue: EventQueueKind::default(),
             grid_slack_m: 25.0,
             jamming: None,
             wormhole: None,
@@ -351,9 +311,7 @@ impl SimConfig {
         if self.duration.as_secs() <= 0.0 {
             return Err("duration must be positive".into());
         }
-        if self.neighbor_index == NeighborIndex::Grid
-            && !(self.grid_slack_m > 0.0 && self.grid_slack_m.is_finite())
-        {
+        if !(self.grid_slack_m > 0.0 && self.grid_slack_m.is_finite()) {
             return Err("grid_slack_m must be positive and finite".into());
         }
         if let Some(jam) = &self.jamming {
@@ -560,12 +518,15 @@ mod tests {
     }
 
     #[test]
-    fn grid_slack_is_validated_only_for_grid_mode() {
-        let mut c = SimConfig::default();
-        c.grid_slack_m = 0.0;
-        assert!(c.validate().is_err());
-        c.neighbor_index = NeighborIndex::BruteForce;
-        c.validate().unwrap();
+    fn grid_slack_is_always_validated() {
+        for slack in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = SimConfig::default();
+            c.grid_slack_m = slack;
+            assert!(
+                c.validate().is_err(),
+                "grid_slack_m = {slack} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -42,11 +42,12 @@
 //!   incrementally: a node is rebinned when its waypoint leg changes and via
 //!   a deferred drift-refresh queue processed lazily before each query.  The
 //!   refresh queue is engine-private — it does **not** go through the main
-//!   event queue, so a grid run and a brute-force run
-//!   ([`crate::config::NeighborIndex`]) process byte-identical event streams
-//!   and stay trace-equivalent (the equivalence tests rely on this).  Cells
-//!   carry the anchor inline, so the query prefilters candidates by anchor
+//!   event queue, so the index schedules no event of its own.  Cells carry
+//!   the anchor inline, so the query prefilters candidates by anchor
 //!   distance over contiguous memory before any kinematic state is touched.
+//!   Debug builds check every scan against the brute-force answer: each
+//!   node whose exact position lies within the query radius must have been
+//!   offered (`World::scan`).
 //! * a dense precomputed per-leg kinematics table (unit direction and leg
 //!   length computed once per leg change, not per evaluation) behind a
 //!   per-(node, time) position cache for repeated same-instant lookups.
@@ -64,16 +65,16 @@
 //!   its `TxEnd`; the per-receiver outcome list is recycled and the
 //!   carrier-sense busy set lives in one dense 8-byte-per-node array, so
 //!   steady-state transmissions allocate nothing.
-//! * the future event list defaults to a self-tuning calendar queue
-//!   (amortised O(1); see [`crate::calendar`]) that pops in exactly the
-//!   binary heap's order, keeping runs trace-identical across
-//!   [`crate::config::EventQueueKind`] backends.
+//! * the future event list is a self-tuning calendar queue (amortised O(1);
+//!   see [`crate::calendar`]) that pops in exactly a binary heap's order,
+//!   which debug builds assert on every pop.
 //!
 //! Counters for all of these are surfaced through
 //! [`Recorder::engine_perf`](crate::recorder::Recorder::engine_perf).
 
+use crate::calendar::CalendarQueue;
 use crate::choice::{ChoiceDecision, ChoicePoint, DeliveryChoiceHook};
-use crate::config::{NeighborIndex, SimConfig};
+use crate::config::SimConfig;
 use crate::event::{Event, EventQueue, QueuedFrame, TxId};
 use crate::fluid::{FluidCompletion, FluidState};
 use crate::geometry::Position;
@@ -245,10 +246,9 @@ pub struct World {
     mobility: Box<dyn MobilityModel>,
     next_tx_id: u64,
     events_processed: u64,
-    /// Neighbor index (`None` under [`NeighborIndex::BruteForce`]).  Behind a
-    /// `RefCell` because deferred refreshes run lazily inside `&self` query
-    /// paths.
-    grid: Option<RefCell<NeighborGrid>>,
+    /// Neighbor index.  Behind a `RefCell` because deferred refreshes run
+    /// lazily inside `&self` query paths.
+    grid: RefCell<NeighborGrid>,
     /// Memoised position per node, keyed by the evaluation time.
     pos_cache: Vec<Cell<Option<(SimTime, Position)>>>,
     perf: PerfCells,
@@ -297,16 +297,6 @@ impl World {
         pos
     }
 
-    /// Nodes within transmission range of `node` right now.
-    ///
-    /// Allocates a fresh `Vec` per call; hot callers should prefer
-    /// [`World::neighbors_into`].
-    pub fn neighbors_of(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.neighbors_into(node, &mut out);
-        out
-    }
-
     /// Collect the nodes within transmission range of `node` into `out`
     /// (cleared first), sorted by node id.  Reusing one buffer across calls
     /// makes repeated neighborhood queries allocation-free.
@@ -321,7 +311,7 @@ impl World {
             }
         });
         // Grid cells are visited in cell order; sort so results (and any
-        // downstream iteration) are identical across index strategies.
+        // downstream iteration) do not depend on where nodes are binned.
         out.sort_unstable();
     }
 
@@ -333,26 +323,49 @@ impl World {
 
     /// Visit every candidate node for a range query around `center`: a
     /// superset of the nodes within `radius`, which the caller must filter by
-    /// exact distance.  Uses the spatial grid when enabled, otherwise scans
-    /// all nodes.
+    /// exact distance.
     fn query_range(&self, center: Position, radius: f64, f: impl FnMut(NodeId)) {
         inc(&self.perf.neighbor_queries);
         self.grid_sync();
         add(&self.perf.candidates_scanned, self.scan(center, radius, f));
     }
 
-    /// The candidate walk behind [`World::query_range`], counting nothing:
-    /// returns how many entries it scanned.  The grid must be in sync.
+    /// The candidate walk behind [`World::query_range`] and
+    /// [`World::scan_into`], counting nothing: returns how many entries it
+    /// scanned.  The grid must be in sync.
     fn scan(&self, center: Position, radius: f64, mut f: impl FnMut(NodeId)) -> u64 {
-        match &self.grid {
-            Some(grid) => grid
-                .borrow()
-                .spatial
-                .for_each_candidate(center, radius, &mut f),
-            None => {
-                (0..self.config.num_nodes).for_each(|i| f(NodeId(i)));
-                u64::from(self.config.num_nodes)
-            }
+        #[cfg(debug_assertions)]
+        let mut offered = vec![false; self.kin.len()];
+        let scanned = self
+            .grid
+            .borrow()
+            .spatial
+            .for_each_candidate(center, radius, |node| {
+                #[cfg(debug_assertions)]
+                {
+                    offered[node.index()] = true;
+                }
+                f(node);
+            });
+        #[cfg(debug_assertions)]
+        self.assert_scan_covers(center, radius, &offered);
+        scanned
+    }
+
+    /// The brute-force oracle of debug builds: a scan must offer every node
+    /// whose exact position lies within `radius` of `center`, the superset
+    /// that makes a filtered grid scan equal a full scan.  Reads the
+    /// kinematics directly, so no cache or counter sees the check.
+    #[cfg(debug_assertions)]
+    fn assert_scan_covers(&self, center: Position, radius: f64, offered: &[bool]) {
+        let radius_sq = radius * radius;
+        for (i, kin) in self.kin.iter().enumerate() {
+            let pos = kin.position_at(self.now);
+            assert!(
+                offered[i] || pos.distance_sq(center) > radius_sq,
+                "grid scan at {} missed node {i} at {pos:?}, within {radius} m of {center:?}",
+                self.now
+            );
         }
     }
 
@@ -386,7 +399,7 @@ impl World {
 
     /// Make `hood` — `node`'s cached neighbourhood — hold at this instant:
     /// kept while its validity lasts, otherwise rescanned over carrier-sense
-    /// range plus the horizon.  The brute-force index never caches.
+    /// range plus the horizon.
     fn resolve_neighborhood(&self, node: NodeId, at: Position, hood: &mut Neighborhood) {
         inc(&self.perf.neighbor_queries);
         // Due drift refreshes run on a hit too, so the grid's history does
@@ -409,14 +422,13 @@ impl World {
         }
         let (scanned, gap) = self.scan_into(node, at, cs_range + SCAN_HORIZON_M, hood);
         add(&self.perf.candidates_scanned, scanned);
-        hood.seal(self.now, gap, self.grid.as_ref().map(|_| self.top_speed));
+        hood.seal(self.now, gap, self.top_speed);
     }
 
     /// Process every due entry of the drift-refresh queue, restoring the grid
     /// invariant (anchor within slack of the true position) before a query.
     fn grid_sync(&self) {
-        let Some(grid) = &self.grid else { return };
-        let mut g = grid.borrow_mut();
+        let mut g = self.grid.borrow_mut();
         let now = self.now;
         while let Some(&Reverse((due, node, gen))) = g.refresh_queue.peek() {
             if due > now {
@@ -441,8 +453,7 @@ impl World {
     /// Rebin `node` after its waypoint leg changed and restart its
     /// drift-refresh chain.
     fn grid_rebin_for_new_leg(&mut self, node: NodeId) {
-        let Some(grid) = &self.grid else { return };
-        let mut g = grid.borrow_mut();
+        let mut g = self.grid.borrow_mut();
         let idx = node.index();
         let leg = &self.motions[idx].leg;
         let pos = leg.position_at(self.now);
@@ -684,7 +695,7 @@ impl Simulator {
         );
         let mut rngs = RngStreams::new(config.seed);
         let mut motions = Vec::with_capacity(config.num_nodes as usize);
-        let mut queue = EventQueue::for_config(&config);
+        let mut queue = EventQueue::calendar(CalendarQueue::width_for_mac(&config.mac));
         for i in 0..config.num_nodes as usize {
             let pos = mobility.initial_position(i, rngs.mobility());
             let leg = mobility.next_leg(i, pos, SimTime::ZERO, 0, rngs.mobility());
@@ -715,33 +726,28 @@ impl Simulator {
         let kin = motions.iter().map(|m| Kinematics::of(&m.leg)).collect();
         let top_speed = motions.iter().map(|m| m.leg.speed).fold(0.0, f64::max);
         let macs = (0..config.num_nodes).map(|_| MacState::new()).collect();
-        let grid = match config.neighbor_index {
-            NeighborIndex::BruteForce => None,
-            NeighborIndex::Grid => {
-                let mut spatial = SpatialGrid::new(
-                    config.field_width,
-                    config.field_height,
-                    config.radio.carrier_sense_range(),
-                    config.grid_slack_m,
-                    config.num_nodes as usize,
-                );
-                let mut refresh_queue = BinaryHeap::new();
-                for (i, motion) in motions.iter().enumerate() {
-                    let node = NodeId(i as u16);
-                    spatial.rebin(node, motion.leg.position_at(SimTime::ZERO));
-                    if let Some(due) =
-                        NeighborGrid::refresh_due(spatial.slack(), &motion.leg, SimTime::ZERO)
-                    {
-                        refresh_queue.push(Reverse((due, node, 0)));
-                    }
-                }
-                Some(RefCell::new(NeighborGrid {
-                    spatial,
-                    refresh_queue,
-                    gens: vec![0; config.num_nodes as usize],
-                }))
+        let mut spatial = SpatialGrid::new(
+            config.field_width,
+            config.field_height,
+            config.radio.carrier_sense_range(),
+            config.grid_slack_m,
+            config.num_nodes as usize,
+        );
+        let mut refresh_queue = BinaryHeap::new();
+        for (i, motion) in motions.iter().enumerate() {
+            let node = NodeId(i as u16);
+            spatial.rebin(node, motion.leg.position_at(SimTime::ZERO));
+            if let Some(due) =
+                NeighborGrid::refresh_due(spatial.slack(), &motion.leg, SimTime::ZERO)
+            {
+                refresh_queue.push(Reverse((due, node, 0)));
             }
-        };
+        }
+        let grid = RefCell::new(NeighborGrid {
+            spatial,
+            refresh_queue,
+            gens: vec![0; config.num_nodes as usize],
+        });
         let pos_cache = (0..config.num_nodes).map(|_| Cell::new(None)).collect();
         let mut recorder = Recorder::new();
         recorder.telemetry = Telemetry::from_config(&config.telemetry);
@@ -1815,38 +1821,6 @@ mod tests {
         assert_eq!(a.data_transmissions(), b.data_transmissions());
         assert_eq!(a.collisions(), b.collisions());
         assert_eq!(a.tunneled_frames(), 0);
-    }
-
-    #[test]
-    fn grid_and_brute_force_chains_behave_identically() {
-        let run = |index: NeighborIndex| {
-            let mut config = SimConfig::default();
-            config.num_nodes = 6;
-            config.duration = Duration::from_secs(5.0);
-            config.mobility.max_speed = 0.0;
-            config.neighbor_index = index;
-            let log = Rc::new(RefCell::new(Vec::new()));
-            let stacks: Vec<Box<dyn NodeStack>> = (0..6)
-                .map(|i| {
-                    Box::new(ChainForwarder {
-                        me: NodeId(i),
-                        last: NodeId(5),
-                        sent: Rc::clone(&log),
-                        origin: i == 0,
-                    }) as Box<dyn NodeStack>
-                })
-                .collect();
-            let sim = Simulator::new(config, Box::new(StaticPlacement::chain(6, 180.0)), stacks);
-            let rec = sim.run();
-            let hops = log.borrow().clone();
-            (
-                hops,
-                rec.delivered_data_packets(),
-                rec.data_transmissions(),
-                rec.collisions(),
-            )
-        };
-        assert_eq!(run(NeighborIndex::Grid), run(NeighborIndex::BruteForce));
     }
 
     #[test]

@@ -5,20 +5,17 @@
 //! scheduled earlier at the same instant fire first (stable FIFO order keeps
 //! runs deterministic).
 //!
-//! Two interchangeable backends implement that contract (selected by
-//! [`crate::config::EventQueueKind`]): a binary heap (O(log n) per
-//! operation, the reference implementation) and a calendar/bucket queue
-//! ([`crate::calendar::CalendarQueue`], amortised O(1), the default).  Both
-//! produce **identical pop order** including the FIFO tie-break, so runs are
-//! trace-identical across backends; `tests/queue_equivalence.rs` asserts it.
+//! The store is a calendar/bucket queue ([`crate::calendar::CalendarQueue`],
+//! amortised O(1) per operation).  It pops in exactly a binary heap's order,
+//! ascending `(time, seq)`: debug builds assert on every pop that the pair
+//! strictly increases, and `calendar.rs` checks the queue against a
+//! `BinaryHeap` model on random operation scripts.
 
 use crate::calendar::CalendarQueue;
-use crate::config::EventQueueKind;
 use crate::node::TimerToken;
 use crate::time::SimTime;
 use manet_wire::{Frame, NodeId, SharedPacket};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Identifier of one ongoing MAC transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,60 +133,41 @@ pub struct QueuePerf {
     pub pops: u64,
     /// Maximum simultaneous occupancy observed.
     pub max_occupancy: u64,
-    /// Times the calendar backend grew its bucket array (0 for the heap).
+    /// Times the calendar queue grew its bucket array or re-tuned its width.
     pub calendar_resizes: u64,
-}
-
-/// The two event-queue backends (see the module docs).
-#[derive(Debug)]
-enum QueueImpl {
-    Heap(BinaryHeap<ScheduledEvent>),
-    Calendar(CalendarQueue),
 }
 
 /// The future event list.
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: QueueImpl,
+    calendar: CalendarQueue,
     next_seq: u64,
     pops: u64,
     max_occupancy: u64,
+    /// `(time, seq)` of the last pop, for the order check of debug builds.
+    #[cfg(debug_assertions)]
+    last_pop: Option<(SimTime, u64)>,
 }
 
 impl Default for EventQueue {
+    /// An empty queue with the bucket width of the default MAC.
     fn default() -> Self {
-        Self::new()
+        Self::calendar(CalendarQueue::width_for_mac(
+            &crate::config::MacConfig::default(),
+        ))
     }
 }
 
 impl EventQueue {
-    /// An empty binary-heap queue (the reference backend; unit tests and
-    /// diagnostics use this constructor directly).
-    pub fn new() -> Self {
-        EventQueue {
-            backend: QueueImpl::Heap(BinaryHeap::new()),
-            next_seq: 0,
-            pops: 0,
-            max_occupancy: 0,
-        }
-    }
-
     /// An empty calendar queue with the given bucket width in seconds.
     pub fn calendar(width_secs: f64) -> Self {
         EventQueue {
-            backend: QueueImpl::Calendar(CalendarQueue::new(width_secs)),
+            calendar: CalendarQueue::new(width_secs),
             next_seq: 0,
             pops: 0,
             max_occupancy: 0,
-        }
-    }
-
-    /// The queue backend a simulation configuration asks for, with the
-    /// calendar bucket width derived from the MAC contention timescale.
-    pub fn for_config(config: &crate::config::SimConfig) -> Self {
-        match config.event_queue {
-            EventQueueKind::Heap => Self::new(),
-            EventQueueKind::Calendar => Self::calendar(CalendarQueue::width_for_mac(&config.mac)),
+            #[cfg(debug_assertions)]
+            last_pop: None,
         }
     }
 
@@ -197,40 +175,36 @@ impl EventQueue {
     pub fn schedule(&mut self, time: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = ScheduledEvent { time, seq, event };
-        match &mut self.backend {
-            QueueImpl::Heap(h) => h.push(ev),
-            QueueImpl::Calendar(c) => c.push(ev),
-        }
+        self.calendar.push(ScheduledEvent { time, seq, event });
         self.max_occupancy = self.max_occupancy.max(self.len() as u64);
     }
 
     /// Remove and return the earliest pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        let ev = match &mut self.backend {
-            QueueImpl::Heap(h) => h.pop(),
-            QueueImpl::Calendar(c) => c.pop(),
-        };
-        if ev.is_some() {
-            self.pops += 1;
+        let ev = self.calendar.pop()?;
+        self.pops += 1;
+        // The heap order oracle: pops strictly increase in `(time, seq)`.
+        #[cfg(debug_assertions)]
+        {
+            let key = (ev.time, ev.seq);
+            if let Some(last) = self.last_pop.replace(key) {
+                assert!(
+                    last < key,
+                    "event queue popped {key:?} after {last:?}: out of (time, seq) order"
+                );
+            }
         }
-        ev
+        Some(ev)
     }
 
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            QueueImpl::Heap(h) => h.peek().map(|e| e.time),
-            QueueImpl::Calendar(c) => c.peek_time(),
-        }
+        self.calendar.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            QueueImpl::Heap(h) => h.len(),
-            QueueImpl::Calendar(c) => c.len(),
-        }
+        self.calendar.len()
     }
 
     /// True if no events are pending.
@@ -249,10 +223,7 @@ impl EventQueue {
             pushes: self.next_seq,
             pops: self.pops,
             max_occupancy: self.max_occupancy,
-            calendar_resizes: match &self.backend {
-                QueueImpl::Heap(_) => 0,
-                QueueImpl::Calendar(c) => c.resizes(),
-            },
+            calendar_resizes: self.calendar.resizes(),
         }
     }
 }
@@ -286,7 +257,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         q.schedule(t(3.0), Event::Stop);
         q.schedule(t(1.0), filler());
         q.schedule(t(2.0), Event::Stop);
@@ -298,7 +269,7 @@ mod tests {
 
     #[test]
     fn equal_times_pop_in_fifo_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         let now = t(5.0);
         q.schedule(
             now,
@@ -332,7 +303,7 @@ mod tests {
 
     #[test]
     fn peek_time_reports_earliest() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         assert!(q.peek_time().is_none());
         q.schedule(t(2.0), Event::Stop);
         q.schedule(t(1.0), Event::Stop);
@@ -343,7 +314,7 @@ mod tests {
 
     #[test]
     fn scheduled_total_counts_all_insertions() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for i in 0..10 {
             q.schedule(t(i as f64) + Duration::ZERO, Event::Stop);
         }
@@ -359,32 +330,32 @@ mod tests {
     fn heap_and_calendar_backends_pop_identically() {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
+        use std::collections::BinaryHeap;
         let mut rng = SmallRng::seed_from_u64(7);
-        let times: Vec<f64> = (0..2_000)
-            .map(|i| {
-                if rng.gen_bool(0.2) {
-                    // Deliberate timestamp collisions exercise the tie-break.
-                    (i % 13) as f64
-                } else {
-                    rng.gen_range(0.0..300.0)
-                }
-            })
-            .collect();
-        let mut heap = EventQueue::new();
+        // The reference: a binary heap over the same `(time, seq)` keys
+        // (`ScheduledEvent`'s `Ord` is inverted, so it pops earliest first).
+        let mut heap = BinaryHeap::new();
         let mut cal = EventQueue::calendar(3.6e-4);
-        for &t in &times {
-            heap.schedule(SimTime::from_secs(t), filler());
-            cal.schedule(SimTime::from_secs(t), filler());
+        for seq in 0..2_000u64 {
+            let secs = if rng.gen_bool(0.2) {
+                // Deliberate timestamp collisions exercise the tie-break.
+                (seq % 13) as f64
+            } else {
+                rng.gen_range(0.0..300.0)
+            };
+            let time = SimTime::from_secs(secs);
+            heap.push(ScheduledEvent {
+                time,
+                seq,
+                event: filler(),
+            });
+            cal.schedule(time, filler());
         }
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (h, c) => {
-                    let (h, c) = (h.expect("heap"), c.expect("calendar"));
-                    assert_eq!((h.time, h.seq), (c.time, c.seq));
-                }
-            }
+        while let Some(h) = heap.pop() {
+            let c = cal.pop().expect("calendar ran dry before the heap");
+            assert_eq!((h.time, h.seq), (c.time, c.seq));
         }
-        assert_eq!(heap.perf().pops, cal.perf().pops);
+        assert!(cal.pop().is_none());
+        assert_eq!(cal.perf().pops, 2_000);
     }
 }

@@ -1,5 +1,5 @@
-//! Analytic fluid model for background traffic (the hybrid engine's third
-//! abstraction level, alongside `neighbor_index` and `event_queue`).
+//! Analytic fluid model for background traffic: the hybrid engine's coarse
+//! traffic level, beside the per-frame packet path.
 //!
 //! Foreground flows keep full per-frame MAC fidelity; *background* flows are
 //! modelled as fluid demands routed over the same topology snapshots the

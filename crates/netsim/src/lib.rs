@@ -5,9 +5,9 @@
 //!
 //! * [`time`] — simulation clock ([`SimTime`]) and durations.
 //! * [`event`] — the pending-event queue with stable FIFO tie-breaking.
-//! * [`calendar`] — the calendar/bucket backend of the event queue
-//!   (amortised O(1), the default; the binary heap remains selectable via
-//!   [`config::EventQueueKind`] and pops in the identical order).
+//! * [`calendar`] — the calendar/bucket queue behind the event queue
+//!   (amortised O(1); pops in ascending `(time, seq)`, which debug builds
+//!   assert on every pop).
 //! * [`fasthash`] — the FxHash-style hasher behind the hot-path maps.
 //! * [`fluid`] — the analytic fluid model for background traffic: max-min
 //!   fair bandwidth sharing over carrier-sense-sized regions, recomputed
@@ -58,10 +58,7 @@ pub mod topology;
 
 pub use calendar::CalendarQueue;
 pub use choice::{ChoiceDecision, ChoicePoint, DeliveryChoiceHook};
-pub use config::{
-    EventQueueKind, JamConfig, JamTarget, NeighborIndex, RushConfig, SimConfig, TelemetryConfig,
-    WormholeConfig,
-};
+pub use config::{JamConfig, JamTarget, RushConfig, SimConfig, TelemetryConfig, WormholeConfig};
 pub use engine::Simulator;
 pub use event::{Event, EventQueue, QueuePerf, ScheduledEvent};
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -23,9 +23,9 @@
 //! * Only membership is cached.  Busy-window writes, reception intervals,
 //!   receiver order and everything at `TxEnd` run as after a scan.
 //!
-//! Debug builds re-derive both sets on every hit and assert equality; the
-//! brute-force index never caches and is the oracle of
-//! `tests/grid_equivalence.rs`.
+//! Debug builds re-derive both sets on every hit and assert equality, and
+//! check every scan against the brute-force answer (`World::scan`), which
+//! is what the "never saw ⇒ farther than `cs_range + H`" step rests on.
 
 use crate::time::{Duration, SimTime};
 use manet_wire::NodeId;
@@ -86,14 +86,11 @@ impl Neighborhood {
     /// Finish a rescan made at `now`: order the receivers (their order fixes
     /// RNG consumption and callback order at `TxEnd`, so it must not depend
     /// on how candidates were visited) and set the validity.  `gap` is the
-    /// smallest distance [`Neighborhood::offer`] returned, `top_speed` is `v̂`,
-    /// or `None` when the scan must be repeated on every transmission.
-    pub(crate) fn seal(&mut self, now: SimTime, gap: f64, top_speed: Option<f64>) {
+    /// smallest distance [`Neighborhood::offer`] returned and `top_speed` is
+    /// `v̂`.
+    pub(crate) fn seal(&mut self, now: SimTime, gap: f64, top_speed: f64) {
         self.receivers.sort_unstable();
-        self.valid_until = match top_speed {
-            Some(v) => valid_until(now, gap, v),
-            None => now,
-        };
+        self.valid_until = valid_until(now, gap, top_speed);
     }
 
     /// True if both sets have the same members as `other`'s.
@@ -174,23 +171,17 @@ mod tests {
             offer(&mut hood, 7, 480.0), // scanned, outside both
         ];
         assert_eq!(gaps, [0.0, 0.0, 150.0, 30.0]);
-        hood.seal(at(1.0), 0.0, Some(20.0));
+        hood.seal(at(1.0), 0.0, 20.0);
         assert_eq!(hood.sensed, vec![NodeId(9), NodeId(4), NodeId(2)]);
         assert_eq!(hood.receivers, vec![NodeId(2), NodeId(9)]);
         assert!(!hood.holds_at(at(1.0)), "a node on a circle: no margin");
 
         hood.begin();
         let gap = offer(&mut hood, 2, 100.0).min(offer(&mut hood, 7, 480.0));
-        hood.seal(at(1.0), gap, Some(20.0));
+        hood.seal(at(1.0), gap, 20.0);
         let until = 1.0 + (30.0 - MARGIN_SLACK_M) / 40.0;
         assert!(hood.holds_at(at(1.0)) && hood.holds_at(at(until - 1e-9)));
         assert!(!hood.holds_at(at(until)));
-        hood.seal(at(1.0), gap, None);
-        assert!(
-            !hood.holds_at(at(1.0)),
-            "the oracle index rescans every time"
-        );
-        hood.seal(at(1.0), gap, Some(20.0));
         hood.invalidate();
         assert!(!hood.holds_at(T));
     }

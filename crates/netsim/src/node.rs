@@ -146,15 +146,6 @@ impl<'a> Ctx<'a> {
         self.world.position_of(self.node)
     }
 
-    /// Nodes currently within transmission range of this node.
-    ///
-    /// Allocates a fresh `Vec` per call; stacks that query neighbourhoods on
-    /// a hot path (periodic beacons, per-packet relay decisions) should hold
-    /// a scratch buffer and use [`Ctx::neighbors_into`] instead.
-    pub fn neighbors(&self) -> Vec<NodeId> {
-        self.world.neighbors_of(self.node)
-    }
-
     /// Collect the nodes currently within transmission range of this node
     /// into `out` (cleared first), sorted by node id.  Allocation-free when
     /// `out` is reused across calls.

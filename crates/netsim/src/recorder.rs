@@ -283,13 +283,13 @@ impl PacketRef<'_> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnginePerf {
     /// Neighbourhoods resolved: one per transmission (answered from the
-    /// node's cache or by a scan) plus `neighbors_of`-style lookups.
+    /// node's cache or by a scan) plus `neighbors_into` lookups.
     pub neighbor_queries: u64,
     /// Transmissions whose neighbourhood came from the node's cache, with no
-    /// scan (see `crate::neighborhood`; always 0 under brute force).
+    /// scan (see `crate::neighborhood`).
     pub neighbor_cache_hits: u64,
     /// Grid candidates really visited (the exact-distance filter runs once
-    /// per candidate; under brute force every node is a candidate).
+    /// per candidate).
     pub candidates_scanned: u64,
     /// Nodes rebinned into a different grid cell (leg changes + drift
     /// refreshes that crossed a cell boundary).
@@ -309,8 +309,8 @@ pub struct EnginePerf {
     pub queue_pops: u64,
     /// Maximum simultaneous event-queue occupancy observed.
     pub queue_max_occupancy: u64,
-    /// Times the calendar event queue grew its bucket array (0 under the
-    /// heap backend).
+    /// Times the calendar event queue grew its bucket array or re-tuned its
+    /// width.
     pub calendar_resizes: u64,
     /// Payload deliveries that shared the transmitted packet's allocation
     /// instead of deep-cloning it (each one is a clone the pre-`Arc` engine

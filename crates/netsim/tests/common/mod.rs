@@ -1,4 +1,4 @@
-//! The traffic stack shared by the equivalence suites (`queue_equivalence.rs`,
+//! The traffic stack shared by the engine suites (`queue_equivalence.rs`,
 //! `grid_equivalence.rs`).
 
 #![allow(dead_code)] // each suite uses its own part
@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// What the stacks of a run saw, in callback order:
-/// `(time, at, from, packet, how)`.
+/// `(time, at, from, packet, how)`; a timer logs `from = at` and packet 0.
 pub type Heard = Vec<(SimTime, NodeId, NodeId, u64, &'static str)>;
 
 /// A stack that floods periodic data packets to a far destination and relays
@@ -24,7 +24,7 @@ pub struct Chatter {
     /// All nodes schedule their timers for the *same* instants, producing an
     /// equal-timestamp storm in the event queue every period.
     period: Duration,
-    /// Where to log every reception, overheard frame and link failure.
+    /// Where to log every timer, reception, overheard frame and link failure.
     heard: Option<Rc<RefCell<Heard>>>,
 }
 
@@ -50,6 +50,11 @@ impl NodeStack for Chatter {
         ctx.schedule_timer(self.period, TimerToken(0));
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
+        if let Some(heard) = &self.heard {
+            heard
+                .borrow_mut()
+                .push((ctx.now(), self.me, self.me, 0, "timer"));
+        }
         let dst = NodeId((self.me.0 + self.n / 2) % self.n);
         let id = self.fresh_id();
         let dp = DataPacket::new(

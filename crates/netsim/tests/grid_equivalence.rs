@@ -1,26 +1,25 @@
-//! Grid-vs-brute-force equivalence.
+//! The spatial grid and the neighbourhood cache against brute force.
 //!
 //! The spatial grid is an index, not an approximation: for any mobility
-//! history and any query time, `neighbors_of` / `neighbors_into` under
-//! [`NeighborIndex::Grid`] must return exactly the nodes the O(N²) scan
-//! under [`NeighborIndex::BruteForce`] returns.  These tests drive both
-//! configurations through the public API over seeded random scenarios —
-//! including nodes placed exactly on the range circle — and require
-//! bit-identical results.
+//! history and any query time, `neighbors_into` must return exactly the
+//! nodes an O(N) distance check over every node returns.  The `Sampler`
+//! stacks below make that check at every sample, over seeded random
+//! scenarios — including nodes placed exactly on the range circle.
 //!
-//! The second half is the equivalence suite of the per-node neighbourhood
-//! cache (`src/neighborhood.rs`): a grid run answers most transmissions from
-//! the cache, a brute-force run scans on every one, and every reception,
-//! overhearing and link failure must come out the same, in the same order.
-//! Tests run in debug, where each cache hit is also checked against a scan.
+//! The second half covers the per-node neighbourhood cache
+//! (`src/neighborhood.rs`): most transmissions are answered from the cache,
+//! and the tests pin how many really scan.  They run in debug, where the
+//! engine checks each cache hit against a fresh scan and each scan against
+//! the brute-force answer, so every run below is also a run against both
+//! oracles.
 
 mod common;
 
 use common::{logging_chatter_stacks, Heard};
 use manet_netsim::mobility::{RandomWaypoint, StaticPlacement, Waypoint};
 use manet_netsim::{
-    Ctx, Duration, EnginePerf, MobilityModel, NeighborIndex, NodeStack, Position, SimConfig,
-    SimTime, Simulator, TimerToken, TraceEvent, TraceMode,
+    Ctx, Duration, EnginePerf, MobilityModel, NodeStack, Position, Recorder, SimConfig, SimTime,
+    Simulator, TimerToken, TraceEvent, TraceMode,
 };
 use manet_wire::{NetPacket, NodeId, SharedPacket};
 use rand::rngs::SmallRng;
@@ -29,13 +28,16 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A stack that samples its own neighbourhood on a jittered periodic timer
-/// and logs `(time, node, neighbors)` into a shared trace.
+type SampleLog = Vec<(SimTime, NodeId, Vec<NodeId>)>;
+
+/// A stack that samples its own neighbourhood on a jittered periodic timer,
+/// checks it against brute force and logs `(time, node, neighbors)` into a
+/// shared trace.
 struct Sampler {
     me: NodeId,
     period: Duration,
     scratch: Vec<NodeId>,
-    log: Rc<RefCell<Vec<(SimTime, NodeId, Vec<NodeId>)>>>,
+    log: Rc<RefCell<SampleLog>>,
 }
 
 impl NodeStack for Sampler {
@@ -47,15 +49,20 @@ impl NodeStack for Sampler {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
         ctx.neighbors_into(&mut self.scratch);
         let now = ctx.now();
+        // The brute-force reference: an exact distance check against every
+        // other node.
+        let exact: Vec<NodeId> = (0..ctx.num_nodes())
+            .map(NodeId)
+            .filter(|&other| other != self.me && ctx.is_neighbor(other))
+            .collect();
+        assert_eq!(
+            self.scratch, exact,
+            "node {} at {now:?}: grid and brute-force neighbourhoods diverged",
+            self.me
+        );
         self.log
             .borrow_mut()
             .push((now, self.me, self.scratch.clone()));
-        // Consistency within one run: the allocating API agrees with the
-        // scratch-buffer API, and `is_neighbor` with the membership test.
-        assert_eq!(ctx.neighbors(), self.scratch);
-        for &n in &self.scratch {
-            assert!(ctx.is_neighbor(n));
-        }
         let period = self.period;
         ctx.schedule_timer(period, TimerToken(0));
     }
@@ -63,31 +70,28 @@ impl NodeStack for Sampler {
     fn on_link_failure(&mut self, _ctx: &mut Ctx<'_>, _n: NodeId, _p: NetPacket) {}
 }
 
-type SampleLog = Vec<(SimTime, NodeId, Vec<NodeId>)>;
-
+/// Run `Sampler` stacks sampling every `period_ms` under `config`.
 fn sample_run(
     config: SimConfig,
-    mobility: impl Fn() -> Box<dyn manet_netsim::MobilityModel>,
-    index: NeighborIndex,
-) -> SampleLog {
-    let mut config = config;
-    config.neighbor_index = index;
+    mobility: Box<dyn MobilityModel>,
+    period_ms: f64,
+) -> (SampleLog, Recorder) {
     let log = Rc::new(RefCell::new(Vec::new()));
     let stacks: Vec<Box<dyn NodeStack>> = (0..config.num_nodes)
         .map(|i| {
             Box::new(Sampler {
                 me: NodeId(i),
-                period: Duration::from_millis(400.0),
+                period: Duration::from_millis(period_ms),
                 scratch: Vec::new(),
                 log: Rc::clone(&log),
             }) as Box<dyn NodeStack>
         })
         .collect();
-    let sim = manet_netsim::Simulator::new(config, mobility(), stacks);
-    let _rec = sim.run();
-    Rc::try_unwrap(log)
+    let rec = Simulator::new(config, mobility, stacks).run();
+    let log = Rc::try_unwrap(log)
         .expect("stacks dropped with the simulator")
-        .into_inner()
+        .into_inner();
+    (log, rec)
 }
 
 #[test]
@@ -100,21 +104,12 @@ fn grid_matches_brute_force_across_random_waypoint_runs() {
         config.mobility.min_speed = 1.0;
         config.mobility.max_speed = 20.0;
         config.mobility.pause = Duration::from_secs(0.5);
-        let mobility = || {
-            Box::new(RandomWaypoint::new(
-                1000.0,
-                1000.0,
-                SimConfig::default().mobility,
-            )) as Box<dyn manet_netsim::MobilityModel>
-        };
-        // Both runs share the seed, so mobility histories are identical; the
-        // sampled neighbourhoods must be too.
-        let grid = sample_run(config.clone(), mobility, NeighborIndex::Grid);
-        let brute = sample_run(config, mobility, NeighborIndex::BruteForce);
-        assert!(!grid.is_empty());
-        assert_eq!(
-            grid, brute,
-            "seed {seed}: grid and brute-force samples diverged"
+        let mobility = RandomWaypoint::new(1000.0, 1000.0, SimConfig::default().mobility);
+        let (log, _) = sample_run(config, Box::new(mobility), 400.0);
+        assert!(log.len() > 1000, "seed {seed}: {} samples", log.len());
+        assert!(
+            log.iter().any(|(_, _, hood)| hood.len() > 1),
+            "seed {seed}: no sample saw more than one neighbour"
         );
     }
 }
@@ -130,16 +125,13 @@ fn grid_matches_brute_force_with_small_slack_and_fast_nodes() {
     config.mobility.min_speed = 10.0;
     config.mobility.max_speed = 20.0;
     config.grid_slack_m = 2.0;
-    let mobility = || {
-        Box::new(RandomWaypoint::new(
-            600.0,
-            600.0,
-            SimConfig::default().mobility,
-        )) as Box<dyn manet_netsim::MobilityModel>
-    };
-    let grid = sample_run(config.clone(), mobility, NeighborIndex::Grid);
-    let brute = sample_run(config, mobility, NeighborIndex::BruteForce);
-    assert_eq!(grid, brute);
+    let mobility = RandomWaypoint::new(600.0, 600.0, SimConfig::default().mobility);
+    let (log, rec) = sample_run(config, Box::new(mobility), 400.0);
+    assert!(!log.is_empty());
+    assert!(
+        rec.engine_perf().grid_refreshes > 100,
+        "a 2 m slack at 10-20 m/s must refresh anchors often"
+    );
 }
 
 #[test]
@@ -168,18 +160,10 @@ fn grid_matches_brute_force_on_range_circle_boundaries() {
         config.duration = Duration::from_secs(1.0);
         config.seed = case;
         config.mobility.max_speed = 0.0;
-        let mobility = {
-            let positions = positions.clone();
-            move || {
-                Box::new(StaticPlacement::new(positions.clone()))
-                    as Box<dyn manet_netsim::MobilityModel>
-            }
-        };
-        let grid = sample_run(config.clone(), &mobility, NeighborIndex::Grid);
-        let brute = sample_run(config, &mobility, NeighborIndex::BruteForce);
-        assert_eq!(grid, brute, "case {case}: boundary neighbourhoods diverged");
-        // Sanity: node 0 sees every on-circle and inside node (distance <=
-        // range counts as in range), never the outside ones.
+        let mobility = StaticPlacement::new(positions.clone());
+        let (log, _) = sample_run(config, Box::new(mobility), 400.0);
+        // Node 0 sees every on-circle and inside node (distance <= range
+        // counts as in range), never the outside ones.
         let expected: Vec<NodeId> = positions
             .iter()
             .enumerate()
@@ -187,7 +171,7 @@ fn grid_matches_brute_force_on_range_circle_boundaries() {
             .filter(|(_, p)| p.distance_sq(positions[0]) <= range * range)
             .map(|(i, _)| NodeId(i as u16))
             .collect();
-        let (_, _, first_sample) = grid
+        let (_, _, first_sample) = log
             .iter()
             .find(|(_, node, _)| *node == NodeId(0))
             .expect("node 0 sampled at least once");
@@ -202,42 +186,31 @@ fn grid_runs_report_index_perf_counters() {
     config.duration = Duration::from_secs(10.0);
     config.mobility.min_speed = 5.0;
     config.mobility.max_speed = 15.0;
-    let mk = |index: NeighborIndex| {
-        let mut c = config.clone();
-        c.neighbor_index = index;
-        let stacks: Vec<Box<dyn NodeStack>> = (0..c.num_nodes)
-            .map(|i| {
-                Box::new(Sampler {
-                    me: NodeId(i),
-                    period: Duration::from_millis(250.0),
-                    scratch: Vec::new(),
-                    log: Rc::new(RefCell::new(Vec::new())),
-                }) as Box<dyn NodeStack>
-            })
-            .collect();
-        let mobility = RandomWaypoint::new(1000.0, 1000.0, c.mobility);
-        manet_netsim::Simulator::new(c, Box::new(mobility), stacks).run()
-    };
-    let grid_perf = mk(NeighborIndex::Grid).engine_perf();
-    let brute_perf = mk(NeighborIndex::BruteForce).engine_perf();
-    assert_eq!(grid_perf.neighbor_queries, brute_perf.neighbor_queries);
+    let n = u64::from(config.num_nodes);
+    let mobility = RandomWaypoint::new(1000.0, 1000.0, config.mobility);
+    let (log, rec) = sample_run(config, Box::new(mobility), 250.0);
+    let perf = rec.engine_perf();
+    assert_eq!(
+        perf.neighbor_queries,
+        log.len() as u64,
+        "one range query per sample and none elsewhere"
+    );
     assert!(
-        grid_perf.grid_refreshes > 0,
+        perf.grid_refreshes > 0,
         "mobile grid runs must refresh anchors"
     );
-    assert_eq!(brute_perf.grid_refreshes, 0);
-    assert_eq!(brute_perf.grid_rebinds, 0);
+    assert!(perf.grid_rebinds > 0, "mobile nodes must change cells");
     assert!(
-        grid_perf.candidates_scanned <= brute_perf.candidates_scanned,
+        perf.candidates_scanned <= perf.neighbor_queries * n,
         "the grid must never scan more candidates than the full scan \
-         (grid {} vs brute {})",
-        grid_perf.candidates_scanned,
-        brute_perf.candidates_scanned
+         ({} candidates for {} queries over {n} nodes)",
+        perf.candidates_scanned,
+        perf.neighbor_queries
     );
-    assert!(grid_perf.position_cache_hits > 0);
+    assert!(perf.position_cache_hits > 0);
 }
 
-// ---- the neighbourhood cache against the uncached oracle ---------------------
+// ---- the neighbourhood cache, checked hit by hit in debug ---------------------
 
 /// One finished run of the shared `Chatter` stacks, everything logged.
 struct TalkRun {
@@ -261,51 +234,39 @@ impl TalkRun {
     }
 }
 
-fn talk_run(
-    mut config: SimConfig,
-    mobility: &dyn Fn() -> Box<dyn MobilityModel>,
-    index: NeighborIndex,
-) -> TalkRun {
-    config.neighbor_index = index;
+/// Run `config` with the shared `Chatter` stacks and require a run that
+/// exercised every reception path.  Each cache hit is checked against a scan
+/// (debug builds), and each transmission resolves one neighbourhood.
+fn cached_run(config: SimConfig, mobility: Box<dyn MobilityModel>, what: &str) -> TalkRun {
     let heard = Rc::new(RefCell::new(Vec::new()));
     let stacks =
         logging_chatter_stacks(config.num_nodes, Duration::from_millis(23.0), Some(&heard));
-    let mut sim = Simulator::new(config, mobility(), stacks);
+    let mut sim = Simulator::new(config, mobility, stacks);
     sim.set_trace_mode(TraceMode::Keep);
     let rec = sim.run();
     let heard = heard.borrow().clone();
-    TalkRun {
+    let run = TalkRun {
         heard,
         trace: rec.trace().to_vec(),
         perf: rec.engine_perf(),
-    }
-}
-
-/// Run `config` under both indexes and require the same run: the cached
-/// grid run against the brute-force run that scans on every transmission.
-fn cached_and_oracle(
-    config: &SimConfig,
-    mobility: &dyn Fn() -> Box<dyn MobilityModel>,
-    what: &str,
-) -> TalkRun {
-    let grid = talk_run(config.clone(), mobility, NeighborIndex::Grid);
-    let brute = talk_run(config.clone(), mobility, NeighborIndex::BruteForce);
+    };
     for how in ["receive", "overhear", "link failure"] {
         assert!(
-            grid.heard.iter().any(|h| h.4 == how),
+            run.heard.iter().any(|h| h.4 == how),
             "{what}: no {how} in the run"
         );
     }
-    assert_eq!(grid.heard, brute.heard, "{what}: receptions diverged");
-    assert_eq!(grid.trace, brute.trace, "{what}: traces diverged");
+    let transmissions = run
+        .trace
+        .iter()
+        .filter(|ev| matches!(ev, TraceEvent::TxStart { .. }))
+        .count() as u64;
     assert_eq!(
-        grid.perf.neighbor_queries, brute.perf.neighbor_queries,
+        run.perf.neighbor_queries, transmissions,
         "{what}: a hit and a scan each count as one resolved neighbourhood"
     );
-    assert_eq!(grid.perf.events_processed, brute.perf.events_processed);
-    assert_eq!(brute.perf.neighbor_cache_hits, 0, "the oracle never caches");
-    assert_eq!(grid.perf.stale_tx_ends + brute.perf.stale_tx_ends, 0);
-    grid
+    assert_eq!(run.perf.stale_tx_ends, 0, "{what}");
+    run
 }
 
 fn waypoint_config(n: u16, secs: f64, seed: u64, min: f64, max: f64, pause: f64) -> SimConfig {
@@ -319,9 +280,9 @@ fn waypoint_config(n: u16, secs: f64, seed: u64, min: f64, max: f64, pause: f64)
     config
 }
 
-fn random_waypoint(config: &SimConfig) -> impl Fn() -> Box<dyn MobilityModel> {
+fn random_waypoint(config: &SimConfig) -> Box<dyn MobilityModel> {
     let (w, h, m) = (config.field_width, config.field_height, config.mobility);
-    move || Box::new(RandomWaypoint::new(w, h, m))
+    Box::new(RandomWaypoint::new(w, h, m))
 }
 
 #[test]
@@ -330,7 +291,8 @@ fn cache_matches_the_oracle_with_fast_movers_and_no_pause() {
         // Everybody at the paper's top speed, all the time: the shortest
         // validity the bound ever hands out.
         let config = waypoint_config(30, 6.0, seed, 20.0, 20.0, 0.0);
-        let grid = cached_and_oracle(&config, &random_waypoint(&config), "20 m/s movers");
+        let mobility = random_waypoint(&config);
+        let grid = cached_run(config, mobility, "20 m/s movers");
         let perf = grid.perf;
         assert!(perf.neighbor_cache_hits > 0, "seed {seed}: never hit");
         assert!(grid.scans() > 30, "seed {seed}: fast movers must rescan");
@@ -345,7 +307,6 @@ fn cache_matches_the_oracle_with_fast_movers_and_no_pause() {
 
 /// A mobility model that plays per-node scripts of `(jump, to, speed)` legs
 /// and then pins the node; `jump` starts the leg somewhere the node is not.
-#[derive(Clone)]
 struct Scripted {
     start: Vec<Position>,
     legs: Vec<Vec<(Option<Position>, Position, f64)>>,
@@ -400,8 +361,7 @@ fn a_leg_faster_than_all_before_it_empties_every_cache() {
             // granted for 24 s at the old bound.
             (None, at(300.0), second_leg_speed),
         ]);
-        let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel>;
-        cached_and_oracle(&config, &mobility, "a faster leg")
+        cached_run(config, Box::new(model), "a faster leg")
     };
     let steady = run(1.0);
     assert_eq!(steady.scans(), 4, "at 1 m/s throughout, one scan per node");
@@ -422,8 +382,7 @@ fn a_leg_that_starts_elsewhere_empties_every_cache() {
         (None, at(598.0), 1.0),
         (Some(at(320.0)), at(310.0), 1.0),
     ]);
-    let mobility = move || Box::new(model.clone()) as Box<dyn MobilityModel>;
-    let grid = cached_and_oracle(&config, &mobility, "a jump");
+    let grid = cached_run(config, Box::new(model), "a jump");
     assert_eq!(
         grid.scans(),
         8,
@@ -436,8 +395,8 @@ fn a_static_placement_scans_once_per_node_for_the_whole_run() {
     // 97 m spacing: no pairwise distance is within a micrometre of a circle.
     let n = 20u16;
     let config = waypoint_config(n, 8.0, 3, 0.0, 0.0, 0.0);
-    let mobility = || Box::new(StaticPlacement::grid(20, 5, 97.0)) as Box<dyn MobilityModel>;
-    let grid = cached_and_oracle(&config, &mobility, "static placement");
+    let mobility = StaticPlacement::grid(20, 5, 97.0);
+    let grid = cached_run(config, Box::new(mobility), "static placement");
     assert_eq!(grid.scans(), u64::from(n));
     assert_eq!(
         grid.perf.neighbor_cache_hits,
@@ -458,11 +417,11 @@ fn nodes_on_a_circle_are_never_cached() {
         Position::new(530.0, 480.0),
     ];
     let config = waypoint_config(4, 4.0, 9, 0.0, 0.0, 0.0);
-    let mobility = {
-        let positions = positions.clone();
-        move || Box::new(StaticPlacement::new(positions.clone())) as Box<dyn MobilityModel>
-    };
-    let grid = cached_and_oracle(&config, &mobility, "on-circle placement");
+    let grid = cached_run(
+        config,
+        Box::new(StaticPlacement::new(positions)),
+        "on-circle placement",
+    );
     // `<=` keeps an on-circle node in: node 0's broadcasts reach node 1.
     assert!(grid
         .heard

@@ -14,7 +14,7 @@ proptest! {
     /// insertion order, and ties preserve insertion (FIFO) order.
     #[test]
     fn event_queue_orders_by_time_then_fifo(times in proptest::collection::vec(0u32..1000, 1..100)) {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::default();
         for (i, t) in times.iter().enumerate() {
             // Encode the insertion index in the timer token to check FIFO ties.
             q.schedule(

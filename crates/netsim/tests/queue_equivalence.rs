@@ -1,33 +1,29 @@
-//! Heap-vs-calendar event-queue equivalence.
+//! The calendar event queue against its order oracle on whole runs.
 //!
-//! The calendar queue is an optimisation, not an approximation: for any
-//! workload, the engine must process **exactly** the same event stream —
-//! including the FIFO tie-break between events scheduled for the same
-//! instant — under [`EventQueueKind::Calendar`] as under
-//! [`EventQueueKind::Heap`].  These tests mirror `grid_equivalence.rs`:
-//! they drive both configurations through the public API over seeded
-//! random-waypoint traffic runs, equal-timestamp timer storms, and
+//! The calendar queue is an optimisation, not an approximation: the engine
+//! must process its events in ascending `(time, seq)` — a binary heap's
+//! order, FIFO among events scheduled for the same instant.  Debug builds
+//! assert that on every pop, so each run below is checked pop by pop over
+//! seeded random-waypoint traffic, equal-timestamp timer storms and
 //! attack-enabled schedules (the wormhole's out-of-band `TunnelDeliver`
-//! events), and require byte-identical recorder traces.
+//! events).  Release builds still check what the recorder can see: trace
+//! timestamps never decrease and same-instant timers fire in FIFO order.
+//! The last test pins the zero-copy payload path.
 
 mod common;
 
-use common::chatter_stacks;
+use common::{chatter_stacks, logging_chatter_stacks};
 use manet_netsim::mobility::{RandomWaypoint, StaticPlacement};
 use manet_netsim::{
-    Ctx, Duration, EventQueueKind, NodeStack, Observation, Recorder, SimConfig, Simulator,
-    TimerToken, TraceMode, WormholeConfig,
+    Ctx, Duration, NodeStack, Observation, Recorder, SimConfig, SimTime, Simulator, TimerToken,
+    TraceEvent, TraceMode, WormholeConfig,
 };
 use manet_wire::{ConnectionId, DataPacket, NetPacket, NodeId, PacketId, SharedPacket, TcpSegment};
+use std::cell::RefCell;
+use std::rc::Rc;
 
-/// Run `config` with the given queue backend and full tracing.
-fn traced_run(
-    mut config: SimConfig,
-    kind: EventQueueKind,
-    mobile: bool,
-    stacks: Vec<Box<dyn NodeStack>>,
-) -> Recorder {
-    config.event_queue = kind;
+/// Run `config` with full tracing.
+fn traced_run(config: SimConfig, mobile: bool, stacks: Vec<Box<dyn NodeStack>>) -> Recorder {
     let mobility: Box<dyn manet_netsim::MobilityModel> = if mobile {
         Box::new(RandomWaypoint::new(
             config.field_width,
@@ -42,44 +38,24 @@ fn traced_run(
     sim.run()
 }
 
-/// Assert two finished runs are byte-identical: full trace plus every
-/// counter the metrics layer consumes.
-fn assert_identical(a: &Recorder, b: &Recorder, what: &str) {
-    assert_eq!(a.trace(), b.trace(), "{what}: traces diverged");
-    assert_eq!(
-        a.engine_perf().events_processed,
-        b.engine_perf().events_processed,
-        "{what}: event counts diverged"
-    );
-    assert_eq!(
-        a.engine_perf().queue_pushes,
-        b.engine_perf().queue_pushes,
-        "{what}: queue push counts diverged"
-    );
-    assert_eq!(
-        a.delivered_data_packets(),
-        b.delivered_data_packets(),
-        "{what}: deliveries diverged"
-    );
-    assert_eq!(
-        a.collisions(),
-        b.collisions(),
-        "{what}: collisions diverged"
-    );
-    assert_eq!(
-        a.link_failures(),
-        b.link_failures(),
-        "{what}: link failures diverged"
-    );
-    assert_eq!(
-        a.control_transmissions(),
-        b.control_transmissions(),
-        "{what}: control overhead diverged"
+/// Assert what a finished run shows of its pop order: every popped event was
+/// processed, and the trace is in time order.
+fn assert_in_time_order(rec: &Recorder, what: &str) {
+    let perf = rec.engine_perf();
+    assert_eq!(perf.queue_pops, perf.events_processed, "{what}");
+    let at = |ev: &TraceEvent| match *ev {
+        TraceEvent::TxStart { at, .. }
+        | TraceEvent::Delivered { at, .. }
+        | TraceEvent::LinkFailure { at, .. } => at,
+    };
+    assert!(
+        rec.trace().windows(2).all(|w| at(&w[0]) <= at(&w[1])),
+        "{what}: trace timestamps went backwards"
     );
 }
 
 #[test]
-fn random_waypoint_traffic_is_trace_identical_across_queue_backends() {
+fn random_waypoint_traffic_pops_in_time_then_seq_order() {
     for seed in [1u64, 7, 42] {
         let mut config = SimConfig::default();
         config.num_nodes = 30;
@@ -88,23 +64,13 @@ fn random_waypoint_traffic_is_trace_identical_across_queue_backends() {
         config.mobility.min_speed = 1.0;
         config.mobility.max_speed = 20.0;
         let period = Duration::from_millis(200.0);
-        let heap = traced_run(
-            config.clone(),
-            EventQueueKind::Heap,
-            true,
-            chatter_stacks(30, period),
-        );
-        let cal = traced_run(
-            config,
-            EventQueueKind::Calendar,
-            true,
-            chatter_stacks(30, period),
-        );
+        let rec = traced_run(config, true, chatter_stacks(30, period));
         assert!(
-            heap.engine_perf().events_processed > 1000,
+            rec.engine_perf().events_processed > 1000,
             "seed {seed}: the workload must be non-trivial"
         );
-        assert_identical(&heap, &cal, &format!("seed {seed}"));
+        assert!(rec.delivered_data_packets() > 0, "seed {seed}");
+        assert_in_time_order(&rec, &format!("seed {seed}"));
     }
 }
 
@@ -112,32 +78,39 @@ fn random_waypoint_traffic_is_trace_identical_across_queue_backends() {
 fn equal_timestamp_timer_storms_pop_in_identical_fifo_order() {
     // Every node schedules its timers for the exact same instants, so each
     // period boundary is a tie-break storm of `num_nodes` simultaneous
-    // events; the trace (which records the resulting transmissions in
-    // processing order) detects any tie-break divergence.
+    // events.  The nodes first scheduled in id order and each reschedules
+    // when it fires, so every storm must fire in id order.
+    let n = 40u16;
     let mut config = SimConfig::default();
-    config.num_nodes = 40;
+    config.num_nodes = n;
     config.duration = Duration::from_secs(5.0);
     config.mobility.max_speed = 0.0;
     let period = Duration::from_millis(250.0);
-    let heap = traced_run(
-        config.clone(),
-        EventQueueKind::Heap,
-        false,
-        chatter_stacks(40, period),
-    );
-    let cal = traced_run(
+    let heard = Rc::new(RefCell::new(Vec::new()));
+    let rec = traced_run(
         config,
-        EventQueueKind::Calendar,
         false,
-        chatter_stacks(40, period),
+        logging_chatter_stacks(n, period, Some(&heard)),
     );
-    assert_identical(&heap, &cal, "timer storm");
+    assert_in_time_order(&rec, "timer storm");
+    let mut storms: Vec<(SimTime, Vec<u16>)> = Vec::new();
+    for &(at, node, ..) in heard.borrow().iter().filter(|h| h.4 == "timer") {
+        match storms.last_mut() {
+            Some((t, fired)) if *t == at => fired.push(node.0),
+            _ => storms.push((at, vec![node.0])),
+        }
+    }
+    assert_eq!(storms.len(), 19, "one storm per period before the 5 s stop");
+    let in_id_order: Vec<u16> = (0..n).collect();
+    for (at, fired) in &storms {
+        assert_eq!(fired, &in_id_order, "storm at {at:?}");
+    }
 }
 
 #[test]
-fn wormhole_tunnel_schedules_are_trace_identical_across_queue_backends() {
+fn wormhole_tunnel_schedules_pop_in_time_then_seq_order() {
     // The wormhole's out-of-band `TunnelDeliver` events take the non-MAC
-    // scheduling path; an attack-enabled run must stay backend-identical.
+    // scheduling path.
     let mut config = SimConfig::default();
     config.num_nodes = 24;
     config.duration = Duration::from_secs(8.0);
@@ -154,23 +127,12 @@ fn wormhole_tunnel_schedules_are_trace_identical_across_queue_backends() {
         delay: Duration::from_micros(1.0),
     });
     let period = Duration::from_millis(150.0);
-    let heap = traced_run(
-        config.clone(),
-        EventQueueKind::Heap,
-        true,
-        chatter_stacks(24, period),
-    );
-    let cal = traced_run(
-        config,
-        EventQueueKind::Calendar,
-        true,
-        chatter_stacks(24, period),
-    );
+    let rec = traced_run(config, true, chatter_stacks(24, period));
     assert!(
-        heap.tunneled_frames() > 0,
+        rec.tunneled_frames() > 0,
         "the wormhole must actually tunnel traffic in this layout"
     );
-    assert_identical(&heap, &cal, "wormhole");
+    assert_in_time_order(&rec, "wormhole");
 }
 
 #[test]

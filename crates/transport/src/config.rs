@@ -105,7 +105,8 @@ pub struct TcpConfig {
     pub mss: u32,
     /// Initial congestion window, in segments.
     pub initial_cwnd: f64,
-    /// Initial slow-start threshold, in segments.
+    /// Initial slow-start threshold, in segments: at least 2, and `+∞` is
+    /// RFC 5681's "arbitrarily high".
     pub initial_ssthresh: f64,
     /// Receiver window, in segments (caps the usable window).
     pub receiver_window: f64,
@@ -117,7 +118,8 @@ pub struct TcpConfig {
     pub dupack_threshold: u32,
     /// Maximum number of consecutive RTO expirations before the connection is
     /// considered (temporarily) dead; the sender keeps backing off but caps
-    /// the exponent here.
+    /// the exponent here.  At most 31: the back-off factor is a `u32` power
+    /// of two.
     pub max_backoff_exponent: u32,
 }
 
@@ -148,11 +150,18 @@ impl TcpConfig {
         if !(self.receiver_window >= 1.0 && self.receiver_window.is_finite()) {
             return Err("receiver_window must be a finite number of at least one segment".into());
         }
+        // +inf passes: RFC 5681's "arbitrarily high".
+        if self.initial_ssthresh.is_nan() || self.initial_ssthresh < 2.0 {
+            return Err("initial_ssthresh must be at least two segments".into());
+        }
         if !(self.min_rto > 0.0 && self.min_rto <= self.max_rto && self.max_rto.is_finite()) {
             return Err("RTO bounds must satisfy 0 < min_rto <= max_rto < inf".into());
         }
         if self.dupack_threshold == 0 {
             return Err("dupack_threshold must be at least 1".into());
+        }
+        if self.max_backoff_exponent > 31 {
+            return Err("max_backoff_exponent must be at most 31".into());
         }
         Ok(())
     }
@@ -275,6 +284,30 @@ mod tests {
         }
         .validate()
         .is_err());
+        for bad in [1.5, f64::NAN, f64::NEG_INFINITY] {
+            let c = TcpConfig {
+                initial_ssthresh: bad,
+                ..Default::default()
+            };
+            assert!(c.validate().is_err(), "initial_ssthresh = {bad}");
+        }
+        TcpConfig {
+            initial_ssthresh: f64::INFINITY,
+            ..Default::default()
+        }
+        .validate()
+        .expect("an arbitrarily high initial ssthresh is RFC 5681's default");
+        for (exponent, valid) in [(31, true), (32, false), (u32::MAX, false)] {
+            let c = TcpConfig {
+                max_backoff_exponent: exponent,
+                ..Default::default()
+            };
+            assert_eq!(
+                c.validate().is_ok(),
+                valid,
+                "max_backoff_exponent = {exponent}"
+            );
+        }
         // Non-finite values fail validation instead of panicking mid-run.
         for x in [f64::NAN, f64::INFINITY] {
             for bad in [

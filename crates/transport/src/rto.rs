@@ -151,6 +151,19 @@ mod tests {
     }
 
     #[test]
+    fn the_largest_valid_backoff_cap_saturates_at_max_rto() {
+        // 31 is the cap `TcpConfig::validate` allows: 2^31 still fits the
+        // back-off factor, and backing off past the cap stays there.
+        let mut e = RtoEstimator::new(1.0, 64.0, 31);
+        e.sample(0.5);
+        for _ in 0..40 {
+            e.back_off();
+        }
+        assert_eq!(e.backoff_exponent(), 31);
+        assert_eq!(e.rto().as_secs(), 64.0);
+    }
+
+    #[test]
     fn negative_samples_are_clamped() {
         let mut e = RtoEstimator::default();
         e.sample(-5.0);

@@ -177,37 +177,28 @@ fn mobile_eavesdropper_changes_the_run_but_stays_deterministic() {
 #[test]
 fn mobile_eavesdropper_runs_alike_with_and_without_the_neighbourhood_cache() {
     use mts_repro::experiments::runner::{run_with, RunOptions};
-    use mts_repro::netsim::{NeighborIndex, TraceMode};
     // The hunter re-aims at the corridor in short hops at the model's top
-    // speed.  The grid run answers most transmissions from the per-node
-    // neighbourhood cache, the brute-force run scans on every one: the
-    // companion of `crates/netsim/tests/grid_equivalence.rs` for the one
-    // mobility model that lives outside the engine crate.
+    // speed, the one mobility model that lives outside the engine crate.
+    // Most transmissions are answered from the per-node neighbourhood cache;
+    // debug builds check each hit against a fresh scan and each scan against
+    // the brute-force answer, the companion of
+    // `crates/netsim/tests/grid_equivalence.rs`.
     for seed in [2u64, 101] {
-        let run = |index: NeighborIndex| {
-            let mut scenario = Scenario::paper(Protocol::Mts, 20.0, seed)
-                .with_attack(AttackConfig::mobile_eavesdropper());
-            scenario.sim.duration = Duration::from_secs(8.0);
-            scenario.sim.neighbor_index = index;
-            let trace = TraceMode::Keep;
-            run_with(
-                &scenario,
-                RunOptions {
-                    trace,
-                    ..RunOptions::default()
-                },
-            )
-        };
-        let (grid, grid_rec) = run(NeighborIndex::Grid);
-        let (brute, brute_rec) = run(NeighborIndex::BruteForce);
-        assert_eq!(grid, brute, "seed {seed}: metrics diverged");
-        assert_eq!(grid_rec.trace(), brute_rec.trace(), "seed {seed}");
-        assert_eq!(grid_rec.heard_counts(), brute_rec.heard_counts());
-        let (g, b) = (grid_rec.engine_perf(), brute_rec.engine_perf());
-        assert_eq!(g.events_processed, b.events_processed);
-        assert_eq!(g.neighbor_queries, b.neighbor_queries);
-        assert!(g.neighbor_cache_hits > 0, "seed {seed}: never hit");
-        assert_eq!(b.neighbor_cache_hits, 0, "the oracle never caches");
+        let mut scenario = Scenario::paper(Protocol::Mts, 20.0, seed)
+            .with_attack(AttackConfig::mobile_eavesdropper());
+        scenario.sim.duration = Duration::from_secs(8.0);
+        let (metrics, rec) = run_with(&scenario, RunOptions::default());
+        assert!(
+            metrics.throughput_packets > 0,
+            "seed {seed}: nothing delivered"
+        );
+        let perf = rec.engine_perf();
+        assert!(perf.neighbor_cache_hits > 0, "seed {seed}: never hit");
+        assert!(
+            perf.neighbor_cache_hits < perf.neighbor_queries,
+            "seed {seed}: the hunter's hops must force rescans"
+        );
+        assert_eq!(perf.stale_tx_ends, 0, "seed {seed}");
     }
 }
 

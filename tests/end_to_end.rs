@@ -57,42 +57,36 @@ fn runs_are_deterministic_for_a_fixed_seed() {
 }
 
 /// The multi-flow stack holds the same determinism contract as the paper's
-/// single flow: a random-pairs traffic matrix produces identical runs across
-/// both event-queue backends, and the per-flow metrics are well-formed
-/// (goodput rows sum to the aggregate throughput, Jain's fairness in [0, 1]).
-/// Release builds (CI's perf-smoke job) add the full-scale inputs: the n = 500
-/// scaled scenario and 25 random-pair flows at n = 500, full traces diffed.
+/// single flow: a random-pairs traffic matrix produces identical runs from
+/// identical inputs, and the per-flow metrics are well-formed (goodput rows
+/// sum to the aggregate throughput, Jain's fairness in [0, 1]).  Debug
+/// builds check every event-queue pop and every neighbour scan in-run.
+/// Release builds (CI's perf-smoke job) add the full-scale inputs: the
+/// n = 500 scaled scenario and 25 random-pair flows at n = 500, full traces
+/// diffed between two runs.
 #[test]
-fn multi_flow_runs_are_deterministic_across_queue_backends() {
-    use mts_repro::netsim::{EventQueueKind, TraceMode};
-    let build = |queue: EventQueueKind| {
-        let mut scenario = Scenario::random_pairs(Protocol::Mts, 100, 10, 10.0, 3);
-        scenario.sim.duration = Duration::from_secs(10.0);
-        scenario.sim.event_queue = queue;
-        scenario
-    };
-    let calendar = run_scenario(&build(EventQueueKind::Calendar));
-    let heap = run_scenario(&build(EventQueueKind::Heap));
+fn multi_flow_runs_are_deterministic_and_well_formed() {
+    use mts_repro::netsim::TraceMode;
+    let mut scenario = Scenario::random_pairs(Protocol::Mts, 100, 10, 10.0, 3);
+    scenario.sim.duration = Duration::from_secs(10.0);
+    let first = run_scenario(&scenario);
     assert_eq!(
-        calendar, heap,
-        "multi-flow runs must be queue-backend identical"
+        first,
+        run_scenario(&scenario),
+        "multi-flow runs must be seed-deterministic"
     );
-    assert_eq!(calendar.per_flow.len(), 10);
-    assert!(calendar.fairness_index >= 0.0 && calendar.fairness_index <= 1.0);
+    assert_eq!(first.per_flow.len(), 10);
+    assert!(first.fairness_index >= 0.0 && first.fairness_index <= 1.0);
     assert!(
-        calendar.per_flow.iter().any(|f| f.packets_delivered > 0),
+        first.per_flow.iter().any(|f| f.packets_delivered > 0),
         "at least one flow must move data"
     );
-    let summed: u64 = calendar.per_flow.iter().map(|f| f.packets_delivered).sum();
+    let summed: u64 = first.per_flow.iter().map(|f| f.packets_delivered).sum();
     assert_eq!(
-        summed, calendar.throughput_packets,
+        summed, first.throughput_packets,
         "per-flow deliveries partition the aggregate"
     );
-    let goodput: f64 = calendar
-        .per_flow
-        .iter()
-        .map(|f| f.goodput_bytes_per_sec)
-        .sum();
+    let goodput: f64 = first.per_flow.iter().map(|f| f.goodput_bytes_per_sec).sum();
     assert!(goodput > 0.0);
 
     if cfg!(debug_assertions) {
@@ -102,8 +96,7 @@ fn multi_flow_runs_are_deterministic_across_queue_backends() {
     let flows = Scenario::random_pairs(Protocol::Mts, 500, 25, 10.0, 1);
     for (name, mut scenario) in [("scaled", scaled), ("25 flows", flows)] {
         scenario.sim.duration = Duration::from_secs(3.0);
-        let mut traced = |queue: EventQueueKind| {
-            scenario.sim.event_queue = queue;
+        let traced = || {
             let trace = TraceMode::Keep;
             run_with(
                 &scenario,
@@ -114,22 +107,19 @@ fn multi_flow_runs_are_deterministic_across_queue_backends() {
             )
             .1
         };
-        let (calendar, heap) = (
-            traced(EventQueueKind::Calendar),
-            traced(EventQueueKind::Heap),
-        );
+        let (a, b) = (traced(), traced());
         assert!(
-            calendar.delivered_data_packets() > 0,
+            a.delivered_data_packets() > 0,
             "n=500 {name}: nothing delivered"
         );
         assert_eq!(
-            calendar.engine_perf().events_processed,
-            heap.engine_perf().events_processed,
-            "n=500 {name}: queue backends processed different event streams"
+            a.engine_perf(),
+            b.engine_perf(),
+            "n=500 {name}: the engine did different work"
         );
         assert!(
-            calendar.trace() == heap.trace(),
-            "n=500 {name}: recorder traces diverged across queue backends"
+            a.trace() == b.trace(),
+            "n=500 {name}: recorder traces diverged between identical runs"
         );
     }
 }

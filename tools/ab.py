@@ -26,8 +26,9 @@ metric must read the same on the change; one that differs is printed with
 both values at full precision (``repr``) and the relative change.  The
 engine's and the allocator's own counters (``netsim.grid.*``,
 ``netsim.queue.*``, ``netsim.mobility.*``, ``netsim.payload.*``, ``alloc.*``)
-are the exception: a difference there is printed and is what may explain a
-moved digest.  The exit status is then 1 if a result differs, if a metric
+and the size of the telemetry encoding (``telemetry.ndjson_bytes_per_event``,
+which a deliberate NDJSON format change moves) are the exception: a
+difference there is printed and is what may explain a moved digest.  The exit status is then 1 if a result differs, if a metric
 exists on one side only, or if a workload's digest moved although none of
 its bookkeeping metrics did.
 
@@ -114,8 +115,16 @@ def measure(binary: Path, workload: str, seed: int, seconds: int, trace: int = 0
 
 # Units in which the benchmark reports nothing but wall-clock measurements.
 WALL_UNITS = {"s", "ns", "us", "1/s"}
-# Counters the engine and the allocator keep about their own work.
-BOOKKEEPING = ("netsim.grid.", "netsim.queue.", "netsim.mobility.", "netsim.payload.", "alloc.")
+# Counters the engine and the allocator keep about their own work, and the
+# encoded size of the telemetry stream, which is a format, not a result.
+BOOKKEEPING = (
+    "netsim.grid.",
+    "netsim.queue.",
+    "netsim.mobility.",
+    "netsim.payload.",
+    "alloc.",
+    "telemetry.ndjson_bytes_per_event",
+)
 
 
 def compare_counts(binaries: dict[str, Path], workload: str, seconds: int) -> tuple[bool, bool]:
