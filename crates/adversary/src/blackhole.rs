@@ -32,24 +32,12 @@ use rand::{Rng, SeedableRng};
 /// "fresher" side of AODV's wrapping comparison.
 pub const FORGED_SEQNO: SeqNo = SeqNo(0x00FF_FFFF);
 
-/// Counters a hostile relay keeps about its own activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlackholeStats {
-    /// Forged route replies emitted.
-    pub forged_rreps: u64,
-    /// Data packets received for forwarding (attracted traffic).
-    pub attracted_data: u64,
-    /// Data packets deliberately discarded.
-    pub dropped_data: u64,
-}
-
 /// A [`NodeStack`] wrapper turning one node into a black/gray-hole relay.
 pub struct BlackholeStack {
     me: NodeId,
     inner: Box<dyn NodeStack>,
     drop_fraction: f64,
     rng: SmallRng,
-    stats: BlackholeStats,
 }
 
 impl BlackholeStack {
@@ -64,13 +52,7 @@ impl BlackholeStack {
             inner,
             drop_fraction,
             rng: SmallRng::seed_from_u64(run_seed ^ salt),
-            stats: BlackholeStats::default(),
         }
-    }
-
-    /// The attacker's private counters.
-    pub fn stats(&self) -> BlackholeStats {
-        self.stats
     }
 
     fn should_drop(&mut self) -> bool {
@@ -106,15 +88,12 @@ impl NodeStack for BlackholeStack {
                     route,
                     dest_seqno: FORGED_SEQNO,
                 };
-                self.stats.forged_rreps += 1;
                 ctx.send_unicast(from, NetPacket::Rrep(rrep));
                 // Keep relaying the flood like an honest node.
                 self.inner.on_receive(ctx, from, packet);
             }
             NetPacket::Data(d) if d.dst != self.me && d.src != self.me => {
-                self.stats.attracted_data += 1;
                 if self.should_drop() {
-                    self.stats.dropped_data += 1;
                     ctx.observe(Observation::Drop {
                         node: self.me,
                         reason: DropReason::AdversaryDiscard,

@@ -215,6 +215,15 @@ impl AttackConfig {
         )
     }
 
+    /// True when the attack changes nothing in the run and is evaluated
+    /// from the finished run's recorder alone: it places no attackers,
+    /// installs no engine hook, wraps no stack and moves no node.  Such an
+    /// attack's run equals the clean run of the same seed, so the experiment
+    /// grid evaluates it on that run instead of simulating it again.
+    pub fn is_analysis_only(&self) -> bool {
+        matches!(self.kind, AttackKind::Coalition { .. })
+    }
+
     /// Validate the knobs.
     pub fn validate(&self) -> Result<(), String> {
         match self.kind {

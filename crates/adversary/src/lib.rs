@@ -36,7 +36,7 @@ pub mod coalition;
 pub mod config;
 pub mod mobile;
 
-pub use blackhole::{BlackholeStack, BlackholeStats, FORGED_SEQNO};
+pub use blackhole::{BlackholeStack, FORGED_SEQNO};
 pub use capture::{capture_report, CaptureReport};
 pub use coalition::{
     coalition_curve, coalition_report, select_coalition_greedy, select_coalition_random,

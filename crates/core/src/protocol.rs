@@ -46,7 +46,7 @@ use crate::path_set::PathSet;
 use crate::source_state::{CheckArrival, SourceRouteState};
 use manet_netsim::FxHashMap;
 use manet_netsim::{Ctx, DropReason, Duration, Observation, TimerToken};
-use manet_routing::agent::{RoutingAgent, RoutingStats, TimerClass};
+use manet_routing::agent::{RoutingAgent, TimerClass};
 use manet_routing::common::{record_data_drop, Discovery, Retry, SeenTable};
 use manet_routing::suspicion::SuspicionTable;
 use manet_routing::table::RoutingTable;
@@ -98,7 +98,8 @@ pub struct Mts {
     sessions: FxHashMap<NodeId, DestinationSession>,
     /// Payload of the last checking timer armed, for any session.
     timer_generation: u64,
-    stats: RoutingStats,
+    /// Times this node installed or replaced its active route as a source.
+    route_switches: u64,
     // ---- hardened mode only (empty and untouched when disabled) ----
     /// Per-relay suspicion scores from failed route checks.
     suspicion: SuspicionTable,
@@ -129,7 +130,7 @@ impl Mts {
             sources: FxHashMap::default(),
             sessions: FxHashMap::default(),
             timer_generation: 0,
-            stats: RoutingStats::default(),
+            route_switches: 0,
             suspicion: SuspicionTable::new(),
             credible_seqno: FxHashMap::default(),
             quarantine: FxHashMap::default(),
@@ -156,11 +157,6 @@ impl Mts {
     /// `source` (only meaningful at a destination node).
     pub fn stored_paths_for(&self, source: NodeId) -> usize {
         self.sessions.get(&source).map_or(0, |s| s.paths.len())
-    }
-
-    /// Total number of route switches performed as a source.
-    pub fn route_switches(&self) -> u64 {
-        self.sources.values().map(|s| s.switches()).sum()
     }
 
     /// Per-relay suspicion scores (hardened mode; empty otherwise).
@@ -264,8 +260,6 @@ impl Mts {
         };
         let now = ctx.now();
         self.seen.first_time(self.me, dest, bid, now);
-        self.stats.discoveries += 1;
-        self.stats.rreq_tx += 1;
         ctx.send_broadcast(NetPacket::Rreq(rreq));
     }
 
@@ -311,13 +305,11 @@ impl Mts {
                 let next = entry.next_hop;
                 self.table.refresh(packet.dst, now);
                 packet.hop_count += 1;
-                self.stats.data_forwarded += 1;
                 ctx.send_unicast(next, NetPacket::Data(packet));
             }
             None => {
                 // No forward route: report towards the source so it can
                 // rediscover (paper §III-E).
-                self.stats.data_dropped_no_route += 1;
                 record_data_drop(ctx, self.me, DropReason::NoRoute, &packet);
                 self.send_rerr_towards_source(ctx, packet.src, packet.dst);
             }
@@ -336,7 +328,6 @@ impl Mts {
                 .map(|e| e.dest_seqno)
                 .unwrap_or(SeqNo(0))],
         };
-        self.stats.rerr_tx += 1;
         if source == self.me {
             return;
         }
@@ -390,7 +381,6 @@ impl Mts {
         let mut fwd = rreq.clone();
         fwd.hop_count += 1;
         fwd.route.push(self.me);
-        self.stats.rreq_tx += 1;
         ctx.send_broadcast(NetPacket::Rreq(fwd));
     }
 
@@ -444,7 +434,6 @@ impl Mts {
                 route: rreq.route.clone(),
                 dest_seqno: self.own_seqno,
             };
-            self.stats.rrep_tx += 1;
             ctx.send_unicast(from, NetPacket::Rrep(rrep));
             // Make sure periodic route checking runs for this session.
             self.ensure_checking_timer(ctx, source);
@@ -477,7 +466,7 @@ impl Mts {
             self.discovery.resolved(rrep.destination);
             let state = self.sources.entry(rrep.destination).or_default();
             state.install_initial(from, rrep.full_path());
-            self.stats.route_switches += 1;
+            self.route_switches += 1;
             self.flush_buffered(ctx, rrep.destination);
             return;
         }
@@ -485,7 +474,6 @@ impl Mts {
         if let Some(entry) = self.table.lookup(rrep.source, now) {
             let next = entry.next_hop;
             rrep.hop_count += 1;
-            self.stats.rrep_tx += 1;
             ctx.send_unicast(next, NetPacket::Rrep(rrep));
         }
     }
@@ -556,7 +544,6 @@ impl Mts {
                 path: intermediates,
                 path_index,
             };
-            self.stats.check_tx += 1;
             if neighbour == source {
                 // Single-hop path: the checking packet goes straight to the source.
                 ctx.send_unicast(source, NetPacket::Check(check));
@@ -593,7 +580,7 @@ impl Mts {
                 at: now,
             });
             if switched {
-                self.stats.route_switches += 1;
+                self.route_switches += 1;
             }
             // Any traffic waiting for a route can go now.
             self.flush_buffered(ctx, check.destination);
@@ -611,7 +598,6 @@ impl Mts {
         match next_towards_source {
             Some(next) => {
                 check.hop_count += 1;
-                self.stats.check_tx += 1;
                 ctx.send_unicast(next, NetPacket::Check(check));
             }
             None => {
@@ -631,7 +617,6 @@ impl Mts {
             check_id: check.check_id,
             path_index: check.path_index,
         };
-        self.stats.check_err_tx += 1;
         if let Some(entry) = self.table.lookup(check.destination, now) {
             ctx.send_unicast(entry.next_hop, NetPacket::CheckErr(err));
         } else {
@@ -673,7 +658,6 @@ impl Mts {
         }
         // Forward towards the destination.
         if let Some(entry) = self.table.lookup(err.destination, now) {
-            self.stats.check_err_tx += 1;
             ctx.send_unicast(entry.next_hop, NetPacket::CheckErr(err));
         }
     }
@@ -690,7 +674,7 @@ impl Mts {
             // A source whose current route went through `from` must rediscover.
             if let Some(state) = self.sources.get_mut(dest) {
                 if state.invalidate_via(from) {
-                    self.stats.route_switches += 1;
+                    self.route_switches += 1;
                     self.start_discovery(ctx, *dest);
                 }
             }
@@ -701,7 +685,6 @@ impl Mts {
                 reporter: self.me,
                 ..rerr.clone()
             };
-            self.stats.rerr_tx += 1;
             ctx.send_broadcast(NetPacket::Rerr(rerr_fwd));
         }
     }
@@ -793,8 +776,7 @@ impl RoutingAgent for Mts {
         match self.discovery.on_timer(ctx, self.me, token, has_route) {
             Retry::Resolved(dest) => self.flush_buffered(ctx, dest),
             Retry::Flood(dest) => self.emit_rreq(ctx, dest),
-            Retry::GaveUp(dropped) => self.stats.data_dropped_no_route += dropped,
-            Retry::Stale => {}
+            Retry::GaveUp(_) | Retry::Stale => {}
         }
     }
 
@@ -839,13 +821,12 @@ impl RoutingAgent for Mts {
                 unreachable: broken.iter().map(|(d, _)| *d).collect(),
                 dest_seqnos: broken.iter().map(|(_, s)| *s).collect(),
             };
-            self.stats.rerr_tx += 1;
             ctx.send_broadcast(NetPacket::Rerr(rerr));
         }
     }
 
-    fn stats(&self) -> RoutingStats {
-        self.stats
+    fn route_switches(&self) -> u64 {
+        self.route_switches
     }
 }
 

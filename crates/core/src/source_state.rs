@@ -35,8 +35,6 @@ pub struct SourceRouteState {
     latest_round: Option<CheckId>,
     /// Arrivals of the latest round, in arrival order (first = best).
     round_arrivals: Vec<CheckArrival>,
-    /// Number of times the current route changed.
-    switches: u64,
     /// Round-robin cursor for the concurrent-striping ablation.
     stripe_cursor: usize,
 }
@@ -57,11 +55,6 @@ impl SourceRouteState {
         &self.current_path
     }
 
-    /// How many times the active route has changed.
-    pub fn switches(&self) -> u64 {
-        self.switches
-    }
-
     /// Latest checking round the source has seen.
     pub fn latest_round(&self) -> Option<CheckId> {
         self.latest_round
@@ -75,9 +68,6 @@ impl SourceRouteState {
     /// Install the route learned from the initial RREP (before any checking
     /// packet has been received).
     pub fn install_initial(&mut self, next_hop: NodeId, path: Vec<NodeId>) {
-        if self.current_next_hop != Some(next_hop) {
-            self.switches += 1;
-        }
         self.current_next_hop = Some(next_hop);
         self.current_path = path;
     }
@@ -96,9 +86,6 @@ impl SourceRouteState {
             self.round_arrivals.clear();
             self.stripe_cursor = 0;
             let changed = self.current_next_hop != Some(arrival.next_hop);
-            if changed {
-                self.switches += 1;
-            }
             self.current_next_hop = Some(arrival.next_hop);
             self.current_path = arrival.path.clone();
             self.round_arrivals.push(arrival);
@@ -185,10 +172,9 @@ mod tests {
         s.on_check_arrival(arrival(1, 3, 1.0));
         assert!(s.on_check_arrival(arrival(2, 5, 4.0)));
         assert_eq!(s.next_hop(), Some(NodeId(5)));
-        assert_eq!(s.switches(), 2);
-        // Same next hop in a later round: not counted as a switch.
+        // Same next hop in a later round: not a switch.
         assert!(!s.on_check_arrival(arrival(3, 5, 7.0)));
-        assert_eq!(s.switches(), 2);
+        assert_eq!(s.next_hop(), Some(NodeId(5)));
     }
 
     #[test]

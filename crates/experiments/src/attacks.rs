@@ -2,20 +2,20 @@
 //!
 //! The paper's sweep varies protocol and node speed against a single passive
 //! eavesdropper.  This module adds the hostile axes: every protocol
-//! (including the hardened MTS variant) is run against every
-//! [`AttackConfig`] of a spec (clean baseline included) at every mobility
-//! regime of the spec, seeds are averaged exactly like the paper's five
-//! repetitions, and the runs parallelise with rayon just like the speed
-//! sweep.  Because attacker placement, drop decisions, tunnel hooks and
-//! jamming draws are all derived from the run seed, the whole matrix is
-//! reproducible byte-for-byte.
+//! (including the hardened MTS variant) meets every [`AttackConfig`] of a
+//! spec (clean baseline included) at every mobility regime of the spec, and
+//! seeds are averaged exactly like the paper's five repetitions.  The matrix
+//! is a view of the same grid runner as the speed sweep
+//! ([`runner`](crate::runner)): its keys run in parallel, and an
+//! analysis-only attack (a coalition) is evaluated on the clean run of its
+//! seed instead of being simulated again.  Because attacker placement, drop
+//! decisions, tunnel hooks and jamming draws are all derived from the run
+//! seed, the whole matrix is reproducible byte-for-byte.
 
 use crate::metrics::RunMetrics;
 use crate::protocol::Protocol;
-use crate::runner::run_scenario;
-use crate::scenario::Scenario;
+use crate::runner::{distinct, run_grid, Cell};
 use manet_adversary::AttackConfig;
-use rayon::prelude::*;
 use std::fmt::Write as _;
 
 /// Specification of an attack matrix.
@@ -50,17 +50,19 @@ impl AttackSweepSpec {
         }
     }
 
-    /// The canonical matrix restricted to one mobility regime.
-    pub fn canonical_at_speeds(duration: f64, seeds: u64, speeds: Vec<f64>) -> Self {
-        AttackSweepSpec {
-            speeds,
-            ..Self::canonical(duration, seeds)
-        }
-    }
-
-    /// Total number of simulation runs in the matrix.
+    /// Total number of runs in the matrix, one per cell and seed.
     pub fn total_runs(&self) -> usize {
         self.protocols.len() * self.attacks.len() * self.speeds.len() * self.seeds.len()
+    }
+
+    /// The (protocol, attack, speed) cells, speed-major, then attack, then
+    /// protocol.
+    fn cells(&self) -> impl Iterator<Item = Cell> + '_ {
+        let speed_attack = self
+            .speeds
+            .iter()
+            .flat_map(move |&s| self.attacks.iter().map(move |&a| (s, a)));
+        speed_attack.flat_map(move |(s, a)| self.protocols.iter().map(move |&p| (p, a, s)))
     }
 }
 
@@ -102,41 +104,23 @@ impl AttackMatrixOutcome {
 
     /// Distinct attack labels, in matrix order.
     pub fn attack_labels(&self) -> Vec<String> {
-        let mut labels = Vec::new();
-        for c in &self.cells {
-            let l = c.attack.to_string();
-            if !labels.contains(&l) {
-                labels.push(l);
-            }
-        }
-        labels
+        distinct(self.cells.iter().map(|c| c.attack.to_string()))
     }
 
     /// Distinct speeds, ascending.
     pub fn speeds(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = Vec::new();
-        for c in &self.cells {
-            if !v.iter().any(|s| (s - c.max_speed).abs() < 1e-9) {
-                v.push(c.max_speed);
-            }
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut v = distinct(self.cells.iter().map(|c| c.max_speed));
+        v.sort_by(f64::total_cmp);
         v
     }
 
     /// Distinct protocols, in matrix order.
     pub fn protocols(&self) -> Vec<Protocol> {
-        let mut v = Vec::new();
-        for c in &self.cells {
-            if !v.contains(&c.protocol) {
-                v.push(c.protocol);
-            }
-        }
-        v
+        distinct(self.cells.iter().map(|c| c.protocol))
     }
 }
 
-/// Run the attack matrix, parallelising across independent runs.
+/// Run the attack matrix.
 ///
 /// # Examples
 ///
@@ -162,53 +146,16 @@ impl AttackMatrixOutcome {
 /// assert_eq!(clean.metrics.adversary_drops, 0);
 /// ```
 pub fn attack_matrix(spec: &AttackSweepSpec) -> AttackMatrixOutcome {
-    // Runs carry their attack's index in the spec so aggregation groups by
-    // value even if two attacks render to similar labels.
-    let mut runs: Vec<(Protocol, usize, f64, u64)> = Vec::with_capacity(spec.total_runs());
-    for &speed in &spec.speeds {
-        for attack_idx in 0..spec.attacks.len() {
-            for &protocol in &spec.protocols {
-                for &seed in &spec.seeds {
-                    runs.push((protocol, attack_idx, speed, seed));
-                }
-            }
-        }
-    }
-    let results: Vec<((Protocol, usize, f64), RunMetrics)> = runs
-        .par_iter()
-        .map(|&(protocol, attack_idx, speed, seed)| {
-            let mut scenario = Scenario::paper(protocol, speed, seed);
-            scenario.sim.duration = manet_netsim::Duration::from_secs(spec.duration);
-            let scenario = scenario.with_attack(spec.attacks[attack_idx]);
-            let metrics = run_scenario(&scenario);
-            ((protocol, attack_idx, speed), metrics)
+    let cells = run_grid(spec.cells(), &spec.seeds, spec.duration)
+        .into_iter()
+        .map(|(key, per_seed)| AttackCell {
+            protocol: key.protocol,
+            attack: key.attack,
+            max_speed: key.max_speed,
+            metrics: RunMetrics::average(&per_seed),
+            per_seed,
         })
         .collect();
-
-    let mut cells = Vec::new();
-    for &speed in &spec.speeds {
-        for (attack_idx, &attack) in spec.attacks.iter().enumerate() {
-            for &protocol in &spec.protocols {
-                let per_seed: Vec<RunMetrics> = results
-                    .iter()
-                    .filter(|((p, a, s), _)| {
-                        *p == protocol && *a == attack_idx && (*s - speed).abs() < 1e-9
-                    })
-                    .map(|(_, m)| m.clone())
-                    .collect();
-                if per_seed.is_empty() {
-                    continue;
-                }
-                cells.push(AttackCell {
-                    protocol,
-                    attack,
-                    max_speed: speed,
-                    metrics: RunMetrics::average(&per_seed),
-                    per_seed,
-                });
-            }
-        }
-    }
     AttackMatrixOutcome { cells }
 }
 
@@ -265,6 +212,8 @@ pub fn render_attack_matrix(outcome: &AttackMatrixOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{grid_keys, run_scenario, simulations};
+    use crate::scenario::Scenario;
     use manet_adversary::CoalitionPlacement;
 
     #[test]
@@ -274,11 +223,19 @@ mod tests {
             spec.total_runs(),
             4 * AttackConfig::canonical_matrix().len() * 3 * 2
         );
-        let single = AttackSweepSpec::canonical_at_speeds(10.0, 2, vec![10.0]);
+        let single = AttackSweepSpec {
+            speeds: vec![10.0],
+            ..AttackSweepSpec::canonical(10.0, 2)
+        };
         assert_eq!(
             single.total_runs(),
             4 * AttackConfig::canonical_matrix().len() * 2
         );
+        // The coalition reuses the clean runs: 480 simulations for the
+        // paper-size 540 runs.
+        let paper = AttackSweepSpec::canonical(200.0, 5);
+        let keys = grid_keys(paper.cells(), &paper.seeds, paper.duration);
+        assert_eq!((keys.len(), simulations(&keys).len()), (540, 480));
     }
 
     #[test]
@@ -318,6 +275,76 @@ mod tests {
         assert!(text.contains("blackhole(x2)"));
         assert!(text.contains("clean"));
         assert!(text.contains("capture"));
+    }
+
+    /// The rendered matrix of DSR and MTS × {clean, a random k = 3 coalition,
+    /// a wormhole} × 10 m/s × seed 1 × 5 s.  The text was taken from a build
+    /// of the commit before coalition cells reused the clean runs, when every
+    /// cell was simulated on its own: the coalition rows must still equal the
+    /// clean rows except in the `coalition` column.
+    #[test]
+    fn rendered_matrix_of_a_tiny_spec_is_pinned() {
+        let spec = AttackSweepSpec {
+            protocols: vec![Protocol::Dsr, Protocol::Mts],
+            attacks: vec![
+                AttackConfig::none(),
+                AttackConfig::coalition(3, CoalitionPlacement::Random),
+                AttackConfig::wormhole(),
+            ],
+            speeds: vec![10.0],
+            seeds: vec![1],
+            duration: 5.0,
+        };
+        assert_eq!(render_attack_matrix(&attack_matrix(&spec)), PINNED_MATRIX);
+    }
+
+    const PINNED_MATRIX: &str = concat!(
+        "Attack matrix — protocol x attack x speed (seed-averaged)\n",
+        "\n",
+        "[DSR @ 10 m/s]\n",
+        "                  attack    delivery   thru(pkt)   adv.drops      jammed   coalition     capture\n",
+        "                   clean      0.9730    648.0000      0.0000      0.0000      0.0000      0.0000\n",
+        "     coalition(k=3,rand)      0.9730    648.0000      0.0000      0.0000      0.0000      0.0000\n",
+        "                wormhole      0.9973    748.0000      0.0000      0.0000      0.0000      0.9439\n",
+        "\n",
+        "[MTS @ 10 m/s]\n",
+        "                  attack    delivery   thru(pkt)   adv.drops      jammed   coalition     capture\n",
+        "                   clean      0.9631    548.0000      0.0000      0.0000      0.0000      0.0000\n",
+        "     coalition(k=3,rand)      0.9631    548.0000      0.0000      0.0000      0.0018      0.0000\n",
+        "                wormhole      0.9557    690.0000      0.0000      0.0000      0.0000      0.0783\n",
+    );
+
+    /// A coalition cell is the clean run of its seed with the coalition
+    /// evaluated on that run's recorder: its per-seed metrics equal a fresh
+    /// simulation of the coalition scenario, whether or not the spec also
+    /// lists the clean baseline.
+    #[test]
+    fn coalition_cells_equal_a_fresh_coalition_run() {
+        let coalition = AttackConfig::coalition(3, CoalitionPlacement::Greedy);
+        let (speed, seeds, duration) = (10.0, vec![1, 2], 5.0);
+        let fresh: Vec<RunMetrics> = seeds
+            .iter()
+            .map(|&seed| {
+                let mut scenario = Scenario::paper(Protocol::Mts, speed, seed);
+                scenario.sim.duration = manet_netsim::Duration::from_secs(duration);
+                run_scenario(&scenario.with_attack(coalition))
+            })
+            .collect();
+        assert!(fresh.iter().any(|m| m.coalition_interception_ratio > 0.0));
+        for attacks in [vec![AttackConfig::none(), coalition], vec![coalition]] {
+            let spec = AttackSweepSpec {
+                protocols: vec![Protocol::Mts],
+                attacks,
+                speeds: vec![speed],
+                seeds: seeds.clone(),
+                duration,
+            };
+            let keys = grid_keys(spec.cells(), &spec.seeds, spec.duration);
+            assert_eq!(simulations(&keys).len(), seeds.len());
+            let outcome = attack_matrix(&spec);
+            let cell = outcome.cell(Protocol::Mts, &coalition, speed).unwrap();
+            assert_eq!(cell.per_seed, fresh);
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 use crate::metrics::RunMetrics;
 use crate::protocol::Protocol;
 use crate::runner::SweepOutcome;
-use crate::scenario::Scenario;
-use manet_security::RelayDistribution;
+use crate::scenario::{RunKey, Scenario};
+use manet_adversary::AttackConfig;
+use manet_security::{relay_distribution, RelayDistribution};
 
 /// Which figure/table of the paper a result regenerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,10 +127,15 @@ pub fn figure_series(figure: FigureId, outcome: &SweepOutcome) -> Vec<FigureSeri
 /// Regenerate Table I: run one DSR scenario and return its per-node relay
 /// distribution (β, γ, α, σ).
 pub fn table1_relay_table(max_speed: f64, seed: u64, duration_secs: f64) -> RelayDistribution {
-    let mut scenario = Scenario::paper(Protocol::Dsr, max_speed, seed);
-    scenario.sim.duration = manet_netsim::Duration::from_secs(duration_secs);
+    let scenario = Scenario::from_key(&RunKey {
+        protocol: Protocol::Dsr,
+        attack: AttackConfig::none(),
+        max_speed,
+        seed,
+        duration: duration_secs,
+    });
     let (_, recorder) = crate::runner::run_scenario_with_recorder(&scenario);
-    RunMetrics::relay_table(&recorder)
+    relay_distribution(&recorder)
 }
 
 #[cfg(test)]

@@ -16,11 +16,11 @@
 //!   Table I) and the TCP metrics (Figs. 8–11).
 //! * [`runner`] — the one run assembly, [`run_with`] (stacks, mobility and
 //!   simulator for a scenario; [`RunOptions`] add a kept trace, a
-//!   delivery-choice hook or a stack decorator), and the rayon-parallel sweep
-//!   over protocol × speed × seed.
-//! * [`attacks`] — the attack-aware matrix: protocol × attack × seed against
-//!   the `manet-adversary` attacker models (coalitions, black/gray holes,
-//!   mobile eavesdropper, selective jamming).
+//!   delivery-choice hook or a stack decorator), and the one grid runner
+//!   over [`RunKey`]s behind the sweep over protocol × speed × seed.
+//! * [`attacks`] — the attack-aware matrix, protocol × attack × speed × seed,
+//!   a second view of the grid runner: coalitions, black/gray holes, mobile
+//!   eavesdropper, selective jamming, wormhole and rushing.
 //! * [`invariants`] — the shared attack-resilience predicates asserted by the
 //!   Monte Carlo attack tests and exhaustively checked by the bounded
 //!   model-checking explorer (`crates/mck`).
@@ -49,4 +49,4 @@ pub use protocol::Protocol;
 pub use runner::{
     run_scenario, run_with, sweep, AggregatedPoint, RunOptions, SweepOutcome, SweepSpec,
 };
-pub use scenario::{Placement, Scenario, TrafficFlow};
+pub use scenario::{Placement, RunKey, Scenario, TrafficFlow};

@@ -8,9 +8,7 @@ use crate::scenario::Scenario;
 use crate::stack::TcpRunReport;
 use manet_adversary::{capture_report, coalition_curve, AttackKind};
 use manet_netsim::Recorder;
-use manet_security::{
-    interception::summarize, participating_nodes, relay_distribution, RelayDistribution,
-};
+use manet_security::{interception::summarize, participating_nodes, relay_distribution};
 use manet_wire::{ConnectionId, NodeId};
 
 /// Per-flow metrics of one run (one row per scenario flow).
@@ -56,6 +54,30 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
         return 0.0;
     }
     (sum * sum) / (n * sum_sq)
+}
+
+/// Coalition interception ratio `Pe(coalition) / Pr` of a finished run (0
+/// unless the attack is a coalition); the grid applies it to clean runs too.
+pub(crate) fn coalition_interception_ratio(scenario: &Scenario, recorder: &Recorder) -> f64 {
+    let AttackKind::Coalition {
+        k,
+        placement,
+        basis,
+    } = scenario.attack.kind
+    else {
+        return 0.0;
+    };
+    coalition_curve(
+        recorder,
+        scenario.sim.num_nodes,
+        &scenario.endpoints(),
+        usize::from(k),
+        placement,
+        basis,
+        scenario.sim.seed,
+    )
+    .last()
+    .map_or(0.0, |r| r.interception_ratio())
 }
 
 /// Every metric the paper's evaluation reports, for one run.
@@ -149,24 +171,6 @@ impl RunMetrics {
         let duration = scenario.sim.duration.as_secs();
         let generated = recorder.originated_data_packets();
         let delivered = recorder.delivered_data_packets();
-        let coalition_interception_ratio = match scenario.attack.kind {
-            AttackKind::Coalition {
-                k,
-                placement,
-                basis,
-            } => coalition_curve(
-                recorder,
-                scenario.sim.num_nodes,
-                &endpoints,
-                k as usize,
-                placement,
-                basis,
-                scenario.sim.seed,
-            )
-            .last()
-            .map_or(0.0, |r| r.interception_ratio()),
-            _ => 0.0,
-        };
         let attacker_capture_ratio = if scenario.attack.captures_traffic() {
             capture_report(recorder, &scenario.attackers).capture_ratio()
         } else {
@@ -218,7 +222,7 @@ impl RunMetrics {
             relay_std_dev: distribution.std_dev,
             interception_ratio: interception.designated_ratio,
             highest_interception_ratio: interception.highest_ratio,
-            coalition_interception_ratio,
+            coalition_interception_ratio: coalition_interception_ratio(scenario, recorder),
             adversary_drops: recorder.adversary_drops(),
             jammed_frames: recorder.jammed_frames(),
             attacker_capture_ratio,
@@ -248,11 +252,6 @@ impl RunMetrics {
             mac_collisions: recorder.collisions(),
             link_failures: recorder.link_failures(),
         }
-    }
-
-    /// The full relay-share table (Table I) for a finished run.
-    pub fn relay_table(recorder: &Recorder) -> RelayDistribution {
-        relay_distribution(recorder)
     }
 
     /// Average several runs' metrics component-wise (the paper averages five

@@ -157,6 +157,61 @@ mod tests {
         assert!(text.contains("40")); // alpha = 40
     }
 
+    /// The rendered Figs 5–11 of a tiny grid (AODV and MTS × 2 and 10 m/s ×
+    /// seed 1 × 5 s).  The text was taken from a build of the commit before
+    /// the figure grid and the attack matrix shared one run list, so a change
+    /// to the grid runner, the figure selection or the renderer that moves a
+    /// printed digit fails here.
+    #[test]
+    fn rendered_figures_of_a_tiny_grid_are_pinned() {
+        let spec = crate::runner::SweepSpec {
+            protocols: vec![Protocol::Aodv, Protocol::Mts],
+            speeds: vec![2.0, 10.0],
+            seeds: vec![1],
+            duration: 5.0,
+        };
+        let text = render_all_figures(&crate::runner::sweep(&spec));
+        assert_eq!(text, PINNED_FIGURES);
+    }
+
+    const PINNED_FIGURES: &str = concat!(
+        "Fig. 5 — number of participating nodes\n",
+        " speed (m/s)          AODV           MTS\n",
+        "         2.0       22.0000       14.0000\n",
+        "        10.0       22.0000       14.0000\n",
+        "\n",
+        "Fig. 6 — std. deviation of relayed-packet shares\n",
+        " speed (m/s)          AODV           MTS\n",
+        "         2.0        0.0450        0.0599\n",
+        "        10.0        0.0449        0.0596\n",
+        "\n",
+        "Fig. 7 — highest interception ratio\n",
+        " speed (m/s)          AODV           MTS\n",
+        "         2.0        0.9304        1.0377\n",
+        "        10.0        0.9259        1.0383\n",
+        "\n",
+        "Fig. 8 — average end-to-end delay (s)\n",
+        " speed (m/s)          AODV           MTS\n",
+        "         2.0        0.0893        0.1569\n",
+        "        10.0        0.0894        0.1662\n",
+        "\n",
+        "Fig. 9 — throughput (data packets delivered)\n",
+        " speed (m/s)          AODV           MTS\n",
+        "         2.0      503.0000      583.0000\n",
+        "        10.0      499.0000      548.0000\n",
+        "\n",
+        "Fig. 10 — delivery rate\n",
+        " speed (m/s)          AODV           MTS\n",
+        "         2.0        0.9581        0.9636\n",
+        "        10.0        0.9615        0.9631\n",
+        "\n",
+        "Fig. 11 — control overhead (routing packets)\n",
+        " speed (m/s)          AODV           MTS\n",
+        "         2.0      334.0000      162.0000\n",
+        "        10.0      334.0000      163.0000\n",
+        "\n",
+    );
+
     #[test]
     fn render_all_covers_each_figure() {
         let text = render_all_figures(&fake_outcome());

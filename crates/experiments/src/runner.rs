@@ -1,4 +1,4 @@
-//! Run execution and parameter sweeps.
+//! Run execution and the experiment grid.
 //!
 //! [`run_with`] is the one place that assembles a run: it builds every
 //! node's stack (the connection-table stack, wrapped into a hostile relay on
@@ -6,16 +6,19 @@
 //! there is one), the scenario's mobility ([`Placement`]) and the
 //! [`Simulator`], runs it and extracts the [`RunMetrics`].  [`run_scenario`]
 //! and [`run_scenario_with_recorder`] are `run_with` with default options.
-//! [`sweep`] runs the paper's full grid — protocol × maximum speed × seed —
-//! in parallel with rayon (the runs are independent, so the sweep scales
-//! linearly with cores) and averages the seeds per point, exactly as the
-//! paper averages its five repetitions.
+//!
+//! The evaluation is one grid of runs, each named by a [`RunKey`], run in
+//! parallel with rayon, one simulation per distinct simulated scenario: a
+//! key whose attack is analysis-only ([`AttackConfig::is_analysis_only`])
+//! is evaluated on the clean run of its seed.  [`sweep`] (averaged per point
+//! as the paper averages its five repetitions) and
+//! [`attack_matrix`](crate::attacks::attack_matrix) are views of that grid.
 
-use crate::metrics::RunMetrics;
+use crate::metrics::{coalition_interception_ratio, RunMetrics};
 use crate::protocol::Protocol;
-use crate::scenario::{Placement, Scenario};
+use crate::scenario::{Placement, RunKey, Scenario};
 use crate::stack::{ManetStack, SharedTcpStats, TcpRunReport};
-use manet_adversary::{AttackKind, BlackholeStack, CorridorMobility};
+use manet_adversary::{AttackConfig, AttackKind, BlackholeStack, CorridorMobility};
 use manet_netsim::mobility::{MobilityModel, RandomWaypoint, StaticPlacement};
 use manet_netsim::{DeliveryChoiceHook, NodeStack, Recorder, Simulator, TraceMode};
 use manet_tcp::TcpConfig;
@@ -176,18 +179,6 @@ impl SweepSpec {
         }
     }
 
-    /// A scaled-down grid for quick runs (`reproduce figures --duration D
-    /// --seeds S`): the same protocols and speeds, fewer seeds and a
-    /// shorter duration.
-    pub fn quick(duration: f64, seeds: u64) -> Self {
-        SweepSpec {
-            protocols: Protocol::ALL.to_vec(),
-            speeds: vec![2.0, 5.0, 10.0, 15.0, 20.0],
-            seeds: (1..=seeds).collect(),
-            duration,
-        }
-    }
-
     /// Total number of runs in the grid.
     pub fn total_runs(&self) -> usize {
         self.protocols.len() * self.speeds.len() * self.seeds.len()
@@ -225,71 +216,111 @@ impl SweepOutcome {
 
     /// All speeds present, sorted ascending.
     pub fn speeds(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = Vec::new();
-        for p in &self.points {
-            if !v.iter().any(|s| (s - p.max_speed).abs() < 1e-9) {
-                v.push(p.max_speed);
-            }
-        }
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut v = distinct(self.points.iter().map(|p| p.max_speed));
+        v.sort_by(f64::total_cmp);
         v
     }
 }
 
-/// Run the sweep, parallelising across independent runs with rayon.
-///
-/// `customize` lets ablation studies adjust each scenario (e.g. a different
-/// MTS checking period) after it is built; pass `|s| s` for the plain paper
-/// configuration.
-pub fn sweep_with<F>(spec: &SweepSpec, customize: F) -> SweepOutcome
-where
-    F: Fn(Scenario) -> Scenario + Sync,
-{
-    // Build the full run list first so rayon can schedule it freely.
-    let mut runs: Vec<(Protocol, f64, u64)> = Vec::with_capacity(spec.total_runs());
-    for &protocol in &spec.protocols {
-        for &speed in &spec.speeds {
-            for &seed in &spec.seeds {
-                runs.push((protocol, speed, seed));
-            }
+/// The distinct values of `items`, in first-seen order.
+pub(crate) fn distinct<T: PartialEq>(items: impl Iterator<Item = T>) -> Vec<T> {
+    let mut seen = Vec::new();
+    for item in items {
+        if !seen.contains(&item) {
+            seen.push(item);
         }
     }
-    let results: Vec<((Protocol, f64), RunMetrics)> = runs
-        .par_iter()
-        .map(|&(protocol, speed, seed)| {
-            let mut scenario = Scenario::paper(protocol, speed, seed);
-            scenario.sim.duration = manet_netsim::Duration::from_secs(spec.duration);
-            let scenario = customize(scenario);
-            let metrics = run_scenario(&scenario);
-            ((protocol, speed), metrics)
+    seen
+}
+
+/// Run the paper's sweep.
+pub fn sweep(spec: &SweepSpec) -> SweepOutcome {
+    let none = AttackConfig::none();
+    let cells = spec
+        .protocols
+        .iter()
+        .flat_map(|&p| spec.speeds.iter().map(move |&s| (p, none, s)));
+    let points = run_grid(cells, &spec.seeds, spec.duration)
+        .into_iter()
+        .map(|(key, per_seed)| AggregatedPoint {
+            protocol: key.protocol,
+            max_speed: key.max_speed,
+            metrics: RunMetrics::average(&per_seed),
+            per_seed,
         })
         .collect();
-
-    let mut points = Vec::new();
-    for &protocol in &spec.protocols {
-        for &speed in &spec.speeds {
-            let per_seed: Vec<RunMetrics> = results
-                .iter()
-                .filter(|((p, s), _)| *p == protocol && (*s - speed).abs() < 1e-9)
-                .map(|(_, m)| m.clone())
-                .collect();
-            if per_seed.is_empty() {
-                continue;
-            }
-            points.push(AggregatedPoint {
-                protocol,
-                max_speed: speed,
-                metrics: RunMetrics::average(&per_seed),
-                per_seed,
-            });
-        }
-    }
     SweepOutcome { points }
 }
 
-/// Run the paper's sweep without customization.
-pub fn sweep(spec: &SweepSpec) -> SweepOutcome {
-    sweep_with(spec, |s| s)
+/// A cell of the experiment grid: protocol, attack and maximum speed.
+pub(crate) type Cell = (Protocol, AttackConfig, f64);
+
+/// The keys of every cell at every seed, cell by cell.
+pub(crate) fn grid_keys(cells: impl Iterator<Item = Cell>, seeds: &[u64], dur: f64) -> Vec<RunKey> {
+    let key = |(protocol, attack, max_speed): Cell, seed| RunKey {
+        protocol,
+        attack,
+        max_speed,
+        seed,
+        duration: dur,
+    };
+    cells
+        .flat_map(|cell| seeds.iter().map(move |&seed| key(cell, seed)))
+        .collect()
+}
+
+/// Each distinct simulated key with the indices of the `keys` it serves; an
+/// analysis-only key is served by the clean key of its seed.
+pub(crate) fn simulations(keys: &[RunKey]) -> Vec<(RunKey, Vec<usize>)> {
+    let mut runs: Vec<(RunKey, Vec<usize>)> = Vec::new();
+    for (i, key) in keys.iter().enumerate() {
+        let mut simulated = *key;
+        if key.attack.is_analysis_only() {
+            simulated.attack = AttackConfig::none();
+        }
+        match runs.iter_mut().find(|(k, _)| *k == simulated) {
+            Some((_, served)) => served.push(i),
+            None => runs.push((simulated, vec![i])),
+        }
+    }
+    runs
+}
+
+/// Run every cell at every seed, the [`simulations`] in parallel, and return
+/// each cell's first key with its per-seed metrics.  A key served by another
+/// key's run takes its metrics and evaluates its coalition on its recorder.
+pub(crate) fn run_grid(
+    cells: impl Iterator<Item = Cell>,
+    seeds: &[u64],
+    dur: f64,
+) -> Vec<(RunKey, Vec<RunMetrics>)> {
+    let keys = grid_keys(cells, seeds, dur);
+    let served: Vec<Vec<(usize, RunMetrics)>> = simulations(&keys)
+        .par_iter()
+        .map(|(simulated, served)| {
+            let (metrics, recorder) = run_scenario_with_recorder(&Scenario::from_key(simulated));
+            let serve = |i: usize| {
+                let mut m = metrics.clone();
+                if keys[i] != *simulated {
+                    let scenario = Scenario::from_key(&keys[i]);
+                    m.coalition_interception_ratio =
+                        coalition_interception_ratio(&scenario, &recorder);
+                }
+                (i, m)
+            };
+            served.iter().map(|&i| serve(i)).collect()
+        })
+        .collect();
+    let mut metrics = vec![RunMetrics::default(); keys.len()];
+    for (i, m) in served.into_iter().flatten() {
+        metrics[i] = m;
+    }
+    let seeds = seeds.len().max(1);
+    let per_seed = metrics.chunks(seeds).map(<[RunMetrics]>::to_vec);
+    keys.chunks(seeds)
+        .map(|cell| cell[0])
+        .zip(per_seed)
+        .collect()
 }
 
 #[cfg(test)]
@@ -299,7 +330,6 @@ mod tests {
     #[test]
     fn spec_grids_have_expected_sizes() {
         assert_eq!(SweepSpec::paper().total_runs(), 3 * 5 * 5);
-        assert_eq!(SweepSpec::quick(20.0, 2).total_runs(), 3 * 5 * 2);
     }
 
     #[test]

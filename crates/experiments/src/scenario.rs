@@ -4,7 +4,7 @@
 //! configuration (field, mobility, MAC), the routing protocol, the TCP
 //! parameters, the traffic flows, the eavesdropper choice and the node
 //! [`Placement`].  The [`Scenario::paper`] constructor reproduces the
-//! environment of Section IV-A.
+//! environment of Section IV-A, and [`Scenario::from_key`] one grid run.
 
 use crate::protocol::Protocol;
 use manet_adversary::{AttackConfig, AttackKind};
@@ -88,6 +88,22 @@ pub enum Placement {
     Static(Vec<Position>),
 }
 
+/// One run of the experiment grid, built by [`Scenario::from_key`]: the
+/// paper's environment at one protocol, attack, speed, seed and duration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RunKey {
+    /// Routing protocol under test.
+    pub protocol: Protocol,
+    /// Adversary of the run ([`AttackConfig::none`] for the clean grid).
+    pub attack: AttackConfig,
+    /// Maximum node speed, m/s.
+    pub max_speed: f64,
+    /// Run seed.
+    pub seed: u64,
+    /// Simulated duration, seconds.
+    pub duration: f64,
+}
+
 /// A complete experiment scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -150,6 +166,14 @@ impl Scenario {
     pub fn paper(protocol: Protocol, max_speed: f64, seed: u64) -> Self {
         let sim = SimConfig::paper_environment(max_speed, seed);
         Self::from_sim(protocol, sim)
+    }
+
+    /// [`Scenario::paper`] at the key's protocol, speed and seed, run for the
+    /// key's duration with its attack armed ([`Scenario::with_attack`]).
+    pub fn from_key(key: &RunKey) -> Self {
+        let mut scenario = Self::paper(key.protocol, key.max_speed, key.seed);
+        scenario.sim.duration = Duration::from_secs(key.duration);
+        scenario.with_attack(key.attack)
     }
 
     /// Build a scenario from an explicit simulator configuration, drawing the
@@ -343,15 +367,6 @@ impl Scenario {
             flow.start = i as f64 * gap_secs;
         }
         self
-    }
-
-    /// The five canonical scaling points (100, 200, 500, 1000, 2000 nodes)
-    /// at one speed and seed.
-    pub fn scaling_ladder(protocol: Protocol, max_speed: f64, seed: u64) -> Vec<Scenario> {
-        [100u16, 200, 500, 1000, 2000]
-            .into_iter()
-            .map(|n| Self::scaled(protocol, n, max_speed, seed))
-            .collect()
     }
 
     /// Scenario with explicit flows and no designated eavesdropper (examples,
@@ -575,6 +590,38 @@ impl Scenario {
 mod tests {
     use super::*;
 
+    /// An analysis-only attack changes nothing in the run: over the
+    /// canonical attack axis, its scenario equals the clean one in
+    /// everything but `attack`, which is what lets the experiment grid
+    /// evaluate it on the clean run of its seed.
+    #[test]
+    fn analysis_only_attacks_leave_the_scenario_clean() {
+        let analysis_only: Vec<AttackConfig> = AttackConfig::canonical_matrix()
+            .into_iter()
+            .filter(AttackConfig::is_analysis_only)
+            .collect();
+        assert!(!analysis_only.is_empty(), "the coalition is analysis-only");
+        for protocol in Protocol::WITH_HARDENED {
+            for &attack in &analysis_only {
+                let key = RunKey {
+                    protocol,
+                    attack,
+                    max_speed: 10.0,
+                    seed: 3,
+                    duration: 20.0,
+                };
+                let clean = Scenario::from_key(&RunKey {
+                    attack: AttackConfig::none(),
+                    ..key
+                });
+                let mut armed = Scenario::from_key(&key);
+                assert_eq!(armed.attack, attack);
+                armed.attack = AttackConfig::none();
+                assert_eq!(armed, clean, "{attack} changed the scenario");
+            }
+        }
+    }
+
     #[test]
     fn paper_scenario_matches_section_iv() {
         let s = Scenario::paper(Protocol::Mts, 10.0, 1);
@@ -634,7 +681,6 @@ mod tests {
         let scaled_other = Scenario::scaled(Protocol::Dsr, 200, 10.0, 7);
         assert_eq!(scaled.flows, scaled_other.flows);
         assert_eq!(scaled.eavesdropper, scaled_other.eavesdropper);
-        assert_eq!(Scenario::scaling_ladder(Protocol::Mts, 10.0, 7).len(), 5);
     }
 
     #[test]

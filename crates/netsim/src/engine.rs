@@ -1216,7 +1216,6 @@ impl Simulator {
         };
         match failed_unicast {
             None => {
-                self.world.macs[idx].tx_ok += 1;
                 self.world.macs[idx].reset_backoff();
                 let broadcast = queued.frame.mac_dst == MacDest::Broadcast;
                 self.hand_over(node, broadcast, &mut outcomes, queued.frame.payload);
@@ -1305,7 +1304,6 @@ impl Simulator {
             mac.requeue_front(queued);
             return;
         }
-        mac.retry_drops += 1;
         mac.reset_backoff();
         let obs = Observation::LinkFailure {
             node,

@@ -622,7 +622,6 @@ pub struct Recorder {
     // --- adversary accounting ----------------------------------------------------
     adversary_drops: u64,
     adversary_data_drops: u64,
-    adversary_drops_by_node: FxHashMap<NodeId, u64>,
     jammed_control: u64,
     jammed_data: u64,
     tunneled_frames: u64,
@@ -781,11 +780,7 @@ impl Recorder {
                     });
                 }
             }
-            Observation::Drop {
-                node,
-                reason,
-                packet,
-            } => {
+            Observation::Drop { reason, packet, .. } => {
                 *self.drops.entry(reason).or_insert(0) += 1;
                 match reason {
                     DropReason::AdversaryDiscard => {
@@ -793,7 +788,6 @@ impl Recorder {
                         if packet.segment().is_some_and(|(_, _, data)| data) {
                             self.adversary_data_drops += 1;
                         }
-                        *self.adversary_drops_by_node.entry(node).or_insert(0) += 1;
                     }
                     DropReason::Jammed if packet.kind() == FrameKind::Data => self.jammed_data += 1,
                     DropReason::Jammed => self.jammed_control += 1,
@@ -1140,13 +1134,11 @@ impl Recorder {
     }
 
     /// Data-carrying packets deliberately discarded by adversarial relays.
+    /// No report reads it yet: it is the numerator of the planned black-hole
+    /// and grayhole target metric (adversary drops as a share of the data
+    /// sent).
     pub fn adversary_data_drops(&self) -> u64 {
         self.adversary_data_drops
-    }
-
-    /// Adversarial drops broken down by the dropping node.
-    pub fn adversary_drops_by_node(&self) -> &FxHashMap<NodeId, u64> {
-        &self.adversary_drops_by_node
     }
 
     /// Frames that crossed a wormhole tunnel (all kinds, both directions).
@@ -1616,7 +1608,6 @@ mod tests {
         }
         assert_eq!(r.adversary_drops(), 3);
         assert_eq!(r.adversary_data_drops(), 2);
-        assert_eq!(r.adversary_drops_by_node()[&NodeId(4)], 2);
         assert_eq!(r.jammed_frames(), 3);
         assert_eq!(r.jammed_control_frames(), 1);
         assert_eq!(r.jammed_data_frames(), 2);

@@ -42,39 +42,6 @@ impl TimerClass {
     }
 }
 
-/// Counters every routing agent maintains; used by tests and by the
-/// experiment reports (the paper's Fig. 11 control-overhead metric is counted
-/// at the MAC by the recorder, so these are complementary diagnostics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoutingStats {
-    /// Route discoveries initiated (RREQ floods started at this node).
-    pub discoveries: u64,
-    /// RREQ packets transmitted (originated or forwarded).
-    pub rreq_tx: u64,
-    /// RREP packets transmitted (originated or forwarded).
-    pub rrep_tx: u64,
-    /// RERR packets transmitted.
-    pub rerr_tx: u64,
-    /// MTS checking packets transmitted (zero for DSR/AODV).
-    pub check_tx: u64,
-    /// MTS checking-error packets transmitted (zero for DSR/AODV).
-    pub check_err_tx: u64,
-    /// Data packets forwarded on behalf of other nodes.
-    pub data_forwarded: u64,
-    /// Data packets dropped for lack of a route.
-    pub data_dropped_no_route: u64,
-    /// Times the node switched its active route to a destination
-    /// (MTS adaptive switching; DSR/AODV count route replacements).
-    pub route_switches: u64,
-}
-
-impl RoutingStats {
-    /// Total routing control packets transmitted by this node.
-    pub fn control_tx(&self) -> u64 {
-        self.rreq_tx + self.rrep_tx + self.rerr_tx + self.check_tx + self.check_err_tx
-    }
-}
-
 /// A routing protocol instance running on one node.
 ///
 /// The agent is driven by the node's combined stack: data packets to
@@ -118,8 +85,11 @@ pub trait RoutingAgent {
     /// The MAC failed to deliver `packet` to `next_hop` after its retries.
     fn on_link_failure(&mut self, ctx: &mut Ctx<'_>, next_hop: NodeId, packet: NetPacket);
 
-    /// Per-node protocol statistics.
-    fn stats(&self) -> RoutingStats;
+    /// Times this node installed or replaced its active route as a source
+    /// (MTS adaptive switching; DSR/AODV count route replacements).  The
+    /// control-overhead ledger is the recorder's per-kind transmission
+    /// counts, not the agent.
+    fn route_switches(&self) -> u64;
 }
 
 #[cfg(test)]
@@ -151,18 +121,5 @@ mod tests {
             TimerClass::Transport.scoped_token(0, 42),
             TimerClass::Transport.token(42)
         );
-    }
-
-    #[test]
-    fn stats_control_total_sums_all_kinds() {
-        let s = RoutingStats {
-            rreq_tx: 1,
-            rrep_tx: 2,
-            rerr_tx: 3,
-            check_tx: 4,
-            check_err_tx: 5,
-            ..Default::default()
-        };
-        assert_eq!(s.control_tx(), 15);
     }
 }

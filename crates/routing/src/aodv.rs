@@ -7,7 +7,7 @@
 //! fresh-enough routes, hop-by-hop forwarding, and route errors driven by
 //! MAC-layer link-failure feedback.
 
-use crate::agent::{RoutingAgent, RoutingStats};
+use crate::agent::RoutingAgent;
 use crate::common::{record_data_drop, Discovery, Retry, SeenTable};
 use crate::table::RoutingTable;
 use manet_netsim::{Ctx, DropReason, TimerToken};
@@ -24,7 +24,8 @@ pub struct Aodv {
     discovery: Discovery,
     own_seqno: SeqNo,
     next_broadcast_id: BroadcastId,
-    stats: RoutingStats,
+    /// Times this node installed or replaced its active route as a source.
+    route_switches: u64,
 }
 
 impl Aodv {
@@ -37,7 +38,7 @@ impl Aodv {
             discovery: Discovery::default(),
             own_seqno: SeqNo(0),
             next_broadcast_id: BroadcastId(0),
-            stats: RoutingStats::default(),
+            route_switches: 0,
         }
     }
 
@@ -79,8 +80,6 @@ impl Aodv {
         // broadcast it back.
         let now = ctx.now();
         self.seen.first_time(self.me, dest, bid, now);
-        self.stats.discoveries += 1;
-        self.stats.rreq_tx += 1;
         ctx.send_broadcast(NetPacket::Rreq(rreq));
     }
 
@@ -96,7 +95,6 @@ impl Aodv {
             self.discovery.hold(ctx, self.me, packet);
             self.start_discovery(ctx, dst);
         } else {
-            self.stats.data_dropped_no_route += 1;
             record_data_drop(ctx, self.me, DropReason::NoRoute, &packet);
             self.send_rerr_for(ctx, dst);
         }
@@ -111,9 +109,6 @@ impl Aodv {
         let next = entry.next_hop;
         self.table.refresh(packet.dst, now);
         packet.hop_count += 1;
-        if packet.src != self.me {
-            self.stats.data_forwarded += 1;
-        }
         ctx.send_unicast(next, NetPacket::Data(packet));
     }
 
@@ -129,7 +124,6 @@ impl Aodv {
             unreachable: vec![dest],
             dest_seqnos: vec![seqno],
         };
-        self.stats.rerr_tx += 1;
         ctx.send_broadcast(NetPacket::Rerr(rerr));
     }
 
@@ -170,7 +164,6 @@ impl Aodv {
                 route: rreq.route.clone(),
                 dest_seqno: self.own_seqno,
             };
-            self.stats.rrep_tx += 1;
             ctx.send_unicast(from, NetPacket::Rrep(rrep));
             return;
         }
@@ -187,7 +180,6 @@ impl Aodv {
                     route: rreq.route.clone(),
                     dest_seqno: entry.dest_seqno,
                 };
-                self.stats.rrep_tx += 1;
                 ctx.send_unicast(from, NetPacket::Rrep(rrep));
                 return;
             }
@@ -196,7 +188,6 @@ impl Aodv {
         let mut fwd = rreq.clone();
         fwd.hop_count += 1;
         fwd.route.push(self.me);
-        self.stats.rreq_tx += 1;
         ctx.send_broadcast(NetPacket::Rreq(fwd));
     }
 
@@ -213,7 +204,7 @@ impl Aodv {
         if rrep.source == self.me {
             // Discovery complete: flush buffered packets.
             self.discovery.resolved(rrep.destination);
-            self.stats.route_switches += 1;
+            self.route_switches += 1;
             for p in self.discovery.release(ctx, self.me, rrep.destination) {
                 self.route_or_buffer(ctx, p);
             }
@@ -224,7 +215,6 @@ impl Aodv {
             let next = entry.next_hop;
             self.table.add_precursor(rrep.destination, next);
             rrep.hop_count += 1;
-            self.stats.rrep_tx += 1;
             ctx.send_unicast(next, NetPacket::Rrep(rrep));
         }
         // Without a reverse route the RREP is dropped (the reverse entry
@@ -247,7 +237,6 @@ impl Aodv {
                 unreachable: invalidated.iter().map(|(d, _)| *d).collect(),
                 dest_seqnos: invalidated.iter().map(|(_, s)| *s).collect(),
             };
-            self.stats.rerr_tx += 1;
             ctx.send_broadcast(NetPacket::Rerr(rerr));
         }
     }
@@ -309,8 +298,7 @@ impl RoutingAgent for Aodv {
         let has_route = |dest| self.table.lookup(dest, now).is_some();
         match self.discovery.on_timer(ctx, self.me, token, has_route) {
             Retry::Flood(dest) => self.emit_rreq(ctx, dest),
-            Retry::GaveUp(dropped) => self.stats.data_dropped_no_route += dropped,
-            Retry::Stale | Retry::Resolved(_) => {}
+            Retry::GaveUp(_) | Retry::Stale | Retry::Resolved(_) => {}
         }
     }
 
@@ -323,7 +311,6 @@ impl RoutingAgent for Aodv {
                 unreachable: broken.iter().map(|(d, _)| *d).collect(),
                 dest_seqnos: broken.iter().map(|(_, s)| *s).collect(),
             };
-            self.stats.rerr_tx += 1;
             ctx.send_broadcast(NetPacket::Rerr(rerr));
         }
         // Salvage the undelivered data packet if we originated it: buffer it
@@ -341,8 +328,8 @@ impl RoutingAgent for Aodv {
         }
     }
 
-    fn stats(&self) -> RoutingStats {
-        self.stats
+    fn route_switches(&self) -> u64 {
+        self.route_switches
     }
 }
 
@@ -355,6 +342,6 @@ mod tests {
         let a = Aodv::new(NodeId(3));
         assert_eq!(a.name(), "AODV");
         assert_eq!(a.me(), NodeId(3));
-        assert_eq!(a.stats(), RoutingStats::default());
+        assert_eq!(a.route_switches(), 0);
     }
 }

@@ -329,7 +329,7 @@ impl Default for PacketBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agent::{RoutingAgent, RoutingStats};
+    use crate::agent::RoutingAgent;
     use crate::testkit::{run_routing, TestFlow};
     use manet_netsim::mobility::StaticPlacement;
     use manet_netsim::SimConfig;
@@ -515,8 +515,8 @@ mod tests {
             self.log.borrow_mut().push(step);
         }
         fn on_link_failure(&mut self, _: &mut Ctx<'_>, _: NodeId, _: NetPacket) {}
-        fn stats(&self) -> RoutingStats {
-            RoutingStats::default()
+        fn route_switches(&self) -> u64 {
+            0
         }
     }
 

@@ -12,7 +12,7 @@
 //! The cache is exactly what makes DSR fast at low speed and fragile at high
 //! speed (stale routes), which is the behaviour behind Figs. 8–10.
 
-use crate::agent::{RoutingAgent, RoutingStats};
+use crate::agent::RoutingAgent;
 use crate::cache::RouteCache;
 use crate::common::{record_data_drop, Discovery, Retry, SeenTable};
 use manet_netsim::{Ctx, DropReason, TimerToken};
@@ -33,7 +33,8 @@ pub struct Dsr {
     seen: SeenTable,
     discovery: Discovery,
     next_broadcast_id: BroadcastId,
-    stats: RoutingStats,
+    /// Times this node installed or replaced its active route as a source.
+    route_switches: u64,
 }
 
 impl Dsr {
@@ -45,7 +46,7 @@ impl Dsr {
             seen: SeenTable::default(),
             discovery: Discovery::default(),
             next_broadcast_id: BroadcastId(0),
-            stats: RoutingStats::default(),
+            route_switches: 0,
         }
     }
 
@@ -86,8 +87,6 @@ impl Dsr {
         };
         let now = ctx.now();
         self.seen.first_time(self.me, dest, bid, now);
-        self.stats.discoveries += 1;
-        self.stats.rreq_tx += 1;
         ctx.send_broadcast(NetPacket::Rreq(rreq));
     }
 
@@ -127,13 +126,9 @@ impl Dsr {
         match next {
             Some(next) => {
                 packet.hop_count += 1;
-                if packet.src != self.me {
-                    self.stats.data_forwarded += 1;
-                }
                 ctx.send_unicast(next, NetPacket::Data(packet));
             }
             None => {
-                self.stats.data_dropped_no_route += 1;
                 record_data_drop(ctx, self.me, DropReason::NoRoute, &packet);
             }
         }
@@ -205,7 +200,6 @@ impl Dsr {
         let mut fwd = rreq.clone();
         fwd.hop_count += 1;
         fwd.route.push(self.me);
-        self.stats.rreq_tx += 1;
         ctx.send_broadcast(NetPacket::Rreq(fwd));
     }
 
@@ -222,7 +216,6 @@ impl Dsr {
             return; // we are the source; nothing to send
         }
         let next = full[pos - 1];
-        self.stats.rrep_tx += 1;
         ctx.send_unicast(next, NetPacket::Rrep(rrep));
     }
 
@@ -233,7 +226,7 @@ impl Dsr {
             // Cache the forward route source..=destination and flush traffic.
             self.cache.insert(rrep.destination, full, now);
             self.discovery.resolved(rrep.destination);
-            self.stats.route_switches += 1;
+            self.route_switches += 1;
             self.release(ctx, rrep.destination);
             return;
         }
@@ -252,7 +245,7 @@ impl Dsr {
     fn handle_rerr(&mut self, ctx: &mut Ctx<'_>, _from: NodeId, rerr: &RouteError) {
         let removed = self.cache.remove_link(rerr.reporter, rerr.broken_next_hop);
         if removed > 0 {
-            self.stats.route_switches += 1;
+            self.route_switches += 1;
         }
         // If we have traffic buffered (we were mid-discovery or the error
         // raced a send), try again with whatever routes remain.
@@ -277,13 +270,11 @@ impl Dsr {
             if let Some(pos) = sr.route.iter().position(|&n| n == self.me) {
                 if pos > 0 {
                     let next = sr.route[pos - 1];
-                    self.stats.rerr_tx += 1;
                     ctx.send_unicast(next, NetPacket::Rerr(rerr));
                     return;
                 }
             }
         }
-        self.stats.rerr_tx += 1;
         ctx.send_broadcast(NetPacket::Rerr(rerr));
     }
 }
@@ -343,8 +334,7 @@ impl RoutingAgent for Dsr {
         let has_route = |dest| self.cache.best_route(dest, now).is_some();
         match self.discovery.on_timer(ctx, self.me, token, has_route) {
             Retry::Flood(dest) => self.emit_rreq(ctx, dest),
-            Retry::GaveUp(dropped) => self.stats.data_dropped_no_route += dropped,
-            Retry::Stale | Retry::Resolved(_) => {}
+            Retry::GaveUp(_) | Retry::Stale | Retry::Resolved(_) => {}
         }
     }
 
@@ -374,8 +364,8 @@ impl RoutingAgent for Dsr {
         }
     }
 
-    fn stats(&self) -> RoutingStats {
-        self.stats
+    fn route_switches(&self) -> u64 {
+        self.route_switches
     }
 }
 

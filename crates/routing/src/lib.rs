@@ -30,7 +30,7 @@ pub mod suspicion;
 pub mod table;
 pub mod testkit;
 
-pub use agent::{RoutingAgent, RoutingStats, TimerClass};
+pub use agent::{RoutingAgent, TimerClass};
 pub use aodv::Aodv;
 pub use cache::RouteCache;
 pub use common::{Discovery, SeenTable};

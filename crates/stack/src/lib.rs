@@ -432,7 +432,7 @@ impl NodeStack for ManetStack {
             }
         }
         if any_sender {
-            report.aggregate.route_switches += self.agent.stats().route_switches;
+            report.aggregate.route_switches += self.agent.route_switches();
         }
     }
 }

@@ -309,7 +309,11 @@ fn sweep_size(args: &Args) -> (f64, u64) {
 
 fn run_figures(args: &Args) -> Result<(), String> {
     let (duration, seeds) = sweep_size(args);
-    let spec = SweepSpec::quick(duration, seeds);
+    let spec = SweepSpec {
+        seeds: (1..=seeds).collect(),
+        duration,
+        ..SweepSpec::paper()
+    };
     let (runs, protocols, speeds) = (spec.total_runs(), spec.protocols.len(), spec.speeds.len());
     eprintln!(
         "# MTS reproduction: {runs} runs ({protocols} protocols x {speeds} speeds x {seeds} seeds), \

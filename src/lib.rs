@@ -42,11 +42,10 @@ pub mod prelude {
     pub use manet_experiments::figures::{figure_series, table1_relay_table, FigureId};
     pub use manet_experiments::report::{render_figure, render_relay_table};
     pub use manet_experiments::runner::{
-        run_scenario, run_scenario_with_recorder, run_with, sweep, sweep_with, RunOptions,
-        SweepSpec,
+        run_scenario, run_scenario_with_recorder, run_with, sweep, RunOptions, SweepSpec,
     };
     pub use manet_experiments::{
-        FlowMetrics, Placement, Protocol, RunMetrics, Scenario, TrafficFlow,
+        FlowMetrics, Placement, Protocol, RunKey, RunMetrics, Scenario, TrafficFlow,
     };
     pub use manet_netsim::{Duration, JamTarget, RushConfig, SimConfig, SimTime, WormholeConfig};
     pub use manet_stack::{ManetStack, SharedTcpStats, TcpRunReport, TcpRunStats};

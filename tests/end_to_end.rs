@@ -293,28 +293,6 @@ fn table1_regeneration_produces_a_consistent_relay_table() {
     assert_eq!(table.alpha, table.rows.iter().map(|r| r.beta).sum::<u64>());
 }
 
-#[test]
-fn ablation_hooks_change_the_scenario() {
-    // The sweep customization hook used by the ablation benches must apply.
-    let spec = SweepSpec {
-        protocols: vec![Protocol::Mts],
-        speeds: vec![5.0],
-        seeds: vec![1],
-        duration: 10.0,
-    };
-    let plain = sweep(&spec);
-    let single_path = sweep_with(&spec, |s| s.with_mts_config(MtsConfig::with_max_paths(1)));
-    assert_eq!(plain.points.len(), 1);
-    assert_eq!(single_path.points.len(), 1);
-    // Both produced valid runs; the single-path variant cannot have *more*
-    // stored-path diversity, which shows up as no-more participating nodes on
-    // the same seed.  (Equal is allowed: one seed is a small sample.)
-    assert!(
-        single_path.points[0].metrics.participating_nodes
-            <= plain.points[0].metrics.participating_nodes + 2
-    );
-}
-
 /// The run that exposed the per-copy `SeenTable` sweep: the paper's real
 /// 200 sim-s reproduction, DSR at 5 m/s and seed 11.  Its cut-off source
 /// floods so often that one table holds 60 000 live entries: a sweep on every
