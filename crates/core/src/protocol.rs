@@ -378,10 +378,7 @@ impl Mts {
         }
         // Intermediate: never reply from cache (paper §II: intermediate nodes
         // are not allowed to send RREPs) — just relay (the one genuine copy).
-        let mut fwd = rreq.clone();
-        fwd.hop_count += 1;
-        fwd.route.push(self.me);
-        ctx.send_broadcast(NetPacket::Rreq(fwd));
+        ctx.send_broadcast(NetPacket::Rreq(rreq.relayed_by(self.me)));
     }
 
     fn handle_rreq_as_destination(
@@ -671,7 +668,11 @@ impl Mts {
             if self.table.invalidate_dest_via(*dest, from, *seqno) {
                 lost_any = true;
             }
-            // A source whose current route went through `from` must rediscover.
+            // A source whose current route went through `from` must
+            // rediscover.  Most RERR copies reach nodes that source nothing.
+            if self.sources.is_empty() {
+                continue;
+            }
             if let Some(state) = self.sources.get_mut(dest) {
                 if state.invalidate_via(from) {
                     self.route_switches += 1;
@@ -776,7 +777,7 @@ impl RoutingAgent for Mts {
         match self.discovery.on_timer(ctx, self.me, token, has_route) {
             Retry::Resolved(dest) => self.flush_buffered(ctx, dest),
             Retry::Flood(dest) => self.emit_rreq(ctx, dest),
-            Retry::GaveUp(_) | Retry::Stale => {}
+            Retry::GaveUp | Retry::Stale => {}
         }
     }
 

@@ -185,10 +185,7 @@ impl Aodv {
             }
         }
         // Otherwise forward the flood (the one genuine copy).
-        let mut fwd = rreq.clone();
-        fwd.hop_count += 1;
-        fwd.route.push(self.me);
-        ctx.send_broadcast(NetPacket::Rreq(fwd));
+        ctx.send_broadcast(NetPacket::Rreq(rreq.relayed_by(self.me)));
     }
 
     fn handle_rrep(&mut self, ctx: &mut Ctx<'_>, from: NodeId, mut rrep: RouteReply) {
@@ -213,7 +210,6 @@ impl Aodv {
         // Forward the RREP towards the originator along the reverse route.
         if let Some(entry) = self.table.lookup(rrep.source, now) {
             let next = entry.next_hop;
-            self.table.add_precursor(rrep.destination, next);
             rrep.hop_count += 1;
             ctx.send_unicast(next, NetPacket::Rrep(rrep));
         }
@@ -298,7 +294,7 @@ impl RoutingAgent for Aodv {
         let has_route = |dest| self.table.lookup(dest, now).is_some();
         match self.discovery.on_timer(ctx, self.me, token, has_route) {
             Retry::Flood(dest) => self.emit_rreq(ctx, dest),
-            Retry::GaveUp(_) | Retry::Stale | Retry::Resolved(_) => {}
+            Retry::GaveUp | Retry::Stale | Retry::Resolved(_) => {}
         }
     }
 

@@ -112,9 +112,10 @@ pub enum Retry {
     Resolved(NodeId),
     /// No route yet: flood the RREQ for this destination again.
     Flood(NodeId),
-    /// The last flood went unanswered: this many buffered packets were
-    /// dropped and the destination is held down.
-    GaveUp(u64),
+    /// The last flood went unanswered: the buffered packets were dropped
+    /// (each recorded as [`DropReason::DiscoveryFailed`]) and the destination
+    /// is held down.
+    GaveUp,
 }
 
 /// A discovery in flight towards one destination.
@@ -224,11 +225,10 @@ impl Discovery {
             self.pending.remove(&dest);
             self.holddown
                 .insert(dest, ctx.now() + Duration::from_secs(HOLDDOWN_SECS));
-            let dropped = self.buffer.discard(dest);
-            for p in &dropped {
+            for p in &self.buffer.discard(dest) {
                 record_data_drop(ctx, me, DropReason::DiscoveryFailed, p);
             }
-            return Retry::GaveUp(dropped.len() as u64);
+            return Retry::GaveUp;
         }
         let generation = self.arm(ctx);
         let pending = self.pending.get_mut(&dest).expect("found above");
@@ -464,7 +464,8 @@ mod tests {
         }
     }
 
-    /// What a [`Probe`] saw, with the time in tenths of a second.
+    /// What a [`Probe`] saw, with the time in tenths of a second; a give-up
+    /// carries the run's `DiscoveryFailed` drop count so far.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Step {
         Started(u32),
@@ -506,7 +507,10 @@ mod tests {
             let step = match self.discovery.on_timer(ctx, self.me, token, |_| route) {
                 Retry::Stale => return,
                 Retry::Flood(_) => Step::Flooded(tenths(ctx)),
-                Retry::GaveUp(dropped) => Step::GaveUp(tenths(ctx), dropped),
+                Retry::GaveUp => Step::GaveUp(
+                    tenths(ctx),
+                    ctx.recorder().drops(DropReason::DiscoveryFailed),
+                ),
                 Retry::Resolved(dest) => {
                     let released = self.discovery.release(ctx, self.me, dest);
                     Step::Released(tenths(ctx), released.len())
@@ -559,7 +563,7 @@ mod tests {
                 Started(94),
                 Flooded(104),
                 Flooded(114),
-                GaveUp(124, 12),
+                GaveUp(124, 5 + 12),
             ]
         );
     }

@@ -197,10 +197,7 @@ impl Dsr {
             }
         }
         // Forward the flood with ourselves appended (the one genuine copy).
-        let mut fwd = rreq.clone();
-        fwd.hop_count += 1;
-        fwd.route.push(self.me);
-        ctx.send_broadcast(NetPacket::Rreq(fwd));
+        ctx.send_broadcast(NetPacket::Rreq(rreq.relayed_by(self.me)));
     }
 
     /// Send (or forward) a RREP back towards the request originator along the
@@ -334,7 +331,7 @@ impl RoutingAgent for Dsr {
         let has_route = |dest| self.cache.best_route(dest, now).is_some();
         match self.discovery.on_timer(ctx, self.me, token, has_route) {
             Retry::Flood(dest) => self.emit_rreq(ctx, dest),
-            Retry::GaveUp(_) | Retry::Stale | Retry::Resolved(_) => {}
+            Retry::GaveUp | Retry::Stale | Retry::Resolved(_) => {}
         }
     }
 

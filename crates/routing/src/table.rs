@@ -3,6 +3,7 @@
 use manet_netsim::FxHashMap;
 use manet_netsim::SimTime;
 use manet_wire::{NodeId, SeqNo};
+use std::collections::hash_map::Entry;
 
 /// Seconds an installed or refreshed route stays usable (AODV's
 /// `ACTIVE_ROUTE_TIMEOUT`).
@@ -22,9 +23,6 @@ pub struct RouteEntry {
     /// Invalidated entries keep their sequence number so later updates can be
     /// compared, but are not used for forwarding.
     pub valid: bool,
-    /// Upstream neighbours that route through this node towards the
-    /// destination (receive RERRs when the route breaks).
-    pub precursors: Vec<NodeId>,
 }
 
 /// The routing table of one node.
@@ -64,45 +62,38 @@ impl RoutingTable {
         now: SimTime,
     ) -> bool {
         let expires = now + manet_netsim::Duration::from_secs(ROUTE_LIFETIME_SECS);
-        match self.entries.get_mut(&dest) {
-            None => {
-                self.entries.insert(
-                    dest,
-                    RouteEntry {
-                        next_hop,
-                        hop_count,
-                        dest_seqno,
-                        expires,
-                        valid: true,
-                        precursors: Vec::new(),
-                    },
-                );
-                true
+        let e = match self.entries.entry(dest) {
+            Entry::Vacant(slot) => {
+                slot.insert(RouteEntry {
+                    next_hop,
+                    hop_count,
+                    dest_seqno,
+                    expires,
+                    valid: true,
+                });
+                return true;
             }
-            Some(e) => {
-                let stale = !e.valid || e.expires <= now;
-                let fresher = dest_seqno.fresher_than(e.dest_seqno);
-                let same_but_shorter = dest_seqno == e.dest_seqno && hop_count < e.hop_count;
-                if stale || fresher || same_but_shorter {
-                    e.next_hop = next_hop;
-                    e.hop_count = hop_count;
-                    e.dest_seqno = if dest_seqno.fresher_than(e.dest_seqno) {
-                        dest_seqno
-                    } else {
-                        e.dest_seqno
-                    };
-                    e.expires = expires;
-                    e.valid = true;
-                    true
-                } else {
-                    // Keep the existing better route but extend its lifetime a
-                    // little, as AODV does for active routes.
-                    if e.valid && e.next_hop == next_hop {
-                        e.expires = e.expires.max(expires);
-                    }
-                    false
-                }
+            Entry::Occupied(slot) => slot.into_mut(),
+        };
+        let stale = !e.valid || e.expires <= now;
+        let fresher = dest_seqno.fresher_than(e.dest_seqno);
+        let same_but_shorter = dest_seqno == e.dest_seqno && hop_count < e.hop_count;
+        if stale || fresher || same_but_shorter {
+            e.next_hop = next_hop;
+            e.hop_count = hop_count;
+            if fresher {
+                e.dest_seqno = dest_seqno;
             }
+            e.expires = expires;
+            e.valid = true;
+            true
+        } else {
+            // Keep the existing better route but extend its lifetime a
+            // little, as AODV does for active routes.
+            if e.valid && e.next_hop == next_hop {
+                e.expires = e.expires.max(expires);
+            }
+            false
         }
     }
 
@@ -112,15 +103,6 @@ impl RoutingTable {
             if e.valid {
                 let new_exp = now + manet_netsim::Duration::from_secs(ROUTE_LIFETIME_SECS);
                 e.expires = e.expires.max(new_exp);
-            }
-        }
-    }
-
-    /// Add an upstream precursor for `dest`.
-    pub fn add_precursor(&mut self, dest: NodeId, precursor: NodeId) {
-        if let Some(e) = self.entries.get_mut(&dest) {
-            if !e.precursors.contains(&precursor) {
-                e.precursors.push(precursor);
             }
         }
     }
@@ -164,6 +146,8 @@ impl RoutingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -246,16 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn precursors_are_deduplicated() {
-        let mut rt = RoutingTable::new();
-        rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
-        rt.add_precursor(D, NodeId(5));
-        rt.add_precursor(D, NodeId(5));
-        rt.add_precursor(D, NodeId(6));
-        assert_eq!(rt.entry(D).unwrap().precursors, vec![NodeId(5), NodeId(6)]);
-    }
-
-    #[test]
     fn rerr_invalidation_requires_matching_next_hop() {
         let mut rt = RoutingTable::new();
         rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
@@ -263,5 +237,165 @@ mod tests {
         assert!(rt.invalidate_dest_via(D, NodeId(1), SeqNo(9)));
         assert!(rt.lookup(D, t(1.0)).is_none());
         assert_eq!(rt.entry(D).unwrap().dest_seqno, SeqNo(9));
+    }
+
+    /// The table's rules written out once more, over an ordered map: the
+    /// reference [`RoutingTable`] must agree with call for call.
+    #[derive(Default)]
+    struct ModelTable {
+        entries: BTreeMap<NodeId, RouteEntry>,
+    }
+
+    impl ModelTable {
+        fn lifetime_end(now: SimTime) -> SimTime {
+            now + manet_netsim::Duration::from_secs(ROUTE_LIFETIME_SECS)
+        }
+
+        fn lookup(&self, dest: NodeId, now: SimTime) -> Option<&RouteEntry> {
+            let e = self.entries.get(&dest)?;
+            (e.valid && e.expires > now).then_some(e)
+        }
+
+        fn update(
+            &mut self,
+            dest: NodeId,
+            next_hop: NodeId,
+            hop_count: u32,
+            dest_seqno: SeqNo,
+            now: SimTime,
+        ) -> bool {
+            let fresh = RouteEntry {
+                next_hop,
+                hop_count,
+                dest_seqno,
+                expires: Self::lifetime_end(now),
+                valid: true,
+            };
+            let Some(old) = self.entries.get(&dest).cloned() else {
+                self.entries.insert(dest, fresh);
+                return true;
+            };
+            let usable = old.valid && old.expires > now;
+            let better = dest_seqno.fresher_than(old.dest_seqno)
+                || (dest_seqno == old.dest_seqno && hop_count < old.hop_count);
+            if !usable || better {
+                let seqno = if dest_seqno.fresher_than(old.dest_seqno) {
+                    dest_seqno
+                } else {
+                    old.dest_seqno
+                };
+                self.entries.insert(
+                    dest,
+                    RouteEntry {
+                        dest_seqno: seqno,
+                        ..fresh
+                    },
+                );
+                return true;
+            }
+            if old.valid && old.next_hop == next_hop {
+                let e = self.entries.get_mut(&dest).unwrap();
+                e.expires = old.expires.max(fresh.expires);
+            }
+            false
+        }
+
+        fn refresh(&mut self, dest: NodeId, now: SimTime) {
+            if let Some(e) = self.entries.get_mut(&dest).filter(|e| e.valid) {
+                e.expires = e.expires.max(Self::lifetime_end(now));
+            }
+        }
+
+        fn invalidate_via(&mut self, next_hop: NodeId) -> Vec<(NodeId, SeqNo)> {
+            let mut broken = Vec::new();
+            for (&dest, e) in &mut self.entries {
+                if e.valid && e.next_hop == next_hop {
+                    e.valid = false;
+                    e.dest_seqno = SeqNo(e.dest_seqno.0.wrapping_add(1));
+                    broken.push((dest, e.dest_seqno));
+                }
+            }
+            broken
+        }
+
+        fn invalidate_dest_via(&mut self, dest: NodeId, next_hop: NodeId, seqno: SeqNo) -> bool {
+            let Some(e) = self.entries.get_mut(&dest) else {
+                return false;
+            };
+            if !(e.valid && e.next_hop == next_hop) {
+                return false;
+            }
+            e.valid = false;
+            if seqno.fresher_than(e.dest_seqno) {
+                e.dest_seqno = seqno;
+            }
+            true
+        }
+    }
+
+    proptest! {
+        /// Random updates, refreshes, invalidations and lookups at
+        /// non-decreasing times, some steps landing exactly on a route's
+        /// expiry: every return value and, after every call, every stored
+        /// entry equal the model's.
+        #[test]
+        fn routing_table_matches_the_ordered_model(
+            calls in proptest::collection::vec(
+                // (operation, destination, (next hop, hop count),
+                // (sequence number, time step in seconds)).
+                (
+                    0u8..5,
+                    0u16..5,
+                    (0u16..3, 1u32..6),
+                    (0u32..4, (0u8..8, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+                        0..=4 => 2.0 * x,
+                        5 => 0.0,
+                        6 => ROUTE_LIFETIME_SECS,
+                        _ => ROUTE_LIFETIME_SECS * (1.0 + x),
+                    })),
+                ),
+                1..120,
+            ),
+        ) {
+            let mut table = RoutingTable::new();
+            let mut model = ModelTable::default();
+            let mut now = 0.0f64;
+            for (op, dest, (via, hops), (seq, step)) in calls {
+                now += step;
+                let (at, dest, via, seq) = (t(now), NodeId(dest), NodeId(via), SeqNo(seq));
+                match op {
+                    0 => prop_assert_eq!(
+                        table.update(dest, via, hops, seq, at),
+                        model.update(dest, via, hops, seq, at),
+                        "update({:?}, {:?}, {}, {:?}) at {}", dest, via, hops, seq, now
+                    ),
+                    1 => {
+                        table.refresh(dest, at);
+                        model.refresh(dest, at);
+                    }
+                    2 => {
+                        let mut broken = table.invalidate_via(via);
+                        broken.sort_unstable();
+                        prop_assert_eq!(broken, model.invalidate_via(via), "invalidate_via({:?})", via);
+                    }
+                    3 => prop_assert_eq!(
+                        table.invalidate_dest_via(dest, via, seq),
+                        model.invalidate_dest_via(dest, via, seq),
+                        "invalidate_dest_via({:?}, {:?}, {:?})", dest, via, seq
+                    ),
+                    _ => prop_assert_eq!(
+                        table.lookup(dest, at),
+                        model.lookup(dest, at),
+                        "lookup({:?}) at {}", dest, now
+                    ),
+                }
+                let mut stored: Vec<NodeId> = table.destinations().collect();
+                stored.sort_unstable();
+                prop_assert!(stored.iter().eq(model.entries.keys()), "destinations differ");
+                for (dest, expected) in &model.entries {
+                    prop_assert_eq!(table.entry(*dest), Some(expected), "entry {:?}", dest);
+                }
+            }
+        }
     }
 }

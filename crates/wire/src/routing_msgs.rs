@@ -37,6 +37,20 @@ impl RouteRequest {
         sizes::IP_HEADER_BYTES + sizes::RREQ_FIXED_BYTES + sizes::node_list_bytes(self.route.len())
     }
 
+    /// The copy that relay `me` rebroadcasts: one more hop, with `me`
+    /// appended to the route.  The route is allocated once at its final
+    /// length, since every flood relay makes exactly one such copy.
+    pub fn relayed_by(&self, me: NodeId) -> RouteRequest {
+        let mut route = Vec::with_capacity(self.route.len() + 1);
+        route.extend_from_slice(&self.route);
+        route.push(me);
+        RouteRequest {
+            hop_count: self.hop_count + 1,
+            route,
+            ..*self
+        }
+    }
+
     /// The full path from the source to the node currently holding this RREQ,
     /// i.e. `source, route...`.
     pub fn path_from_source(&self) -> Vec<NodeId> {
@@ -234,6 +248,24 @@ mod tests {
     fn rreq_path_from_source_prepends_source() {
         let r = rreq(vec![NodeId(4), NodeId(5)]);
         assert_eq!(r.path_from_source(), vec![NodeId(0), NodeId(4), NodeId(5)]);
+    }
+
+    #[test]
+    fn relayed_copy_appends_the_relay_with_an_exact_allocation() {
+        let r = rreq(vec![NodeId(4), NodeId(5)]);
+        let fwd = r.relayed_by(NodeId(6));
+        assert_eq!(fwd.route, vec![NodeId(4), NodeId(5), NodeId(6)]);
+        assert_eq!(fwd.route.capacity(), fwd.route.len());
+        assert_eq!(fwd.hop_count, r.hop_count + 1);
+        let expected = RouteRequest {
+            hop_count: 3,
+            route: fwd.route.clone(),
+            ..r.clone()
+        };
+        assert_eq!(fwd, expected, "every other field is copied unchanged");
+        let first = rreq(vec![]).relayed_by(NodeId(1));
+        assert_eq!(first.route, vec![NodeId(1)]);
+        assert_eq!(first.route.capacity(), 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub const CHECK_FIXED_BYTES: u32 = 16;
 pub const CHECK_ERROR_FIXED_BYTES: u32 = 12;
 
 /// Bytes per node address carried in a node list (source routes, intermediate
-/// node lists, precursor lists).
+/// node lists, route-error destination lists).
 pub const ADDRESS_BYTES: u32 = 4;
 
 /// Default TCP maximum segment size (payload bytes per data segment).
