@@ -128,7 +128,10 @@ proptest! {
     }
 
     /// `highest_interception_ratio` equals the maximum over the per-node
-    /// relay-count ratios it is defined from.
+    /// ratios it is defined from: the delivered packets a node relayed,
+    /// each counted once (a one-member coalition on the relayed basis), over
+    /// the delivered packets.  Repeated and never-delivered relays add
+    /// nothing, so the maximum is at most 1.
     #[test]
     fn highest_ratio_is_the_per_node_maximum(
         delivered in 1u64..40,
@@ -144,13 +147,13 @@ proptest! {
             if eps.contains(&node) {
                 continue;
             }
-            let relayed = rec.relay_count(node);
-            let ratio = relayed as f64 / delivered as f64;
+            let ratio = coalition_report(&rec, &[node], CoverageBasis::Relayed).interception_ratio();
             if ratio > expected {
                 expected = ratio;
                 expected_node = Some(node);
             }
         }
+        prop_assert!(highest <= 1.0);
         prop_assert!((highest - expected).abs() < 1e-12);
         if expected > 0.0 {
             prop_assert_eq!(worst, expected_node);

@@ -106,6 +106,24 @@ pub fn capture_ratio_meaningful(ratio: f64, min: f64) -> Result<(), String> {
     Ok(())
 }
 
+/// Every interception ratio of a run is a share of its delivered packets
+/// (Eq. 1 counts each delivered packet at most once), so it lies in [0, 1]:
+/// the designated eavesdropper's, the worst-case relay's (Fig. 7), the
+/// coalition's and the attackers' capture.
+pub fn interception_ratios_at_most_one(m: &RunMetrics) -> Result<(), String> {
+    for (name, ratio) in [
+        ("designated interception", m.interception_ratio),
+        ("highest interception", m.highest_interception_ratio),
+        ("coalition interception", m.coalition_interception_ratio),
+        ("attacker capture", m.attacker_capture_ratio),
+    ] {
+        if !(0.0..=1.0).contains(&ratio) {
+            return Err(format!("{name} ratio {ratio:.4} is outside [0, 1]"));
+        }
+    }
+    Ok(())
+}
+
 /// A coalition-coverage curve is monotone non-decreasing in the coalition
 /// size (coalitions only ever gain members).
 pub fn monotone_nondecreasing(curve: &[f64]) -> Result<(), String> {

@@ -216,7 +216,7 @@ impl RunMetrics {
                 .map(|f| f.goodput_bytes_per_sec)
                 .collect::<Vec<f64>>(),
         );
-        RunMetrics {
+        let metrics = RunMetrics {
             participating_nodes: participating_nodes(recorder),
             mean_windowed_participants: recorder.mean_windowed_participants(10.0),
             relay_std_dev: distribution.std_dev,
@@ -251,7 +251,12 @@ impl RunMetrics {
             route_switches: tcp.route_switches,
             mac_collisions: recorder.collisions(),
             link_failures: recorder.link_failures(),
+        };
+        if cfg!(debug_assertions) {
+            crate::invariants::interception_ratios_at_most_one(&metrics)
+                .unwrap_or_else(|e| panic!("{e}"));
         }
+        metrics
     }
 
     /// Average several runs' metrics component-wise (the paper averages five

@@ -473,19 +473,24 @@ impl PacketSet {
 
     /// Every id in the set, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = PacketId> + '_ {
+        self.words().flat_map(|(key, mut bits)| {
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let id = PacketId(key << 6 | u64::from(bits.trailing_zeros()));
+                    bits &= bits - 1;
+                    id
+                })
+            })
+        })
+    }
+
+    /// Every 64-id chunk as `(id >> 6, bits)`, in no particular order; the
+    /// cached chunk may be empty.
+    fn words(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.chunks
             .iter()
             .map(|(&key, &bits)| (key, bits))
             .chain(std::iter::once((self.cached_key, self.cached_bits)))
-            .flat_map(|(key, mut bits)| {
-                std::iter::from_fn(move || {
-                    (bits != 0).then(|| {
-                        let id = PacketId(key << 6 | u64::from(bits.trailing_zeros()));
-                        bits &= bits - 1;
-                        id
-                    })
-                })
-            })
     }
 }
 
@@ -1128,6 +1133,26 @@ impl Recorder {
             .is_some_and(|ledger| ledger.was_delivered(counter))
     }
 
+    /// How many ids of `set` were delivered, `|set ∩ delivered|`.  A set
+    /// chunk (`id >> 6`) covers the same 64 ids as one word of its origin's
+    /// delivery ledger (counters are 40 bits, a multiple of 64 ids), so this
+    /// is one AND and popcount per chunk.
+    pub fn delivered_in(&self, set: &PacketSet) -> u64 {
+        set.words()
+            .map(|(key, bits)| {
+                let (origin, counter) = OriginLedger::split(PacketId(key << 6));
+                let delivered = self
+                    .ledgers
+                    .get(origin)
+                    .and_then(Option::as_deref)
+                    .and_then(|ledger| ledger.delivered.get(counter / 64))
+                    .copied()
+                    .unwrap_or(0);
+                u64::from((bits & delivered).count_ones())
+            })
+            .sum()
+    }
+
     /// Packets deliberately discarded by adversarial relays (all kinds).
     pub fn adversary_drops(&self) -> u64 {
         self.adversary_drops
@@ -1422,6 +1447,7 @@ mod tests {
             }
             prop_assert_eq!(r.delays(), &model.delays[..]);
             prop_assert_eq!(r.delivered_data_packets(), model.delivered_data);
+            let mut probed = PacketSet::default();
             for &origin in &origins {
                 for counter in 0..320 {
                     let id = PacketId((origin << 40) | counter);
@@ -1430,8 +1456,14 @@ mod tests {
                         model.delivered.contains(&id),
                         "{:?}", id
                     );
+                    if counter % 3 != 0 {
+                        probed.insert(id);
+                    }
                 }
             }
+            probed.insert(PacketId((9 << 40) | 5)); // an origin with no ledger
+            let expected = probed.iter().filter(|id| model.delivered.contains(id)).count();
+            prop_assert_eq!(r.delivered_in(&probed), expected as u64);
         }
     }
 

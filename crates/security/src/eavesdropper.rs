@@ -63,7 +63,9 @@ pub fn select_eavesdropper(
 pub struct EavesdropperReport {
     /// The eavesdropping node.
     pub node: NodeId,
-    /// Unique data packets it heard (relayed or overheard): `Pe` in Eq. 1.
+    /// Unique delivered data packets it heard (relayed or overheard): `Pe`
+    /// in Eq. 1.  A packet heard but never delivered does not count, so
+    /// `Pe ≤ Pr`.
     pub packets_heard: u64,
     /// Unique data packets delivered to the destination: `Pr` in Eq. 1.
     pub packets_delivered: u64,
@@ -74,7 +76,9 @@ impl EavesdropperReport {
     pub fn from_recorder(recorder: &Recorder, node: NodeId) -> Self {
         EavesdropperReport {
             node,
-            packets_heard: recorder.heard_count(node),
+            packets_heard: recorder
+                .heard_set(node)
+                .map_or(0, |set| recorder.delivered_in(set)),
             packets_delivered: recorder.delivered_data_packets(),
         }
     }
@@ -211,7 +215,16 @@ mod tests {
                 packet: &data(1),
             },
         );
+        // Packet 7 was heard but never delivered: it is not part of Pe.
+        rec.observe(
+            t0,
+            Observation::Overheard {
+                node,
+                packet: &data(7),
+            },
+        );
         let report = EavesdropperReport::from_recorder(&rec, NodeId(3));
+        assert_eq!(rec.heard_count(NodeId(3)), 3);
         assert_eq!(report.packets_heard, 2);
         assert_eq!(report.packets_delivered, 4);
         assert!((report.interception_ratio() - 0.5).abs() < 1e-12);

@@ -27,11 +27,13 @@ pub fn interception_ratio(recorder: &Recorder, eavesdropper: NodeId) -> f64 {
 /// the traffic endpoints), together with the node that achieves it.
 ///
 /// The paper defines this worst case as "the most dependent node is the
-/// eavesdropper": `Pe` is the largest number of packets *received to relay*
-/// by any single intermediate node (the β of Table I), not its promiscuous
-/// captures.  A protocol that concentrates its traffic on one relay therefore
-/// scores close to 1, while a protocol that keeps moving the path across
-/// disjoint routes scores lower (Fig. 7).
+/// eavesdropper": `Pe` is the number of delivered packets a single
+/// intermediate node *received to relay*, not its promiscuous captures.  Eq. 1
+/// is a ratio of packets, so `Pe` counts each delivered packet once, however
+/// often MAC retries or TCP retransmissions made the node relay it (Table I's
+/// β counts those relay events), and `Ri ≤ 1`.  A protocol that concentrates
+/// its traffic on one relay therefore scores close to 1, while a protocol that
+/// keeps moving the path across disjoint routes scores lower (Fig. 7).
 pub fn highest_interception_ratio(
     recorder: &Recorder,
     num_nodes: u16,
@@ -47,7 +49,9 @@ pub fn highest_interception_ratio(
         if endpoints.contains(&node) {
             continue;
         }
-        let relayed = recorder.relay_count(node);
+        let relayed = recorder
+            .relayed_set(node)
+            .map_or(0, |set| recorder.delivered_in(set));
         let r = relayed as f64 / delivered as f64;
         if r > best.0 {
             best = (r, Some(node));
@@ -150,6 +154,27 @@ mod tests {
         let (r, node) = highest_interception_ratio(&rec, 10, &[NodeId(0), NodeId(9)]);
         assert!((r - 0.9).abs() < 1e-12);
         assert_eq!(node, Some(NodeId(4)));
+    }
+
+    #[test]
+    fn repeated_and_undelivered_relays_do_not_count() {
+        // Node 3 relays packets 0..4 twice each (MAC retries) and packets
+        // 10..16, which never arrive: Pe is the 4 delivered packets, once.
+        let mut rec = recorder_with(5, &[(3, 4), (3, 4)]);
+        for id in 10..16 {
+            rec.observe(
+                SimTime::ZERO,
+                Observation::Relay {
+                    node: NodeId(3),
+                    packet: &data(id),
+                },
+            );
+        }
+        assert_eq!(rec.relay_count(NodeId(3)), 14, "beta still counts events");
+        let (r, node) = highest_interception_ratio(&rec, 10, &[NodeId(0), NodeId(9)]);
+        assert!((r - 0.8).abs() < 1e-12);
+        assert_eq!(node, Some(NodeId(3)));
+        assert!((interception_ratio(&rec, NodeId(3)) - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use manet_wire::NodeId;
 pub struct RelayTableRow {
     /// Participating node.
     pub node: NodeId,
-    /// Number of data packets the node received to relay (β_i).
+    /// Relay events of data packets at the node (β_i): a packet relayed
+    /// again after a MAC retry or a TCP retransmission counts again.
     pub beta: u64,
     /// Normalized share of the total relays (γ_i ∈ [0, 1]).
     pub gamma: f64,

@@ -291,3 +291,34 @@ fn attack_matrix_is_deterministic_per_seed_and_covers_the_axis() {
         assert!(text.contains(label), "matrix must render row {label}");
     }
 }
+
+#[test]
+fn the_highest_interception_ratio_counts_each_delivered_packet_once() {
+    use mts_repro::experiments::runner::run_scenario_with_recorder;
+    // Data jamming makes relays send the same few packets again and again:
+    // AODV at 10 m/s, seed 1, 20 s delivers 8 packets while its busiest
+    // relay logs 11 relay events.  Eq. 1's Pe counts delivered packets, so
+    // the worst-case ratio stays within [0, 1] where relay events / Pr
+    // would read 1.375.
+    let mut scenario = Scenario::paper(Protocol::Aodv, 10.0, 1).with_attack(AttackConfig::jamming(
+        2,
+        JamTarget::Data,
+        0.8,
+    ));
+    scenario.sim.duration = Duration::from_secs(20.0);
+    let (m, recorder) = run_scenario_with_recorder(&scenario);
+    let endpoints = scenario.endpoints();
+    let busiest_relay_events = (0..scenario.sim.num_nodes)
+        .map(NodeId)
+        .filter(|n| !endpoints.contains(n))
+        .map(|n| recorder.relay_count(n))
+        .max()
+        .unwrap();
+    let delivered = recorder.delivered_data_packets();
+    assert!(
+        busiest_relay_events > delivered,
+        "the cell must relay more events ({busiest_relay_events}) than it delivers ({delivered})"
+    );
+    invariants::interception_ratios_at_most_one(&m).unwrap_or_else(|e| panic!("{e}"));
+    assert!(m.highest_interception_ratio > 0.0);
+}
