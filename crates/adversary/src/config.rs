@@ -6,40 +6,9 @@
 //! pre-adversary runs (no extra randomness is consumed anywhere).
 
 use manet_netsim::{Duration, JamConfig, JamTarget, RushConfig, WormholeConfig};
+use manet_security::{CoalitionPlacement, CoverageBasis};
 use manet_wire::NodeId;
 use std::fmt;
-
-/// How colluding eavesdroppers are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoalitionPlacement {
-    /// `k` distinct non-endpoint nodes drawn uniformly from the scenario seed
-    /// (nested: the size-`k` coalition is a prefix of the size-`k+1` one, so
-    /// coverage is monotone in `k`).
-    Random,
-    /// Greedy worst case: after the run, repeatedly add the node with the
-    /// largest marginal union coverage (the classical max-k-coverage greedy).
-    Greedy,
-}
-
-impl CoalitionPlacement {
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CoalitionPlacement::Random => "rand",
-            CoalitionPlacement::Greedy => "greedy",
-        }
-    }
-}
-
-/// Which per-node packet set the coalition unions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoverageBasis {
-    /// Packets *received to relay* (the paper's β, Fig. 7 worst-case basis).
-    Relayed,
-    /// Everything heard, including promiscuous overhearing (the paper's
-    /// designated-eavesdropper basis, Eq. 1).
-    Heard,
-}
 
 /// The adversary model of one run.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,17 +6,15 @@
 //!
 //! * [`config`] — [`AttackConfig`]: the attack axis carried by experiment
 //!   scenarios (kind + intensity knobs + canonical matrix).
-//! * [`coalition`] — colluding eavesdropper coalitions of size `k`: union
-//!   coverage generalizing Eq. 1 to `Pe(coalition) / Pr`, with random
-//!   (nested) and greedy worst-case placement.
 //! * [`blackhole`] — black-hole / gray-hole relays implemented as
 //!   [`manet_netsim::NodeStack`] wrappers: forged route replies attract
 //!   traffic, attracted data is silently discarded.
 //! * [`mobile`] — a mobile eavesdropper whose waypoints hunt the
 //!   source–destination corridor instead of roaming uniformly.
-//! * [`capture`] — the capture-ratio metric for route-attraction attacks
-//!   (wormhole, rushing, black-hole attraction): the fraction of the
-//!   session's delivered data that crossed a hostile node.
+//!
+//! What the attackers achieve is analysis, not behaviour: coalition
+//! coverage and the capture ratio are [`manet_security::coalition`] and
+//! [`manet_security::capture`].
 //!
 //! Three attacks are engine-level hooks in `manet_netsim` built from the
 //! attack axis: selective jamming ([`manet_netsim::JamConfig`], via
@@ -31,16 +29,9 @@
 //! runs consume no adversary randomness at all.
 
 pub mod blackhole;
-pub mod capture;
-pub mod coalition;
 pub mod config;
 pub mod mobile;
 
 pub use blackhole::{BlackholeStack, FORGED_SEQNO};
-pub use capture::{capture_report, CaptureReport};
-pub use coalition::{
-    coalition_curve, coalition_report, select_coalition_greedy, select_coalition_random,
-    CoalitionReport,
-};
-pub use config::{AttackConfig, AttackKind, CoalitionPlacement, CoverageBasis};
+pub use config::{AttackConfig, AttackKind};
 pub use mobile::CorridorMobility;

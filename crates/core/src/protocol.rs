@@ -299,11 +299,8 @@ impl Mts {
     // ---- intermediate forwarding -------------------------------------------------
 
     fn forward_data(&mut self, ctx: &mut Ctx<'_>, mut packet: DataPacket, _from: NodeId) {
-        let now = ctx.now();
-        match self.table.lookup(packet.dst, now) {
-            Some(entry) => {
-                let next = entry.next_hop;
-                self.table.refresh(packet.dst, now);
+        match self.table.forward(packet.dst, ctx.now()) {
+            Some(next) => {
                 packet.hop_count += 1;
                 ctx.send_unicast(next, NetPacket::Data(packet));
             }

@@ -214,7 +214,7 @@ mod tests {
     use super::*;
     use crate::runner::{grid_keys, run_scenario, simulations};
     use crate::scenario::Scenario;
-    use manet_adversary::CoalitionPlacement;
+    use manet_security::CoalitionPlacement;
 
     #[test]
     fn spec_counts_runs() {

@@ -42,7 +42,8 @@ pub use attacks::{
     attack_matrix, render_attack_matrix, AttackCell, AttackMatrixOutcome, AttackSweepSpec,
 };
 pub use figures::{FigureId, FigurePoint, FigureSeries};
-pub use manet_adversary::{AttackConfig, AttackKind, CoalitionPlacement, CoverageBasis};
+pub use manet_adversary::{AttackConfig, AttackKind};
+pub use manet_security::{CoalitionPlacement, CoverageBasis};
 pub use manet_tcp::{FlowProfile, FlowShape};
 pub use metrics::{FlowMetrics, RunMetrics};
 pub use protocol::Protocol;

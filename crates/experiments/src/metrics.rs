@@ -6,9 +6,12 @@
 
 use crate::scenario::Scenario;
 use crate::stack::TcpRunReport;
-use manet_adversary::{capture_report, coalition_curve, AttackKind};
+use manet_adversary::AttackKind;
 use manet_netsim::Recorder;
-use manet_security::{interception::summarize, participating_nodes, relay_distribution};
+use manet_security::{
+    capture_report, coalition_curve, interception::summarize, participating_nodes,
+    relay_distribution,
+};
 use manet_wire::{ConnectionId, NodeId};
 
 /// Per-flow metrics of one run (one row per scenario flow).
@@ -77,7 +80,7 @@ pub(crate) fn coalition_interception_ratio(scenario: &Scenario, recorder: &Recor
         scenario.sim.seed,
     )
     .last()
-    .map_or(0.0, |r| r.interception_ratio())
+    .map_or(0.0, |r| r.ratio())
 }
 
 /// Every metric the paper's evaluation reports, for one run.
@@ -172,7 +175,7 @@ impl RunMetrics {
         let generated = recorder.originated_data_packets();
         let delivered = recorder.delivered_data_packets();
         let attacker_capture_ratio = if scenario.attack.captures_traffic() {
-            capture_report(recorder, &scenario.attackers).capture_ratio()
+            capture_report(recorder, &scenario.attackers).ratio()
         } else {
             0.0
         };

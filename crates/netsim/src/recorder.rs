@@ -452,13 +452,27 @@ impl PacketSet {
 
     /// Is `id` in the set?
     pub fn contains(&self, id: PacketId) -> bool {
-        let key = id.0 >> 6;
-        let bits = if key == self.cached_key {
-            self.cached_bits
+        self.word(id.0 >> 6) >> (id.0 & 63) & 1 == 1
+    }
+
+    /// Add every id of `other`, one OR per 64-id chunk.
+    pub fn union_with(&mut self, other: &PacketSet) {
+        for (key, bits) in other.words() {
+            self.or_word(key, bits);
+        }
+    }
+
+    /// `|self ∩ other|`, one AND and popcount per chunk of the smaller set.
+    pub fn intersection_len(&self, other: &PacketSet) -> usize {
+        let (small, large) = if self.len <= other.len {
+            (self, other)
         } else {
-            self.chunks.get(&key).copied().unwrap_or(0)
+            (other, self)
         };
-        bits >> (id.0 & 63) & 1 == 1
+        small
+            .words()
+            .map(|(key, bits)| (bits & large.word(key)).count_ones() as usize)
+            .sum()
     }
 
     /// Number of ids in the set.
@@ -492,12 +506,29 @@ impl PacketSet {
             .map(|(&key, &bits)| (key, bits))
             .chain(std::iter::once((self.cached_key, self.cached_bits)))
     }
-}
 
-impl Extend<PacketId> for PacketSet {
-    fn extend<I: IntoIterator<Item = PacketId>>(&mut self, ids: I) {
-        for id in ids {
-            self.insert(id);
+    /// Add the ids `bits` of chunk `key`.
+    fn or_word(&mut self, key: u64, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        // An empty set may move its cache to any chunk: nothing is lost.
+        let word = if key == self.cached_key || self.cached_bits == 0 {
+            self.cached_key = key;
+            &mut self.cached_bits
+        } else {
+            self.chunks.entry(key).or_insert(0)
+        };
+        self.len += (bits & !*word).count_ones() as usize;
+        *word |= bits;
+    }
+
+    /// The bits of chunk `key` (0 if the set holds none of its ids).
+    fn word(&self, key: u64) -> u64 {
+        if key == self.cached_key {
+            self.cached_bits
+        } else {
+            self.chunks.get(&key).copied().unwrap_or(0)
         }
     }
 }
@@ -572,13 +603,6 @@ impl OriginLedger {
         let new = self.delivered[word] & bit == 0;
         self.delivered[word] |= bit;
         new
-    }
-
-    /// Was `counter` delivered?
-    fn was_delivered(&self, counter: usize) -> bool {
-        self.delivered
-            .get(counter / 64)
-            .is_some_and(|bits| bits >> (counter % 64) & 1 == 1)
     }
 }
 
@@ -1124,33 +1148,40 @@ impl Recorder {
             .filter(|s| !s.is_empty())
     }
 
-    /// True if `packet` was delivered to its final destination.
-    pub fn was_delivered(&self, packet: PacketId) -> bool {
-        let (origin, counter) = OriginLedger::split(packet);
-        self.ledgers
-            .get(origin)
-            .and_then(Option::as_deref)
-            .is_some_and(|ledger| ledger.was_delivered(counter))
+    /// How many ids of `set` were delivered, `|set ∩ delivered|`: one AND
+    /// and popcount per chunk.
+    pub fn delivered_in(&self, set: &PacketSet) -> u64 {
+        self.delivered_words(set)
+            .map(|(_, bits)| u64::from(bits.count_ones()))
+            .sum()
     }
 
-    /// How many ids of `set` were delivered, `|set ∩ delivered|`.  A set
-    /// chunk (`id >> 6`) covers the same 64 ids as one word of its origin's
-    /// delivery ledger (counters are 40 bits, a multiple of 64 ids), so this
-    /// is one AND and popcount per chunk.
-    pub fn delivered_in(&self, set: &PacketSet) -> u64 {
-        set.words()
-            .map(|(key, bits)| {
-                let (origin, counter) = OriginLedger::split(PacketId(key << 6));
-                let delivered = self
-                    .ledgers
-                    .get(origin)
-                    .and_then(Option::as_deref)
-                    .and_then(|ledger| ledger.delivered.get(counter / 64))
-                    .copied()
-                    .unwrap_or(0);
-                u64::from((bits & delivered).count_ones())
-            })
-            .sum()
+    /// The ids of `set` that were delivered, `set ∩ delivered`, for a caller
+    /// that intersects the same delivered ids many times.
+    pub fn delivered_part(&self, set: &PacketSet) -> PacketSet {
+        let mut part = PacketSet::default();
+        for (key, bits) in self.delivered_words(set) {
+            part.or_word(key, bits);
+        }
+        part
+    }
+
+    /// Every chunk of `set` ANDed with its delivered ids.  A set chunk
+    /// (`id >> 6`) covers the same 64 ids as one word of its origin's
+    /// delivery ledger (counters are 40 bits, a multiple of 64 ids); this is
+    /// the one reader of those words.
+    fn delivered_words<'a>(&'a self, set: &'a PacketSet) -> impl Iterator<Item = (u64, u64)> + 'a {
+        set.words().map(|(key, bits)| {
+            let (origin, counter) = OriginLedger::split(PacketId(key << 6));
+            let delivered = self
+                .ledgers
+                .get(origin)
+                .and_then(Option::as_deref)
+                .and_then(|ledger| ledger.delivered.get(counter / 64))
+                .copied()
+                .unwrap_or(0);
+            (key, bits & delivered)
+        })
     }
 
     /// Packets deliberately discarded by adversarial relays (all kinds).
@@ -1368,16 +1399,37 @@ mod tests {
             }
             prop_assert_eq!(as_set(&set), model.clone());
 
-            // `extend` is the union, whichever side it starts from.
+            // `intersection_len` and `union_with` are the intersection's size
+            // and the union, whichever side they start from; a union into an
+            // empty set is a copy.
             let mut other = PacketSet::default();
-            other.extend(probes.iter().copied());
-            model.extend(probes.iter().copied());
+            let mut other_model: FxHashSet<PacketId> = FxHashSet::default();
+            for &id in &probes {
+                other.insert(id);
+                other_model.insert(id);
+            }
+            let common = model.intersection(&other_model).count();
+            prop_assert_eq!(set.intersection_len(&other), common);
+            prop_assert_eq!(other.intersection_len(&set), common);
+            let mut copy = PacketSet::default();
+            copy.union_with(&set);
+            prop_assert_eq!(copy.len(), model.len());
+            prop_assert_eq!(as_set(&copy), model.clone());
+            let union_model: FxHashSet<PacketId> = model.union(&other_model).copied().collect();
             let mut union = set.clone();
-            union.extend(other.iter());
-            prop_assert_eq!(union.len(), model.len());
-            prop_assert_eq!(as_set(&union), model.clone());
-            other.extend(set.iter());
-            prop_assert_eq!(as_set(&other), model);
+            union.union_with(&other);
+            prop_assert_eq!(union.len(), union_model.len());
+            prop_assert_eq!(as_set(&union), union_model.clone());
+            other.union_with(&set);
+            prop_assert_eq!(other.len(), union_model.len());
+            prop_assert_eq!(as_set(&other), union_model.clone());
+            // Inserting after a union: what the union holds is not new.
+            for &id in ids.iter().chain(&probes) {
+                prop_assert!(!union.insert(id), "union lost {:?}", id);
+                prop_assert!(!other.insert(id), "union lost {:?}", id);
+                prop_assert_eq!(copy.insert(id), model.insert(id), "insert {:?}", id);
+            }
+            prop_assert_eq!(copy.len(), union_model.len());
         }
 
     }
@@ -1419,7 +1471,7 @@ mod tests {
         /// repeated originations and deliveries, deliveries out of order
         /// and of ids never originated, data and pure ACKs: the dense
         /// per-origin ledgers agree with the hash-table model on the
-        /// delays, the delivered count and `was_delivered`.
+        /// delays, the delivered count and `delivered_part`.
         #[test]
         fn dense_ledgers_match_the_hash_table_model(
             ops in proptest::collection::vec(
@@ -1451,19 +1503,16 @@ mod tests {
             for &origin in &origins {
                 for counter in 0..320 {
                     let id = PacketId((origin << 40) | counter);
-                    prop_assert_eq!(
-                        r.was_delivered(id),
-                        model.delivered.contains(&id),
-                        "{:?}", id
-                    );
                     if counter % 3 != 0 {
                         probed.insert(id);
                     }
                 }
             }
             probed.insert(PacketId((9 << 40) | 5)); // an origin with no ledger
-            let expected = probed.iter().filter(|id| model.delivered.contains(id)).count();
-            prop_assert_eq!(r.delivered_in(&probed), expected as u64);
+            let expected: FxHashSet<PacketId> =
+                probed.iter().filter(|id| model.delivered.contains(id)).collect();
+            prop_assert_eq!(r.delivered_in(&probed), expected.len() as u64);
+            prop_assert_eq!(as_set(&r.delivered_part(&probed)), expected);
         }
     }
 
@@ -1664,8 +1713,11 @@ mod tests {
         assert!(r.relayed_set(NodeId(5)).is_none());
         assert_eq!(r.heard_set(NodeId(3)).unwrap().len(), 3);
         deliver(&mut r, &data(10, 100), t(1.0));
-        assert!(r.was_delivered(PacketId(10)));
-        assert!(!r.was_delivered(PacketId(11)));
+        let delivered: Vec<PacketId> = r
+            .delivered_part(r.relayed_set(NodeId(3)).unwrap())
+            .iter()
+            .collect();
+        assert_eq!(delivered, [PacketId(10)]);
     }
 
     #[test]

@@ -86,11 +86,11 @@ impl Aodv {
     /// Handle a data packet we originate or must forward: send it along a
     /// known route, buffer it (originator only) while a discovery runs, or
     /// drop it and report the missing route.
-    fn route_or_buffer(&mut self, ctx: &mut Ctx<'_>, packet: DataPacket) {
-        let now = ctx.now();
+    fn route_or_buffer(&mut self, ctx: &mut Ctx<'_>, mut packet: DataPacket) {
         let dst = packet.dst;
-        if self.table.lookup(dst, now).is_some() {
-            self.forward_data_known(ctx, packet);
+        if let Some(next) = self.table.forward(dst, ctx.now()) {
+            packet.hop_count += 1;
+            ctx.send_unicast(next, NetPacket::Data(packet));
         } else if packet.src == self.me {
             self.discovery.hold(ctx, self.me, packet);
             self.start_discovery(ctx, dst);
@@ -98,18 +98,6 @@ impl Aodv {
             record_data_drop(ctx, self.me, DropReason::NoRoute, &packet);
             self.send_rerr_for(ctx, dst);
         }
-    }
-
-    fn forward_data_known(&mut self, ctx: &mut Ctx<'_>, mut packet: DataPacket) {
-        let now = ctx.now();
-        let entry = self
-            .table
-            .lookup(packet.dst, now)
-            .expect("caller checked a route exists");
-        let next = entry.next_hop;
-        self.table.refresh(packet.dst, now);
-        packet.hop_count += 1;
-        ctx.send_unicast(next, NetPacket::Data(packet));
     }
 
     fn send_rerr_for(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {

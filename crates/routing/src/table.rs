@@ -97,6 +97,19 @@ impl RoutingTable {
         }
     }
 
+    /// The next hop of the usable route to `dest`, if any, whose lifetime
+    /// is extended as [`RoutingTable::refresh`] does: the route carries the
+    /// packet being forwarded.  One map probe.
+    pub fn forward(&mut self, dest: NodeId, now: SimTime) -> Option<NodeId> {
+        let e = self
+            .entries
+            .get_mut(&dest)
+            .filter(|e| e.valid && e.expires > now)?;
+        let new_exp = now + manet_netsim::Duration::from_secs(ROUTE_LIFETIME_SECS);
+        e.expires = e.expires.max(new_exp);
+        Some(e.next_hop)
+    }
+
     /// Extend the lifetime of an active route (called when it carries data).
     pub fn refresh(&mut self, dest: NodeId, now: SimTime) {
         if let Some(e) = self.entries.get_mut(&dest) {
@@ -306,6 +319,12 @@ mod tests {
             }
         }
 
+        fn forward(&mut self, dest: NodeId, now: SimTime) -> Option<NodeId> {
+            let next = self.lookup(dest, now)?.next_hop;
+            self.refresh(dest, now);
+            Some(next)
+        }
+
         fn invalidate_via(&mut self, next_hop: NodeId) -> Vec<(NodeId, SeqNo)> {
             let mut broken = Vec::new();
             for (&dest, e) in &mut self.entries {
@@ -334,7 +353,7 @@ mod tests {
     }
 
     proptest! {
-        /// Random updates, refreshes, invalidations and lookups at
+        /// Random updates, refreshes, invalidations, lookups and forwards at
         /// non-decreasing times, some steps landing exactly on a route's
         /// expiry: every return value and, after every call, every stored
         /// entry equal the model's.
@@ -344,7 +363,7 @@ mod tests {
                 // (operation, destination, (next hop, hop count),
                 // (sequence number, time step in seconds)).
                 (
-                    0u8..5,
+                    0u8..6,
                     0u16..5,
                     (0u16..3, 1u32..6),
                     (0u32..4, (0u8..8, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
@@ -382,6 +401,11 @@ mod tests {
                         table.invalidate_dest_via(dest, via, seq),
                         model.invalidate_dest_via(dest, via, seq),
                         "invalidate_dest_via({:?}, {:?}, {:?})", dest, via, seq
+                    ),
+                    4 => prop_assert_eq!(
+                        table.forward(dest, at),
+                        model.forward(dest, at),
+                        "forward({:?}) at {}", dest, now
                     ),
                     _ => prop_assert_eq!(
                         table.lookup(dest, at),

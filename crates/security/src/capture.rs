@@ -2,8 +2,9 @@
 //!
 //! Wormhole pairs and rushing relays do not (in this model) destroy traffic —
 //! they *attract* it: routes collapse through the attacker, which then sees
-//! the session's data.  The capture ratio quantifies that attraction the same
-//! way the coalition metrics quantify eavesdropping:
+//! the session's data.  The capture ratio quantifies that attraction as the
+//! [`exposure()`] of what the hostile nodes relayed and what crossed the
+//! wormhole's tunnel:
 //!
 //! ```text
 //! capture = | (U_i relayed_i  ∪  tunneled)  ∩  delivered |  /  Pr
@@ -11,58 +12,18 @@
 //!
 //! where the union runs over the hostile nodes, `tunneled` is the set of data
 //! packets that crossed a wormhole's out-of-band tunnel, and `Pr` is the
-//! number of unique data packets delivered end-to-end.  Restricting to
-//! delivered packets keeps the ratio a true coverage in `[0, 1]` and
-//! comparable across protocols (a protocol that delivers nothing captures
-//! nothing *of the session*).
+//! number of unique data packets delivered end-to-end.
 
-use manet_netsim::{PacketSet, Recorder};
+use crate::exposure::{exposure, Exposure};
+use manet_netsim::Recorder;
 use manet_wire::NodeId;
 
-/// What the hostile nodes captured during one run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CaptureReport {
-    /// The hostile nodes, in placement order.
-    pub attackers: Vec<NodeId>,
-    /// Unique *delivered* data packets that crossed an attacker (relayed by
-    /// one, or tunneled through the wormhole).
-    pub captured_packets: u64,
-    /// Unique data packets delivered to the destination (`Pr`).
-    pub packets_delivered: u64,
-}
-
-impl CaptureReport {
-    /// The capture ratio (0 when nothing was delivered).  Always in `[0, 1]`.
-    pub fn capture_ratio(&self) -> f64 {
-        if self.packets_delivered == 0 {
-            0.0
-        } else {
-            self.captured_packets as f64 / self.packets_delivered as f64
-        }
-    }
-}
-
-/// Evaluate what `attackers` captured in a finished run.  The recorder's
-/// wormhole tunnel set is always unioned in (it is empty unless the run had
-/// a wormhole).
-pub fn capture_report(recorder: &Recorder, attackers: &[NodeId]) -> CaptureReport {
-    let mut captured = PacketSet::default();
-    for &a in attackers {
-        if let Some(set) = recorder.relayed_set(a) {
-            captured.extend(set.iter().filter(|&p| recorder.was_delivered(p)));
-        }
-    }
-    captured.extend(
-        recorder
-            .tunneled_data_set()
-            .iter()
-            .filter(|&p| recorder.was_delivered(p)),
-    );
-    CaptureReport {
-        attackers: attackers.to_vec(),
-        captured_packets: captured.len() as u64,
-        packets_delivered: recorder.delivered_data_packets(),
-    }
+/// What `attackers` captured in a finished run.  The recorder's wormhole
+/// tunnel set is always unioned in (it is empty unless the run had a
+/// wormhole).
+pub fn capture_report(recorder: &Recorder, attackers: &[NodeId]) -> Exposure {
+    let relayed = attackers.iter().filter_map(|&a| recorder.relayed_set(a));
+    exposure(recorder, relayed.chain([recorder.tunneled_data_set()]))
 }
 
 #[cfg(test)]
@@ -119,18 +80,18 @@ mod tests {
         let packet = &NetPacket::Data(data(2));
         rec.observe(SimTime::ZERO, Observation::Tunnel { packet });
         let report = capture_report(&rec, &[NodeId(3), NodeId(4)]);
-        assert_eq!(report.captured_packets, 3); // 0, 1 relayed + 2 tunneled
-        assert_eq!(report.packets_delivered, 4);
-        assert!((report.capture_ratio() - 0.75).abs() < 1e-12);
+        assert_eq!(report.covered, 3); // 0, 1 relayed + 2 tunneled
+        assert_eq!(report.delivered, 4);
+        assert!((report.ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn empty_runs_and_honest_nodes_capture_nothing() {
         let rec = Recorder::new();
-        assert_eq!(capture_report(&rec, &[NodeId(1)]).capture_ratio(), 0.0);
+        assert_eq!(capture_report(&rec, &[NodeId(1)]).ratio(), 0.0);
         let rec = recorder();
         let report = capture_report(&rec, &[NodeId(5)]);
-        assert_eq!(report.captured_packets, 0);
-        assert_eq!(report.capture_ratio(), 0.0);
+        assert_eq!(report.covered, 0);
+        assert_eq!(report.ratio(), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Eavesdropper selection and reporting.
+//! Eavesdropper selection.
 //!
 //! The paper designates one randomly selected intermediate node as the
 //! eavesdropper: it behaves exactly like every other node (it relays packets
@@ -6,23 +6,25 @@
 //! Because the simulator's recorder already tracks, for every node, the set of
 //! unique data packets it relayed or overheard, the "eavesdropper" is purely
 //! an analysis-time choice: any node that is not a traffic endpoint can be
-//! evaluated as the eavesdropper, and the worst case over all nodes gives the
-//! highest interception ratio of Fig. 7.
+//! evaluated as the eavesdropper (its [`crate::exposure()`] over its heard
+//! set), and the worst case over all nodes gives the highest interception
+//! ratio of Fig. 7.
 
-use manet_netsim::Recorder;
 use manet_wire::NodeId;
 use rand::Rng;
 
+/// The nodes that may eavesdrop: every node that is not a traffic endpoint,
+/// in id order.  Endpoint ids out of range are ignored.
+pub(crate) fn candidates(num_nodes: u16, endpoints: &[NodeId]) -> Vec<NodeId> {
+    (0..num_nodes)
+        .map(NodeId)
+        .filter(|n| !endpoints.contains(n))
+        .collect()
+}
+
 /// Pick the eavesdropping node uniformly at random among nodes that are not
-/// traffic endpoints.
-///
-/// Runs in O(nodes + endpoints) without collecting the candidate list: the
-/// endpoints are bitmapped once, the number of distinct in-range endpoints
-/// gives the candidate count, and the drawn rank is mapped to a node id by a
-/// single skip-scan.  Exactly one `gen_range` draw is made (none in the
-/// degenerate case), so the consumed randomness — and therefore every
-/// seed-paired scenario draw downstream — matches the original
-/// collect-then-index implementation.
+/// traffic endpoints, with one `gen_range` draw (none when there is no
+/// candidate).
 ///
 /// Returns `None` when every node is an endpoint (degenerate two-node setups).
 pub fn select_eavesdropper(
@@ -30,73 +32,15 @@ pub fn select_eavesdropper(
     endpoints: &[NodeId],
     rng: &mut impl Rng,
 ) -> Option<NodeId> {
-    let mut is_endpoint = vec![false; num_nodes as usize];
-    let mut distinct_endpoints = 0usize;
-    for e in endpoints {
-        if let Some(slot) = is_endpoint.get_mut(e.index()) {
-            if !*slot {
-                *slot = true;
-                distinct_endpoints += 1;
-            }
-        }
-    }
-    let candidates = num_nodes as usize - distinct_endpoints;
-    if candidates == 0 {
-        return None;
-    }
-    let rank = rng.gen_range(0..candidates);
-    let mut seen = 0usize;
-    for (i, &blocked) in is_endpoint.iter().enumerate() {
-        if blocked {
-            continue;
-        }
-        if seen == rank {
-            return Some(NodeId(i as u16));
-        }
-        seen += 1;
-    }
-    unreachable!("rank {rank} is below the candidate count {candidates}")
-}
-
-/// What a specific eavesdropping node captured during a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EavesdropperReport {
-    /// The eavesdropping node.
-    pub node: NodeId,
-    /// Unique delivered data packets it heard (relayed or overheard): `Pe`
-    /// in Eq. 1.  A packet heard but never delivered does not count, so
-    /// `Pe ≤ Pr`.
-    pub packets_heard: u64,
-    /// Unique data packets delivered to the destination: `Pr` in Eq. 1.
-    pub packets_delivered: u64,
-}
-
-impl EavesdropperReport {
-    /// Build the report for `node` from a finished run's recorder.
-    pub fn from_recorder(recorder: &Recorder, node: NodeId) -> Self {
-        EavesdropperReport {
-            node,
-            packets_heard: recorder
-                .heard_set(node)
-                .map_or(0, |set| recorder.delivered_in(set)),
-            packets_delivered: recorder.delivered_data_packets(),
-        }
-    }
-
-    /// The interception ratio `Ri = Pe / Pr` (0 when nothing was delivered).
-    pub fn interception_ratio(&self) -> f64 {
-        if self.packets_delivered == 0 {
-            0.0
-        } else {
-            self.packets_heard as f64 / self.packets_delivered as f64
-        }
-    }
+    let pool = candidates(num_nodes, endpoints);
+    (!pool.is_empty()).then(|| pool[rng.gen_range(0..pool.len())])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use manet_netsim::{Observation, SimTime};
+    use crate::exposure::exposure;
+    use manet_netsim::{Observation, Recorder, SimTime};
     use manet_wire::{ConnectionId, DataPacket, PacketId, TcpSegment};
 
     /// A 1000-byte data segment of connection 0 with id `id`, for node 9.
@@ -151,8 +95,8 @@ mod tests {
 
     #[test]
     fn selection_matches_collect_then_index_reference() {
-        // The optimized skip-scan must consume and map randomness exactly like
-        // the original collect-then-index implementation, so historical seeds
+        // The selection must consume and map randomness exactly like the
+        // original collect-then-index implementation, so historical seeds
         // keep selecting the same eavesdropper.
         let reference = |num_nodes: u16, endpoints: &[NodeId], rng: &mut SmallRng| {
             let candidates: Vec<NodeId> = (0..num_nodes)
@@ -223,20 +167,20 @@ mod tests {
                 packet: &data(7),
             },
         );
-        let report = EavesdropperReport::from_recorder(&rec, NodeId(3));
+        let report = exposure(&rec, rec.heard_set(NodeId(3)));
         assert_eq!(rec.heard_count(NodeId(3)), 3);
-        assert_eq!(report.packets_heard, 2);
-        assert_eq!(report.packets_delivered, 4);
-        assert!((report.interception_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(report.covered, 2);
+        assert_eq!(report.delivered, 4);
+        assert!((report.ratio() - 0.5).abs() < 1e-12);
         // A node that heard nothing has ratio 0.
-        let silent = EavesdropperReport::from_recorder(&rec, NodeId(7));
-        assert_eq!(silent.interception_ratio(), 0.0);
+        let silent = exposure(&rec, rec.heard_set(NodeId(7)));
+        assert_eq!(silent.ratio(), 0.0);
     }
 
     #[test]
     fn zero_deliveries_yield_zero_ratio() {
         let rec = Recorder::new();
-        let r = EavesdropperReport::from_recorder(&rec, NodeId(1));
-        assert_eq!(r.interception_ratio(), 0.0);
+        let r = exposure(&rec, rec.heard_set(NodeId(1)));
+        assert_eq!(r.ratio(), 0.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Interception-ratio metrics (paper Eq. 1 and Fig. 7).
 
-use crate::eavesdropper::EavesdropperReport;
+use crate::eavesdropper::candidates;
+use crate::exposure::exposure;
 use manet_netsim::Recorder;
 use manet_wire::NodeId;
 
@@ -14,13 +15,12 @@ pub struct InterceptionSummary {
     pub highest_ratio: f64,
     /// Node achieving the worst case, if any traffic flowed.
     pub worst_node: Option<NodeId>,
-    /// Mean ratio over all candidate nodes that heard at least one packet.
-    pub mean_ratio: f64,
 }
 
-/// Interception ratio `Ri = Pe / Pr` for a specific eavesdropping node.
+/// Interception ratio `Ri = Pe / Pr` for a specific eavesdropping node: the
+/// exposure of everything it heard.
 pub fn interception_ratio(recorder: &Recorder, eavesdropper: NodeId) -> f64 {
-    EavesdropperReport::from_recorder(recorder, eavesdropper).interception_ratio()
+    exposure(recorder, recorder.heard_set(eavesdropper)).ratio()
 }
 
 /// The highest interception ratio over all candidate nodes (everyone except
@@ -39,20 +39,9 @@ pub fn highest_interception_ratio(
     num_nodes: u16,
     endpoints: &[NodeId],
 ) -> (f64, Option<NodeId>) {
-    let delivered = recorder.delivered_data_packets();
-    if delivered == 0 {
-        return (0.0, None);
-    }
     let mut best = (0.0f64, None);
-    for i in 0..num_nodes {
-        let node = NodeId(i);
-        if endpoints.contains(&node) {
-            continue;
-        }
-        let relayed = recorder
-            .relayed_set(node)
-            .map_or(0, |set| recorder.delivered_in(set));
-        let r = relayed as f64 / delivered as f64;
+    for node in candidates(num_nodes, endpoints) {
+        let r = exposure(recorder, recorder.relayed_set(node)).ratio();
         if r > best.0 {
             best = (r, Some(node));
         }
@@ -67,27 +56,11 @@ pub fn summarize(
     endpoints: &[NodeId],
     designated: Option<NodeId>,
 ) -> InterceptionSummary {
-    let designated_ratio = designated.map_or(0.0, |e| interception_ratio(recorder, e));
     let (highest_ratio, worst_node) = highest_interception_ratio(recorder, num_nodes, endpoints);
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for i in 0..num_nodes {
-        let node = NodeId(i);
-        if endpoints.contains(&node) {
-            continue;
-        }
-        let r = interception_ratio(recorder, node);
-        if r > 0.0 {
-            sum += r;
-            count += 1;
-        }
-    }
-    let mean_ratio = if count == 0 { 0.0 } else { sum / count as f64 };
     InterceptionSummary {
-        designated_ratio,
+        designated_ratio: designated.map_or(0.0, |e| interception_ratio(recorder, e)),
         highest_ratio,
         worst_node,
-        mean_ratio,
     }
 }
 
@@ -188,13 +161,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_reports_designated_and_mean() {
+    fn summary_reports_designated_and_highest() {
         let rec = recorder_with(10, &[(2, 2), (3, 6)]);
         let s = summarize(&rec, 10, &[NodeId(0), NodeId(9)], Some(NodeId(2)));
         assert!((s.designated_ratio - 0.2).abs() < 1e-12);
         assert!((s.highest_ratio - 0.6).abs() < 1e-12);
         assert_eq!(s.worst_node, Some(NodeId(3)));
-        assert!((s.mean_ratio - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -204,6 +176,5 @@ mod tests {
         assert_eq!(s.designated_ratio, 0.0);
         assert_eq!(s.highest_ratio, 0.0);
         assert_eq!(s.worst_node, None);
-        assert_eq!(s.mean_ratio, 0.0);
     }
 }

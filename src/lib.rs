@@ -32,10 +32,7 @@ pub use mts_core as mts;
 
 /// The most common imports for building and running experiments.
 pub mod prelude {
-    pub use manet_adversary::{
-        capture_report, coalition_curve, coalition_report, AttackConfig, AttackKind, CaptureReport,
-        CoalitionPlacement, CoverageBasis,
-    };
+    pub use manet_adversary::{AttackConfig, AttackKind};
     pub use manet_experiments::attacks::{
         attack_matrix, render_attack_matrix, AttackMatrixOutcome, AttackSweepSpec,
     };
@@ -48,6 +45,10 @@ pub mod prelude {
         FlowMetrics, Placement, Protocol, RunKey, RunMetrics, Scenario, TrafficFlow,
     };
     pub use manet_netsim::{Duration, JamTarget, RushConfig, SimConfig, SimTime, WormholeConfig};
+    pub use manet_security::{
+        capture_report, coalition_curve, coalition_report, exposure, CoalitionPlacement,
+        CoverageBasis, Exposure,
+    };
     pub use manet_stack::{ManetStack, SharedTcpStats, TcpRunReport, TcpRunStats};
     pub use manet_tcp::{FlowProfile, FlowShape};
     pub use manet_wire::{ConnectionId, NodeId};

@@ -87,7 +87,7 @@ fn mts_coalition_coverage_not_worse_than_dsr() {
                 seed,
             );
             for (k, report) in curve.iter().enumerate() {
-                avg[k] += report.interception_ratio() / seeds.len() as f64;
+                avg[k] += report.ratio() / seeds.len() as f64;
             }
         }
         avg
