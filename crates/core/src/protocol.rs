@@ -268,19 +268,26 @@ impl Mts {
     fn originate_data(&mut self, ctx: &mut Ctx<'_>, mut packet: DataPacket) {
         let now = ctx.now();
         let dst = packet.dst;
-        let next = {
+        let path_hop = {
             let state = self.sources.entry(dst).or_default();
             if self.config.concurrent_striping {
                 state.striped_next_hop()
             } else {
                 state.next_hop()
             }
-        }
-        .or_else(|| self.table.lookup(dst, now).map(|e| e.next_hop));
+        };
+        // Either way the table route to `dst` carries the packet and is
+        // refreshed: a table hop in the same probe that finds it.
+        let next = match path_hop {
+            Some(hop) => {
+                self.table.refresh(dst, now);
+                Some(hop)
+            }
+            None => self.table.forward(dst, now),
+        };
         match next {
             Some(next_hop) => {
                 packet.hop_count += 1;
-                self.table.refresh(dst, now);
                 ctx.send_unicast(next_hop, NetPacket::Data(packet));
             }
             None => {

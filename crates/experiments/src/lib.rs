@@ -8,9 +8,9 @@
 //!   Reno endpoints and to the recorder.
 //! * [`scenario`] — scenario construction: the paper's environment (50 nodes,
 //!   1000 m × 1000 m, 250 m range, random waypoint with 1 s pause, one bulk
-//!   TCP flow, one random eavesdropper, 200 s), plus the multi-flow traffic
-//!   matrices ([`Scenario::random_pairs`], [`Scenario::many_to_one`],
-//!   [`Scenario::hotspot`]) and custom scenarios for the examples and tests,
+//!   TCP flow, one random eavesdropper, 200 s), plus the multi-flow
+//!   scenarios ([`Scenario::scaled`], [`Scenario::random_pairs`]) of bulk
+//!   TCP or fluid flows and custom scenarios for the examples and tests,
 //!   on random-waypoint or hand-placed static topologies ([`Placement`]).
 //! * [`metrics`] — per-run metric extraction: the security metrics (Figs. 5–7,
 //!   Table I) and the TCP metrics (Figs. 8–11).
@@ -44,7 +44,7 @@ pub use attacks::{
 pub use figures::{FigureId, FigurePoint, FigureSeries};
 pub use manet_adversary::{AttackConfig, AttackKind};
 pub use manet_security::{CoalitionPlacement, CoverageBasis};
-pub use manet_tcp::{FlowProfile, FlowShape};
+pub use manet_tcp::FlowProfile;
 pub use metrics::{FlowMetrics, RunMetrics};
 pub use protocol::Protocol;
 pub use runner::{

@@ -11,16 +11,17 @@ use manet_adversary::{AttackConfig, AttackKind};
 use manet_netsim::rng::RngStreams;
 use manet_netsim::{Duration, FluidConfig, FluidFlowSpec, Position, SimConfig};
 use manet_security::select_eavesdropper;
-use manet_tcp::{FlowProfile, FlowShape, TcpConfig};
+use manet_tcp::{FlowProfile, TcpConfig};
 use manet_wire::NodeId;
 use mts_core::MtsConfig;
 use rand::Rng;
 
-/// One TCP flow of a scenario: the endpoint pair plus the application-level
-/// profile (start time, traffic pattern, byte budget).
+/// One flow of a scenario: the endpoint pair plus its start time and byte
+/// budget.
 ///
-/// [`TrafficFlow::bulk`] — an unbounded bulk transfer from time 0 — is the
-/// paper's traffic model and the default everywhere.
+/// Every packet-level flow is a bulk TCP transfer, the paper's traffic model;
+/// [`TrafficFlow::bulk`] — unbounded, from time 0 — is the default
+/// everywhere.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficFlow {
     /// TCP sender node.
@@ -29,8 +30,6 @@ pub struct TrafficFlow {
     pub dst: NodeId,
     /// Simulated seconds after run start at which the flow opens.
     pub start: f64,
-    /// Application traffic pattern.
-    pub pattern: FlowShape,
     /// Total byte budget (`None` sends for the whole run).
     pub bytes: Option<u64>,
     /// Run this flow through the engine's analytic fluid model instead of
@@ -41,13 +40,12 @@ pub struct TrafficFlow {
 }
 
 impl TrafficFlow {
-    /// The paper's flow shape: unbounded bulk transfer from time 0.
+    /// The paper's flow: unbounded bulk transfer from time 0.
     pub fn bulk(src: NodeId, dst: NodeId) -> Self {
         TrafficFlow {
             src,
             dst,
             start: 0.0,
-            pattern: FlowShape::Bulk,
             bytes: None,
             fluid: false,
         }
@@ -68,7 +66,6 @@ impl TrafficFlow {
     pub fn profile(&self) -> FlowProfile {
         FlowProfile {
             start: self.start,
-            shape: self.pattern,
             bytes: self.bytes,
         }
     }
@@ -115,9 +112,10 @@ pub struct Scenario {
     pub mts: MtsConfig,
     /// TCP Reno parameters.
     pub tcp: TcpConfig,
-    /// TCP flows (the paper uses a single bulk flow; traffic-matrix
-    /// constructors build many, with arbitrary shapes/starts/budgets).
-    /// Flow `i` runs as connection `i`.
+    /// Flows (the paper uses a single bulk flow; [`Scenario::scaled`] and
+    /// [`Scenario::random_pairs`] build many, and a flow may start late,
+    /// carry a byte budget or run as fluid background).  Flow `i` runs as
+    /// connection `i`.
     pub flows: Vec<TrafficFlow>,
     /// The designated eavesdropping node (never a traffic endpoint).
     pub eavesdropper: Option<NodeId>,
@@ -247,49 +245,6 @@ impl Scenario {
         scenario
     }
 
-    /// Incast traffic matrix: `num_sources` distinct senders all streaming to
-    /// one sink (the first flow's destination of the seed's paired draw).
-    ///
-    /// The sink terminates `num_sources` concurrent receiver endpoints in its
-    /// connection table — the canonical many-to-one hot-sink workload.  The
-    /// first flow and the eavesdropper match [`Scenario::scaled`] at the same
-    /// seed; the extra sources come from a salted stream so paired protocol
-    /// comparisons hold.
-    ///
-    /// # Panics
-    /// Panics if the network is too small to host the sources next to the
-    /// sink and the eavesdropper.
-    pub fn many_to_one(
-        protocol: Protocol,
-        num_nodes: u16,
-        num_sources: u16,
-        max_speed: f64,
-        seed: u64,
-    ) -> Self {
-        let sim = SimConfig::scaled_environment(num_nodes, max_speed, seed);
-        let mut scenario = Self::from_sim(protocol, sim);
-        let sink = scenario.flows[0].dst;
-        let mut rngs = RngStreams::new(scenario.sim.seed ^ 0x0ca5_cade);
-        let rng = rngs.scenario();
-        let mut taken: Vec<NodeId> = scenario.endpoints();
-        taken.extend(scenario.eavesdropper);
-        for _ in 1..num_sources {
-            assert!(
-                taken.len() < num_nodes as usize,
-                "network too small for {num_sources} distinct sources"
-            );
-            let src = loop {
-                let c = NodeId(rng.gen_range(0..num_nodes));
-                if !taken.contains(&c) {
-                    break c;
-                }
-            };
-            taken.push(src);
-            scenario.flows.push(TrafficFlow::bulk(src, sink));
-        }
-        scenario
-    }
-
     /// Random-pairs traffic matrix: `num_flows` flows between uniformly drawn
     /// endpoint pairs.  Endpoints may repeat across flows (a node can
     /// terminate several senders and receivers concurrently); only the
@@ -325,41 +280,6 @@ impl Scenario {
         scenario
     }
 
-    /// Hotspot traffic matrix: half of `num_flows` target one hotspot node
-    /// (the paired draw's first destination), the rest are random pairs —
-    /// the skewed-popularity workload between the extremes of
-    /// [`Scenario::random_pairs`] and [`Scenario::many_to_one`].
-    pub fn hotspot(
-        protocol: Protocol,
-        num_nodes: u16,
-        num_flows: u16,
-        max_speed: f64,
-        seed: u64,
-    ) -> Self {
-        let sim = SimConfig::scaled_environment(num_nodes, max_speed, seed);
-        let mut scenario = Self::from_sim(protocol, sim);
-        let hotspot = scenario.flows[0].dst;
-        let mut rngs = RngStreams::new(scenario.sim.seed ^ 0x4075_9071);
-        let rng = rngs.scenario();
-        let eve = scenario.eavesdropper;
-        let mut draw = |avoid: Option<NodeId>| loop {
-            let c = NodeId(rng.gen_range(0..num_nodes));
-            if Some(c) != eve && Some(c) != avoid {
-                break c;
-            }
-        };
-        for i in 1..num_flows {
-            let dst = if i % 2 == 0 {
-                hotspot
-            } else {
-                draw(Some(hotspot))
-            };
-            let src = draw(Some(dst));
-            scenario.flows.push(TrafficFlow::bulk(src, dst));
-        }
-        scenario
-    }
-
     /// Stagger the flows' start times: flow `i` opens at `i * gap_secs`.
     /// Flow 0 keeps starting at 0, so single-flow scenarios are unchanged.
     pub fn with_flow_stagger(mut self, gap_secs: f64) -> Self {
@@ -388,9 +308,9 @@ impl Scenario {
     /// Every node that terminates a TCP flow (excluded from eavesdropping
     /// and from hostile placement).
     ///
-    /// Node ids are deduplicated: flows sharing an endpoint — a many-to-one
-    /// sink, a hotspot, a node with both a sender and a receiver — contribute
-    /// it once.  Callers (eavesdropper selection, attacker placement,
+    /// Node ids are deduplicated: flows sharing an endpoint — random pairs
+    /// that drew the same node, a node with both a sender and a receiver —
+    /// contribute it once.  Callers (eavesdropper selection, attacker placement,
     /// coalition exclusion lists) rely on this list being duplicate-free.
     pub fn endpoints(&self) -> Vec<NodeId> {
         let mut v = Vec::with_capacity(self.flows.len() * 2);
@@ -684,26 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn many_to_one_builds_a_single_sink_incast() {
-        let s = Scenario::many_to_one(Protocol::Mts, 100, 10, 10.0, 3);
-        s.validate().unwrap();
-        assert_eq!(s.flows.len(), 10);
-        let sink = s.flows[0].dst;
-        assert!(s.flows.iter().all(|f| f.dst == sink), "one shared sink");
-        // Sources are distinct (and distinct from the sink).
-        let mut sources: Vec<NodeId> = s.flows.iter().map(|f| f.src).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        assert_eq!(sources.len(), 10);
-        // The shared sink appears once in the deduplicated endpoint list.
-        assert_eq!(s.endpoints().len(), 11);
-        // Paired draws: same seed, different protocol, same matrix.
-        let t = Scenario::many_to_one(Protocol::Dsr, 100, 10, 10.0, 3);
-        assert_eq!(s.flows, t.flows);
-        assert_eq!(s.eavesdropper, t.eavesdropper);
-    }
-
-    #[test]
     fn random_pairs_allows_shared_endpoints_but_never_the_eavesdropper() {
         let s = Scenario::random_pairs(Protocol::Mts, 100, 50, 10.0, 7);
         s.validate().unwrap();
@@ -729,18 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_concentrates_half_the_flows() {
-        let s = Scenario::hotspot(Protocol::Mts, 100, 20, 10.0, 5);
-        s.validate().unwrap();
-        assert_eq!(s.flows.len(), 20);
-        let hotspot = s.flows[0].dst;
-        let at_hotspot = s.flows.iter().filter(|f| f.dst == hotspot).count();
-        // Flow 0 plus every even-indexed extra flow targets the hotspot.
-        assert_eq!(at_hotspot, 10);
-        assert!(s.flows.iter().all(|f| f.src != f.dst));
-    }
-
-    #[test]
     fn flow_stagger_spaces_start_times() {
         let s = Scenario::random_pairs(Protocol::Mts, 100, 4, 10.0, 1).with_flow_stagger(2.5);
         s.validate().unwrap();
@@ -759,12 +647,6 @@ mod tests {
         let mut s = Scenario::paper(Protocol::Aodv, 5.0, 1);
         s.flows[0].start = -1.0;
         assert!(s.validate().is_err(), "negative start rejected");
-        let mut s = Scenario::paper(Protocol::Aodv, 5.0, 1);
-        s.flows[0].pattern = FlowShape::OnOff {
-            on_secs: 1.0,
-            off_secs: 0.0,
-        };
-        assert!(s.validate().is_err(), "degenerate on-off rejected");
     }
 
     #[test]

@@ -17,7 +17,8 @@ pub enum TimerClass {
     RoutingAux = 0x11,
     /// Transport (TCP) timers.
     Transport = 0x20,
-    /// Application / traffic-generator timers.
+    /// Application timers: flow start timers (and the test harness's
+    /// constant-rate packet emissions).
     Application = 0x30,
 }
 

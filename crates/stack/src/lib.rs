@@ -18,8 +18,8 @@
 //! trace tests) while letting traffic-matrix scenarios terminate dozens of
 //! concurrent flows on one node.
 //!
-//! Timer multiplexing uses the [`TimerClass`] namespaces; transport and
-//! application timers are additionally *connection-scoped* through
+//! Timer multiplexing uses the [`TimerClass`] namespaces; transport timers
+//! and flow start timers are additionally *connection-scoped* through
 //! [`TimerClass::scoped_token`], so two flows' retransmission timers on the
 //! same node can never be confused.
 
@@ -178,7 +178,7 @@ impl ManetStack {
     }
 
     /// Terminate the sending side of `conn` at this node: a TCP Reno sender
-    /// towards `peer` shaped by `profile`.
+    /// towards `peer`, opened and capped by `profile`.
     pub fn add_sender(
         &mut self,
         conn: ConnectionId,
@@ -246,9 +246,9 @@ impl ManetStack {
         });
     }
 
-    /// Apply a [`TcpOutcome`] of connection `conn`: transmit segments,
+    /// Apply a [`TcpOutcome`] of connection `conn`: transmit segments and
     /// schedule the (connection-scoped) retransmission timer event at its
-    /// instant and any application wake-up the flow shape asked for.
+    /// instant.
     fn apply_outcome(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -259,15 +259,11 @@ impl ManetStack {
         for seg in outcome.segments {
             self.send_segment(ctx, dst, seg);
         }
-        let scope = conn.0 as u16;
         if let Some(timer) = outcome.timer {
             ctx.schedule_timer_at(
                 timer.at,
-                TimerClass::Transport.scoped_token(scope, timer.generation),
+                TimerClass::Transport.scoped_token(conn.0 as u16, timer.generation),
             );
-        }
-        if let Some(delay) = outcome.wakeup {
-            ctx.schedule_timer(delay, TimerClass::Application.scoped_token(scope, 0));
         }
     }
 
@@ -350,9 +346,9 @@ impl NodeStack for ManetStack {
         }
         if TimerClass::Application.owns(token) {
             self.note_timer(ctx, telemetry::TimerClass::Application, token.scope());
-            // Flow start or shape wake-up; both are an idempotent pump.
+            // A staggered flow opens.
             let conn = ConnectionId(u32::from(token.scope()));
-            self.drive_sender(ctx, conn, |s, now| s.on_wakeup(now));
+            self.drive_sender(ctx, conn, |s, now| s.pump(now));
             return;
         }
         // Routing (and RoutingAux) timers go to the agent; unknown classes are

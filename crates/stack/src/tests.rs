@@ -1,6 +1,6 @@
 use super::*;
 use manet_netsim::mobility::StaticPlacement;
-use manet_netsim::{Recorder, SimConfig, Simulator};
+use manet_netsim::{Recorder, SimConfig, Simulator, TelemetryConfig};
 use manet_routing::{Aodv, Dsr};
 use mts_core::{Mts, MtsConfig};
 
@@ -204,13 +204,19 @@ fn a_node_can_terminate_a_sender_and_a_receiver_concurrently() {
 }
 
 /// A staggered, budgeted flow starts late, finishes early, and reports a
-/// completion time between the two.
+/// completion time between the two, once in the report and once as a
+/// `flow_complete` telemetry event.
 #[test]
 fn staggered_budgeted_flow_reports_completion() {
     let n = 3u16;
     let mut sim_cfg = SimConfig::default();
     sim_cfg.num_nodes = n;
     sim_cfg.duration = Duration::from_secs(30.0);
+    sim_cfg.telemetry = TelemetryConfig {
+        enabled: true,
+        window_secs: None,
+        trace_packet: None,
+    };
     let stats: SharedTcpStats = Arc::new(Mutex::new(TcpRunReport::default()));
     let stacks: Vec<Box<dyn NodeStack>> = (0..n)
         .map(|i| {
@@ -224,7 +230,6 @@ fn staggered_budgeted_flow_reports_completion() {
                     FlowProfile {
                         start: 5.0,
                         bytes: Some(50_000),
-                        ..Default::default()
                     },
                 );
             }
@@ -251,6 +256,22 @@ fn staggered_budgeted_flow_reports_completion() {
     // Nothing was transmitted before the staggered start.
     let first_delivery = recorder.delivery_series().first().map(|(t, _)| t.as_secs());
     assert!(first_delivery.unwrap_or(f64::INFINITY) > 5.0);
+    // The sender announced the completion exactly once, at the same instant.
+    let completions: Vec<(u16, u32, u64, f64)> = recorder
+        .telemetry
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            telemetry::TelemetryEvent::FlowComplete {
+                t,
+                node,
+                conn,
+                bytes,
+            } => Some((node, conn, bytes, t)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(completions, vec![(0, 0, 50_000, done)]);
 }
 
 #[test]

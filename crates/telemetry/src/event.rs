@@ -137,7 +137,7 @@ vocabulary! {
         RoutingAux => "routing_aux",
         /// A TCP timer.
         Transport => "transport",
-        /// An application (traffic source) timer.
+        /// An application timer: a staggered flow's start.
         Application => "application",
     }
 }

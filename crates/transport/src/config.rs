@@ -1,52 +1,18 @@
 //! Transport-layer parameters: the TCP Reno knobs ([`TcpConfig`]) and the
-//! application-level traffic shape of one flow ([`FlowProfile`]).
+//! start time and byte budget of one bulk flow ([`FlowProfile`]).
 
 use manet_wire::sizes::DEFAULT_MSS;
 
-/// The application-level send pattern of one flow.
+/// When a bulk flow starts and how much it sends.
 ///
-/// The paper's evaluation uses a single [`FlowShape::Bulk`] transfer; the
-/// other shapes model the traffic mixes of a production deployment (bursty
-/// media, request/response RPC) so multi-flow scenarios can stress the
-/// routing layer with diverse offered loads.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum FlowShape {
-    /// FTP-like bulk transfer: an unbounded backlog of application data
-    /// (the paper's traffic model).
-    #[default]
-    Bulk,
-    /// Periodic on/off source: the application offers data during `on_secs`,
-    /// then goes silent for `off_secs`, repeating from the flow's start time.
-    /// Retransmissions of already-offered data are not gated.
-    OnOff {
-        /// Length of the sending phase, seconds (> 0).
-        on_secs: f64,
-        /// Length of the silent phase, seconds (> 0).
-        off_secs: f64,
-    },
-    /// Closed-loop request/response: the application writes `request_bytes`,
-    /// waits until every byte is acknowledged, thinks for `think_secs`, then
-    /// writes the next request.
-    RequestResponse {
-        /// Bytes per request (> 0).
-        request_bytes: u64,
-        /// Idle time between a fully-acknowledged request and the next one,
-        /// seconds (>= 0).
-        think_secs: f64,
-    },
-}
-
-/// When a flow starts, what it sends and how much.
-///
-/// The default profile (`start` 0, [`FlowShape::Bulk`], no byte budget) is
-/// exactly the paper's single bulk flow, so single-flow scenarios built from
-/// defaults stay byte-identical to the pre-profile transport.
+/// The application is always an FTP-like bulk source, the paper's traffic
+/// model: it offers data as fast as the window allows until the byte budget
+/// (if any) is sent.  The default profile (`start` 0, no byte budget) is
+/// exactly the paper's single unbounded flow.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FlowProfile {
     /// Simulated seconds after run start at which the flow opens.
     pub start: f64,
-    /// Application-level send pattern.
-    pub shape: FlowShape,
     /// Total byte budget; `None` keeps sending for the whole run.  A flow
     /// with a budget reports a completion time once every budgeted byte is
     /// acknowledged.
@@ -66,28 +32,6 @@ impl FlowProfile {
         }
         if let Some(0) = self.bytes {
             return Err("a flow byte budget must be positive".into());
-        }
-        match self.shape {
-            FlowShape::Bulk => {}
-            FlowShape::OnOff { on_secs, off_secs } => {
-                if !(on_secs > 0.0 && on_secs.is_finite()) {
-                    return Err("on-off flows need a positive on_secs".into());
-                }
-                if !(off_secs > 0.0 && off_secs.is_finite()) {
-                    return Err("on-off flows need a positive off_secs".into());
-                }
-            }
-            FlowShape::RequestResponse {
-                request_bytes,
-                think_secs,
-            } => {
-                if request_bytes == 0 {
-                    return Err("request-response flows need positive request_bytes".into());
-                }
-                if !(think_secs >= 0.0 && think_secs.is_finite()) {
-                    return Err("request-response flows need a non-negative think_secs".into());
-                }
-            }
         }
         Ok(())
     }
@@ -186,7 +130,6 @@ mod tests {
         p.validate().unwrap();
         assert_eq!(p, FlowProfile::bulk());
         assert_eq!(p.start, 0.0);
-        assert_eq!(p.shape, FlowShape::Bulk);
         assert_eq!(p.bytes, None);
     }
 
@@ -205,40 +148,8 @@ mod tests {
             bytes: Some(0),
             ..Default::default()
         });
-        bad(FlowProfile {
-            shape: FlowShape::OnOff {
-                on_secs: 0.0,
-                off_secs: 1.0,
-            },
-            ..Default::default()
-        });
-        bad(FlowProfile {
-            shape: FlowShape::OnOff {
-                on_secs: 1.0,
-                off_secs: 0.0,
-            },
-            ..Default::default()
-        });
-        bad(FlowProfile {
-            shape: FlowShape::RequestResponse {
-                request_bytes: 0,
-                think_secs: 1.0,
-            },
-            ..Default::default()
-        });
-        bad(FlowProfile {
-            shape: FlowShape::RequestResponse {
-                request_bytes: 1000,
-                think_secs: -0.5,
-            },
-            ..Default::default()
-        });
         FlowProfile {
             start: 3.0,
-            shape: FlowShape::OnOff {
-                on_secs: 2.0,
-                off_secs: 1.0,
-            },
             bytes: Some(100_000),
         }
         .validate()

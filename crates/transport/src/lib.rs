@@ -8,9 +8,9 @@
 //! * [`reno`] — the Reno congestion-control state machine (slow start,
 //!   congestion avoidance, fast retransmit, fast recovery);
 //! * [`sender`] — the sending endpoint: window management, retransmission
-//!   queue, duplicate-ACK counting, retransmission timer, plus the
-//!   [`FlowProfile`] traffic shaping (start time, byte budget, on-off and
-//!   request-response application patterns);
+//!   queue, duplicate-ACK counting, retransmission timer, fed by a bulk
+//!   source whose [`FlowProfile`] sets the start time and an optional byte
+//!   budget;
 //! * [`receiver`] — the receiving endpoint: cumulative ACK generation and an
 //!   out-of-order reassembly buffer (out-of-order arrivals are what punish
 //!   concurrent-multipath schemes, cf. the SMR discussion in the paper);
@@ -29,7 +29,7 @@ pub mod reno;
 pub mod rto;
 pub mod sender;
 
-pub use config::{FlowProfile, FlowShape, TcpConfig};
+pub use config::{FlowProfile, TcpConfig};
 pub use receiver::TcpReceiver;
 pub use reno::{CongestionState, RenoController};
 pub use rto::RtoEstimator;

@@ -3,12 +3,12 @@
 //! The sender is *sans-io*: the node stack calls it with events (`open the
 //! window`, `an ACK arrived`, `the retransmission timer fired`) and the sender
 //! answers with a [`TcpOutcome`] listing the segments to hand to the routing
-//! layer plus the retransmission deadline to (re)arm.  The default traffic
-//! model is the paper's FTP-like bulk transfer (an unbounded backlog of
-//! application data); a [`FlowProfile`] adds a start time, a byte budget and
-//! the on-off / request-response shapes used by multi-flow scenarios.  When a
-//! shape gates new data, the sender asks for an application wake-up
-//! ([`TcpOutcome::wakeup`]) instead of polling.
+//! layer plus the retransmission deadline to (re)arm.  The application is
+//! the paper's FTP-like bulk source: an unbounded backlog of data, or one
+//! capped by the byte budget of the sender's [`FlowProfile`].  A bulk source
+//! is never gated, so the sender needs no application timers; the stack
+//! opens a flow with a later [`FlowProfile::start`] by calling
+//! [`TcpSender::pump`] then.
 //!
 //! ## Timer discipline
 //!
@@ -30,7 +30,7 @@
 //! re-deriving it as `now + (at - now)` need not round back to `at`.  Timeouts
 //! therefore happen at the same instants as with one event per arm.
 
-use crate::config::{FlowProfile, FlowShape, TcpConfig};
+use crate::config::{FlowProfile, TcpConfig};
 use crate::reno::{CongestionState, RenoController};
 use crate::rto::RtoEstimator;
 use manet_netsim::{Duration, SimTime};
@@ -59,11 +59,6 @@ pub struct TcpOutcome {
     pub segments: Vec<TcpSegment>,
     /// Retransmission timer event to schedule (if any).
     pub timer: Option<TimerHandle>,
-    /// Application wake-up to schedule: call [`TcpSender::on_wakeup`] after
-    /// this delay (on-off phase changes, request-response think times).
-    /// Wake-ups are idempotent — a stale or duplicate firing produces no
-    /// segments — so the stack needs no generation bookkeeping for them.
-    pub wakeup: Option<Duration>,
 }
 
 /// Book-keeping for one in-flight segment.
@@ -105,15 +100,6 @@ pub struct TcpSender {
     /// timer discipline does.
     #[cfg(test)]
     eager_timers: bool,
-    // --- flow shaping -----------------------------------------------------
-    /// Request-response: bytes the application has released for sending so
-    /// far (ignored by the other shapes).
-    released: u64,
-    /// Request-response: when the next request is released (think timer).
-    next_release_at: Option<SimTime>,
-    /// Absolute time of the application wake-up currently scheduled, to
-    /// de-duplicate [`TcpOutcome::wakeup`] requests.
-    wakeup_at: Option<SimTime>,
     /// When the whole byte budget was acknowledged (budgeted flows only).
     completed_at: Option<SimTime>,
     // --- statistics -------------------------------------------------------
@@ -131,7 +117,7 @@ impl TcpSender {
     }
 
     /// New sender for connection `conn` with an explicit flow profile (start
-    /// time, byte budget, traffic shape).
+    /// time, byte budget).
     pub fn with_profile(conn: ConnectionId, config: TcpConfig, profile: FlowProfile) -> Self {
         config.validate().expect("invalid TCP configuration");
         profile.validate().expect("invalid flow profile");
@@ -155,9 +141,6 @@ impl TcpSender {
             timer_generation: 0,
             #[cfg(test)]
             eager_timers: false,
-            released: 0,
-            next_release_at: None,
-            wakeup_at: None,
             completed_at: None,
             segments_sent: 0,
             retransmissions: 0,
@@ -260,70 +243,9 @@ impl TcpSender {
         }
     }
 
-    /// Highest sequence number the application currently offers for
-    /// transmission, applying the byte budget and the flow shape's gate.
-    /// May request a wake-up into `out` when the gate is closed but more
-    /// data is due later.
-    fn offered_limit(&mut self, now: SimTime, out: &mut TcpOutcome) -> u64 {
-        let budget = self.budget();
-        match self.profile.shape {
-            FlowShape::Bulk => budget,
-            FlowShape::OnOff { on_secs, off_secs } => {
-                let elapsed = now.saturating_since(SimTime::from_secs(self.profile.start));
-                let cycle = on_secs + off_secs;
-                let cycles = (elapsed.as_secs() / cycle).floor();
-                let pos = elapsed.as_secs() - cycles * cycle;
-                if pos < on_secs {
-                    budget
-                } else {
-                    // Off phase: nothing new until the next on phase opens.
-                    if self.snd_nxt < budget {
-                        // The wake-up must be strictly in the future: exactly
-                        // at a cycle boundary, floating-point rounding of
-                        // `elapsed / cycle` can put `now` in the off phase
-                        // with a recomputed boundary equal to `now`, and a
-                        // zero-delay wake-up would re-enter this branch at
-                        // the same instant forever.
-                        let mut next_on =
-                            SimTime::from_secs(self.profile.start + (cycles + 1.0) * cycle);
-                        if next_on <= now {
-                            next_on =
-                                SimTime::from_secs(self.profile.start + (cycles + 2.0) * cycle);
-                        }
-                        self.request_wakeup(now, next_on, out);
-                    }
-                    self.snd_nxt
-                }
-            }
-            FlowShape::RequestResponse { request_bytes, .. } => {
-                if let Some(at) = self.next_release_at {
-                    if now >= at {
-                        self.next_release_at = None;
-                        self.released = self.released.saturating_add(request_bytes).min(budget);
-                    }
-                }
-                if self.released == 0 {
-                    // First request opens with the flow.
-                    self.released = request_bytes.min(budget);
-                }
-                self.released
-            }
-        }
-    }
-
-    /// Ask the stack for one application wake-up at `at`, de-duplicating
-    /// against an already-pending one at the same instant.
-    fn request_wakeup(&mut self, now: SimTime, at: SimTime, out: &mut TcpOutcome) {
-        if self.wakeup_at == Some(at) && at > now {
-            return; // already scheduled
-        }
-        self.wakeup_at = Some(at);
-        out.wakeup = Some(at.saturating_since(now));
-    }
-
-    /// Fill the window with new data segments up to the application's offered
-    /// limit (a plain bulk source never runs out).  Call at connection start
-    /// and whenever the window may have opened.
+    /// Fill the window with new data segments up to the byte budget (an
+    /// unbounded bulk source never runs out).  Call at connection start and
+    /// whenever the window may have opened.
     pub fn pump(&mut self, now: SimTime) -> TcpOutcome {
         let mut out = TcpOutcome::default();
         self.pump_into(now, &mut out);
@@ -332,7 +254,7 @@ impl TcpSender {
 
     /// [`TcpSender::pump`], appending to `out`.
     fn pump_into(&mut self, now: SimTime, out: &mut TcpOutcome) {
-        let offer = self.offered_limit(now, out);
+        let offer = self.budget();
         let window_bytes = self.reno.usable_window() * u64::from(self.config.mss);
         let already = out.segments.len();
         while self.flight_bytes() + u64::from(self.config.mss) <= window_bytes
@@ -350,33 +272,9 @@ impl TcpSender {
             self.segments_sent += 1;
             out.segments.push(TcpSegment::data(self.conn, seq, 0, len));
         }
-        // A request-response flow whose current request is fully acknowledged
-        // schedules the think-time release of the next one.
-        if let FlowShape::RequestResponse { think_secs, .. } = self.profile.shape {
-            if self.snd_una == self.released
-                && self.released < self.budget()
-                && self.next_release_at.is_none()
-            {
-                let at = now + Duration::from_secs(think_secs);
-                self.next_release_at = Some(at);
-                self.request_wakeup(now, at, out);
-            }
-        }
         if out.segments.len() > already && self.rto_deadline.is_none() {
             self.arm_timer(now, out);
         }
-    }
-
-    /// An application wake-up requested through [`TcpOutcome::wakeup`] fired.
-    /// Idempotent: a duplicate or stale firing finds the gate unchanged and
-    /// produces no segments.
-    pub fn on_wakeup(&mut self, now: SimTime) -> TcpOutcome {
-        // The pending wake-up (if this is it) has fired; forget it so a new
-        // one at the same instant is never de-duplicated against it.
-        if self.wakeup_at.is_some_and(|at| now >= at) {
-            self.wakeup_at = None;
-        }
-        self.pump(now)
     }
 
     /// Process an incoming (cumulative) acknowledgement.
@@ -696,114 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn on_off_flow_gates_new_data_and_requests_a_wakeup() {
-        let mut s = TcpSender::with_profile(
-            CONN,
-            TcpConfig::default(),
-            FlowProfile {
-                shape: FlowShape::OnOff {
-                    on_secs: 1.0,
-                    off_secs: 2.0,
-                },
-                ..Default::default()
-            },
-        );
-        // On phase: sends like bulk.
-        let out = s.pump(t(0.5));
-        assert_eq!(out.segments.len(), 1);
-        assert!(out.wakeup.is_none());
-        let mss = u64::from(TcpConfig::default().mss);
-        // Off phase: the ACK opens the window but the gate is closed, so no
-        // new segments go out and a wake-up for the next on phase (t=3) is
-        // requested instead.
-        let out = s.on_ack(&ack(mss), t(1.5));
-        assert!(out.segments.is_empty());
-        let wake = out.wakeup.expect("off phase requests a wakeup");
-        assert!((wake.as_secs() - 1.5).abs() < 1e-9, "wake at t=3, now=1.5");
-        // Duplicate gate hits do not re-request the same wakeup.
-        assert!(s.pump(t(1.6)).wakeup.is_none());
-        // The wakeup fires in the next on phase and sending resumes.
-        let out = s.on_wakeup(t(3.0));
-        assert!(!out.segments.is_empty());
-    }
-
-    #[test]
-    fn on_off_wakeups_always_make_progress_at_cycle_boundaries() {
-        // Regression: floating-point rounding of `elapsed / cycle` exactly at
-        // a cycle boundary can classify `now` as off-phase with a recomputed
-        // boundary equal to `now`; the wake-up must then point at the *next*
-        // cycle, never at `now` itself (a zero-delay wake-up would loop the
-        // simulation forever at one instant).  Emulate the stack: follow
-        // every requested wake-up and require strictly positive delays while
-        // walking several thousand cycles.
-        let mut s = TcpSender::with_profile(
-            CONN,
-            TcpConfig::default(),
-            FlowProfile {
-                shape: FlowShape::OnOff {
-                    on_secs: 0.1,
-                    off_secs: 0.1,
-                },
-                ..Default::default()
-            },
-        );
-        let mut now = SimTime::ZERO;
-        let mut wakeups = 0u32;
-        let out = s.pump(now);
-        let mut pending = out.wakeup;
-        while wakeups < 5_000 {
-            let Some(delay) = pending else {
-                // No wake-up requested (on phase, window full): nudge time
-                // forward to the next off phase probe.
-                now += Duration::from_secs(0.15);
-                pending = s.on_wakeup(now).wakeup;
-                continue;
-            };
-            assert!(
-                delay > Duration::ZERO,
-                "zero-delay wake-up at t={now:?} would hang the event loop"
-            );
-            now += delay;
-            wakeups += 1;
-            pending = s.on_wakeup(now).wakeup;
-        }
-        assert!(
-            now.as_secs() > 100.0,
-            "the walk must advance simulated time"
-        );
-    }
-
-    #[test]
-    fn request_response_flow_thinks_between_requests() {
-        let mss = u64::from(TcpConfig::default().mss);
-        let mut s = TcpSender::with_profile(
-            CONN,
-            TcpConfig::default(),
-            FlowProfile {
-                shape: FlowShape::RequestResponse {
-                    request_bytes: mss,
-                    think_secs: 5.0,
-                },
-                ..Default::default()
-            },
-        );
-        // First request: one MSS.
-        let out = s.pump(t(0.0));
-        assert_eq!(out.segments.len(), 1);
-        // Fully acknowledged: nothing new, think timer requested.
-        let out = s.on_ack(&ack(mss), t(0.2));
-        assert!(out.segments.is_empty());
-        let wake = out.wakeup.expect("think time requests a wakeup");
-        assert!((wake.as_secs() - 5.0).abs() < 1e-9);
-        // Waking early keeps the gate shut; at the think deadline the next
-        // request is released.
-        assert!(s.on_wakeup(t(3.0)).segments.is_empty());
-        let out = s.on_wakeup(t(5.2));
-        assert_eq!(out.segments.len(), 1);
-        assert_eq!(out.segments[0].seq, mss);
-    }
-
-    #[test]
     fn bulk_transfer_makes_steady_progress() {
         // Drive the sender against an ideal lossless receiver for a while and
         // confirm it keeps acknowledging new data and growing the window up to
@@ -911,20 +701,29 @@ mod tests {
         /// Against the reference that schedules a fresh timer event on
         /// every arm: random new-ACK, duplicate-ACK and idle sequences give
         /// the same segments at the same instants, the same timeout
-        /// instants and the same counts, with no more timer events.
+        /// instants and the same counts, with no more timer events.  Half
+        /// the senders have a byte budget of 1 to 200 segments, drawn
+        /// log-uniformly and almost always with a partial last segment,
+        /// so many flows run dry and disarm their timer.
         #[test]
         fn one_pending_timer_event_matches_an_event_per_arm(
             min_rto_ms in 10u16..1_500,
+            budget in (any::<bool>(), 0.0f64..1.0)
+                .prop_map(|(capped, x)| capped.then(|| (1e3 * 200f64.powf(x)) as u64)),
             steps in proptest::collection::vec((0u8..4, 0u16..2_500, any::<u8>()), 1..120),
         ) {
             let config = TcpConfig {
                 min_rto: f64::from(min_rto_ms) / 1e3,
                 ..TcpConfig::default()
             };
-            let mut eager = TcpSender::new(CONN, config);
+            let profile = FlowProfile {
+                bytes: budget,
+                ..FlowProfile::default()
+            };
+            let mut eager = TcpSender::with_profile(CONN, config, profile);
             eager.eager_timers = true;
             let (expected, eager_events) = drive(eager, &steps);
-            let (got, events) = drive(TcpSender::new(CONN, config), &steps);
+            let (got, events) = drive(TcpSender::with_profile(CONN, config, profile), &steps);
             prop_assert_eq!(got, expected);
             prop_assert!(events <= eager_events, "{} > {} timer events", events, eager_events);
         }

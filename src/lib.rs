@@ -50,7 +50,7 @@ pub mod prelude {
         CoverageBasis, Exposure,
     };
     pub use manet_stack::{ManetStack, SharedTcpStats, TcpRunReport, TcpRunStats};
-    pub use manet_tcp::{FlowProfile, FlowShape};
+    pub use manet_tcp::FlowProfile;
     pub use manet_wire::{ConnectionId, NodeId};
     pub use mts_core::{Mts, MtsConfig, RouteCheckConfig};
 }
