@@ -321,21 +321,12 @@ impl Mts {
     }
 
     fn send_rerr_towards_source(&mut self, ctx: &mut Ctx<'_>, source: NodeId, dest: NodeId) {
-        let now = ctx.now();
-        let rerr = RouteError {
-            reporter: self.me,
-            broken_next_hop: dest,
-            unreachable: vec![dest],
-            dest_seqnos: vec![self
-                .table
-                .entry(dest)
-                .map(|e| e.dest_seqno)
-                .unwrap_or(SeqNo(0))],
-        };
         if source == self.me {
             return;
         }
-        if let Some(entry) = self.table.lookup(source, now) {
+        let seqno = self.table.entry(dest).map_or(SeqNo(0), |e| e.dest_seqno);
+        let rerr = RouteError::new(self.me, dest, &[(dest, seqno)]);
+        if let Some(entry) = self.table.lookup(source, ctx.now()) {
             ctx.send_unicast(entry.next_hop, NetPacket::Rerr(rerr));
         } else {
             ctx.send_broadcast(NetPacket::Rerr(rerr));
@@ -667,30 +658,25 @@ impl Mts {
 
     /// Handle a route error (by reference — RERRs are broadcast).
     fn handle_rerr(&mut self, ctx: &mut Ctx<'_>, from: NodeId, rerr: &RouteError) {
-        let mut lost_any = false;
-        for (dest, seqno) in rerr.unreachable.iter().zip(rerr.dest_seqnos.iter()) {
-            if self.table.invalidate_dest_via(*dest, from, *seqno) {
-                lost_any = true;
-            }
-            // A source whose current route went through `from` must
-            // rediscover.  Most RERR copies reach nodes that source nothing.
-            if self.sources.is_empty() {
-                continue;
-            }
-            if let Some(state) = self.sources.get_mut(dest) {
-                if state.invalidate_via(from) {
-                    self.route_switches += 1;
-                    self.start_discovery(ctx, *dest);
+        let lost = self.table.invalidate_listed(from, rerr);
+        // A source whose current route to any listed destination went
+        // through `from` must rediscover.  Most RERR copies reach nodes that
+        // source nothing.
+        if !self.sources.is_empty() {
+            for dest in &rerr.unreachable {
+                if let Some(state) = self.sources.get_mut(dest) {
+                    if state.invalidate_via(from) {
+                        self.route_switches += 1;
+                        self.start_discovery(ctx, *dest);
+                    }
                 }
             }
         }
-        if lost_any {
-            // Keep propagating towards any affected sources we route for.
-            let rerr_fwd = RouteError {
-                reporter: self.me,
-                ..rerr.clone()
-            };
-            ctx.send_broadcast(NetPacket::Rerr(rerr_fwd));
+        if !lost.is_empty() {
+            // Pass on only the routes lost here, towards the sources we
+            // route for, under AODV's rule.
+            let rerr = RouteError::new(self.me, from, &lost);
+            ctx.send_broadcast(NetPacket::Rerr(rerr));
         }
     }
 }
@@ -820,12 +806,7 @@ impl RoutingAgent for Mts {
             }
         }
         if !broken.is_empty() {
-            let rerr = RouteError {
-                reporter: self.me,
-                broken_next_hop: next_hop,
-                unreachable: broken.iter().map(|(d, _)| *d).collect(),
-                dest_seqnos: broken.iter().map(|(_, s)| *s).collect(),
-            };
+            let rerr = RouteError::new(self.me, next_hop, &broken);
             ctx.send_broadcast(NetPacket::Rerr(rerr));
         }
     }

@@ -15,6 +15,8 @@ use manet_tcp::{FlowProfile, TcpConfig};
 use manet_wire::NodeId;
 use mts_core::MtsConfig;
 use rand::Rng;
+use std::fmt;
+use std::str::FromStr;
 
 /// One flow of a scenario: the endpoint pair plus its start time and byte
 /// budget.
@@ -99,6 +101,70 @@ pub struct RunKey {
     pub seed: u64,
     /// Simulated duration, seconds.
     pub duration: f64,
+}
+
+/// `PROTOCOL/ATTACK/SPEED/SEED/SECS`, e.g. `MTS-H/blackhole(x2)/10/1/30`:
+/// the protocol's name, the attack's row label in the attack matrix, the
+/// speed in m/s, the seed and the simulated seconds.
+impl fmt::Display for RunKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RunKey {
+            protocol,
+            attack,
+            max_speed,
+            seed,
+            duration,
+        } = self;
+        write!(f, "{protocol}/{attack}/{max_speed}/{seed}/{duration}")
+    }
+}
+
+/// Reads what [`RunKey`]'s `Display` writes, the `/SECS` optional (the
+/// paper's 200 s): a protocol of [`Protocol::WITH_HARDENED`], an attack of
+/// [`AttackConfig::canonical_matrix`], a finite speed >= 0, a whole-number
+/// seed and a finite duration > 0.  The error names the field at fault.
+///
+/// ```
+/// use manet_experiments::{Protocol, RunKey};
+///
+/// let key: RunKey = "MTS-H/blackhole(x2)/10/1/30".parse().unwrap();
+/// assert_eq!((key.protocol, key.seed, key.duration), (Protocol::MtsHardened, 1, 30.0));
+/// assert_eq!(key.to_string().parse::<RunKey>(), Ok(key));
+/// assert!("MTS/blackhole(x9)/10/1".parse::<RunKey>().is_err());
+/// ```
+impl FromStr for RunKey {
+    type Err = String;
+
+    fn from_str(key: &str) -> Result<Self, String> {
+        let (name, label, speed, seed, secs) = match key.split('/').collect::<Vec<_>>()[..] {
+            [p, a, v, s] => (p, a, v, s, "200"),
+            [p, a, v, s, d] => (p, a, v, s, d),
+            _ => return Err(format!("{key:?} is not PROTOCOL/ATTACK/SPEED/SEED[/SECS]")),
+        };
+        let Some(protocol) = Protocol::WITH_HARDENED
+            .into_iter()
+            .find(|p| p.name() == name)
+        else {
+            return Err(format!("unknown protocol {name:?}"));
+        };
+        let mut attacks = AttackConfig::canonical_matrix().into_iter();
+        let Some(attack) = attacks.find(|a| a.to_string() == label) else {
+            return Err(format!("unknown attack {label:?}"));
+        };
+        let number = |what: &str, v: &str, ok: fn(&f64) -> bool| {
+            let x = v.parse().ok().filter(ok);
+            x.ok_or(format!("{what} {v:?} is out of range"))
+        };
+        Ok(RunKey {
+            protocol,
+            attack,
+            max_speed: number("speed", speed, |v| v.is_finite() && *v >= 0.0)?,
+            seed: seed
+                .parse()
+                .map_err(|_| format!("seed {seed:?} is not a whole number"))?,
+            duration: number("duration", secs, |d| d.is_finite() && *d > 0.0)?,
+        })
+    }
 }
 
 /// A complete experiment scenario.
@@ -539,6 +605,43 @@ mod tests {
                 armed.attack = AttackConfig::none();
                 assert_eq!(armed, clean, "{attack} changed the scenario");
             }
+        }
+    }
+
+    /// Every key of the attack grid prints as a key that reads back equal,
+    /// and a key naming no protocol, no matrix attack or a bad number reads
+    /// as an error that names it.
+    #[test]
+    fn run_keys_round_trip_through_their_labels() {
+        for protocol in Protocol::WITH_HARDENED {
+            for attack in AttackConfig::canonical_matrix() {
+                for (max_speed, duration) in [(0.0, 200.0), (2.5, 30.0), (20.0, 0.5)] {
+                    let key = RunKey {
+                        protocol,
+                        attack,
+                        max_speed,
+                        seed: 7,
+                        duration,
+                    };
+                    assert_eq!(key.to_string().parse(), Ok(key), "{key}");
+                }
+            }
+        }
+        let key: RunKey = "MTS-H/blackhole(x2)/10/1".parse().unwrap();
+        assert_eq!(key.to_string(), "MTS-H/blackhole(x2)/10/1/200");
+        for (bad, named) in [
+            ("MTS/clean/10", "PROTOCOL/ATTACK"),
+            ("MTS/clean/10/1/30/2", "PROTOCOL/ATTACK"),
+            ("mts/clean/10/1", "protocol \"mts\""),
+            ("MTS/blackhole(x3)/10/1", "attack \"blackhole(x3)\""),
+            ("MTS/clean/-1/1", "speed \"-1\""),
+            ("MTS/clean/inf/1", "speed \"inf\""),
+            ("MTS/clean/10/1.5", "seed \"1.5\""),
+            ("MTS/clean/10/1/0", "duration \"0\""),
+            ("MTS/clean/10/1/NaN", "duration \"NaN\""),
+        ] {
+            let err = bad.parse::<RunKey>().expect_err(bad);
+            assert!(err.contains(named), "{bad}: {err}");
         }
     }
 

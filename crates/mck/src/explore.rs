@@ -430,12 +430,7 @@ mod tests {
                 route: vec![],
                 dest_seqno: SeqNo(0),
             }),
-            FrameKind::Rerr => NetPacket::Rerr(RouteError {
-                reporter: a,
-                broken_next_hop: b,
-                unreachable: vec![],
-                dest_seqnos: vec![],
-            }),
+            FrameKind::Rerr => NetPacket::Rerr(RouteError::new(a, b, &[])),
             FrameKind::Check => NetPacket::Check(RouteCheck {
                 source: a,
                 destination: b,

@@ -101,17 +101,8 @@ impl Aodv {
     }
 
     fn send_rerr_for(&mut self, ctx: &mut Ctx<'_>, dest: NodeId) {
-        let seqno = self
-            .table
-            .entry(dest)
-            .map(|e| e.dest_seqno)
-            .unwrap_or(SeqNo(0));
-        let rerr = RouteError {
-            reporter: self.me,
-            broken_next_hop: dest,
-            unreachable: vec![dest],
-            dest_seqnos: vec![seqno],
-        };
+        let seqno = self.table.entry(dest).map_or(SeqNo(0), |e| e.dest_seqno);
+        let rerr = RouteError::new(self.me, dest, &[(dest, seqno)]);
         ctx.send_broadcast(NetPacket::Rerr(rerr));
     }
 
@@ -207,20 +198,10 @@ impl Aodv {
 
     /// Handle a route error (by reference — RERRs are broadcast).
     fn handle_rerr(&mut self, ctx: &mut Ctx<'_>, from: NodeId, rerr: &RouteError) {
-        let mut invalidated = Vec::new();
-        for (dest, seqno) in rerr.unreachable.iter().zip(rerr.dest_seqnos.iter()) {
-            if self.table.invalidate_dest_via(*dest, from, *seqno) {
-                invalidated.push((*dest, *seqno));
-            }
-        }
-        if !invalidated.is_empty() {
-            // Propagate only if we actually lost routes (damps RERR storms).
-            let rerr = RouteError {
-                reporter: self.me,
-                broken_next_hop: from,
-                unreachable: invalidated.iter().map(|(d, _)| *d).collect(),
-                dest_seqnos: invalidated.iter().map(|(_, s)| *s).collect(),
-            };
+        let lost = self.table.invalidate_listed(from, rerr);
+        if !lost.is_empty() {
+            // Propagate only the routes lost here (damps RERR storms).
+            let rerr = RouteError::new(self.me, from, &lost);
             ctx.send_broadcast(NetPacket::Rerr(rerr));
         }
     }
@@ -289,12 +270,7 @@ impl RoutingAgent for Aodv {
     fn on_link_failure(&mut self, ctx: &mut Ctx<'_>, next_hop: NodeId, packet: NetPacket) {
         let broken = self.table.invalidate_via(next_hop);
         if !broken.is_empty() {
-            let rerr = RouteError {
-                reporter: self.me,
-                broken_next_hop: next_hop,
-                unreachable: broken.iter().map(|(d, _)| *d).collect(),
-                dest_seqnos: broken.iter().map(|(_, s)| *s).collect(),
-            };
+            let rerr = RouteError::new(self.me, next_hop, &broken);
             ctx.send_broadcast(NetPacket::Rerr(rerr));
         }
         // Salvage the undelivered data packet if we originated it: buffer it

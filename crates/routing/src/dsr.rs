@@ -254,12 +254,7 @@ impl Dsr {
     /// Propagate a route error for the broken link back to the source of the
     /// packet that failed, using the reversed prefix of its source route.
     fn report_broken_link(&mut self, ctx: &mut Ctx<'_>, broken_next: NodeId, packet: &DataPacket) {
-        let rerr = RouteError {
-            reporter: self.me,
-            broken_next_hop: broken_next,
-            unreachable: vec![packet.dst],
-            dest_seqnos: vec![SeqNo(0)],
-        };
+        let rerr = RouteError::new(self.me, broken_next, &[(packet.dst, SeqNo(0))]);
         // Route the error back towards the packet source along the reverse of
         // the packet's source route, if we are on it; otherwise broadcast so
         // nearby caches still learn about the broken link.

@@ -2,7 +2,7 @@
 
 use manet_netsim::FxHashMap;
 use manet_netsim::SimTime;
-use manet_wire::{NodeId, SeqNo};
+use manet_wire::{NodeId, RouteError, SeqNo};
 use std::collections::hash_map::Entry;
 
 /// Seconds an installed or refreshed route stays usable (AODV's
@@ -135,19 +135,25 @@ impl RoutingTable {
         broken
     }
 
-    /// Invalidate the route to `dest` if it goes through `next_hop` (RERR
-    /// processing).  Returns true if an entry was invalidated.
-    pub fn invalidate_dest_via(&mut self, dest: NodeId, next_hop: NodeId, seqno: SeqNo) -> bool {
-        if let Some(e) = self.entries.get_mut(&dest) {
-            if e.valid && e.next_hop == next_hop {
+    /// The route-error rule of AODV and MTS (RFC 3561 §6.11): invalidate
+    /// each destination `rerr` lists whose valid route goes through `from`,
+    /// taking the listed sequence number where it is fresher.  Returns those
+    /// destinations with their listed sequence numbers, in list order: the
+    /// contents of the RERR to pass on.  Allocates nothing when nothing was
+    /// lost, which is where most copies of a broadcast RERR land.
+    pub fn invalidate_listed(&mut self, from: NodeId, rerr: &RouteError) -> Vec<(NodeId, SeqNo)> {
+        let mut lost = Vec::new();
+        for (&dest, &seqno) in rerr.unreachable.iter().zip(&rerr.dest_seqnos) {
+            let listed = self.entries.get_mut(&dest);
+            if let Some(e) = listed.filter(|e| e.valid && e.next_hop == from) {
                 e.valid = false;
                 if seqno.fresher_than(e.dest_seqno) {
                     e.dest_seqno = seqno;
                 }
-                return true;
+                lost.push((dest, seqno));
             }
         }
-        false
+        lost
     }
 
     /// All destinations with any entry.
@@ -246,10 +252,20 @@ mod tests {
     fn rerr_invalidation_requires_matching_next_hop() {
         let mut rt = RoutingTable::new();
         rt.update(D, NodeId(1), 3, SeqNo(1), t(0.0));
-        assert!(!rt.invalidate_dest_via(D, NodeId(2), SeqNo(9)));
-        assert!(rt.invalidate_dest_via(D, NodeId(1), SeqNo(9)));
+        rt.update(NodeId(8), NodeId(2), 3, SeqNo(4), t(0.0));
+        let listed = [(NodeId(7), SeqNo(2)), (D, SeqNo(9)), (NodeId(8), SeqNo(5))];
+        let rerr = RouteError::new(NodeId(1), NodeId(3), &listed);
+        assert!(rt.invalidate_listed(NodeId(3), &rerr).is_empty());
+        // Only the listed route through the sender is lost, and it is
+        // returned with the listed sequence number, which it adopts.
+        assert_eq!(rt.invalidate_listed(NodeId(1), &rerr), [(D, SeqNo(9))]);
         assert!(rt.lookup(D, t(1.0)).is_none());
         assert_eq!(rt.entry(D).unwrap().dest_seqno, SeqNo(9));
+        assert!(rt.lookup(NodeId(8), t(1.0)).is_some());
+        assert!(
+            rt.invalidate_listed(NodeId(1), &rerr).is_empty(),
+            "lost once"
+        );
     }
 
     /// The table's rules written out once more, over an ordered map: the
@@ -337,33 +353,43 @@ mod tests {
             broken
         }
 
-        fn invalidate_dest_via(&mut self, dest: NodeId, next_hop: NodeId, seqno: SeqNo) -> bool {
-            let Some(e) = self.entries.get_mut(&dest) else {
-                return false;
-            };
-            if !(e.valid && e.next_hop == next_hop) {
-                return false;
+        /// Each listed destination held valid via `from` is lost, in turn,
+        /// so a destination listed twice is lost at most once.  Sorted.
+        fn invalidate_listed(
+            &mut self,
+            from: NodeId,
+            listed: &[(NodeId, SeqNo)],
+        ) -> Vec<(NodeId, SeqNo)> {
+            let mut lost = Vec::new();
+            for &(dest, seqno) in listed {
+                let Some(e) = self.entries.get_mut(&dest) else {
+                    continue;
+                };
+                if e.valid && e.next_hop == from {
+                    e.valid = false;
+                    if seqno.fresher_than(e.dest_seqno) {
+                        e.dest_seqno = seqno;
+                    }
+                    lost.push((dest, seqno));
+                }
             }
-            e.valid = false;
-            if seqno.fresher_than(e.dest_seqno) {
-                e.dest_seqno = seqno;
-            }
-            true
+            lost.sort_unstable();
+            lost
         }
     }
 
     proptest! {
-        /// Random updates, refreshes, invalidations, lookups and forwards at
-        /// non-decreasing times, some steps landing exactly on a route's
-        /// expiry: every return value and, after every call, every stored
-        /// entry equal the model's.
+        /// Random updates, refreshes, invalidations (by next hop and by a
+        /// RERR's list), lookups and forwards at non-decreasing times, some
+        /// steps landing exactly on a route's expiry: every return value and,
+        /// after every call, every stored entry equal the model's.
         #[test]
         fn routing_table_matches_the_ordered_model(
             calls in proptest::collection::vec(
-                // (operation, destination, (next hop, hop count),
-                // (sequence number, time step in seconds)).
+                // ((operation, RERR list), destination, (next hop, hop
+                // count), (sequence number, time step in seconds)).
                 (
-                    0u8..6,
+                    (0u8..6, proptest::collection::vec((0u16..5, 0u32..4), 0..4)),
                     0u16..5,
                     (0u16..3, 1u32..6),
                     (0u32..4, (0u8..8, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
@@ -379,7 +405,7 @@ mod tests {
             let mut table = RoutingTable::new();
             let mut model = ModelTable::default();
             let mut now = 0.0f64;
-            for (op, dest, (via, hops), (seq, step)) in calls {
+            for ((op, listed), dest, (via, hops), (seq, step)) in calls {
                 now += step;
                 let (at, dest, via, seq) = (t(now), NodeId(dest), NodeId(via), SeqNo(seq));
                 match op {
@@ -397,11 +423,18 @@ mod tests {
                         broken.sort_unstable();
                         prop_assert_eq!(broken, model.invalidate_via(via), "invalidate_via({:?})", via);
                     }
-                    3 => prop_assert_eq!(
-                        table.invalidate_dest_via(dest, via, seq),
-                        model.invalidate_dest_via(dest, via, seq),
-                        "invalidate_dest_via({:?}, {:?}, {:?})", dest, via, seq
-                    ),
+                    3 => {
+                        let listed: Vec<(NodeId, SeqNo)> =
+                            listed.into_iter().map(|(d, s)| (NodeId(d), SeqNo(s))).collect();
+                        let rerr = RouteError::new(NodeId(7), via, &listed);
+                        let mut lost = table.invalidate_listed(via, &rerr);
+                        lost.sort_unstable();
+                        prop_assert_eq!(
+                            lost,
+                            model.invalidate_listed(via, &listed),
+                            "invalidate_listed({:?}, {:?})", via, listed
+                        );
+                    }
                     4 => prop_assert_eq!(
                         table.forward(dest, at),
                         model.forward(dest, at),

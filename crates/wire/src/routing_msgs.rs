@@ -112,6 +112,18 @@ pub struct RouteError {
 }
 
 impl RouteError {
+    /// The error `reporter` sends when its routes through `broken_next_hop`
+    /// to the destinations of `lost` broke: one `(destination, sequence
+    /// number)` pair per unreachable destination, in order.
+    pub fn new(reporter: NodeId, broken_next_hop: NodeId, lost: &[(NodeId, SeqNo)]) -> Self {
+        RouteError {
+            reporter,
+            broken_next_hop,
+            unreachable: lost.iter().map(|&(dest, _)| dest).collect(),
+            dest_seqnos: lost.iter().map(|&(_, seqno)| seqno).collect(),
+        }
+    }
+
     /// Size on the wire.
     pub fn size_bytes(&self) -> u32 {
         sizes::IP_HEADER_BYTES
@@ -311,12 +323,13 @@ mod tests {
 
     #[test]
     fn rerr_size_counts_both_lists() {
-        let e = RouteError {
-            reporter: NodeId(1),
-            broken_next_hop: NodeId(2),
-            unreachable: vec![NodeId(9), NodeId(8)],
-            dest_seqnos: vec![SeqNo(1), SeqNo(2)],
-        };
+        let e = RouteError::new(
+            NodeId(1),
+            NodeId(2),
+            &[(NodeId(9), SeqNo(1)), (NodeId(8), SeqNo(2))],
+        );
+        assert_eq!(e.unreachable, [NodeId(9), NodeId(8)]);
+        assert_eq!(e.dest_seqnos, [SeqNo(1), SeqNo(2)]);
         assert_eq!(
             e.size_bytes(),
             sizes::IP_HEADER_BYTES + sizes::RERR_FIXED_BYTES + 2 * sizes::node_list_bytes(2)

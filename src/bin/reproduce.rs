@@ -13,7 +13,7 @@ use manet_experiments::attacks::{attack_matrix, render_attack_matrix, AttackSwee
 use manet_experiments::figures::{table1_relay_table, FigureId};
 use manet_experiments::report::{render_figure, render_relay_table};
 use manet_experiments::runner::{run_scenario_with_recorder, sweep, SweepSpec};
-use manet_experiments::{Protocol, Scenario};
+use manet_experiments::{Protocol, RunKey, Scenario};
 use manet_mck::{
     blackhole_corridor, explore, outcome_digest, run_with_trace, ExploreSpec, Invariant, Verdict,
 };
@@ -42,6 +42,7 @@ struct Args {
     speeds: Option<Vec<f64>>,
     /// The operand of `trace`.
     file: String,
+    run: Option<RunKey>,
     nodes: Option<u16>,
     secs: Option<f64>,
     packet: Option<(u32, u64)>,
@@ -95,9 +96,9 @@ const SUBCOMMANDS: [Subcommand; 4] = [
     Subcommand {
         name: "trace",
         operand: " FILE",
-        about: "run one scaled MTS scenario with telemetry on (1 s sampler windows) and write \
-                the event stream to FILE as NDJSON",
-        flags: &[NODES, SECS, PACKET],
+        about: "run one scaled MTS scenario, or the grid run --run names, with telemetry on (1 s \
+                sampler windows) and write the event stream to FILE as NDJSON",
+        flags: &[RUN, NODES, SECS, PACKET],
         run: run_trace,
     },
     Subcommand {
@@ -143,15 +144,26 @@ const SPEEDS: Flag = Flag {
         put(&mut a.speeds, list(v, speed))
     },
 };
+const RUN: Flag = Flag {
+    name: "--run",
+    help: "KEY  trace this run of the figure and attack grid instead, \
+           PROTOCOL/ATTACK/SPEED/SEED[/SECS] such as MTS-H/blackhole(x2)/10/1/30: PROTOCOL is \
+           DSR, AODV, MTS or MTS-H, ATTACK a row label of `reproduce attacks`, SECS [200]; \
+           not with --nodes or --secs",
+    parse: |a, v| match (a.nodes, a.secs) {
+        (None, None) => put(&mut a.run, v.parse().ok()),
+        _ => None,
+    },
+};
 const NODES: Flag = Flag {
     name: "--nodes",
-    help: "N  node count of the scaled scenario (constant density), N >= 2 [200]",
-    parse: |a, v| put(&mut a.nodes, at_least(v, 2)),
+    help: "N  node count of the scaled scenario (constant density), N >= 2, not with --run [200]",
+    parse: |a, v| put(&mut a.nodes, at_least(v, 2).filter(|_| a.run.is_none())),
 };
 const SECS: Flag = Flag {
     name: "--secs",
-    help: "S  simulated seconds per run, finite and > 0 [trace 10, explore 2]",
-    parse: |a, v| put(&mut a.secs, seconds(v)),
+    help: "S  simulated seconds per run, finite and > 0, not with --run [trace 10, explore 2]",
+    parse: |a, v| put(&mut a.secs, seconds(v).filter(|_| a.run.is_none())),
 };
 const PACKET: Flag = Flag {
     name: "--packet",
@@ -373,15 +385,22 @@ fn telemetry_on(trace_packet: Option<(u32, u64)>) -> TelemetryConfig {
 }
 
 fn run_trace(args: &Args) -> Result<(), String> {
-    let (nodes, secs) = (args.nodes.unwrap_or(200), args.secs.unwrap_or(10.0));
-    let mut scenario = Scenario::scaled(Protocol::Mts, nodes, 10.0, 1);
-    scenario = scenario.with_telemetry(telemetry_on(args.packet));
-    scenario.sim.duration = Duration::from_secs(secs);
+    let (scenario, what) = match &args.run {
+        Some(key) => (Scenario::from_key(key), format!("grid run {key}")),
+        None => {
+            let (nodes, secs) = (args.nodes.unwrap_or(200), args.secs.unwrap_or(10.0));
+            let mut scenario = Scenario::scaled(Protocol::Mts, nodes, 10.0, 1);
+            scenario.sim.duration = Duration::from_secs(secs);
+            let what = format!("scaled MTS scenario, n={nodes}, {secs} simulated seconds");
+            (scenario, what)
+        }
+    };
+    let scenario = scenario.with_telemetry(telemetry_on(args.packet));
     let tagged = match args.packet {
         Some((conn, seq)) => format!(", tracing packet {conn}:{seq}"),
         None => String::new(),
     };
-    eprintln!("# telemetry run: scaled MTS scenario, n={nodes}, {secs} simulated seconds{tagged}");
+    eprintln!("# telemetry run: {what}{tagged}");
     let (_, recorder) = run_scenario_with_recorder(&scenario);
     write_ndjson_file(recorder.telemetry.events(), &args.file)
 }
@@ -527,6 +546,15 @@ mod tests {
             assert_eq!(parse_line(line), expected, "{line}");
         }
         assert_eq!(parse_line("--help"), Ok(Command::Help(usage(None))));
+        let key = "MTS-H/blackhole(x2)/10/1/30";
+        let run = Args {
+            file: "out.ndjson".into(),
+            run: Some(key.parse().unwrap()),
+            packet: Some((0, 0)),
+            ..Args::default()
+        };
+        let line = format!("trace out.ndjson --run {key} --packet 0:0");
+        assert_eq!(parse_line(&line), Ok(Command::Run(2, run.into())));
     }
 
     /// `arguments => what the error must mention`, one case per line.
@@ -547,6 +575,15 @@ mod tests {
         trace a.ndjson b.ndjson => unexpected argument \"b.ndjson\"
         trace f --packet 7 => --packet \"7\"
         trace f --nodes 1 => --nodes \"1\"
+        trace f --run MTS/clean/10 => --run \"MTS/clean/10\"
+        trace f --run MTS-X/clean/10/1 => --run \"MTS-X/clean/10/1\"
+        trace f --run MTS/blackhole(x3)/10/1 => --run \"MTS/blackhole(x3)/10/1\"
+        trace f --run MTS/clean/-1/1 => --run \"MTS/clean/-1/1\"
+        trace f --run MTS/clean/10/-1 => --run \"MTS/clean/10/-1\"
+        trace f --run MTS/clean/10/1/0 => --run \"MTS/clean/10/1/0\"
+        trace f --nodes 100 --run MTS/clean/10/1 => --run \"MTS/clean/10/1\"
+        trace f --run MTS/clean/10/1 --secs 3 => --secs \"3\"
+        attacks --run MTS/clean/10/1 => --run is a flag of `reproduce trace`, not of `attacks`
         explore --nodes 3 => --nodes \"3\"
         explore --invariant safe => --invariant \"safe\"
         explore --kinds DATA,BEACON => --kinds \"DATA,BEACON\"";

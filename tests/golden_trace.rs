@@ -74,8 +74,8 @@ struct GoldenRow {
 /// (10 m/s, seed 1, 30 s), `"diamond"` the hand-placed topology of
 /// `examples/route_discovery_trace.rs` (source 0 and destination 3 joined
 /// through relays 1 and 2, a longer path over relay 4, 12 s), and `"storm"`
-/// 20 random-pair flows over 200 nodes (10 m/s, seed 1, 5 s): ~21 000 RREQ
-/// relays and ~14 000 RERRs, so it pins the flood-relay and route-error
+/// 20 random-pair flows over 200 nodes (10 m/s, seed 1, 5 s) on MTS: ~7 000
+/// RREQ relays and ~900 RERRs, so it pins the flood-relay and route-error
 /// paths that single-flow runs barely reach.
 fn golden_scenario(label: &str, protocol: Protocol) -> Scenario {
     match label {
@@ -140,9 +140,10 @@ fn measure(scenario: &'static str, protocol: Protocol) -> GoldenRow {
 /// 10 m/s, seed 1, 30 simulated seconds.  The diamond row was measured from
 /// the simulator the route-discovery example assembled by hand before it
 /// became a `Scenario`, so it pins the two assemblies as equal.  The storm
-/// row was measured before the routing table lost its precursor lists and
-/// RREQ relays became `RouteRequest::relayed_by`, so it pins those as
-/// behaviour-neutral.
+/// row (200 nodes, 20 flows, 5 s) pins MTS's route-error rule, the one AODV
+/// follows: a node passes on a RERR naming only the listed routes it lost
+/// through the sender (`RoutingTable::invalidate_listed`), not the whole list
+/// it received.
 const GOLDEN: [GoldenRow; 5] = [
     GoldenRow {
         scenario: "paper",
@@ -199,15 +200,15 @@ const GOLDEN: [GoldenRow; 5] = [
     GoldenRow {
         scenario: "storm",
         protocol: Protocol::Mts,
-        trace_digest: 17403501576621008098,
-        trace_len: 54389,
-        originated: 2239,
-        delivered: 2030,
-        control_tx: 36524,
-        collisions: 8825,
-        link_failures: 22,
-        bytes_acked: 1762000,
-        bytes_delivered: 2030000,
+        trace_digest: 13505917206392231394,
+        trace_len: 50376,
+        originated: 5091,
+        delivered: 4853,
+        control_tx: 8443,
+        collisions: 6218,
+        link_failures: 56,
+        bytes_acked: 4340000,
+        bytes_delivered: 4853000,
     },
 ];
 
