@@ -150,9 +150,9 @@ const RUN: Flag = Flag {
            PROTOCOL/ATTACK/SPEED/SEED[/SECS] such as MTS-H/blackhole(x2)/10/1/30: PROTOCOL is \
            DSR, AODV, MTS or MTS-H, ATTACK a row label of `reproduce attacks`, SECS [200]; \
            not with --nodes or --secs",
-    parse: |a, v| match (a.nodes, a.secs) {
-        (None, None) => put(&mut a.run, v.parse().ok()),
-        _ => None,
+    parse: |a, v| {
+        let alone = a.nodes.is_none() && a.secs.is_none();
+        put(&mut a.run, v.parse().ok().filter(|_| alone))
     },
 };
 const NODES: Flag = Flag {
