@@ -5,8 +5,7 @@
 //! intensity matrix.  Runs with [`AttackKind::None`] are byte-identical to
 //! pre-adversary runs (no extra randomness is consumed anywhere).
 
-use manet_netsim::{Duration, JamConfig, JamTarget, RushConfig, WormholeConfig};
-use manet_security::{CoalitionPlacement, CoverageBasis};
+use manet_netsim::{JamConfig, JamTarget, RushConfig, WormholeConfig};
 use manet_wire::NodeId;
 use std::fmt;
 
@@ -17,14 +16,11 @@ pub enum AttackKind {
     None,
     /// A coalition of `k` colluding eavesdroppers; purely passive, evaluated
     /// from the finished run's trace (union coverage, generalizing Eq. 1 to
-    /// `Pe(coalition) / Pr`).
+    /// `Pe(coalition) / Pr`).  The members are placed greedily over the
+    /// packets they relayed: the near-worst case.
     Coalition {
         /// Coalition size (the paper's single eavesdropper is `k = 1`).
         k: u8,
-        /// Placement strategy.
-        placement: CoalitionPlacement,
-        /// Which per-node packet sets are unioned.
-        basis: CoverageBasis,
     },
     /// Black-hole / gray-hole relays: the attackers answer route discoveries
     /// with forged replies (claiming a fresh zero-hop route) to attract
@@ -37,11 +33,9 @@ pub enum AttackKind {
         drop_fraction: f64,
     },
     /// The designated eavesdropper steers its random-waypoint destinations
-    /// toward the source–destination corridor instead of roaming uniformly.
-    MobileEavesdropper {
-        /// Maximum perpendicular offset from the corridor, metres.
-        corridor_jitter_m: f64,
-    },
+    /// toward the source–destination corridor instead of roaming uniformly,
+    /// at most [`crate::mobile::CORRIDOR_JITTER_M`] off its centre line.
+    MobileEavesdropper,
     /// Selective jamming: hostile nodes statistically destroy receptions of
     /// the targeted frame class in their radio vicinity.
     Jamming {
@@ -55,11 +49,9 @@ pub enum AttackKind {
     /// A wormhole pair: two colluders joined by an out-of-band tunnel
     /// (engine-level link hook, see [`manet_netsim::WormholeConfig`]).
     /// Discovery floods cross the tunnel, so routes collapse through the
-    /// pair, which then sees — *captures* — the attracted traffic.
-    Wormhole {
-        /// One-way tunnel latency, seconds.
-        tunnel_delay: f64,
-    },
+    /// pair, which then sees — *captures* — the attracted traffic.  The
+    /// tunnel's latency is [`manet_netsim::config::WORMHOLE_DELAY`].
+    Wormhole,
     /// Rushing attackers: relays that forward with zero processing delay
     /// (no DIFS, no backoff — see [`manet_netsim::RushConfig`]), so their
     /// RREQ copies win the duplicate-suppression race and discovered routes
@@ -92,13 +84,9 @@ impl AttackConfig {
     }
 
     /// A colluding eavesdropper coalition of size `k`.
-    pub fn coalition(k: u8, placement: CoalitionPlacement) -> Self {
+    pub fn coalition(k: u8) -> Self {
         AttackConfig {
-            kind: AttackKind::Coalition {
-                k,
-                placement,
-                basis: CoverageBasis::Relayed,
-            },
+            kind: AttackKind::Coalition { k },
         }
     }
 
@@ -125,9 +113,7 @@ impl AttackConfig {
     /// A corridor-steering mobile eavesdropper.
     pub fn mobile_eavesdropper() -> Self {
         AttackConfig {
-            kind: AttackKind::MobileEavesdropper {
-                corridor_jitter_m: 100.0,
-            },
+            kind: AttackKind::MobileEavesdropper,
         }
     }
 
@@ -146,7 +132,7 @@ impl AttackConfig {
     /// A wormhole pair with a 1 µs out-of-band tunnel.
     pub fn wormhole() -> Self {
         AttackConfig {
-            kind: AttackKind::Wormhole { tunnel_delay: 1e-6 },
+            kind: AttackKind::Wormhole,
         }
     }
 
@@ -169,7 +155,7 @@ impl AttackConfig {
         match self.kind {
             AttackKind::Blackhole { attackers, .. } => attackers,
             AttackKind::Jamming { jammers, .. } => jammers,
-            AttackKind::Wormhole { .. } => 2,
+            AttackKind::Wormhole => 2,
             AttackKind::Rushing { attackers } => attackers,
             _ => 0,
         }
@@ -180,7 +166,7 @@ impl AttackConfig {
     pub fn captures_traffic(&self) -> bool {
         matches!(
             self.kind,
-            AttackKind::Wormhole { .. } | AttackKind::Rushing { .. } | AttackKind::Blackhole { .. }
+            AttackKind::Wormhole | AttackKind::Rushing { .. } | AttackKind::Blackhole { .. }
         )
     }
 
@@ -196,8 +182,8 @@ impl AttackConfig {
     /// Validate the knobs.
     pub fn validate(&self) -> Result<(), String> {
         match self.kind {
-            AttackKind::None => Ok(()),
-            AttackKind::Coalition { k, .. } => {
+            AttackKind::None | AttackKind::MobileEavesdropper | AttackKind::Wormhole => Ok(()),
+            AttackKind::Coalition { k } => {
                 if k == 0 {
                     Err("coalition size k must be at least 1".into())
                 } else {
@@ -216,13 +202,6 @@ impl AttackConfig {
                 }
                 Ok(())
             }
-            AttackKind::MobileEavesdropper { corridor_jitter_m } => {
-                if corridor_jitter_m < 0.0 || !corridor_jitter_m.is_finite() {
-                    Err("corridor_jitter_m must be non-negative and finite".into())
-                } else {
-                    Ok(())
-                }
-            }
             AttackKind::Jamming {
                 jammers, loss_prob, ..
             } => {
@@ -233,13 +212,6 @@ impl AttackConfig {
                     return Err("jamming loss_prob must be in [0, 1]".into());
                 }
                 Ok(())
-            }
-            AttackKind::Wormhole { tunnel_delay } => {
-                if tunnel_delay < 0.0 || !tunnel_delay.is_finite() {
-                    Err("wormhole tunnel_delay must be non-negative and finite".into())
-                } else {
-                    Ok(())
-                }
             }
             AttackKind::Rushing { attackers } => {
                 if attackers == 0 {
@@ -261,7 +233,6 @@ impl AttackConfig {
                 jammers: attackers.to_vec(),
                 target,
                 loss_prob,
-                range_m: 0.0,
             }),
             _ => None,
         }
@@ -272,10 +243,9 @@ impl AttackConfig {
     /// become the tunnel endpoints).
     pub fn wormhole_config(&self, attackers: &[NodeId]) -> Option<WormholeConfig> {
         match self.kind {
-            AttackKind::Wormhole { tunnel_delay } if attackers.len() >= 2 => Some(WormholeConfig {
+            AttackKind::Wormhole if attackers.len() >= 2 => Some(WormholeConfig {
                 a: attackers[0],
                 b: attackers[1],
-                delay: Duration::from_secs(tunnel_delay),
             }),
             _ => None,
         }
@@ -311,7 +281,7 @@ impl AttackConfig {
     pub fn canonical_matrix() -> Vec<AttackConfig> {
         vec![
             AttackConfig::none(),
-            AttackConfig::coalition(3, CoalitionPlacement::Greedy),
+            AttackConfig::coalition(3),
             AttackConfig::grayhole(2, 0.5),
             AttackConfig::blackhole(2),
             AttackConfig::mobile_eavesdropper(),
@@ -327,17 +297,7 @@ impl fmt::Display for AttackConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind {
             AttackKind::None => write!(f, "clean"),
-            AttackKind::Coalition {
-                k,
-                placement,
-                basis,
-            } => {
-                let b = match basis {
-                    CoverageBasis::Relayed => "",
-                    CoverageBasis::Heard => ",heard",
-                };
-                write!(f, "coalition(k={k},{}{b})", placement.label())
-            }
+            AttackKind::Coalition { k } => write!(f, "coalition(k={k},greedy)"),
             AttackKind::Blackhole {
                 attackers,
                 drop_fraction,
@@ -348,7 +308,7 @@ impl fmt::Display for AttackConfig {
                     write!(f, "grayhole(x{attackers},p={drop_fraction})")
                 }
             }
-            AttackKind::MobileEavesdropper { .. } => write!(f, "mobile-eve"),
+            AttackKind::MobileEavesdropper => write!(f, "mobile-eve"),
             AttackKind::Jamming {
                 jammers,
                 target,
@@ -357,11 +317,10 @@ impl fmt::Display for AttackConfig {
                 let t = match target {
                     JamTarget::Control => "ctrl",
                     JamTarget::Data => "data",
-                    JamTarget::All => "all",
                 };
                 write!(f, "jam-{t}(x{jammers},p={loss_prob})")
             }
-            AttackKind::Wormhole { .. } => write!(f, "wormhole"),
+            AttackKind::Wormhole => write!(f, "wormhole"),
             AttackKind::Rushing { attackers } => write!(f, "rushing(x{attackers})"),
         }
     }
@@ -386,25 +345,8 @@ mod tests {
     }
 
     #[test]
-    fn coalition_labels_distinguish_the_basis() {
-        let relayed = AttackConfig::coalition(3, CoalitionPlacement::Greedy);
-        let heard = AttackConfig {
-            kind: AttackKind::Coalition {
-                k: 3,
-                placement: CoalitionPlacement::Greedy,
-                basis: CoverageBasis::Heard,
-            },
-        };
-        assert_ne!(relayed.to_string(), heard.to_string());
-        assert_eq!(relayed.to_string(), "coalition(k=3,greedy)");
-        assert_eq!(heard.to_string(), "coalition(k=3,greedy,heard)");
-    }
-
-    #[test]
     fn validation_rejects_bad_knobs() {
-        assert!(AttackConfig::coalition(0, CoalitionPlacement::Random)
-            .validate()
-            .is_err());
+        assert!(AttackConfig::coalition(0).validate().is_err());
         assert!(AttackConfig::blackhole(0).validate().is_err());
         assert!(AttackConfig::grayhole(1, 1.5).validate().is_err());
         assert!(AttackConfig::jamming(0, JamTarget::Data, 0.5)
@@ -413,11 +355,6 @@ mod tests {
         assert!(AttackConfig::jamming(1, JamTarget::Data, -0.1)
             .validate()
             .is_err());
-        let mut bad = AttackConfig::mobile_eavesdropper();
-        bad.kind = AttackKind::MobileEavesdropper {
-            corridor_jitter_m: f64::NAN,
-        };
-        assert!(bad.validate().is_err());
     }
 
     #[test]
@@ -425,14 +362,11 @@ mod tests {
         assert_eq!(AttackConfig::none().attackers_needed(), 0);
         assert_eq!(AttackConfig::blackhole(3).attackers_needed(), 3);
         assert_eq!(
-            AttackConfig::jamming(2, JamTarget::All, 0.5).attackers_needed(),
+            AttackConfig::jamming(2, JamTarget::Data, 0.5).attackers_needed(),
             2
         );
         assert_eq!(AttackConfig::mobile_eavesdropper().attackers_needed(), 0);
-        assert_eq!(
-            AttackConfig::coalition(4, CoalitionPlacement::Greedy).attackers_needed(),
-            0
-        );
+        assert_eq!(AttackConfig::coalition(4).attackers_needed(), 0);
     }
 
     #[test]
@@ -457,14 +391,9 @@ mod tests {
         assert_eq!(rush.rush_config(&nodes).unwrap().rushers, nodes.to_vec());
         assert!(rush.wormhole_config(&nodes).is_none());
         assert!(AttackConfig::rushing(0).validate().is_err());
-        let mut bad = AttackConfig::wormhole();
-        bad.kind = AttackKind::Wormhole {
-            tunnel_delay: f64::NAN,
-        };
-        assert!(bad.validate().is_err());
         // Passive attacks do not capture.
         assert!(!AttackConfig::none().captures_traffic());
-        assert!(!AttackConfig::coalition(2, CoalitionPlacement::Random).captures_traffic());
+        assert!(!AttackConfig::coalition(2).captures_traffic());
         assert!(AttackConfig::blackhole(1).captures_traffic());
     }
 

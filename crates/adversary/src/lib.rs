@@ -13,8 +13,8 @@
 //!   source–destination corridor instead of roaming uniformly.
 //!
 //! What the attackers achieve is analysis, not behaviour: coalition
-//! coverage and the capture ratio are [`manet_security::coalition`] and
-//! [`manet_security::capture`].
+//! coverage and the capture ratio are the `coalition` and `capture` modules
+//! of `manet_security`.
 //!
 //! Three attacks are engine-level hooks in `manet_netsim` built from the
 //! attack axis: selective jamming ([`manet_netsim::JamConfig`], via

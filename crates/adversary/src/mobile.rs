@@ -29,6 +29,11 @@ use rand::{Rng, RngCore};
 /// the pursuit re-plan frequently enough to track moving endpoints.
 pub const HOP_M: f64 = 150.0;
 
+/// Half-width of the corridor band the mobile eavesdropper's waypoints land
+/// in, metres: the largest perpendicular offset from the line between the
+/// endpoints' anchors.
+pub const CORRIDOR_JITTER_M: f64 = 100.0;
+
 /// Random waypoint with one corridor-steered node.
 #[derive(Debug, Clone)]
 pub struct CorridorMobility {

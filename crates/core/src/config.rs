@@ -1,7 +1,5 @@
 //! MTS protocol configuration.
 
-use manet_routing::suspicion::RouteCheckConfig;
-
 /// Tuning parameters for the MTS protocol.
 ///
 /// Defaults follow the paper: at most five disjoint paths stored at the
@@ -11,7 +9,7 @@ use manet_routing::suspicion::RouteCheckConfig;
 /// DSR and AODV run too, [`manet_routing::common::Discovery`], and has no
 /// knobs.  The route-check
 /// hardening mode (suspicious-reply cross-validation + per-relay suspicion,
-/// see [`RouteCheckConfig`]) is off by default, keeping the default
+/// see [`manet_routing::suspicion`]) is off by default, keeping the default
 /// configuration byte-identical to the paper's protocol.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MtsConfig {
@@ -23,8 +21,9 @@ pub struct MtsConfig {
     /// instead of using only the best one (SMR-like concurrent multipath,
     /// which the related work shows hurts TCP).
     pub concurrent_striping: bool,
-    /// Route-check hardening knobs (disabled by default).
-    pub route_check: RouteCheckConfig,
+    /// Route-check hardening switch (off by default).  Its thresholds,
+    /// penalties and decay are the constants of [`manet_routing::suspicion`].
+    pub hardening: bool,
 }
 
 impl Default for MtsConfig {
@@ -33,7 +32,7 @@ impl Default for MtsConfig {
             max_paths: 5,
             check_period: 3.0,
             concurrent_striping: false,
-            route_check: RouteCheckConfig::default(),
+            hardening: false,
         }
     }
 }
@@ -47,7 +46,6 @@ impl MtsConfig {
         if !(self.check_period > 0.0 && self.check_period.is_finite()) {
             return Err("check_period must be positive and finite".into());
         }
-        self.route_check.validate()?;
         Ok(())
     }
 
@@ -78,16 +76,13 @@ impl MtsConfig {
     /// use mts_core::MtsConfig;
     ///
     /// let hard = MtsConfig::default().hardened();
-    /// assert!(hard.route_check.enabled);
+    /// assert!(hard.hardening);
     /// // Every paper knob is untouched; only the defense is armed.
     /// assert_eq!(hard.max_paths, MtsConfig::default().max_paths);
     /// hard.validate().unwrap();
     /// ```
     pub fn hardened(mut self) -> Self {
-        self.route_check = RouteCheckConfig {
-            enabled: true,
-            ..self.route_check
-        };
+        self.hardening = true;
         self
     }
 }
@@ -113,22 +108,18 @@ mod tests {
 
     #[test]
     fn hardening_is_off_by_default_and_armable() {
-        assert!(!MtsConfig::default().route_check.enabled);
+        assert!(!MtsConfig::default().hardening);
         let hard = MtsConfig::default().hardened();
-        assert!(hard.route_check.enabled);
+        assert!(hard.hardening);
         hard.validate().unwrap();
         // Arming only flips the switch; all paper knobs are untouched.
         assert_eq!(
             MtsConfig {
-                route_check: RouteCheckConfig::default(),
+                hardening: false,
                 ..hard
             },
             MtsConfig::default()
         );
-        // Invalid hardening knobs are caught by the top-level validation.
-        let mut bad = MtsConfig::default().hardened();
-        bad.route_check.suspicion_decay = 2.0;
-        assert!(bad.validate().is_err());
     }
 
     #[test]

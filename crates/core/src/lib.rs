@@ -49,7 +49,7 @@ pub mod source_state;
 
 pub use config::MtsConfig;
 pub use disjoint::{first_last_hop_disjoint, node_disjoint};
-pub use manet_routing::suspicion::{RouteCheckConfig, SuspicionTable};
+pub use manet_routing::suspicion::SuspicionTable;
 pub use path_set::{PathSet, StoredPath};
 pub use protocol::Mts;
 pub use source_state::SourceRouteState;

@@ -19,9 +19,9 @@
 //!
 //! # Hardening mode
 //!
-//! With [`RouteCheckConfig::enabled`](manet_routing::suspicion::RouteCheckConfig)
-//! set (see [`MtsConfig::hardened`]), every MTS node additionally defends the
-//! route-checking machinery against insiders:
+//! With [`MtsConfig::hardening`] set (see [`MtsConfig::hardened`]), every
+//! MTS node additionally defends the route-checking machinery against
+//! insiders:
 //!
 //! * **Suspicious-reply cross-validation** — a route reply whose destination
 //!   sequence number jumps implausibly far beyond the best credibly learned
@@ -48,7 +48,10 @@ use manet_netsim::FxHashMap;
 use manet_netsim::{Ctx, DropReason, Duration, Observation, TimerToken};
 use manet_routing::agent::{RoutingAgent, TimerClass};
 use manet_routing::common::{record_data_drop, Discovery, Retry, SeenTable};
-use manet_routing::suspicion::SuspicionTable;
+use manet_routing::suspicion::{
+    seqno_is_suspicious, SuspicionTable, CHECK_FAILURE_PENALTY, FORGERY_PENALTY, SUSPICION_DECAY,
+    SUSPICION_THRESHOLD,
+};
 use manet_routing::table::RoutingTable;
 use manet_wire::{
     BroadcastId, CheckError, CheckId, DataPacket, NetPacket, NodeId, RouteCheck, RouteError,
@@ -176,10 +179,9 @@ impl Mts {
     /// cross-validation state.  Returns `true` when the reply must be
     /// discarded (suspicious); only called in hardened mode.
     fn hardened_rrep_is_suspicious(&mut self, from: NodeId, rrep: &RouteReply) -> bool {
-        let hard = self.config.route_check;
         let credible = self.credible_seqno.get(&rrep.destination).copied();
-        if hard.seqno_is_suspicious(rrep.dest_seqno, credible)
-            || self.suspicion.is_suspect(from, hard.suspicion_threshold)
+        if seqno_is_suspicious(rrep.dest_seqno, credible)
+            || self.suspicion.is_suspect(from, SUSPICION_THRESHOLD)
         {
             // Cross-validation (AODVSEC-style): never cache or install the
             // claim.  At the source the pending discovery stays armed, so
@@ -210,7 +212,7 @@ impl Mts {
             if let Some(q) = self.quarantine.remove(&rrep.destination) {
                 for relay in q.relays {
                     if relay != from {
-                        self.suspicion.penalize(relay, hard.forgery_penalty);
+                        self.suspicion.penalize(relay, FORGERY_PENALTY);
                         self.penalty_log.push((relay, self.suspicion.score(relay)));
                     }
                 }
@@ -393,12 +395,11 @@ impl Mts {
         // Hardened path-set bias: refuse to store candidate paths through
         // relays whose suspicion score crossed the threshold — repeat
         // offenders are selected away from, not checked forever.
-        let hard = self.config.route_check;
-        let path_tainted = hard.enabled
+        let path_tainted = self.config.hardening
             && full_path.len() > 2
             && self
                 .suspicion
-                .any_suspect(&full_path[1..full_path.len() - 1], hard.suspicion_threshold);
+                .any_suspect(&full_path[1..full_path.len() - 1], SUSPICION_THRESHOLD);
         let max_paths = self.config.max_paths;
         let session = self
             .sessions
@@ -434,7 +435,7 @@ impl Mts {
 
     fn handle_rrep(&mut self, ctx: &mut Ctx<'_>, from: NodeId, mut rrep: RouteReply) {
         let now = ctx.now();
-        if self.config.route_check.enabled {
+        if self.config.hardening {
             if self.hardened_rrep_is_suspicious(from, &rrep) {
                 ctx.observe(Observation::ForgedRrep {
                     node: self.me,
@@ -499,11 +500,10 @@ impl Mts {
 
     /// Emit one round of checking packets for the session with `source`.
     fn run_check_round(&mut self, ctx: &mut Ctx<'_>, source: NodeId) {
-        if self.config.route_check.enabled {
+        if self.config.hardening {
             // Suspicion is evidence with a half-life: relays that keep
             // behaving recover one checking round at a time.
-            self.suspicion
-                .decay_all(self.config.route_check.suspicion_decay);
+            self.suspicion.decay_all(SUSPICION_DECAY);
             // Periodic sampler feed: table size after the decay sweep.
             ctx.observe(Observation::SuspicionTable {
                 size: self.suspicion.tracked() as u32,
@@ -624,14 +624,13 @@ impl Mts {
             if let Some(session) = self.sessions.get_mut(&err.source) {
                 let idx = err.path_index as usize;
                 match session.paths.remove(idx) {
-                    Some(removed) if self.config.route_check.enabled => {
+                    Some(removed) if self.config.hardening => {
                         // Hardened: a failed check is evidence against every
                         // intermediate of the failed path — the blame is
                         // shared, repeat offenders accumulate it.
                         let inters = removed.intermediates();
                         if !inters.is_empty() {
-                            let share =
-                                self.config.route_check.check_failure_penalty / inters.len() as f64;
+                            let share = CHECK_FAILURE_PENALTY / inters.len() as f64;
                             let inters = inters.to_vec();
                             for n in inters {
                                 self.suspicion.penalize(n, share);
@@ -877,8 +876,7 @@ mod tests {
     fn suspect_relays_are_distrusted_even_with_credible_seqnos() {
         let config = MtsConfig::default().hardened();
         let mut m = Mts::new(NodeId(0), config);
-        let threshold = config.route_check.suspicion_threshold;
-        m.suspicion.penalize(NodeId(4), threshold);
+        m.suspicion.penalize(NodeId(4), SUSPICION_THRESHOLD);
         // Same credible sequence number: trusted relay passes, suspect fails.
         assert!(!m.hardened_rrep_is_suspicious(NodeId(5), &rrep(0, 9, 5, 2)));
         assert!(m.hardened_rrep_is_suspicious(NodeId(4), &rrep(0, 9, 4, 2)));
@@ -889,7 +887,7 @@ mod tests {
         let m = Mts::new(NodeId(1), MtsConfig::default());
         assert_eq!(m.suspicion().tracked(), 0);
         assert!(m.quarantined_relays(NodeId(9)).is_empty());
-        assert!(!m.config().route_check.enabled);
+        assert!(!m.config().hardening);
     }
 
     #[test]

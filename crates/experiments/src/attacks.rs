@@ -214,7 +214,6 @@ mod tests {
     use super::*;
     use crate::runner::{grid_keys, run_scenario, simulations};
     use crate::scenario::Scenario;
-    use manet_security::CoalitionPlacement;
 
     #[test]
     fn spec_counts_runs() {
@@ -245,7 +244,7 @@ mod tests {
             attacks: vec![
                 AttackConfig::none(),
                 AttackConfig::blackhole(2),
-                AttackConfig::coalition(2, CoalitionPlacement::Greedy),
+                AttackConfig::coalition(2),
             ],
             speeds: vec![10.0],
             seeds: vec![1],
@@ -263,11 +262,7 @@ mod tests {
         assert_eq!(clean.metrics.jammed_frames, 0);
         assert_eq!(clean.metrics.attacker_capture_ratio, 0.0);
         let coalition = outcome
-            .cell(
-                Protocol::Mts,
-                &AttackConfig::coalition(2, CoalitionPlacement::Greedy),
-                10.0,
-            )
+            .cell(Protocol::Mts, &AttackConfig::coalition(2), 10.0)
             .unwrap();
         assert!(coalition.metrics.coalition_interception_ratio >= 0.0);
         let text = render_attack_matrix(&outcome);
@@ -277,18 +272,20 @@ mod tests {
         assert!(text.contains("capture"));
     }
 
-    /// The rendered matrix of DSR and MTS × {clean, a random k = 3 coalition,
-    /// a wormhole} × 10 m/s × seed 1 × 5 s.  The text was taken from a build
+    /// The rendered matrix of DSR and MTS × {clean, a k = 3 coalition, a
+    /// wormhole} × 10 m/s × seed 1 × 5 s.  The text was taken from a build
     /// of the commit before coalition cells reused the clean runs, when every
     /// cell was simulated on its own: the coalition rows must still equal the
-    /// clean rows except in the `coalition` column.
+    /// clean rows except in the `coalition` column.  That build placed the
+    /// coalition at random; its rows are re-pinned to the greedy placement,
+    /// the only one left, which sees the whole of both 5 s sessions.
     #[test]
     fn rendered_matrix_of_a_tiny_spec_is_pinned() {
         let spec = AttackSweepSpec {
             protocols: vec![Protocol::Dsr, Protocol::Mts],
             attacks: vec![
                 AttackConfig::none(),
-                AttackConfig::coalition(3, CoalitionPlacement::Random),
+                AttackConfig::coalition(3),
                 AttackConfig::wormhole(),
             ],
             speeds: vec![10.0],
@@ -304,13 +301,13 @@ mod tests {
         "[DSR @ 10 m/s]\n",
         "                  attack    delivery   thru(pkt)   adv.drops      jammed   coalition     capture\n",
         "                   clean      0.9730    648.0000      0.0000      0.0000      0.0000      0.0000\n",
-        "     coalition(k=3,rand)      0.9730    648.0000      0.0000      0.0000      0.0000      0.0000\n",
+        "   coalition(k=3,greedy)      0.9730    648.0000      0.0000      0.0000      1.0000      0.0000\n",
         "                wormhole      0.9973    748.0000      0.0000      0.0000      0.0000      0.9439\n",
         "\n",
         "[MTS @ 10 m/s]\n",
         "                  attack    delivery   thru(pkt)   adv.drops      jammed   coalition     capture\n",
         "                   clean      0.9631    548.0000      0.0000      0.0000      0.0000      0.0000\n",
-        "     coalition(k=3,rand)      0.9631    548.0000      0.0000      0.0000      0.0018      0.0000\n",
+        "   coalition(k=3,greedy)      0.9631    548.0000      0.0000      0.0000      1.0000      0.0000\n",
         "                wormhole      0.9557    690.0000      0.0000      0.0000      0.0000      0.0783\n",
     );
 
@@ -320,7 +317,7 @@ mod tests {
     /// lists the clean baseline.
     #[test]
     fn coalition_cells_equal_a_fresh_coalition_run() {
-        let coalition = AttackConfig::coalition(3, CoalitionPlacement::Greedy);
+        let coalition = AttackConfig::coalition(3);
         let (speed, seeds, duration) = (10.0, vec![1, 2], 5.0);
         let fresh: Vec<RunMetrics> = seeds
             .iter()

@@ -43,7 +43,6 @@ pub use attacks::{
 };
 pub use figures::{FigureId, FigurePoint, FigureSeries};
 pub use manet_adversary::{AttackConfig, AttackKind};
-pub use manet_security::{CoalitionPlacement, CoverageBasis};
 pub use manet_tcp::FlowProfile;
 pub use metrics::{FlowMetrics, RunMetrics};
 pub use protocol::Protocol;

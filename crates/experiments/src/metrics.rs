@@ -9,8 +9,8 @@ use crate::stack::TcpRunReport;
 use manet_adversary::AttackKind;
 use manet_netsim::Recorder;
 use manet_security::{
-    capture_report, coalition_curve, interception::summarize, participating_nodes,
-    relay_distribution,
+    capture_report, coalition_report, interception::summarize, participating_nodes,
+    relay_distribution, select_coalition_greedy,
 };
 use manet_wire::{ConnectionId, NodeId};
 
@@ -62,25 +62,16 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
 /// Coalition interception ratio `Pe(coalition) / Pr` of a finished run (0
 /// unless the attack is a coalition); the grid applies it to clean runs too.
 pub(crate) fn coalition_interception_ratio(scenario: &Scenario, recorder: &Recorder) -> f64 {
-    let AttackKind::Coalition {
-        k,
-        placement,
-        basis,
-    } = scenario.attack.kind
-    else {
+    let AttackKind::Coalition { k } = scenario.attack.kind else {
         return 0.0;
     };
-    coalition_curve(
+    let members = select_coalition_greedy(
         recorder,
         scenario.sim.num_nodes,
         &scenario.endpoints(),
         usize::from(k),
-        placement,
-        basis,
-        scenario.sim.seed,
-    )
-    .last()
-    .map_or(0.0, |r| r.ratio())
+    );
+    coalition_report(recorder, &members).ratio()
 }
 
 /// Every metric the paper's evaluation reports, for one run.

@@ -18,6 +18,7 @@ use crate::metrics::{coalition_interception_ratio, RunMetrics};
 use crate::protocol::Protocol;
 use crate::scenario::{Placement, RunKey, Scenario};
 use crate::stack::{ManetStack, SharedTcpStats, TcpRunReport};
+use manet_adversary::mobile::CORRIDOR_JITTER_M;
 use manet_adversary::{AttackConfig, AttackKind, BlackholeStack, CorridorMobility};
 use manet_netsim::mobility::{MobilityModel, RandomWaypoint, StaticPlacement};
 use manet_netsim::{DeliveryChoiceHook, NodeStack, Recorder, Simulator, TraceMode};
@@ -100,14 +101,14 @@ fn build_mobility(scenario: &Scenario) -> Box<dyn MobilityModel> {
         scenario.sim.mobility,
     );
     match (scenario.attack.kind, scenario.eavesdropper) {
-        (AttackKind::MobileEavesdropper { corridor_jitter_m }, Some(eve)) => {
+        (AttackKind::MobileEavesdropper, Some(eve)) => {
             let flow = scenario.flows[0];
             Box::new(CorridorMobility::new(
                 waypoint,
                 eve,
                 flow.src,
                 flow.dst,
-                corridor_jitter_m,
+                CORRIDOR_JITTER_M,
             ))
         }
         _ => Box::new(waypoint),

@@ -543,8 +543,7 @@ impl Scenario {
                 return Err(format!("attacker {a} is placed twice"));
             }
         }
-        if matches!(self.attack.kind, AttackKind::MobileEavesdropper { .. })
-            && self.eavesdropper.is_none()
+        if matches!(self.attack.kind, AttackKind::MobileEavesdropper) && self.eavesdropper.is_none()
         {
             return Err("mobile-eavesdropper attack needs a designated eavesdropper".into());
         }
@@ -562,7 +561,7 @@ impl Scenario {
             {
                 return Err(format!("static position ({}, {}) is not finite", p.x, p.y));
             }
-            if matches!(self.attack.kind, AttackKind::MobileEavesdropper { .. }) {
+            if matches!(self.attack.kind, AttackKind::MobileEavesdropper) {
                 return Err("mobile-eavesdropper attack steers a random-waypoint node; \
                      it cannot run on a static placement"
                     .into());
@@ -642,6 +641,33 @@ mod tests {
         ] {
             let err = bad.parse::<RunKey>().expect_err(bad);
             assert!(err.contains(named), "{bad}: {err}");
+        }
+    }
+
+    /// `reproduce attacks` prints the canonical matrix's labels as its row
+    /// keys and `reproduce trace --run` reads them back, so both the labels
+    /// and their order are pinned verbatim, and each one names its attack
+    /// inside a `RunKey`.
+    #[test]
+    fn canonical_attack_labels_are_pinned_and_round_trip() {
+        const LABELS: [&str; 9] = [
+            "clean",
+            "coalition(k=3,greedy)",
+            "grayhole(x2,p=0.5)",
+            "blackhole(x2)",
+            "mobile-eve",
+            "jam-ctrl(x2,p=0.8)",
+            "jam-data(x2,p=0.8)",
+            "wormhole",
+            "rushing(x2)",
+        ];
+        let matrix = AttackConfig::canonical_matrix();
+        let labels: Vec<String> = matrix.iter().map(|a| a.to_string()).collect();
+        assert_eq!(labels, LABELS);
+        for (attack, label) in matrix.into_iter().zip(LABELS) {
+            let key: RunKey = format!("MTS-H/{label}/10/1").parse().unwrap();
+            assert_eq!(key.attack, attack, "{label}");
+            assert_eq!(key.to_string(), format!("MTS-H/{label}/10/1/200"));
         }
     }
 

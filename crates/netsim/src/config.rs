@@ -83,8 +83,6 @@ pub enum JamTarget {
     Control,
     /// Only data frames (TCP segments and ACKs).
     Data,
-    /// Every frame.
-    All,
 }
 
 impl JamTarget {
@@ -93,7 +91,6 @@ impl JamTarget {
         match self {
             JamTarget::Control => is_control,
             JamTarget::Data => !is_control,
-            JamTarget::All => true,
         }
     }
 }
@@ -103,7 +100,7 @@ impl JamTarget {
 ///
 /// The jammer is modelled statistically instead of by explicit noise frames:
 /// a reception at node `r` is destroyed with probability `loss_prob` whenever
-/// some jammer is within `range_m` of `r` and the frame class matches
+/// some jammer is within the radio range of `r` and the frame class matches
 /// `target`.  Jammers move like ordinary nodes, so the jammed region follows
 /// them.  With `jamming: None` or a `loss_prob` of 0 the engine draws no
 /// extra randomness and runs are byte-identical to pre-adversary traces.
@@ -115,20 +112,12 @@ pub struct JamConfig {
     pub target: JamTarget,
     /// Probability a targeted reception near a jammer is corrupted.
     pub loss_prob: f64,
-    /// Jamming radius around each jammer, metres (0 = use the radio range).
-    pub range_m: f64,
 }
 
-impl JamConfig {
-    /// Effective jamming radius given the radio range.
-    pub fn effective_range(&self, radio_range_m: f64) -> f64 {
-        if self.range_m > 0.0 {
-            self.range_m
-        } else {
-            radio_range_m
-        }
-    }
-}
+/// One-way latency of a wormhole's out-of-band tunnel, seconds: out-of-band
+/// links are typically much faster than the multi-hop radio path they
+/// shortcut.  The same value as `Duration::from_secs(1e-6)`.
+pub const WORMHOLE_DELAY: Duration = Duration(1e-6);
 
 /// A wormhole: two colluding nodes joined by an out-of-band tunnel the radio
 /// model cannot see.
@@ -138,9 +127,9 @@ impl JamConfig {
 ///
 /// * a **unicast** from one endpoint to the other bypasses the MAC entirely
 ///   (no airtime, no carrier sense, no retries) and is delivered after
-///   `delay`;
+///   [`WORMHOLE_DELAY`];
 /// * a **broadcast** transmitted *by* an endpoint is additionally replayed to
-///   the far endpoint after `delay` (unless it already heard it by radio), so
+///   the far endpoint after [`WORMHOLE_DELAY`] (unless it already heard it by radio), so
 ///   route-discovery floods cross the tunnel and discovered routes collapse
 ///   through the pair.
 ///
@@ -154,9 +143,6 @@ pub struct WormholeConfig {
     pub a: NodeId,
     /// The other tunnel endpoint.
     pub b: NodeId,
-    /// One-way tunnel latency, seconds (out-of-band links are typically much
-    /// faster than the multi-hop radio path they shortcut).
-    pub delay: Duration,
 }
 
 impl WormholeConfig {
@@ -283,13 +269,6 @@ impl SimConfig {
         if !positive(self.radio.range_m) {
             return Err("radio range must be positive and finite".into());
         }
-        // A transmitter's one neighbourhood scan runs at the carrier-sense
-        // radius and also collects its receivers, so carrier sense must
-        // reach at least the transmission range.
-        if !(self.radio.carrier_sense_factor >= 1.0 && self.radio.carrier_sense_factor.is_finite())
-        {
-            return Err("carrier_sense_factor must be finite and at least 1".into());
-        }
         if !(self.mobility.min_speed >= 0.0 && self.mobility.max_speed.is_finite()) {
             return Err("speeds must be non-negative and finite".into());
         }
@@ -318,9 +297,6 @@ impl SimConfig {
             if !(0.0..=1.0).contains(&jam.loss_prob) {
                 return Err("jamming loss_prob must be in [0, 1]".into());
             }
-            if jam.range_m < 0.0 || !jam.range_m.is_finite() {
-                return Err("jamming range_m must be non-negative and finite".into());
-            }
             if jam.jammers.is_empty() {
                 return Err("jamming needs at least one jammer node".into());
             }
@@ -335,7 +311,6 @@ impl SimConfig {
             if w.a.0 >= self.num_nodes || w.b.0 >= self.num_nodes {
                 return Err("wormhole endpoints must be valid node ids".into());
             }
-            // `Duration` is non-negative and finite by construction.
         }
         if let Some(rush) = &self.rush {
             if rush.rushers.is_empty() {
@@ -443,59 +418,40 @@ mod tests {
 
     #[test]
     fn jamming_config_is_validated() {
-        let jam = |jammers: Vec<u16>, loss: f64, range: f64| {
+        let jam = |jammers: Vec<u16>, loss: f64| {
             let mut c = SimConfig::default();
             c.jamming = Some(JamConfig {
                 jammers: jammers.into_iter().map(NodeId).collect(),
                 target: JamTarget::Control,
                 loss_prob: loss,
-                range_m: range,
             });
             c
         };
-        jam(vec![3], 0.8, 0.0).validate().unwrap();
-        assert!(jam(vec![3], 1.5, 0.0).validate().is_err());
-        assert!(jam(vec![3], 0.5, -1.0).validate().is_err());
-        assert!(jam(vec![], 0.5, 0.0).validate().is_err());
-        assert!(jam(vec![200], 0.5, 0.0).validate().is_err());
+        jam(vec![3], 0.8).validate().unwrap();
+        assert!(jam(vec![3], 1.5).validate().is_err());
+        assert!(jam(vec![], 0.5).validate().is_err());
+        assert!(jam(vec![200], 0.5).validate().is_err());
         assert!(JamTarget::Control.matches(true) && !JamTarget::Control.matches(false));
         assert!(!JamTarget::Data.matches(true) && JamTarget::Data.matches(false));
-        assert!(JamTarget::All.matches(true) && JamTarget::All.matches(false));
-        let j = JamConfig {
-            jammers: vec![NodeId(0)],
-            target: JamTarget::All,
-            loss_prob: 1.0,
-            range_m: 0.0,
-        };
-        assert_eq!(j.effective_range(250.0), 250.0);
-        assert_eq!(
-            JamConfig {
-                range_m: 100.0,
-                ..j
-            }
-            .effective_range(250.0),
-            100.0
-        );
     }
 
     #[test]
     fn wormhole_config_is_validated() {
-        let worm = |a: u16, b: u16, delay: f64| {
+        let worm = |a: u16, b: u16| {
             let mut c = SimConfig::default();
             c.wormhole = Some(WormholeConfig {
                 a: NodeId(a),
                 b: NodeId(b),
-                delay: Duration::from_secs(delay),
             });
             c
         };
-        worm(3, 7, 1e-6).validate().unwrap();
-        assert!(worm(3, 3, 1e-6).validate().is_err(), "distinct endpoints");
-        assert!(worm(3, 200, 1e-6).validate().is_err(), "valid ids");
+        worm(3, 7).validate().unwrap();
+        assert!(worm(3, 3).validate().is_err(), "distinct endpoints");
+        assert!(worm(3, 200).validate().is_err(), "valid ids");
+        assert_eq!(WORMHOLE_DELAY, Duration::from_secs(1e-6));
         let w = WormholeConfig {
             a: NodeId(3),
             b: NodeId(7),
-            delay: Duration::ZERO,
         };
         assert_eq!(w.peer_of(NodeId(3)), Some(NodeId(7)));
         assert_eq!(w.peer_of(NodeId(7)), Some(NodeId(3)));
@@ -552,18 +508,9 @@ mod tests {
     #[test]
     fn validation_rejects_non_finite_and_impossible_values() {
         type Edit = fn(&mut SimConfig);
-        let cases: [(&str, Edit); 11] = [
+        let cases: [(&str, Edit); 8] = [
             ("range_m = NaN", |c| c.radio.range_m = f64::NAN),
             ("range_m = inf", |c| c.radio.range_m = f64::INFINITY),
-            ("carrier_sense_factor = NaN", |c| {
-                c.radio.carrier_sense_factor = f64::NAN
-            }),
-            ("carrier_sense_factor = 0.5", |c| {
-                c.radio.carrier_sense_factor = 0.5
-            }),
-            ("carrier_sense_factor = -1", |c| {
-                c.radio.carrier_sense_factor = -1.0
-            }),
             ("data_rate_bps = NaN", |c| c.mac.data_rate_bps = f64::NAN),
             ("basic_rate_bps = inf", |c| {
                 c.mac.basic_rate_bps = f64::INFINITY
@@ -578,9 +525,5 @@ mod tests {
             edit(&mut c);
             assert!(c.validate().is_err(), "{what} must be rejected");
         }
-        // The boundary itself is fine: carrier sense exactly at range.
-        let mut c = SimConfig::default();
-        c.radio.carrier_sense_factor = 1.0;
-        assert_eq!(c.validate(), Ok(()));
     }
 }

@@ -74,7 +74,7 @@
 
 use crate::calendar::CalendarQueue;
 use crate::choice::{ChoiceDecision, ChoicePoint, DeliveryChoiceHook};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, WORMHOLE_DELAY};
 use crate::event::{Event, EventQueue, QueuedFrame, TxId};
 use crate::fluid::{FluidCompletion, FluidState};
 use crate::geometry::Position;
@@ -515,15 +515,10 @@ impl World {
     /// the out-of-band tunnel: it arrives after the tunnel delay as a
     /// `TunnelDeliver`, with no airtime, carrier sense or retries.
     fn tunnel(&mut self, from: NodeId, to: NodeId, packet: SharedPacket) {
-        let delay = self
-            .config
-            .wormhole
-            .as_ref()
-            .map_or(Duration::ZERO, |w| w.delay);
         self.recorder
             .observe(self.now, Observation::Tunnel { packet: &packet });
         let deliver = Event::TunnelDeliver { to, from, packet };
-        self.queue.schedule(self.now + delay, deliver);
+        self.queue.schedule(self.now + WORMHOLE_DELAY, deliver);
     }
 
     /// The delay before `node`'s next transmission attempt: DIFS plus a
@@ -625,7 +620,7 @@ impl World {
         if jam.loss_prob <= 0.0 || !jam.target.matches(payload.is_control()) {
             return false;
         }
-        let radius = jam.effective_range(self.config.radio.range_m);
+        let radius = self.config.radio.range_m;
         let radius_sq = radius * radius;
         let rx_pos = self.position_of(r);
         let near = jam
@@ -1582,7 +1577,6 @@ mod tests {
                 jammers: vec![NodeId(2)],
                 target,
                 loss_prob: 1.0,
-                range_m: 0.0,
             });
             let log = Rc::new(RefCell::new(Vec::new()));
             let stacks: Vec<Box<dyn NodeStack>> = (0..n)
@@ -1632,7 +1626,6 @@ mod tests {
             jammers: vec![NodeId(1)],
             target: JamTarget::Data,
             loss_prob: 1.0,
-            range_m: 0.0,
         });
         let log = Rc::new(RefCell::new(Vec::new()));
         let stacks: Vec<Box<dyn NodeStack>> = (0..n)
@@ -1702,7 +1695,6 @@ mod tests {
         let tunneled = run(Some(WormholeConfig {
             a: NodeId(0),
             b: NodeId(1),
-            delay: Duration::from_micros(1.0),
         }));
         assert_eq!(tunneled.delivered_data_packets(), 1);
         assert!(tunneled.tunneled_frames() > 0);
@@ -1751,7 +1743,6 @@ mod tests {
         config.wormhole = Some(WormholeConfig {
             a: NodeId(0),
             b: NodeId(2),
-            delay: Duration::from_micros(1.0),
         });
         let stacks: Vec<Box<dyn NodeStack>> = (0..3)
             .map(|i| {

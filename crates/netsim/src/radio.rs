@@ -7,30 +7,29 @@
 //! is within `range_m` of the transmitter, and senses the medium busy within
 //! [`RadioConfig::carrier_sense_range`].
 
+/// Carrier-sense range as a multiple of the transmission range:
+/// transmissions within it keep the medium busy even when they cannot be
+/// decoded.  At least 1, because a transmitter's one neighbourhood scan runs
+/// at the carrier-sense radius and also collects its receivers.
+pub const CARRIER_SENSE_FACTOR: f64 = 1.8;
+
 /// Radio parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadioConfig {
     /// Transmission range in metres (paper: 250 m).
     pub range_m: f64,
-    /// Carrier-sense range as a multiple of the transmission range;
-    /// transmissions within it keep the medium busy even when they cannot be
-    /// decoded.
-    pub carrier_sense_factor: f64,
 }
 
 impl Default for RadioConfig {
     fn default() -> Self {
-        RadioConfig {
-            range_m: 250.0,
-            carrier_sense_factor: 1.8,
-        }
+        RadioConfig { range_m: 250.0 }
     }
 }
 
 impl RadioConfig {
     /// Carrier-sense range in metres.
     pub fn carrier_sense_range(&self) -> f64 {
-        self.range_m * self.carrier_sense_factor
+        self.range_m * CARRIER_SENSE_FACTOR
     }
 }
 

@@ -11,7 +11,7 @@
 
 use crate::event::EventQueue;
 use crate::fasthash::{FxHashMap, FxHashSet, FxHasher};
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 use manet_telemetry::{FrameKind, Stage, Telemetry, TelemetryEvent, TimerClass};
 use manet_wire::{ConnectionId, DataPacket, Frame, NetPacket, NodeId, PacketId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -623,7 +623,11 @@ pub struct Recorder {
     originated_data: u64,
     delivered_data: u64,
     delivered_bytes: u64,
-    delays: Vec<Duration>,
+    /// Sum of the end-to-end delays of delivered data packets with a known
+    /// send time, seconds, added in delivery order; `delayed_data` counts
+    /// its terms.
+    delay_sum_secs: f64,
+    delayed_data: u64,
     /// (time, payload bytes) of each delivered data packet, for throughput curves.
     delivery_series: Vec<(SimTime, u32)>,
     /// Per-connection origination/delivery counters (multi-flow runs).
@@ -684,14 +688,6 @@ impl Recorder {
     /// New, empty recorder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// New recorder that also keeps the human-readable trace.
-    pub fn with_trace() -> Self {
-        Recorder {
-            trace_mode: TraceMode::Keep,
-            ..Self::default()
-        }
     }
 
     // ---- observation (the one entry point of every event site) ---------------
@@ -790,15 +786,16 @@ impl Recorder {
                     self.delivered_data += 1;
                     self.delivered_bytes += u64::from(payload_bytes);
                     self.delivery_series.push((at, payload_bytes));
-                    let delay = sent.map(|sent| at.saturating_since(sent));
+                    let delay = sent.map(|sent| at.saturating_since(sent).as_secs());
                     if let Some(delay) = delay {
-                        self.delays.push(delay);
+                        self.delay_sum_secs += delay;
+                        self.delayed_data += 1;
                     }
                     let flow = self.flow_counters.entry(packet.segment.conn).or_default();
                     flow.delivered_data += 1;
                     flow.delivered_bytes += u64::from(payload_bytes);
                     if let Some(delay) = delay {
-                        flow.delay_sum_secs += delay.as_secs();
+                        flow.delay_sum_secs += delay;
                     }
                 }
                 if self.trace_mode != TraceMode::Off {
@@ -1050,17 +1047,12 @@ impl Recorder {
         self.delivered_bytes
     }
 
-    /// End-to-end delays of delivered data packets.
-    pub fn delays(&self) -> &[Duration] {
-        &self.delays
-    }
-
     /// Mean end-to-end delay in seconds (0 if nothing was delivered).
     pub fn mean_delay_secs(&self) -> f64 {
-        if self.delays.is_empty() {
+        if self.delayed_data == 0 {
             return 0.0;
         }
-        self.delays.iter().map(|d| d.as_secs()).sum::<f64>() / self.delays.len() as f64
+        self.delay_sum_secs / self.delayed_data as f64
     }
 
     /// `(time, payload_bytes)` series of deliveries, in delivery order.
@@ -1348,6 +1340,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Duration;
     use manet_wire::TcpSegment;
     use proptest::prelude::*;
     use std::hash::Hasher;
@@ -1470,8 +1463,9 @@ mod tests {
         /// Random Originate/Deliver streams over several origins, with
         /// repeated originations and deliveries, deliveries out of order
         /// and of ids never originated, data and pure ACKs: the dense
-        /// per-origin ledgers agree with the hash-table model on the
-        /// delays, the delivered count and `delivered_part`.
+        /// per-origin ledgers agree with the hash-table model on the mean
+        /// delay (bit for bit: the same terms summed in delivery order), the
+        /// delivered count and `delivered_part`.
         #[test]
         fn dense_ledgers_match_the_hash_table_model(
             ops in proptest::collection::vec(
@@ -1497,7 +1491,12 @@ mod tests {
                     model.deliver(packet, now);
                 }
             }
-            prop_assert_eq!(r.delays(), &model.delays[..]);
+            let model_mean = if model.delays.is_empty() {
+                0.0
+            } else {
+                model.delays.iter().map(|d| d.as_secs()).sum::<f64>() / model.delays.len() as f64
+            };
+            prop_assert_eq!(r.mean_delay_secs().to_bits(), model_mean.to_bits());
             prop_assert_eq!(r.delivered_data_packets(), model.delivered_data);
             let mut probed = PacketSet::default();
             for &origin in &origins {
@@ -1614,7 +1613,6 @@ mod tests {
         assert_eq!(r.originated_data_packets(), 3); // each handoff counted
         assert_eq!(r.delivered_data_packets(), 1);
         assert_eq!(r.delivered_payload_bytes(), 1000);
-        assert_eq!(r.delays().len(), 1);
         assert!((r.mean_delay_secs() - 1.0).abs() < 1e-9);
     }
 
@@ -1727,7 +1725,8 @@ mod tests {
         tx(&mut silent, 0, frame, 100, t(0.0));
         assert!(silent.trace().is_empty());
 
-        let mut loud = Recorder::with_trace();
+        let mut loud = Recorder::new();
+        loud.trace_mode = TraceMode::Keep;
         let mut quiet = Recorder::new();
         quiet.trace_mode = TraceMode::Fingerprint;
         for r in [&mut loud, &mut quiet] {

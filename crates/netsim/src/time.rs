@@ -11,7 +11,7 @@ use std::ops::{Add, AddAssign, Sub};
 
 /// A length of simulated time, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Duration(f64);
+pub struct Duration(pub(crate) f64);
 
 impl Duration {
     /// Zero-length duration.

@@ -124,7 +124,6 @@ fn wormhole_tunnel_schedules_pop_in_time_then_seq_order() {
     config.wormhole = Some(WormholeConfig {
         a: NodeId(2),
         b: NodeId(17),
-        delay: Duration::from_micros(1.0),
     });
     let period = Duration::from_millis(150.0);
     let rec = traced_run(config, true, chatter_stacks(24, period));

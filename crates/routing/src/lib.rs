@@ -10,8 +10,9 @@
 //! * [`table`] — AODV/MTS-style hop-by-hop routing table with destination
 //!   sequence numbers and lifetimes.
 //! * [`cache`] — DSR-style route cache holding full source routes.
-//! * [`suspicion`] — route-check hardening: the [`RouteCheckConfig`] knobs
-//!   and per-relay [`SuspicionTable`] the hardened MTS mode is built from.
+//! * [`suspicion`] — route-check hardening: the freshness test, its
+//!   constants and the per-relay [`SuspicionTable`] the hardened MTS mode is
+//!   built from.
 //! * [`aodv`] — the AODV baseline (Perkins/Royer/Das draft semantics).
 //! * [`dsr`] — the DSR baseline (Johnson/Maltz source routing).
 //! * [`testkit`] — a harness that runs a routing agent inside the simulator
@@ -35,5 +36,5 @@ pub use aodv::Aodv;
 pub use cache::RouteCache;
 pub use common::{Discovery, SeenTable};
 pub use dsr::Dsr;
-pub use suspicion::{RouteCheckConfig, SuspicionTable};
+pub use suspicion::SuspicionTable;
 pub use table::{RouteEntry, RoutingTable};

@@ -9,14 +9,15 @@
 //! mode is built from, following AODVSEC's cross-validation idea
 //! (arXiv:1208.1959) and trust-based multipath selection (arXiv:2006.01404):
 //!
-//! * [`RouteCheckConfig`] — the hardening knobs, carried inside the MTS
-//!   configuration.  With `enabled: false` (the default) the hardened code
-//!   paths are never entered, so runs are byte-identical to the unhardened
-//!   protocol.
+//! * the hardening constants ([`SEQNO_JUMP_THRESHOLD`],
+//!   [`SUSPICION_THRESHOLD`], the two penalties and [`SUSPICION_DECAY`]).
+//!   The mode itself is one switch of the MTS configuration; with it off
+//!   (the default) the hardened code paths are never entered, so runs are
+//!   byte-identical to the unhardened protocol.
 //! * [`SuspicionTable`] — per-relay suspicion scores accumulated from failed
 //!   route checks; path-set admission biases away from repeat offenders.
 //!
-//! The freshness test itself is [`RouteCheckConfig::seqno_is_suspicious`]: a
+//! The freshness test itself is [`seqno_is_suspicious`]: a
 //! reply whose destination sequence number jumps implausibly far beyond the
 //! best *credibly learned* value is quarantined instead of installed, and the
 //! still-pending discovery retry doubles as the second, disjoint probe that
@@ -26,110 +27,53 @@
 use manet_netsim::FxHashMap;
 use manet_wire::{NodeId, SeqNo};
 
-/// Configuration of the MTS route-check hardening mode.
+/// A route reply is *suspicious* when its destination sequence number
+/// exceeds the best credibly learned value by more than this jump.  Genuine
+/// sequence numbers bump once per discovery or reply, so a few thousand is
+/// far beyond anything a run can legitimately reach while still catching the
+/// near-maximal forgeries attackers need to win the AODV freshness
+/// comparison.
+pub const SEQNO_JUMP_THRESHOLD: u32 = 4096;
+
+/// Suspicion score at which a relay is shunned: the destination rejects
+/// candidate paths through it and quarantined replies it delivered are never
+/// admitted.
+pub const SUSPICION_THRESHOLD: f64 = 2.0;
+
+/// Total score distributed evenly across the intermediates of a path that
+/// fails a route check (the culprit cannot be singled out, so the blame is
+/// shared; repeat offenders accumulate it anyway).
+pub const CHECK_FAILURE_PENALTY: f64 = 1.0;
+
+/// Score added to the relay that delivered a reply which stayed unconfirmed
+/// (quarantined, then displaced by a credible route).
+pub const FORGERY_PENALTY: f64 = 2.0;
+
+/// Multiplicative decay applied to every score each checking round, so a
+/// relay that behaves recovers instead of being blacklisted forever.
+pub const SUSPICION_DECAY: f64 = 0.95;
+
+/// Is a reply carrying `advertised` suspicious given the best credibly
+/// learned sequence number `credible` for the same destination?
+///
+/// With no credible baseline the comparison runs against zero: sequence
+/// numbers start near zero, so a first contact advertising a huge value is
+/// exactly the forgery pattern this defense exists for.
 ///
 /// # Examples
 ///
-/// The default configuration leaves hardening off — the protocol behaves
-/// exactly like the paper's MTS; [`RouteCheckConfig::hardened`] switches the
-/// defenses on with calibrated defaults:
-///
 /// ```
-/// use manet_routing::suspicion::RouteCheckConfig;
+/// use manet_routing::suspicion::seqno_is_suspicious;
 /// use manet_wire::SeqNo;
 ///
-/// let plain = RouteCheckConfig::default();
-/// assert!(!plain.enabled);
-///
-/// let hard = RouteCheckConfig::hardened();
-/// assert!(hard.enabled);
-/// hard.validate().expect("hardened defaults are valid");
-///
 /// // A genuine reply a few sequence numbers ahead is credible ...
-/// assert!(!hard.seqno_is_suspicious(SeqNo(12), Some(SeqNo(9))));
+/// assert!(!seqno_is_suspicious(SeqNo(12), Some(SeqNo(9))));
 /// // ... a black hole's near-maximal forgery is not.
-/// assert!(hard.seqno_is_suspicious(SeqNo(0x00FF_FFFF), Some(SeqNo(9))));
+/// assert!(seqno_is_suspicious(SeqNo(0x00FF_FFFF), Some(SeqNo(9))));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouteCheckConfig {
-    /// Master switch.  `false` (default) leaves every hardened code path
-    /// unentered: runs are byte-identical to the unhardened protocol.
-    pub enabled: bool,
-    /// A route reply is *suspicious* when its destination sequence number
-    /// exceeds the best credibly learned value by more than this jump.
-    /// Genuine sequence numbers bump once per discovery or reply, so a few
-    /// thousand is far beyond anything a run can legitimately reach while
-    /// still catching the near-maximal forgeries attackers need to win the
-    /// AODV freshness comparison.
-    pub seqno_jump_threshold: u32,
-    /// Suspicion score at which a relay is shunned: the destination rejects
-    /// candidate paths through it and quarantined replies it delivered are
-    /// never admitted.
-    pub suspicion_threshold: f64,
-    /// Total score distributed evenly across the intermediates of a path
-    /// that fails a route check (the culprit cannot be singled out, so the
-    /// blame is shared; repeat offenders accumulate it anyway).
-    pub check_failure_penalty: f64,
-    /// Score added to the relay that delivered a reply which stayed
-    /// unconfirmed (quarantined, then displaced by a credible route).
-    pub forgery_penalty: f64,
-    /// Multiplicative decay applied to every score each checking round, so a
-    /// relay that behaves recovers instead of being blacklisted forever.
-    pub suspicion_decay: f64,
-}
-
-impl Default for RouteCheckConfig {
-    fn default() -> Self {
-        RouteCheckConfig {
-            enabled: false,
-            seqno_jump_threshold: 4096,
-            suspicion_threshold: 2.0,
-            check_failure_penalty: 1.0,
-            forgery_penalty: 2.0,
-            suspicion_decay: 0.95,
-        }
-    }
-}
-
-impl RouteCheckConfig {
-    /// The hardened configuration: defaults with the master switch on.
-    pub fn hardened() -> Self {
-        RouteCheckConfig {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// Validate invariants.  Returns a description of the first violation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.seqno_jump_threshold == 0 {
-            return Err("seqno_jump_threshold must be at least 1".into());
-        }
-        if !(self.suspicion_threshold > 0.0 && self.suspicion_threshold.is_finite()) {
-            return Err("suspicion_threshold must be positive and finite".into());
-        }
-        if self.check_failure_penalty < 0.0 || !self.check_failure_penalty.is_finite() {
-            return Err("check_failure_penalty must be non-negative and finite".into());
-        }
-        if self.forgery_penalty < 0.0 || !self.forgery_penalty.is_finite() {
-            return Err("forgery_penalty must be non-negative and finite".into());
-        }
-        if !(0.0..=1.0).contains(&self.suspicion_decay) {
-            return Err("suspicion_decay must be in [0, 1]".into());
-        }
-        Ok(())
-    }
-
-    /// Is a reply carrying `advertised` suspicious given the best credibly
-    /// learned sequence number `credible` for the same destination?
-    ///
-    /// With no credible baseline the comparison runs against zero: sequence
-    /// numbers start near zero, so a first contact advertising a huge value
-    /// is exactly the forgery pattern this defense exists for.
-    pub fn seqno_is_suspicious(&self, advertised: SeqNo, credible: Option<SeqNo>) -> bool {
-        let baseline = credible.map_or(0, |s| s.0);
-        advertised.0 > baseline.saturating_add(self.seqno_jump_threshold)
-    }
+pub fn seqno_is_suspicious(advertised: SeqNo, credible: Option<SeqNo>) -> bool {
+    let baseline = credible.map_or(0, |s| s.0);
+    advertised.0 > baseline.saturating_add(SEQNO_JUMP_THRESHOLD)
 }
 
 /// Per-relay suspicion scores.
@@ -215,53 +159,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_disabled_and_valid() {
-        let c = RouteCheckConfig::default();
-        assert!(!c.enabled);
-        c.validate().unwrap();
-        let h = RouteCheckConfig::hardened();
-        assert!(h.enabled);
-        assert_eq!(
-            RouteCheckConfig {
-                enabled: false,
-                ..h
-            },
-            c,
-            "hardened() only flips the switch"
-        );
-    }
-
-    #[test]
-    fn validation_rejects_bad_knobs() {
-        let bad = |f: fn(&mut RouteCheckConfig)| {
-            let mut c = RouteCheckConfig::hardened();
-            f(&mut c);
-            c.validate().is_err()
-        };
-        assert!(bad(|c| c.seqno_jump_threshold = 0));
-        assert!(bad(|c| c.suspicion_threshold = 0.0));
-        assert!(bad(|c| c.suspicion_threshold = f64::NAN));
-        assert!(bad(|c| c.check_failure_penalty = -1.0));
-        assert!(bad(|c| c.forgery_penalty = f64::INFINITY));
-        assert!(bad(|c| c.suspicion_decay = 1.5));
-    }
-
-    #[test]
     fn seqno_suspicion_catches_forgeries_not_genuine_bumps() {
-        let c = RouteCheckConfig::hardened();
         // Genuine progress: small jumps over the credible baseline.
-        assert!(!c.seqno_is_suspicious(SeqNo(5), None));
-        assert!(!c.seqno_is_suspicious(SeqNo(300), Some(SeqNo(250))));
-        assert!(!c.seqno_is_suspicious(SeqNo(4096), None), "boundary is ok");
+        assert!(!seqno_is_suspicious(SeqNo(5), None));
+        assert!(!seqno_is_suspicious(SeqNo(300), Some(SeqNo(250))));
+        assert!(!seqno_is_suspicious(SeqNo(4096), None), "boundary is ok");
+        assert!(seqno_is_suspicious(SeqNo(4097), None));
         // Forgery: near-maximal values with no credible basis.
-        assert!(c.seqno_is_suspicious(SeqNo(0x00FF_FFFF), None));
-        assert!(c.seqno_is_suspicious(SeqNo(0x00FF_FFFF), Some(SeqNo(300))));
+        assert!(seqno_is_suspicious(SeqNo(0x00FF_FFFF), None));
+        assert!(seqno_is_suspicious(SeqNo(0x00FF_FFFF), Some(SeqNo(300))));
         // No overflow at the top of the seqno space.
-        let top = RouteCheckConfig {
-            seqno_jump_threshold: u32::MAX,
-            ..c
-        };
-        assert!(!top.seqno_is_suspicious(SeqNo(u32::MAX), Some(SeqNo(1))));
+        assert!(!seqno_is_suspicious(
+            SeqNo(u32::MAX),
+            Some(SeqNo(u32::MAX - 1))
+        ));
     }
 
     #[test]

@@ -8,92 +8,26 @@
 //! R(coalition) = |  U_{i in coalition} captured_i  ∩  delivered  |  /  Pr
 //! ```
 //!
-//! Two placements are provided: **random** (nested draws, so the size-`k`
-//! coalition is a prefix of the size-`k+1` one and coverage is monotone in
-//! `k`) and **greedy** (the classical max-k-coverage greedy over the finished
-//! run's trace).  Greedy covers at least `1 - 1/e` of what the best
-//! size-`k` coalition covers (Nemhauser, Wolsey & Fisher, 1978): it is a
-//! near-worst case, not an upper bound.
+//! The members are placed **greedily** (the classical max-k-coverage greedy
+//! over the finished run's trace) on the packets each node *received to
+//! relay*, the Fig. 7 basis.  Greedy covers at least `1 - 1/e` of what the
+//! best size-`k` coalition covers (Nemhauser, Wolsey & Fisher, 1978): it is a
+//! near-worst case, not an upper bound.  It is also nested: the size-`k`
+//! coalition is a prefix of every larger one, so the prefixes of one greedy
+//! list give the whole coverage curve, monotone in `k`.
 
 use crate::eavesdropper::candidates;
 use crate::exposure::{exposure, Exposure};
 use manet_netsim::{PacketSet, Recorder};
 use manet_wire::NodeId;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-/// How colluding eavesdroppers are placed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoalitionPlacement {
-    /// `k` distinct non-endpoint nodes drawn uniformly from the scenario seed
-    /// (nested: the size-`k` coalition is a prefix of the size-`k+1` one, so
-    /// coverage is monotone in `k`).
-    Random,
-    /// Greedy near-worst case: after the run, repeatedly add the node with
-    /// the largest marginal union coverage (the classical max-k-coverage
-    /// greedy).
-    Greedy,
-}
-
-impl CoalitionPlacement {
-    /// Short label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            CoalitionPlacement::Random => "rand",
-            CoalitionPlacement::Greedy => "greedy",
-        }
-    }
-}
-
-/// Which per-node packet set the coalition unions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoverageBasis {
-    /// Packets *received to relay* (the paper's β, Fig. 7 worst-case basis).
-    Relayed,
-    /// Everything heard, including promiscuous overhearing (the paper's
-    /// designated-eavesdropper basis, Eq. 1).
-    Heard,
-}
-
-/// The packet set a node contributes under the chosen basis.
-fn captured_set(recorder: &Recorder, node: NodeId, basis: CoverageBasis) -> Option<&PacketSet> {
-    match basis {
-        CoverageBasis::Relayed => recorder.relayed_set(node),
-        CoverageBasis::Heard => recorder.heard_set(node),
-    }
-}
-
-/// The exposure of the coalition `members` in a finished run.
-pub fn coalition_report(recorder: &Recorder, members: &[NodeId], basis: CoverageBasis) -> Exposure {
+/// The exposure of the coalition `members` in a finished run: the union of
+/// the packets they relayed.
+pub fn coalition_report(recorder: &Recorder, members: &[NodeId]) -> Exposure {
     exposure(
         recorder,
-        members
-            .iter()
-            .filter_map(|&m| captured_set(recorder, m, basis)),
+        members.iter().filter_map(|&m| recorder.relayed_set(m)),
     )
-}
-
-/// Draw a random coalition of (up to) `k` distinct non-endpoint nodes.
-///
-/// The draw is *nested*: the first `j` members of a size-`k` draw equal the
-/// size-`j` draw for the same RNG state, which makes coalition coverage
-/// monotone in `k` by construction.
-pub fn select_coalition_random(
-    num_nodes: u16,
-    endpoints: &[NodeId],
-    k: usize,
-    rng: &mut impl Rng,
-) -> Vec<NodeId> {
-    let mut pool = candidates(num_nodes, endpoints);
-    let take = k.min(pool.len());
-    // Partial Fisher–Yates: position i receives a uniform choice from the
-    // remaining pool, so prefixes are themselves uniform draws.
-    for i in 0..take {
-        let j = i + rng.gen_range(0..pool.len() - i);
-        pool.swap(i, j);
-    }
-    pool.truncate(take);
-    pool
 }
 
 /// Greedy near-worst-case coalition: repeatedly add the node with the largest
@@ -109,12 +43,12 @@ pub fn select_coalition_greedy(
     num_nodes: u16,
     endpoints: &[NodeId],
     k: usize,
-    basis: CoverageBasis,
 ) -> Vec<NodeId> {
     let mut pool: Vec<(NodeId, PacketSet)> = candidates(num_nodes, endpoints)
         .into_iter()
         .map(|n| {
-            let part = captured_set(recorder, n, basis)
+            let part = recorder
+                .relayed_set(n)
                 .map_or_else(PacketSet::default, |set| recorder.delivered_part(set));
             (n, part)
         })
@@ -138,34 +72,6 @@ pub fn select_coalition_greedy(
         chosen.push(node);
     }
     chosen
-}
-
-/// The coalition-coverage curve for `k = 1..=k_max` under one placement.
-///
-/// Random placements are seeded from `seed`, so the curve is reproducible;
-/// both placements produce nested coalitions, so the returned ratios are
-/// non-decreasing in `k`.
-pub fn coalition_curve(
-    recorder: &Recorder,
-    num_nodes: u16,
-    endpoints: &[NodeId],
-    k_max: usize,
-    placement: CoalitionPlacement,
-    basis: CoverageBasis,
-    seed: u64,
-) -> Vec<Exposure> {
-    let members = match placement {
-        CoalitionPlacement::Random => {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xc0a1_1710);
-            select_coalition_random(num_nodes, endpoints, k_max, &mut rng)
-        }
-        CoalitionPlacement::Greedy => {
-            select_coalition_greedy(recorder, num_nodes, endpoints, k_max, basis)
-        }
-    };
-    (1..=members.len())
-        .map(|k| coalition_report(recorder, &members[..k], basis))
-        .collect()
 }
 
 #[cfg(test)]
@@ -224,49 +130,25 @@ mod tests {
     fn union_coverage_counts_unique_delivered_packets() {
         // Nodes 2 and 3 overlap on packet 1; packet 77 was never delivered.
         let rec = recorder_with(4, &[(2, &[0, 1, 77]), (3, &[1, 2])]);
-        let solo = coalition_report(&rec, &[NodeId(2)], CoverageBasis::Relayed);
+        let solo = coalition_report(&rec, &[NodeId(2)]);
         assert_eq!(solo.covered, 2); // 0 and 1; 77 not delivered
-        let pair = coalition_report(&rec, &[NodeId(2), NodeId(3)], CoverageBasis::Relayed);
+        let pair = coalition_report(&rec, &[NodeId(2), NodeId(3)]);
         assert_eq!(pair.covered, 3); // 0, 1, 2
         assert_eq!(pair.delivered, 4);
         assert!((pair.ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]
-    fn heard_basis_includes_overhearing() {
-        let mut rec = recorder_with(2, &[(2, &[0])]);
-        let packet = &data(1);
-        rec.observe(
-            SimTime::ZERO,
-            Observation::Overheard {
-                node: NodeId(2),
-                packet,
-            },
-        );
-        let relayed = coalition_report(&rec, &[NodeId(2)], CoverageBasis::Relayed);
-        let heard = coalition_report(&rec, &[NodeId(2)], CoverageBasis::Heard);
-        assert_eq!(relayed.covered, 1);
-        assert_eq!(heard.covered, 2);
-    }
-
-    #[test]
     fn greedy_picks_the_best_cover_first() {
         // Node 4 covers {0,1,2}, node 2 covers {0,1}, node 3 covers {3}.
         let rec = recorder_with(4, &[(2, &[0, 1]), (3, &[3]), (4, &[0, 1, 2])]);
-        let picks =
-            select_coalition_greedy(&rec, 10, &[NodeId(0), NodeId(9)], 2, CoverageBasis::Relayed);
+        let picks = select_coalition_greedy(&rec, 10, &[NodeId(0), NodeId(9)], 3);
         assert_eq!(picks[0], NodeId(4));
         // Second pick is node 3: marginal gain 1 beats node 2's 0.
         assert_eq!(picks[1], NodeId(3));
-        let curve = coalition_curve(
-            &rec,
-            10,
-            &[NodeId(0), NodeId(9)],
-            3,
-            CoalitionPlacement::Greedy,
-            CoverageBasis::Relayed,
-            1,
-        );
+        let curve: Vec<Exposure> = (1..=picks.len())
+            .map(|k| coalition_report(&rec, &picks[..k]))
+            .collect();
         assert_eq!(curve.len(), 3);
         assert!((curve[1].ratio() - 1.0).abs() < 1e-12);
         // Monotone and capped at 1.
@@ -276,33 +158,9 @@ mod tests {
     }
 
     #[test]
-    fn random_selection_is_nested_deterministic_and_avoids_endpoints() {
-        let endpoints = [NodeId(0), NodeId(9)];
-        let draw = |seed: u64, k: usize| {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            select_coalition_random(20, &endpoints, k, &mut rng)
-        };
-        let five = draw(42, 5);
-        let three = draw(42, 3);
-        assert_eq!(&five[..3], &three[..], "draws must be nested");
-        assert_eq!(five, draw(42, 5), "same seed, same coalition");
-        assert!(five.iter().all(|n| !endpoints.contains(n)));
-        let distinct: HashSet<NodeId> = five.iter().copied().collect();
-        assert_eq!(distinct.len(), 5, "members must be distinct");
-        // Degenerate: everyone is an endpoint.
-        let none = select_coalition_random(
-            2,
-            &[NodeId(0), NodeId(1)],
-            3,
-            &mut SmallRng::seed_from_u64(1),
-        );
-        assert!(none.is_empty());
-    }
-
-    #[test]
     fn empty_run_gives_zero_ratio() {
         let rec = Recorder::new();
-        let r = coalition_report(&rec, &[NodeId(1), NodeId(2)], CoverageBasis::Heard);
+        let r = coalition_report(&rec, &[NodeId(1), NodeId(2)]);
         assert_eq!(r.ratio(), 0.0);
         assert_eq!(r.covered, 0);
     }
@@ -316,7 +174,6 @@ mod tests {
         num_nodes: u16,
         endpoints: &[NodeId],
         k: usize,
-        basis: CoverageBasis,
     ) -> Vec<NodeId> {
         let mut pool: Vec<NodeId> = (0..num_nodes)
             .map(NodeId)
@@ -328,7 +185,7 @@ mod tests {
         while chosen.len() < take {
             let mut best: Option<(usize, usize)> = None; // (pool index, gain)
             for (i, &n) in pool.iter().enumerate() {
-                let gain = captured_set(recorder, n, basis).map_or(0, |set| {
+                let gain = recorder.relayed_set(n).map_or(0, |set| {
                     set.iter()
                         .filter(|p| delivered.contains(p) && !covered.contains(p))
                         .count()
@@ -340,7 +197,7 @@ mod tests {
             let (idx, gain) = best.expect("pool is non-empty while chosen < take");
             let n = pool.remove(idx);
             if gain > 0 {
-                if let Some(set) = captured_set(recorder, n, basis) {
+                if let Some(set) = recorder.relayed_set(n) {
                     covered.extend(set.iter().filter(|p| delivered.contains(p)));
                 }
             }
@@ -364,21 +221,20 @@ mod tests {
 
     proptest! {
         /// Random recorders over several origins, with undelivered ids,
-        /// overheard-only packets and nodes that copy another node's relays
-        /// (equal gains), and k up to above the candidate count: the
-        /// word-level greedy picks what the per-id greedy picks, and every
-        /// prefix's exposure is the per-id union over delivered ids.
+        /// overheard-only packets (which no coalition counts) and nodes that
+        /// copy another node's relays (equal gains), and k up to above the
+        /// candidate count: the word-level greedy picks what the per-id
+        /// greedy picks, and every prefix's exposure is the per-id union of
+        /// relayed sets over delivered ids.
         #[test]
         fn greedy_matches_the_per_id_reference(
             delivered in proptest::collection::vec(packet_id(), 0..60),
             captures in proptest::collection::vec((0u16..12, packet_id(), any::<bool>()), 0..120),
             copies in proptest::collection::vec((0u16..12, 0u16..12), 0..4),
             k in 0usize..14,
-            heard in any::<bool>(),
         ) {
             const NUM_NODES: u16 = 12;
             let endpoints = [NodeId(0), NodeId(NUM_NODES - 1)];
-            let basis = if heard { CoverageBasis::Heard } else { CoverageBasis::Relayed };
             let mut rec = Recorder::new();
             for &id in &delivered {
                 let packet = &data(id);
@@ -405,19 +261,19 @@ mod tests {
                 }
             }
             let delivered: HashSet<PacketId> = delivered.into_iter().map(PacketId).collect();
-            let picks = select_coalition_greedy(&rec, NUM_NODES, &endpoints, k, basis);
+            let picks = select_coalition_greedy(&rec, NUM_NODES, &endpoints, k);
             prop_assert_eq!(
                 &picks,
-                &greedy_per_id(&rec, &delivered, NUM_NODES, &endpoints, k, basis)
+                &greedy_per_id(&rec, &delivered, NUM_NODES, &endpoints, k)
             );
             for j in 0..=picks.len() {
                 let union: HashSet<PacketId> = picks[..j]
                     .iter()
-                    .filter_map(|&n| captured_set(&rec, n, basis))
+                    .filter_map(|&n| rec.relayed_set(n))
                     .flat_map(|set| set.iter())
                     .filter(|p| delivered.contains(p))
                     .collect();
-                let exposure = coalition_report(&rec, &picks[..j], basis);
+                let exposure = coalition_report(&rec, &picks[..j]);
                 prop_assert_eq!(exposure.covered, union.len() as u64);
                 prop_assert_eq!(exposure.delivered, delivered.len() as u64);
             }

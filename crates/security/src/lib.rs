@@ -13,7 +13,7 @@
 //! * [`interception`] — the interception ratio `Ri = Pe / Pr` (Eq. 1) and the
 //!   *highest* interception ratio (the worst-case node, Fig. 7).
 //! * [`coalition`] — `k` colluding eavesdroppers: the exposure of the
-//!   members' union, with random (nested) and greedy worst-case placement.
+//!   members' union, with greedy worst-case placement.
 //! * [`capture`] — what route-attraction attackers (wormhole, rushing,
 //!   black-hole attraction) captured: the exposure of their relayed sets and
 //!   the wormhole's tunnel.
@@ -26,18 +26,15 @@
 //!
 //! ## Coalitions
 //!
-//! A coalition's knobs are its size `k` (the paper's single eavesdropper is
-//! `k = 1`; [`coalition_curve`] sweeps `1..=k`), its [`CoalitionPlacement`]
-//! and its [`CoverageBasis`]:
-//!
-//! * `Random` placement draws nested seeded coalitions (the size-`k`
-//!   coalition is a prefix of the size-`k+1` one, so coverage is monotone in
-//!   `k`); `Greedy` runs the classical max-k-coverage greedy over the
-//!   finished run, which covers at least `1 - 1/e` of the best size-`k`
-//!   coalition's coverage.
-//! * The `Relayed` basis unions packets received to relay (the Fig. 7 β
-//!   basis, the discriminating choice); `Heard` adds promiscuous overhearing
-//!   and saturates near 1.0 at paper densities, where everyone overhears.
+//! A coalition's one knob is its size `k` (the paper's single eavesdropper
+//! is `k = 1`).  [`select_coalition_greedy`] runs the classical
+//! max-k-coverage greedy over the finished run, which covers at least
+//! `1 - 1/e` of the best size-`k` coalition's coverage; its size-`k` list is
+//! a prefix of every longer one, so the prefixes of one list are the whole
+//! coverage curve.  [`coalition_report`] unions the packets the members
+//! received to relay (the Fig. 7 β basis).  Adding promiscuous overhearing
+//! would saturate near 1.0 at paper densities, where everyone overhears, so
+//! it would not discriminate the protocols.
 //!
 //! ## Capture
 //!
@@ -55,10 +52,7 @@ pub mod interception;
 pub mod participation;
 
 pub use capture::capture_report;
-pub use coalition::{
-    coalition_curve, coalition_report, select_coalition_greedy, select_coalition_random,
-    CoalitionPlacement, CoverageBasis,
-};
+pub use coalition::{coalition_report, select_coalition_greedy};
 pub use eavesdropper::select_eavesdropper;
 pub use exposure::{exposure, Exposure};
 pub use interception::{highest_interception_ratio, interception_ratio, InterceptionSummary};

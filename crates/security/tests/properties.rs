@@ -2,9 +2,7 @@
 
 use manet_netsim::{Observation, Recorder, SimTime};
 use manet_security::interception::{highest_interception_ratio, interception_ratio};
-use manet_security::{
-    coalition_curve, coalition_report, select_coalition_greedy, CoalitionPlacement, CoverageBasis,
-};
+use manet_security::{coalition_report, select_coalition_greedy};
 use manet_security::{participating_nodes, relay_distribution};
 use manet_wire::{ConnectionId, DataPacket, NodeId, PacketId, TcpSegment};
 use proptest::prelude::*;
@@ -160,9 +158,9 @@ fn endpoints() -> [NodeId; 2] {
 }
 
 proptest! {
-    /// Coalition interception ratios are always in [0, 1], for both bases and
-    /// any member set — including members that heard nothing and ids that
-    /// were never delivered.
+    /// Coalition interception ratios are always in [0, 1] for any member set
+    /// — including members that relayed nothing and ids that were never
+    /// delivered.
     #[test]
     fn coalition_ratios_stay_in_unit_interval(
         delivered in 0u64..30,
@@ -171,42 +169,34 @@ proptest! {
     ) {
         let rec = coalition_recorder(delivered, &relays);
         let members: Vec<NodeId> = members.into_iter().map(NodeId).collect();
-        for basis in [CoverageBasis::Relayed, CoverageBasis::Heard] {
-            let r = coalition_report(&rec, &members, basis);
-            let ratio = r.ratio();
-            prop_assert!((0.0..=1.0).contains(&ratio), "ratio {ratio} out of range");
-            prop_assert!(r.covered <= r.delivered.max(r.covered));
-            prop_assert!(r.covered <= delivered);
-        }
+        let r = coalition_report(&rec, &members);
+        let ratio = r.ratio();
+        prop_assert!((0.0..=1.0).contains(&ratio), "ratio {ratio} out of range");
+        prop_assert!(r.covered <= r.delivered.max(r.covered));
+        prop_assert!(r.covered <= delivered);
     }
 
-    /// Coalition coverage is monotone (non-decreasing) in the coalition size,
-    /// for both placements.
+    /// Greedy coalitions are nested — the size-k list is a prefix of the
+    /// size-k_max list — so coverage is monotone (non-decreasing) in the
+    /// coalition size.
     #[test]
     fn coalition_coverage_is_monotone_in_k(
         delivered in 1u64..30,
         relays in proptest::collection::vec((0u16..NUM_NODES, 0u64..40), 1..80),
         k_max in 1usize..8,
-        seed in 0u64..1000,
     ) {
         let rec = coalition_recorder(delivered, &relays);
-        for placement in [CoalitionPlacement::Random, CoalitionPlacement::Greedy] {
-            let curve = coalition_curve(
-                &rec,
-                NUM_NODES,
-                &endpoints(),
-                k_max,
-                placement,
-                CoverageBasis::Relayed,
-                seed,
-            );
-            prop_assert!(curve.len() <= k_max);
-            for w in curve.windows(2) {
-                prop_assert!(
-                    w[1].ratio() >= w[0].ratio() - 1e-12,
-                    "coverage shrank when the coalition grew ({placement:?})"
-                );
-            }
+        let members = select_coalition_greedy(&rec, NUM_NODES, &endpoints(), k_max);
+        prop_assert!(members.len() <= k_max);
+        for k in 1..=members.len() {
+            let smaller = select_coalition_greedy(&rec, NUM_NODES, &endpoints(), k);
+            prop_assert_eq!(&smaller[..], &members[..k]);
+        }
+        let ratios: Vec<f64> = (1..=members.len())
+            .map(|k| coalition_report(&rec, &members[..k]).ratio())
+            .collect();
+        for w in ratios.windows(2) {
+            prop_assert!(w[1] >= w[0] - 1e-12, "coverage shrank when the coalition grew");
         }
     }
 
@@ -219,14 +209,14 @@ proptest! {
         k in 1usize..5,
     ) {
         let rec = coalition_recorder(delivered, &relays);
-        let greedy = select_coalition_greedy(&rec, NUM_NODES, &endpoints(), k, CoverageBasis::Relayed);
-        let greedy_ratio = coalition_report(&rec, &greedy, CoverageBasis::Relayed).ratio();
+        let greedy = select_coalition_greedy(&rec, NUM_NODES, &endpoints(), k);
+        let greedy_ratio = coalition_report(&rec, &greedy).ratio();
         for n in 0..NUM_NODES {
             let node = NodeId(n);
             if endpoints().contains(&node) {
                 continue;
             }
-            let solo = coalition_report(&rec, &[node], CoverageBasis::Relayed).ratio();
+            let solo = coalition_report(&rec, &[node]).ratio();
             prop_assert!(solo <= greedy_ratio + 1e-12);
         }
     }
@@ -251,7 +241,7 @@ proptest! {
             if eps.contains(&node) {
                 continue;
             }
-            let ratio = coalition_report(&rec, &[node], CoverageBasis::Relayed).ratio();
+            let ratio = coalition_report(&rec, &[node]).ratio();
             if ratio > expected {
                 expected = ratio;
                 expected_node = Some(node);

@@ -1,6 +1,7 @@
-//! Transport-layer parameters: the TCP Reno knobs ([`TcpConfig`]) and the
+//! Transport-layer parameters: the TCP Reno settings ([`TcpConfig`]) and the
 //! start time and byte budget of one bulk flow ([`FlowProfile`]).
 
+use crate::rto::MAX_RTO;
 use manet_wire::sizes::DEFAULT_MSS;
 
 /// When a bulk flow starts and how much it sends.
@@ -39,45 +40,27 @@ impl FlowProfile {
 
 /// TCP Reno parameters.
 ///
-/// Defaults follow the classic ns-2 era Reno configuration the paper used:
-/// 1000-byte segments, an initial congestion window of one segment, a 64
-/// segment receive window, a 1 s minimum / 64 s maximum retransmission
-/// timeout and three duplicate ACKs triggering fast retransmit.
+/// The paper's ns-2 era Reno runs with 1000-byte segments and a 1 s
+/// minimum retransmission timeout.  Its other values are constants of the
+/// module that reads them: the initial window, slow-start threshold and
+/// receiver window ([`crate::reno`]), the 64 s maximum RTO and the back-off
+/// cap ([`crate::rto`]), and the three duplicate ACKs that trigger a fast
+/// retransmit ([`crate::sender`]).  The two fields stay settable because
+/// something reads them at other values: the benchmark reads `mss`, and the
+/// sender's timer-discipline tests draw `min_rto`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes per segment).
     pub mss: u32,
-    /// Initial congestion window, in segments.
-    pub initial_cwnd: f64,
-    /// Initial slow-start threshold, in segments: at least 2, and `+∞` is
-    /// RFC 5681's "arbitrarily high".
-    pub initial_ssthresh: f64,
-    /// Receiver window, in segments (caps the usable window).
-    pub receiver_window: f64,
     /// Minimum retransmission timeout, seconds.
     pub min_rto: f64,
-    /// Maximum retransmission timeout, seconds.
-    pub max_rto: f64,
-    /// Number of duplicate ACKs that triggers a fast retransmit.
-    pub dupack_threshold: u32,
-    /// Maximum number of consecutive RTO expirations before the connection is
-    /// considered (temporarily) dead; the sender keeps backing off but caps
-    /// the exponent here.  At most 31: the back-off factor is a `u32` power
-    /// of two.
-    pub max_backoff_exponent: u32,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             mss: DEFAULT_MSS,
-            initial_cwnd: 1.0,
-            initial_ssthresh: 32.0,
-            receiver_window: 64.0,
             min_rto: 1.0,
-            max_rto: 64.0,
-            dupack_threshold: 3,
-            max_backoff_exponent: 6,
         }
     }
 }
@@ -88,24 +71,8 @@ impl TcpConfig {
         if self.mss == 0 {
             return Err("mss must be positive".into());
         }
-        if !(self.initial_cwnd >= 1.0 && self.initial_cwnd.is_finite()) {
-            return Err("initial_cwnd must be a finite number of at least one segment".into());
-        }
-        if !(self.receiver_window >= 1.0 && self.receiver_window.is_finite()) {
-            return Err("receiver_window must be a finite number of at least one segment".into());
-        }
-        // +inf passes: RFC 5681's "arbitrarily high".
-        if self.initial_ssthresh.is_nan() || self.initial_ssthresh < 2.0 {
-            return Err("initial_ssthresh must be at least two segments".into());
-        }
-        if !(self.min_rto > 0.0 && self.min_rto <= self.max_rto && self.max_rto.is_finite()) {
-            return Err("RTO bounds must satisfy 0 < min_rto <= max_rto < inf".into());
-        }
-        if self.dupack_threshold == 0 {
-            return Err("dupack_threshold must be at least 1".into());
-        }
-        if self.max_backoff_exponent > 31 {
-            return Err("max_backoff_exponent must be at most 31".into());
+        if !(self.min_rto > 0.0 && self.min_rto <= MAX_RTO) {
+            return Err("min_rto must satisfy 0 < min_rto <= MAX_RTO".into());
         }
         Ok(())
     }
@@ -120,7 +87,6 @@ mod tests {
         let c = TcpConfig::default();
         c.validate().unwrap();
         assert_eq!(c.mss, DEFAULT_MSS);
-        assert_eq!(c.dupack_threshold, 3);
         assert!(c.min_rto >= 1.0);
     }
 
@@ -158,89 +124,23 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_values() {
-        assert!(TcpConfig {
+        let bad = |c: TcpConfig| assert!(c.validate().is_err(), "{c:?}");
+        bad(TcpConfig {
             mss: 0,
             ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TcpConfig {
-            initial_cwnd: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TcpConfig {
-            receiver_window: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TcpConfig {
-            min_rto: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TcpConfig {
-            max_rto: 0.5,
-            min_rto: 1.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(TcpConfig {
-            dupack_threshold: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        for bad in [1.5, f64::NAN, f64::NEG_INFINITY] {
-            let c = TcpConfig {
-                initial_ssthresh: bad,
+        });
+        // Non-finite values fail validation instead of panicking mid-run.
+        for min_rto in [0.0, -1.0, MAX_RTO + 1.0, f64::NAN, f64::INFINITY] {
+            bad(TcpConfig {
+                min_rto,
                 ..Default::default()
-            };
-            assert!(c.validate().is_err(), "initial_ssthresh = {bad}");
+            });
         }
         TcpConfig {
-            initial_ssthresh: f64::INFINITY,
+            min_rto: MAX_RTO,
             ..Default::default()
         }
         .validate()
-        .expect("an arbitrarily high initial ssthresh is RFC 5681's default");
-        for (exponent, valid) in [(31, true), (32, false), (u32::MAX, false)] {
-            let c = TcpConfig {
-                max_backoff_exponent: exponent,
-                ..Default::default()
-            };
-            assert_eq!(
-                c.validate().is_ok(),
-                valid,
-                "max_backoff_exponent = {exponent}"
-            );
-        }
-        // Non-finite values fail validation instead of panicking mid-run.
-        for x in [f64::NAN, f64::INFINITY] {
-            for bad in [
-                TcpConfig {
-                    initial_cwnd: x,
-                    ..Default::default()
-                },
-                TcpConfig {
-                    receiver_window: x,
-                    ..Default::default()
-                },
-                TcpConfig {
-                    min_rto: x,
-                    ..Default::default()
-                },
-                TcpConfig {
-                    max_rto: x,
-                    ..Default::default()
-                },
-            ] {
-                assert!(bad.validate().is_err(), "{bad:?}");
-            }
-        }
+        .expect("the RTO bounds may meet");
     }
 }

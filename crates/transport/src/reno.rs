@@ -12,6 +12,15 @@
 //!   further duplicate ACK until a new ACK deflates it back to `ssthresh`;
 //! * timeout — `ssthresh = flight/2`, `cwnd = 1`, back to slow start.
 
+/// Initial congestion window, in segments (ns-2 Reno's one segment).
+pub const INITIAL_CWND: f64 = 1.0;
+
+/// Initial slow-start threshold, in segments.
+pub const INITIAL_SSTHRESH: f64 = 32.0;
+
+/// Receiver window, in segments: caps the usable window.
+pub const RECEIVER_WINDOW: f64 = 64.0;
+
 /// The congestion-control phase the sender is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CongestionState {
@@ -28,7 +37,6 @@ pub enum CongestionState {
 pub struct RenoController {
     cwnd: f64,
     ssthresh: f64,
-    receiver_window: f64,
     state: CongestionState,
     /// Window value to restore when fast recovery completes.
     recovery_ssthresh: f64,
@@ -38,14 +46,14 @@ pub struct RenoController {
 }
 
 impl RenoController {
-    /// New controller.
-    pub fn new(initial_cwnd: f64, initial_ssthresh: f64, receiver_window: f64) -> Self {
+    /// New controller in slow start at [`INITIAL_CWND`] and
+    /// [`INITIAL_SSTHRESH`].
+    pub fn new() -> Self {
         RenoController {
-            cwnd: initial_cwnd.max(1.0),
-            ssthresh: initial_ssthresh.max(2.0),
-            receiver_window: receiver_window.max(1.0),
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
             state: CongestionState::SlowStart,
-            recovery_ssthresh: initial_ssthresh,
+            recovery_ssthresh: INITIAL_SSTHRESH,
             fast_retransmits: 0,
             timeouts: 0,
         }
@@ -68,7 +76,7 @@ impl RenoController {
 
     /// Usable window in whole segments: `min(cwnd, receiver window)`.
     pub fn usable_window(&self) -> u64 {
-        self.cwnd.min(self.receiver_window).floor().max(1.0) as u64
+        self.cwnd.min(RECEIVER_WINDOW).floor().max(1.0) as u64
     }
 
     /// Number of fast retransmits performed.
@@ -132,7 +140,7 @@ impl RenoController {
 
 impl Default for RenoController {
     fn default() -> Self {
-        RenoController::new(1.0, 32.0, 64.0)
+        RenoController::new()
     }
 }
 
@@ -142,7 +150,7 @@ mod tests {
 
     #[test]
     fn slow_start_doubles_per_rtt() {
-        let mut c = RenoController::new(1.0, 64.0, 128.0);
+        let mut c = RenoController::new();
         assert_eq!(c.state(), CongestionState::SlowStart);
         // One ACK per outstanding segment: after acking a full window the
         // window roughly doubles.
@@ -154,10 +162,12 @@ mod tests {
 
     #[test]
     fn transitions_to_congestion_avoidance_at_ssthresh() {
-        let mut c = RenoController::new(1.0, 4.0, 64.0);
-        for _ in 0..3 {
+        let mut c = RenoController::new();
+        for _ in 1..INITIAL_SSTHRESH as usize - 1 {
             c.on_new_ack();
         }
+        assert_eq!(c.state(), CongestionState::SlowStart);
+        c.on_new_ack();
         assert_eq!(c.state(), CongestionState::CongestionAvoidance);
         let before = c.cwnd();
         c.on_new_ack();
@@ -168,7 +178,7 @@ mod tests {
 
     #[test]
     fn fast_retransmit_halves_window_and_recovery_deflates() {
-        let mut c = RenoController::new(1.0, 8.0, 64.0);
+        let mut c = RenoController::new();
         for _ in 0..16 {
             c.on_new_ack();
         }
@@ -189,7 +199,7 @@ mod tests {
 
     #[test]
     fn timeout_collapses_to_one_segment() {
-        let mut c = RenoController::new(1.0, 8.0, 64.0);
+        let mut c = RenoController::new();
         for _ in 0..20 {
             c.on_new_ack();
         }
@@ -203,11 +213,13 @@ mod tests {
 
     #[test]
     fn usable_window_respects_receiver_window() {
-        let mut c = RenoController::new(1.0, 1000.0, 8.0);
-        for _ in 0..100 {
+        let mut c = RenoController::new();
+        // Slow start to the threshold, then ~cwnd ACKs per extra segment.
+        for _ in 0..5_000 {
             c.on_new_ack();
         }
-        assert_eq!(c.usable_window(), 8);
+        assert!(c.cwnd() > RECEIVER_WINDOW);
+        assert_eq!(c.usable_window(), RECEIVER_WINDOW as u64);
     }
 
     #[test]

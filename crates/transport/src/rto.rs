@@ -7,6 +7,13 @@
 
 use manet_netsim::Duration;
 
+/// Maximum retransmission timeout of a TCP sender, seconds.
+pub const MAX_RTO: f64 = 64.0;
+
+/// Cap on a TCP sender's back-off exponent: it keeps backing off after this
+/// many consecutive RTO expirations, but no further.
+pub const MAX_BACKOFF_EXPONENT: u32 = 6;
+
 /// Round-trip-time estimator producing the retransmission timeout.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtoEstimator {
@@ -25,7 +32,8 @@ pub struct RtoEstimator {
 }
 
 impl RtoEstimator {
-    /// New estimator with the given RTO bounds.
+    /// New estimator with the given RTO bounds.  `max_backoff` is at most
+    /// 31: the back-off factor is a `u32` power of two.
     pub fn new(min_rto: f64, max_rto: f64, max_backoff: u32) -> Self {
         RtoEstimator {
             srtt: None,
@@ -85,7 +93,7 @@ impl RtoEstimator {
 
 impl Default for RtoEstimator {
     fn default() -> Self {
-        RtoEstimator::new(1.0, 64.0, 6)
+        RtoEstimator::new(1.0, MAX_RTO, MAX_BACKOFF_EXPONENT)
     }
 }
 
@@ -152,8 +160,8 @@ mod tests {
 
     #[test]
     fn the_largest_valid_backoff_cap_saturates_at_max_rto() {
-        // 31 is the cap `TcpConfig::validate` allows: 2^31 still fits the
-        // back-off factor, and backing off past the cap stays there.
+        // 31 is the largest cap `new` allows: 2^31 still fits the back-off
+        // factor, and backing off past the cap stays there.
         let mut e = RtoEstimator::new(1.0, 64.0, 31);
         e.sample(0.5);
         for _ in 0..40 {

@@ -32,10 +32,13 @@
 
 use crate::config::{FlowProfile, TcpConfig};
 use crate::reno::{CongestionState, RenoController};
-use crate::rto::RtoEstimator;
+use crate::rto::{RtoEstimator, MAX_BACKOFF_EXPONENT, MAX_RTO};
 use manet_netsim::{Duration, SimTime};
 use manet_wire::{ConnectionId, TcpSegment};
 use std::collections::VecDeque;
+
+/// Number of duplicate ACKs that triggers a fast retransmit.
+pub const DUPACK_THRESHOLD: u32 = 3;
 
 /// The retransmission timer event the stack should schedule.
 ///
@@ -123,12 +126,8 @@ impl TcpSender {
         profile.validate().expect("invalid flow profile");
         TcpSender {
             conn,
-            reno: RenoController::new(
-                config.initial_cwnd,
-                config.initial_ssthresh,
-                config.receiver_window,
-            ),
-            rto: RtoEstimator::new(config.min_rto, config.max_rto, config.max_backoff_exponent),
+            reno: RenoController::new(),
+            rto: RtoEstimator::new(config.min_rto, MAX_RTO, MAX_BACKOFF_EXPONENT),
             config,
             profile,
             snd_nxt: 0,
@@ -324,12 +323,12 @@ impl TcpSender {
         } else if ack == self.snd_una && self.flight_bytes() > 0 {
             // Duplicate ACK.
             self.dupacks += 1;
-            if self.dupacks == self.config.dupack_threshold {
+            if self.dupacks == DUPACK_THRESHOLD {
                 self.recovery_point = self.snd_nxt;
                 self.reno.on_fast_retransmit(self.flight_segments());
                 out.segments.push(self.retransmit_front(now));
                 self.arm_timer(now, &mut out);
-            } else if self.dupacks > self.config.dupack_threshold {
+            } else if self.dupacks > DUPACK_THRESHOLD {
                 self.reno.on_extra_dupack();
                 self.pump_into(now, &mut out);
             }
@@ -402,6 +401,7 @@ impl TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reno::RECEIVER_WINDOW;
     use proptest::prelude::*;
 
     const CONN: ConnectionId = ConnectionId(1);
@@ -617,7 +617,7 @@ mod tests {
             to_deliver.extend(out.segments);
         }
         assert!(s.bytes_acked() > 100 * mss);
-        assert!(s.cwnd() <= TcpConfig::default().receiver_window + 1.0);
+        assert!(s.cwnd() <= RECEIVER_WINDOW + 1.0);
         assert_eq!(s.retransmissions(), 0);
     }
 

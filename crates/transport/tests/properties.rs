@@ -50,7 +50,7 @@ proptest! {
     /// window stays at least one segment and ssthresh at least two.
     #[test]
     fn reno_window_never_collapses(events in proptest::collection::vec(0u8..4, 1..200)) {
-        let mut reno = RenoController::new(1.0, 32.0, 64.0);
+        let mut reno = RenoController::new();
         for e in events {
             match e {
                 0 => reno.on_new_ack(),

@@ -46,13 +46,12 @@ pub mod prelude {
     };
     pub use manet_netsim::{Duration, JamTarget, RushConfig, SimConfig, SimTime, WormholeConfig};
     pub use manet_security::{
-        capture_report, coalition_curve, coalition_report, exposure, CoalitionPlacement,
-        CoverageBasis, Exposure,
+        capture_report, coalition_report, exposure, select_coalition_greedy, Exposure,
     };
     pub use manet_stack::{ManetStack, SharedTcpStats, TcpRunReport, TcpRunStats};
     pub use manet_tcp::FlowProfile;
     pub use manet_wire::{ConnectionId, NodeId};
-    pub use mts_core::{Mts, MtsConfig, RouteCheckConfig};
+    pub use mts_core::{Mts, MtsConfig};
 }
 
 #[cfg(test)]

@@ -77,17 +77,11 @@ fn mts_coalition_coverage_not_worse_than_dsr() {
             scenario.sim.duration = Duration::from_secs(60.0);
             let (_, recorder) = run_scenario_with_recorder(&scenario);
             let endpoints = scenario.endpoints();
-            let curve = coalition_curve(
-                &recorder,
-                scenario.sim.num_nodes,
-                &endpoints,
-                5,
-                CoalitionPlacement::Greedy,
-                CoverageBasis::Relayed,
-                seed,
-            );
-            for (k, report) in curve.iter().enumerate() {
-                avg[k] += report.ratio() / seeds.len() as f64;
+            // Greedy is nested: the size-k coalition is a prefix of this one.
+            let members = select_coalition_greedy(&recorder, scenario.sim.num_nodes, &endpoints, 5);
+            for k in 1..=members.len() {
+                let report = coalition_report(&recorder, &members[..k]);
+                avg[k - 1] += report.ratio() / seeds.len() as f64;
             }
         }
         avg
@@ -109,21 +103,11 @@ fn mts_coalition_coverage_not_worse_than_dsr() {
 
 #[test]
 fn coalition_attack_surfaces_in_run_metrics() {
-    let m = attack_run(
-        Protocol::Dsr,
-        AttackConfig::coalition(3, CoalitionPlacement::Greedy),
-        1,
-        20.0,
-    );
+    let m = attack_run(Protocol::Dsr, AttackConfig::coalition(3), 1, 20.0);
     invariants::capture_ratio_meaningful(m.coalition_interception_ratio, 0.0)
         .unwrap_or_else(|e| panic!("coalition {e}"));
     // A bigger coalition can only see more.
-    let bigger = attack_run(
-        Protocol::Dsr,
-        AttackConfig::coalition(5, CoalitionPlacement::Greedy),
-        1,
-        20.0,
-    );
+    let bigger = attack_run(Protocol::Dsr, AttackConfig::coalition(5), 1, 20.0);
     invariants::monotone_nondecreasing(&[
         m.coalition_interception_ratio,
         bigger.coalition_interception_ratio,

@@ -32,8 +32,16 @@ difference there is printed and is what may explain a moved digest.  The exit st
 exists on one side only, or if a workload's digest moved although none of
 its bookkeeping metrics did.
 
+``--outputs`` is the check that a change moves no simulated bit.  It builds
+the root package's ``reproduce`` binary and the ``route_discovery_trace`` and
+``ablations`` examples on both sides, runs ``reproduce figures --seeds 10``,
+``reproduce attacks --seeds 10`` and the two examples, and compares each
+stdout byte for byte.  A difference prints the first differing line of both
+sides, and the exit status is then 1.  With ``--outputs`` the timing pairs
+run only when ``--pairs`` or ``--seeds`` asks for them.
+
 Usage: python3 tools/ab.py <parent-rev> [--workload W] [--pairs 10]
-                           [--seeds 1,101,2,3] [--counts]
+                           [--seeds 1,101,2,3] [--counts] [--outputs]
 
 Without ``--workload`` every workload of BENCHMARK.json is measured in turn.
 Seeds default to 1, 101 (the held-out seed), 2, 3, ... up to ``--pairs``;
@@ -86,6 +94,57 @@ def parent_checkout(root: Path, rev: str) -> tuple[str, Path]:
 
 
 COUNT_SEEDS = (1, 101)
+
+# The outputs `--outputs` compares: (label, program, arguments).
+OUTPUT_RUNS = (
+    ("reproduce figures --seeds 10", "reproduce", ["figures", "--seeds", "10"]),
+    ("reproduce attacks --seeds 10", "reproduce", ["attacks", "--seeds", "10"]),
+    ("example route_discovery_trace", "route_discovery_trace", []),
+    ("example ablations", "ablations", []),
+)
+
+
+def build_outputs(checkout: Path) -> dict[str, Path]:
+    """Build `checkout`'s `reproduce` and the two examples; return them by name."""
+    manifest = checkout / "Cargo.toml"
+    run(
+        [
+            "cargo", "build", "--release", "--quiet", "--manifest-path", str(manifest),
+            "--bin", "reproduce",
+            "--example", "route_discovery_trace",
+            "--example", "ablations",
+        ]
+    )
+    release = checkout / "target" / "release"
+    return {
+        "reproduce": release / "reproduce",
+        "route_discovery_trace": release / "examples" / "route_discovery_trace",
+        "ablations": release / "examples" / "ablations",
+    }
+
+
+def compare_outputs(parent: dict[str, Path], change: dict[str, Path]) -> bool:
+    """Run every OUTPUT_RUNS entry on both sides; True if all stdouts are equal."""
+    same = True
+    for label, program, argv in OUTPUT_RUNS:
+        old, new = (
+            run([str(side[program]), *argv], capture_output=True).stdout
+            for side in (parent, change)
+        )
+        if old == new:
+            print(f"outputs: {label}: equal ({len(old.splitlines())} lines)")
+            continue
+        same = False
+        old_lines, new_lines = old.splitlines(), new.splitlines()
+        line = next(
+            (i for i, (a, b) in enumerate(zip(old_lines, new_lines)) if a != b),
+            min(len(old_lines), len(new_lines)),
+        )
+        print(f"outputs: {label}: DIFFERS at line {line + 1}")
+        for side, lines in (("parent", old_lines), ("change", new_lines)):
+            text = lines[line] if line < len(lines) else "<end of output>"
+            print(f"  {side}: {text}")
+    return same
 
 
 def measure(binary: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
@@ -213,14 +272,23 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_rev", help="revision to compare this tree against")
     ap.add_argument("--workload", help="one workload (default: all of BENCHMARK.json)")
-    ap.add_argument("--pairs", type=int, default=10, help="pairs per workload")
+    ap.add_argument(
+        "--pairs", type=int, help="pairs per workload (default 10, 0 with --outputs)"
+    )
     ap.add_argument("--seeds", help="comma-separated benchmark seeds, one pair each")
     ap.add_argument(
         "--counts",
         action="store_true",
         help="compare the exact metrics of traced runs at seeds 1 and 101 first",
     )
+    ap.add_argument(
+        "--outputs",
+        action="store_true",
+        help="compare the stdout of reproduce figures/attacks and two examples first",
+    )
     args = ap.parse_args()
+    if args.pairs is None:
+        args.pairs = 0 if args.outputs and not args.seeds else 10
 
     root = repo_root()
     manifest = json.loads((root / "BENCHMARK.json").read_text())
@@ -234,14 +302,19 @@ def main() -> int:
         seeds = ([1, 101] + list(range(2, args.pairs)))[: args.pairs]
     if seeds and min(seeds) < 1:
         sys.exit("seeds start at 1")
-    if not seeds and not args.counts:
-        sys.exit("nothing to do: no pairs and no --counts")
+    if not seeds and not args.counts and not args.outputs:
+        sys.exit("nothing to do: no pairs, no --counts and no --outputs")
 
     sha, checkout = parent_checkout(root, args.parent_rev)
+    ok = True
+    if args.outputs:
+        ok = compare_outputs(build_outputs(checkout), build_outputs(root))
+        print(f"outputs: {'equal' if ok else 'DIFFERENCES, see above'}")
+        if not seeds and not args.counts:
+            return 0 if ok else 1
     parent_bin, change_bin = build(checkout), build(root)
     print(f"parent {sha}: {parent_bin}\nchange (this tree): {change_bin}")
 
-    ok = True
     binaries = {"parent": parent_bin, "change": change_bin}
     for workload in workloads:
         explained = False
